@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .curvature import CurvatureFunction
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError, TranslabError
 from .implicit import ImplicitBranch
 from .ode import IntegratorConfig, integrate
 
@@ -132,11 +132,7 @@ def verify_inequality(
             g = branch.g_minus(yarg)
             margins[i] = wp - (1 + w * w) ** (beta + 1.0) * g
             ws[i] = w
-        except (DomainError, ConvergenceError, Exception) as exc:  # noqa: BLE001
-            from .errors import TranslabError
-
-            if not isinstance(exc, TranslabError):
-                raise
+        except TranslabError:
             skipped += 1
     valid = ~np.isnan(margins)
     if valid.sum() == 0:

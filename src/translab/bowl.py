@@ -7,7 +7,9 @@ The slope v = u'(r) of a rotationally symmetric graphical translator obeys
 
 integrated here from a series start v = lambda0 * r at the axis, where
 lambda0 = gamma(1,...,1)^(-1/alpha) is the umbilic curvature forced by the
-translator equation at r = 0.  The height u is recovered by quadrature.
+translator equation at r = 0.  The tail is strongly attracting, so the
+steps are implicit (Radau IIA with the analytic dF/dv); the height u is the
+exact integral of the dense slope output.
 
 Closed-form asymptotic coefficients (the nondegenerate pair (a, b) and the
 degenerate quadruple (k, c, d, A)) are evaluated from implicit-branch
@@ -28,6 +30,8 @@ from .implicit import ImplicitBranch
 from .ode import EventSpec, IntegratorConfig, Trajectory, integrate
 
 AXIS_EPS = 1e-6
+# tail fits sample the dense output on this many geometric points
+FIT_SAMPLES = 200
 
 
 @dataclass
@@ -51,8 +55,12 @@ class BowlProfile:
         return self.trajectory.resample(np.asarray(rs, dtype=float))[:, 0]
 
     def u_at(self, rs) -> np.ndarray:
+        """Height at radii inside the profile: the node height plus the
+        exact integral of the step's collocation polynomial."""
         rs = np.asarray(rs, dtype=float)
-        return np.interp(rs, self.r, self.u)
+        segs = self.trajectory.segments
+        idx = self.trajectory.segment_index(rs)
+        return np.array([self.u[j] + segs[j].integral(float(r))[0] for r, j in zip(rs, idx)])
 
 
 @dataclass
@@ -103,23 +111,9 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
     return value, derivative
 
 
-def _slope_rhs(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional[float]):
-    """Scalar RHS of the slope equation; a failed root solve gives NaN."""
-    value, _ = _slope_field(f, branch, clamp_y)
-    state = {"seed": None}
-
-    def rhs(r, yv):
-        try:
-            F, state["seed"] = value(r, yv[0], state["seed"])
-        except TranslabError:
-            return (math.nan,)
-        return (F,)
-
-    return rhs
-
-
 def _slope_copies(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional[float]):
-    """RHS and diagonal Jacobian for uncoupled copies of the slope equation.
+    """RHS and diagonal Jacobian for one or more uncoupled copies of the
+    slope equation.
 
     Each state component is one copy with its own root-solve seed, so two
     components holding equal data compute bit-identical values.  A failed
@@ -162,8 +156,8 @@ def solve_bowl(
     a = f.alpha_float
     if a <= 1.0 / 3.0:
         raise ParameterError(f"bowl solver requires alpha > 1/3, got {a}")
-    # in the stiff tail the controller is stability-limited, so the tight
-    # default is nearly free and keeps the quasi-steady slope drift below
+    # the implicit step is tolerance-limited on the stiff tail; the tight
+    # default costs ~10^3 steps and keeps the quasi-steady slope drift below
     # the tail-fit resolution
     cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     branch = ImplicitBranch(f)
@@ -181,9 +175,8 @@ def solve_bowl(
                 name="cylinder",
             )
         )
-    rhs = _slope_rhs(f, branch, clamp)
-    v0 = lam0 * r_eps
-    traj = integrate(rhs, r_eps, [v0], r_max, cfg, events=events)
+    rhs, jac = _slope_copies(f, branch, clamp)
+    traj = integrate(rhs, r_eps, [lam0 * r_eps], r_max, cfg, events=events, jac=jac)
     if traj.termination == "terminal_event":
         termination = "reached cylinder slope y=1"
     elif traj.termination == "reached_end":
@@ -193,9 +186,12 @@ def solve_bowl(
 
     r = traj.ts
     v = traj.ys[:, 0]
-    # trapezoid quadrature for u, corrected to u(0) = 0 with the series start
-    u = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(r))])
-    u += 0.5 * lam0 * r_eps**2  # exact integral of the linear series on [0, r_eps]
+    # u(r_eps) is the exact integral of the linear series start on [0, r_eps];
+    # each step adds the exact integral of its collocation polynomial
+    u = np.cumsum(
+        [0.5 * lam0 * r_eps**2]
+        + [seg.integral(t)[0] for seg, t in zip(traj.segments, r[1:])]
+    )
     resid = np.empty_like(r)
     beta = f.beta
     for i in range(len(r)):
@@ -270,16 +266,16 @@ def coeffs_degenerate(f: CurvatureFunction) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _window_slice(profile: BowlProfile, window: tuple) -> np.ndarray:
+def _window_grid(profile: BowlProfile, window: tuple) -> np.ndarray:
+    """Geometric sample grid of a fit window inside the computed profile."""
     r_lo, r_hi = window
-    if r_lo >= r_hi:
+    if not r_lo < r_hi:
         raise FitError(f"bad window {window}")
     if r_hi > profile.r_max * (1 + 1e-9):
         raise FitError(f"window {window} beyond computed profile r_max={profile.r_max}")
-    mask = (profile.r >= r_lo) & (profile.r <= r_hi)
-    if mask.sum() < 8:
-        raise FitError(f"window {window} holds {int(mask.sum())} samples; need >= 8")
-    return mask
+    if r_lo < profile.r[0]:
+        raise FitError(f"window {window} starts below the profile start r={profile.r[0]}")
+    return np.geomspace(r_lo, min(r_hi, profile.r_max), FIT_SAMPLES)
 
 
 def default_window(profile: BowlProfile) -> tuple:
@@ -292,9 +288,8 @@ def fit_tail(profile: BowlProfile, regime: str, window: Optional[tuple] = None) 
 
     f = from_key(profile.curvature_key)
     window = window or default_window(profile)
-    mask = _window_slice(profile, window)
-    r = profile.r[mask]
-    v = profile.v[mask]
+    r = _window_grid(profile, window)
+    v = profile.v_at(r)
     al = profile.alpha
 
     if regime == "nondegenerate":
@@ -341,9 +336,8 @@ def fit_tail(profile: BowlProfile, regime: str, window: Optional[tuple] = None) 
 def growth_exponent(profile: BowlProfile, window: Optional[tuple] = None) -> float:
     """Log-log slope of the height u over the fit window."""
     window = window or default_window(profile)
-    mask = _window_slice(profile, window)
-    r = profile.r[mask]
-    u = profile.u[mask]
+    r = _window_grid(profile, window)
+    u = profile.u_at(r)
     if np.any(u <= 0) or np.any(np.diff(u) <= 0):
         raise FitError("height not positive and increasing on the window")
     L, U = np.log(r), np.log(u)

@@ -523,7 +523,7 @@ def solve_catenoid(
     if bowl is None:
         bowl = solve_bowl(f, r_max, config)
     grid = np.geomspace(window[0], window[1], 200)
-    ub = np.interp(grid, bowl.r, bowl.u)
+    ub = bowl.u_at(grid)
     result.C_plus = float(np.mean(upper.u_at(grid) - ub))
     if case == "continuous_origin":
         result.C_minus = float(np.mean(lower.u_at(grid) - ub))

@@ -76,7 +76,7 @@ _CONFIG_MAP = {
     "catenoid": {"curvature": "curvature", "R": "R", "rmax": "rmax", "handoff": "handoff"},
     "verify": {"curvature": "curvature", "suite": "suite"},
 }
-_FLOAT_KEYS = {"rmax", "fit_lo", "fit_hi", "R"}
+_FLOAT_KEYS = ("rmax", "fit_lo", "fit_hi", "R")
 
 
 def _merge_config(args, cfg: dict) -> None:
@@ -84,8 +84,7 @@ def _merge_config(args, cfg: dict) -> None:
     section = cfg.get(args.command, {})
     for cfg_key, attr in _CONFIG_MAP.get(args.command, {}).items():
         if getattr(args, attr, None) is None and cfg_key.lower() in section:
-            raw = section[cfg_key.lower()]
-            setattr(args, attr, float(raw) if cfg_key in _FLOAT_KEYS else raw)
+            setattr(args, attr, section[cfg_key.lower()])
     glob = cfg.get("global", {})
     if args.out is None and "out" in glob:
         args.out = glob["out"]
@@ -103,6 +102,17 @@ def _merge_config(args, cfg: dict) -> None:
     for attr in required[args.command]:
         if getattr(args, attr, None) is None:
             raise ParameterError(f"missing required option --{attr}")
+    for attr in _FLOAT_KEYS:
+        raw = getattr(args, attr, None)
+        if raw is None:
+            continue
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParameterError(f"--{attr.replace('_', '-')} must be a finite number, got {raw!r}")
+        setattr(args, attr, value)
 
 
 def _echo(args) -> dict:

@@ -11,7 +11,10 @@ Two fixed steppers share one driver (event location, node storage):
   divisions, one real and one complex per component and iteration.
 
 The explicit pair is stability-limited on the strongly attracting slope
-tails; the implicit step is limited by the tolerance alone there.
+tails; the implicit step is limited by the tolerance alone there, so the
+bowl profiles and the comparison runs take it, while the catenoid charts
+still step explicitly.  The collocation polynomial also integrates
+exactly, which gives the bowl height as a quadrature of the slope.
 Reproducibility matters more here than solver variety, so the tableaux,
 the dense-output polynomials and the controllers are all spelled out
 below; identical inputs produce bit-identical trajectories.
@@ -180,6 +183,14 @@ class _CollocationSegment:
         s = (t - self.t0) / self.h
         return tuple((q1 + s * (2 * q2 + 3 * s * q3)) / self.h for q1, q2, q3 in self.Q)
 
+    def integral(self, t):
+        """Exact integral of the collocation polynomial from t0 to t."""
+        s = (t - self.t0) / self.h
+        return tuple(
+            self.h * s * (y0 + s * (q1 / 2 + s * (q2 / 3 + s * q3 / 4)))
+            for y0, (q1, q2, q3) in zip(self.y0, self.Q)
+        )
+
 
 @dataclass
 class Trajectory:
@@ -195,22 +206,22 @@ class Trajectory:
     def t_final(self) -> float:
         return float(self.ts[-1])
 
-    def resample(self, grid: Sequence[float]) -> np.ndarray:
-        """Dense-output states on a grid inside the time span."""
-        grid = np.asarray(grid, dtype=float)
+    def segment_index(self, grid: np.ndarray) -> np.ndarray:
+        """Index of the accepted step covering each point of a grid inside
+        the time span; node i starts step i."""
         if grid.size and (grid.min() < self.ts[0] - 1e-12 or grid.max() > self.ts[-1] + 1e-12):
             raise ParameterError(
                 f"grid [{grid.min()}, {grid.max()}] outside span [{self.ts[0]}, {self.ts[-1]}]"
             )
-        out = np.empty((grid.size, self.ys.shape[1]))
         seg_ends = np.array([s.t0 + s.h for s in self.segments])
-        for i, t in enumerate(grid):
-            if t <= self.ts[0]:
-                out[i] = self.ys[0]
-                continue
-            j = int(np.searchsorted(seg_ends, t, side="left"))
-            j = min(j, len(self.segments) - 1)
-            out[i] = self.segments[j].eval(float(t))
+        return np.minimum(np.searchsorted(seg_ends, grid, side="left"), len(self.segments) - 1)
+
+    def resample(self, grid: Sequence[float]) -> np.ndarray:
+        """Dense-output states on a grid inside the time span."""
+        grid = np.asarray(grid, dtype=float)
+        out = np.empty((grid.size, self.ys.shape[1]))
+        for i, (t, j) in enumerate(zip(grid, self.segment_index(grid))):
+            out[i] = self.ys[0] if t <= self.ts[0] else self.segments[j].eval(float(t))
         return out
 
     def derivative_at(self, t: float) -> np.ndarray:

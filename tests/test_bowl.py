@@ -1,9 +1,12 @@
 """Bowl profiles: axis start, residuals, coefficient formulas, tail fits."""
 
+import time
+
 import numpy as np
 import pytest
 
 from translab.bowl import (
+    AXIS_EPS,
     _slope_field,
     coeffs_degenerate,
     coeffs_nondegenerate,
@@ -37,8 +40,6 @@ def test_axis_start_mean_n3():
 
 @pytest.mark.parametrize("key,rmax", [("mean:n=4", 30.0), ("gauss:n=4", 30.0), ("sk:k=3,n=5", 8.0)])
 def test_axis_umbilic_start(key, rmax):
-    # s_k tails are stability-limited (attraction rate ~ r^(2*alpha-1)), so
-    # the alpha = 3 case stays at moderate radius
     f = from_key(key)
     p = profile(key, rmax)
     lam0 = f.value(1.0, 1.0) ** (-1.0 / f.alpha_float)
@@ -50,6 +51,45 @@ def test_gauss_profile_reaches_and_residual():
     assert p.termination == "reached_end"
     assert p.r[-1] >= 1e3 - 1e-9
     assert p.residuals.max() <= 1e-8
+
+
+def test_height_matches_high_order_oracle():
+    # exact quadrature of the collocation polynomials against DOP853 at
+    # rtol 1e-13 on the (v, u) system; a trapezoid sum over the nodes is
+    # off by 1.0e-5 here
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    f = from_key("gauss:n=4")
+    p = profile("gauss:n=4", 1e3)
+    value, _ = _slope_field(f, ImplicitBranch(f), None)
+    grid = np.geomspace(1.0, 1e3, 25)
+    sol = solve_ivp(
+        lambda r, y: [value(r, y[0], None)[0], y[0]],
+        (AXIS_EPS, 1e3),
+        [p.lambda0 * AXIS_EPS, 0.5 * p.lambda0 * AXIS_EPS**2],
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-20,
+        t_eval=grid,
+    )
+    assert sol.status == 0
+    assert p.u[-1] == pytest.approx(sol.y[1, -1], rel=1e-10)
+    # dense height between the nodes
+    assert p.u_at(grid) == pytest.approx(sol.y[1], rel=1e-10)
+
+
+def test_u_at_reproduces_node_heights():
+    p = profile("mean:n=3", 500.0)
+    assert p.u_at(p.r) == pytest.approx(p.u, rel=1e-15, abs=0.0)
+
+
+def test_alpha_three_reaches_r100():
+    t0 = time.perf_counter()
+    p = solve_bowl(from_key("sk:k=3,n=5"), 100.0)
+    dt = time.perf_counter() - t0
+    assert p.termination == "reached_end"
+    assert dt < 5.0
+    assert fit_tail(p, "nondegenerate").rel_errors["a"] <= 0.01
+    assert growth_exponent(p) == pytest.approx(4.0, rel=0.02)
 
 
 def test_v_strictly_increasing():
@@ -150,6 +190,8 @@ def test_bad_window_rejected():
         fit_tail(p, "nondegenerate", window=(40.0, 400.0))
     with pytest.raises(FitError):
         growth_exponent(p, window=(30.0, 20.0))
+    with pytest.raises(FitError):
+        growth_exponent(p, window=(1e-9, 20.0))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from translab.cli import main
 
 
@@ -30,6 +32,25 @@ def test_bowl_files_and_exit(tmp_path):
 
 def test_bowl_bad_rmax_exit2(tmp_path):
     assert run(["bowl", "--curvature", "mean:n=3", "--rmax", "-1", "--out", str(tmp_path)]) == 2
+
+
+def test_bowl_non_number_env_exit2(tmp_path, monkeypatch):
+    monkeypatch.setenv("TRANSLAB_BOWL_RMAX", "abc")
+    assert run(["bowl", "--curvature", "mean:n=3", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bowl", "--curvature", "mean:n=3", "--rmax", "nan"],
+        ["bowl", "--curvature", "mean:n=3", "--rmax", "inf"],
+        ["bowl", "--curvature", "mean:n=3", "--fit-lo", "nan", "--fit-hi", "30"],
+        ["bowl", "--curvature", "mean:n=3", "--fit-lo", "5", "--fit-hi", "inf"],
+        ["catenoid", "--curvature", "qk:k=3,n=6", "--R", "nan"],
+    ],
+)
+def test_non_finite_option_exit2(tmp_path, args):
+    assert run(args + ["--out", str(tmp_path)]) == 2
 
 
 def test_bowl_bad_curvature_exit2(tmp_path):
