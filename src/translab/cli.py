@@ -89,7 +89,10 @@ def _merge_config(args, cfg: dict) -> None:
     if args.out is None and "out" in glob:
         args.out = glob["out"]
     if args.seed is None and "seed" in glob:
-        args.seed = int(glob["seed"])
+        try:
+            args.seed = int(glob["seed"])
+        except ValueError:
+            raise ParameterError(f"seed must be an integer, got {glob['seed']!r}") from None
     for attr, default in _DEFAULTS.get(args.command, {}).items():
         if getattr(args, attr, None) is None and default is not None:
             setattr(args, attr, default)

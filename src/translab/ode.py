@@ -225,9 +225,7 @@ class Trajectory:
         return out
 
     def derivative_at(self, t: float) -> np.ndarray:
-        seg_ends = np.array([s.t0 + s.h for s in self.segments])
-        j = int(np.searchsorted(seg_ends, t, side="left"))
-        j = min(j, len(self.segments) - 1)
+        j = int(self.segment_index(np.asarray([t]))[0])
         return np.asarray(self.segments[j].eval_derivative(float(t)))
 
 
@@ -358,15 +356,6 @@ def _dopri_steps(rhs, t, y, f, t_end, cfg):
     err_prev = 1.0
     n_steps = 0
     K = [f] * 7
-    # tableau locals for the unrolled scalar path
-    c1, c2, c3, c4 = _C[1], _C[2], _C[3], _C[4]
-    (a10,) = _A[1]
-    a20, a21 = _A[2]
-    a30, a31, a32 = _A[3]
-    a40, a41, a42, a43 = _A[4]
-    a50, a51, a52, a53, a54 = _A[5]
-    b0, b2, b3, b4, b5 = _B[0], _B[2], _B[3], _B[4], _B[5]
-    e0, e2, e3, e4, e5, e6 = _E[0], _E[2], _E[3], _E[4], _E[5], _E[6]
 
     while t < t_end:
         if n_steps >= cfg.max_steps:
@@ -376,79 +365,42 @@ def _dopri_steps(rhs, t, y, f, t_end, cfg):
         if h < cfg.min_step:
             return "step_underflow"
 
-        if dim == 1:
-            # unrolled scalar stages: the hot path for the slope equations
-            y0 = y[0]
-            k0 = f[0]
-            k1 = rhs(t + c1 * h, (y0 + h * a10 * k0,))[0]
-            k2 = rhs(t + c2 * h, (y0 + h * (a20 * k0 + a21 * k1),))[0]
-            k3 = rhs(t + c3 * h, (y0 + h * (a30 * k0 + a31 * k1 + a32 * k2),))[0]
-            k4 = rhs(
-                t + c4 * h,
-                (y0 + h * (a40 * k0 + a41 * k1 + a42 * k2 + a43 * k3),),
-            )[0]
-            k5 = rhs(
-                t + h,
-                (y0 + h * (a50 * k0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4),),
-            )[0]
-            acc = b0 * k0 + b2 * k2 + b3 * k3 + b4 * k4 + b5 * k5
-            ynd = y0 + h * acc
-            # the last stage is f(t + h, y_new): first same as last
-            k6 = rhs(t + h, (ynd,))[0]
-            if not (
-                math.isfinite(k1)
-                and math.isfinite(k2)
-                and math.isfinite(k3)
-                and math.isfinite(k4)
-                and math.isfinite(k5)
-                and math.isfinite(k6)
-            ):
-                h *= 0.5
-                if h < cfg.min_step:
-                    return "domain_exit"
-                continue
-            ed = e0 * k0 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6
-            sc = ab + rel * max(abs(y0), abs(ynd))
-            err = abs(h * ed / sc)
-            y_new = [ynd]
-            K = [(k0,), (k1,), (k2,), (k3,), (k4,), (k5,), (k6,)]
-        else:
-            K[0] = f
-            bad = False
-            for i in range(1, 7):
-                Ai = _A[i]
-                yi = list(y)
-                for j in range(i):
-                    aij = Ai[j]
-                    if aij == 0.0:
-                        continue
-                    Kj = K[j]
-                    for d in range(dim):
-                        yi[d] += h * aij * Kj[d]
-                Ki = tuple(float(v) for v in rhs(t + _C[i] * h, tuple(yi)))
-                if not all(math.isfinite(v) for v in Ki):
-                    bad = True
-                    break
-                K[i] = Ki
-            if bad:
-                h *= 0.5
-                if h < cfg.min_step:
-                    return "domain_exit"
-                continue
+        K[0] = f
+        bad = False
+        for i in range(1, 7):
+            Ai = _A[i]
+            yi = list(y)
+            for j in range(i):
+                aij = Ai[j]
+                if aij == 0.0:
+                    continue
+                Kj = K[j]
+                for d in range(dim):
+                    yi[d] += h * aij * Kj[d]
+            Ki = tuple(float(v) for v in rhs(t + _C[i] * h, tuple(yi)))
+            if not all(math.isfinite(v) for v in Ki):
+                bad = True
+                break
+            K[i] = Ki
+        if bad:
+            h *= 0.5
+            if h < cfg.min_step:
+                return "domain_exit"
+            continue
 
-            y_new = []
-            err = 0.0
-            for d in range(dim):
-                acc = 0.0
-                ed = 0.0
-                for i in range(7):
-                    acc += _B[i] * K[i][d]
-                    ed += _E[i] * K[i][d]
-                ynd = y[d] + h * acc
-                y_new.append(ynd)
-                sc = ab + rel * max(abs(y[d]), abs(ynd))
-                err += (h * ed / sc) ** 2
-            err = math.sqrt(err / dim)
+        y_new = []
+        err = 0.0
+        for d in range(dim):
+            acc = 0.0
+            ed = 0.0
+            for i in range(7):
+                acc += _B[i] * K[i][d]
+                ed += _E[i] * K[i][d]
+            ynd = y[d] + h * acc
+            y_new.append(ynd)
+            sc = ab + rel * max(abs(y[d]), abs(ynd))
+            err += (h * ed / sc) ** 2
+        err = math.sqrt(err / dim)
 
         if err > 1.0:
             h *= max(0.2, 0.9 * err**-0.2)
@@ -456,7 +408,7 @@ def _dopri_steps(rhs, t, y, f, t_end, cfg):
 
         y_new = tuple(y_new)
         t_new = t + h
-        f_new = (k6,) if dim == 1 else tuple(float(v) for v in rhs(t_new, y_new))
+        f_new = tuple(float(v) for v in rhs(t_new, y_new))
         yield _Segment(t, h, y, tuple(K)), t_new, y_new, f_new
         if not all(math.isfinite(v) for v in f_new):
             return "domain_exit"

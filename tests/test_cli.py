@@ -39,6 +39,15 @@ def test_bowl_non_number_env_exit2(tmp_path, monkeypatch):
     assert run(["bowl", "--curvature", "mean:n=3", "--out", str(tmp_path)]) == 2
 
 
+def test_non_integer_seed_exit2(tmp_path, monkeypatch):
+    monkeypatch.setenv("TRANSLAB_GLOBAL_SEED", "abc")
+    assert run(["bowl", "--curvature", "mean:n=3", "--out", str(tmp_path)]) == 2
+    monkeypatch.delenv("TRANSLAB_GLOBAL_SEED")
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("[global]\nseed = 1.5\n")
+    assert run(["bowl", "--config", str(cfg), "--curvature", "mean:n=3", "--out", str(tmp_path)]) == 2
+
+
 @pytest.mark.parametrize(
     "args",
     [
