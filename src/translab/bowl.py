@@ -57,10 +57,7 @@ class BowlProfile:
     def u_at(self, rs) -> np.ndarray:
         """Height at radii inside the profile: the node height plus the
         exact integral of the step's collocation polynomial."""
-        rs = np.asarray(rs, dtype=float)
-        segs = self.trajectory.segments
-        idx = self.trajectory.segment_index(rs)
-        return np.array([self.u[j] + segs[j].integral(float(r))[0] for r, j in zip(rs, idx)])
+        return self.trajectory.integral_at(np.asarray(rs, dtype=float), self.u)
 
 
 @dataclass
@@ -188,10 +185,7 @@ def solve_bowl(
     v = traj.ys[:, 0]
     # u(r_eps) is the exact integral of the linear series start on [0, r_eps];
     # each step adds the exact integral of its collocation polynomial
-    u = np.cumsum(
-        [0.5 * lam0 * r_eps**2]
-        + [seg.integral(t)[0] for seg, t in zip(traj.segments, r[1:])]
-    )
+    u = traj.node_integrals(0.5 * lam0 * r_eps**2)
     resid = np.empty_like(r)
     beta = f.beta
     for i in range(len(r)):
@@ -266,16 +260,17 @@ def coeffs_degenerate(f: CurvatureFunction) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _window_grid(profile: BowlProfile, window: tuple) -> np.ndarray:
-    """Geometric sample grid of a fit window inside the computed profile."""
+def _window_grid(r: np.ndarray, window: tuple) -> np.ndarray:
+    """Geometric sample grid of a fit window inside the node span r."""
     r_lo, r_hi = window
+    r_max = float(r[-1])
     if not r_lo < r_hi:
         raise FitError(f"bad window {window}")
-    if r_hi > profile.r_max * (1 + 1e-9):
-        raise FitError(f"window {window} beyond computed profile r_max={profile.r_max}")
-    if r_lo < profile.r[0]:
-        raise FitError(f"window {window} starts below the profile start r={profile.r[0]}")
-    return np.geomspace(r_lo, min(r_hi, profile.r_max), FIT_SAMPLES)
+    if r_hi > r_max * (1 + 1e-9):
+        raise FitError(f"window {window} beyond computed profile r_max={r_max}")
+    if r_lo < r[0]:
+        raise FitError(f"window {window} starts below the profile start r={r[0]}")
+    return np.geomspace(r_lo, min(r_hi, r_max), FIT_SAMPLES)
 
 
 def default_window(profile: BowlProfile) -> tuple:
@@ -288,7 +283,7 @@ def fit_tail(profile: BowlProfile, regime: str, window: Optional[tuple] = None) 
 
     f = from_key(profile.curvature_key)
     window = window or default_window(profile)
-    r = _window_grid(profile, window)
+    r = _window_grid(profile.r, window)
     v = profile.v_at(r)
     al = profile.alpha
 
@@ -336,7 +331,7 @@ def fit_tail(profile: BowlProfile, regime: str, window: Optional[tuple] = None) 
 def growth_exponent(profile: BowlProfile, window: Optional[tuple] = None) -> float:
     """Log-log slope of the height u over the fit window."""
     window = window or default_window(profile)
-    r = _window_grid(profile, window)
+    r = _window_grid(profile.r, window)
     u = profile.u_at(r)
     if np.any(u <= 0) or np.any(np.diff(u) <= 0):
         raise FitError("height not positive and increasing on the window")

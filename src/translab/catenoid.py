@@ -12,6 +12,12 @@ as vertical graphs in the slope variable; on the lower branch the turning
 region (slope through zero) is integrated with the slope as the independent
 variable, which stays regular even where the profile curvature blows up.
 
+The ascending graph charts (the upper branch, and the lower branch past its
+turn) ride the same strongly attracting tail as the bowl.  They take Radau
+IIA steps on the slope alone; the height and the arc length are quadratures
+of its dense output.  The neck, descending and turning charts are not stiff
+and take explicit steps, which are cheaper there.
+
 Angle bookkeeping on the lower branch: the reported angle is
 
     theta_bar = pi/2 + |arctan(du/dr)|      (graph charts)
@@ -30,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bowl import BowlProfile, solve_bowl
+from .bowl import BowlProfile, _slope_copies, _window_grid, solve_bowl
 from .curvature import CurvatureFunction
 from .errors import (
     ClassificationError,
@@ -41,9 +47,15 @@ from .errors import (
     UnsupportedError,
 )
 from .implicit import ImplicitBranch
-from .ode import EventSpec, IntegratorConfig, integrate
+from .ode import EventSpec, IntegratorConfig, Trajectory, integrate
 
 HANDOFF_TAN = math.tan(math.pi / 8)
+# 4-point Gauss-Legendre nodes and weights on [0, 1], for the arc length of
+# one step (exact for degree 7; the integrand is smooth on each step)
+_GL_IN = math.sqrt(3 / 7 - 2 / 7 * math.sqrt(6 / 5))
+_GL_OUT = math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5))
+_ARC_X = 0.5 + 0.5 * np.array([-_GL_OUT, -_GL_IN, _GL_IN, _GL_OUT])
+_ARC_W = np.array([18 - 30**0.5, 18 + 30**0.5, 18 + 30**0.5, 18 - 30**0.5]) / 72
 
 
 @dataclass
@@ -69,9 +81,20 @@ class Profile:
     theta: np.ndarray
     kappa: np.ndarray
     residuals: np.ndarray
+    # the closing ascending graph chart (Radau IIA steps); its nodes end the
+    # arrays above
+    tail: Optional[Trajectory] = field(default=None, repr=False)
 
     def u_at(self, rs) -> np.ndarray:
-        return np.interp(np.asarray(rs, dtype=float), self.r, self.u)
+        """Height at radii on the branch.  On the tail chart it is the node
+        height plus the exact integral of the step's collocation polynomial;
+        on the explicit charts before the tail, linear interpolation."""
+        rs = np.asarray(rs, dtype=float)
+        out = np.interp(rs, self.r, self.u)
+        if self.tail is not None:
+            on = rs >= self.tail.ts[0]
+            out[on] = self.tail.integral_at(rs[on], self.u[len(self.u) - len(self.tail.ts):])
+        return out
 
 
 @dataclass
@@ -198,7 +221,7 @@ def solve_neck(
 
 
 def _graph_rhs(f: CurvatureFunction, branch: ImplicitBranch):
-    """Slope-equation RHS (v, u, s) for either branch, extended solve."""
+    """Slope-equation RHS (v, u, s) of the explicit descending chart."""
     beta = f.beta
     state = {"seed": None}
 
@@ -216,24 +239,41 @@ def _graph_rhs(f: CurvatureFunction, branch: ImplicitBranch):
     return rhs
 
 
-def _graph_profile_arrays(f, traj, theta_of_v):
+def _graph_arrays(f: CurvatureFunction, r, v, vp):
+    """Signed curvature and equation residual at graph-chart nodes, from the
+    slope v and its stored derivative vp."""
     beta = f.beta
-    r = traj.ts
-    v = traj.ys[:, 0]
-    u = traj.ys[:, 1]
-    s = traj.ys[:, 2]
-    theta = theta_of_v(v)
-    kappa = traj.fs[:, 0] / (1.0 + v * v) ** 1.5
+    kappa = vp / (1.0 + v * v) ** 1.5
     resid = np.empty_like(r)
     for i in range(len(r)):
         one_plus = 1.0 + v[i] ** 2
         yarg = v[i] / (r[i] * one_plus**beta)
-        x_impl = traj.fs[i][0] / one_plus ** (beta + 1.0)
+        x_impl = vp[i] / one_plus ** (beta + 1.0)
         try:
             resid[i] = abs(f.value(x_impl, yarg) - 1.0)
         except TranslabError:
             resid[i] = math.nan
-    return r, v, u, s, theta, kappa, resid
+    return kappa, resid
+
+
+def _ascending_chart(f, branch, r0, v0, u0, s0, r_max, cfg, what):
+    """Ascending graph chart from (r0, v0) to r_max on Radau IIA steps.
+
+    The slope is the only state; the height u and the arc length s never
+    feed back, so they are quadratures of the dense slope: u exactly, as
+    the integral of each step's collocation cubic, s by Gauss-Legendre
+    on sqrt(1 + v^2).  Returns (trajectory, u, s) at the nodes.
+    """
+    rhs, jac = _slope_copies(f, branch, None)
+    traj = integrate(rhs, r0, [v0], r_max, cfg, jac=jac)
+    if traj.termination != "reached_end":
+        raise StructureError(f"{what} stopped early: {traj.termination} at r={traj.t_final}")
+    t0 = traj.ts[:-1]
+    h = np.diff(traj.ts)
+    v = traj.resample((t0[:, None] + h[:, None] * _ARC_X).ravel())[:, 0]
+    ds = h * (np.sqrt(1.0 + v * v).reshape(len(h), -1) @ _ARC_W)
+    s = np.cumsum(np.concatenate([[s0], ds]))
+    return traj, traj.node_integrals(u0), s
 
 
 def solve_upper_branch(
@@ -248,11 +288,11 @@ def solve_upper_branch(
     u_h, r_h, ru_h, s_h = neck.up_exit
     if r_h >= r_max:
         raise ParameterError(f"r_max={r_max} does not extend past the neck chart (r={r_h})")
-    v_h = 1.0 / ru_h
-    traj = integrate(_graph_rhs(f, branch), r_h, [v_h, u_h, s_h], r_max, cfg)
-    if traj.termination != "reached_end":
-        raise StructureError(f"upper branch stopped early: {traj.termination} at r={traj.t_final}")
-    r, v, u, s, theta, kappa, resid = _graph_profile_arrays(f, traj, np.arctan)
+    traj, u, s = _ascending_chart(f, branch, r_h, 1.0 / ru_h, u_h, s_h, r_max, cfg,
+                                  "upper branch")
+    r, v = traj.ts, traj.ys[:, 0]
+    theta = np.arctan(v)
+    kappa, resid = _graph_arrays(f, r, v, traj.fs[:, 0])
     if np.any(theta <= 0) or np.any(theta >= math.pi / 2):
         raise StructureError("upper branch tangent angle left (0, pi/2)")
     # prepend the neck-chart segment (theta = pi/2 - arctan(r_u))
@@ -265,7 +305,7 @@ def solve_upper_branch(
     th_all = np.concatenate([th_n, theta])
     ka_all = np.concatenate([kap_n, kappa])
     re_all = np.concatenate([np.full(len(nu), neck.residual_max), resid])
-    return Profile("upper", s_all, r_all, u_all, th_all, ka_all, re_all)
+    return Profile("upper", s_all, r_all, u_all, th_all, ka_all, re_all, tail=traj)
 
 
 def classify_case(f: CurvatureFunction, branch: ImplicitBranch) -> str:
@@ -312,9 +352,21 @@ def solve_lower_branch(
     beta = f.beta
     rhs = _graph_rhs(f, branch)
 
-    pieces = []  # (r, w, u, s, f0) arrays per chart piece
+    # profile columns (s, r, u, theta, kappa, residual), one entry per chart,
+    # the neck chart samples first
+    nd = neck.down_samples
+    th_n = math.pi - np.abs(np.arctan(nd[:, 2]))
+    kap_n = np.gradient(th_n, nd[:, 3]) if len(nd) > 2 else np.zeros(len(nd))
+    columns = [(nd[:, 3], nd[:, 1], nd[:, 0], th_n, kap_n, np.full(len(nd), neck.residual_max))]
+
+    def add_graph_chart(r, w, wp, u, s):
+        kappa, resid = _graph_arrays(f, r, w, wp)
+        theta = math.pi / 2 + np.abs(np.arctan(w))
+        columns.append((s, r, u, theta, np.sign(w) * np.abs(kappa), resid))
+
     s0 = s1 = None
     n_pi2 = n_min = 0
+    tail = None
     end_behavior = {"case": case}
 
     if case == "derivative_origin":
@@ -325,7 +377,7 @@ def solve_lower_branch(
             )
         if traj.ys[-1, 0] >= 0:
             raise StructureError("derivative_origin branch unexpectedly turned upward")
-        pieces.append(traj)
+        add_graph_chart(traj.ts, traj.ys[:, 0], traj.fs[:, 0], traj.ys[:, 1], traj.ys[:, 2])
         b_formula = branch.dg_minus_dy_at_zero()
         r_t = traj.ts
         w_t = traj.ys[:, 0]
@@ -357,7 +409,7 @@ def solve_lower_branch(
             raise StructureError(
                 f"continuous_origin branch never flattened: {tr1.termination}"
             )
-        pieces.append(tr1)
+        add_graph_chart(tr1.ts, tr1.ys[:, 0], tr1.fs[:, 0], tr1.ys[:, 1], tr1.ys[:, 2])
         r1, (w1, u1, arc1) = tr1.t_final, tr1.ys[-1]
 
         # turning chart: slope w is the independent variable, state (r, u, s)
@@ -384,81 +436,40 @@ def solve_lower_branch(
         n_pi2 = n_min = 1
         w_end, (r2, u2, arc2) = tr2.t_final, tr2.ys[-1]
 
-        # ascending convex tail back in the r chart
-        tr3 = integrate(rhs, float(r2), [float(w_end), float(u2), float(arc2)], r_max, cfg)
-        if tr3.termination != "reached_end":
-            raise StructureError(
-                f"lower tail stopped early: {tr3.termination} at r={tr3.t_final}"
+        w = tr2.ts
+        r = tr2.ys[:, 0]
+        drdw = tr2.fs[:, 0]
+        # d theta / ds = sign(w) / ((1+w^2) ds/dw)
+        with np.errstate(divide="ignore"):
+            dth_ds = np.where(
+                np.abs(tr2.fs[:, 2]) > 0,
+                np.sign(w) / ((1 + w * w) * np.where(tr2.fs[:, 2] != 0, tr2.fs[:, 2], 1.0)),
+                np.inf,
             )
-        pieces.append(("turn", tr2))
-        pieces.append(tr3)
-        if np.any(tr3.fs[:, 0] <= 0):
+        resid = np.empty_like(w)
+        for i in range(len(w)):
+            one_plus = 1.0 + w[i] ** 2
+            yarg = w[i] / (r[i] * one_plus**beta)
+            if drdw[i] <= 0:
+                resid[i] = math.nan
+                continue
+            x_impl = 1.0 / (one_plus ** (beta + 1.0) * drdw[i])
+            try:
+                resid[i] = abs(f.value(x_impl, yarg) - 1.0)
+            except TranslabError:
+                resid[i] = math.nan
+        theta = math.pi / 2 + np.abs(np.arctan(w))
+        columns.append((tr2.ys[:, 2], r, tr2.ys[:, 1], theta, dth_ds, resid))
+
+        # ascending convex tail back in the r chart
+        tail, u3, s3 = _ascending_chart(f, branch, float(r2), float(w_end), float(u2),
+                                        float(arc2), r_max, cfg, "lower tail")
+        if np.any(tail.fs[:, 0] <= 0):
             raise StructureError("post-turn tail is not convex")
+        add_graph_chart(tail.ts, tail.ys[:, 0], tail.fs[:, 0], u3, s3)
         end_behavior.update({"kind": "bowl_type"})
 
-    # assemble the profile: neck chart samples first
-    nd = neck.down_samples
-    th_n = math.pi - np.abs(np.arctan(nd[:, 2]))
-    kap_n = np.gradient(th_n, nd[:, 3]) if len(nd) > 2 else np.zeros(len(nd))
-    S = [nd[:, 3]]
-    Rr = [nd[:, 1]]
-    U = [nd[:, 0]]
-    TH = [th_n]
-    KA = [kap_n]
-    RES = [np.full(len(nd), neck.residual_max)]
-    for piece in pieces:
-        if isinstance(piece, tuple):  # turning chart: independent variable w
-            tr = piece[1]
-            w = tr.ts
-            r = tr.ys[:, 0]
-            u = tr.ys[:, 1]
-            s = tr.ys[:, 2]
-            theta = math.pi / 2 + np.abs(np.arctan(w))
-            with np.errstate(divide="ignore"):
-                dth_ds = np.where(
-                    np.abs(tr.fs[:, 2]) > 0,
-                    np.sign(w) / ((1 + w * w) * np.where(tr.fs[:, 2] != 0, tr.fs[:, 2], 1.0)),
-                    np.inf,
-                )
-            resid = np.empty_like(w)
-            for i in range(len(w)):
-                one_plus = 1.0 + w[i] ** 2
-                yarg = w[i] / (r[i] * one_plus**beta)
-                drdw = tr.fs[i][0]
-                if drdw <= 0:
-                    resid[i] = math.nan
-                    continue
-                x_impl = 1.0 / (one_plus ** (beta + 1.0) * drdw)
-                try:
-                    resid[i] = abs(f.value(x_impl, yarg) - 1.0)
-                except TranslabError:
-                    resid[i] = math.nan
-            S.append(s)
-            Rr.append(r)
-            U.append(u)
-            TH.append(theta)
-            KA.append(dth_ds)
-            RES.append(resid)
-        else:
-            tr = piece
-            r, w, u, s, _, kappa, resid = _graph_profile_arrays(f, tr, np.arctan)
-            theta = math.pi / 2 + np.abs(np.arctan(w))
-            kap = np.sign(w) * np.abs(kappa)
-            S.append(s)
-            Rr.append(r)
-            U.append(u)
-            TH.append(theta)
-            KA.append(kap)
-            RES.append(resid)
-    prof = Profile(
-        "lower",
-        np.concatenate(S),
-        np.concatenate(Rr),
-        np.concatenate(U),
-        np.concatenate(TH),
-        np.concatenate(KA),
-        np.concatenate(RES),
-    )
+    prof = Profile("lower", *(np.concatenate(col) for col in zip(*columns)), tail=tail)
     return prof, s0, s1, case, end_behavior, n_pi2, n_min
 
 
@@ -477,8 +488,10 @@ def check_embeddedness(result: CatenoidResult) -> dict:
         return {"conclusive": False, "reason": "no shared graph range"}
     grid = np.geomspace(r_star, r_end, 400)
     gap = up.u_at(grid) - lo.u_at(grid)
-    # interpolation puts O(h^2) wiggle on the sampled gap; test the trend
-    # against that noise floor
+    # the gap levels off at C+ - C-, where its increments sink to round-off
+    # (the tail heights are exact quadratures; the few points next to the
+    # bottom that fall on the explicit turning chart are interpolated
+    # linearly between its nodes); test the trend against a noise floor
     tol = 1e-4 * max(1.0, float(np.max(np.abs(gap))))
     widening = (
         bool(np.all(np.diff(gap) > -tol)) if result.case == "continuous_origin" else None
@@ -532,15 +545,14 @@ def solve_catenoid(
 
 
 def upper_growth_exponent(result: CatenoidResult, window: Optional[tuple] = None) -> float:
-    """Log-log slope of u_+ over the tail window (expected alpha + 1)."""
+    """Log-log slope of u_+ over the tail window (expected alpha + 1), fitted
+    on a geometric grid of the dense height."""
     up = result.upper
     r_hi = up.r[-1]
-    window = window or (r_hi / 3.0, 0.9 * r_hi)
-    mask = (up.r >= window[0]) & (up.r <= window[1])
-    r = up.r[mask]
-    u = up.u[mask]
+    r = _window_grid(up.r, window or (r_hi / 3.0, 0.9 * r_hi))
+    u = up.u_at(r)
     if np.any(u <= 0):
         raise ClassificationError("upper height not positive on the window")
-    X = np.vstack([np.log(r), np.ones(mask.sum())]).T
+    X = np.vstack([np.log(r), np.ones_like(r)]).T
     coef, *_ = np.linalg.lstsq(X, np.log(u), rcond=None)
     return float(coef[0])

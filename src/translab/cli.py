@@ -122,6 +122,17 @@ def _echo(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command",) and v is not None}
 
 
+def _solver_failure(out: Path, exc: TranslabError) -> int:
+    """Record an error raised inside a solver in error.json.  Exit 2 when it
+    is a rejected parameter (ParameterError), 3 for any other failure."""
+    write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
+    if isinstance(exc, ParameterError):
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"solver error: {exc}", file=sys.stderr)
+    return 3
+
+
 def cmd_bowl(args) -> int:
     try:
         f = from_key(args.curvature)
@@ -143,9 +154,7 @@ def cmd_bowl(args) -> int:
         report = fit_tail(profile, regime, window)
         gexp = growth_exponent(profile, window)
     except TranslabError as exc:
-        write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+        return _solver_failure(out, exc)
 
     csv_path = out / "profile.csv"
     write_csv(csv_path, "r,u,v,residual", [profile.r, profile.u, profile.v, profile.residuals])
@@ -207,9 +216,7 @@ def cmd_catenoid(args) -> int:
         res = solve_catenoid(f, args.R, args.rmax, handoff_tan=handoff)
         gexp = upper_growth_exponent(res)
     except TranslabError as exc:
-        write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+        return _solver_failure(out, exc)
 
     for side, prof in (("upper", res.upper), ("lower", res.lower)):
         path = out / f"{side}.csv"
@@ -332,9 +339,7 @@ def cmd_verify(args) -> int:
             else:
                 manifest.record_check("barrier_power", True, "no -1 level; skipped")
     except TranslabError as exc:
-        write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+        return _solver_failure(out, exc)
     deg = classify_degeneracy(f)
     payload = {
         "curvature_key": f.name,

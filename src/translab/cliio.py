@@ -3,7 +3,6 @@
 Output contract (stable for diff-based regression):
   bowl profile CSV      header "r,u,v,residual"
   catenoid branch CSV   header "s,r,u,theta,kappa,residual"
-  barrier CSV           header "r,w,margin"
 Numbers are written with 17 significant digits, so identical runs are
 byte-identical; every emitted file is listed in manifest.json with its
 sha256.

@@ -12,9 +12,11 @@ Two fixed steppers share one driver (event location, node storage):
 
 The explicit pair is stability-limited on the strongly attracting slope
 tails; the implicit step is limited by the tolerance alone there, so the
-bowl profiles and the comparison runs take it, while the catenoid charts
-still step explicitly.  The collocation polynomial also integrates
-exactly, which gives the bowl height as a quadrature of the slope.
+bowl profiles, the comparison runs and the ascending catenoid graph charts
+take it.  The catenoid neck, descending and turning charts are not stiff
+and step explicitly, where a step costs a fraction of an implicit one.
+The collocation polynomial also integrates exactly, which gives the
+heights as quadratures of the slope.
 Reproducibility matters more here than solver variety, so the tableaux,
 the dense-output polynomials and the controllers are all spelled out
 below; identical inputs produce bit-identical trajectories.
@@ -42,7 +44,8 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Butcher tableau of the DOPRI 5(4) pair
+# Butcher tableau of the DOPRI 5(4) pair; the last row of _A holds the
+# 5th-order solution weights
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
@@ -53,7 +56,6 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # difference between the 5th and 4th order weights, for the error estimate
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 # dense-output polynomial: y(t0+s*h) = y0 + h*s*sum_i K_i * P_i(s)
@@ -215,6 +217,22 @@ class Trajectory:
             )
         seg_ends = np.array([s.t0 + s.h for s in self.segments])
         return np.minimum(np.searchsorted(seg_ends, grid, side="left"), len(self.segments) - 1)
+
+    def node_integrals(self, start: float) -> np.ndarray:
+        """start plus the integral of the first component from ts[0] to each
+        node: the exact integrals of the steps' collocation polynomials
+        (Radau IIA steps only)."""
+        return np.cumsum(
+            [start] + [seg.integral(t)[0] for seg, t in zip(self.segments, self.ts[1:])]
+        )
+
+    def integral_at(self, grid: np.ndarray, at_nodes: np.ndarray) -> np.ndarray:
+        """Integral of the first component at points of a grid inside the
+        span, given its values at the nodes (see ``node_integrals``)."""
+        idx = self.segment_index(grid)
+        return np.array(
+            [at_nodes[j] + self.segments[j].integral(float(t))[0] for t, j in zip(grid, idx)]
+        )
 
     def resample(self, grid: Sequence[float]) -> np.ndarray:
         """Dense-output states on a grid inside the time span."""
@@ -388,17 +406,16 @@ def _dopri_steps(rhs, t, y, f, t_end, cfg):
                 return "domain_exit"
             continue
 
-        y_new = []
+        # the 7th stage sits at t + h with the 5th-order weights, so its
+        # state is the new solution and its RHS the next step's first stage
+        # (first same as last)
+        y_new = tuple(yi)
         err = 0.0
         for d in range(dim):
-            acc = 0.0
             ed = 0.0
             for i in range(7):
-                acc += _B[i] * K[i][d]
                 ed += _E[i] * K[i][d]
-            ynd = y[d] + h * acc
-            y_new.append(ynd)
-            sc = ab + rel * max(abs(y[d]), abs(ynd))
+            sc = ab + rel * max(abs(y[d]), abs(y_new[d]))
             err += (h * ed / sc) ** 2
         err = math.sqrt(err / dim)
 
@@ -406,12 +423,9 @@ def _dopri_steps(rhs, t, y, f, t_end, cfg):
             h *= max(0.2, 0.9 * err**-0.2)
             continue
 
-        y_new = tuple(y_new)
         t_new = t + h
-        f_new = tuple(float(v) for v in rhs(t_new, y_new))
+        f_new = K[6]
         yield _Segment(t, h, y, tuple(K)), t_new, y_new, f_new
-        if not all(math.isfinite(v) for v in f_new):
-            return "domain_exit"
 
         t, y, f = t_new, y_new, f_new
         # PI controller (Gustafsson): responds to current and previous error

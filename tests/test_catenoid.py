@@ -1,11 +1,12 @@
 """Catenoidal translators: neck, branches, events, classification."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from translab.bowl import solve_bowl
+from translab.bowl import _slope_field, solve_bowl
 from translab.catenoid import (
     HANDOFF_TAN,
     check_embeddedness,
@@ -14,7 +15,8 @@ from translab.catenoid import (
     upper_growth_exponent,
 )
 from translab.curvature import from_key
-from translab.errors import ParameterError, UnsupportedError
+from translab.errors import FitError, ParameterError, UnsupportedError
+from translab.implicit import ImplicitBranch
 
 _CACHE = {}
 
@@ -145,6 +147,50 @@ def test_sk_residuals():
     for prof in (res.upper, res.lower):
         r = prof.residuals[np.isfinite(prof.residuals)]
         assert r.max() <= 1e-8
+
+
+def test_u_at_reproduces_node_heights():
+    res = catenoid("sk:k=3,n=5", 1.0, 12.0)
+    for prof in (res.upper, res.lower):
+        assert prof.u_at(prof.r) == pytest.approx(prof.u, rel=1e-15, abs=0.0)
+
+
+def test_upper_height_against_dop853_oracle():
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    f = from_key("qk:k=3,n=6")
+    up = catenoid("qk:k=3,n=6", 1.0, 200.0).upper
+    u_h, r_h, ru_h, s_h = solve_neck(f, 1.0).up_exit
+    value, _ = _slope_field(f, ImplicitBranch(f), None)
+    grid = np.geomspace(r_h, 200.0, 25)
+    sol = solve_ivp(
+        lambda r, y: [value(r, y[0], None)[0], y[0], math.sqrt(1.0 + y[0] ** 2)],
+        (r_h, 200.0),
+        [1.0 / ru_h, u_h, s_h],
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-20,
+        t_eval=grid,
+    )
+    assert sol.status == 0
+    # node heights, the dense height between the nodes and the arc length
+    assert up.u[-1] == pytest.approx(sol.y[1, -1], rel=1e-10)
+    assert up.u_at(grid) == pytest.approx(sol.y[1], rel=1e-10)
+    assert up.s[-1] == pytest.approx(sol.y[2, -1], rel=1e-10)
+
+
+def test_alpha_three_catenoid_reaches_r100():
+    t0 = time.perf_counter()
+    res = solve_catenoid(from_key("sk:k=3,n=5"), 1.0, 100.0)
+    dt = time.perf_counter() - t0
+    assert dt < 5.0
+    assert upper_growth_exponent(res) == pytest.approx(4.0, rel=0.02)
+
+
+def test_upper_growth_window_rejected():
+    res = catenoid("sk:k=3,n=5", 1.0, 12.0)
+    for window in [(8.0, 4.0), (4.0, 20.0), (0.5, 4.0)]:
+        with pytest.raises(FitError):
+            upper_growth_exponent(res, window)
 
 
 def test_c_plus_window_stability():

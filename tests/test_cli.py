@@ -62,6 +62,19 @@ def test_non_finite_option_exit2(tmp_path, args):
     assert run(args + ["--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["catenoid", "--curvature", "sk:k=3,n=5", "--R", "1", "--rmax", "0.5"],
+        ["bowl", "--curvature", "mean:n=3", "--rmax", "1e-6"],
+    ],
+)
+def test_solver_parameter_error_exit2(tmp_path, args):
+    # rejected inside the solver, after the run directory was started
+    assert run(args + ["--out", str(tmp_path), "--quiet"]) == 2
+    assert json.loads((tmp_path / "error.json").read_text())["error"] == "ParameterError"
+
+
 def test_bowl_bad_curvature_exit2(tmp_path):
     assert run(["bowl", "--curvature", "bogus:n=3", "--out", str(tmp_path)]) == 2
 
