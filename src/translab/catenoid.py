@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .bowl import BowlProfile, _slope_copies, _window_grid, solve_bowl
-from .curvature import CurvatureFunction
+from .curvature import CurvatureFunction, zero_ray
 from .errors import (
     ClassificationError,
     DomainError,
@@ -154,7 +154,7 @@ def solve_neck(
         raise ParameterError(f"neck radius must be positive, got {R}")
     cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     branch = ImplicitBranch(f)
-    x0, y0 = f.zero_ray()
+    x0, y0 = zero_ray(f)
     kappa_neck = -(x0 / y0) / R
     beta = f.beta
     u_cap = 6.0 * R

@@ -326,6 +326,10 @@ def cmd_verify(args) -> int:
                     b = branch.dg_minus_dy_at_zero()
                 except TranslabError:
                     b = -1.0  # divergent g_- at the origin: any b < 0 works
+                if b >= 0:
+                    # no decaying power (odd k-norms: g_- tends to a negative
+                    # constant, slope 0); try b = -1 as for a divergent g_-
+                    b = -1.0
                 grid = log_grid(2.0, 1e3, per_decade=400)
                 rep = verify_inequality(
                     BarrierSpec("power", a=0.5, b=b, valid_range=(1.0, 1e4)), f, grid

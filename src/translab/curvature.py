@@ -54,6 +54,11 @@ class CurvatureFunction:
     # whether _raw_solve_x is an algebraically exact inverse on its chart
     # (False where an even power can produce a spurious root)
     closed_inverse_exact = True
+    # how the slice formula reaches the level gamma = -1 at y in (-1, 0):
+    # None where the family stays positive there, "direct" where the formula
+    # takes the value -1, "reflected" where it is even in x and the level is
+    # the odd sign rule's image -gamma(x, -y) of the level 1
+    minus_level: Optional[str] = None
 
     def __init__(self, name: str, n: int, alpha: Fraction):
         if n < 2:
@@ -136,7 +141,8 @@ class CurvatureFunction:
         """Open x-interval of the monotone piece holding the z-level at this y.
 
         Defaults to the whole line; rational families override to exclude
-        denominator poles, root families to keep radicands nonnegative.
+        denominator poles, root families to keep radicands nonnegative, even
+        k-norms to keep the half-line x > 0 where they increase.
         """
         return (-math.inf, math.inf)
 
@@ -156,13 +162,6 @@ class CurvatureFunction:
             if self.cone_contains(x, y):
                 return x, y
         raise DomainError(f"{self.name}: could not sample the slice cone")
-
-    # -- signed-function extras ---------------------------------------------
-
-    def zero_ray(self) -> tuple:
-        if self.signed_meta is None:
-            raise UnsupportedError(f"{self.name} has no zero ray on the slice")
-        return self.signed_meta.zero_ray
 
     def key(self) -> str:
         return self.name
@@ -236,6 +235,10 @@ class GaussRoot(CurvatureFunction):
     def cone_contains(self, x, y):
         return x > 0 and y > 0
 
+    def x_chart(self, y, z):
+        # an even root needs x y^(n-1) >= 0: on y > 0, x = 0 is the radicand root
+        return (0.0, math.inf) if self.dimension_n % 2 == 0 else (-math.inf, math.inf)
+
 
 def _garding_slice_ok(n: int, k: int, x: float, y: float) -> bool:
     for i in range(1, k + 1):
@@ -253,6 +256,8 @@ def _sym_slice(n: int, k: int, x: float, y: float) -> float:
 
 class SymmetricPoly(CurvatureFunction):
     """gamma = S_k itself (alpha = k); signed for odd k < n."""
+
+    minus_level = "direct"
 
     def __init__(self, n: int, k: int):
         if not 1 <= k <= n:
@@ -305,6 +310,8 @@ class HessianQuotient(CurvatureFunction):
     which extends to y < 0 and satisfies the odd sign rule exactly.
     """
 
+    minus_level = "direct"
+
     def __init__(self, n: int, k: int, l: int):  # noqa: E741 - conventional index name
         if not 0 <= l < k <= n:
             raise ParameterError(f"hessian quotient requires 0 <= l < k <= n, got k={k}, l={l}")
@@ -349,6 +356,9 @@ class HessianQuotient(CurvatureFunction):
             raise DomainError(f"{self.name}: gradient undefined where quotient <= 0")
         drho_dx = (self._bk1 * den - self._bl1 * num) / den**2
         drho_dy = (self._bk * den - self._bl * num) / den**2
+        if m == 1:
+            # p = rho, also on the zero ray where p / rho is undefined
+            return y * drho_dx, rho + y * drho_dy
         p = rho ** (1.0 / m)
         dp_dx = p / (m * rho) * drho_dx
         dp_dy = p / (m * rho) * drho_dy
@@ -416,6 +426,8 @@ class KNorm(CurvatureFunction):
         if k < 1:
             raise ParameterError(f"k_norm requires k >= 1, got {k}")
         self.k = k
+        # odd k: the signed root reaches -1 itself; even k: through the sign rule
+        self.minus_level = "direct" if k % 2 == 1 else "reflected"
         super().__init__(f"knorm:k={k},n={n}", n, Fraction(1))
 
     def _raw_value(self, x, y):
@@ -447,6 +459,10 @@ class KNorm(CurvatureFunction):
 
     def cone_contains(self, x, y):
         return x > 0 and y > 0
+
+    def x_chart(self, y, z):
+        # an even power sum is even in x and increases on x > 0 only
+        return (0.0, math.inf) if self.k % 2 == 0 else (-math.inf, math.inf)
 
 
 class KConvexity(CurvatureFunction):

@@ -1,9 +1,11 @@
 """Implicit x-branches of the slice level sets gamma(x, y) = z.
 
-The level set is solved for x by a bracketed bisection / safeguarded Newton
-hybrid that only uses ``value`` and ``grad`` of the curvature function, so it
-stays independent of any per-family closed-form inverse (those are used as
-cross-checks in the test suite).
+The level set is solved for x by one safeguarded Newton loop in an expanding
+bracket: Newton steps where they land inside the bracket and shrink it fast
+enough, splits otherwise, geometric in the distance to a near chart end (a
+pole, a radicand root).  It only uses ``value`` and ``grad`` of the curvature
+function, so it stays independent of any per-family closed-form inverse
+(those are used as cross-checks in the test suite).
 
 ``g_plus`` is the positive-level branch on U+;  ``g_minus`` the z = -1 branch
 at y in (-1, 0);  ``solve_extended`` the unrestricted monotone solve used by
@@ -20,6 +22,21 @@ import numpy as np
 
 from .curvature import CurvatureFunction
 from .errors import ConvergenceError, DomainError, UnsupportedError
+
+# a bracket spanning more than this factor in the distance to a finite chart
+# end is split geometrically in that distance, a narrower one arithmetically
+SPLIT_RATIO = 4.0
+# the near distance of a geometric split counts as at least this share of
+# the far one: a bracket starting at the 1e-300 inset of a chart end at 0
+# is cut at 2^-13 of its width first, not at 1e-150
+NEAR_FLOOR = 2.0**-26
+# a gradient stays current while the residual is below this share of its
+# value where the gradient was taken: Newton then converges quadratically,
+# the gradient has moved by about twice that share since, and a step with it
+# gains about as much as a fresh Newton step, for one call instead of two
+GRADIENT_REUSE = 3e-3
+# iterations of the safeguarded Newton loop before it reports a stall
+MAX_SOLVE_STEPS = 200
 
 
 @dataclass
@@ -49,13 +66,23 @@ class ImplicitBranch:
         """Monotone solve of gamma(x, y) = z for x in an expanding bracket.
 
         The bracket grows additively-then-geometrically toward the ends of
-        the monotone chart; finite chart ends (denominator poles, radicand
-        roots) are approached geometrically so roots hugging a pole resolve.
+        the monotone chart.  One safeguarded Newton loop then narrows it,
+        from a first probe at the bracket's midpoint: a Newton step from the
+        bracket end with the smaller residual is taken when it lands
+        strictly inside the bracket and is at most half the step before
+        last (``rtsafe``, Press et al., Numerical Recipes, section 9.4);
+        otherwise the bracket is split.  While the bracket spans more than a
+        factor ``SPLIT_RATIO`` in the distance to a finite chart end (a
+        denominator pole, a radicand root, the fold of an even formula),
+        the split is the geometric mean of that distance and no gradient is
+        taken, so a root hugging a pole costs a few halvings of the
+        distance's logarithm, not of the distance.
         """
         f = self.source
-        chart_lo, chart_hi = f.x_chart(y, z)
+        end_lo, end_hi = f.x_chart(y, z)
         # step just inside finite chart ends (pole/radicand boundaries);
         # the inset scales with the bound so pole-hugging roots stay inside
+        chart_lo, chart_hi = end_lo, end_hi
         if math.isfinite(chart_lo):
             chart_lo = chart_lo + 1e-15 * abs(chart_lo) + 1e-300
         if math.isfinite(chart_hi):
@@ -67,6 +94,21 @@ class ImplicitBranch:
             except (DomainError, ZeroDivisionError, OverflowError):
                 return math.nan
 
+        def geometric_split(lo, hi):
+            """Geometric midpoint in the distance to a finite chart end that
+            the bracket spans by more than SPLIT_RATIO, else None."""
+            if math.isfinite(end_lo):
+                far = hi - end_lo
+                near = max(lo - end_lo, NEAR_FLOOR * far)
+                if far > SPLIT_RATIO * near:
+                    return end_lo + math.sqrt(near) * math.sqrt(far)
+            if math.isfinite(end_hi):
+                far = end_hi - lo
+                near = max(end_hi - hi, NEAR_FLOOR * far)
+                if far > SPLIT_RATIO * near:
+                    return end_hi - math.sqrt(near) * math.sqrt(far)
+            return None
+
         lo = min(max(lo, chart_lo), chart_hi)
         hi = min(max(hi, chart_lo), chart_hi)
         if lo > hi:
@@ -75,18 +117,20 @@ class ImplicitBranch:
         width = max(hi - lo, 1e-6)
         n_exp = 0
         while not (flo < 0 <= fhi or flo <= 0 < fhi):
-            if math.isnan(fhi) or fhi < 0:
-                hi = hi + width if math.isinf(chart_hi) else 0.5 * (hi + chart_hi)
-            if math.isnan(flo) or flo > 0:
-                lo = lo - width if math.isinf(chart_lo) else 0.5 * (lo + chart_lo)
-            width *= 2.0
-            n_exp += 1
-            if n_exp > self.max_bracket_expansions:
+            if n_exp == self.max_bracket_expansions:
                 raise ConvergenceError(
                     f"{f.name}: no sign change for z={z} at y={y}",
                     bracket=(lo, hi),
                 )
-            flo, fhi = phi(lo), phi(hi)
+            # only a moved end is evaluated again
+            if math.isnan(fhi) or fhi < 0:
+                hi = hi + width if math.isinf(chart_hi) else 0.5 * (hi + chart_hi)
+                fhi = phi(hi)
+            if math.isnan(flo) or flo > 0:
+                lo = lo - width if math.isinf(chart_lo) else 0.5 * (lo + chart_lo)
+                flo = phi(lo)
+            width *= 2.0
+            n_exp += 1
         # NaN edges: shrink until the bracket is inside the domain
         for _ in range(200):
             if not math.isnan(flo) and not math.isnan(fhi):
@@ -103,41 +147,68 @@ class ImplicitBranch:
                     hi, fhi = mid, fm
                 else:
                     lo, flo = mid, fm
-        # bisect to a coarse width, then polish with Newton
-        while hi - lo > 1e-3 * max(1.0, abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            fm = phi(mid)
-            if math.isnan(fm):
-                raise ConvergenceError(f"{f.name}: domain hole inside bracket", bracket=(lo, hi))
-            if fm > 0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-        x = 0.5 * (lo + hi)
         tol = self.solve_tolerance * max(1.0, abs(z))
-        for _ in range(120):
+        x = 0.5 * (lo + hi)
+        step = step_old = hi - lo
+        # the search's own ends may sit on a chart boundary: no Newton base
+        lo0, hi0 = lo, hi
+        slope = {}  # gradients taken, by point
+        reused_grad, reuse_below = None, 0.0
+        # the bracket's span in distance to a chart end only narrows: once
+        # no geometric split applies, none will
+        geometric = True
+        for _ in range(MAX_SOLVE_STEPS):
             fx = phi(x)
             if math.isnan(fx):
-                x = 0.5 * (lo + hi)
-                fx = phi(x)
+                raise ConvergenceError(f"{f.name}: domain hole inside bracket", bracket=(lo, hi))
             if fx > 0:
-                hi = x
+                hi, fhi = x, fx
             elif fx < 0:
-                lo = x
+                lo, flo = x, fx
             if abs(fx) <= tol:
+                # final polish: one more step with a current gradient costs
+                # no call and brings x to the resolution of the residual
+                if abs(fx) < reuse_below:
+                    polished = x - fx / reused_grad
+                    if lo <= polished <= hi:
+                        return polished
                 return x
             # interval pinched to machine width: residual floor reached
             if hi - lo <= 8 * math.ulp(max(abs(lo), abs(hi), 1e-30)):
                 return 0.5 * (lo + hi)
-            gx = f.grad(x, y)[0]
-            if gx <= 0:
-                raise DomainError(
-                    f"{f.name}: non-increasing in x at ({x}, {y}); branch degenerates"
-                )
-            step = fx / gx
-            x_new = x - step
-            if not (lo < x_new < hi):
+            x_new = geometric_split(lo, hi) if geometric else None
+            if x_new is None:
+                geometric = False
+                # Newton from the bracket end with the smaller residual
+                if hi == hi0 or (lo != lo0 and -flo <= fhi):
+                    xb, fb = lo, flo
+                else:
+                    xb, fb = hi, fhi
+                gb = slope.get(xb)
+                if gb is None:
+                    if abs(fb) < reuse_below:
+                        gb = reused_grad
+                    else:
+                        gb = f.grad(xb, y)[0]
+                        if gb < 0:
+                            raise DomainError(
+                                f"{f.name}: decreasing in x at ({xb}, {y}); branch degenerates"
+                            )
+                    slope[xb] = gb
+                reused_grad, reuse_below = gb, GRADIENT_REUSE * abs(fb)
+                # at least one ulp, so that a root closer than that still
+                # moves x and pinches the bracket from the other side; at a
+                # stationary point (slope 0) the bracket is split instead
+                newton = math.inf
+                if gb > 0:
+                    newton = math.copysign(max(abs(fb / gb), math.ulp(xb)), fb)
+                x_new = xb - newton
+                if lo < x_new < hi and abs(newton) <= 0.5 * step_old:
+                    step_old, step = step, abs(newton)
+                    x = x_new
+                    continue
                 x_new = 0.5 * (lo + hi)
+            step_old, step = step, 0.5 * (hi - lo)
             x = x_new
         raise ConvergenceError(f"{f.name}: Newton stalled at y={y}, z={z}", bracket=(lo, hi))
 
@@ -213,63 +284,26 @@ class ImplicitBranch:
 
     def has_minus_level(self) -> bool:
         """Whether the slice evaluator reaches the -1 level at y in (-1, 0)."""
-        f = self.source
-        if f.is_signed:
-            return True
-        name = f.name.split(":")[0]
-        # Hessian quotients extend through the y-factored form; even k-norms
-        # through the odd sign rule.  Registered positive families do not.
-        return name in ("hq", "qk", "knorm", "sk")
+        return self.source.minus_level is not None
 
     def g_minus(self, y: float) -> float:
         """The x-solve of gamma(x, y) = -1 for y in (-1, 0).
 
         For families whose -1 level lies at x > 0 (Hessian quotients,
-        k-norms) this is the standard U- branch; for S_k the level only
-        exists at x < 0 and the chart solution is returned unrestricted.
+        even k-norms) this is the standard U- branch; for S_k and odd
+        k-norms the level lies at x < 0 and the chart solution is returned
+        unrestricted.
         """
         f = self.source
         if not self.has_minus_level():
             raise UnsupportedError(f"{f.name} is positive; the -1 level is empty")
         if not -1.0 < y < 0.0:
             raise DomainError(f"U- requires y in (-1, 0), got {y}")
-        if f.name.startswith("knorm"):
-            # solve gamma(X, -y) = 1 with X < 0, then g_- = -X (odd sign rule)
-            return -self._solve_neg_chart(-y, 1.0)
+        if f.minus_level == "reflected":
+            # odd sign rule on a formula even in x: gamma(x, y) = -gamma(x, -y),
+            # so the -1 level at y is the 1 level at -y on the increasing chart
+            return self._solve_bracketed(-y, 1.0, 0.0, max(1.0, -2 * y))
         return self._solve_bracketed(y, -1.0, 0.0, max(1.0, -2 * y))
-
-    def _solve_neg_chart(self, y: float, z: float) -> float:
-        """Solve gamma(x, y) = z over x < 0 for formulas even in x."""
-        f = self.source
-
-        def phi(x):
-            try:
-                return f.value(x, y) - z
-            except DomainError:
-                return math.nan
-
-        # on x < 0 even-in-x formulas are decreasing in x
-        lo, hi = -max(1.0, 2 * y), 0.0
-        flo, fhi = phi(lo), phi(hi)
-        n = 0
-        while math.isnan(flo) or flo < 0:
-            lo *= 0.5 if math.isnan(flo) else 2.0
-            flo = phi(lo)
-            n += 1
-            if n > 60:
-                raise ConvergenceError(f"{f.name}: no left bracket on the x<0 chart")
-        if fhi > 0:
-            raise DomainError(f"{f.name}: level z={z} unreachable for x<0 at y={y}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = phi(mid)
-            if fm > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < self.solve_tolerance * max(1.0, abs(lo)):
-                break
-        return 0.5 * (lo + hi)
 
     # -- derivatives -----------------------------------------------------------
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -218,27 +219,52 @@ class Trajectory:
         seg_ends = np.array([s.t0 + s.h for s in self.segments])
         return np.minimum(np.searchsorted(seg_ends, grid, side="left"), len(self.segments) - 1)
 
+    @cached_property
+    def _cubics(self) -> tuple:
+        """t0, h (n,), y0 (n, dim) and Q (n, dim, 3) of the Radau IIA steps,
+        to evaluate their collocation cubics as arrays; the operations are
+        those of ``_CollocationSegment``, in the same order."""
+        segs = self.segments
+        return (
+            np.array([seg.t0 for seg in segs]),
+            np.array([seg.h for seg in segs]),
+            np.array([seg.y0 for seg in segs]),
+            np.array([seg.Q for seg in segs]),
+        )
+
+    def _first_integral(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Integral of the first component over step idx from its start to t."""
+        t0, h, y0, Q = self._cubics
+        h, q = h[idx], Q[idx, 0]
+        s = (t - t0[idx]) / h
+        return h * s * (y0[idx, 0] + s * (q[:, 0] / 2 + s * (q[:, 1] / 3 + s * q[:, 2] / 4)))
+
     def node_integrals(self, start: float) -> np.ndarray:
         """start plus the integral of the first component from ts[0] to each
         node: the exact integrals of the steps' collocation polynomials
         (Radau IIA steps only)."""
-        return np.cumsum(
-            [start] + [seg.integral(t)[0] for seg, t in zip(self.segments, self.ts[1:])]
-        )
+        steps = np.arange(len(self.segments))
+        return np.cumsum(np.concatenate(([start], self._first_integral(steps, self.ts[1:]))))
 
     def integral_at(self, grid: np.ndarray, at_nodes: np.ndarray) -> np.ndarray:
         """Integral of the first component at points of a grid inside the
         span, given its values at the nodes (see ``node_integrals``)."""
         idx = self.segment_index(grid)
-        return np.array(
-            [at_nodes[j] + self.segments[j].integral(float(t))[0] for t, j in zip(grid, idx)]
-        )
+        return at_nodes[idx] + self._first_integral(idx, grid)
 
     def resample(self, grid: Sequence[float]) -> np.ndarray:
         """Dense-output states on a grid inside the time span."""
         grid = np.asarray(grid, dtype=float)
+        idx = self.segment_index(grid)
+        if self.segments and isinstance(self.segments[0], _CollocationSegment):
+            t0, h, y0, Q = self._cubics
+            q = Q[idx]
+            s = ((grid - t0[idx]) / h[idx])[:, None]
+            out = y0[idx] + s * (q[..., 0] + s * (q[..., 1] + s * q[..., 2]))
+            out[grid <= self.ts[0]] = self.ys[0]
+            return out
         out = np.empty((grid.size, self.ys.shape[1]))
-        for i, (t, j) in enumerate(zip(grid, self.segment_index(grid))):
+        for i, (t, j) in enumerate(zip(grid, idx)):
             out[i] = self.ys[0] if t <= self.ts[0] else self.segments[j].eval(float(t))
         return out
 

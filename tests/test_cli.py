@@ -108,6 +108,16 @@ def test_verify_suites(tmp_path):
                 "--out", str(tmp_path / "v3"), "--quiet"]) == 0
 
 
+def test_verify_barrier_odd_knorm(tmp_path):
+    # the -1 level of an odd k-norm lies at x < 0 and g_- tends to a negative
+    # constant at the origin, so the power barrier is a supersolution
+    out = tmp_path / "v"
+    assert run(["verify", "--suite", "barrier", "--curvature", "knorm:k=3,n=3",
+                "--out", str(out), "--quiet"]) == 0
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["suites"]["barrier"]["verdict"] == "verified_super"
+
+
 def test_reproducible_outputs(tmp_path):
     a, b = tmp_path / "r1", tmp_path / "r2"
     for out in (a, b):

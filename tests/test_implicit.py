@@ -143,6 +143,64 @@ def test_g_minus_hq_closed_form_grid(key, y_lo):
     assert worst <= 1e-9
 
 
+def _counted(f):
+    """Count value and grad calls on one curvature function instance."""
+    calls = {"value": 0, "grad": 0}
+    for name in calls:
+        method = getattr(f, name)
+
+        def wrapper(x, y, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(x, y)
+
+        setattr(f, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "y,residual_bound",
+    # the root sits 2.5e-11 (1.2e-21) above the pole at 8.45e-6 (5.7e-11); the
+    # residuals are those of the bisect-then-Newton solver this one replaced
+    [(-3.4e-6, 4.37e-11), (-2.3e-11, 4.24e-6)],
+)
+def test_g_minus_pole_hugging_root(y, residual_bound):
+    f = from_key("qk:k=3,n=7")
+    b = ImplicitBranch(f)
+    calls = _counted(f)
+    x = b.g_minus(y)
+    # that solver took 71 and 139 calls here
+    assert calls["value"] + calls["grad"] <= 24
+    assert abs(f.value(x, y) + 1.0) <= residual_bound
+    assert x == pytest.approx(f.solve_x(y, -1.0), rel=4e-16)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_g_minus_odd_knorm(k):
+    # oracle: x^k + 2 y^k = -2 on the slice of n = 3, so x < 0 at y in (-1, 0)
+    f = from_key(f"knorm:k={k},n=3")
+    b = ImplicitBranch(f)
+    for y in (-0.9, -0.5, -0.1, -1e-3):
+        x = b.g_minus(y)
+        assert abs(f.value(x, y) + 1.0) <= 1e-13
+        assert x == pytest.approx(-((2.0 + 2.0 * y**k) ** (1.0 / k)), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "key,expected",
+    # values of the bisection on the mirrored chart that this solve replaced
+    [
+        ("knorm:k=2,n=3", (0.6164414002969152, 1.2247448713915787, 1.407124727947064,
+                           1.4142128552661575)),
+        ("knorm:k=4,n=3", (0.9106794631837349, 1.1701736596604064, 1.1891773837099322,
+                           1.1892071150023753)),
+    ],
+)
+def test_g_minus_even_knorm(key, expected):
+    b = branch(key)
+    for y, x in zip((-0.9, -0.5, -0.1, -1e-3), expected):
+        assert b.g_minus(y) == pytest.approx(x, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # derivatives
 # ---------------------------------------------------------------------------
@@ -158,6 +216,21 @@ def test_dg_dy_mean(n):
 def test_dg_minus_dy_at_zero_qk():
     b = branch("qk:k=3,n=7")
     assert b.dg_minus_dy_at_zero() == pytest.approx(-(7 - 3 + 1) / (3 - 1), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "key,expected",
+    # values of the bisect-then-Newton solver this one replaced; b = -1 for
+    # k = 4, n = 6 decides the logarithmic lower end of criterion 7
+    [
+        ("qk:k=3,n=6", -1.999999999674181),
+        ("qk:k=4,n=6", -0.9999999998370905),
+        ("qk:k=5,n=6", -0.49999999976027126),
+        ("qk:k=3,n=7", -2.4999999997066915),
+    ],
+)
+def test_dg_minus_dy_at_zero_unchanged(key, expected):
+    assert branch(key).dg_minus_dy_at_zero() == pytest.approx(expected, abs=1e-12)
 
 
 def test_dg_dy_matches_differences():

@@ -199,3 +199,24 @@ def test_stiff_step_uncoupled_components_share_steps():
     dense = tr.resample(grid)
     assert np.all(tr.ys[:, 2] - tr.ys[:, 0] >= 0.0)
     assert np.all(dense[:, 2] - dense[:, 0] >= -1e-14)
+
+
+def test_stiff_array_evaluation_matches_steps():
+    # resample, integral_at and node_integrals evaluate the collocation cubics
+    # as arrays; each value equals the per-step evaluation bit for bit
+    def rhs(t, y):
+        return tuple(_stiff_rhs(t, (v,))[0] for v in y)
+
+    def jac(t, y):
+        return (-_LAM,) * len(y)
+
+    tr = integrate(rhs, 0.0, [2.0, 2.5], 1.0, jac=jac)
+    grid = np.linspace(tr.ts[0], tr.ts[-1], 777)
+    idx = tr.segment_index(grid)
+    per_step = [tr.ys[0] if t <= tr.ts[0] else tr.segments[j].eval(float(t))
+                for t, j in zip(grid, idx)]
+    assert np.array_equal(tr.resample(grid), np.array(per_step))
+    nodes = np.cumsum([0.5] + [seg.integral(t)[0] for seg, t in zip(tr.segments, tr.ts[1:])])
+    assert np.array_equal(tr.node_integrals(0.5), nodes)
+    per_step = [nodes[j] + tr.segments[j].integral(float(t))[0] for t, j in zip(grid, idx)]
+    assert np.array_equal(tr.integral_at(grid, nodes), np.array(per_step))
