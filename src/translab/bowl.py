@@ -79,7 +79,10 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
                 + (-gamma_y/gamma_x) (1 + v^2 - 2 beta v^2) / r,
 
     whose second term drops where the y-argument is held at clamp_y.  Both
-    raise TranslabError where the root solve fails.
+    raise TranslabError where the root solve fails.  ``value`` also takes
+    an ndarray of v, with r and the seeds broadcasting against it (see
+    ``ImplicitBranch.solve_levels``); F and x are then NaN where the solve
+    fails.
     """
     beta = f.beta
     beta1 = beta + 1.0
@@ -87,9 +90,14 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
     def value(r, v, seed):
         one_plus = 1.0 + v * v
         yarg = v / (r * one_plus**beta)
-        if clamp_y is not None and yarg >= clamp_y:
-            yarg = clamp_y
-        x = branch.solve_level(yarg, 1.0, seed)
+        if isinstance(yarg, np.ndarray):
+            if clamp_y is not None:
+                yarg = np.minimum(yarg, clamp_y)
+            x = branch.solve_levels(yarg, 1.0, seed)
+        else:
+            if clamp_y is not None and yarg >= clamp_y:
+                yarg = clamp_y
+            x = branch.solve_level(yarg, 1.0, seed)
         return one_plus**beta1 * x, x
 
     def derivative(r, v, seed):
@@ -108,34 +116,57 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
     return value, derivative
 
 
-def _slope_copies(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional[float]):
-    """RHS and diagonal Jacobian for one or more uncoupled copies of the
-    slope equation.
+def _slope_scalar(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional[float]):
+    """RHS and Jacobian of the slope equation as one-component maps for
+    ``integrate``.  Each root solve is seeded with the last root; a failed
+    one gives NaN, which the integrator treats as a domain exit.
+    """
+    value, derivative = _slope_field(f, branch, clamp_y)
+    seed = None
 
-    Each state component is one copy with its own root-solve seed, so two
+    def rhs(r, vs):
+        nonlocal seed
+        try:
+            F, seed = value(r, vs[0], seed)
+        except TranslabError:
+            F = math.nan
+        return (F,)
+
+    def jac(r, vs):
+        try:
+            return (derivative(r, vs[0], seed),)
+        except (TranslabError, ZeroDivisionError):
+            return (math.nan,)
+
+    return rhs, jac
+
+
+def _slope_batch(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional[float]):
+    """Broadcasting RHS and diagonal Jacobian for uncoupled copies of the
+    slope equation, one per state component (the batched steps of
+    ``integrate``).
+
+    Each component seeds its root solves with its own last root, so two
     components holding equal data compute bit-identical values.  A failed
     root solve gives NaN, which the integrator treats as a domain exit.
     """
     value, derivative = _slope_field(f, branch, clamp_y)
-    seeds = {}
+    seeds = np.nan  # per component once set; NaN: no seed
 
     def rhs(r, vs):
-        out = []
-        for i, v in enumerate(vs):
-            try:
-                F, seeds[i] = value(r, v, seeds.get(i))
-            except TranslabError:
-                F = math.nan
-            out.append(F)
-        return out
+        nonlocal seeds
+        F, x = value(r, vs, seeds)
+        last = x[-1] if x.ndim == 2 else x  # the last stage of a stage batch
+        seeds = np.where(np.isnan(last), seeds, last)
+        return F
 
     def jac(r, vs):
-        out = []
-        for i, v in enumerate(vs):
+        out = np.empty(len(vs))
+        for i, (v, seed) in enumerate(zip(vs, np.broadcast_to(seeds, len(vs)))):
             try:
-                out.append(derivative(r, v, seeds.get(i)))
+                out[i] = derivative(r, float(v), None if math.isnan(seed) else float(seed))
             except (TranslabError, ZeroDivisionError):
-                out.append(math.nan)
+                out[i] = math.nan
         return out
 
     return rhs, jac
@@ -172,7 +203,7 @@ def solve_bowl(
                 name="cylinder",
             )
         )
-    rhs, jac = _slope_copies(f, branch, clamp)
+    rhs, jac = _slope_scalar(f, branch, clamp)
     traj = integrate(rhs, r_eps, [lam0 * r_eps], r_max, cfg, events=events, jac=jac)
     if traj.termination == "terminal_event":
         termination = "reached cylinder slope y=1"

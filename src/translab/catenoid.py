@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bowl import BowlProfile, _slope_copies, _window_grid, solve_bowl
+from .bowl import BowlProfile, _slope_scalar, _window_grid, solve_bowl
 from .curvature import CurvatureFunction, zero_ray
 from .errors import (
     ClassificationError,
@@ -264,7 +264,7 @@ def _ascending_chart(f, branch, r0, v0, u0, s0, r_max, cfg, what):
     the integral of each step's collocation cubic, s by Gauss-Legendre
     on sqrt(1 + v^2).  Returns (trajectory, u, s) at the nodes.
     """
-    rhs, jac = _slope_copies(f, branch, None)
+    rhs, jac = _slope_scalar(f, branch, None)
     traj = integrate(rhs, r0, [v0], r_max, cfg, jac=jac)
     if traj.termination != "reached_end":
         raise StructureError(f"{what} stopped early: {traj.termination} at r={traj.t_final}")

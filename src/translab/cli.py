@@ -138,7 +138,7 @@ def cmd_bowl(args) -> int:
         f = from_key(args.curvature)
         if args.rmax <= 0:
             raise ParameterError(f"rmax must be positive, got {args.rmax}")
-    except ParameterError as exc:
+    except TranslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
@@ -207,7 +207,7 @@ def cmd_catenoid(args) -> int:
         )
         if handoff is None:
             handoff = float(args.handoff)
-    except (ParameterError, ValueError) as exc:
+    except (TranslabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
@@ -265,7 +265,7 @@ def cmd_catenoid(args) -> int:
 def cmd_verify(args) -> int:
     try:
         f = from_key(args.curvature)
-    except ParameterError as exc:
+    except TranslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
@@ -318,8 +318,10 @@ def cmd_verify(args) -> int:
             v_lo, v_hi = admissible_slope_range(f, 1.0)
             pairs = [tuple(sorted(rng.uniform(v_lo, v_hi, 2))) for _ in range(10)]
             rep = compare_orderings(f, pairs, 1.0, 100.0)
-            manifest.record_check("ordering", rep["all_ordered"], f"min_gap={rep['min_gap']:.2e}")
-            results["ordering"] = {"min_gap": rep["min_gap"], "pairs": rep["pairs"]}
+            manifest.record_check("ordering", rep["all_ordered"],
+                                  f"min_gap={rep['min_gap']:.2e} {rep['termination']}")
+            results["ordering"] = {key: rep[key] for key in
+                                   ("min_gap", "pairs", "termination", "r_reached")}
         if "barrier" in suites:
             if branch.has_minus_level():
                 try:

@@ -59,6 +59,11 @@ class CurvatureFunction:
     # takes the value -1, "reflected" where it is even in x and the level is
     # the odd sign rule's image -gamma(x, -y) of the level 1
     minus_level: Optional[str] = None
+    # the closed-form inverse over an ndarray of y, elementwise and
+    # non-finite where the scalar one raises; None where there is none.
+    # Families whose inverse is verified rather than exact also give
+    # _raw_value_array and x_chart_array
+    _raw_solve_x_array = None
 
     def __init__(self, name: str, n: int, alpha: Fraction):
         if n < 2:
@@ -111,6 +116,10 @@ class CurvatureFunction:
     def is_signed(self) -> bool:
         return self.signed_meta is not None
 
+    @property
+    def has_array_inverse(self) -> bool:
+        return self._raw_solve_x_array is not None
+
     def value(self, x: float, y: float) -> float:
         return self._raw_value(x, y) / self.normalization
 
@@ -136,6 +145,14 @@ class CurvatureFunction:
     def solve_x(self, y: float, z: float) -> float:
         """Closed-form reference inverse of the normalized slice value."""
         return self._raw_solve_x(y, z * self.normalization)
+
+    def solve_x_array(self, y: np.ndarray, z: float) -> np.ndarray:
+        """``solve_x`` over an array of y (families with an array inverse)."""
+        return self._raw_solve_x_array(y, z * self.normalization)
+
+    def value_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``value`` over arrays (families with a verified array inverse)."""
+        return self._raw_value_array(x, y) / self.normalization
 
     def x_chart(self, y: float, z: float) -> tuple:
         """Open x-interval of the monotone piece holding the z-level at this y.
@@ -193,6 +210,8 @@ class MeanCurvature(CurvatureFunction):
     def _raw_solve_x(self, y, z_raw):
         return z_raw - (self.dimension_n - 1) * y
 
+    _raw_solve_x_array = _raw_solve_x
+
     def cone_contains(self, x, y):
         return x + (self.dimension_n - 1) * y > 0
 
@@ -231,6 +250,8 @@ class GaussRoot(CurvatureFunction):
     def _raw_solve_x(self, y, z_raw):
         n = self.dimension_n
         return z_raw**n / y ** (n - 1)
+
+    _raw_solve_x_array = _raw_solve_x
 
     def cone_contains(self, x, y):
         return x > 0 and y > 0
@@ -398,6 +419,16 @@ class HessianQuotient(CurvatureFunction):
             raise DomainError(f"{self.name}: closed-form denominator vanishes")
         return y * (self._bl * zm - self._bk * ym) / den
 
+    def _raw_solve_x_array(self, y, z_raw):
+        m = self.m
+        zm = z_raw**m
+        ym = y**m
+        return y * (self._bl * zm - self._bk * ym) / (self._bk1 * ym - self._bl1 * zm)
+
+    def _raw_value_array(self, x, y):
+        rho = (self._bk * y + self._bk1 * x) / (self._bl * y + self._bl1 * x)
+        return y * rho if self.m == 1 else y * rho ** (1.0 / self.m)
+
     def cone_contains(self, x, y):
         return _garding_slice_ok(self.dimension_n, self.k, x, y)
 
@@ -417,6 +448,24 @@ class HessianQuotient(CurvatureFunction):
             return (max(x_n, pole), inf)
         limit = (y * (self._bk1 / self._bl1) ** (1.0 / self.m)) / self.normalization
         return (pole, inf) if z < limit else (-inf, x_n)
+
+    def x_chart_array(self, y, z):
+        """``x_chart`` over an array of y, as (lo, hi) arrays."""
+        inf = math.inf
+        if self._bl1 == 0:
+            if self.m == 1:
+                return np.full(y.shape, -inf), np.full(y.shape, inf)
+            x_n = -self._bk * y / self._bk1
+            return np.where(y > 0, x_n, -inf), np.where(y > 0, inf, x_n)
+        pole = -self._bl * y / self._bl1
+        if self.m == 1:
+            right = z < (y * self._bk1 / self._bl1) / self.normalization
+            return np.where(right, pole, -inf), np.where(right, inf, pole)
+        x_n = -self._bk * y / self._bk1
+        right = z < (y * (self._bk1 / self._bl1) ** (1.0 / self.m)) / self.normalization
+        lo = np.where(y > 0, np.maximum(x_n, pole), np.where(right, pole, -inf))
+        hi = np.where((y > 0) | right, inf, x_n)
+        return lo, hi
 
 
 class KNorm(CurvatureFunction):

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .curvature import CurvatureFunction
-from .errors import ConvergenceError, DomainError, UnsupportedError
+from .errors import ConvergenceError, DomainError, TranslabError, UnsupportedError
 
 # a bracket spanning more than this factor in the distance to a finite chart
 # end is split geometrically in that distance, a narrower one arithmetically
@@ -281,6 +281,45 @@ class ImplicitBranch:
         except (UnsupportedError, DomainError, ZeroDivisionError, OverflowError):
             pass
         return self.solve_extended(y, z, seed)
+
+    def closed_levels(self, ys: np.ndarray, z: float) -> tuple:
+        """The array closed-form inverse at (ys, z) and the mask of the
+        elements that pass the acceptance rule of ``solve_level``, both
+        evaluated as arrays; every element is rejected for a family
+        without an array inverse."""
+        f = self.source
+        if not f.has_array_inverse:
+            return np.full(ys.shape, np.nan), np.zeros(ys.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            x = f.solve_x_array(ys, z)
+            ok = np.isfinite(x)
+            if not f.closed_inverse_exact:
+                lo, hi = f.x_chart_array(ys, z)
+                ok &= np.abs(f.value_array(x, ys) - z) <= 1e-10 * max(1.0, abs(z))
+                ok &= (lo < x) & (x < hi)
+        return x, ok
+
+    def solve_levels(self, ys: np.ndarray, z: float, seeds) -> np.ndarray:
+        """``solve_level`` over an array of y at one level z; NaN where the
+        solve fails.
+
+        Elements the array closed form accepts (``closed_levels``) take it;
+        every other one goes to the scalar ``solve_level`` with its seed.
+        ``seeds`` broadcasts against ys, NaN standing for no seed.
+        """
+        x, ok = self.closed_levels(ys, z)
+        if ok.all():
+            return x
+        rest = np.flatnonzero(~ok)
+        xs = []
+        for y, seed in zip(ys.ravel()[rest].tolist(),
+                           np.broadcast_to(seeds, ys.shape).ravel()[rest].tolist()):
+            try:
+                xs.append(self.solve_level(y, z, None if math.isnan(seed) else seed))
+            except TranslabError:
+                xs.append(math.nan)
+        np.put(x, rest, xs)
+        return x
 
     def has_minus_level(self) -> bool:
         """Whether the slice evaluator reaches the -1 level at y in (-1, 0)."""

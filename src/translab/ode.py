@@ -21,9 +21,12 @@ Reproducibility matters more here than solver variety, so the tableaux,
 the dense-output polynomials and the controllers are all spelled out
 below; identical inputs produce bit-identical trajectories.
 
-The state dimension here is at most three, so the stepping core works on
-plain Python floats (tuples), an order of magnitude faster than ndarray
-arithmetic at this size; trajectories are packed into numpy arrays on exit.
+The explicit steps (states of at most three components) and the implicit
+steps of a single component work on plain Python floats (tuples), an order
+of magnitude faster than ndarray arithmetic at this size.  Implicit steps of
+more than one component, the batched comparison runs, work on ndarrays: one
+RHS call evaluates the three stages of every component.  Trajectories are
+packed into numpy arrays on exit.
 
 References
 ----------
@@ -175,7 +178,7 @@ class _CollocationSegment:
     def __init__(self, t0, h, y0, Q):
         self.t0 = t0
         self.h = h
-        self.y0 = y0  # tuple
+        self.y0 = y0  # tuple, or an ndarray on the batched core
         self.Q = Q  # per component, the coefficients of s, s^2, s^3
 
     def eval(self, t):
@@ -201,7 +204,8 @@ class Trajectory:
     ys: np.ndarray  # (n_nodes, dim)
     fs: np.ndarray  # stored RHS at nodes
     events: List[tuple]  # (t_event, state, event_index)
-    termination: str  # reached_end | terminal_event | step_underflow | domain_exit
+    # reached_end | terminal_event | step_underflow | domain_exit | max_steps
+    termination: str
     # accepted steps with their dense output (_Segment or _CollocationSegment)
     segments: list = field(default_factory=list, repr=False)
 
@@ -292,15 +296,25 @@ def integrate(
     integrated together share one step sequence, so the difference of two
     solutions is the difference of one discrete flow.
 
+    With ``jac`` and more than one component the state is an ndarray and
+    ``rhs`` must broadcast: it is called with a scalar t and a (dim,) state,
+    or, once per Newton iteration for all three stages, with a (3, 1)
+    column of times and a (3, dim) state, and returns an array of the
+    state's shape whose entry [k, i] depends on t[k] and y[k, i] alone.
+    ``jac`` is called with a scalar t and a (dim,) state.  Otherwise states
+    are tuples of floats.
+
     Events are located on the dense output by bisection to the configured
     time tolerance; a terminal event truncates the trajectory there.
     Non-finite RHS values end the trajectory with termination 'domain_exit',
-    a step-size underflow with 'step_underflow'.
+    a step-size underflow with 'step_underflow', and running out of
+    ``max_steps`` step attempts with 'max_steps'.
     """
     cfg = config or IntegratorConfig()
     if t_end <= t0:
         raise ParameterError(f"t_end must exceed t0, got {t0} -> {t_end}")
-    y = tuple(float(v) for v in state0)
+    batched = jac is not None and len(state0) > 1
+    y = np.array(state0, dtype=float) if batched else tuple(float(v) for v in state0)
     t = float(t0)
     f = tuple(float(v) for v in rhs(t, y))
     if not all(math.isfinite(v) for v in f):
@@ -315,6 +329,8 @@ def integrate(
 
     if jac is None:
         steps = _dopri_steps(rhs, t, y, f, t_end, cfg)
+    elif batched:
+        steps = _radau_array_steps(rhs, jac, t, y, f, t_end, cfg)
     else:
         steps = _radau_steps(rhs, jac, t, y, f, t_end, cfg)
     while True:
@@ -359,6 +375,8 @@ def integrate(
             hit_events.append(first_hit[:3])
             if first_hit[3]:
                 t_ev, y_ev = first_hit[0], first_hit[1]
+                if batched:
+                    y_ev = np.array(y_ev)
                 ts.append(t_ev)
                 ys.append(y_ev)
                 fs.append(tuple(float(v) for v in rhs(t_ev, y_ev)))
@@ -403,7 +421,7 @@ def _dopri_steps(rhs, t, y, f, t_end, cfg):
 
     while t < t_end:
         if n_steps >= cfg.max_steps:
-            return "step_underflow"
+            return "max_steps"
         n_steps += 1
         h = min(h, t_end - t, cfg.max_step)
         if h < cfg.min_step:
@@ -470,21 +488,23 @@ def _predict_factor(h, h_old, err, err_old):
     return min(1.0, h / h_old * (err_old / err) ** 0.25) * err**-0.25
 
 
+
+
 def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
-    """Accepted Radau IIA steps as (segment, t_new, y_new, f_new).
+    """Accepted Radau IIA steps of one component as (segment, t_new, y_new,
+    f_new).
 
     The stage system is solved by simplified Newton in the eigenbasis of
-    the Radau coefficient matrix, so each iteration costs three RHS calls
-    and, per component, one real and one complex division.  The previous
-    collocation polynomial, extrapolated, starts the iteration; the
-    Jacobian is re-evaluated only when the iteration slows down or fails.
-    Returns the termination reason when the steps end.
+    the Radau coefficient matrix, so each iteration costs three RHS calls,
+    one real and one complex division.  The previous collocation polynomial,
+    extrapolated, starts the iteration; the Jacobian is re-evaluated only
+    when the iteration slows down or fails.  Returns the termination reason
+    when the steps end.
     """
-    dim = len(y)
-    comps = range(dim)
+    (y,), (f,) = y, f
     rel, ab = cfg.rel_tol, cfg.abs_tol
     newton_tol = max(_NEWTON_TOL_FLOOR / rel, min(0.03, rel**0.5))
-    h = _first_step(y, f, cfg)
+    h = _first_step((y,), (f,), cfg)
     (ti00, ti01, ti02), (ti10, ti11, ti12), (ti20, ti21, ti22) = _RTI
     (t00, t01, t02), (t10, t11, t12) = _RT[0], _RT[1]
     c0, c1, _ = _RC
@@ -499,55 +519,50 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
     n_steps = 0
     while t < t_end:
         if n_steps >= cfg.max_steps:
-            return "step_underflow"
+            return "max_steps"
         n_steps += 1
         h = min(h, t_end - t, cfg.max_step)
         if h < cfg.min_step:
             return "step_underflow"
         if J is None:
-            J = tuple(float(v) for v in jac(t, y))
+            J = float(jac(t, (y,))[0])
             jac_current = True
-            if not all(math.isfinite(v) for v in J):
+            if not math.isfinite(J):
                 return "domain_exit"
         m_real = _MU_REAL / h
         m_cplx = _MU_COMPLEX / h
-        den_real = [m_real - j for j in J]
-        den_cplx = [m_cplx - j for j in J]
-        scale = [ab + rel * abs(v) for v in y]
+        den_real = m_real - J
+        den_cplx = m_cplx - J
+        scale = ab + rel * abs(y)
 
         if prev is None:
-            Z0 = [0.0] * dim
-            Z1 = [0.0] * dim
-            Z2 = [0.0] * dim
+            Z0 = Z1 = Z2 = 0.0
         else:
-            Z0 = [a - b for a, b in zip(prev.eval(t + c0 * h), y)]
-            Z1 = [a - b for a, b in zip(prev.eval(t + c1 * h), y)]
-            Z2 = [a - b for a, b in zip(prev.eval(t + h), y)]
-        W0 = [ti00 * Z0[d] + ti01 * Z1[d] + ti02 * Z2[d] for d in comps]
-        W1 = [ti10 * Z0[d] + ti11 * Z1[d] + ti12 * Z2[d] for d in comps]
-        W2 = [ti20 * Z0[d] + ti21 * Z1[d] + ti22 * Z2[d] for d in comps]
+            Z0 = prev.eval(t + c0 * h)[0] - y
+            Z1 = prev.eval(t + c1 * h)[0] - y
+            Z2 = prev.eval(t + h)[0] - y
+        W0 = ti00 * Z0 + ti01 * Z1 + ti02 * Z2
+        W1 = ti10 * Z0 + ti11 * Z1 + ti12 * Z2
+        W2 = ti20 * Z0 + ti21 * Z1 + ti22 * Z2
 
         converged = False
         norm_old = rate = None
         for it in range(_NEWTON_MAXITER):
-            F0 = rhs(t + c0 * h, [a + b for a, b in zip(y, Z0)])
-            F1 = rhs(t + c1 * h, [a + b for a, b in zip(y, Z1)])
-            F2 = rhs(t + h, [a + b for a, b in zip(y, Z2)])
-            acc = 0.0
-            for d in comps:
-                f0, f1, f2 = F0[d], F1[d], F2[d]
-                dr = (ti00 * f0 + ti01 * f1 + ti02 * f2 - m_real * W0[d]) / den_real[d]
-                dc = (
-                    complex(ti10 * f0 + ti11 * f1 + ti12 * f2, ti20 * f0 + ti21 * f1 + ti22 * f2)
-                    - m_cplx * complex(W1[d], W2[d])
-                ) / den_cplx[d]
-                W0[d] += dr
-                W1[d] += dc.real
-                W2[d] += dc.imag
-                sd = scale[d]
-                acc += (dr / sd) ** 2 + (dc.real / sd) ** 2 + (dc.imag / sd) ** 2
+            f0 = rhs(t + c0 * h, (y + Z0,))[0]
+            f1 = rhs(t + c1 * h, (y + Z1,))[0]
+            f2 = rhs(t + h, (y + Z2,))[0]
+            dr = (ti00 * f0 + ti01 * f1 + ti02 * f2 - m_real * W0) / den_real
+            dc = (
+                complex(ti10 * f0 + ti11 * f1 + ti12 * f2, ti20 * f0 + ti21 * f1 + ti22 * f2)
+                - m_cplx * complex(W1, W2)
+            ) / den_cplx
+            W0 += dr
+            W1 += dc.real
+            W2 += dc.imag
             # a non-finite RHS value makes the norm non-finite
-            dw_norm = math.sqrt(acc / (3 * dim))
+            dw_norm = math.sqrt(
+                ((dr / scale) ** 2 + (dc.real / scale) ** 2 + (dc.imag / scale) ** 2) / 3
+            )
             if not math.isfinite(dw_norm):
                 break
             if norm_old is not None:
@@ -556,9 +571,9 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
                 # cannot reach the tolerance at this rate
                 if rate >= 1 or rate ** (_NEWTON_MAXITER - it) / (1 - rate) * dw_norm > newton_tol:
                     break
-            Z0 = [t00 * W0[d] + t01 * W1[d] + t02 * W2[d] for d in comps]
-            Z1 = [t10 * W0[d] + t11 * W1[d] + t12 * W2[d] for d in comps]
-            Z2 = [W0[d] + W1[d] for d in comps]
+            Z0 = t00 * W0 + t01 * W1 + t02 * W2
+            Z1 = t10 * W0 + t11 * W1 + t12 * W2
+            Z2 = W0 + W1
             if dw_norm == 0 or (rate is not None and rate / (1 - rate) * dw_norm < newton_tol):
                 converged = True
                 break
@@ -570,17 +585,16 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
                 J = None  # retry the same step with a fresh Jacobian
             continue
 
-        y_new = tuple(a + b for a, b in zip(y, Z2))
-        ze = [(re0 * Z0[d] + re1 * Z1[d] + re2 * Z2[d]) / h for d in comps]
-        err = [(f[d] + ze[d]) / den_real[d] for d in comps]
-        sc = [ab + rel * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
-        err_norm = math.sqrt(sum((e / s) ** 2 for e, s in zip(err, sc)) / dim)
+        y_new = y + Z2
+        ze = (re0 * Z0 + re1 * Z1 + re2 * Z2) / h
+        err = (f + ze) / den_real
+        sc = ab + rel * max(abs(y), abs(y_new))
+        err_norm = abs(err / sc)
         if rejected and err_norm > 1.0:
             # after a rejection the estimate is filtered once more through
             # the RHS, which keeps it honest on the stiff components
-            fe = rhs(t, [a + b for a, b in zip(y, err)])
-            err = [(fe[d] + ze[d]) / den_real[d] for d in comps]
-            err_norm = math.sqrt(sum((e / s) ** 2 for e, s in zip(err, sc)) / dim)
+            err = (rhs(t, (y + err,))[0] + ze) / den_real
+            err_norm = abs(err / sc)
         safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + it + 1)
         if not err_norm <= 1.0:
             if math.isfinite(err_norm):
@@ -591,24 +605,162 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
             continue
 
         t_new = t + h
-        f_new = tuple(float(v) for v in rhs(t_new, y_new))
-        Q = tuple(
-            (
-                Z0[d] * p00 + Z1[d] * p10 + Z2[d] * p20,
-                Z0[d] * p01 + Z1[d] * p11 + Z2[d] * p21,
-                Z0[d] * p02 + Z1[d] * p12 + Z2[d] * p22,
-            )
-            for d in comps
+        f_new = float(rhs(t_new, (y_new,))[0])
+        Q = (
+            Z0 * p00 + Z1 * p10 + Z2 * p20,
+            Z0 * p01 + Z1 * p11 + Z2 * p21,
+            Z0 * p02 + Z1 * p12 + Z2 * p22,
         )
-        prev = _CollocationSegment(t, h, y, Q)
-        yield prev, t_new, y_new, f_new
-        if not all(math.isfinite(v) for v in f_new):
+        prev = _CollocationSegment(t, h, (y,), (Q,))
+        yield prev, t_new, (y_new,), (f_new,)
+        if not math.isfinite(f_new):
             return "domain_exit"
 
         factor = min(10.0, safety * _predict_factor(h, h_old, err_norm, err_old))
         h_old, err_old = h, err_norm
         t, y, f = t_new, y_new, f_new
         # a slow iteration asks for the Jacobian of the new point
+        if rate is not None and it > 1 and rate > 1e-3:
+            J = None
+        jac_current = False
+        rejected = False
+        h *= factor
+    return "reached_end"
+
+
+def _transposed(A):
+    """A 3x3 matrix laid out for ``_rows``."""
+    return np.ascontiguousarray(np.array(A).T[:, :, None])
+
+
+def _rows(AT, X):
+    """A X for X of shape (3, dim), given AT[j, i] = A[i, j] (of shape
+    (3, 3, 1), or (3, 3, dim) for one matrix per component).  Each row is
+    summed as the written-out combination a0 * x0 + a1 * x1 + a2 * x2,
+    without a matrix product."""
+    P = AT * X[:, None]
+    return P[0] + P[1] + P[2]
+
+
+def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg):
+    """Accepted Radau IIA steps of several components on ndarrays.
+
+    The rules of ``_radau_steps``, applied to all components on one step
+    sequence.  The stage values are (3, dim) arrays; one RHS call per Newton
+    iteration evaluates the three stages of every component.  The Newton
+    increment and the error estimate are measured in the max norm over the
+    components, so that quiet components do not dilute one component's
+    error.  The transforms are row combinations (``_rows``), not matrix
+    products, so that runs repeat bit for bit and equal components compute
+    bit-identical values.
+    """
+    y = np.array(y)
+    f = np.array(f)
+    dim = y.size
+    rel, ab = cfg.rel_tol, cfg.abs_tol
+    newton_tol = max(_NEWTON_TOL_FLOOR / rel, min(0.03, rel**0.5))
+    h = _first_step(y, f, cfg)
+    TI, T = _transposed(_RTI), _transposed(_RT)
+    PT = _transposed(np.array(_RP).T)  # Q^T = P^T Z
+    c0, c1, _ = _RC
+    re0, re1, re2 = _RE
+    mu_r, mu_i = _MU_COMPLEX.real, _MU_COMPLEX.imag
+
+    h_old = err_old = None
+    prev = None
+    J = None
+    jac_current = False
+    rejected = False
+    n_steps = 0
+    # per component, the stage solve in the eigenbasis: a real division and
+    # a complex one, (a + i b) / (mr - J + i mi), as a 3x3 block (transposed)
+    S = np.zeros((3, 3, dim))
+    while t < t_end:
+        if n_steps >= cfg.max_steps:
+            return "max_steps"
+        n_steps += 1
+        h = min(h, t_end - t, cfg.max_step)
+        if h < cfg.min_step:
+            return "step_underflow"
+        if J is None:
+            J = np.array(jac(t, y), dtype=float)
+            jac_current = True
+            if not np.all(np.isfinite(J)):
+                return "domain_exit"
+        m_real = _MU_REAL / h
+        mr, mi = mu_r / h, mu_i / h
+        M = _transposed([[m_real, 0.0, 0.0], [0.0, mr, -mi], [0.0, mi, mr]])
+        den_real = m_real - J
+        cr = mr - J
+        mod = cr * cr + mi * mi
+        S[0, 0] = 1.0 / den_real
+        S[1, 1] = S[2, 2] = cr / mod
+        S[2, 1] = mi / mod
+        S[1, 2] = -S[2, 1]
+        scale2 = (ab + rel * np.abs(y)) ** 2
+        stage_t = np.array([[t + c0 * h], [t + c1 * h], [t + h]])
+
+        if prev is None:
+            Z = np.zeros((3, dim))
+        else:
+            s = (stage_t - prev.t0) / prev.h
+            q = prev.Q
+            Z = prev.y0 + s * (q[:, 0] + s * (q[:, 1] + s * q[:, 2])) - y
+        W = _rows(TI, Z)
+
+        converged = False
+        norm_old = rate = None
+        for it in range(_NEWTON_MAXITER):
+            dW = _rows(S, _rows(TI, rhs(stage_t, y + Z)) - _rows(M, W))
+            W += dW
+            # a non-finite RHS value makes the norm non-finite
+            dW *= dW
+            dw_norm = math.sqrt(float(((dW[0] + dW[1] + dW[2]) / scale2).max()) / 3)
+            if not math.isfinite(dw_norm):
+                break
+            if norm_old is not None:
+                rate = dw_norm / norm_old
+                if rate >= 1 or rate ** (_NEWTON_MAXITER - it) / (1 - rate) * dw_norm > newton_tol:
+                    break
+            Z = _rows(T, W)
+            if dw_norm == 0 or (rate is not None and rate / (1 - rate) * dw_norm < newton_tol):
+                converged = True
+                break
+            norm_old = dw_norm
+        if not converged:
+            if jac_current:
+                h *= 0.5
+            else:
+                J = None
+            continue
+
+        y_new = y + Z[2]
+        ze = (re0 * Z[0] + re1 * Z[1] + re2 * Z[2]) / h
+        err = (f + ze) / den_real
+        sc = ab + rel * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = float(np.abs(err / sc).max())
+        if rejected and err_norm > 1.0:
+            err = (rhs(t, y + err) + ze) / den_real
+            err_norm = float(np.abs(err / sc).max())
+        safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + it + 1)
+        if not err_norm <= 1.0:
+            if math.isfinite(err_norm):
+                h *= max(0.2, safety * _predict_factor(h, h_old, err_norm, err_old))
+            else:
+                h *= 0.5
+            rejected = True
+            continue
+
+        t_new = t + h
+        f_new = np.array(rhs(t_new, y_new), dtype=float)
+        prev = _CollocationSegment(t, h, y, _rows(PT, Z).T)
+        yield prev, t_new, y_new, f_new
+        if not np.all(np.isfinite(f_new)):
+            return "domain_exit"
+
+        factor = min(10.0, safety * _predict_factor(h, h_old, err_norm, err_old))
+        h_old, err_old = h, err_norm
+        t, y, f = t_new, y_new, f_new
         if rate is not None and it > 1 and rate > 1e-3:
             J = None
         jac_current = False

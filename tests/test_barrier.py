@@ -11,9 +11,10 @@ from translab.barrier import (
     log_grid,
     verify_inequality,
 )
-from translab.curvature import from_key
+from translab.curvature import from_key, registry_keys
 from translab.errors import DomainError, ParameterError
 from translab.implicit import ImplicitBranch
+from translab.ode import IntegratorConfig
 
 
 def test_cone_is_line_for_beta_zero():
@@ -146,3 +147,67 @@ def test_ordering_gap_on_shared_steps(key):
     assert rep["pairs"] == 8
     assert rep["min_gap"] >= -1e-12
     assert rep["all_ordered"]
+
+
+@pytest.mark.parametrize("key", registry_keys())
+def test_ordering_every_family(monkeypatch, key):
+    # families without an array closed-form inverse solve every component
+    # with the scalar solve_level
+    f = from_key(key)
+    scalar_solves = []
+    original = ImplicitBranch.solve_level
+
+    def spy(self, y, z, seed=None):
+        scalar_solves.append(y)
+        return original(self, y, z, seed)
+
+    monkeypatch.setattr(ImplicitBranch, "solve_level", spy)
+    v_lo, v_hi = admissible_slope_range(f, 1.0)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        pairs = [tuple(sorted(rng.uniform(v_lo, v_hi, 2))) for _ in range(10)]
+        rep = compare_orderings(f, pairs, 1.0, 100.0)
+        assert rep["pairs"] == 10
+        assert rep["termination"] == "reached_end"
+        assert rep["r_reached"] == 100.0
+        assert rep["min_gap"] >= -1e-9
+        assert rep["all_ordered"]
+    if not f.has_array_inverse:
+        assert len(scalar_solves) > 10**4
+
+
+def test_ordering_truncated_span_is_not_verified():
+    f = from_key("mean:n=3")
+    rep = compare_orderings(f, [(0.8, 0.9), (0.5, 1.2)], 1.0, 100.0,
+                            config=IntegratorConfig(max_steps=5))
+    assert rep["termination"] == "max_steps"
+    assert rep["r_reached"] < 100.0
+    assert rep["min_gap"] >= 0.0
+    assert not rep["all_ordered"]
+
+
+def test_cone_barrier_solves_each_argument_once(monkeypatch):
+    f = from_key("knorm:k=2,n=3")
+    branch = ImplicitBranch(f)
+    m0 = branch.endpoint_data().m0_bar
+    spec = BarrierSpec("implicit_cone", m_bar=m0, valid_range=(0.5, 200))
+    grid = log_grid(1.0, 100.0, per_decade=400)
+    beta = f.beta
+    args, expected = [], []
+    for r in grid:
+        w, wp = evaluate_barrier(spec, float(r), beta)
+        args.append(w / (r * (1 + w * w) ** beta))
+        expected.append(wp - (1 + w * w) ** (beta + 1.0) * branch.g_minus(args[-1]))
+
+    solves = []
+    original = ImplicitBranch.g_minus
+
+    def spy(self, y):
+        solves.append(y)
+        return original(self, y)
+
+    monkeypatch.setattr(ImplicitBranch, "g_minus", spy)
+    rep = verify_inequality(spec, f, grid)
+    assert len(grid) == 800
+    assert len(solves) == len(set(args)) <= 3
+    assert np.array_equal(rep.margins, expected)

@@ -158,3 +158,28 @@ def test_config_unknown_key_rejected(tmp_path):
 
 def test_missing_required_exit2(tmp_path):
     assert run(["bowl", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bowl", "--curvature", "kconv:k=1,n=3"],
+        ["catenoid", "--curvature", "kconv:k=1,n=3", "--R", "1"],
+        ["verify", "--suite", "homogeneity", "--curvature", "kconv:k=1,n=3"],
+    ],
+    ids=["bowl", "catenoid", "verify"],
+)
+def test_constructor_error_exit2(tmp_path, capsys, args):
+    # the constructor normalizes at (0, 1), where the k = 1 sum vanishes
+    assert run(args + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_ordering_records_termination(tmp_path):
+    out = tmp_path / "v"
+    assert run(["verify", "--suite", "ordering", "--curvature", "mean:n=3",
+                "--out", str(out), "--quiet"]) == 0
+    ordering = json.loads((out / "verify.json").read_text())["suites"]["ordering"]
+    assert ordering["termination"] == "reached_end"
+    assert ordering["r_reached"] == 100.0
+    assert ordering["pairs"] == 10

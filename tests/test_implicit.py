@@ -1,5 +1,6 @@
 """Implicit branches: numeric solves vs closed forms, derivatives, endpoints."""
 
+import math
 from math import comb
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translab.curvature import from_key
-from translab.errors import DomainError, UnsupportedError
+from translab.errors import DomainError, TranslabError, UnsupportedError
 from translab.implicit import ImplicitBranch
 
 HQ_CASES = ["hq:k=2,l=0,n=3", "hq:k=2,l=1,n=4", "hq:k=3,l=1,n=5"]
@@ -294,3 +295,71 @@ def test_laurent_tail_gauss(n):
 def test_laurent_tail_rejects_nondegenerate():
     with pytest.raises(UnsupportedError):
         branch("mean:n=3").laurent_tail()
+
+
+# ---------------------------------------------------------------------------
+# array solve_level
+# ---------------------------------------------------------------------------
+
+
+# ulps of the scale max(|x|, |y|): the Hessian quotient's closed form takes
+# the difference of two near-equal terms where x crosses 0, and its scalar
+# form squares y with libm pow, which can be one ulp off the correctly
+# rounded square that numpy takes
+@pytest.mark.parametrize(
+    "key, ulps",
+    [("mean:n=3", 2), ("gauss:n=4", 2), ("hq:k=2,l=0,n=4", 4), ("qk:k=3,n=7", 2)],
+)
+@pytest.mark.parametrize("z", [1.0, 2.5])
+def test_solve_levels_matches_scalar(monkeypatch, key, ulps, z):
+    b = branch(key)
+    ys = np.concatenate([[0.0, 1.0], np.linspace(-3.0, 3.0, 600), np.geomspace(1e-3, 1e2, 400)])
+    closed, accepted = b.closed_levels(ys, z)
+    levels = b.solve_levels(ys.reshape(2, -1), z, np.nan).ravel()
+
+    numeric = []
+    original = ImplicitBranch.solve_extended
+
+    def spy(self, y, z, seed=None):
+        numeric.append(y)
+        return original(self, y, z, seed)
+
+    monkeypatch.setattr(ImplicitBranch, "solve_extended", spy)
+    scalar, scalar_accepts = [], []
+    for y in ys.tolist():
+        before = len(numeric)
+        try:
+            scalar.append(b.solve_level(y, z))
+        except TranslabError:
+            scalar.append(math.nan)
+        scalar_accepts.append(len(numeric) == before)
+    scalar = np.array(scalar)
+
+    assert np.array_equal(accepted, scalar_accepts)
+    assert accepted.any()
+    assert np.array_equal(np.isnan(levels), np.isnan(scalar))
+    scale = np.spacing(np.maximum(np.abs(scalar), np.abs(ys)))
+    assert np.nanmax(np.abs(levels - scalar) / scale) <= ulps
+    # the fallback elements are the scalar solves themselves
+    assert np.array_equal(levels[~accepted], scalar[~accepted], equal_nan=True)
+
+
+def test_solve_levels_without_array_inverse_is_scalar():
+    b = branch("sk:k=3,n=5")
+    assert not b.source.has_array_inverse
+    ys = np.linspace(0.05, 0.95, 12)
+    seeds = np.linspace(0.1, 0.5, 12)
+    assert not b.closed_levels(ys, 1.0)[1].any()
+    expected = [b.solve_level(y, 1.0, s) for y, s in zip(ys.tolist(), seeds.tolist())]
+    assert np.array_equal(b.solve_levels(ys, 1.0, seeds), expected)
+
+
+@pytest.mark.parametrize("key", HQ_CASES + ["qk:k=3,n=7", "qk:k=4,n=4"])
+def test_x_chart_array_matches_scalar(key):
+    f = from_key(key)
+    ys = np.concatenate([np.linspace(-3.0, 3.0, 241), [0.0]])
+    for z in (1.0, -1.0, 2.5, -0.3):
+        lo, hi = f.x_chart_array(ys, z)
+        expected = np.array([f.x_chart(y, z) for y in ys.tolist()])
+        assert np.array_equal(lo, expected[:, 0])
+        assert np.array_equal(hi, expected[:, 1])

@@ -148,6 +148,16 @@ def _stiff_exact(t):
     return math.cos(t) + math.exp(-_LAM * t)
 
 
+# the same equation for every component of a batched state: with jac and
+# more than one component, rhs broadcasts over (dim,) and (3, dim) states
+def _stiff_batch_rhs(t, y):
+    return -_LAM * (y - np.cos(t)) - np.sin(t)
+
+
+def _stiff_batch_jac(t, y):
+    return np.full(len(y), -_LAM)
+
+
 def test_stiff_step_matches_exact_solution():
     tr = integrate(_stiff_rhs, 0.0, [2.0], 2.0, jac=_stiff_jac)
     assert tr.termination == "reached_end"
@@ -187,13 +197,7 @@ def test_stiff_step_uncoupled_components_share_steps():
     # equal components compute bit-identical values; an ordered pair stays
     # ordered on the shared steps (the dense gap to rounding, once both
     # components sit on the attracting solution)
-    def rhs(t, y):
-        return tuple(_stiff_rhs(t, (v,))[0] for v in y)
-
-    def jac(t, y):
-        return (-_LAM,) * len(y)
-
-    tr = integrate(rhs, 0.0, [2.0, 2.0, 2.5], 1.0, jac=jac)
+    tr = integrate(_stiff_batch_rhs, 0.0, [2.0, 2.0, 2.5], 1.0, jac=_stiff_batch_jac)
     assert np.array_equal(tr.ys[:, 0], tr.ys[:, 1])
     grid = np.linspace(0.0, 1.0, 200)
     dense = tr.resample(grid)
@@ -204,13 +208,7 @@ def test_stiff_step_uncoupled_components_share_steps():
 def test_stiff_array_evaluation_matches_steps():
     # resample, integral_at and node_integrals evaluate the collocation cubics
     # as arrays; each value equals the per-step evaluation bit for bit
-    def rhs(t, y):
-        return tuple(_stiff_rhs(t, (v,))[0] for v in y)
-
-    def jac(t, y):
-        return (-_LAM,) * len(y)
-
-    tr = integrate(rhs, 0.0, [2.0, 2.5], 1.0, jac=jac)
+    tr = integrate(_stiff_batch_rhs, 0.0, [2.0, 2.5], 1.0, jac=_stiff_batch_jac)
     grid = np.linspace(tr.ts[0], tr.ts[-1], 777)
     idx = tr.segment_index(grid)
     per_step = [tr.ys[0] if t <= tr.ts[0] else tr.segments[j].eval(float(t))
@@ -220,3 +218,73 @@ def test_stiff_array_evaluation_matches_steps():
     assert np.array_equal(tr.node_integrals(0.5), nodes)
     per_step = [nodes[j] + tr.segments[j].integral(float(t))[0] for t, j in zip(grid, idx)]
     assert np.array_equal(tr.integral_at(grid, nodes), np.array(per_step))
+
+
+def test_batched_core_many_components_exact_solution():
+    # 16 components on the ndarray core; each follows its own exact solution
+    # cos t + (y0 - 1) exp(-lam t), and equal initial values stay equal bit
+    # for bit at the nodes and on the dense output
+    y0 = np.array([2.0, 0.5, 2.0, 1.0, 3.0, 0.5, -1.0, 2.0, 1.5, 1.5, 0.0, 2.5, 3.0, 0.25, 1.0, 2.0])
+    tr = integrate(_stiff_batch_rhs, 0.0, y0, 2.0, jac=_stiff_batch_jac)
+    assert tr.termination == "reached_end"
+    assert tr.ys.shape == (len(tr.ts), 16)
+
+    def exact(t):
+        t = np.asarray(t)[:, None]
+        return np.cos(t) + (y0 - 1.0) * np.exp(-_LAM * t)
+
+    assert np.max(np.abs(tr.ys - exact(tr.ts))) <= 1e-9
+    grid = np.linspace(0.01, 2.0, 400)
+    dense = tr.resample(grid)
+    assert np.max(np.abs(dense - exact(grid))) <= 1e-8
+    for i, j in ((0, 2), (0, 7), (0, 15), (1, 5), (4, 12), (3, 14), (8, 9)):
+        assert np.array_equal(tr.ys[:, i], tr.ys[:, j])
+        assert np.array_equal(dense[:, i], dense[:, j])
+
+
+def test_batched_max_norm_lets_no_quiet_component_dilute_an_error():
+    # one component with a stiff transient among 31 that never move: in the
+    # max norm the transient meets the tolerance as it does alone; an RMS
+    # norm over 32 components would accept sqrt(32) times its error
+    active = np.zeros(32)
+    active[0] = 1.0
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10)
+    batch = integrate(
+        lambda t, y: active * _stiff_batch_rhs(t, y),
+        0.0,
+        [2.0] + [1.0] * 31,
+        2.0,
+        cfg,
+        jac=lambda t, y: active * _stiff_batch_jac(t, y),
+    )
+    alone = integrate(_stiff_rhs, 0.0, [2.0], 2.0, cfg, jac=_stiff_jac)
+    diluted = cfg.rel_tol * 32**0.5
+    rms_like = integrate(
+        _stiff_rhs, 0.0, [2.0], 2.0, IntegratorConfig(rel_tol=diluted, abs_tol=diluted),
+        jac=_stiff_jac,
+    )
+
+    def error(tr):
+        return np.max(np.abs(tr.ys[:, 0] - [_stiff_exact(t) for t in tr.ts]))
+
+    assert np.all(batch.ys[:, 1:] == 1.0)
+    assert abs(len(batch.ts) - len(alone.ts)) <= 2
+    assert error(batch) <= 1.5 * error(alone)
+    # the bound above separates the two norms
+    assert error(rms_like) > 5 * error(alone)
+
+
+@pytest.mark.parametrize(
+    "rhs, state0, jac",
+    [
+        (lambda t, y: (-y[0],), [1.0], None),
+        (lambda t, y: (-y[0],), [1.0], lambda t, y: (-1.0,)),
+        (lambda t, y: -y, [1.0, 2.0, 3.0], lambda t, y: -np.ones(len(y))),
+    ],
+    ids=["dopri", "radau", "radau-batched"],
+)
+def test_max_steps_has_its_own_termination(rhs, state0, jac):
+    tr = integrate(rhs, 0.0, state0, 10.0, IntegratorConfig(max_steps=3), jac=jac)
+    assert tr.termination == "max_steps"
+    assert len(tr.ts) <= 4
+    assert tr.t_final < 10.0
