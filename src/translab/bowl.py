@@ -119,7 +119,8 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
 def _slope_scalar(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional[float]):
     """RHS and Jacobian of the slope equation as one-component maps for
     ``integrate``.  Each root solve is seeded with the last root; a failed
-    one gives NaN, which the integrator treats as a domain exit.
+    one gives NaN, which the integrator treats as a domain exit.  The
+    explicit catenoid charts build their RHS on this one.
     """
     value, derivative = _slope_field(f, branch, clamp_y)
     seed = None
@@ -172,6 +173,33 @@ def _slope_batch(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
     return rhs, jac
 
 
+def _node_residuals(f: CurvatureFunction, r, q, x_num, y_num, z=1.0,
+                    clamp_y: Optional[float] = None) -> np.ndarray:
+    """Residual |gamma(x, y) - z| of the translator equation at the nodes of
+    a chart with slope variable q, where
+
+        x = x_num / (1+q^2)^(beta+1),    y = y_num / (r (1+q^2)^beta)
+
+    (y held at clamp_y past it): x is the root that the stored derivative
+    implies, so this re-checks the root solve.  The arguments broadcast
+    against r; NaN where gamma is undefined.  Each node is evaluated in
+    scalar arithmetic, as the RHS is: numpy's array power may round
+    differently from the scalar one.
+    """
+    beta = f.beta
+    out = np.empty(len(r))
+    for i, (ri, qi, xn, yn, zi) in enumerate(zip(*np.broadcast_arrays(r, q, x_num, y_num, z))):
+        one_plus = 1.0 + qi**2
+        y = yn / (ri * one_plus**beta)
+        if clamp_y is not None:
+            y = min(y, clamp_y)
+        try:
+            out[i] = abs(f.value(xn / one_plus ** (beta + 1.0), y) - zi)
+        except TranslabError:
+            out[i] = math.nan
+    return out
+
+
 def solve_bowl(
     f: CurvatureFunction,
     r_max: float,
@@ -217,24 +245,14 @@ def solve_bowl(
     # u(r_eps) is the exact integral of the linear series start on [0, r_eps];
     # each step adds the exact integral of its collocation polynomial
     u = traj.node_integrals(0.5 * lam0 * r_eps**2)
-    resid = np.empty_like(r)
-    beta = f.beta
-    for i in range(len(r)):
-        one_plus = 1.0 + v[i] ** 2
-        yarg = v[i] / (r[i] * one_plus**beta)
-        if clamp is not None:
-            yarg = min(yarg, clamp)
-        vp = traj.fs[i, 0]
-        x_implied = vp / one_plus ** (beta + 1.0)
-        resid[i] = abs(f.value(x_implied, yarg) - 1.0)
     return BowlProfile(
         curvature_key=f.name,
         alpha=a,
-        beta=beta,
+        beta=f.beta,
         r=r,
         u=u,
         v=v,
-        residuals=resid,
+        residuals=_node_residuals(f, r, v, traj.fs[:, 0], v, clamp_y=clamp),
         termination=termination,
         lambda0=lam0,
         trajectory=traj,

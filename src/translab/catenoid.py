@@ -36,11 +36,10 @@ from typing import Optional
 
 import numpy as np
 
-from .bowl import BowlProfile, _slope_scalar, _window_grid, solve_bowl
+from .bowl import BowlProfile, _node_residuals, _slope_scalar, _window_grid, solve_bowl
 from .curvature import CurvatureFunction, zero_ray
 from .errors import (
     ClassificationError,
-    DomainError,
     ParameterError,
     StructureError,
     TranslabError,
@@ -190,17 +189,12 @@ def solve_neck(
         r_e, p_e, s_e = tr.ys[-1]
         return (u_e, float(r_e), float(sign * p_e) if sign < 0 else float(p_e), float(s_e))
 
-    # residual of the neck equation at the nodes, in the solved chart
-    res = 0.0
-    for tr, sign in ((tr_up, +1.0), (tr_dn, -1.0)):
-        for i in range(len(tr.ts)):
-            r, p, _ = tr.ys[i]
-            rpp = tr.fs[i][1]
-            one_plus = 1.0 + p * p
-            yarg = 1.0 / (r * one_plus**beta)
-            x_implied = -rpp / one_plus ** (beta + 1.0)
-            res = max(res, abs(f.value(x_implied, yarg) - sign * p))
-
+    # residual of the neck equation at the nodes, in the solved chart: the
+    # y-argument is 1/(r (1+p^2)^beta) and the level z = +-p
+    res = float(np.max(np.concatenate([
+        _node_residuals(f, tr.ys[:, 0], tr.ys[:, 1], -tr.fs[:, 1], 1.0, sign * tr.ys[:, 1])
+        for tr, sign in ((tr_up, +1.0), (tr_dn, -1.0))
+    ])))
     up_exit = exit_tuple(tr_up, +1.0)
     down_exit = exit_tuple(tr_dn, -1.0)
     up_samples = np.column_stack([tr_up.ts, tr_up.ys[:, 0], tr_up.ys[:, 1], tr_up.ys[:, 2]])
@@ -220,40 +214,23 @@ def solve_neck(
     )
 
 
-def _graph_rhs(f: CurvatureFunction, branch: ImplicitBranch):
-    """Slope-equation RHS (v, u, s) of the explicit descending chart."""
-    beta = f.beta
-    state = {"seed": None}
-
-    def rhs(r, y):
-        v = y[0]
-        one_plus = 1.0 + v * v
-        yarg = v / (r * one_plus**beta)
-        try:
-            x = branch.solve_level(yarg, 1.0, seed=state["seed"])
-        except TranslabError:
-            return (math.nan, math.nan, math.nan)
-        state["seed"] = x
-        return (one_plus ** (beta + 1.0) * x, v, math.sqrt(one_plus))
-
-    return rhs
-
-
 def _graph_arrays(f: CurvatureFunction, r, v, vp):
     """Signed curvature and equation residual at graph-chart nodes, from the
     slope v and its stored derivative vp."""
-    beta = f.beta
-    kappa = vp / (1.0 + v * v) ** 1.5
-    resid = np.empty_like(r)
-    for i in range(len(r)):
-        one_plus = 1.0 + v[i] ** 2
-        yarg = v[i] / (r[i] * one_plus**beta)
-        x_impl = vp[i] / one_plus ** (beta + 1.0)
-        try:
-            resid[i] = abs(f.value(x_impl, yarg) - 1.0)
-        except TranslabError:
-            resid[i] = math.nan
-    return kappa, resid
+    return vp / (1.0 + v * v) ** 1.5, _node_residuals(f, r, v, vp, v)
+
+
+def _neck_columns(samples: np.ndarray, theta: np.ndarray, residual: float) -> tuple:
+    """Profile columns (s, r, u, theta, kappa, residual) of one side's
+    neck-chart samples (columns u, r, r_u, s); kappa = d theta / ds."""
+    s = samples[:, 3]
+    kappa = np.gradient(theta, s) if len(samples) > 2 else np.zeros(len(samples))
+    return (s, samples[:, 1], samples[:, 0], theta, kappa, np.full(len(samples), residual))
+
+
+def _profile(side: str, columns: list, tail: Optional[Trajectory]) -> Profile:
+    """A branch profile from its charts' columns, in order along the branch."""
+    return Profile(side, *(np.concatenate(col) for col in zip(*columns)), tail=tail)
 
 
 def _ascending_chart(f, branch, r0, v0, u0, s0, r_max, cfg, what):
@@ -295,17 +272,9 @@ def solve_upper_branch(
     kappa, resid = _graph_arrays(f, r, v, traj.fs[:, 0])
     if np.any(theta <= 0) or np.any(theta >= math.pi / 2):
         raise StructureError("upper branch tangent angle left (0, pi/2)")
-    # prepend the neck-chart segment (theta = pi/2 - arctan(r_u))
-    nu = neck.up_samples
-    th_n = math.pi / 2 - np.arctan(nu[:, 2])
-    kap_n = np.gradient(th_n, nu[:, 3]) if len(nu) > 2 else np.zeros(len(nu))
-    s_all = np.concatenate([nu[:, 3], s])
-    r_all = np.concatenate([nu[:, 1], r])
-    u_all = np.concatenate([nu[:, 0], u])
-    th_all = np.concatenate([th_n, theta])
-    ka_all = np.concatenate([kap_n, kappa])
-    re_all = np.concatenate([np.full(len(nu), neck.residual_max), resid])
-    return Profile("upper", s_all, r_all, u_all, th_all, ka_all, re_all, tail=traj)
+    nu = neck.up_samples  # theta = pi/2 - arctan(r_u) on the neck chart
+    neck_cols = _neck_columns(nu, math.pi / 2 - np.arctan(nu[:, 2]), neck.residual_max)
+    return _profile("upper", [neck_cols, (s, r, u, theta, kappa, resid)], traj)
 
 
 def classify_case(f: CurvatureFunction, branch: ImplicitBranch) -> str:
@@ -349,15 +318,17 @@ def solve_lower_branch(
     if r_h >= r_max:
         raise ParameterError(f"r_max={r_max} does not extend past the neck chart (r={r_h})")
     w_h = 1.0 / ru_h  # negative: the branch descends
-    beta = f.beta
-    rhs = _graph_rhs(f, branch)
+    slope, _ = _slope_scalar(f, branch, None)
+
+    def rhs(r, y):
+        # descending chart, state (v, u, s)
+        v = y[0]
+        return (slope(r, y)[0], v, math.sqrt(1.0 + v * v))
 
     # profile columns (s, r, u, theta, kappa, residual), one entry per chart,
     # the neck chart samples first
     nd = neck.down_samples
-    th_n = math.pi - np.abs(np.arctan(nd[:, 2]))
-    kap_n = np.gradient(th_n, nd[:, 3]) if len(nd) > 2 else np.zeros(len(nd))
-    columns = [(nd[:, 3], nd[:, 1], nd[:, 0], th_n, kap_n, np.full(len(nd), neck.residual_max))]
+    columns = [_neck_columns(nd, math.pi - np.abs(np.arctan(nd[:, 2])), neck.residual_max)]
 
     def add_graph_chart(r, w, wp, u, s):
         kappa, resid = _graph_arrays(f, r, w, wp)
@@ -412,19 +383,12 @@ def solve_lower_branch(
         add_graph_chart(tr1.ts, tr1.ys[:, 0], tr1.fs[:, 0], tr1.ys[:, 1], tr1.ys[:, 2])
         r1, (w1, u1, arc1) = tr1.t_final, tr1.ys[-1]
 
-        # turning chart: slope w is the independent variable, state (r, u, s)
+        # turning chart: slope w is the independent variable, state (r, u, s);
+        # dr/dw = 1/F, which stays finite where the profile curvature blows up
         def turn_rhs(w, y):
-            r, _u, _s = y
-            one_plus = 1.0 + w * w
-            yarg = w / (r * one_plus**beta)
-            try:
-                x = branch.solve_level(yarg, 1.0)
-            except TranslabError:
-                return (math.nan, math.nan, math.nan)
-            if x <= 0:
-                return (math.nan, math.nan, math.nan)
-            drdw = 1.0 / (one_plus ** (beta + 1.0) * x)
-            return (drdw, w * drdw, math.sqrt(one_plus) * drdw)
+            (F,) = slope(y[0], (w,))
+            drdw = 1.0 / F if F > 0 else math.nan
+            return (drdw, w * drdw, math.sqrt(1.0 + w * w) * drdw)
 
         ev_bottom = [EventSpec(lambda w, y: w, "rising", False, "bottom")]
         tr2 = integrate(turn_rhs, w1, [r1, u1, arc1], HANDOFF_TAN, cfg, ev_bottom)
@@ -438,26 +402,9 @@ def solve_lower_branch(
 
         w = tr2.ts
         r = tr2.ys[:, 0]
-        drdw = tr2.fs[:, 0]
-        # d theta / ds = sign(w) / ((1+w^2) ds/dw)
-        with np.errstate(divide="ignore"):
-            dth_ds = np.where(
-                np.abs(tr2.fs[:, 2]) > 0,
-                np.sign(w) / ((1 + w * w) * np.where(tr2.fs[:, 2] != 0, tr2.fs[:, 2], 1.0)),
-                np.inf,
-            )
-        resid = np.empty_like(w)
-        for i in range(len(w)):
-            one_plus = 1.0 + w[i] ** 2
-            yarg = w[i] / (r[i] * one_plus**beta)
-            if drdw[i] <= 0:
-                resid[i] = math.nan
-                continue
-            x_impl = 1.0 / (one_plus ** (beta + 1.0) * drdw[i])
-            try:
-                resid[i] = abs(f.value(x_impl, yarg) - 1.0)
-            except TranslabError:
-                resid[i] = math.nan
+        # d theta / ds = sign(w) / ((1+w^2) ds/dw), with ds/dw > 0 at the nodes
+        dth_ds = np.sign(w) / ((1 + w * w) * tr2.fs[:, 2])
+        resid = _node_residuals(f, r, w, 1.0 / tr2.fs[:, 0], w)
         theta = math.pi / 2 + np.abs(np.arctan(w))
         columns.append((tr2.ys[:, 2], r, tr2.ys[:, 1], theta, dth_ds, resid))
 
@@ -469,8 +416,7 @@ def solve_lower_branch(
         add_graph_chart(tail.ts, tail.ys[:, 0], tail.fs[:, 0], u3, s3)
         end_behavior.update({"kind": "bowl_type"})
 
-    prof = Profile("lower", *(np.concatenate(col) for col in zip(*columns)), tail=tail)
-    return prof, s0, s1, case, end_behavior, n_pi2, n_min
+    return _profile("lower", columns, tail), s0, s1, case, end_behavior, n_pi2, n_min
 
 
 def check_embeddedness(result: CatenoidResult) -> dict:

@@ -28,6 +28,12 @@ from .errors import ParameterError, TranslabError
 from .implicit import ImplicitBranch
 
 
+_CHOICES = {
+    "regime": ("auto", "nondegenerate", "degenerate"),
+    "suite": ("homogeneity", "implicit", "ordering", "barrier", "all"),
+}
+
+
 def _parse_args(argv):
     p = argparse.ArgumentParser(prog="translab", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -42,7 +48,7 @@ def _parse_args(argv):
     b = sub.add_parser("bowl", help="bowl-type translator profile and asymptotics")
     b.add_argument("--curvature", default=None)
     b.add_argument("--rmax", type=float, default=None)
-    b.add_argument("--regime", choices=("auto", "nondegenerate", "degenerate"), default=None)
+    b.add_argument("--regime", choices=_CHOICES["regime"], default=None)
     b.add_argument("--fit-lo", type=float, default=None)
     b.add_argument("--fit-hi", type=float, default=None)
     common(b)
@@ -55,8 +61,7 @@ def _parse_args(argv):
     common(c)
 
     v = sub.add_parser("verify", help="property suites")
-    v.add_argument("--suite", default=None,
-                   choices=("homogeneity", "implicit", "ordering", "barrier", "all"))
+    v.add_argument("--suite", default=None, choices=_CHOICES["suite"])
     v.add_argument("--curvature", default=None)
     common(v)
 
@@ -65,46 +70,41 @@ def _parse_args(argv):
     return p.parse_args(argv)
 
 
+# per command, the default of each option; None marks a required option
 _DEFAULTS = {
-    "bowl": {"rmax": 500.0, "regime": "auto", "fit_lo": None, "fit_hi": None},
-    "catenoid": {"rmax": 50.0, "handoff": "pi8", "R": None},
-    "verify": {"suite": None},
-}
-_CONFIG_MAP = {
-    "bowl": {"curvature": "curvature", "rmax": "rmax", "regime": "regime",
-             "fit_lo": "fit_lo", "fit_hi": "fit_hi"},
-    "catenoid": {"curvature": "curvature", "R": "R", "rmax": "rmax", "handoff": "handoff"},
-    "verify": {"curvature": "curvature", "suite": "suite"},
+    "global": {"out": "out", "seed": 0},
+    "bowl": {"curvature": None, "rmax": 500.0, "regime": "auto"},
+    "catenoid": {"curvature": None, "R": None, "rmax": 50.0, "handoff": "pi8"},
+    "verify": {"curvature": None, "suite": None},
 }
 _FLOAT_KEYS = ("rmax", "fit_lo", "fit_hi", "R")
+_HANDOFFS = {"pi8": math.tan(math.pi / 8), "pi6": math.tan(math.pi / 6)}
 
 
 def _merge_config(args, cfg: dict) -> None:
-    """Config fills arguments not given on the command line."""
-    section = cfg.get(args.command, {})
-    for cfg_key, attr in _CONFIG_MAP.get(args.command, {}).items():
-        if getattr(args, attr, None) is None and cfg_key.lower() in section:
-            setattr(args, attr, section[cfg_key.lower()])
-    glob = cfg.get("global", {})
-    if args.out is None and "out" in glob:
-        args.out = glob["out"]
-    if args.seed is None and "seed" in glob:
-        try:
-            args.seed = int(glob["seed"])
-        except ValueError:
-            raise ParameterError(f"seed must be an integer, got {glob['seed']!r}") from None
-    for attr, default in _DEFAULTS.get(args.command, {}).items():
-        if getattr(args, attr, None) is None and default is not None:
+    """Fill the options not given on the command line from the config (file
+    and environment, whose keys ``cliio._KNOWN_KEYS`` are the lower-case
+    option names), then from the defaults, and check their values."""
+    for section in (args.command, "global"):
+        values = cfg.get(section, {})
+        for attr in vars(args):
+            if getattr(args, attr) is None and attr.lower() in values:
+                setattr(args, attr, values[attr.lower()])
+    for attr, default in {**_DEFAULTS["global"], **_DEFAULTS.get(args.command, {})}.items():
+        if getattr(args, attr) is None:
+            if default is None:
+                raise ParameterError(f"missing required option --{attr}")
             setattr(args, attr, default)
-    if args.out is None:
-        args.out = "out"
-    if args.seed is None:
-        args.seed = 0
-    required = {"bowl": ["curvature"], "catenoid": ["curvature", "R"],
-                "verify": ["curvature", "suite"], "list": []}
-    for attr in required[args.command]:
-        if getattr(args, attr, None) is None:
-            raise ParameterError(f"missing required option --{attr}")
+    try:
+        args.seed = int(args.seed)
+    except ValueError:
+        raise ParameterError(f"seed must be an integer, got {args.seed!r}") from None
+    if args.seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {args.seed}")
+    for attr, choices in _CHOICES.items():
+        value = getattr(args, attr, None)
+        if value is not None and value not in choices:
+            raise ParameterError(f"--{attr} must be one of {', '.join(choices)}, got {value!r}")
     for attr in _FLOAT_KEYS:
         raw = getattr(args, attr, None)
         if raw is None:
@@ -122,161 +122,154 @@ def _echo(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command",) and v is not None}
 
 
-def _solver_failure(out: Path, exc: TranslabError) -> int:
-    """Record an error raised inside a solver in error.json.  Exit 2 when it
-    is a rejected parameter (ParameterError), 3 for any other failure."""
-    write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
-    if isinstance(exc, ParameterError):
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"solver error: {exc}", file=sys.stderr)
-    return 3
+def _emit(manifest: RunManifest, path: Path, writer, *data) -> None:
+    """Write one output file and list it in the manifest."""
+    writer(path, *data)
+    manifest.record_file(path)
 
 
-def cmd_bowl(args) -> int:
+def _run(args, command) -> int:
+    """Run a solving command and return its exit code.
+
+    ``command(args)`` builds the curvature function and checks the options;
+    a TranslabError there exits 2 before the run directory is made.  It
+    returns the solve step ``solve(out, manifest)``, which writes the data
+    files, records the checks and returns the JSON sidecar payload.  A
+    TranslabError raised by the solve step is recorded in error.json; it
+    exits 2 when it is a rejected parameter (ParameterError), 3 otherwise.
+    """
     try:
-        f = from_key(args.curvature)
-        if args.rmax <= 0:
-            raise ParameterError(f"rmax must be positive, got {args.rmax}")
+        solve = command(args)
     except TranslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    manifest = RunManifest(out, "bowl", _echo(args))
+    manifest = RunManifest(out, args.command, _echo(args))
     try:
+        payload = solve(out, manifest)
+    except TranslabError as exc:
+        write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
+        rejected = isinstance(exc, ParameterError)
+        print(f"{'error' if rejected else 'solver error'}: {exc}", file=sys.stderr)
+        return 2 if rejected else 3
+    _emit(manifest, out / f"{args.command}.json", write_json, {**payload, "seed": args.seed})
+    manifest.write()
+    if not args.quiet:
+        for name, chk in manifest.checks.items():
+            print(f"{'PASS' if chk['passed'] else 'FAIL'} {name} {chk['detail']}")
+    return 0 if manifest.all_passed else 1
+
+
+def cmd_bowl(args):
+    f = from_key(args.curvature)
+    if args.rmax <= 0:
+        raise ParameterError(f"rmax must be positive, got {args.rmax}")
+    window = None
+    if args.fit_lo is not None or args.fit_hi is not None:
+        window = (args.fit_lo, args.fit_hi)
+        if None in window:
+            raise ParameterError("--fit-lo and --fit-hi must be given together")
+        if not 0 < args.fit_lo < args.fit_hi <= args.rmax:
+            raise ParameterError(
+                f"the fit window needs 0 < fit-lo < fit-hi <= rmax, got {window} at rmax {args.rmax}"
+            )
+
+    def solve(out, manifest):
         profile = solve_bowl(f, args.rmax)
         regime = args.regime
         if regime == "auto":
             regime = "degenerate" if f.is_one_degenerate else "nondegenerate"
-        window = None
-        if args.fit_lo and args.fit_hi:
-            window = (args.fit_lo, args.fit_hi)
         report = fit_tail(profile, regime, window)
         gexp = growth_exponent(profile, window)
-    except TranslabError as exc:
-        return _solver_failure(out, exc)
 
-    csv_path = out / "profile.csv"
-    write_csv(csv_path, "r,u,v,residual", [profile.r, profile.u, profile.v, profile.residuals])
-    manifest.record_file(csv_path)
-    payload = {
-        "curvature_key": f.name,
-        "alpha": f.alpha_float,
-        "beta": f.beta,
-        "lambda0": profile.lambda0,
-        "termination": profile.termination,
-        "regime": report.regime,
-        "formula": report.formula,
-        "fitted": report.fitted,
-        "rel_errors": report.rel_errors,
-        "fit_window": list(report.fit_window),
-        "growth_exponent_u": gexp,
-        "max_residual": float(profile.residuals.max()),
-        "seed": args.seed,
-    }
-    json_path = out / "bowl.json"
-    write_json(json_path, payload)
-    manifest.record_file(json_path)
-    gp = out / "bowl_plot.gp"
-    emit_plot_script(gp, f"bowl profile {f.name}", [("profile.csv", "1:2", "u(r)"),
-                                                   ("profile.csv", "1:3", "v(r)")])
-    manifest.record_file(gp)
+        _emit(manifest, out / "profile.csv", write_csv, "r,u,v,residual",
+              [profile.r, profile.u, profile.v, profile.residuals])
+        _emit(manifest, out / "bowl_plot.gp", emit_plot_script, f"bowl profile {f.name}",
+              [("profile.csv", "1:2", "u(r)"), ("profile.csv", "1:3", "v(r)")])
+        manifest.record_check("residual", profile.residuals.max() <= 1e-8,
+                              f"max={profile.residuals.max():.2e}")
+        tol = {"a": 0.01, "b": 0.05, "d_gamma": 0.02, "A_gamma": 0.02}
+        for key, rel in report.rel_errors.items():
+            manifest.record_check(f"fit_{key}", rel <= tol.get(key, 0.05), f"rel={rel:.2e}")
+        return {
+            "curvature_key": f.name,
+            "alpha": f.alpha_float,
+            "beta": f.beta,
+            "lambda0": profile.lambda0,
+            "termination": profile.termination,
+            "regime": report.regime,
+            "formula": report.formula,
+            "fitted": report.fitted,
+            "rel_errors": report.rel_errors,
+            "fit_window": list(report.fit_window),
+            "growth_exponent_u": gexp,
+            "max_residual": float(profile.residuals.max()),
+        }
 
-    manifest.record_check("residual", profile.residuals.max() <= 1e-8,
-                          f"max={profile.residuals.max():.2e}")
-    tol = {"a": 0.01, "b": 0.05, "d_gamma": 0.02, "A_gamma": 0.02}
-    for key, rel in report.rel_errors.items():
-        manifest.record_check(f"fit_{key}", rel <= tol.get(key, 0.05), f"rel={rel:.2e}")
-    manifest.write()
-    if not args.quiet:
-        for name, chk in manifest.checks.items():
-            print(f"{'PASS' if chk['passed'] else 'FAIL'} {name} {chk['detail']}")
-    return 0 if manifest.all_passed else 1
+    return solve
 
 
-def cmd_catenoid(args) -> int:
-    try:
-        f = from_key(args.curvature)
-        if not f.is_signed:
-            print(f"error: curvature function {f.name} is not signed", file=sys.stderr)
-            return 2
-        if args.R <= 0 or args.rmax <= 0:
-            raise ParameterError("R and rmax must be positive")
-        handoff = {"pi8": math.tan(math.pi / 8), "pi6": math.tan(math.pi / 6)}.get(
-            args.handoff
-        )
-        if handoff is None:
+def cmd_catenoid(args):
+    f = from_key(args.curvature)
+    if not f.is_signed:
+        raise ParameterError(f"curvature function {f.name} is not signed")
+    if args.R <= 0 or args.rmax <= 0:
+        raise ParameterError("R and rmax must be positive")
+    handoff = _HANDOFFS.get(args.handoff)
+    if handoff is None:
+        try:
             handoff = float(args.handoff)
-    except (TranslabError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    manifest = RunManifest(out, "catenoid", _echo(args))
-    try:
+        except ValueError:
+            handoff = math.nan
+        if not 0 < handoff < math.inf:
+            raise ParameterError(
+                f"--handoff must be pi8, pi6 or a finite positive tangent, got {args.handoff!r}"
+            )
+
+    def solve(out, manifest):
         res = solve_catenoid(f, args.R, args.rmax, handoff_tan=handoff)
         gexp = upper_growth_exponent(res)
-    except TranslabError as exc:
-        return _solver_failure(out, exc)
 
-    for side, prof in (("upper", res.upper), ("lower", res.lower)):
-        path = out / f"{side}.csv"
-        write_csv(path, "s,r,u,theta,kappa,residual",
+        for side, prof in (("upper", res.upper), ("lower", res.lower)):
+            _emit(manifest, out / f"{side}.csv", write_csv, "s,r,u,theta,kappa,residual",
                   [prof.s, prof.r, prof.u, prof.theta, prof.kappa, prof.residuals])
-        manifest.record_file(path)
-    payload = {
-        "curvature_key": f.name,
-        "alpha": f.alpha_float,
-        "R": res.R,
-        "case": res.case,
-        "s0": res.s0,
-        "s1": res.s1,
-        "n_pi2_events": res.n_pi2_events,
-        "n_theta_min_events": res.n_theta_min_events,
-        "C_plus": res.C_plus,
-        "C_minus": res.C_minus,
-        "end_behavior": res.end_behavior,
-        "embeddedness": res.embeddedness,
-        "upper_growth_exponent": gexp,
-        "handoff_tan": res.handoff_tan,
-        "seed": args.seed,
-    }
-    json_path = out / "catenoid.json"
-    write_json(json_path, payload)
-    manifest.record_file(json_path)
-    gp = out / "catenoid_plot.gp"
-    emit_plot_script(gp, f"catenoidal translator {f.name} R={args.R}",
-                     [("upper.csv", "2:3", "upper branch"),
-                      ("lower.csv", "2:3", "lower branch")])
-    manifest.record_file(gp)
+        _emit(manifest, out / "catenoid_plot.gp", emit_plot_script,
+              f"catenoidal translator {f.name} R={args.R}",
+              [("upper.csv", "2:3", "upper branch"), ("lower.csv", "2:3", "lower branch")])
+        emb = res.embeddedness
+        manifest.record_check(
+            "embeddedness", bool(emb.get("min_gap", 0) > 0) if emb.get("conclusive") else True,
+            str(emb),
+        )
+        manifest.record_check("growth_exponent",
+                              abs(gexp - (f.alpha_float + 1)) <= 0.02 * (f.alpha_float + 1),
+                              f"fitted={gexp:.4f}")
+        return {
+            "curvature_key": f.name,
+            "alpha": f.alpha_float,
+            "R": res.R,
+            "case": res.case,
+            "s0": res.s0,
+            "s1": res.s1,
+            "n_pi2_events": res.n_pi2_events,
+            "n_theta_min_events": res.n_theta_min_events,
+            "C_plus": res.C_plus,
+            "C_minus": res.C_minus,
+            "end_behavior": res.end_behavior,
+            "embeddedness": res.embeddedness,
+            "upper_growth_exponent": gexp,
+            "handoff_tan": res.handoff_tan,
+        }
 
-    emb = res.embeddedness
-    manifest.record_check("embeddedness", bool(emb.get("min_gap", 0) > 0) if emb.get("conclusive") else True,
-                          str(emb))
-    manifest.record_check("growth_exponent",
-                          abs(gexp - (f.alpha_float + 1)) <= 0.02 * (f.alpha_float + 1),
-                          f"fitted={gexp:.4f}")
-    manifest.write()
-    if not args.quiet:
-        for name, chk in manifest.checks.items():
-            print(f"{'PASS' if chk['passed'] else 'FAIL'} {name} {chk['detail']}")
-    return 0 if manifest.all_passed else 1
+    return solve
 
 
-def cmd_verify(args) -> int:
-    try:
-        f = from_key(args.curvature)
-    except TranslabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    manifest = RunManifest(out, "verify", _echo(args))
-    suites = (
-        ["homogeneity", "implicit", "ordering", "barrier"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    results = {}
-    try:
+def cmd_verify(args):
+    f = from_key(args.curvature)
+    suites = _CHOICES["suite"][:-1] if args.suite == "all" else [args.suite]  # all but "all"
+
+    def solve(out, manifest):
+        results = {}
         branch = ImplicitBranch(f)
         if "homogeneity" in suites:
             rep = check_homogeneity(f, samples=200, seed=args.seed)
@@ -344,24 +337,15 @@ def cmd_verify(args) -> int:
                 results["barrier"] = {"verdict": rep.verdict, "min_margin": rep.min_margin}
             else:
                 manifest.record_check("barrier_power", True, "no -1 level; skipped")
-    except TranslabError as exc:
-        return _solver_failure(out, exc)
-    deg = classify_degeneracy(f)
-    payload = {
-        "curvature_key": f.name,
-        "degeneracy": deg.kind,
-        "value_at_01": deg.value_at_01,
-        "suites": results,
-        "seed": args.seed,
-    }
-    json_path = out / "verify.json"
-    write_json(json_path, payload)
-    manifest.record_file(json_path)
-    manifest.write()
-    if not args.quiet:
-        for name, chk in manifest.checks.items():
-            print(f"{'PASS' if chk['passed'] else 'FAIL'} {name} {chk['detail']}")
-    return 0 if manifest.all_passed else 1
+        deg = classify_degeneracy(f)
+        return {
+            "curvature_key": f.name,
+            "degeneracy": deg.kind,
+            "value_at_01": deg.value_at_01,
+            "suites": results,
+        }
+
+    return solve
 
 
 def cmd_list(args) -> int:
@@ -387,13 +371,9 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    handler = {
-        "bowl": cmd_bowl,
-        "catenoid": cmd_catenoid,
-        "verify": cmd_verify,
-        "list": cmd_list,
-    }[args.command]
-    return handler(args)
+    if args.command == "list":
+        return cmd_list(args)
+    return _run(args, {"bowl": cmd_bowl, "catenoid": cmd_catenoid, "verify": cmd_verify}[args.command])
 
 
 if __name__ == "__main__":

@@ -180,9 +180,6 @@ class CurvatureFunction:
                 return x, y
         raise DomainError(f"{self.name}: could not sample the slice cone")
 
-    def key(self) -> str:
-        return self.name
-
     def __repr__(self):
         return f"<CurvatureFunction {self.name} alpha={self.alpha}>"
 
@@ -520,6 +517,11 @@ class KConvexity(CurvatureFunction):
     def __init__(self, n: int, k: int):
         if not 1 <= k <= n:
             raise ParameterError(f"k_convexity requires 1 <= k <= n, got {k}")
+        if k == 1:
+            raise ParameterError(
+                f"kconv:k=1,n={n}: the slice 1/(1/x + (n-1)/y) is undefined at (0, 1), "
+                "where every family is normalized"
+            )
         self.k = k
         self._a = comb(n - 1, k - 1)  # sums containing x: x + (k-1) y
         self._b = comb(n - 1, k)  # sums of k copies of y: k y

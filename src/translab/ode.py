@@ -154,21 +154,6 @@ class _Segment:
             out.append(self.y0[d] + self.h * s * acc)
         return tuple(out)
 
-    def eval_derivative(self, t):
-        s = (t - self.t0) / self.h
-        dp = (1.0, 2 * s, 3 * s * s, 4 * s * s * s)
-        dim = len(self.y0)
-        out = []
-        for d in range(dim):
-            acc = 0.0
-            for i in range(7):
-                Pi = _P[i]
-                acc += self.K[i][d] * (
-                    Pi[0] * dp[0] + Pi[1] * dp[1] + Pi[2] * dp[2] + Pi[3] * dp[3]
-                )
-            out.append(acc)
-        return tuple(out)
-
 
 class _CollocationSegment:
     """One accepted Radau IIA step with its cubic collocation polynomial."""
@@ -184,10 +169,6 @@ class _CollocationSegment:
     def eval(self, t):
         s = (t - self.t0) / self.h
         return tuple(y0 + s * (q1 + s * (q2 + s * q3)) for y0, (q1, q2, q3) in zip(self.y0, self.Q))
-
-    def eval_derivative(self, t):
-        s = (t - self.t0) / self.h
-        return tuple((q1 + s * (2 * q2 + 3 * s * q3)) / self.h for q1, q2, q3 in self.Q)
 
     def integral(self, t):
         """Exact integral of the collocation polynomial from t0 to t."""
@@ -272,10 +253,6 @@ class Trajectory:
             out[i] = self.ys[0] if t <= self.ts[0] else self.segments[j].eval(float(t))
         return out
 
-    def derivative_at(self, t: float) -> np.ndarray:
-        j = int(self.segment_index(np.asarray([t]))[0])
-        return np.asarray(self.segments[j].eval_derivative(float(t)))
-
 
 def integrate(
     rhs: Callable[[float, Sequence[float]], Sequence[float]],
@@ -284,7 +261,6 @@ def integrate(
     t_end: float,
     config: Optional[IntegratorConfig] = None,
     events: Sequence[EventSpec] = (),
-    store_segments: bool = True,
     jac: Optional[Callable[[float, Sequence[float]], Sequence[float]]] = None,
 ) -> Trajectory:
     """Integrate rhs from t0 to t_end (> t0) with adaptive steps.
@@ -339,8 +315,7 @@ def integrate(
         except StopIteration as done:
             termination = done.value
             break
-        if store_segments:
-            segments.append(seg)
+        segments.append(seg)
 
         g_new = [ev.function(t_new, y_new) for ev in events]
         first_hit = None

@@ -183,3 +183,61 @@ def test_verify_ordering_records_termination(tmp_path):
     assert ordering["termination"] == "reached_end"
     assert ordering["r_reached"] == 100.0
     assert ordering["pairs"] == 10
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_negative_seed_exit2(tmp_path, monkeypatch, source):
+    args = ["verify", "--suite", "homogeneity", "--curvature", "mean:n=3", "--out", str(tmp_path)]
+    if source == "flag":
+        args += ["--seed", "-5"]
+    elif source == "config":
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("[global]\nseed = -5\n")
+        args += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("TRANSLAB_GLOBAL_SEED", "-5")
+    assert run(args) == 2
+
+
+@pytest.mark.parametrize(
+    "env, args",
+    [
+        ({"TRANSLAB_VERIFY_SUITE": "foo"}, ["verify", "--curvature", "mean:n=3"]),
+        ({"TRANSLAB_BOWL_REGIME": "bogus"}, ["bowl", "--curvature", "mean:n=3"]),
+    ],
+    ids=["suite", "regime"],
+)
+def test_bad_choice_from_env_exit2_before_solve(tmp_path, monkeypatch, env, args):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "o"
+    assert run(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("handoff", ["nan", "-1", "0", "inf", "abc"])
+def test_bad_handoff_exit2(tmp_path, handoff):
+    out = tmp_path / "o"
+    assert run(["catenoid", "--curvature", "sk:k=3,n=5", "--R", "1", "--rmax", "8",
+                "--handoff", handoff, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "window",
+    [["--fit-lo", "5"], ["--fit-hi", "30"], ["--fit-lo", "0", "--fit-hi", "30"],
+     ["--fit-lo", "30", "--fit-hi", "6"], ["--fit-lo", "6", "--fit-hi", "80"]],
+    ids=["lo-only", "hi-only", "lo-zero", "inverted", "beyond-rmax"],
+)
+def test_bad_fit_window_exit2(tmp_path, window):
+    out = tmp_path / "o"
+    assert run(["bowl", "--curvature", "mean:n=3", "--rmax", "60", "--out", str(out)]
+               + window) == 2
+    assert not out.exists()
+
+
+def test_fit_window_used(tmp_path):
+    out = tmp_path / "o"
+    assert run(["bowl", "--curvature", "mean:n=3", "--rmax", "60", "--fit-lo", "8",
+                "--fit-hi", "40", "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "bowl.json").read_text())["fit_window"] == [8.0, 40.0]

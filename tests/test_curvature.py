@@ -67,6 +67,12 @@ def test_invalid_parameters_rejected():
         from_key("mean:k=3")
 
 
+def test_kconv_k1_rejected_with_reason():
+    # 1/(1/x + (n-1)/y) has no value at x = 0, where families are normalized
+    with pytest.raises(ParameterError, match=r"undefined at \(0, 1\)"):
+        from_key("kconv:k=1,n=3")
+
+
 # ---------------------------------------------------------------------------
 # degeneracy classification
 # ---------------------------------------------------------------------------
