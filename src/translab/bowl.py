@@ -322,6 +322,13 @@ def _window_grid(r: np.ndarray, window: tuple) -> np.ndarray:
     return np.geomspace(r_lo, min(r_hi, r_max), FIT_SAMPLES)
 
 
+def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Least-squares line log y = slope log x + intercept: (slope, intercept)."""
+    L = np.log(x)
+    coef, *_ = np.linalg.lstsq(np.vstack([L, np.ones_like(L)]).T, np.log(y), rcond=None)
+    return float(coef[0]), float(coef[1])
+
+
 def default_window(profile: BowlProfile) -> tuple:
     return (profile.r_max / 10.0, profile.r_max / 2.0)
 
@@ -356,11 +363,8 @@ def fit_tail(profile: BowlProfile, regime: str, window: Optional[tuple] = None) 
         k_g, c_g, d_g, A_g, boundary = coeffs_degenerate(f)
         if np.any(v <= 0):
             raise FitError("slope not positive on the window")
-        L, V = np.log(r), np.log(v)
-        X = np.vstack([L, np.ones_like(L)]).T
-        coef, *_ = np.linalg.lstsq(X, V, rcond=None)
-        d_hat = float(coef[0])
-        A_hat = float(math.exp(coef[1]))
+        d_hat, log_A = _loglog_fit(r, v)
+        A_hat = math.exp(log_A)
         formula = {"k_gamma": k_g, "c_gamma": c_g, "d_gamma": d_g, "A_gamma": A_g,
                    "k_at_boundary": boundary}
         fitted = {"d_gamma": d_hat, "A_gamma": A_hat}
@@ -384,7 +388,4 @@ def growth_exponent(profile: BowlProfile, window: Optional[tuple] = None) -> flo
     u = profile.u_at(r)
     if np.any(u <= 0) or np.any(np.diff(u) <= 0):
         raise FitError("height not positive and increasing on the window")
-    L, U = np.log(r), np.log(u)
-    X = np.vstack([L, np.ones_like(L)]).T
-    coef, *_ = np.linalg.lstsq(X, U, rcond=None)
-    return float(coef[0])
+    return _loglog_fit(r, u)[0]

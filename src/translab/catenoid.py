@@ -12,11 +12,13 @@ as vertical graphs in the slope variable; on the lower branch the turning
 region (slope through zero) is integrated with the slope as the independent
 variable, which stays regular even where the profile curvature blows up.
 
-The ascending graph charts (the upper branch, and the lower branch past its
-turn) ride the same strongly attracting tail as the bowl.  They take Radau
-IIA steps on the slope alone; the height and the arc length are quadratures
-of its dense output.  The neck, descending and turning charts are not stiff
-and take explicit steps, which are cheaper there.
+Every chart integrates only the state that feeds back: (r, r') on the neck,
+the slope on the graph charts and r(w) on the turning chart.  The height
+and the arc length are quadratures of the dense output, exact for integrals
+of the state and 4-point Gauss-Legendre otherwise.  The ascending graph
+charts (the upper branch, and the lower branch past its turn) ride the same
+strongly attracting tail as the bowl and take Radau IIA steps; the neck,
+descending and turning charts are not stiff and step explicitly.
 
 Angle bookkeeping on the lower branch: the reported angle is
 
@@ -25,7 +27,8 @@ Angle bookkeeping on the lower branch: the reported angle is
 which starts near pi at the neck, falls, touches pi/2 exactly at the lowest
 point of the branch (recorded as both the pi/2 crossing s0 and the angle
 minimum s1), and rises back toward pi along the convex outer end.  The
-bottom is detected transversally through the slope-zero crossing.
+bottom is the point w = 0 of the turning chart, whose independent variable
+is the slope w, so s0 is a quadrature up to a known end point.
 """
 
 from __future__ import annotations
@@ -36,7 +39,14 @@ from typing import Optional
 
 import numpy as np
 
-from .bowl import BowlProfile, _node_residuals, _slope_scalar, _window_grid, solve_bowl
+from .bowl import (
+    BowlProfile,
+    _loglog_fit,
+    _node_residuals,
+    _slope_scalar,
+    _window_grid,
+    solve_bowl,
+)
 from .curvature import CurvatureFunction, zero_ray
 from .errors import (
     ClassificationError,
@@ -49,8 +59,9 @@ from .implicit import ImplicitBranch
 from .ode import EventSpec, IntegratorConfig, Trajectory, integrate
 
 HANDOFF_TAN = math.tan(math.pi / 8)
-# 4-point Gauss-Legendre nodes and weights on [0, 1], for the arc length of
-# one step (exact for degree 7; the integrand is smooth on each step)
+# 4-point Gauss-Legendre nodes and weights on [0, 1], for the quadratures over
+# one step that are not integrals of the state (exact for degree 7; the
+# integrands are smooth on each step)
 _GL_IN = math.sqrt(3 / 7 - 2 / 7 * math.sqrt(6 / 5))
 _GL_OUT = math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5))
 _ARC_X = 0.5 + 0.5 * np.array([-_GL_OUT, -_GL_IN, _GL_IN, _GL_OUT])
@@ -80,14 +91,15 @@ class Profile:
     theta: np.ndarray
     kappa: np.ndarray
     residuals: np.ndarray
-    # the closing ascending graph chart (Radau IIA steps); its nodes end the
-    # arrays above
+    # the closing graph chart, whose nodes end the arrays above: the
+    # ascending chart of the upper branch or past the lower turn, or the
+    # descending chart of a derivative_origin lower branch
     tail: Optional[Trajectory] = field(default=None, repr=False)
 
     def u_at(self, rs) -> np.ndarray:
         """Height at radii on the branch.  On the tail chart it is the node
-        height plus the exact integral of the step's collocation polynomial;
-        on the explicit charts before the tail, linear interpolation."""
+        height plus the exact integral of the step's slope polynomial; on the
+        neck and turning charts before it, linear interpolation."""
         rs = np.asarray(rs, dtype=float)
         out = np.interp(rs, self.r, self.u)
         if self.tail is not None:
@@ -125,17 +137,16 @@ def _neck_rhs(f: CurvatureFunction, branch: ImplicitBranch, z_sign: float):
     state = {"seed": None}
 
     def rhs(u, y):
-        r, p, _s = y
+        r, p = y
         one_plus = 1.0 + p * p
         yarg = 1.0 / (r * one_plus**beta)
         z = z_sign * p
         try:
             x = branch.solve_level(yarg, z, seed=state["seed"])
         except TranslabError:
-            return (math.nan, math.nan, math.nan)
+            return (math.nan, math.nan)
         state["seed"] = x
-        rpp = -(one_plus ** (beta + 1.0)) * x
-        return (p, rpp, math.sqrt(one_plus))
+        return (p, -(one_plus ** (beta + 1.0)) * x)
 
     return rhs
 
@@ -160,7 +171,7 @@ def solve_neck(
 
     def curvature_zero(u, y):
         # r'' changes sign when the solved x crosses zero
-        r, p, _s = y
+        r, p = y
         yarg = 1.0 / (r * (1 + p * p) ** beta)
         try:
             return branch.solve_level(yarg, p)
@@ -173,21 +184,16 @@ def solve_neck(
         EventSpec(lambda u, y: y[1] - handoff_tan, "rising", True, "handoff"),
         EventSpec(curvature_zero, "rising", True, "curvature_zero"),
     ]
-    tr_up = integrate(_neck_rhs(f, branch, +1.0), 0.0, [R, 0.0, 0.0], u_cap, cfg, ev_up)
+    tr_up = integrate(_neck_rhs(f, branch, +1.0), 0.0, [R, 0.0], u_cap, cfg, ev_up)
     if tr_up.termination != "terminal_event":
         raise StructureError(f"neck chart (up) did not reach a handoff: {tr_up.termination}")
     up_reason = ev_up[tr_up.events[-1][2]].name
 
     # down side in tau = -u; the graph slope there is r_u = -dr/dtau
     ev_dn = [EventSpec(lambda u, y: y[1] - handoff_tan, "rising", True, "handoff")]
-    tr_dn = integrate(_neck_rhs(f, branch, -1.0), 0.0, [R, 0.0, 0.0], u_cap, cfg, ev_dn)
+    tr_dn = integrate(_neck_rhs(f, branch, -1.0), 0.0, [R, 0.0], u_cap, cfg, ev_dn)
     if tr_dn.termination != "terminal_event":
         raise StructureError(f"neck chart (down) did not reach the handoff: {tr_dn.termination}")
-
-    def exit_tuple(tr, sign):
-        u_e = tr.t_final * sign
-        r_e, p_e, s_e = tr.ys[-1]
-        return (u_e, float(r_e), float(sign * p_e) if sign < 0 else float(p_e), float(s_e))
 
     # residual of the neck equation at the nodes, in the solved chart: the
     # y-argument is 1/(r (1+p^2)^beta) and the level z = +-p
@@ -195,18 +201,19 @@ def solve_neck(
         _node_residuals(f, tr.ys[:, 0], tr.ys[:, 1], -tr.fs[:, 1], 1.0, sign * tr.ys[:, 1])
         for tr, sign in ((tr_up, +1.0), (tr_dn, -1.0))
     ])))
-    up_exit = exit_tuple(tr_up, +1.0)
-    down_exit = exit_tuple(tr_dn, -1.0)
-    up_samples = np.column_stack([tr_up.ts, tr_up.ys[:, 0], tr_up.ys[:, 1], tr_up.ys[:, 2]])
-    dn_samples = np.column_stack(
-        [-tr_dn.ts, tr_dn.ys[:, 0], -tr_dn.ys[:, 1], tr_dn.ys[:, 2]]
+    # samples (u, r, r_u, s) per side; the arc length s is the quadrature of
+    # sqrt(1 + p^2) in tau
+    up_samples, dn_samples = (
+        np.column_stack([sign * tr.ts, tr.ys[:, 0], sign * tr.ys[:, 1], _node_quadrature(
+            tr, lambda t, y: np.sqrt(1.0 + y[:, 1] * y[:, 1]), 0.0)])
+        for tr, sign in ((tr_up, 1.0), (tr_dn, -1.0))
     )
     return NeckSolution(
         R=R,
         curvature_key=f.name,
         kappa_at_neck=kappa_neck,
-        up_exit=up_exit,
-        down_exit=down_exit,
+        up_exit=tuple(float(x) for x in up_samples[-1]),
+        down_exit=tuple(float(x) for x in dn_samples[-1]),
         up_samples=up_samples,
         down_samples=dn_samples,
         up_exit_reason=up_reason,
@@ -214,10 +221,11 @@ def solve_neck(
     )
 
 
-def _graph_arrays(f: CurvatureFunction, r, v, vp):
-    """Signed curvature and equation residual at graph-chart nodes, from the
-    slope v and its stored derivative vp."""
-    return vp / (1.0 + v * v) ** 1.5, _node_residuals(f, r, v, vp, v)
+def _graph_columns(f: CurvatureFunction, traj: Trajectory, u, s) -> tuple:
+    """Profile columns (s, r, u, theta, kappa, residual) of a graph chart:
+    theta = arctan v, and the signed curvature from the stored v'."""
+    r, v, vp = traj.ts, traj.ys[:, 0], traj.fs[:, 0]
+    return s, r, u, np.arctan(v), vp / (1.0 + v * v) ** 1.5, _node_residuals(f, r, v, vp, v)
 
 
 def _neck_columns(samples: np.ndarray, theta: np.ndarray, residual: float) -> tuple:
@@ -233,23 +241,35 @@ def _profile(side: str, columns: list, tail: Optional[Trajectory]) -> Profile:
     return Profile(side, *(np.concatenate(col) for col in zip(*columns)), tail=tail)
 
 
-def _ascending_chart(f, branch, r0, v0, u0, s0, r_max, cfg, what):
-    """Ascending graph chart from (r0, v0) to r_max on Radau IIA steps.
+def _gauss(traj: Trajectory, g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre integrals of g(t, y) over the intervals [a, b] inside
+    the span, y being the dense output at the points t."""
+    h = b - a
+    t = (a[:, None] + h[:, None] * _ARC_X).ravel()
+    return h * (g(t, traj.resample(t)).reshape(len(h), -1) @ _ARC_W)
+
+
+def _node_quadrature(traj: Trajectory, g, start: float) -> np.ndarray:
+    """start plus the Gauss-Legendre integral of g(t, y) from ts[0] to each
+    node, step by step."""
+    return np.cumsum(np.concatenate([[start], _gauss(traj, g, traj.ts[:-1], traj.ts[1:])]))
+
+
+def _graph_chart(f, branch, r0, v0, u0, s0, r_max, cfg, what, stiff, events=()):
+    """Graph chart of the slope v(r) from (r0, v0) to r_max, or to the first
+    of the terminal ``events``.  Returns (trajectory, u, s) at the nodes.
 
     The slope is the only state; the height u and the arc length s never
     feed back, so they are quadratures of the dense slope: u exactly, as
-    the integral of each step's collocation cubic, s by Gauss-Legendre
-    on sqrt(1 + v^2).  Returns (trajectory, u, s) at the nodes.
+    the integral of each step's polynomial, s by Gauss-Legendre on
+    sqrt(1 + v^2).  ``stiff`` charts (the ascending ones) take Radau IIA
+    steps with the analytic dF/dv, the others explicit steps.
     """
     rhs, jac = _slope_scalar(f, branch, None)
-    traj = integrate(rhs, r0, [v0], r_max, cfg, jac=jac)
-    if traj.termination != "reached_end":
-        raise StructureError(f"{what} stopped early: {traj.termination} at r={traj.t_final}")
-    t0 = traj.ts[:-1]
-    h = np.diff(traj.ts)
-    v = traj.resample((t0[:, None] + h[:, None] * _ARC_X).ravel())[:, 0]
-    ds = h * (np.sqrt(1.0 + v * v).reshape(len(h), -1) @ _ARC_W)
-    s = np.cumsum(np.concatenate([[s0], ds]))
+    traj = integrate(rhs, r0, [v0], r_max, cfg, events, jac=jac if stiff else None)
+    if traj.termination != ("terminal_event" if events else "reached_end"):
+        raise StructureError(f"{what}: {traj.termination} at r={traj.t_final}")
+    s = _node_quadrature(traj, lambda t, y: np.sqrt(1.0 + y[:, 0] * y[:, 0]), s0)
     return traj, traj.node_integrals(u0), s
 
 
@@ -265,16 +285,14 @@ def solve_upper_branch(
     u_h, r_h, ru_h, s_h = neck.up_exit
     if r_h >= r_max:
         raise ParameterError(f"r_max={r_max} does not extend past the neck chart (r={r_h})")
-    traj, u, s = _ascending_chart(f, branch, r_h, 1.0 / ru_h, u_h, s_h, r_max, cfg,
-                                  "upper branch")
-    r, v = traj.ts, traj.ys[:, 0]
-    theta = np.arctan(v)
-    kappa, resid = _graph_arrays(f, r, v, traj.fs[:, 0])
-    if np.any(theta <= 0) or np.any(theta >= math.pi / 2):
+    traj, u, s = _graph_chart(f, branch, r_h, 1.0 / ru_h, u_h, s_h, r_max, cfg,
+                              "upper branch stopped early", stiff=True)
+    columns = _graph_columns(f, traj, u, s)
+    if np.any(columns[3] <= 0) or np.any(columns[3] >= math.pi / 2):
         raise StructureError("upper branch tangent angle left (0, pi/2)")
     nu = neck.up_samples  # theta = pi/2 - arctan(r_u) on the neck chart
     neck_cols = _neck_columns(nu, math.pi / 2 - np.arctan(nu[:, 2]), neck.residual_max)
-    return _profile("upper", [neck_cols, (s, r, u, theta, kappa, resid)], traj)
+    return _profile("upper", [neck_cols, columns], traj)
 
 
 def classify_case(f: CurvatureFunction, branch: ImplicitBranch) -> str:
@@ -318,50 +336,35 @@ def solve_lower_branch(
     if r_h >= r_max:
         raise ParameterError(f"r_max={r_max} does not extend past the neck chart (r={r_h})")
     w_h = 1.0 / ru_h  # negative: the branch descends
-    slope, _ = _slope_scalar(f, branch, None)
-
-    def rhs(r, y):
-        # descending chart, state (v, u, s)
-        v = y[0]
-        return (slope(r, y)[0], v, math.sqrt(1.0 + v * v))
 
     # profile columns (s, r, u, theta, kappa, residual), one entry per chart,
     # the neck chart samples first
     nd = neck.down_samples
     columns = [_neck_columns(nd, math.pi - np.abs(np.arctan(nd[:, 2])), neck.residual_max)]
 
-    def add_graph_chart(r, w, wp, u, s):
-        kappa, resid = _graph_arrays(f, r, w, wp)
-        theta = math.pi / 2 + np.abs(np.arctan(w))
-        columns.append((s, r, u, theta, np.sign(w) * np.abs(kappa), resid))
+    def add_graph_chart(traj, u, s):
+        s, r, u, th, kappa, resid = _graph_columns(f, traj, u, s)
+        columns.append((s, r, u, math.pi / 2 + np.abs(th), np.sign(th) * np.abs(kappa), resid))
 
     s0 = s1 = None
     n_pi2 = n_min = 0
-    tail = None
     end_behavior = {"case": case}
 
     if case == "derivative_origin":
-        traj = integrate(rhs, r_h, [w_h, u_h, s_h], r_max, cfg)
-        if traj.termination != "reached_end":
-            raise StructureError(
-                f"lower branch stopped early: {traj.termination} at r={traj.t_final}"
-            )
-        if traj.ys[-1, 0] >= 0:
+        tail, u, s = _graph_chart(f, branch, r_h, w_h, u_h, s_h, r_max, cfg,
+                                  "lower branch stopped early", stiff=False)
+        if tail.ys[-1, 0] >= 0:
             raise StructureError("derivative_origin branch unexpectedly turned upward")
-        add_graph_chart(traj.ts, traj.ys[:, 0], traj.fs[:, 0], traj.ys[:, 1], traj.ys[:, 2])
+        add_graph_chart(tail, u, s)
         b_formula = branch.dg_minus_dy_at_zero()
-        r_t = traj.ts
-        w_t = traj.ys[:, 0]
-        mask = r_t >= max(r_h * 2.0, r_max / 10.0)
-        L = np.log(r_t[mask])
-        W = np.log(-w_t[mask])
-        X = np.vstack([L, np.ones_like(L)]).T
-        coef, *_ = np.linalg.lstsq(X, W, rcond=None)
-        b_hat = float(coef[0])
+        # the end slope -a r^b, fitted on a geometric grid of the dense slope
+        r = _window_grid(tail.ts, (max(r_h * 2.0, r_max / 10.0), r_max))
+        w = -tail.resample(r)[:, 0]
+        b_hat = _loglog_fit(r, w)[0]
         is_log = abs(b_formula + 1.0) < 1e-9
         # amplitude with the formula exponent pinned
-        a_R = float(math.exp(np.mean(W - b_formula * L)))
-        theta_p_end = abs(traj.fs[-1][0]) / (1 + w_t[-1] ** 2) ** 1.5
+        a_R = float(math.exp(np.mean(np.log(w) - b_formula * np.log(r))))
+        theta_p_end = abs(tail.fs[-1, 0]) / (1 + tail.ys[-1, 0] ** 2) ** 1.5
         end_behavior.update(
             {
                 "kind": "logarithmic" if is_log else "power_law",
@@ -375,45 +378,58 @@ def solve_lower_branch(
     else:
         # descend in r until the slope flattens to the chart-switch angle
         ev = [EventSpec(lambda r, y: y[0] + HANDOFF_TAN, "rising", True, "turn_enter")]
-        tr1 = integrate(rhs, r_h, [w_h, u_h, s_h], r_max, cfg, ev)
-        if tr1.termination != "terminal_event":
-            raise StructureError(
-                f"continuous_origin branch never flattened: {tr1.termination}"
-            )
-        add_graph_chart(tr1.ts, tr1.ys[:, 0], tr1.fs[:, 0], tr1.ys[:, 1], tr1.ys[:, 2])
-        r1, (w1, u1, arc1) = tr1.t_final, tr1.ys[-1]
+        tr1, u, s = _graph_chart(f, branch, r_h, w_h, u_h, s_h, r_max, cfg,
+                                 "continuous_origin branch never flattened", stiff=False,
+                                 events=ev)
+        add_graph_chart(tr1, u, s)
+        r1, w1, u1, arc1 = tr1.t_final, tr1.ys[-1, 0], u[-1], s[-1]
 
-        # turning chart: slope w is the independent variable, state (r, u, s);
-        # dr/dw = 1/F, which stays finite where the profile curvature blows up
+        # turning chart: the slope w is the independent variable and r(w)
+        # the only state; dr/dw = 1/F stays finite where the profile
+        # curvature blows up
+        slope, _ = _slope_scalar(f, branch, None)
+
         def turn_rhs(w, y):
             (F,) = slope(y[0], (w,))
-            drdw = 1.0 / F if F > 0 else math.nan
-            return (drdw, w * drdw, math.sqrt(1.0 + w * w) * drdw)
+            return (1.0 / F if F > 0 else math.nan,)
 
-        ev_bottom = [EventSpec(lambda w, y: w, "rising", False, "bottom")]
-        tr2 = integrate(turn_rhs, w1, [r1, u1, arc1], HANDOFF_TAN, cfg, ev_bottom)
-        if tr2.termination != "reached_end" or not tr2.events:
+        tr2 = integrate(turn_rhs, w1, [r1], HANDOFF_TAN, cfg)
+        if tr2.termination != "reached_end":
             raise StructureError(f"turning chart failed: {tr2.termination}")
-        w_ev, y_ev, _ = tr2.events[0]
-        s0 = float(y_ev[2])
+        w, r = tr2.ts, tr2.ys[:, 0]
+        root = np.sqrt(1.0 + w * w)
+
+        def g(t, y):
+            return y[:, 0] * t / np.sqrt(1.0 + t * t)
+
+        # du = w dr and ds = sqrt(1+w^2) dr, integrated by parts so that only
+        # r itself is integrated and the full order is kept:
+        #   u = u1 + [w r] - int r dw,
+        #   s = arc1 + [sqrt(1+w^2) r] - int r w / sqrt(1+w^2) dw,
+        # the first integral exact, the second (of g) by Gauss-Legendre
+        u = u1 + (w * r - w1 * r1) - tr2.node_integrals(0.0)
+        quad = _node_quadrature(tr2, g, 0.0)
+        s = arc1 + (root * r - root[0] * r1) - quad
+        zero = np.zeros(1)
+        j = int(tr2.segment_index(zero)[0])  # the bottom w = 0 lies in step j
+        s0 = float(arc1 + tr2.resample(zero)[0, 0] - root[0] * r1 - quad[j]
+                   - _gauss(tr2, g, w[j:j + 1], zero)[0])
         s1 = s0  # the folded angle attains its minimum at the bottom
         n_pi2 = n_min = 1
-        w_end, (r2, u2, arc2) = tr2.t_final, tr2.ys[-1]
 
-        w = tr2.ts
-        r = tr2.ys[:, 0]
         # d theta / ds = sign(w) / ((1+w^2) ds/dw), with ds/dw > 0 at the nodes
-        dth_ds = np.sign(w) / ((1 + w * w) * tr2.fs[:, 2])
+        dth_ds = np.sign(w) / ((1 + w * w) * root * tr2.fs[:, 0])
         resid = _node_residuals(f, r, w, 1.0 / tr2.fs[:, 0], w)
         theta = math.pi / 2 + np.abs(np.arctan(w))
-        columns.append((tr2.ys[:, 2], r, tr2.ys[:, 1], theta, dth_ds, resid))
+        columns.append((s, r, u, theta, dth_ds, resid))
 
         # ascending convex tail back in the r chart
-        tail, u3, s3 = _ascending_chart(f, branch, float(r2), float(w_end), float(u2),
-                                        float(arc2), r_max, cfg, "lower tail")
+        tail, u3, s3 = _graph_chart(f, branch, float(r[-1]), float(w[-1]), float(u[-1]),
+                                    float(s[-1]), r_max, cfg, "lower tail stopped early",
+                                    stiff=True)
         if np.any(tail.fs[:, 0] <= 0):
             raise StructureError("post-turn tail is not convex")
-        add_graph_chart(tail.ts, tail.ys[:, 0], tail.fs[:, 0], u3, s3)
+        add_graph_chart(tail, u3, s3)
         end_behavior.update({"kind": "bowl_type"})
 
     return _profile("lower", columns, tail), s0, s1, case, end_behavior, n_pi2, n_min
@@ -435,9 +451,10 @@ def check_embeddedness(result: CatenoidResult) -> dict:
     grid = np.geomspace(r_star, r_end, 400)
     gap = up.u_at(grid) - lo.u_at(grid)
     # the gap levels off at C+ - C-, where its increments sink to round-off
-    # (the tail heights are exact quadratures; the few points next to the
-    # bottom that fall on the explicit turning chart are interpolated
-    # linearly between its nodes); test the trend against a noise floor
+    # (the tail heights are exact quadratures; the few points that fall on
+    # the neck chart or, next to the bottom, on the turning chart are
+    # interpolated linearly between their nodes); test the trend against a
+    # noise floor
     tol = 1e-4 * max(1.0, float(np.max(np.abs(gap))))
     widening = (
         bool(np.all(np.diff(gap) > -tol)) if result.case == "continuous_origin" else None
@@ -499,6 +516,4 @@ def upper_growth_exponent(result: CatenoidResult, window: Optional[tuple] = None
     u = up.u_at(r)
     if np.any(u <= 0):
         raise ClassificationError("upper height not positive on the window")
-    X = np.vstack([np.log(r), np.ones_like(r)]).T
-    coef, *_ = np.linalg.lstsq(X, np.log(u), rcond=None)
-    return float(coef[0])
+    return _loglog_fit(r, u)[0]

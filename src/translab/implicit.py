@@ -443,6 +443,7 @@ class ImplicitBranch:
         Fits log g vs log y by least squares over a log-spaced grid; raises
         ClassificationError if the tail is not a clean power law.
         """
+        from .bowl import _loglog_fit
         from .errors import ClassificationError
 
         f = self.source
@@ -452,13 +453,8 @@ class ImplicitBranch:
         gs = np.array([self.g_plus(float(y), 1.0) for y in ys])
         if np.any(gs <= 0):
             raise ClassificationError("g_+ tail is not positive")
-        L = np.log(ys)
-        G = np.log(gs)
-        A = np.vstack([L, np.ones_like(L)]).T
-        coef, res, *_ = np.linalg.lstsq(A, G, rcond=None)
-        slope, intercept = coef
-        fitted = A @ coef
-        resid = float(np.max(np.abs(fitted - G)))
+        slope, intercept = _loglog_fit(ys, gs)
+        resid = float(np.max(np.abs(slope * np.log(ys) + intercept - np.log(gs))))
         if resid > 1e-3:
             raise ClassificationError(f"g_+ tail deviates from a power law (resid={resid:.2e})")
-        return -float(slope), float(math.exp(intercept))
+        return -slope, math.exp(intercept)

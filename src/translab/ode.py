@@ -15,18 +15,19 @@ tails; the implicit step is limited by the tolerance alone there, so the
 bowl profiles, the comparison runs and the ascending catenoid graph charts
 take it.  The catenoid neck, descending and turning charts are not stiff
 and step explicitly, where a step costs a fraction of an implicit one.
-The collocation polynomial also integrates exactly, which gives the
-heights as quadratures of the slope.
+Either step keeps its dense output as y0 + sum_k Q_k s^(k+1) (``_Segment``),
+which ``Trajectory`` evaluates and integrates exactly as arrays, so heights
+are quadratures of the slope, never extra state.
 Reproducibility matters more here than solver variety, so the tableaux,
 the dense-output polynomials and the controllers are all spelled out
 below; identical inputs produce bit-identical trajectories.
 
-The explicit steps (states of at most three components) and the implicit
-steps of a single component work on plain Python floats (tuples), an order
-of magnitude faster than ndarray arithmetic at this size.  Implicit steps of
-more than one component, the batched comparison runs, work on ndarrays: one
-RHS call evaluates the three stages of every component.  Trajectories are
-packed into numpy arrays on exit.
+The explicit steps and the implicit steps of a single component work on
+plain Python floats (tuples), an order of magnitude faster than ndarray
+arithmetic at the sizes of the charts (one or two components).  Implicit
+steps of more than one component, the batched comparison runs, work on
+ndarrays: one RHS call evaluates the three stages of every component.
+Trajectories are packed into numpy arrays on exit.
 
 References
 ----------
@@ -39,6 +40,7 @@ Sec. IV.8 (Radau IIA, simplified Newton, step-size prediction).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -72,6 +74,7 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+_PT = tuple(zip(*_P))  # per power of s, the weights of the 7 stages
 
 # Radau IIA, 3 stages: nodes, error-estimate weights, the eigenvalues of the
 # inverse coefficient matrix (one real, one complex pair), the eigenvector
@@ -128,35 +131,28 @@ class EventSpec:
     value_eps: float = 1e-10
 
 
+def _poly(q, s):
+    """q[0] + s (q[1] + s (... + s q[-1])) by Horner, for coefficient
+    sequences of floats or of arrays."""
+    acc = q[-1]
+    for c in q[-2::-1]:
+        acc = c + s * acc
+    return acc
+
+
+def _poly_integral(q, s):
+    """(1/s) * integral over [0, s] of sum_k q[k-1] sigma^k d sigma, by the
+    Horner nesting of ``_poly`` with q[k-1] / (k+1)."""
+    acc = s * q[-1] / (len(q) + 1)
+    for k in range(len(q) - 1, 0, -1):
+        acc = s * (q[k - 1] / (k + 1) + acc)
+    return acc
+
+
 class _Segment:
-    """One accepted step with its dense-output data."""
-
-    __slots__ = ("t0", "h", "y0", "K")
-
-    def __init__(self, t0, h, y0, K):
-        self.t0 = t0
-        self.h = h
-        self.y0 = y0  # tuple
-        self.K = K  # tuple of 7 stage-derivative tuples
-
-    def eval(self, t):
-        s = (t - self.t0) / self.h
-        p = (1.0, s, s * s, s * s * s)
-        dim = len(self.y0)
-        out = []
-        for d in range(dim):
-            acc = 0.0
-            for i in range(7):
-                Pi = _P[i]
-                acc += self.K[i][d] * (
-                    Pi[0] * p[0] + Pi[1] * p[1] + Pi[2] * p[2] + Pi[3] * p[3]
-                )
-            out.append(self.y0[d] + self.h * s * acc)
-        return tuple(out)
-
-
-class _CollocationSegment:
-    """One accepted Radau IIA step with its cubic collocation polynomial."""
+    """One accepted step with its dense output y(t0 + s h) = y0 + sum_k
+    Q_k s^(k+1): per component 3 coefficients on Radau IIA steps (the
+    collocation cubic), 4 on DOPRI steps (the quartic)."""
 
     __slots__ = ("t0", "h", "y0", "Q")
 
@@ -164,19 +160,16 @@ class _CollocationSegment:
         self.t0 = t0
         self.h = h
         self.y0 = y0  # tuple, or an ndarray on the batched core
-        self.Q = Q  # per component, the coefficients of s, s^2, s^3
+        self.Q = Q  # per component, the coefficients of s, s^2, ...
 
     def eval(self, t):
         s = (t - self.t0) / self.h
-        return tuple(y0 + s * (q1 + s * (q2 + s * q3)) for y0, (q1, q2, q3) in zip(self.y0, self.Q))
+        return tuple(y0 + s * _poly(q, s) for y0, q in zip(self.y0, self.Q))
 
     def integral(self, t):
-        """Exact integral of the collocation polynomial from t0 to t."""
+        """Exact integral of the step polynomial from t0 to t."""
         s = (t - self.t0) / self.h
-        return tuple(
-            self.h * s * (y0 + s * (q1 / 2 + s * (q2 / 3 + s * q3 / 4)))
-            for y0, (q1, q2, q3) in zip(self.y0, self.Q)
-        )
+        return tuple(self.h * s * (y0 + _poly_integral(q, s)) for y0, q in zip(self.y0, self.Q))
 
 
 @dataclass
@@ -187,7 +180,7 @@ class Trajectory:
     events: List[tuple]  # (t_event, state, event_index)
     # reached_end | terminal_event | step_underflow | domain_exit | max_steps
     termination: str
-    # accepted steps with their dense output (_Segment or _CollocationSegment)
+    # accepted steps with their dense output
     segments: list = field(default_factory=list, repr=False)
 
     @property
@@ -201,33 +194,32 @@ class Trajectory:
             raise ParameterError(
                 f"grid [{grid.min()}, {grid.max()}] outside span [{self.ts[0]}, {self.ts[-1]}]"
             )
-        seg_ends = np.array([s.t0 + s.h for s in self.segments])
-        return np.minimum(np.searchsorted(seg_ends, grid, side="left"), len(self.segments) - 1)
+        t0, h = self._polys[:2]
+        return np.minimum(np.searchsorted(t0 + h, grid, side="left"), len(self.segments) - 1)
 
     @cached_property
-    def _cubics(self) -> tuple:
-        """t0, h (n,), y0 (n, dim) and Q (n, dim, 3) of the Radau IIA steps,
-        to evaluate their collocation cubics as arrays; the operations are
-        those of ``_CollocationSegment``, in the same order."""
+    def _polys(self) -> tuple:
+        """t0, h (n,), y0 (n, dim) and Q (m, n, dim) of the steps, to evaluate
+        their polynomials as arrays; the operations are those of
+        ``_Segment``, in the same order."""
         segs = self.segments
         return (
             np.array([seg.t0 for seg in segs]),
             np.array([seg.h for seg in segs]),
             np.array([seg.y0 for seg in segs]),
-            np.array([seg.Q for seg in segs]),
+            np.moveaxis(np.array([seg.Q for seg in segs]), -1, 0),
         )
 
     def _first_integral(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Integral of the first component over step idx from its start to t."""
-        t0, h, y0, Q = self._cubics
-        h, q = h[idx], Q[idx, 0]
+        t0, h, y0, Q = self._polys
+        h = h[idx]
         s = (t - t0[idx]) / h
-        return h * s * (y0[idx, 0] + s * (q[:, 0] / 2 + s * (q[:, 1] / 3 + s * q[:, 2] / 4)))
+        return h * s * (y0[idx, 0] + _poly_integral(Q[:, idx, 0], s))
 
     def node_integrals(self, start: float) -> np.ndarray:
         """start plus the integral of the first component from ts[0] to each
-        node: the exact integrals of the steps' collocation polynomials
-        (Radau IIA steps only)."""
+        node: the exact integrals of the step polynomials."""
         steps = np.arange(len(self.segments))
         return np.cumsum(np.concatenate(([start], self._first_integral(steps, self.ts[1:]))))
 
@@ -241,16 +233,10 @@ class Trajectory:
         """Dense-output states on a grid inside the time span."""
         grid = np.asarray(grid, dtype=float)
         idx = self.segment_index(grid)
-        if self.segments and isinstance(self.segments[0], _CollocationSegment):
-            t0, h, y0, Q = self._cubics
-            q = Q[idx]
-            s = ((grid - t0[idx]) / h[idx])[:, None]
-            out = y0[idx] + s * (q[..., 0] + s * (q[..., 1] + s * q[..., 2]))
-            out[grid <= self.ts[0]] = self.ys[0]
-            return out
-        out = np.empty((grid.size, self.ys.shape[1]))
-        for i, (t, j) in enumerate(zip(grid, idx)):
-            out[i] = self.ys[0] if t <= self.ts[0] else self.segments[j].eval(float(t))
+        t0, h, y0, Q = self._polys
+        s = ((grid - t0[idx]) / h[idx])[:, None]
+        out = y0[idx] + s * _poly(Q[:, idx], s)
+        out[grid <= self.ts[0]] = self.ys[0]
         return out
 
 
@@ -280,8 +266,10 @@ def integrate(
     ``jac`` is called with a scalar t and a (dim,) state.  Otherwise states
     are tuples of floats.
 
-    Events are located on the dense output by bisection to the configured
-    time tolerance; a terminal event truncates the trajectory there.
+    Every accepted step keeps its dense-output polynomial (see ``_Segment``)
+    in ``Trajectory.segments``.  Events are located on it by bisection to
+    the configured time tolerance; a terminal event truncates the trajectory
+    there.
     Non-finite RHS values end the trajectory with termination 'domain_exit',
     a step-size underflow with 'step_underflow', and running out of
     ``max_steps`` step attempts with 'max_steps'.
@@ -444,7 +432,8 @@ def _dopri_steps(rhs, t, y, f, t_end, cfg):
 
         t_new = t + h
         f_new = K[6]
-        yield _Segment(t, h, y, tuple(K)), t_new, y_new, f_new
+        Q = tuple(tuple(h * sum(map(operator.mul, col, kd)) for col in _PT) for kd in zip(*K))
+        yield _Segment(t, h, y, Q), t_new, y_new, f_new
 
         t, y, f = t_new, y_new, f_new
         # PI controller (Gustafsson): responds to current and previous error
@@ -461,8 +450,6 @@ def _predict_factor(h, h_old, err, err_old):
     if err_old is None:
         return err**-0.25
     return min(1.0, h / h_old * (err_old / err) ** 0.25) * err**-0.25
-
-
 
 
 def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
@@ -487,7 +474,7 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
     (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = _RP
 
     h_old = err_old = None
-    prev = None  # last accepted segment: its polynomial seeds the Newton start
+    prev = None  # last accepted step (t0, h, y0, Q): its polynomial starts Newton
     J = None
     jac_current = False
     rejected = False
@@ -513,9 +500,9 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
         if prev is None:
             Z0 = Z1 = Z2 = 0.0
         else:
-            Z0 = prev.eval(t + c0 * h)[0] - y
-            Z1 = prev.eval(t + c1 * h)[0] - y
-            Z2 = prev.eval(t + h)[0] - y
+            pt, ph, py, (q1, q2, q3) = prev
+            Z0, Z1, Z2 = (py + s * (q1 + s * (q2 + s * q3)) - y for s in (
+                (t + c0 * h - pt) / ph, (t + c1 * h - pt) / ph, (t + h - pt) / ph))
         W0 = ti00 * Z0 + ti01 * Z1 + ti02 * Z2
         W1 = ti10 * Z0 + ti11 * Z1 + ti12 * Z2
         W2 = ti20 * Z0 + ti21 * Z1 + ti22 * Z2
@@ -586,8 +573,8 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
             Z0 * p01 + Z1 * p11 + Z2 * p21,
             Z0 * p02 + Z1 * p12 + Z2 * p22,
         )
-        prev = _CollocationSegment(t, h, (y,), (Q,))
-        yield prev, t_new, (y_new,), (f_new,)
+        prev = t, h, y, Q
+        yield _Segment(t, h, (y,), (Q,)), t_new, (y_new,), (f_new,)
         if not math.isfinite(f_new):
             return "domain_exit"
 
@@ -679,8 +666,7 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg):
             Z = np.zeros((3, dim))
         else:
             s = (stage_t - prev.t0) / prev.h
-            q = prev.Q
-            Z = prev.y0 + s * (q[:, 0] + s * (q[:, 1] + s * q[:, 2])) - y
+            Z = prev.y0 + s * _poly(prev.Q.T, s) - y
         W = _rows(TI, Z)
 
         converged = False
@@ -728,7 +714,7 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg):
 
         t_new = t + h
         f_new = np.array(rhs(t_new, y_new), dtype=float)
-        prev = _CollocationSegment(t, h, y, _rows(PT, Z).T)
+        prev = _Segment(t, h, y, _rows(PT, Z).T)
         yield prev, t_new, y_new, f_new
         if not np.all(np.isfinite(f_new)):
             return "domain_exit"

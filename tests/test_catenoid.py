@@ -155,27 +155,57 @@ def test_u_at_reproduces_node_heights():
         assert prof.u_at(prof.r) == pytest.approx(prof.u, rel=1e-15, abs=0.0)
 
 
-def test_upper_height_against_dop853_oracle():
+@pytest.mark.parametrize("chart", ["upper", "descending", "turning"])
+def test_upper_height_against_dop853_oracle(chart):
+    # each chart's quadratures against scipy's DOP853 on the 3-state system:
+    # (v, u, s) in r on the graph charts, (r, u, s) in the slope w on the
+    # turning chart
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-    f = from_key("qk:k=3,n=6")
-    up = catenoid("qk:k=3,n=6", 1.0, 200.0).upper
-    u_h, r_h, ru_h, s_h = solve_neck(f, 1.0).up_exit
+    key, rmax = ("sk:k=3,n=5", 12.0) if chart == "turning" else ("qk:k=3,n=6", 200.0)
+    f = from_key(key)
+    res = catenoid(key, 1.0, rmax)
+    neck = solve_neck(f, 1.0)
+    u_h, r_h, ru_h, s_h = neck.up_exit if chart == "upper" else neck.down_exit
     value, _ = _slope_field(f, ImplicitBranch(f), None)
-    grid = np.geomspace(r_h, 200.0, 25)
-    sol = solve_ivp(
-        lambda r, y: [value(r, y[0], None)[0], y[0], math.sqrt(1.0 + y[0] ** 2)],
-        (r_h, 200.0),
-        [1.0 / ru_h, u_h, s_h],
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-20,
-        t_eval=grid,
-    )
-    assert sol.status == 0
-    # node heights, the dense height between the nodes and the arc length
-    assert up.u[-1] == pytest.approx(sol.y[1, -1], rel=1e-10)
-    assert up.u_at(grid) == pytest.approx(sol.y[1], rel=1e-10)
-    assert up.s[-1] == pytest.approx(sol.y[2, -1], rel=1e-10)
+
+    def graph(r, y):
+        return [value(r, y[0], None)[0], y[0], math.sqrt(1.0 + y[0] ** 2)]
+
+    def oracle(rhs, span, y0, **kw):
+        sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-13, atol=1e-20, **kw)
+        assert sol.success
+        return sol
+
+    if chart != "turning":
+        prof = res.upper if chart == "upper" else res.lower
+        grid = np.geomspace(r_h, rmax, 25)
+        sol = oracle(graph, (r_h, rmax), [1.0 / ru_h, u_h, s_h], t_eval=grid)
+        # node heights, the dense height between the nodes and the arc length
+        assert prof.u[-1] == pytest.approx(sol.y[1, -1], rel=1e-10)
+        assert prof.u_at(grid) == pytest.approx(sol.y[1], rel=1e-10)
+        assert prof.s[-1] == pytest.approx(sol.y[2, -1], rel=1e-10)
+        return
+
+    def turn_enter(r, y):
+        return y[0] + HANDOFF_TAN
+
+    turn_enter.terminal = True
+    down = oracle(graph, (r_h, rmax), [1.0 / ru_h, u_h, s_h], events=turn_enter)
+    r1, (w1, u1, s1) = down.t[-1], down.y[:, -1]
+
+    def turning(w, y):
+        drdw = 1.0 / value(y[0], w, None)[0]
+        return [drdw, w * drdw, math.sqrt(1.0 + w * w) * drdw]
+
+    sol = oracle(turning, (w1, HANDOFF_TAN), [r1, u1, s1], t_eval=[0.0, HANDOFF_TAN])
+    # the bottom at w = 0, and the chart's end, which starts the tail
+    lo = res.lower
+    end = len(lo.u) - len(lo.tail.ts)
+    assert res.s0 == pytest.approx(sol.y[2, 0], rel=1e-10)
+    assert lo.r[end] == pytest.approx(sol.y[0, -1], rel=1e-10)
+    assert lo.u[end] == pytest.approx(sol.y[1, -1], rel=1e-10)
+    assert lo.u_at([lo.r[end]])[0] == pytest.approx(sol.y[1, -1], rel=1e-10)
+    assert lo.s[end] == pytest.approx(sol.y[2, -1], rel=1e-10)
 
 
 def test_alpha_three_catenoid_reaches_r100():
@@ -252,10 +282,14 @@ def test_chart_independence_sk():
     assert abs(r8.C_minus - r6.C_minus) / abs(r8.C_minus) < 1e-4
 
 
-def test_chart_independence_qk_exponent():
-    q8 = catenoid("qk:k=3,n=6", 1.0, 200.0)
-    q6 = catenoid("qk:k=3,n=6", 1.0, 200.0, handoff_tan=math.tan(math.pi / 6))
-    assert abs(q8.end_behavior["b_fitted"] - q6.end_behavior["b_fitted"]) < 1e-4
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_chart_independence_qk_exponent(k):
+    # the lower-end fit reads the dense slope on a fixed geometric grid, so
+    # moving the chart switch moves b^ only by the integration error
+    q8 = catenoid(f"qk:k={k},n=6", 1.0, 200.0)
+    q6 = catenoid(f"qk:k={k},n=6", 1.0, 200.0, handoff_tan=math.tan(math.pi / 6))
+    b8, b6 = q8.end_behavior["b_fitted"], q6.end_behavior["b_fitted"]
+    assert abs(b8 - b6) <= 1e-8 * abs(b8)
     assert (
         abs(q8.end_behavior["a_R"] - q6.end_behavior["a_R"]) / q8.end_behavior["a_R"]
         < 1e-4

@@ -118,12 +118,21 @@ def test_verify_barrier_odd_knorm(tmp_path):
     assert payload["suites"]["barrier"]["verdict"] == "verified_super"
 
 
-def test_reproducible_outputs(tmp_path):
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["bowl", "--curvature", "gauss:n=4", "--rmax", "300"],
+         ("profile.csv", "bowl.json", "bowl_plot.gp")),
+        (["catenoid", "--curvature", "sk:k=3,n=5", "--R", "1", "--rmax", "6"],
+         ("upper.csv", "lower.csv", "catenoid.json")),
+    ],
+    ids=["bowl", "catenoid"],
+)
+def test_reproducible_outputs(tmp_path, argv, names):
     a, b = tmp_path / "r1", tmp_path / "r2"
     for out in (a, b):
-        assert run(["bowl", "--curvature", "gauss:n=4", "--rmax", "300",
-                    "--out", str(out), "--seed", "7", "--quiet"]) == 0
-    for name in ("profile.csv", "bowl.json", "bowl_plot.gp"):
+        assert run(argv + ["--out", str(out), "--seed", "7", "--quiet"]) == 0
+    for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
     ma = json.loads((a / "manifest.json").read_text())
     mb = json.loads((b / "manifest.json").read_text())

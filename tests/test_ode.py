@@ -69,6 +69,16 @@ def test_resample_accuracy_and_nodes():
     assert v == pytest.approx(math.exp(0.5), abs=1e-9)
     i = len(tr.ts) // 2
     assert tr.resample([tr.ts[i]])[0, 0] == pytest.approx(tr.ys[i, 0], abs=1e-12)
+    # the quartic dense output integrates exactly: int_0^t e^x dx = e^t - 1
+    nodes = tr.node_integrals(0.0)
+    assert nodes == pytest.approx(np.exp(tr.ts) - 1.0, abs=1e-9)
+    grid = np.linspace(0.0, 1.0, 97)
+    assert tr.integral_at(grid, nodes) == pytest.approx(np.exp(grid) - 1.0, abs=1e-9)
+    # the array evaluation equals the per-step one bit for bit
+    idx = tr.segment_index(grid)
+    per_step = [tr.ys[0] if t <= tr.ts[0] else tr.segments[j].eval(float(t))
+                for t, j in zip(grid, idx)]
+    assert np.array_equal(tr.resample(grid), np.array(per_step))
 
 
 def test_resample_out_of_range():
