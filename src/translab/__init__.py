@@ -4,10 +4,8 @@ __version__ = "0.1.0"
 
 from .curvature import (
     CurvatureFunction,
-    DegeneracyClass,
     build_family,
     check_homogeneity,
-    classify_degeneracy,
     from_key,
     registry_keys,
     zero_ray,
@@ -15,10 +13,8 @@ from .curvature import (
 
 __all__ = [
     "CurvatureFunction",
-    "DegeneracyClass",
     "build_family",
     "check_homogeneity",
-    "classify_degeneracy",
     "from_key",
     "registry_keys",
     "zero_ray",

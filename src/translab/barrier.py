@@ -24,6 +24,9 @@ from .errors import ConvergenceError, DomainError, ParameterError, TranslabError
 from .implicit import ImplicitBranch
 from .ode import IntegratorConfig, integrate
 
+# a margin counts as nonnegative (nonpositive) down to -SIGN_TOL (up to SIGN_TOL)
+SIGN_TOL = 1e-9
+
 
 @dataclass
 class BarrierSpec:
@@ -54,34 +57,34 @@ class BarrierReport:
     verdict: str  # verified_super | verified_sub | violated
     r_at: Optional[float] = None
     skipped: int = 0
-    # settle radii for each orientation (to sign_tol); None if never settles
+    # settle radii for each orientation (to SIGN_TOL); None if never settles
     r_star_nonneg: Optional[float] = None
     r_star_nonpos: Optional[float] = None
 
 
-def _solve_cone_w(m_bar: float, beta: float, r: float, tol: float = 1e-14) -> float:
-    """Nonpositive w with w / (r (1+w^2)^beta) = m_bar.
+def _invert_scaled(target: float, beta: float) -> float:
+    """The w with w / (1+w^2)^beta = target.
 
-    The map x -> x/(1+x^2)^beta is strictly increasing for beta < 1/2, so a
-    safeguarded Newton on the nonpositive branch converges globally.
+    The map is odd and, for beta < 1/2, strictly increasing, so a safeguarded
+    Newton on w >= 0 for |target| converges globally; the sign is mirrored.
     """
-    target = m_bar * r
-    phi = lambda w: w / (1 + w * w) ** beta - target  # noqa: E731
+    t = abs(target)
+    phi = lambda w: w / (1 + w * w) ** beta - t  # noqa: E731
 
-    lo, hi = -1.0, 0.0
-    while phi(lo) > 0:
-        lo *= 2.0
-        if lo < -1e12:
-            raise ConvergenceError("cone barrier bracket failed")
+    lo, hi = 0.0, 1.0
+    while phi(hi) < 0:
+        hi *= 2.0
+        if hi > 1e12:
+            raise ConvergenceError(f"no bracket for w / (1+w^2)^beta = {target}")
     w = 0.5 * (lo + hi)
     for _ in range(100):
         fw = phi(w)
-        if fw > 0:
-            hi = w
-        else:
+        if fw < 0:
             lo = w
-        if abs(fw) <= tol * max(1.0, abs(target)):
-            return w
+        else:
+            hi = w
+        if abs(fw) <= 1e-14 * max(1.0, t):
+            return math.copysign(w, target)
         q = 1 + w * w
         dphi = (1 + (1 - 2 * beta) * w * w) / q ** (beta + 1)
         step = fw / dphi
@@ -89,9 +92,9 @@ def _solve_cone_w(m_bar: float, beta: float, r: float, tol: float = 1e-14) -> fl
         if not lo < w_new < hi:
             w_new = 0.5 * (lo + hi)
         if hi - lo <= 4 * math.ulp(max(abs(lo), abs(hi), 1e-30)):
-            return 0.5 * (lo + hi)
+            return math.copysign(0.5 * (lo + hi), target)
         w = w_new
-    raise ConvergenceError("cone barrier Newton stalled")
+    raise ConvergenceError(f"Newton stalled on w / (1+w^2)^beta = {target}")
 
 
 def evaluate_barrier(spec: BarrierSpec, r: float, beta: float) -> tuple:
@@ -102,17 +105,12 @@ def evaluate_barrier(spec: BarrierSpec, r: float, beta: float) -> tuple:
         w = -spec.a * r**spec.b
         return w, -spec.a * spec.b * r ** (spec.b - 1.0)
     m = spec.m_bar
-    w = _solve_cone_w(m, beta, r)
+    w = _invert_scaled(m * r, beta)
     wp = m * (1 + w * w) ** (beta + 1.0) / (1 + (1 - 2 * beta) * w * w)
     return w, wp
 
 
-def verify_inequality(
-    spec: BarrierSpec,
-    f: CurvatureFunction,
-    grid: np.ndarray,
-    sign_tol: float = 1e-9,
-) -> BarrierReport:
+def verify_inequality(spec: BarrierSpec, f: CurvatureFunction, grid: np.ndarray) -> BarrierReport:
     """Margins w' - (1+w^2)^(beta+1) g_-(w/(r(1+w^2)^beta), -1) on the grid.
 
     The verdict states the uniform sign beyond the first radius r_star where
@@ -147,7 +145,7 @@ def verify_inequality(
     min_margin = float(np.min(mv))
 
     def settle_radius(sign):
-        good = sign * mv >= -sign_tol
+        good = sign * mv >= -SIGN_TOL
         idx = len(good)
         for j in range(len(good) - 1, -1, -1):
             if not good[j]:
@@ -185,7 +183,6 @@ def compare_orderings(
     r0: float,
     r_end: float,
     config: Optional[IntegratorConfig] = None,
-    n_grid: int = 200,
 ) -> dict:
     """Integrate ordered slope pairs and report the minimum ordering gap.
 
@@ -213,7 +210,7 @@ def compare_orderings(
     rhs, jac = _slope_batch(f, ImplicitBranch(f), clamp)
     # components 2i and 2i+1 hold the lower and upper member of pair i
     traj = integrate(rhs, r0, [v for pair in pairs for v in pair], r_end, cfg, jac=jac)
-    grid = np.linspace(r0, r_end, n_grid)
+    grid = np.linspace(r0, r_end, 200)
     vs = traj.resample(grid[grid <= traj.t_final])
     gaps = np.min(vs[:, 1::2] - vs[:, 0::2], axis=0)
     worst = int(np.argmin(gaps))
@@ -231,22 +228,6 @@ def compare_orderings(
 
 def admissible_slope_range(f: CurvatureFunction, r0: float) -> tuple:
     """Initial slopes at r0 whose scaled argument sits inside U+."""
-    a = f.alpha_float
-    beta = f.beta
-    y_lo = f.value(1.0, 1.0) ** (-1.0 / a)
+    y_lo = f.value(1.0, 1.0) ** (-1.0 / f.alpha_float)
     y_hi = 1.0 if not f.is_one_degenerate else 10.0 * y_lo
-
-    def v_of_y(y):
-        target = y * r0
-        lo, hi = 0.0, max(1.0, 2 * target)
-        while hi / (1 + hi * hi) ** beta < target:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid / (1 + mid * mid) ** beta < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    return v_of_y(y_lo * 1.001), v_of_y(y_hi * 0.999)
+    return _invert_scaled(y_lo * 1.001 * r0, f.beta), _invert_scaled(y_hi * 0.999 * r0, f.beta)

@@ -27,9 +27,14 @@ import numpy as np
 from .curvature import CurvatureFunction
 from .errors import DomainError, FitError, ParameterError, StructureError, TranslabError
 from .implicit import ImplicitBranch
-from .ode import EventSpec, IntegratorConfig, Trajectory, integrate
+from .ode import IntegratorConfig, Trajectory, integrate
 
+# the series start radius
 AXIS_EPS = 1e-6
+# the tolerance of every profile chart, bowl and catenoid: the implicit step
+# is tolerance-limited on the stiff tail, where this costs ~10^3 steps and
+# keeps the quasi-steady slope drift below the tail-fit resolution
+PROFILE_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 # tail fits sample the dense output on this many geometric points
 FIT_SAMPLES = 200
 
@@ -200,39 +205,23 @@ def _node_residuals(f: CurvatureFunction, r, q, x_num, y_num, z=1.0,
     return out
 
 
-def solve_bowl(
-    f: CurvatureFunction,
-    r_max: float,
-    config: Optional[IntegratorConfig] = None,
-    r_eps: float = AXIS_EPS,
-) -> BowlProfile:
+def solve_bowl(f: CurvatureFunction, r_max: float) -> BowlProfile:
     """Integrate the bowl slope ODE from the axis out to r_max."""
-    if r_max <= 10 * r_eps:
+    if r_max <= 10 * AXIS_EPS:
         raise ParameterError(f"r_max={r_max} too small")
     a = f.alpha_float
     if a <= 1.0 / 3.0:
         raise ParameterError(f"bowl solver requires alpha > 1/3, got {a}")
-    # the implicit step is tolerance-limited on the stiff tail; the tight
-    # default costs ~10^3 steps and keeps the quasi-steady slope drift below
-    # the tail-fit resolution
-    cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     branch = ImplicitBranch(f)
     lam0 = f.value(1.0, 1.0) ** (-1.0 / a)
     clamp = None
-    events = []
+    stops = []
     if not f.is_one_degenerate:
         # right endpoint of U+: the y-argument may only touch y = 1 (cylinder)
         clamp = 1.0
-        events.append(
-            EventSpec(
-                lambda r, yv: yv[0] / (r * (1 + yv[0] ** 2) ** f.beta) - (1.0 - 1e-12),
-                direction="rising",
-                terminal=True,
-                name="cylinder",
-            )
-        )
+        stops.append(lambda r, yv: yv[0] / (r * (1 + yv[0] ** 2) ** f.beta) - (1.0 - 1e-12))
     rhs, jac = _slope_scalar(f, branch, clamp)
-    traj = integrate(rhs, r_eps, [lam0 * r_eps], r_max, cfg, events=events, jac=jac)
+    traj = integrate(rhs, AXIS_EPS, [lam0 * AXIS_EPS], r_max, PROFILE_CONFIG, stops, jac=jac)
     if traj.termination == "terminal_event":
         termination = "reached cylinder slope y=1"
     elif traj.termination == "reached_end":
@@ -242,9 +231,9 @@ def solve_bowl(
 
     r = traj.ts
     v = traj.ys[:, 0]
-    # u(r_eps) is the exact integral of the linear series start on [0, r_eps];
+    # u(AXIS_EPS) is the exact integral of the series start on [0, AXIS_EPS];
     # each step adds the exact integral of its collocation polynomial
-    u = traj.node_integrals(0.5 * lam0 * r_eps**2)
+    u = traj.node_integrals(0.5 * lam0 * AXIS_EPS**2)
     return BowlProfile(
         curvature_key=f.name,
         alpha=a,

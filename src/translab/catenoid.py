@@ -40,6 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .bowl import (
+    PROFILE_CONFIG,
     BowlProfile,
     _loglog_fit,
     _node_residuals,
@@ -56,7 +57,7 @@ from .errors import (
     UnsupportedError,
 )
 from .implicit import ImplicitBranch
-from .ode import EventSpec, IntegratorConfig, Trajectory, integrate
+from .ode import Trajectory, integrate
 
 HANDOFF_TAN = math.tan(math.pi / 8)
 # 4-point Gauss-Legendre nodes and weights on [0, 1], for the quadratures over
@@ -151,18 +152,12 @@ def _neck_rhs(f: CurvatureFunction, branch: ImplicitBranch, z_sign: float):
     return rhs
 
 
-def solve_neck(
-    f: CurvatureFunction,
-    R: float,
-    config: Optional[IntegratorConfig] = None,
-    handoff_tan: float = HANDOFF_TAN,
-) -> NeckSolution:
+def solve_neck(f: CurvatureFunction, R: float, handoff_tan: float = HANDOFF_TAN) -> NeckSolution:
     """Integrate the neck chart both ways from (r, u) = (R, 0)."""
     if not f.is_signed:
         raise UnsupportedError(f"{f.name} is not signed; no catenoidal neck exists")
     if R <= 0:
         raise ParameterError(f"neck radius must be positive, got {R}")
-    cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     branch = ImplicitBranch(f)
     x0, y0 = zero_ray(f)
     kappa_neck = -(x0 / y0) / R
@@ -178,20 +173,19 @@ def solve_neck(
         except TranslabError:
             return math.nan
 
+    def handoff(u, y):
+        return y[1] - handoff_tan
+
     # up side: slope rises from 0; stop at the handoff tangent or when the
     # profile curvature crosses zero (whichever first)
-    ev_up = [
-        EventSpec(lambda u, y: y[1] - handoff_tan, "rising", True, "handoff"),
-        EventSpec(curvature_zero, "rising", True, "curvature_zero"),
-    ]
-    tr_up = integrate(_neck_rhs(f, branch, +1.0), 0.0, [R, 0.0], u_cap, cfg, ev_up)
+    tr_up = integrate(_neck_rhs(f, branch, +1.0), 0.0, [R, 0.0], u_cap, PROFILE_CONFIG,
+                      (handoff, curvature_zero))
     if tr_up.termination != "terminal_event":
         raise StructureError(f"neck chart (up) did not reach a handoff: {tr_up.termination}")
-    up_reason = ev_up[tr_up.events[-1][2]].name
+    up_reason = ("handoff", "curvature_zero")[tr_up.stop]
 
     # down side in tau = -u; the graph slope there is r_u = -dr/dtau
-    ev_dn = [EventSpec(lambda u, y: y[1] - handoff_tan, "rising", True, "handoff")]
-    tr_dn = integrate(_neck_rhs(f, branch, -1.0), 0.0, [R, 0.0], u_cap, cfg, ev_dn)
+    tr_dn = integrate(_neck_rhs(f, branch, -1.0), 0.0, [R, 0.0], u_cap, PROFILE_CONFIG, (handoff,))
     if tr_dn.termination != "terminal_event":
         raise StructureError(f"neck chart (down) did not reach the handoff: {tr_dn.termination}")
 
@@ -255,9 +249,9 @@ def _node_quadrature(traj: Trajectory, g, start: float) -> np.ndarray:
     return np.cumsum(np.concatenate([[start], _gauss(traj, g, traj.ts[:-1], traj.ts[1:])]))
 
 
-def _graph_chart(f, branch, r0, v0, u0, s0, r_max, cfg, what, stiff, events=()):
+def _graph_chart(f, branch, r0, v0, u0, s0, r_max, what, stiff, stops=()):
     """Graph chart of the slope v(r) from (r0, v0) to r_max, or to the first
-    of the terminal ``events``.  Returns (trajectory, u, s) at the nodes.
+    rising zero of a stop.  Returns (trajectory, u, s) at the nodes.
 
     The slope is the only state; the height u and the arc length s never
     feed back, so they are quadratures of the dense slope: u exactly, as
@@ -266,26 +260,20 @@ def _graph_chart(f, branch, r0, v0, u0, s0, r_max, cfg, what, stiff, events=()):
     steps with the analytic dF/dv, the others explicit steps.
     """
     rhs, jac = _slope_scalar(f, branch, None)
-    traj = integrate(rhs, r0, [v0], r_max, cfg, events, jac=jac if stiff else None)
-    if traj.termination != ("terminal_event" if events else "reached_end"):
+    traj = integrate(rhs, r0, [v0], r_max, PROFILE_CONFIG, stops, jac=jac if stiff else None)
+    if traj.termination != ("terminal_event" if stops else "reached_end"):
         raise StructureError(f"{what}: {traj.termination} at r={traj.t_final}")
     s = _node_quadrature(traj, lambda t, y: np.sqrt(1.0 + y[:, 0] * y[:, 0]), s0)
     return traj, traj.node_integrals(u0), s
 
 
-def solve_upper_branch(
-    f: CurvatureFunction,
-    neck: NeckSolution,
-    r_max: float,
-    config: Optional[IntegratorConfig] = None,
-) -> Profile:
+def solve_upper_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float) -> Profile:
     """Continue the ascending branch from the neck chart exit to r_max."""
-    cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     branch = ImplicitBranch(f)
     u_h, r_h, ru_h, s_h = neck.up_exit
     if r_h >= r_max:
         raise ParameterError(f"r_max={r_max} does not extend past the neck chart (r={r_h})")
-    traj, u, s = _graph_chart(f, branch, r_h, 1.0 / ru_h, u_h, s_h, r_max, cfg,
+    traj, u, s = _graph_chart(f, branch, r_h, 1.0 / ru_h, u_h, s_h, r_max,
                               "upper branch stopped early", stiff=True)
     columns = _graph_columns(f, traj, u, s)
     if np.any(columns[3] <= 0) or np.any(columns[3] >= math.pi / 2):
@@ -316,12 +304,7 @@ def classify_case(f: CurvatureFunction, branch: ImplicitBranch) -> str:
     return "continuous_origin"
 
 
-def solve_lower_branch(
-    f: CurvatureFunction,
-    neck: NeckSolution,
-    r_max: float,
-    config: Optional[IntegratorConfig] = None,
-) -> tuple:
+def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float) -> tuple:
     """Descend from the neck; returns (Profile, s0, s1, case, end_behavior).
 
     Case "continuous_origin": the branch bottoms out at finite radius
@@ -329,7 +312,6 @@ def solve_lower_branch(
     ascending graph to r_max.  Case "derivative_origin": the branch
     descends and flattens forever; the end slope is fitted to -a r^b.
     """
-    cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     branch = ImplicitBranch(f)
     case = classify_case(f, branch)
     u_h, r_h, ru_h, s_h = neck.down_exit
@@ -351,7 +333,7 @@ def solve_lower_branch(
     end_behavior = {"case": case}
 
     if case == "derivative_origin":
-        tail, u, s = _graph_chart(f, branch, r_h, w_h, u_h, s_h, r_max, cfg,
+        tail, u, s = _graph_chart(f, branch, r_h, w_h, u_h, s_h, r_max,
                                   "lower branch stopped early", stiff=False)
         if tail.ys[-1, 0] >= 0:
             raise StructureError("derivative_origin branch unexpectedly turned upward")
@@ -377,10 +359,9 @@ def solve_lower_branch(
         )
     else:
         # descend in r until the slope flattens to the chart-switch angle
-        ev = [EventSpec(lambda r, y: y[0] + HANDOFF_TAN, "rising", True, "turn_enter")]
-        tr1, u, s = _graph_chart(f, branch, r_h, w_h, u_h, s_h, r_max, cfg,
+        tr1, u, s = _graph_chart(f, branch, r_h, w_h, u_h, s_h, r_max,
                                  "continuous_origin branch never flattened", stiff=False,
-                                 events=ev)
+                                 stops=(lambda r, y: y[0] + HANDOFF_TAN,))
         add_graph_chart(tr1, u, s)
         r1, w1, u1, arc1 = tr1.t_final, tr1.ys[-1, 0], u[-1], s[-1]
 
@@ -393,7 +374,7 @@ def solve_lower_branch(
             (F,) = slope(y[0], (w,))
             return (1.0 / F if F > 0 else math.nan,)
 
-        tr2 = integrate(turn_rhs, w1, [r1], HANDOFF_TAN, cfg)
+        tr2 = integrate(turn_rhs, w1, [r1], HANDOFF_TAN, PROFILE_CONFIG)
         if tr2.termination != "reached_end":
             raise StructureError(f"turning chart failed: {tr2.termination}")
         w, r = tr2.ts, tr2.ys[:, 0]
@@ -425,8 +406,7 @@ def solve_lower_branch(
 
         # ascending convex tail back in the r chart
         tail, u3, s3 = _graph_chart(f, branch, float(r[-1]), float(w[-1]), float(u[-1]),
-                                    float(s[-1]), r_max, cfg, "lower tail stopped early",
-                                    stiff=True)
+                                    float(s[-1]), r_max, "lower tail stopped early", stiff=True)
         if np.any(tail.fs[:, 0] <= 0):
             raise StructureError("post-turn tail is not convex")
         add_graph_chart(tail, u3, s3)
@@ -471,17 +451,22 @@ def solve_catenoid(
     f: CurvatureFunction,
     R: float,
     r_max: float,
-    config: Optional[IntegratorConfig] = None,
     handoff_tan: float = HANDOFF_TAN,
     bowl: Optional[BowlProfile] = None,
-    fit_window: Optional[tuple] = None,
 ) -> CatenoidResult:
     """Full catenoid construction: neck, both branches, offsets, embeddedness."""
-    neck = solve_neck(f, R, config, handoff_tan)
-    upper = solve_upper_branch(f, neck, r_max, config)
-    lower, s0, s1, case, end_behavior, n_pi2, n_min = solve_lower_branch(
-        f, neck, r_max, config
-    )
+    neck = solve_neck(f, R, handoff_tan)
+    # the fit windows start at r_max/3 on the upper branch, which starts at R
+    # with height 0, and on a derivative_origin lower end at twice its chart
+    # start r_h
+    r_min = 3.0 * R
+    if classify_case(f, ImplicitBranch(f)) == "derivative_origin":
+        r_min = max(r_min, 2.0 * neck.down_exit[1])
+    if not r_max > r_min:
+        raise ParameterError(f"r_max={float(r_max)} lies too close to the neck: "
+                             f"the fit windows need r_max > {float(r_min)}")
+    upper = solve_upper_branch(f, neck, r_max)
+    lower, s0, s1, case, end_behavior, n_pi2, n_min = solve_lower_branch(f, neck, r_max)
     result = CatenoidResult(
         R=R,
         curvature_key=f.name,
@@ -495,10 +480,9 @@ def solve_catenoid(
         end_behavior=end_behavior,
         handoff_tan=handoff_tan,
     )
-    window = fit_window or (r_max / 3.0, 0.9 * r_max)
     if bowl is None:
-        bowl = solve_bowl(f, r_max, config)
-    grid = np.geomspace(window[0], window[1], 200)
+        bowl = solve_bowl(f, r_max)
+    grid = np.geomspace(r_max / 3.0, 0.9 * r_max, 200)
     ub = bowl.u_at(grid)
     result.C_plus = float(np.mean(upper.u_at(grid) - ub))
     if case == "continuous_origin":

@@ -23,7 +23,7 @@ from .barrier import (
 from .bowl import fit_tail, growth_exponent, solve_bowl
 from .catenoid import solve_catenoid, upper_growth_exponent
 from .cliio import RunManifest, emit_plot_script, load_config, write_csv, write_json
-from .curvature import check_homogeneity, classify_degeneracy, from_key, registry_keys
+from .curvature import check_homogeneity, from_key, registry_keys
 from .errors import ParameterError, TranslabError
 from .implicit import ImplicitBranch
 
@@ -321,27 +321,33 @@ def cmd_verify(args):
                     b = branch.dg_minus_dy_at_zero()
                 except TranslabError:
                     b = -1.0  # divergent g_- at the origin: any b < 0 works
-                if b >= 0:
-                    # no decaying power (odd k-norms: g_- tends to a negative
-                    # constant, slope 0); try b = -1 as for a divergent g_-
+                expect, note = "verified_super", ""
+                if b >= -1e-10:
+                    # no decaying power, the slope being zero to the accuracy
+                    # of its extrapolation (k-norms): g_- tends to a constant c,
+                    # so with b = -1 as for a divergent g_- the margins tend to
+                    # -c, and the sign of c forces the verdict
                     b = -1.0
+                    c = branch.g_minus_limit_at_zero()
+                    if c > 0:
+                        expect = "verified_sub"
+                    note = f" (g_- tends to {c:.4g} at the origin: {expect} expected)"
                 grid = log_grid(2.0, 1e3, per_decade=400)
                 rep = verify_inequality(
                     BarrierSpec("power", a=0.5, b=b, valid_range=(1.0, 1e4)), f, grid
                 )
-                ok = rep.r_star_nonneg is not None or rep.verdict == "verified_super"
+                settled = rep.r_star_nonneg if expect == "verified_super" else rep.r_star_nonpos
                 manifest.record_check(
-                    "barrier_power", ok,
-                    f"verdict={rep.verdict} min_margin={rep.min_margin:.2e}",
+                    "barrier_power", settled is not None,
+                    f"verdict={rep.verdict} min_margin={rep.min_margin:.2e}{note}",
                 )
                 results["barrier"] = {"verdict": rep.verdict, "min_margin": rep.min_margin}
             else:
                 manifest.record_check("barrier_power", True, "no -1 level; skipped")
-        deg = classify_degeneracy(f)
         return {
             "curvature_key": f.name,
-            "degeneracy": deg.kind,
-            "value_at_01": deg.value_at_01,
+            "degeneracy": "one_degenerate" if f.is_one_degenerate else "one_nondegenerate",
+            "value_at_01": f.value_at_01,
             "suites": results,
         }
 

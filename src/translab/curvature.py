@@ -34,12 +34,6 @@ class SignedMeta:
     origin_value: str  # "continuous_zero" or "undefined"
 
 
-@dataclass(frozen=True)
-class DegeneracyClass:
-    kind: str  # "one_nondegenerate" | "one_degenerate"
-    value_at_01: float  # slice value at (0, 1) before normalization
-
-
 class CurvatureFunction:
     """An alpha-homogeneous symmetric curvature function on its slice.
 
@@ -109,7 +103,13 @@ class CurvatureFunction:
         return (a - 1.0) / (2.0 * a)
 
     @property
+    def value_at_01(self) -> float:
+        """Slice value at (0, 1) before normalization."""
+        return self._value_at_01
+
+    @property
     def is_one_degenerate(self) -> bool:
+        """1-degenerate iff the slice value at (0, 1) vanishes."""
         return abs(self._value_at_01) <= _NORM_TOL
 
     @property
@@ -566,9 +566,6 @@ class KConvexity(CurvatureFunction):
 # registry
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("mean", "gauss", "hq", "qk", "sk", "knorm", "kconv")
-
-
 def build_family(family: str, n: int, **params) -> CurvatureFunction:
     """Construct a normalized family member; see ``registry_keys`` for names."""
     if family == "mean":
@@ -616,18 +613,8 @@ def registry_keys() -> list:
 
 
 # ---------------------------------------------------------------------------
-# classification and checks
+# checks
 # ---------------------------------------------------------------------------
-
-
-def classify_degeneracy(f: CurvatureFunction) -> DegeneracyClass:
-    """1-degenerate iff the unnormalized slice value at (0,1) vanishes."""
-    try:
-        v = f._raw_value(0.0, 1.0)
-    except DomainError as exc:
-        raise DomainError(f"(0,1) outside the closure of the cone of {f.name}") from exc
-    kind = "one_degenerate" if abs(v) <= _NORM_TOL else "one_nondegenerate"
-    return DegeneracyClass(kind=kind, value_at_01=v)
 
 
 def check_homogeneity(f: CurvatureFunction, samples: int = 100, seed: int = 0) -> dict:

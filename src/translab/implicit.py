@@ -37,6 +37,11 @@ NEAR_FLOOR = 2.0**-26
 GRADIENT_REUSE = 3e-3
 # iterations of the safeguarded Newton loop before it reports a stall
 MAX_SOLVE_STEPS = 200
+# doublings of the bracket before a solve reports no sign change
+MAX_BRACKET_EXPANSIONS = 60
+# a solve stops at a residual of this times max(1, |z|); a decade below 1e-12,
+# so the acceptance grids (z up to 3) meet an absolute 1e-12 round-trip bound
+SOLVE_TOLERANCE = 1e-13
 
 
 @dataclass
@@ -48,17 +53,9 @@ class EndpointData:
 
 @dataclass
 class ImplicitBranch:
-    """Solved branch x = g(y, z) of gamma(x, y) = z for one curvature function.
-
-    The residual target is solve_tolerance * max(1, |z|); the default sits a
-    decade below 1e-12 so the acceptance grids (z up to 3) meet an absolute
-    1e-12 round-trip bound.
-    """
+    """Solved branch x = g(y, z) of gamma(x, y) = z for one curvature function."""
 
     source: CurvatureFunction
-    sign: str = "plus"
-    solve_tolerance: float = 1e-13
-    max_bracket_expansions: int = 60
 
     # -- core hybrid solver -------------------------------------------------
 
@@ -117,7 +114,7 @@ class ImplicitBranch:
         width = max(hi - lo, 1e-6)
         n_exp = 0
         while not (flo < 0 <= fhi or flo <= 0 < fhi):
-            if n_exp == self.max_bracket_expansions:
+            if n_exp == MAX_BRACKET_EXPANSIONS:
                 raise ConvergenceError(
                     f"{f.name}: no sign change for z={z} at y={y}",
                     bracket=(lo, hi),
@@ -147,7 +144,7 @@ class ImplicitBranch:
                     hi, fhi = mid, fm
                 else:
                     lo, flo = mid, fm
-        tol = self.solve_tolerance * max(1.0, abs(z))
+        tol = SOLVE_TOLERANCE * max(1.0, abs(z))
         x = 0.5 * (lo + hi)
         step = step_old = hi - lo
         # the search's own ends may sit on a chart boundary: no Newton base
@@ -346,18 +343,13 @@ class ImplicitBranch:
 
     # -- derivatives -----------------------------------------------------------
 
-    def dg_dy(self, y: float, z: float, order: int = 1, branch: str = "plus") -> float:
-        """Implicit y-derivatives of the branch at (y, z).
+    def dg_dy(self, y: float, z: float, order: int = 1) -> float:
+        """Implicit y-derivatives of the positive branch at (y, z).
 
         Order 1 is -gamma_y/gamma_x at (g, y); order 2 differentiates once
         more, consuming second partials of gamma.
         """
-        if branch == "plus":
-            x = self.g_plus(y, z) if self.in_u_plus(y, z) else self.solve_extended(y, z)
-        elif branch == "minus":
-            x = self.g_minus(y)
-        else:
-            raise UnsupportedError(f"unknown branch {branch!r}")
+        x = self.g_plus(y, z) if self.in_u_plus(y, z) else self.solve_extended(y, z)
         f = self.source
         gx, gy = f.grad(x, y)
         if gx <= 0:
@@ -427,21 +419,18 @@ class ImplicitBranch:
             m0 = -(gm11 ** (-1.0 / a))
         return EndpointData(left_value=left, right_value=right, m0_bar=m0)
 
-    def endpoint_left_by_limit(self, n_steps: int = 6) -> float:
-        """Interior-solve limit toward the left endpoint of U+ at z = 1."""
+    def endpoint_left_by_limit(self) -> float:
+        """Interior solve toward the left endpoint of U+ at z = 1, at a
+        relative distance 1e-8 from it."""
         f = self.source
-        a = f.alpha_float
-        y_left = f.value(1.0, 1.0) ** (-1.0 / a)
-        vals = []
-        for eps in np.geomspace(1e-3, 1e-8, n_steps):
-            vals.append(self.g_plus(y_left * (1 + eps), 1.0))
-        return vals[-1]
+        y_left = f.value(1.0, 1.0) ** (-1.0 / f.alpha_float)
+        return self.g_plus(y_left * (1 + 1e-8), 1.0)
 
-    def laurent_tail(self, y_lo: float = 1e3, y_hi: float = 1e6, points: int = 48) -> tuple:
+    def laurent_tail(self) -> tuple:
         """Leading Laurent term of g_+(y, 1) at infinity: (k_gamma, c_gamma).
 
-        Fits log g vs log y by least squares over a log-spaced grid; raises
-        ClassificationError if the tail is not a clean power law.
+        Fits log g vs log y by least squares on 48 log-spaced y in [1e3, 1e6];
+        raises ClassificationError if the tail is not a clean power law.
         """
         from .bowl import _loglog_fit
         from .errors import ClassificationError
@@ -449,7 +438,7 @@ class ImplicitBranch:
         f = self.source
         if not f.is_one_degenerate:
             raise UnsupportedError(f"{f.name} is 1-nondegenerate; g_+ has no Laurent tail")
-        ys = np.geomspace(y_lo, y_hi, points)
+        ys = np.geomspace(1e3, 1e6, 48)
         gs = np.array([self.g_plus(float(y), 1.0) for y in ys])
         if np.any(gs <= 0):
             raise ClassificationError("g_+ tail is not positive")

@@ -1,6 +1,6 @@
-"""Adaptive Runge-Kutta integration with dense output and events.
+"""Adaptive Runge-Kutta integration with dense output and stop conditions.
 
-Two fixed steppers share one driver (event location, node storage):
+Two fixed steppers share one integration loop (stop location, node storage):
 
 * a Dormand-Prince 5(4) explicit pair with quartic dense output and a PI
   controller, used by default;
@@ -44,7 +44,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -102,33 +102,25 @@ _RP = (
 )
 _NEWTON_MAXITER = 6
 _NEWTON_TOL_FLOOR = 10 * sys.float_info.epsilon
+# a step below this length ends the run with 'step_underflow'
+_MIN_STEP = 1e-14
+# a stop fires once its function clears this band past zero, which filters
+# tangential grazes at interpolation-noise level; the crossing is then
+# bisected to this time tolerance
+_GRAZE = 1e-10
+_STOP_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = math.inf
-    min_step: float = 1e-14
     max_steps: int = 2_000_000
-    event_tolerance: float = 1e-12
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ParameterError("tolerances must be positive")
-        if not 0 < self.min_step < self.max_step:
-            raise ParameterError("need 0 < min_step < max_step")
-
-
-@dataclass
-class EventSpec:
-    function: Callable[[float, Sequence[float]], float]
-    direction: str = "any"  # "rising" | "falling" | "any"
-    terminal: bool = False
-    name: str = ""
-    # a crossing must clear this band on the far side; filters tangential
-    # grazes at interpolation-noise level
-    value_eps: float = 1e-10
 
 
 def _poly(q, s):
@@ -177,9 +169,10 @@ class Trajectory:
     ts: np.ndarray
     ys: np.ndarray  # (n_nodes, dim)
     fs: np.ndarray  # stored RHS at nodes
-    events: List[tuple]  # (t_event, state, event_index)
     # reached_end | terminal_event | step_underflow | domain_exit | max_steps
     termination: str
+    # index of the stop that ended the run ('terminal_event'), else None
+    stop: Optional[int] = None
     # accepted steps with their dense output
     segments: list = field(default_factory=list, repr=False)
 
@@ -246,7 +239,7 @@ def integrate(
     state0: Sequence[float],
     t_end: float,
     config: Optional[IntegratorConfig] = None,
-    events: Sequence[EventSpec] = (),
+    stops: Sequence[Callable[[float, Sequence[float]], float]] = (),
     jac: Optional[Callable[[float, Sequence[float]], Sequence[float]]] = None,
 ) -> Trajectory:
     """Integrate rhs from t0 to t_end (> t0) with adaptive steps.
@@ -267,9 +260,11 @@ def integrate(
     are tuples of floats.
 
     Every accepted step keeps its dense-output polynomial (see ``_Segment``)
-    in ``Trajectory.segments``.  Events are located on it by bisection to
-    the configured time tolerance; a terminal event truncates the trajectory
-    there.
+    in ``Trajectory.segments``.  Each of the ``stops`` is a function g(t, y);
+    the run ends, with termination 'terminal_event', at the first rising
+    zero crossing of any of them that clears the graze band, located on the
+    dense output by bisection; ``Trajectory.stop`` is the index of the one
+    that fired.
     Non-finite RHS values end the trajectory with termination 'domain_exit',
     a step-size underflow with 'step_underflow', and running out of
     ``max_steps`` step attempts with 'max_steps'.
@@ -288,8 +283,8 @@ def integrate(
     ys = [y]
     fs = [f]
     segments = []
-    hit_events: List[tuple] = []
-    g_prev = [ev.function(t, y) for ev in events]
+    stop = None
+    g_prev = [g(t, y) for g in stops]
 
     if jac is None:
         steps = _dopri_steps(rhs, t, y, f, t_end, cfg)
@@ -305,46 +300,27 @@ def integrate(
             break
         segments.append(seg)
 
-        g_new = [ev.function(t_new, y_new) for ev in events]
-        first_hit = None
-        for idx, ev in enumerate(events):
-            ga, gb = g_prev[idx], g_new[idx]
-            if math.isnan(ga) or math.isnan(gb):
-                continue
-            rising_cross = ga <= 0 and gb > ev.value_eps
-            falling_cross = ga >= 0 and gb < -ev.value_eps
-            if ev.direction == "rising":
-                crossed = rising_cross
-            elif ev.direction == "falling":
-                crossed = falling_cross
-            else:
-                crossed = rising_cross or falling_cross
-            if not crossed:
+        g_new = [g(t_new, y_new) for g in stops]
+        for i, g in enumerate(stops):
+            # a NaN on either side fails both comparisons
+            if not (g_prev[i] <= 0 and g_new[i] > _GRAZE):
                 continue
             ta, tb = seg.t0, t_new
-            va = ga
-            while tb - ta > cfg.event_tolerance:
+            while tb - ta > _STOP_TOL:
                 tm = 0.5 * (ta + tb)
-                vm = ev.function(tm, seg.eval(tm))
-                same_side = (va <= 0 and vm <= 0) or (va >= 0 and vm >= 0)
-                if same_side:
-                    ta, va = tm, vm
+                if g(tm, seg.eval(tm)) <= 0:
+                    ta = tm
                 else:
                     tb = tm
-            t_ev = 0.5 * (ta + tb)
-            if first_hit is None or t_ev < first_hit[0]:
-                first_hit = (t_ev, seg.eval(t_ev), idx, ev.terminal)
-        if first_hit is not None:
-            hit_events.append(first_hit[:3])
-            if first_hit[3]:
-                t_ev, y_ev = first_hit[0], first_hit[1]
-                if batched:
-                    y_ev = np.array(y_ev)
-                ts.append(t_ev)
-                ys.append(y_ev)
-                fs.append(tuple(float(v) for v in rhs(t_ev, y_ev)))
-                termination = "terminal_event"
-                break
+            if stop is None or 0.5 * (ta + tb) < t_stop:
+                stop, t_stop = i, 0.5 * (ta + tb)
+        if stop is not None:
+            y_stop = seg.eval(t_stop)
+            ts.append(t_stop)
+            ys.append(y_stop)
+            fs.append(tuple(float(v) for v in rhs(t_stop, y_stop)))
+            termination = "terminal_event"
+            break
         ts.append(t_new)
         ys.append(y_new)
         fs.append(f_new)
@@ -354,8 +330,8 @@ def integrate(
         ts=np.array(ts),
         ys=np.array(ys),
         fs=np.array(fs),
-        events=hit_events,
         termination=termination,
+        stop=stop,
         segments=segments,
     )
 
@@ -387,7 +363,7 @@ def _dopri_steps(rhs, t, y, f, t_end, cfg):
             return "max_steps"
         n_steps += 1
         h = min(h, t_end - t, cfg.max_step)
-        if h < cfg.min_step:
+        if h < _MIN_STEP:
             return "step_underflow"
 
         K[0] = f
@@ -409,7 +385,7 @@ def _dopri_steps(rhs, t, y, f, t_end, cfg):
             K[i] = Ki
         if bad:
             h *= 0.5
-            if h < cfg.min_step:
+            if h < _MIN_STEP:
                 return "domain_exit"
             continue
 
@@ -484,7 +460,7 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
             return "max_steps"
         n_steps += 1
         h = min(h, t_end - t, cfg.max_step)
-        if h < cfg.min_step:
+        if h < _MIN_STEP:
             return "step_underflow"
         if J is None:
             J = float(jac(t, (y,))[0])
@@ -642,7 +618,7 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg):
             return "max_steps"
         n_steps += 1
         h = min(h, t_end - t, cfg.max_step)
-        if h < cfg.min_step:
+        if h < _MIN_STEP:
             return "step_underflow"
         if J is None:
             J = np.array(jac(t, y), dtype=float)

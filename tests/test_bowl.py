@@ -107,8 +107,9 @@ def test_slope_argument_in_domain_closure():
 
 
 def test_alpha_below_third_rejected():
+    # no registered family has alpha <= 1/3; the radius check comes first
     with pytest.raises(ParameterError):
-        solve_bowl(from_key("mean:n=3"), 10.0, r_eps=2.0)
+        solve_bowl(from_key("mean:n=3"), 5e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,19 @@ def test_neck_curvature_matches_quadratic_start():
     assert 2 * fitted[1] == pytest.approx(neck.kappa_at_neck, rel=1e-3)
 
 
+@pytest.mark.parametrize(
+    "key, reason, r_exit",
+    [("qk:k=3,n=6", "handoff", 1.1012495461482097),
+     ("sk:k=3,n=5", "curvature_zero", 1.2905236388238688)],
+)
+def test_neck_stop_reason(key, reason, r_exit):
+    # the upper neck chart ends on whichever stop crosses first: the handoff
+    # tangent, or the profile curvature changing sign before it (s_3)
+    neck = solve_neck(from_key(key), 1.0)
+    assert neck.up_exit_reason == reason
+    assert neck.up_exit[1] == pytest.approx(r_exit, rel=1e-12)
+
+
 def test_neck_requires_signed():
     with pytest.raises(UnsupportedError):
         solve_neck(from_key("mean:n=3"), 1.0)

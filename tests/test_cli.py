@@ -5,6 +5,7 @@ import json
 import pytest
 
 from translab.cli import main
+from translab.curvature import registry_keys
 
 
 def run(args):
@@ -75,6 +76,24 @@ def test_solver_parameter_error_exit2(tmp_path, args):
     assert json.loads((tmp_path / "error.json").read_text())["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize(
+    "key, rmax, bound",
+    [("qk:k=3,n=6", "2.5", 3.0), ("qk:k=3,n=6", "2", 3.0), ("qk:k=5,n=6", "3", 3.0),
+     ("qk:k=7,n=8", "3.1", 2 * 1.6046398648914741)],
+)
+def test_catenoid_rmax_near_neck_exit2(tmp_path, key, rmax, bound):
+    # the upper growth fit starts at rmax/3, which must lie past the neck at
+    # R = 1, and the derivative_origin lower end fit at twice the lower
+    # chart's start (1.6046 for qk:k=7,n=8)
+    assert run(["catenoid", "--curvature", key, "--R", "1", "--rmax", rmax,
+                "--out", str(tmp_path), "--quiet"]) == 2
+    error = json.loads((tmp_path / "error.json").read_text())
+    assert error["error"] == "ParameterError"
+    head, _, tail = error["message"].partition("the fit windows need r_max > ")
+    assert head == f"r_max={float(rmax)} lies too close to the neck: "
+    assert float(tail) == pytest.approx(bound, rel=1e-12)
+
+
 def test_bowl_bad_curvature_exit2(tmp_path):
     assert run(["bowl", "--curvature", "bogus:n=3", "--out", str(tmp_path)]) == 2
 
@@ -106,6 +125,23 @@ def test_verify_suites(tmp_path):
                 "--out", str(tmp_path / "v2"), "--quiet"]) == 0
     assert run(["verify", "--suite", "homogeneity", "--curvature", "gauss:n=4",
                 "--out", str(tmp_path / "v3"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("key", registry_keys())
+def test_verify_all_suites_pass_on_registry(tmp_path, key):
+    assert run(["verify", "--suite", "all", "--curvature", key,
+                "--out", str(tmp_path), "--quiet"]) == 0
+
+
+def test_verify_barrier_even_knorm_is_sub(tmp_path):
+    # g_- of knorm:k=2 tends to sqrt(2) > 0 at the origin with zero slope, so
+    # every decaying power profile has margin -> -sqrt(2): a subsolution
+    out = tmp_path / "v"
+    assert run(["verify", "--suite", "barrier", "--curvature", "knorm:k=2,n=3",
+                "--out", str(out), "--quiet"]) == 0
+    check = json.loads((out / "manifest.json").read_text())["checks"]["barrier_power"]
+    assert "verdict=verified_sub" in check["detail"]
+    assert "1.414 at the origin: verified_sub expected" in check["detail"]
 
 
 def test_verify_barrier_odd_knorm(tmp_path):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from translab.curvature import (
     build_family,
     check_homogeneity,
-    classify_degeneracy,
     from_key,
     registry_keys,
     zero_ray,
@@ -80,25 +79,27 @@ def test_kconv_k1_rejected_with_reason():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_mean_nondegenerate(n):
-    assert classify_degeneracy(build_family("mean", n)).kind == "one_nondegenerate"
+    assert not build_family("mean", n).is_one_degenerate
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_gauss_degenerate(n):
-    assert classify_degeneracy(build_family("gauss", n)).kind == "one_degenerate"
+    assert build_family("gauss", n).is_one_degenerate
 
 
 def test_knorm_nondegenerate_by_direct_evaluation():
     # oracle: (0^2 + 1^2 + 1^2)^(1/2) > 0
     direct = math.sqrt(0.0**2 + 1.0**2 + 1.0**2)
     assert direct > 0
-    assert classify_degeneracy(build_family("knorm", 3, k=2)).kind == "one_nondegenerate"
+    assert not build_family("knorm", 3, k=2).is_one_degenerate
     f = build_family("knorm", 3, k=2)
-    assert f._raw_value(0.0, 1.0) == pytest.approx(direct, abs=1e-14)
+    assert f.value_at_01 == pytest.approx(direct, abs=1e-14)
 
 
 def test_sk_equals_n_degenerate():
-    assert classify_degeneracy(build_family("sk", 4, k=4)).kind == "one_degenerate"
+    f = build_family("sk", 4, k=4)
+    assert f.is_one_degenerate
+    assert f.value_at_01 == 0.0
 
 
 # ---------------------------------------------------------------------------

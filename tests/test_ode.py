@@ -1,12 +1,13 @@
-"""Integrator: accuracy, events, dense output, determinism, order."""
+"""Integrator: accuracy, stops, dense output, determinism, order."""
 
 import math
 
 import numpy as np
 import pytest
 
+from translab import ode
 from translab.errors import ParameterError
-from translab.ode import EventSpec, IntegratorConfig, integrate
+from translab.ode import IntegratorConfig, integrate
 
 
 def test_exponential():
@@ -16,14 +17,12 @@ def test_exponential():
 
 
 def test_cosine_no_tangential_event():
+    # sin t touches 1 at the end without crossing: the stop does not fire
     tr = integrate(
-        lambda t, y: (math.cos(t),),
-        0.0,
-        [0.0],
-        math.pi / 2,
-        events=[EventSpec(lambda t, y: y[0] - 1.0, "rising", True)],
+        lambda t, y: (math.cos(t),), 0.0, [0.0], math.pi / 2, stops=[lambda t, y: y[0] - 1.0]
     )
-    assert tr.events == []
+    assert tr.termination == "reached_end"
+    assert tr.stop is None
     assert tr.ys[-1, 0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -34,33 +33,43 @@ def test_linear_flow_event_location():
         0.0,
         [th0],
         10.0,
-        events=[EventSpec(lambda t, y: y[0] - math.pi / 2, "rising", True)],
+        stops=[lambda t, y: y[0] - math.pi / 2],
     )
     assert tr.termination == "terminal_event"
-    assert tr.events[0][0] == pytest.approx(math.pi / 2 - th0, abs=1e-10)
+    assert tr.stop == 0
+    assert tr.t_final == pytest.approx(math.pi / 2 - th0, abs=1e-10)
+    assert tr.ys[-1, 0] == pytest.approx(math.pi / 2, abs=1e-10)
 
 
 def test_event_sign_change_bracketing():
-    # reported event really separates signs of the event function
-    ev = EventSpec(lambda t, y: y[0] - 2.0, "rising", False)
-    tr = integrate(lambda t, y: (y[0],), 0.0, [1.0], 2.0, events=[ev])
-    (t_ev, state, idx) = tr.events[0]
-    assert idx == 0
-    cfg = IntegratorConfig()
-    g_before = math.exp(t_ev - cfg.event_tolerance) - 2.0
-    g_after = math.exp(t_ev + cfg.event_tolerance) - 2.0
+    # the stop point really separates signs of the stop function, and the
+    # trajectory ends there
+    tr = integrate(lambda t, y: (y[0],), 0.0, [1.0], 2.0, stops=[lambda t, y: y[0] - 2.0])
+    assert (tr.termination, tr.stop) == ("terminal_event", 0)
+    t_ev = tr.t_final
+    g_before = math.exp(t_ev - ode._STOP_TOL) - 2.0
+    g_after = math.exp(t_ev + ode._STOP_TOL) - 2.0
     assert g_before <= 0 <= g_after or abs(g_before) < 1e-10
 
 
 def test_falling_direction_filter():
-    # y = cos t crosses 0.5 falling at t = pi/3 (first crossing is falling)
-    ev_r = EventSpec(lambda t, y: y[0] - 0.5, "rising", False)
-    ev_f = EventSpec(lambda t, y: y[0] - 0.5, "falling", False)
-    tr = integrate(lambda t, y: (-math.sin(t),), 0.0, [1.0], 3.0, events=[ev_r, ev_f])
-    kinds = [idx for (_, _, idx) in tr.events]
-    assert 1 in kinds
-    t_fall = [t for (t, _, idx) in tr.events if idx == 1][0]
-    assert t_fall == pytest.approx(math.pi / 3, abs=1e-8)
+    # y = cos t crosses 0.5 falling at t = pi/3: a stop fires on rising
+    # crossings only, so y - 0.5 never fires and 0.5 - y does
+    tr = integrate(lambda t, y: (-math.sin(t),), 0.0, [1.0], 3.0,
+                   stops=[lambda t, y: y[0] - 0.5, lambda t, y: 0.5 - y[0]])
+    assert tr.stop == 1
+    assert tr.t_final == pytest.approx(math.pi / 3, abs=1e-8)
+
+
+def test_earliest_stop_fires():
+    # two stops crossing inside one step: the earlier crossing ends the run
+    tr = integrate(lambda t, y: (1.0,), 0.0, [0.0], 10.0,
+                   stops=[lambda t, y: y[0] - 0.4, lambda t, y: y[0] - 0.2])
+    last = tr.segments[-1]
+    assert last.t0 < 0.2 and last.t0 + last.h > 0.4
+    assert tr.stop == 1
+    assert tr.t_final == pytest.approx(0.2, abs=1e-10)
+    assert tr.fs[-1, 0] == 1.0
 
 
 def test_resample_accuracy_and_nodes():
@@ -135,8 +144,6 @@ def test_nonfinite_rhs_domain_exit():
 def test_config_validation():
     with pytest.raises(ParameterError):
         IntegratorConfig(rel_tol=-1)
-    with pytest.raises(ParameterError):
-        IntegratorConfig(min_step=1.0, max_step=0.5)
     with pytest.raises(ParameterError):
         integrate(lambda t, y: (1.0,), 1.0, [0.0], 0.5)
 
