@@ -228,6 +228,6 @@ def compare_orderings(
 
 def admissible_slope_range(f: CurvatureFunction, r0: float) -> tuple:
     """Initial slopes at r0 whose scaled argument sits inside U+."""
-    y_lo = f.value(1.0, 1.0) ** (-1.0 / f.alpha_float)
+    y_lo = f.lambda0
     y_hi = 1.0 if not f.is_one_degenerate else 10.0 * y_lo
     return _invert_scaled(y_lo * 1.001 * r0, f.beta), _invert_scaled(y_hi * 0.999 * r0, f.beta)

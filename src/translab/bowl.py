@@ -213,7 +213,6 @@ def solve_bowl(f: CurvatureFunction, r_max: float) -> BowlProfile:
     if a <= 1.0 / 3.0:
         raise ParameterError(f"bowl solver requires alpha > 1/3, got {a}")
     branch = ImplicitBranch(f)
-    lam0 = f.value(1.0, 1.0) ** (-1.0 / a)
     clamp = None
     stops = []
     if not f.is_one_degenerate:
@@ -221,7 +220,7 @@ def solve_bowl(f: CurvatureFunction, r_max: float) -> BowlProfile:
         clamp = 1.0
         stops.append(lambda r, yv: yv[0] / (r * (1 + yv[0] ** 2) ** f.beta) - (1.0 - 1e-12))
     rhs, jac = _slope_scalar(f, branch, clamp)
-    traj = integrate(rhs, AXIS_EPS, [lam0 * AXIS_EPS], r_max, PROFILE_CONFIG, stops, jac=jac)
+    traj = integrate(rhs, AXIS_EPS, [f.lambda0 * AXIS_EPS], r_max, PROFILE_CONFIG, stops, jac=jac)
     if traj.termination == "terminal_event":
         termination = "reached cylinder slope y=1"
     elif traj.termination == "reached_end":
@@ -233,7 +232,7 @@ def solve_bowl(f: CurvatureFunction, r_max: float) -> BowlProfile:
     v = traj.ys[:, 0]
     # u(AXIS_EPS) is the exact integral of the series start on [0, AXIS_EPS];
     # each step adds the exact integral of its collocation polynomial
-    u = traj.node_integrals(0.5 * lam0 * AXIS_EPS**2)
+    u = traj.node_integrals(0.5 * f.lambda0 * AXIS_EPS**2)
     return BowlProfile(
         curvature_key=f.name,
         alpha=a,
@@ -243,7 +242,7 @@ def solve_bowl(f: CurvatureFunction, r_max: float) -> BowlProfile:
         v=v,
         residuals=_node_residuals(f, r, v, traj.fs[:, 0], v, clamp_y=clamp),
         termination=termination,
-        lambda0=lam0,
+        lambda0=f.lambda0,
         trajectory=traj,
     )
 
@@ -322,11 +321,13 @@ def default_window(profile: BowlProfile) -> tuple:
     return (profile.r_max / 10.0, profile.r_max / 2.0)
 
 
-def fit_tail(profile: BowlProfile, regime: str, window: Optional[tuple] = None) -> AsymptoticReport:
-    """Fit tail coefficients from the profile and compare with the formulas."""
+def fit_tail(profile: BowlProfile, window: Optional[tuple] = None) -> AsymptoticReport:
+    """Fit tail coefficients from the profile and compare with the formulas
+    of the family's regime."""
     from .curvature import from_key
 
     f = from_key(profile.curvature_key)
+    regime = "degenerate" if f.is_one_degenerate else "nondegenerate"
     window = window or default_window(profile)
     r = _window_grid(profile.r, window)
     v = profile.v_at(r)
@@ -348,7 +349,7 @@ def fit_tail(profile: BowlProfile, regime: str, window: Optional[tuple] = None) 
             "a": abs(a_hat - a_f) / max(abs(a_f), 1e-30),
             "b": abs(b_hat - b_f) / max(abs(b_f), 1e-2),  # absolute near b = 0
         }
-    elif regime == "degenerate":
+    else:
         k_g, c_g, d_g, A_g, boundary = coeffs_degenerate(f)
         if np.any(v <= 0):
             raise FitError("slope not positive on the window")
@@ -361,8 +362,6 @@ def fit_tail(profile: BowlProfile, regime: str, window: Optional[tuple] = None) 
             "d_gamma": abs(d_hat - d_g) / abs(d_g),
             "A_gamma": abs(A_hat - A_g) / abs(A_g),
         }
-    else:
-        raise ParameterError(f"unknown regime {regime!r}")
     if not all(math.isfinite(x) for x in rel.values()):
         raise FitError("fit produced non-finite errors")
     return AsymptoticReport(

@@ -60,6 +60,12 @@ from .implicit import ImplicitBranch
 from .ode import Trajectory, integrate
 
 HANDOFF_TAN = math.tan(math.pi / 8)
+# fit windows: the upper tail window from r_max / UPPER_FIT (``upper_window``)
+# must start past the neck radius R, where the branch has height 0, and a
+# derivative_origin lower end is fitted from max(LOWER_FIT r_h, r_max / 10),
+# r_h its chart's start, to r_max; so r_max > UPPER_FIT R and > LOWER_FIT r_h
+UPPER_FIT = 3.0
+LOWER_FIT = 2.0
 # 4-point Gauss-Legendre nodes and weights on [0, 1], for the quadratures over
 # one step that are not integrals of the state (exact for degree 7; the
 # integrands are smooth on each step)
@@ -283,29 +289,33 @@ def solve_upper_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float) -
     return _profile("upper", [neck_cols, columns], traj)
 
 
-def classify_case(f: CurvatureFunction, branch: ImplicitBranch) -> str:
-    """Lower-end dichotomy from the origin behavior of the slice function."""
+def classify_case(f: CurvatureFunction, branch: ImplicitBranch) -> tuple:
+    """Lower-end dichotomy from the origin behavior of the slice function:
+    (case, b), b the slope of g_- at the origin on a derivative_origin end
+    and None on a continuous_origin one."""
     meta = f.signed_meta
     if meta is not None and meta.origin_value == "continuous_zero":
-        return "continuous_origin"
+        return "continuous_origin", None
     # derivative case requires g_-(0,-1) = 0 with finite negative slope
     try:
         lim = branch.g_minus_limit_at_zero()
         if math.isfinite(lim) and abs(lim) < 1e-3:
             slope = branch.dg_minus_dy_at_zero()
             if slope < 0:
-                return "derivative_origin"
+                return "derivative_origin", slope
     except TranslabError:
         pass
     if meta is not None and meta.origin_value == "undefined":
         raise ClassificationError(
             f"{f.name}: origin not continuous and g_-(0,-1) data inconclusive"
         )
-    return "continuous_origin"
+    return "continuous_origin", None
 
 
-def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float) -> tuple:
-    """Descend from the neck; returns (Profile, s0, s1, case, end_behavior).
+def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, case: str,
+                       b: Optional[float]) -> tuple:
+    """Descend from the neck on the lower end of ``classify_case``, with
+    its slope b; returns (Profile, s0, s1, end_behavior, n_pi2, n_min).
 
     Case "continuous_origin": the branch bottoms out at finite radius
     (slope-zero crossing, arc length s0 = s1) and continues as a convex
@@ -313,7 +323,6 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float) -
     descends and flattens forever; the end slope is fitted to -a r^b.
     """
     branch = ImplicitBranch(f)
-    case = classify_case(f, branch)
     u_h, r_h, ru_h, s_h = neck.down_exit
     if r_h >= r_max:
         raise ParameterError(f"r_max={r_max} does not extend past the neck chart (r={r_h})")
@@ -338,21 +347,20 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float) -
         if tail.ys[-1, 0] >= 0:
             raise StructureError("derivative_origin branch unexpectedly turned upward")
         add_graph_chart(tail, u, s)
-        b_formula = branch.dg_minus_dy_at_zero()
         # the end slope -a r^b, fitted on a geometric grid of the dense slope
-        r = _window_grid(tail.ts, (max(r_h * 2.0, r_max / 10.0), r_max))
+        r = _window_grid(tail.ts, (max(r_h * LOWER_FIT, r_max / 10.0), r_max))
         w = -tail.resample(r)[:, 0]
         b_hat = _loglog_fit(r, w)[0]
-        is_log = abs(b_formula + 1.0) < 1e-9
+        is_log = abs(b + 1.0) < 1e-9
         # amplitude with the formula exponent pinned
-        a_R = float(math.exp(np.mean(np.log(w) - b_formula * np.log(r))))
+        a_R = float(math.exp(np.mean(np.log(w) - b * np.log(r))))
         theta_p_end = abs(tail.fs[-1, 0]) / (1 + tail.ys[-1, 0] ** 2) ** 1.5
         end_behavior.update(
             {
                 "kind": "logarithmic" if is_log else "power_law",
-                "b": b_formula,
+                "b": b,
                 "b_fitted": b_hat,
-                "exponent_u": b_formula + 1.0,
+                "exponent_u": b + 1.0,
                 "a_R": a_R,
                 "theta_prime_end": float(theta_p_end),
             }
@@ -412,7 +420,7 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float) -
         add_graph_chart(tail, u3, s3)
         end_behavior.update({"kind": "bowl_type"})
 
-    return _profile("lower", columns, tail), s0, s1, case, end_behavior, n_pi2, n_min
+    return _profile("lower", columns, tail), s0, s1, end_behavior, n_pi2, n_min
 
 
 def check_embeddedness(result: CatenoidResult) -> dict:
@@ -447,6 +455,12 @@ def check_embeddedness(result: CatenoidResult) -> dict:
     }
 
 
+def upper_window(r_max: float) -> tuple:
+    """The upper branch's tail window, on which the C+- offsets and the
+    growth exponent are read."""
+    return (r_max / UPPER_FIT, 0.9 * r_max)
+
+
 def solve_catenoid(
     f: CurvatureFunction,
     R: float,
@@ -456,17 +470,15 @@ def solve_catenoid(
 ) -> CatenoidResult:
     """Full catenoid construction: neck, both branches, offsets, embeddedness."""
     neck = solve_neck(f, R, handoff_tan)
-    # the fit windows start at r_max/3 on the upper branch, which starts at R
-    # with height 0, and on a derivative_origin lower end at twice its chart
-    # start r_h
-    r_min = 3.0 * R
-    if classify_case(f, ImplicitBranch(f)) == "derivative_origin":
-        r_min = max(r_min, 2.0 * neck.down_exit[1])
+    case, b = classify_case(f, ImplicitBranch(f))
+    r_min = UPPER_FIT * R
+    if case == "derivative_origin":
+        r_min = max(r_min, LOWER_FIT * neck.down_exit[1])
     if not r_max > r_min:
         raise ParameterError(f"r_max={float(r_max)} lies too close to the neck: "
                              f"the fit windows need r_max > {float(r_min)}")
     upper = solve_upper_branch(f, neck, r_max)
-    lower, s0, s1, case, end_behavior, n_pi2, n_min = solve_lower_branch(f, neck, r_max)
+    lower, s0, s1, end_behavior, n_pi2, n_min = solve_lower_branch(f, neck, r_max, case, b)
     result = CatenoidResult(
         R=R,
         curvature_key=f.name,
@@ -482,7 +494,7 @@ def solve_catenoid(
     )
     if bowl is None:
         bowl = solve_bowl(f, r_max)
-    grid = np.geomspace(r_max / 3.0, 0.9 * r_max, 200)
+    grid = np.geomspace(*upper_window(r_max), 200)
     ub = bowl.u_at(grid)
     result.C_plus = float(np.mean(upper.u_at(grid) - ub))
     if case == "continuous_origin":
@@ -495,8 +507,7 @@ def upper_growth_exponent(result: CatenoidResult, window: Optional[tuple] = None
     """Log-log slope of u_+ over the tail window (expected alpha + 1), fitted
     on a geometric grid of the dense height."""
     up = result.upper
-    r_hi = up.r[-1]
-    r = _window_grid(up.r, window or (r_hi / 3.0, 0.9 * r_hi))
+    r = _window_grid(up.r, window or upper_window(up.r[-1]))
     u = up.u_at(r)
     if np.any(u <= 0):
         raise ClassificationError("upper height not positive on the window")

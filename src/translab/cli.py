@@ -23,15 +23,12 @@ from .barrier import (
 from .bowl import fit_tail, growth_exponent, solve_bowl
 from .catenoid import solve_catenoid, upper_growth_exponent
 from .cliio import RunManifest, emit_plot_script, load_config, write_csv, write_json
-from .curvature import check_homogeneity, from_key, registry_keys
+from .curvature import check_homogeneity, family_patterns, from_key, registry_keys
 from .errors import ParameterError, TranslabError
 from .implicit import ImplicitBranch
 
 
-_CHOICES = {
-    "regime": ("auto", "nondegenerate", "degenerate"),
-    "suite": ("homogeneity", "implicit", "ordering", "barrier", "all"),
-}
+_SUITES = ("homogeneity", "implicit", "ordering", "barrier", "all")
 
 
 def _parse_args(argv):
@@ -48,7 +45,6 @@ def _parse_args(argv):
     b = sub.add_parser("bowl", help="bowl-type translator profile and asymptotics")
     b.add_argument("--curvature", default=None)
     b.add_argument("--rmax", type=float, default=None)
-    b.add_argument("--regime", choices=_CHOICES["regime"], default=None)
     b.add_argument("--fit-lo", type=float, default=None)
     b.add_argument("--fit-hi", type=float, default=None)
     common(b)
@@ -61,7 +57,7 @@ def _parse_args(argv):
     common(c)
 
     v = sub.add_parser("verify", help="property suites")
-    v.add_argument("--suite", default=None, choices=_CHOICES["suite"])
+    v.add_argument("--suite", default=None, choices=_SUITES)
     v.add_argument("--curvature", default=None)
     common(v)
 
@@ -73,7 +69,7 @@ def _parse_args(argv):
 # per command, the default of each option; None marks a required option
 _DEFAULTS = {
     "global": {"out": "out", "seed": 0},
-    "bowl": {"curvature": None, "rmax": 500.0, "regime": "auto"},
+    "bowl": {"curvature": None, "rmax": 500.0},
     "catenoid": {"curvature": None, "R": None, "rmax": 50.0, "handoff": "pi8"},
     "verify": {"curvature": None, "suite": None},
 }
@@ -101,10 +97,8 @@ def _merge_config(args, cfg: dict) -> None:
         raise ParameterError(f"seed must be an integer, got {args.seed!r}") from None
     if args.seed < 0:
         raise ParameterError(f"seed must be non-negative, got {args.seed}")
-    for attr, choices in _CHOICES.items():
-        value = getattr(args, attr, None)
-        if value is not None and value not in choices:
-            raise ParameterError(f"--{attr} must be one of {', '.join(choices)}, got {value!r}")
+    if getattr(args, "suite", None) not in (None, *_SUITES):
+        raise ParameterError(f"--suite must be one of {', '.join(_SUITES)}, got {args.suite!r}")
     for attr in _FLOAT_KEYS:
         raw = getattr(args, attr, None)
         if raw is None:
@@ -176,10 +170,7 @@ def cmd_bowl(args):
 
     def solve(out, manifest):
         profile = solve_bowl(f, args.rmax)
-        regime = args.regime
-        if regime == "auto":
-            regime = "degenerate" if f.is_one_degenerate else "nondegenerate"
-        report = fit_tail(profile, regime, window)
+        report = fit_tail(profile, window)
         gexp = growth_exponent(profile, window)
 
         _emit(manifest, out / "profile.csv", write_csv, "r,u,v,residual",
@@ -266,7 +257,7 @@ def cmd_catenoid(args):
 
 def cmd_verify(args):
     f = from_key(args.curvature)
-    suites = _CHOICES["suite"][:-1] if args.suite == "all" else [args.suite]  # all but "all"
+    suites = _SUITES[:-1] if args.suite == "all" else [args.suite]  # all but "all"
 
     def solve(out, manifest):
         results = {}
@@ -316,7 +307,7 @@ def cmd_verify(args):
             results["ordering"] = {key: rep[key] for key in
                                    ("min_gap", "pairs", "termination", "r_reached")}
         if "barrier" in suites:
-            if branch.has_minus_level():
+            if f.minus_level is not None:
                 try:
                     b = branch.dg_minus_dy_at_zero()
                 except TranslabError:
@@ -355,9 +346,9 @@ def cmd_verify(args):
 
 
 def cmd_list(args) -> int:
-    print("family patterns:")
-    print("  mean:n=N | gauss:n=N | hq:k=K,l=L,n=N | qk:k=K,n=N | sk:k=K,n=N")
-    print("  knorm:k=K,n=N | kconv:k=K,n=N")
+    print("family patterns (each parameter given once):")
+    for pattern in family_patterns():
+        print(f"  {pattern}")
     print("registered examples:")
     for key in registry_keys():
         f = from_key(key)

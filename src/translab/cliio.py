@@ -27,7 +27,7 @@ ENV_PREFIX = "TRANSLAB_"
 
 _KNOWN_KEYS = {
     "global": {"out", "seed"},
-    "bowl": {"curvature", "rmax", "regime", "fit_lo", "fit_hi"},
+    "bowl": {"curvature", "rmax", "fit_lo", "fit_hi"},
     "catenoid": {"curvature", "r", "rmax", "handoff"},
     "verify": {"curvature", "suite"},
 }
@@ -59,16 +59,8 @@ def load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: Path, header: str, columns: Iterable[np.ndarray]) -> None:
-    cols = [np.asarray(c) for c in columns]
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(fmt(x) for x in row) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _json_default(o):

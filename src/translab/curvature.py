@@ -65,12 +65,18 @@ class CurvatureFunction:
         self.name = name
         self.dimension_n = n
         self.alpha = Fraction(alpha)
-        self.normalization = 1.0
         self.signed_meta: Optional[SignedMeta] = None
-        v01 = self._raw_value(0.0, 1.0)
-        self._value_at_01 = v01
-        if abs(v01) > _NORM_TOL:
-            self.normalization = v01
+        # the family's fixed data: the raw slice value at (0, 1), which is
+        # the normalization unless it vanishes (1-degenerate), the value at
+        # the umbilic point (1, 1) and the umbilic slope lambda0 of the bowl
+        self.value_at_01 = self._raw_value(0.0, 1.0)
+        self.is_one_degenerate = abs(self.value_at_01) <= _NORM_TOL
+        self.normalization = 1.0 if self.is_one_degenerate else self.value_at_01
+        self.alpha_float = a = float(self.alpha)
+        self.beta = (a - 1.0) / (2.0 * a)
+        self.value_at_11 = self._raw_value(1.0, 1.0) / self.normalization
+        self.lambda0 = self.value_at_11 ** (-1.0 / a)
+        self.has_array_inverse = self._raw_solve_x_array is not None
 
     # -- per-family hooks -------------------------------------------------
 
@@ -94,31 +100,8 @@ class CurvatureFunction:
     # -- public evaluation -------------------------------------------------
 
     @property
-    def alpha_float(self) -> float:
-        return float(self.alpha)
-
-    @property
-    def beta(self) -> float:
-        a = float(self.alpha)
-        return (a - 1.0) / (2.0 * a)
-
-    @property
-    def value_at_01(self) -> float:
-        """Slice value at (0, 1) before normalization."""
-        return self._value_at_01
-
-    @property
-    def is_one_degenerate(self) -> bool:
-        """1-degenerate iff the slice value at (0, 1) vanishes."""
-        return abs(self._value_at_01) <= _NORM_TOL
-
-    @property
     def is_signed(self) -> bool:
         return self.signed_meta is not None
-
-    @property
-    def has_array_inverse(self) -> bool:
-        return self._raw_solve_x_array is not None
 
     def value(self, x: float, y: float) -> float:
         return self._raw_value(x, y) / self.normalization
@@ -235,14 +218,6 @@ class GaussRoot(CurvatureFunction):
         if x == 0 or y == 0:
             raise DomainError("gauss gradient undefined on the boundary")
         return v / (n * x), (n - 1) * v / (n * y)
-
-    def _raw_second(self, x, y):
-        n = self.dimension_n
-        v = self._raw_value(x, y)
-        gxx = v * (1 - n) / (n * n * x * x)
-        gxy = v * (n - 1) / (n * n * x * y)
-        gyy = -v * (n - 1) / (n * n * y * y)
-        return gxx, gxy, gyy
 
     def _raw_solve_x(self, y, z_raw):
         n = self.dimension_n
@@ -566,37 +541,53 @@ class KConvexity(CurvatureFunction):
 # registry
 # ---------------------------------------------------------------------------
 
-def build_family(family: str, n: int, **params) -> CurvatureFunction:
-    """Construct a normalized family member; see ``registry_keys`` for names."""
-    if family == "mean":
-        return MeanCurvature(n)
-    if family in ("gauss", "gauss_root"):
-        return GaussRoot(n)
-    if family in ("hq", "hessian_quotient"):
-        return HessianQuotient(n, params["k"], params["l"])
-    if family == "qk":
-        return HessianQuotient(n, params["k"], params["k"] - 1)
-    if family in ("sk", "s_k"):
-        return SymmetricPoly(n, params["k"])
-    if family in ("knorm", "k_norm"):
-        return KNorm(n, params["k"])
-    if family in ("kconv", "k_convexity"):
-        return KConvexity(n, params["k"])
-    raise ParameterError(f"unknown curvature family {family!r}")
+# each family's constructor and the parameters of its key besides n, in the
+# constructor's order after n
+_FAMILIES = {
+    "mean": (MeanCurvature, ()),
+    "gauss": (GaussRoot, ()),
+    "hq": (HessianQuotient, ("k", "l")),
+    "qk": (lambda n, k: HessianQuotient(n, k, k - 1), ("k",)),
+    "sk": (SymmetricPoly, ("k",)),
+    "knorm": (KNorm, ("k",)),
+    "kconv": (KConvexity, ("k",)),
+}
+
+
+def family_patterns() -> list:
+    """The key pattern of each family, such as 'hq:k=K,l=L,n=N'."""
+    return [f"{family}:" + ",".join(f"{p}={p.upper()}" for p in (*names, "n"))
+            for family, (_, names) in _FAMILIES.items()]
+
+
+def build_family(family: str, n: int, /, **params) -> CurvatureFunction:
+    """Construct a normalized family member from exactly the parameters its
+    key takes; see ``family_patterns``."""
+    if family not in _FAMILIES:
+        raise ParameterError(f"unknown curvature family {family!r}")
+    make, names = _FAMILIES[family]
+    if sorted(params) != sorted(names):
+        raise ParameterError(f"{family} takes the parameters {', '.join((*names, 'n'))}, "
+                             f"got {', '.join((*params, 'n'))}")
+    return make(n, *(params[p] for p in names))
 
 
 def from_key(key: str) -> CurvatureFunction:
-    """Parse a registry key like 'hq:k=2,l=0,n=4' or 'mean:n=3'."""
+    """Parse a registry key like 'hq:k=2,l=0,n=4' or 'mean:n=3'; each
+    parameter is given once."""
+    family, _, rest = key.partition(":")
+    kv = {}
     try:
-        family, _, rest = key.partition(":")
-        kv = {}
         for item in filter(None, rest.split(",")):
             name, _, val = item.partition("=")
-            kv[name.strip()] = int(val)
+            name = name.strip()
+            if name in kv:
+                raise ValueError(f"parameter {name} repeated")
+            kv[name] = int(val)
         n = kv.pop("n")
-        return build_family(family.strip(), n, **kv)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ParameterError(f"malformed curvature key {key!r}: {exc}") from exc
+    return build_family(family.strip(), n, **kv)
 
 
 def registry_keys() -> list:

@@ -108,8 +108,6 @@ class ImplicitBranch:
 
         lo = min(max(lo, chart_lo), chart_hi)
         hi = min(max(hi, chart_lo), chart_hi)
-        if lo > hi:
-            lo, hi = hi, lo
         flo, fhi = phi(lo), phi(hi)
         width = max(hi - lo, 1e-6)
         n_exp = 0
@@ -128,22 +126,6 @@ class ImplicitBranch:
                 flo = phi(lo)
             width *= 2.0
             n_exp += 1
-        # NaN edges: shrink until the bracket is inside the domain
-        for _ in range(200):
-            if not math.isnan(flo) and not math.isnan(fhi):
-                break
-            mid = 0.5 * (lo + hi)
-            fm = phi(mid)
-            if math.isnan(flo):
-                if math.isnan(fm) or fm < 0:
-                    lo, flo = mid, fm
-                else:
-                    hi, fhi = mid, fm
-            else:
-                if math.isnan(fm) or fm > 0:
-                    hi, fhi = mid, fm
-                else:
-                    lo, flo = mid, fm
         tol = SOLVE_TOLERANCE * max(1.0, abs(z))
         x = 0.5 * (lo + hi)
         step = step_old = hi - lo
@@ -212,14 +194,11 @@ class ImplicitBranch:
     # -- public branches ------------------------------------------------------
 
     def u_plus_bounds(self, y: float, z: float) -> tuple:
-        """The defining inequalities of U+ as (lhs, y^alpha, rhs-or-inf)."""
+        """The defining inequalities of U+ as (lhs, y^alpha, rhs-or-inf);
+        the rhs z/gamma(0, 1) is z, gamma being normalized at (0, 1)."""
         f = self.source
-        a = f.alpha_float
-        g11 = f.value(1.0, 1.0)
-        lo = z / g11
-        if f.is_one_degenerate:
-            return lo, y**a, math.inf
-        return lo, y**a, z / f.value(0.0, 1.0)
+        hi = math.inf if f.is_one_degenerate else z
+        return z / f.value_at_11, y**f.alpha_float, hi
 
     def in_u_plus(self, y: float, z: float) -> bool:
         if y <= 0 or z <= 0:
@@ -244,8 +223,7 @@ class ImplicitBranch:
                 violated="right",
             )
         # proof bound 0 < x < y inside U+; the bracket expands automatically
-        a = f.alpha_float
-        upper = y if not f.is_one_degenerate else y * z ** (1.0 / a) * f.value(1.0, 1.0) ** (-1.0 / a) + y
+        upper = y if not f.is_one_degenerate else y * z ** (1.0 / f.alpha_float) * f.lambda0 + y
         return self._solve_bracketed(y, z, 0.0, upper)
 
     def solve_extended(self, y: float, z: float, seed: Optional[float] = None) -> float:
@@ -318,10 +296,6 @@ class ImplicitBranch:
         np.put(x, rest, xs)
         return x
 
-    def has_minus_level(self) -> bool:
-        """Whether the slice evaluator reaches the -1 level at y in (-1, 0)."""
-        return self.source.minus_level is not None
-
     def g_minus(self, y: float) -> float:
         """The x-solve of gamma(x, y) = -1 for y in (-1, 0).
 
@@ -331,7 +305,7 @@ class ImplicitBranch:
         unrestricted.
         """
         f = self.source
-        if not self.has_minus_level():
+        if f.minus_level is None:
             raise UnsupportedError(f"{f.name} is positive; the -1 level is empty")
         if not -1.0 < y < 0.0:
             raise DomainError(f"U- requires y in (-1, 0), got {y}")
@@ -373,7 +347,7 @@ class ImplicitBranch:
         from .errors import ClassificationError
 
         f = self.source
-        if not self.has_minus_level():
+        if f.minus_level is None:
             raise UnsupportedError(f"{f.name} has no -1 level")
         hs = [4e-3, 2e-3, 1e-3, 5e-4]
         vals = []
@@ -406,9 +380,7 @@ class ImplicitBranch:
 
     def endpoint_data(self) -> EndpointData:
         f = self.source
-        a = f.alpha_float
-        y_left = f.value(1.0, 1.0) ** (-1.0 / a)
-        left = y_left  # g_+(gamma(1,1)^(-1/alpha), 1) = same value, by scaling
+        left = f.lambda0  # g_+(gamma(1,1)^(-1/alpha), 1) = same value, by scaling
         right = 0.0 if not f.is_one_degenerate else math.nan
         m0 = None
         try:
@@ -416,15 +388,13 @@ class ImplicitBranch:
         except DomainError:
             gm11 = -math.inf
         if gm11 > 0:
-            m0 = -(gm11 ** (-1.0 / a))
+            m0 = -(gm11 ** (-1.0 / f.alpha_float))
         return EndpointData(left_value=left, right_value=right, m0_bar=m0)
 
     def endpoint_left_by_limit(self) -> float:
         """Interior solve toward the left endpoint of U+ at z = 1, at a
         relative distance 1e-8 from it."""
-        f = self.source
-        y_left = f.value(1.0, 1.0) ** (-1.0 / f.alpha_float)
-        return self.g_plus(y_left * (1 + 1e-8), 1.0)
+        return self.g_plus(self.source.lambda0 * (1 + 1e-8), 1.0)
 
     def laurent_tail(self) -> tuple:
         """Leading Laurent term of g_+(y, 1) at infinity: (k_gamma, c_gamma).

@@ -77,7 +77,7 @@ def test_criterion_1_nondegenerate_asymptotics(mean_profiles):
     ok = True
     for n in MEAN_NS:
         p, dt = mean_profiles[n]
-        rep = fit_tail(p, "nondegenerate", window=(500.0 / 10, 500.0 / 2))
+        rep = fit_tail(p, window=(500.0 / 10, 500.0 / 2))
         a_ok = rep.rel_errors["a"] <= 0.01
         if n == 4:
             b_ok = abs(rep.fitted["b"]) <= 1e-2
@@ -94,7 +94,7 @@ def test_criterion_2_degenerate_asymptotics(gauss_profiles):
     ok = True
     for n in GAUSS_NS:
         p, dt = gauss_profiles[n]
-        rep = fit_tail(p, "degenerate", window=(1e3, 1e4))
+        rep = fit_tail(p, window=(1e3, 1e4))
         d_f, A_f = n / (n - 2), (n / (n - 2)) ** (1.0 / (2 - n))
         branch = ImplicitBranch(from_key(f"gauss:n={n}"))
         k_hat, c_hat = branch.laurent_tail()

@@ -88,7 +88,7 @@ def test_alpha_three_reaches_r100():
     dt = time.perf_counter() - t0
     assert p.termination == "reached_end"
     assert dt < 5.0
-    assert fit_tail(p, "nondegenerate").rel_errors["a"] <= 0.01
+    assert fit_tail(p).rel_errors["a"] <= 0.01
     assert growth_exponent(p) == pytest.approx(4.0, rel=0.02)
 
 
@@ -161,34 +161,34 @@ def test_coeffs_regime_mismatch():
 
 def test_fit_mean_n3_window():
     p = profile("mean:n=3", 500.0)
-    rep = fit_tail(p, "nondegenerate", window=(100.0, 500.0))
+    rep = fit_tail(p, window=(100.0, 500.0))
     assert rep.rel_errors["a"] <= 1e-2
     assert abs(rep.fitted["a"] - 0.5) / 0.5 <= 1e-2
 
 
 def test_fit_mean_n4_b_zero():
     p = profile("mean:n=4", 500.0)
-    rep = fit_tail(p, "nondegenerate", window=(100.0, 500.0))
+    rep = fit_tail(p, window=(100.0, 500.0))
     assert abs(rep.fitted["b"]) <= 1e-2
 
 
 def test_fit_gauss_degenerate():
     p = profile("gauss:n=4", 1e4)
-    rep = fit_tail(p, "degenerate", window=(1e3, 1e4))
+    rep = fit_tail(p, window=(1e3, 1e4))
     assert abs(rep.fitted["d_gamma"] - 2.0) <= 0.02
 
 
 def test_window_stability_of_a():
     p = profile("mean:n=3", 500.0)
-    r1 = fit_tail(p, "nondegenerate", window=(50.0, 250.0)).fitted["a"]
-    r2 = fit_tail(p, "nondegenerate", window=(100.0, 500.0)).fitted["a"]
+    r1 = fit_tail(p, window=(50.0, 250.0)).fitted["a"]
+    r2 = fit_tail(p, window=(100.0, 500.0)).fitted["a"]
     assert abs(r1 - r2) / abs(r1) <= 1e-3
 
 
 def test_bad_window_rejected():
     p = profile("mean:n=4", 50.0)
     with pytest.raises(FitError):
-        fit_tail(p, "nondegenerate", window=(40.0, 400.0))
+        fit_tail(p, window=(40.0, 400.0))
     with pytest.raises(FitError):
         growth_exponent(p, window=(30.0, 20.0))
     with pytest.raises(FitError):

@@ -265,6 +265,21 @@ def test_qk_lower_end_classification(k, kind, exp_u):
     assert res.s0 is None
 
 
+def test_lower_end_classified_once(monkeypatch):
+    # limit (3 solves) and slope (4 solves) of g_- at the origin, taken once
+    calls = []
+    g_minus = ImplicitBranch.g_minus
+
+    def counted(self, y):
+        calls.append(y)
+        return g_minus(self, y)
+
+    monkeypatch.setattr(ImplicitBranch, "g_minus", counted)
+    res = solve_catenoid(from_key("qk:k=3,n=6"), 1.0, 20.0)
+    assert res.case == "derivative_origin"
+    assert len(calls) == 7
+
+
 def test_qk_theta_prime_vanishes():
     res = catenoid("qk:k=3,n=6", 1.0, 200.0)
     assert res.end_behavior["theta_prime_end"] <= 1e-5

@@ -98,6 +98,26 @@ def test_bowl_bad_curvature_exit2(tmp_path):
     assert run(["bowl", "--curvature", "bogus:n=3", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["qk:k=3,l=0,n=6", "mean:k=5,n=3", "mean:family=1,n=3", "mean:n=3,n=4", "hq:k=2,n=3",
+     "gauss_root:n=4"],
+    ids=["unused-l", "unused-k", "unused-family", "repeated-n", "missing-l", "alias"],
+)
+def test_strict_curvature_key_exit2(tmp_path, key):
+    # a key names every parameter its family takes, once, and no other
+    out = tmp_path / "o"
+    assert run(["verify", "--suite", "homogeneity", "--curvature", key, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_regime_option_gone(tmp_path):
+    # the bowl regime is the family's: 1-degenerate or not
+    with pytest.raises(SystemExit) as exc:
+        run(["bowl", "--curvature", "gauss:n=4", "--regime", "degenerate", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_catenoid_not_signed_exit2(tmp_path):
     assert run(["catenoid", "--curvature", "mean:n=3", "--R", "1", "--out", str(tmp_path)]) == 2
 
@@ -248,9 +268,8 @@ def test_negative_seed_exit2(tmp_path, monkeypatch, source):
     "env, args",
     [
         ({"TRANSLAB_VERIFY_SUITE": "foo"}, ["verify", "--curvature", "mean:n=3"]),
-        ({"TRANSLAB_BOWL_REGIME": "bogus"}, ["bowl", "--curvature", "mean:n=3"]),
     ],
-    ids=["suite", "regime"],
+    ids=["suite"],
 )
 def test_bad_choice_from_env_exit2_before_solve(tmp_path, monkeypatch, env, args):
     for key, value in env.items():

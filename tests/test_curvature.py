@@ -17,6 +17,7 @@ from translab.curvature import (
     zero_ray,
 )
 from translab.errors import ParameterError, UnsupportedError
+from translab.implicit import ImplicitBranch
 
 ALL_KEYS = registry_keys()
 
@@ -64,6 +65,27 @@ def test_invalid_parameters_rejected():
         build_family("nosuch", 3)
     with pytest.raises(ParameterError):
         from_key("mean:k=3")
+    # a key gives each parameter of its family once, and no other
+    for key in ("qk:k=3,l=0,n=6", "mean:k=5,n=3", "sk:k=3,k=4,n=5", "hq:k=2,n=3"):
+        with pytest.raises(ParameterError):
+            from_key(key)
+
+
+@pytest.mark.parametrize("key", ["qk:k=3,n=7", "sk:k=3,n=5"])
+def test_analytic_second_partials_match_differences(key, monkeypatch):
+    # at (g_+(1, 1), 1), where coeffs_nondegenerate takes them: g_+(1, 1) = 0
+    # lies on the right end of U+, reached by the unrestricted solve
+    f = from_key(key)
+    y = 1.0
+    x = ImplicitBranch(f).solve_extended(y, 1.0)
+    assert abs(x) < 1e-12
+    analytic = f.second_partials(x, y)
+    monkeypatch.setattr(f, "_raw_second", lambda x, y: None)
+    differenced = f.second_partials(x, y)
+    scale = max(abs(v) for v in analytic)
+    assert scale > 0
+    for a, d in zip(analytic, differenced):
+        assert abs(a - d) <= 1e-6 * scale
 
 
 def test_kconv_k1_rejected_with_reason():
