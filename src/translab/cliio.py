@@ -35,8 +35,10 @@ _KNOWN_KEYS = {
 
 def load_config(path: Optional[str]) -> dict:
     """Flat key=value sections; environment variables override as
-    TRANSLAB_<SECTION>_<KEY>.  Unknown keys are rejected."""
+    TRANSLAB_<SECTION>_<KEY>.  Unknown keys are rejected, in the file and
+    under a known section's environment prefix alike."""
     cfg = {section: {} for section in _KNOWN_KEYS}
+    items = []  # (section, key, value), the environment's after the file's
     if path:
         parser = configparser.ConfigParser()
         read = parser.read(path)
@@ -45,17 +47,18 @@ def load_config(path: Optional[str]) -> dict:
         for section in parser.sections():
             if section not in _KNOWN_KEYS:
                 raise ParameterError(f"unknown config section [{section}]")
-            for key, val in parser.items(section):
-                if key not in _KNOWN_KEYS[section]:
-                    raise ParameterError(f"unknown config key {key!r} in [{section}]")
-                cfg[section][key] = val
+            items += [(section, key, val) for key, val in parser.items(section)]
     for env_key, val in os.environ.items():
         if not env_key.startswith(ENV_PREFIX):
             continue
         rest = env_key[len(ENV_PREFIX):].lower()
-        section, _, key = rest.partition("_")
-        if section in _KNOWN_KEYS and key in _KNOWN_KEYS[section]:
-            cfg[section][key] = val
+        section, sep, key = rest.partition("_")
+        if section in _KNOWN_KEYS and sep:
+            items.append((section, key, val))
+    for section, key, val in items:
+        if key not in _KNOWN_KEYS[section]:
+            raise ParameterError(f"unknown config key {key!r} in [{section}]")
+        cfg[section][key] = val
     return cfg
 
 

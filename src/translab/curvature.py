@@ -3,9 +3,10 @@
 Every function of the principal curvatures used here is evaluated on the
 rotational slice (x, y, ..., y) of R^n, which collapses it to a function
 gamma(x, y) of two variables.  Each family below provides the slice value,
-analytic first partials, a cone-membership predicate, and (where algebra
-permits) a closed-form inverse in x that downstream modules use as an
-independent cross-check of the generic root solver.
+analytic first partials, a cone-membership predicate and a closed-form
+inverse in x, for a float or an ndarray of y.  The inverse feeds the ODE
+right-hand sides (``ImplicitBranch.solve_level`` and ``solve_levels``) and
+cross-checks the generic root solver.
 
 Construction normalizes gamma so that gamma(0, 1) = 1 whenever that value is
 positive; the original scale is kept in ``normalization``.
@@ -34,6 +35,14 @@ class SignedMeta:
     origin_value: str  # "continuous_zero" or "undefined"
 
 
+def _where(ok, x, other=math.nan):
+    """``x if ok else other`` on floats, ``np.where`` if ok or x is an
+    ndarray (kconv's ok is a float when its y-term vanishes)."""
+    if isinstance(ok, np.ndarray) or isinstance(x, np.ndarray):
+        return np.where(ok, x, other)
+    return x if ok else other
+
+
 class CurvatureFunction:
     """An alpha-homogeneous symmetric curvature function on its slice.
 
@@ -53,11 +62,6 @@ class CurvatureFunction:
     # takes the value -1, "reflected" where it is even in x and the level is
     # the odd sign rule's image -gamma(x, -y) of the level 1
     minus_level: Optional[str] = None
-    # the closed-form inverse over an ndarray of y, elementwise and
-    # non-finite where the scalar one raises; None where there is none.
-    # Families whose inverse is verified rather than exact also give
-    # _raw_value_array and x_chart_array
-    _raw_solve_x_array = None
 
     def __init__(self, name: str, n: int, alpha: Fraction):
         if n < 2:
@@ -76,7 +80,6 @@ class CurvatureFunction:
         self.beta = (a - 1.0) / (2.0 * a)
         self.value_at_11 = self._raw_value(1.0, 1.0) / self.normalization
         self.lambda0 = self.value_at_11 ** (-1.0 / a)
-        self.has_array_inverse = self._raw_solve_x_array is not None
 
     # -- per-family hooks -------------------------------------------------
 
@@ -90,9 +93,9 @@ class CurvatureFunction:
         """(gxx, gxy, gyy) of the raw slice value, or None to use differences."""
         return None
 
-    def _raw_solve_x(self, y: float, z_raw: float) -> float:
-        """Closed-form x with raw gamma(x, y) = z_raw, if the family has one."""
-        raise UnsupportedError(f"{self.name}: no closed-form inverse")
+    def _raw_solve_x(self, y, z_raw):
+        """Closed-form x with raw gamma(x, y) = z_raw; NaN where there is none."""
+        raise NotImplementedError
 
     def cone_contains(self, x: float, y: float) -> bool:
         raise NotImplementedError
@@ -125,16 +128,16 @@ class CurvatureFunction:
         gxy = 0.5 * ((gyp[0] - gym[0]) / (2 * h) + (gxp[1] - gxm[1]) / (2 * h))
         return gxx, gxy, gyy
 
-    def solve_x(self, y: float, z: float) -> float:
-        """Closed-form reference inverse of the normalized slice value."""
-        return self._raw_solve_x(y, z * self.normalization)
-
-    def solve_x_array(self, y: np.ndarray, z: float) -> np.ndarray:
-        """``solve_x`` over an array of y (families with an array inverse)."""
-        return self._raw_solve_x_array(y, z * self.normalization)
+    def solve_x(self, y, z: float):
+        """Closed-form inverse of the normalized slice value, for a float or
+        an ndarray of y; NaN (in the shape of y) where there is no root."""
+        try:
+            return self._raw_solve_x(y, z * self.normalization)
+        except (ZeroDivisionError, OverflowError):
+            return y * math.nan
 
     def value_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``value`` over arrays (families with a verified array inverse)."""
+        """``value`` over arrays (families whose inverse is verified)."""
         return self._raw_value_array(x, y) / self.normalization
 
     def x_chart(self, y: float, z: float) -> tuple:
@@ -190,8 +193,6 @@ class MeanCurvature(CurvatureFunction):
     def _raw_solve_x(self, y, z_raw):
         return z_raw - (self.dimension_n - 1) * y
 
-    _raw_solve_x_array = _raw_solve_x
-
     def cone_contains(self, x, y):
         return x + (self.dimension_n - 1) * y > 0
 
@@ -222,8 +223,6 @@ class GaussRoot(CurvatureFunction):
     def _raw_solve_x(self, y, z_raw):
         n = self.dimension_n
         return z_raw**n / y ** (n - 1)
-
-    _raw_solve_x_array = _raw_solve_x
 
     def cone_contains(self, x, y):
         return x > 0 and y > 0
@@ -287,8 +286,6 @@ class SymmetricPoly(CurvatureFunction):
 
     def _raw_solve_x(self, y, z_raw):
         k = self.k
-        if self._a == 0 or y == 0:
-            raise DomainError("sk inverse undefined at y=0")
         return (z_raw - self._b * y**k) / (self._a * y ** (k - 1))
 
     def cone_contains(self, x, y):
@@ -386,15 +383,6 @@ class HessianQuotient(CurvatureFunction):
         m = self.m
         zm = z_raw**m
         ym = y**m
-        den = self._bk1 * ym - self._bl1 * zm
-        if den == 0:
-            raise DomainError(f"{self.name}: closed-form denominator vanishes")
-        return y * (self._bl * zm - self._bk * ym) / den
-
-    def _raw_solve_x_array(self, y, z_raw):
-        m = self.m
-        zm = z_raw**m
-        ym = y**m
         return y * (self._bl * zm - self._bk * ym) / (self._bk1 * ym - self._bl1 * zm)
 
     def _raw_value_array(self, x, y):
@@ -470,13 +458,9 @@ class KNorm(CurvatureFunction):
     def _raw_solve_x(self, y, z_raw):
         k, n = self.k, self.dimension_n
         s = z_raw**k - (n - 1) * y**k
-        if s > 0:
-            return s ** (1.0 / k)
-        if s < 0 and k % 2 == 1:
-            return -((-s) ** (1.0 / k))
-        if s == 0:
-            return 0.0
-        raise DomainError(f"{self.name}: no positive-branch inverse at y={y}, z={z_raw}")
+        root = abs(s) ** (1.0 / k)
+        # an even power sum has no level below 0; an odd one takes the odd root
+        return _where(s < 0, -root if k % 2 == 1 else math.nan, root)
 
     def cone_contains(self, x, y):
         return x > 0 and y > 0
@@ -528,9 +512,7 @@ class KConvexity(CurvatureFunction):
         sy = k * y
         rest = self._b / sy if self._b else 0.0
         lhs = 1.0 / z_raw - rest
-        if lhs <= 0:
-            raise DomainError(f"{self.name}: inverse undefined at y={y}, z={z_raw}")
-        return self._a / lhs - (k - 1) * y
+        return _where(lhs > 0, self._a / lhs - (k - 1) * y)
 
     def cone_contains(self, x, y):
         k = self.k

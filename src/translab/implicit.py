@@ -4,8 +4,8 @@ The level set is solved for x by one safeguarded Newton loop in an expanding
 bracket: Newton steps where they land inside the bracket and shrink it fast
 enough, splits otherwise, geometric in the distance to a near chart end (a
 pole, a radicand root).  It only uses ``value`` and ``grad`` of the curvature
-function, so it stays independent of any per-family closed-form inverse
-(those are used as cross-checks in the test suite).
+function, so it stays independent of the closed-form inverses, which feed
+the ODE right-hand sides through ``solve_level`` and cross-check it.
 
 ``g_plus`` is the positive-level branch on U+;  ``g_minus`` the z = -1 branch
 at y in (-1, 0);  ``solve_extended`` the unrestricted monotone solve used by
@@ -237,7 +237,7 @@ class ImplicitBranch:
         return self._solve_bracketed(y, z, c - 0.25 * w, c + 0.25 * w)
 
     def solve_level(self, y: float, z: float, seed: Optional[float] = None) -> float:
-        """Fast x-solve: closed form when the family has one, else numeric.
+        """Fast x-solve: the family's closed form, numeric where it has no root.
 
         Families whose inverse is algebraically exact are trusted directly;
         other closed forms (even-power branches can be spurious) are
@@ -253,20 +253,17 @@ class ImplicitBranch:
                 lo, hi = f.x_chart(y, z)
                 if lo < x < hi:
                     return x
-        except (UnsupportedError, DomainError, ZeroDivisionError, OverflowError):
+        except DomainError:  # the verifying value at a spurious root
             pass
         return self.solve_extended(y, z, seed)
 
     def closed_levels(self, ys: np.ndarray, z: float) -> tuple:
-        """The array closed-form inverse at (ys, z) and the mask of the
-        elements that pass the acceptance rule of ``solve_level``, both
-        evaluated as arrays; every element is rejected for a family
-        without an array inverse."""
+        """The closed-form inverse at (ys, z) and the mask of the elements
+        that pass the acceptance rule of ``solve_level``, both evaluated as
+        arrays."""
         f = self.source
-        if not f.has_array_inverse:
-            return np.full(ys.shape, np.nan), np.zeros(ys.shape, dtype=bool)
         with np.errstate(all="ignore"):
-            x = f.solve_x_array(ys, z)
+            x = f.solve_x(ys, z)
             ok = np.isfinite(x)
             if not f.closed_inverse_exact:
                 lo, hi = f.x_chart_array(ys, z)

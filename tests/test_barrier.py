@@ -151,17 +151,19 @@ def test_ordering_gap_on_shared_steps(key):
 
 @pytest.mark.parametrize("key", registry_keys())
 def test_ordering_every_family(monkeypatch, key):
-    # families without an array closed-form inverse solve every component
-    # with the scalar solve_level
+    # every family's array closed form takes every component the batched
+    # RHS passes: no element falls back to the scalar solve_level
     f = from_key(key)
-    scalar_solves = []
-    original = ImplicitBranch.solve_level
+    elements, rejected = [], []
+    original = ImplicitBranch.closed_levels
 
-    def spy(self, y, z, seed=None):
-        scalar_solves.append(y)
-        return original(self, y, z, seed)
+    def spy(self, ys, z):
+        x, ok = original(self, ys, z)
+        elements.append(ok.size)
+        rejected.append(int(ok.size - ok.sum()))
+        return x, ok
 
-    monkeypatch.setattr(ImplicitBranch, "solve_level", spy)
+    monkeypatch.setattr(ImplicitBranch, "closed_levels", spy)
     v_lo, v_hi = admissible_slope_range(f, 1.0)
     for seed in range(4):
         rng = np.random.default_rng(seed)
@@ -172,8 +174,8 @@ def test_ordering_every_family(monkeypatch, key):
         assert rep["r_reached"] == 100.0
         assert rep["min_gap"] >= -1e-9
         assert rep["all_ordered"]
-    if not f.has_array_inverse:
-        assert len(scalar_solves) > 10**4
+    assert sum(elements) > 10**4
+    assert sum(rejected) == 0
 
 
 def test_ordering_truncated_span_is_not_verified():

@@ -214,11 +214,15 @@ def test_env_overrides_config(tmp_path, monkeypatch):
     assert payload["fit_window"] == [6.0, 30.0]
 
 
-def test_config_unknown_key_rejected(tmp_path):
+def test_config_unknown_key_rejected(tmp_path, monkeypatch):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[bowl]\nwibble = 3\n")
     assert run(["bowl", "--config", str(cfg), "--curvature", "mean:n=3",
                 "--out", str(tmp_path / "x")]) == 2
+    # a misspelt key under a known section's environment prefix, too
+    monkeypatch.setenv("TRANSLAB_BOWL_RMAXX", "5")
+    assert run(["bowl", "--curvature", "mean:n=3", "--rmax", "60",
+                "--out", str(tmp_path / "y")]) == 2
 
 
 def test_missing_required_exit2(tmp_path):

@@ -183,6 +183,22 @@ def test_gradient_positive_and_matches_differences(key):
         assert abs(gy - fy) / scale < 1e-6
 
 
+@pytest.mark.parametrize("key", ALL_KEYS + ["knorm:k=3,n=3", "kconv:k=3,n=3"])
+def test_solve_x_floats_and_arrays(key):
+    # one formula serves both: a float stays a float, an array keeps its
+    # shape (kconv:k=3,n=3 has no y-term, so its root test is a float), and
+    # NaN stands for "no root" instead of an exception, at zero levels too
+    f = from_key(key)
+    ys = np.array([-1.0, 0.0, 0.5, 2.0])
+    for z in (-1.0, 0.0, 1.0):
+        floats = [f.solve_x(y, z) for y in ys.tolist()]
+        assert all(type(x) is float for x in floats)
+        with np.errstate(all="ignore"):
+            xs = f.solve_x(ys, z)
+        assert xs.shape == ys.shape
+        assert np.array_equal(np.isfinite(xs), np.isfinite(floats))
+
+
 @pytest.mark.parametrize("k,n", [(2, 4), (3, 5), (3, 7)])
 def test_sk_slice_matches_direct_symmetric_polynomial(k, n):
     f = build_family("sk", n, k=k)
