@@ -7,9 +7,9 @@ The slope v = u'(r) of a rotationally symmetric graphical translator obeys
 
 integrated here from a series start v = lambda0 * r at the axis, where
 lambda0 = gamma(1,...,1)^(-1/alpha) is the umbilic curvature forced by the
-translator equation at r = 0.  The tail is strongly attracting, so the
-steps are implicit (Radau IIA with the analytic dF/dv); the height u is the
-exact integral of the dense slope output.
+translator equation at r = 0.  The tail is strongly attracting: the steps,
+explicit near the axis, hand off to Radau IIA (analytic dF/dv) where it
+turns stiff; the height u is the exact integral of the dense slope output.
 
 Closed-form asymptotic coefficients (the nondegenerate pair (a, b) and the
 degenerate quadruple (k, c, d, A)) are evaluated from implicit-branch
@@ -124,8 +124,8 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
 def _slope_scalar(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional[float]):
     """RHS and Jacobian of the slope equation as one-component maps for
     ``integrate``.  Each root solve is seeded with the last root; a failed
-    one gives NaN, which the integrator treats as a domain exit.  The
-    explicit catenoid charts build their RHS on this one.
+    one, or an overflow at a huge v, gives NaN: a domain exit.  The explicit
+    catenoid charts build their RHS on this one.
     """
     value, derivative = _slope_field(f, branch, clamp_y)
     seed = None
@@ -134,14 +134,14 @@ def _slope_scalar(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optiona
         nonlocal seed
         try:
             F, seed = value(r, vs[0], seed)
-        except TranslabError:
+        except (TranslabError, OverflowError):
             F = math.nan
         return (F,)
 
     def jac(r, vs):
         try:
             return (derivative(r, vs[0], seed),)
-        except (TranslabError, ZeroDivisionError):
+        except (TranslabError, ZeroDivisionError, OverflowError):
             return (math.nan,)
 
     return rhs, jac

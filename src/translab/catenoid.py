@@ -17,8 +17,8 @@ the slope on the graph charts and r(w) on the turning chart.  The height
 and the arc length are quadratures of the dense output, exact for integrals
 of the state and 4-point Gauss-Legendre otherwise.  The ascending graph
 charts (the upper branch, and the lower branch past its turn) ride the same
-strongly attracting tail as the bowl and take Radau IIA steps; the neck,
-descending and turning charts are not stiff and step explicitly.
+strongly attracting tail as the bowl and hand off to Radau IIA as it does;
+the neck, descending and turning charts are not stiff and step explicitly.
 
 Angle bookkeeping on the lower branch: the reported angle is
 
@@ -73,6 +73,10 @@ _GL_IN = math.sqrt(3 / 7 - 2 / 7 * math.sqrt(6 / 5))
 _GL_OUT = math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5))
 _ARC_X = 0.5 + 0.5 * np.array([-_GL_OUT, -_GL_IN, _GL_IN, _GL_OUT])
 _ARC_W = np.array([18 - 30**0.5, 18 + 30**0.5, 18 + 30**0.5, 18 - 30**0.5]) / 72
+# the neck and turning charts cross strongly curved arcs in few, long steps
+# (~0.07 rad a step on the turning arc of sk:k=3,n=5); their profile rows
+# sample every step at this many equal parts, to resolve the arc
+SUBSTEPS = 4
 
 
 @dataclass
@@ -87,6 +91,7 @@ class NeckSolution:
     down_samples: np.ndarray
     up_exit_reason: str  # "handoff" | "curvature_zero"
     residual_max: float
+    charts: dict = field(default_factory=dict)  # per chart, ``Trajectory.step_counts``
 
 
 @dataclass
@@ -102,6 +107,7 @@ class Profile:
     # ascending chart of the upper branch or past the lower turn, or the
     # descending chart of a derivative_origin lower branch
     tail: Optional[Trajectory] = field(default=None, repr=False)
+    charts: dict = field(default_factory=dict)  # as on NeckSolution
 
     def u_at(self, rs) -> np.ndarray:
         """Height at radii on the branch.  On the tail chart it is the node
@@ -131,6 +137,7 @@ class CatenoidResult:
     end_behavior: dict = field(default_factory=dict)
     embeddedness: dict = field(default_factory=dict)
     handoff_tan: float = HANDOFF_TAN
+    charts: dict = field(default_factory=dict)  # every chart's, and the bowl's
 
 
 def _neck_rhs(f: CurvatureFunction, branch: ImplicitBranch, z_sign: float):
@@ -201,12 +208,13 @@ def solve_neck(f: CurvatureFunction, R: float, handoff_tan: float = HANDOFF_TAN)
         _node_residuals(f, tr.ys[:, 0], tr.ys[:, 1], -tr.fs[:, 1], 1.0, sign * tr.ys[:, 1])
         for tr, sign in ((tr_up, +1.0), (tr_dn, -1.0))
     ])))
-    # samples (u, r, r_u, s) per side; the arc length s is the quadrature of
-    # sqrt(1 + p^2) in tau
+    # samples (u, r, r_u, s) per side at the substeps; the arc length s is
+    # the quadrature of sqrt(1 + p^2) in tau
     up_samples, dn_samples = (
-        np.column_stack([sign * tr.ts, tr.ys[:, 0], sign * tr.ys[:, 1], _node_quadrature(
-            tr, lambda t, y: np.sqrt(1.0 + y[:, 1] * y[:, 1]), 0.0)])
+        np.column_stack([sign * t, y[:, 0], sign * y[:, 1], _quadrature(
+            tr, lambda t, y: np.sqrt(1.0 + y[:, 1] * y[:, 1]), 0.0, t)])
         for tr, sign in ((tr_up, 1.0), (tr_dn, -1.0))
+        for t in [_substeps(tr)] for y in [tr.resample(t)]
     )
     return NeckSolution(
         R=R,
@@ -218,6 +226,7 @@ def solve_neck(f: CurvatureFunction, R: float, handoff_tan: float = HANDOFF_TAN)
         down_samples=dn_samples,
         up_exit_reason=up_reason,
         residual_max=res,
+        charts={"neck_up": tr_up.step_counts(), "neck_down": tr_dn.step_counts()},
     )
 
 
@@ -236,9 +245,9 @@ def _neck_columns(samples: np.ndarray, theta: np.ndarray, residual: float) -> tu
     return (s, samples[:, 1], samples[:, 0], theta, kappa, np.full(len(samples), residual))
 
 
-def _profile(side: str, columns: list, tail: Optional[Trajectory]) -> Profile:
+def _profile(side: str, columns: list, tail: Optional[Trajectory], charts: dict) -> Profile:
     """A branch profile from its charts' columns, in order along the branch."""
-    return Profile(side, *(np.concatenate(col) for col in zip(*columns)), tail=tail)
+    return Profile(side, *(np.concatenate(c) for c in zip(*columns)), tail=tail, charts=charts)
 
 
 def _gauss(traj: Trajectory, g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -249,10 +258,16 @@ def _gauss(traj: Trajectory, g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h * (g(t, traj.resample(t)).reshape(len(h), -1) @ _ARC_W)
 
 
-def _node_quadrature(traj: Trajectory, g, start: float) -> np.ndarray:
-    """start plus the Gauss-Legendre integral of g(t, y) from ts[0] to each
-    node, step by step."""
-    return np.cumsum(np.concatenate([[start], _gauss(traj, g, traj.ts[:-1], traj.ts[1:])]))
+def _quadrature(traj: Trajectory, g, start: float, t: np.ndarray) -> np.ndarray:
+    """start plus the Gauss-Legendre integral of g(t, y) from t[0] to each
+    point of t, piece by piece; no piece may straddle a node."""
+    return np.cumsum(np.concatenate([[start], _gauss(traj, g, t[:-1], t[1:])]))
+
+
+def _substeps(traj: Trajectory) -> np.ndarray:
+    """The nodes of a chart with every step split into SUBSTEPS equal parts."""
+    t0, h = traj.ts[:-1, None], np.diff(traj.ts)[:, None]
+    return np.append(t0 + h * np.arange(SUBSTEPS) / SUBSTEPS, traj.ts[-1])
 
 
 def _graph_chart(f, branch, r0, v0, u0, s0, r_max, what, stiff, stops=()):
@@ -262,14 +277,14 @@ def _graph_chart(f, branch, r0, v0, u0, s0, r_max, what, stiff, stops=()):
     The slope is the only state; the height u and the arc length s never
     feed back, so they are quadratures of the dense slope: u exactly, as
     the integral of each step's polynomial, s by Gauss-Legendre on
-    sqrt(1 + v^2).  ``stiff`` charts (the ascending ones) take Radau IIA
-    steps with the analytic dF/dv, the others explicit steps.
+    sqrt(1 + v^2).  ``stiff`` charts (the ascending ones) pass the analytic
+    dF/dv and hand off to Radau IIA on the tail, the others step explicitly.
     """
     rhs, jac = _slope_scalar(f, branch, None)
     traj = integrate(rhs, r0, [v0], r_max, PROFILE_CONFIG, stops, jac=jac if stiff else None)
     if traj.termination != ("terminal_event" if stops else "reached_end"):
         raise StructureError(f"{what}: {traj.termination} at r={traj.t_final}")
-    s = _node_quadrature(traj, lambda t, y: np.sqrt(1.0 + y[:, 0] * y[:, 0]), s0)
+    s = _quadrature(traj, lambda t, y: np.sqrt(1.0 + y[:, 0] * y[:, 0]), s0, traj.ts)
     return traj, traj.node_integrals(u0), s
 
 
@@ -286,7 +301,7 @@ def solve_upper_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float) -
         raise StructureError("upper branch tangent angle left (0, pi/2)")
     nu = neck.up_samples  # theta = pi/2 - arctan(r_u) on the neck chart
     neck_cols = _neck_columns(nu, math.pi / 2 - np.arctan(nu[:, 2]), neck.residual_max)
-    return _profile("upper", [neck_cols, columns], traj)
+    return _profile("upper", [neck_cols, columns], traj, {"upper": traj.step_counts()})
 
 
 def classify_case(f: CurvatureFunction, branch: ImplicitBranch) -> tuple:
@@ -333,9 +348,12 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
     nd = neck.down_samples
     columns = [_neck_columns(nd, math.pi - np.abs(np.arctan(nd[:, 2])), neck.residual_max)]
 
-    def add_graph_chart(traj, u, s):
+    charts = {}
+
+    def add_graph_chart(name, traj, u, s):
         s, r, u, th, kappa, resid = _graph_columns(f, traj, u, s)
         columns.append((s, r, u, math.pi / 2 + np.abs(th), np.sign(th) * np.abs(kappa), resid))
+        charts[name] = traj.step_counts()
 
     s0 = s1 = None
     n_pi2 = n_min = 0
@@ -346,7 +364,7 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
                                   "lower branch stopped early", stiff=False)
         if tail.ys[-1, 0] >= 0:
             raise StructureError("derivative_origin branch unexpectedly turned upward")
-        add_graph_chart(tail, u, s)
+        add_graph_chart("lower", tail, u, s)
         # the end slope -a r^b, fitted on a geometric grid of the dense slope
         r = _window_grid(tail.ts, (max(r_h * LOWER_FIT, r_max / 10.0), r_max))
         w = -tail.resample(r)[:, 0]
@@ -370,7 +388,7 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
         tr1, u, s = _graph_chart(f, branch, r_h, w_h, u_h, s_h, r_max,
                                  "continuous_origin branch never flattened", stiff=False,
                                  stops=(lambda r, y: y[0] + HANDOFF_TAN,))
-        add_graph_chart(tr1, u, s)
+        add_graph_chart("lower_descending", tr1, u, s)
         r1, w1, u1, arc1 = tr1.t_final, tr1.ys[-1, 0], u[-1], s[-1]
 
         # turning chart: the slope w is the independent variable and r(w)
@@ -385,7 +403,9 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
         tr2 = integrate(turn_rhs, w1, [r1], HANDOFF_TAN, PROFILE_CONFIG)
         if tr2.termination != "reached_end":
             raise StructureError(f"turning chart failed: {tr2.termination}")
-        w, r = tr2.ts, tr2.ys[:, 0]
+        w = _substeps(tr2)
+        r = tr2.resample(w)[:, 0]
+        dr_dw = np.array([turn_rhs(*wr)[0] for wr in zip(w.tolist(), r[:, None].tolist())])
         root = np.sqrt(1.0 + w * w)
 
         def g(t, y):
@@ -396,31 +416,32 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
         #   u = u1 + [w r] - int r dw,
         #   s = arc1 + [sqrt(1+w^2) r] - int r w / sqrt(1+w^2) dw,
         # the first integral exact, the second (of g) by Gauss-Legendre
-        u = u1 + (w * r - w1 * r1) - tr2.node_integrals(0.0)
-        quad = _node_quadrature(tr2, g, 0.0)
+        u = u1 + (w * r - w1 * r1) - tr2.integral_at(w, tr2.node_integrals(0.0))
+        quad = _quadrature(tr2, g, 0.0, w)
         s = arc1 + (root * r - root[0] * r1) - quad
         zero = np.zeros(1)
-        j = int(tr2.segment_index(zero)[0])  # the bottom w = 0 lies in step j
+        j = int(np.searchsorted(w, 0.0)) - 1  # the bottom w = 0 follows sample j
         s0 = float(arc1 + tr2.resample(zero)[0, 0] - root[0] * r1 - quad[j]
                    - _gauss(tr2, g, w[j:j + 1], zero)[0])
         s1 = s0  # the folded angle attains its minimum at the bottom
         n_pi2 = n_min = 1
 
-        # d theta / ds = sign(w) / ((1+w^2) ds/dw), with ds/dw > 0 at the nodes
-        dth_ds = np.sign(w) / ((1 + w * w) * root * tr2.fs[:, 0])
-        resid = _node_residuals(f, r, w, 1.0 / tr2.fs[:, 0], w)
+        # d theta / ds = sign(w) / ((1+w^2) ds/dw), with ds/dw > 0 at the samples
+        dth_ds = np.sign(w) / ((1 + w * w) * root * dr_dw)
+        resid = _node_residuals(f, r, w, 1.0 / dr_dw, w)
         theta = math.pi / 2 + np.abs(np.arctan(w))
         columns.append((s, r, u, theta, dth_ds, resid))
+        charts["turning"] = tr2.step_counts()
 
         # ascending convex tail back in the r chart
         tail, u3, s3 = _graph_chart(f, branch, float(r[-1]), float(w[-1]), float(u[-1]),
                                     float(s[-1]), r_max, "lower tail stopped early", stiff=True)
         if np.any(tail.fs[:, 0] <= 0):
             raise StructureError("post-turn tail is not convex")
-        add_graph_chart(tail, u3, s3)
+        add_graph_chart("lower_tail", tail, u3, s3)
         end_behavior.update({"kind": "bowl_type"})
 
-    return _profile("lower", columns, tail), s0, s1, end_behavior, n_pi2, n_min
+    return _profile("lower", columns, tail, charts), s0, s1, end_behavior, n_pi2, n_min
 
 
 def check_embeddedness(result: CatenoidResult) -> dict:
@@ -494,6 +515,8 @@ def solve_catenoid(
     )
     if bowl is None:
         bowl = solve_bowl(f, r_max)
+    result.charts = {**neck.charts, **upper.charts, **lower.charts,
+                     "bowl": bowl.trajectory.step_counts()}
     grid = np.geomspace(*upper_window(r_max), 200)
     ub = bowl.u_at(grid)
     result.C_plus = float(np.mean(upper.u_at(grid) - ub))

@@ -195,6 +195,7 @@ def cmd_bowl(args):
             "fit_window": list(report.fit_window),
             "growth_exponent_u": gexp,
             "max_residual": float(profile.residuals.max()),
+            "charts": {"bowl": profile.trajectory.step_counts()},
         }
 
     return solve
@@ -250,6 +251,7 @@ def cmd_catenoid(args):
             "embeddedness": res.embeddedness,
             "upper_growth_exponent": gexp,
             "handoff_tan": res.handoff_tan,
+            "charts": res.charts,
         }
 
     return solve

@@ -508,11 +508,13 @@ class KConvexity(CurvatureFunction):
         return -dtot_dx / tot**2, -dtot_dy / tot**2
 
     def _raw_solve_x(self, y, z_raw):
+        # no root where a k-fold sum (``_sums``) is non-positive: lhs, sy <= 0
         k = self.k
         sy = k * y
         rest = self._b / sy if self._b else 0.0
         lhs = 1.0 / z_raw - rest
-        return _where(lhs > 0, self._a / lhs - (k - 1) * y)
+        ok = (lhs > 0) & (sy > 0) if self._b else lhs > 0
+        return _where(ok, self._a / lhs - (k - 1) * y)
 
     def cone_contains(self, x, y):
         k = self.k

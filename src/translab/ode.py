@@ -2,22 +2,24 @@
 
 Two fixed steppers share one integration loop (stop location, node storage):
 
-* a Dormand-Prince 5(4) explicit pair with quartic dense output and a PI
-  controller, used by default;
+* DOP853, Hairer's explicit 8th-order pair with its 5th- and 3rd-order
+  error estimate and 7th-order dense output;
 * 3-stage Radau IIA (order 5, stiffly accurate, L-stable) with simplified
   Newton iterations and its cubic collocation polynomial as dense output,
-  used when the caller supplies ``jac``, the diagonal of d rhs / dy of a
-  system whose components are uncoupled.  The stage "solves" are then
-  divisions, one real and one complex per component and iteration.
+  for uncoupled components whose diagonal Jacobian ``jac`` the caller
+  supplies.  The stage "solves" are then divisions, one real and one
+  complex per component and iteration.
 
-The explicit pair is stability-limited on the strongly attracting slope
-tails; the implicit step is limited by the tolerance alone there, so the
-bowl profiles, the comparison runs and the ascending catenoid graph charts
-take it.  The catenoid neck, descending and turning charts are not stiff
-and step explicitly, where a step costs a fraction of an implicit one.
-Either step keeps its dense output as y0 + sum_k Q_k s^(k+1) (``_Segment``),
-which ``Trajectory`` evaluates and integrates exactly as arrays, so heights
-are quadratures of the slope, never extra state.
+A one-component run with ``jac`` (a bowl, an ascending catenoid chart)
+steps explicitly through the smooth transition near the axis or the neck
+and hands off to Radau IIA, once, where dF/dy shows the attracting tail
+turn stiff (``STIFF_STEP``): there the explicit pair is stability-limited,
+the implicit step tolerance-limited.  Runs without ``jac`` step explicitly
+throughout, runs of several components with it (the batched comparison
+runs, whose ordering argument rests on Radau IIA) implicitly.  Every step
+keeps its dense output as y0 + sum_k Q_k s^(k+1) (``_Segment``), which
+``Trajectory`` evaluates and integrates exactly as arrays, so heights are
+quadratures of the slope, never extra state.
 Reproducibility matters more here than solver variety, so the tableaux,
 the dense-output polynomials and the controllers are all spelled out
 below; identical inputs produce bit-identical trajectories.
@@ -31,50 +33,102 @@ Trajectories are packed into numpy arrays on exit.
 
 References
 ----------
-Dormand & Prince (1980), J. Comp. Appl. Math. 6(1), 19-26.
-Shampine (1986), Math. Comp. 46, 135-150 (dense output polynomial).
+Hairer, Norsett & Wanner (1993), Solving Ordinary Differential Equations I,
+Sec. II.10 (DOP853: coefficients, error estimate, dense output).
 Hairer & Wanner (1996), Solving Ordinary Differential Equations II,
 Sec. IV.8 (Radau IIA, simplified Newton, step-size prediction).
+Petzold (1983), SIAM J. Sci. Stat. Comput. 4, 136-148 (automatic switching
+between non-stiff and stiff methods).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
 
-# Butcher tableau of the DOPRI 5(4) pair; the last row of _A holds the
-# 5th-order solution weights
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# DOP853 (Hairer's dop853.f): the nodes _C of stages 0-15 and, per stage, its
+# nonzero weights a_ij in the order of j (the j are named in _dop853_steps).
+# Stage 12 is the RHS at the new solution, its row the solution weights b of
+# the stages _B_COLS; stages 13-15 serve the dense output only
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+      1 / 3, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0,
+      0.1, 0.2, 0.7777777777777778)
 _A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-# difference between the 5th and 4th order weights, for the error estimate
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# dense-output polynomial: y(t0+s*h) = y0 + h*s*sum_i K_i * P_i(s)
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
-_PT = tuple(zip(*_P))  # per power of s, the weights of the 7 stages
+    (), (0.05260015195876773,), (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.08876275643042054),
+    (0.2413651341592667, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+     0.008273789163814023),
+    (0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+    (0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+     0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987))
+_B_COLS = (0, 5, 6, 7, 8, 9, 10, 11)
+# the 5th- and 3rd-order error estimates, weights of the stages _B_COLS (the
+# 3rd-order one is b minus Hairer's bhh, which weights stages 0, 8 and 11)
+_E5 = (0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+       -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
+_E3 = tuple(b - bhh for b, bhh in zip(_A[12], (
+    0.2440944881889764, 0, 0, 0, 0.7338466882816118, 0, 0, 0.022058823529411766)))
+# Hairer's dense output y0 + s (F0 + (1-s) (F1 + s (F2 + ... + s F6))), with
+# F0 = y1 - y0, F1 = h K0 - F0, F2 = 2 F0 - h (K0 + K12) and F3-F6 = h times
+# these weights of stages 0 and 5-15, kept as the coefficients of s, ..., s^7
+_D = (
+    (-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564))
+_DENSE = 7
+
+# The handoff rule of the one-component runs with ``jac``: after each
+# explicit step, with lam = |dF/dy| at the new node and h the next step, the
+# run moves to Radau IIA once h lam >= STIFF_STEP (stability is about to
+# bound the step) and t lam > STIFF_SPAN (the transient 1/lam is short
+# against the scale t of the slope charts: t lam ~ c near the axis, 2r^2 on
+# the alpha = 1 tail); until then h lam <= STABLE_STEP, inside DOP853's real
+# stability interval (~6).  RHS calls per pass of the benchmark's bowl and
+# catenoid CLI jobs at (STIFF_STEP, STIFF_SPAN) = (0.3, 20): 22,869, 55,721;
+# (0.1, 20): 22,886, 57,357; (1, 20): 32,079, 274,393; (0.3, 5): 26,966,
+# 67,935; (0.3, 50): 21,609, 57,285; Radau IIA alone: 35,463, 118,511.
+STIFF_STEP = 0.3
+STIFF_SPAN = 20.0
+STABLE_STEP = 3.0  # 2 or 5 move the counts above by under 0.5%
+# Every stop, quadrature and fit reads the dense output, whose error inside a
+# step is up to 1.3-2.9 times the tolerance where the step's error estimate
+# meets it (y' = y, -y, cos t and the logistic equation at rel_tol 1e-8 and
+# 1e-10), and 0.4-0.7 times where the estimate is held to a third of it
+DENSE_MARGIN = 3.0
 
 # Radau IIA, 3 stages: nodes, error-estimate weights, the eigenvalues of the
 # inverse coefficient matrix (one real, one complex pair), the eigenvector
@@ -144,7 +198,7 @@ def _poly_integral(q, s):
 class _Segment:
     """One accepted step with its dense output y(t0 + s h) = y0 + sum_k
     Q_k s^(k+1): per component 3 coefficients on Radau IIA steps (the
-    collocation cubic), 4 on DOPRI steps (the quartic)."""
+    collocation cubic), 7 on DOP853 steps."""
 
     __slots__ = ("t0", "h", "y0", "Q")
 
@@ -175,6 +229,7 @@ class Trajectory:
     stop: Optional[int] = None
     # accepted steps with their dense output
     segments: list = field(default_factory=list, repr=False)
+    handoff: Optional[float] = None  # where the explicit steps gave way to Radau IIA
 
     @property
     def t_final(self) -> float:
@@ -190,17 +245,28 @@ class Trajectory:
         t0, h = self._polys[:2]
         return np.minimum(np.searchsorted(t0 + h, grid, side="left"), len(self.segments) - 1)
 
+    def step_counts(self) -> dict:
+        """The handoff point and the accepted explicit and Radau IIA steps."""
+        explicit = sum(len(seg.Q[0]) == _DENSE for seg in self.segments)
+        return {"handoff": self.handoff, "explicit_steps": explicit,
+                "radau_steps": len(self.segments) - explicit}
+
     @cached_property
     def _polys(self) -> tuple:
         """t0, h (n,), y0 (n, dim) and Q (m, n, dim) of the steps, to evaluate
         their polynomials as arrays; the operations are those of
-        ``_Segment``, in the same order."""
+        ``_Segment``, in the same order.  Past a handoff the Radau IIA
+        coefficients are padded with zeros, which leave every value as is."""
         segs = self.segments
+        Q = [seg.Q for seg in segs]
+        if self.handoff is not None:
+            pad = (0.0,) * (_DENSE - len(_RP))
+            Q = [q if len(q[0]) == _DENSE else [tuple(c) + pad for c in q] for q in Q]
         return (
             np.array([seg.t0 for seg in segs]),
             np.array([seg.h for seg in segs]),
             np.array([seg.y0 for seg in segs]),
-            np.moveaxis(np.array([seg.Q for seg in segs]), -1, 0),
+            np.moveaxis(np.array(Q), -1, 0),
         )
 
     def _first_integral(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -244,12 +310,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate rhs from t0 to t_end (> t0) with adaptive steps.
 
-    Without ``jac`` the steps are explicit DOPRI 5(4).  With ``jac``, which
-    must return the diagonal of d rhs / dy for a system whose component i
-    depends on y[i] alone, the steps are implicit Radau IIA: stable on
-    stiff, strongly attracting components at any step size.  Components
-    integrated together share one step sequence, so the difference of two
-    solutions is the difference of one discrete flow.
+    The steps are explicit DOP853.  ``jac`` returns the diagonal of d rhs /
+    dy of a system whose component i depends on y[i] alone; with it, one
+    component hands off to Radau IIA where it turns stiff (``STIFF_STEP``,
+    ``Trajectory.handoff``), and several step on Radau IIA throughout, stable
+    at any step size.  Components integrated together share one step
+    sequence, so the difference of two solutions is that of one discrete flow.
 
     With ``jac`` and more than one component the state is an ndarray and
     ``rhs`` must broadcast: it is called with a scalar t and a (dim,) state,
@@ -286,18 +352,22 @@ def integrate(
     stop = None
     g_prev = [g(t, y) for g in stops]
 
-    if jac is None:
-        steps = _dopri_steps(rhs, t, y, f, t_end, cfg)
-    elif batched:
+    if batched:
         steps = _radau_array_steps(rhs, jac, t, y, f, t_end, cfg)
     else:
-        steps = _radau_steps(rhs, jac, t, y, f, t_end, cfg)
+        steps = _dop853_steps(rhs, jac, t, y, f, t_end, cfg)
+    handoff = None
     while True:
         try:
             seg, t_new, y_new, f_new = next(steps)
         except StopIteration as done:
             termination = done.value
-            break
+            if isinstance(termination, str):
+                break
+            # the explicit steps found the run stiff at the last node
+            handoff = ts[-1]
+            steps = _radau_steps(rhs, jac, handoff, ys[-1], fs[-1], t_end, cfg, *termination)
+            continue
         segments.append(seg)
 
         g_new = [g(t_new, y_new) for g in stops]
@@ -333,6 +403,7 @@ def integrate(
         termination=termination,
         stop=stop,
         segments=segments,
+        handoff=handoff,
     )
 
 
@@ -345,19 +416,40 @@ def _first_step(y, f, cfg):
     return 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
 
 
-def _dopri_steps(rhs, t, y, f, t_end, cfg):
-    """Accepted DOPRI 5(4) steps as (segment, t_new, y_new, f_new).
+def _explicit_first_step(rhs, t, y, f, t_end, cfg):
+    """Hairer's initial step for an order-8 pair, from the norms of y and f
+    and a second-derivative estimate after one Euler step."""
+    sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y]
+    dny, dnf = (sum((v / s) ** 2 for v, s in zip(x, sc)) for x in (y, f))
+    h = 0.01 * math.sqrt(dny / dnf) if min(dny, dnf) > 1e-10 else 1e-6
+    h = min(h, t_end - t, cfg.max_step)
+    f1 = rhs(t + h, [v + h * fv for v, fv in zip(y, f)])
+    der = max(math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f, sc))) / h, dnf**0.5)
+    return min(100 * h, (0.01 / der) ** 0.125 if der > 1e-15 else max(1e-6, 1e-3 * h))
 
-    Returns the termination reason when the steps end.
-    """
+
+def _dop853_steps(rhs, jac, t, y, f, t_end, cfg):
+    """Accepted DOP853 steps as (segment, t_new, y_new, f_new), with the
+    stage sums written out, Hairer's step control (exponent 1/8, safety 0.9,
+    factors in [1/3, 6], none above 1 after a rejection) and non-finite
+    stages halving the step.  Returns the termination reason, or, when
+    ``jac`` meets the handoff rule, (next step size, step attempts)."""
     dim = len(y)
     rel, ab = cfg.rel_tol, cfg.abs_tol
-    h = min(_first_step(y, f, cfg), t_end - t, cfg.max_step)
-
-    err_prev = 1.0
+    h = _explicit_first_step(rhs, t, y, f, t_end, cfg)
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _C[1:11]
+    c13, c14, c15 = _C[13:]
+    ((a1_0,), (a2_0, a2_1), (a3_0, a3_2), (a4_0, a4_2, a4_3), (a5_0, a5_3, a5_4),
+     (a6_0, a6_3, a6_4, a6_5), (a7_0, a7_3, a7_4, a7_5, a7_6),
+     (a8_0, a8_3, a8_4, a8_5, a8_6, a8_7), (a9_0, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
+     (a10_0, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+     (a11_0, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
+     b, (a13_0, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11, a13_12),
+     (a14_0, a14_5, a14_6, a14_7, a14_10, a14_11, a14_12, a14_13),
+     (a15_0, a15_5, a15_6, a15_7, a15_8, a15_12, a15_13, a15_14)) = _A[1:]
+    rejected = False
     n_steps = 0
-    K = [f] * 7
-
+    k0 = f
     while t < t_end:
         if n_steps >= cfg.max_steps:
             return "max_steps"
@@ -366,56 +458,89 @@ def _dopri_steps(rhs, t, y, f, t_end, cfg):
         if h < _MIN_STEP:
             return "step_underflow"
 
-        K[0] = f
-        bad = False
-        for i in range(1, 7):
-            Ai = _A[i]
-            yi = list(y)
-            for j in range(i):
-                aij = Ai[j]
-                if aij == 0.0:
-                    continue
-                Kj = K[j]
-                for d in range(dim):
-                    yi[d] += h * aij * Kj[d]
-            Ki = tuple(float(v) for v in rhs(t + _C[i] * h, tuple(yi)))
-            if not all(math.isfinite(v) for v in Ki):
-                bad = True
-                break
-            K[i] = Ki
-        if bad:
-            h *= 0.5
-            if h < _MIN_STEP:
+        k1 = rhs(t + c1 * h, [y0 + h * a1_0 * x0 for y0, x0 in zip(y, k0)])
+        k2 = rhs(t + c2 * h, [y0 + h * (a2_0 * x0 + a2_1 * x1) for y0, x0, x1 in zip(y, k0, k1)])
+        k3 = rhs(t + c3 * h, [y0 + h * (a3_0 * x0 + a3_2 * x2) for y0, x0, x2 in zip(y, k0, k2)])
+        k4 = rhs(t + c4 * h, [y0 + h * (a4_0 * x0 + a4_2 * x2 + a4_3 * x3)
+                              for y0, x0, x2, x3 in zip(y, k0, k2, k3)])
+        k5 = rhs(t + c5 * h, [y0 + h * (a5_0 * x0 + a5_3 * x3 + a5_4 * x4)
+                              for y0, x0, x3, x4 in zip(y, k0, k3, k4)])
+        k6 = rhs(t + c6 * h, [y0 + h * (a6_0 * x0 + a6_3 * x3 + a6_4 * x4 + a6_5 * x5)
+                              for y0, x0, x3, x4, x5 in zip(y, k0, k3, k4, k5)])
+        k7 = rhs(t + c7 * h, [y0 + h * (a7_0 * x0 + a7_3 * x3 + a7_4 * x4 + a7_5 * x5 + a7_6 * x6)
+                              for y0, x0, x3, x4, x5, x6 in zip(y, k0, k3, k4, k5, k6)])
+        k8 = rhs(t + c8 * h, [y0 + h * (a8_0 * x0 + a8_3 * x3 + a8_4 * x4 + a8_5 * x5 + a8_6 * x6
+                                        + a8_7 * x7)
+                              for y0, x0, x3, x4, x5, x6, x7 in zip(y, k0, k3, k4, k5, k6, k7)])
+        k9 = rhs(t + c9 * h, [y0 + h * (a9_0 * x0 + a9_3 * x3 + a9_4 * x4 + a9_5 * x5 + a9_6 * x6
+                                        + a9_7 * x7 + a9_8 * x8) for y0, x0, x3, x4, x5, x6, x7, x8
+                              in zip(y, k0, k3, k4, k5, k6, k7, k8)])
+        k10 = rhs(t + c10 * h, [y0 + h * (a10_0 * x0 + a10_3 * x3 + a10_4 * x4 + a10_5 * x5
+                                          + a10_6 * x6 + a10_7 * x7 + a10_8 * x8 + a10_9 * x9)
+                                for y0, x0, x3, x4, x5, x6, x7, x8, x9
+                                in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)])
+        k11 = rhs(t + h, [y0 + h * (a11_0 * x0 + a11_3 * x3 + a11_4 * x4 + a11_5 * x5 + a11_6 * x6
+                                    + a11_7 * x7 + a11_8 * x8 + a11_9 * x9 + a11_10 * x10)
+                          for y0, x0, x3, x4, x5, x6, x7, x8, x9, x10
+                          in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)])
+        ks = list(zip(k0, k5, k6, k7, k8, k9, k10, k11))  # per component
+        y_new = [y0 + h * sum(map(mul, b, x)) for y0, x in zip(y, ks)]
+        # Hairer's blend of the 5th- and 3rd-order estimates, held to a
+        # fraction of the tolerance (DENSE_MARGIN); NaN stages make it NaN
+        err5 = err3 = 0.0
+        for y0, y1, x in zip(y, y_new, ks):
+            sc = ab + rel * max(abs(y0), abs(y1))
+            err5 += (sum(map(mul, _E5, x)) / sc) ** 2
+            err3 += (sum(map(mul, _E3, x)) / sc) ** 2
+        den = err5 + 0.01 * err3
+        err = DENSE_MARGIN * h * err5 / math.sqrt(den * dim) if den != 0 else 0.0
+
+        if err <= 1.0:
+            t_new = t + h
+            k12 = rhs(t_new, y_new)
+            k13 = rhs(t + c13 * h, [
+                y0 + h * (a13_0 * x0 + a13_6 * x6 + a13_7 * x7 + a13_8 * x8 + a13_9 * x9
+                          + a13_10 * x10 + a13_11 * x11 + a13_12 * x12)
+                for y0, (x0, _, x6, x7, x8, x9, x10, x11), x12 in zip(y, ks, k12)])
+            k14 = rhs(t + c14 * h, [
+                y0 + h * (a14_0 * x0 + a14_5 * x5 + a14_6 * x6 + a14_7 * x7 + a14_10 * x10
+                          + a14_11 * x11 + a14_12 * x12 + a14_13 * x13)
+                for y0, (x0, x5, x6, x7, _, _, x10, x11), x12, x13 in zip(y, ks, k12, k13)])
+            k15 = rhs(t + c15 * h, [
+                y0 + h * (a15_0 * x0 + a15_5 * x5 + a15_6 * x6 + a15_7 * x7 + a15_8 * x8
+                          + a15_12 * x12 + a15_13 * x13 + a15_14 * x14)
+                for y0, (x0, x5, x6, x7, x8, _, _, _), x12, x13, x14
+                in zip(y, ks, k12, k13, k14)])
+            if not math.isfinite(sum(k12) + sum(k13) + sum(k14) + sum(k15)):
+                err = math.nan
+        if not err <= 1.0:
+            rejected = True
+            h *= max(1 / 3, 0.9 * err**-0.125) if math.isfinite(err) else 0.5
+            if h < _MIN_STEP and not math.isfinite(err):
                 return "domain_exit"
             continue
 
-        # the 7th stage sits at t + h with the 5th-order weights, so its
-        # state is the new solution and its RHS the next step's first stage
-        # (first same as last)
-        y_new = tuple(yi)
-        err = 0.0
-        for d in range(dim):
-            ed = 0.0
-            for i in range(7):
-                ed += _E[i] * K[i][d]
-            sc = ab + rel * max(abs(y[d]), abs(y_new[d]))
-            err += (h * ed / sc) ** 2
-        err = math.sqrt(err / dim)
+        # Hairer's dense output, expanded in powers of s
+        Q = []
+        for y0, y1, x, x12, x13, x14, x15 in zip(y, y_new, ks, k12, k13, k14, k15):
+            x += (x12, x13, x14, x15)
+            f0 = y1 - y0
+            f1 = h * x[0] - f0
+            f2 = 2 * f0 - h * (x[0] + x12)
+            f3, f4, f5, f6 = [h * sum(map(mul, d, x)) for d in _D]
+            Q.append((f0 + f1, f2 + f3 - f1, f4 + f5 - f2 - 2 * f3, f3 + f6 - 2 * f4 - 3 * f5,
+                      f4 + 3 * (f5 - f6), 3 * f6 - f5, -f6))
+        yield _Segment(t, h, y, Q), t_new, y_new, k12
 
-        if err > 1.0:
-            h *= max(0.2, 0.9 * err**-0.2)
-            continue
-
-        t_new = t + h
-        f_new = K[6]
-        Q = tuple(tuple(h * sum(map(operator.mul, col, kd)) for col in _PT) for kd in zip(*K))
-        yield _Segment(t, h, y, Q), t_new, y_new, f_new
-
-        t, y, f = t_new, y_new, f_new
-        # PI controller (Gustafsson): responds to current and previous error
-        fac = 0.9 * err**-0.14 * err_prev**0.08 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, fac))
-        err_prev = max(err, 1e-10)
+        t, y, k0 = t_new, y_new, k12
+        h *= min(1.0 if rejected else 6.0, 0.9 * err**-0.125 if err > 0 else 6.0)
+        rejected = False
+        if jac is not None:
+            lam = abs(jac(t, y)[0])
+            if h * lam >= STIFF_STEP and t * lam > STIFF_SPAN:
+                return h, n_steps
+            if h * lam > STABLE_STEP:
+                h = STABLE_STEP / lam
     return "reached_end"
 
 
@@ -428,9 +553,9 @@ def _predict_factor(h, h_old, err, err_old):
     return min(1.0, h / h_old * (err_old / err) ** 0.25) * err**-0.25
 
 
-def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
+def _radau_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
     """Accepted Radau IIA steps of one component as (segment, t_new, y_new,
-    f_new).
+    f_new), from a first step h with n_steps of the step budget spent.
 
     The stage system is solved by simplified Newton in the eigenbasis of
     the Radau coefficient matrix, so each iteration costs three RHS calls,
@@ -442,7 +567,6 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
     (y,), (f,) = y, f
     rel, ab = cfg.rel_tol, cfg.abs_tol
     newton_tol = max(_NEWTON_TOL_FLOOR / rel, min(0.03, rel**0.5))
-    h = _first_step((y,), (f,), cfg)
     (ti00, ti01, ti02), (ti10, ti11, ti12), (ti20, ti21, ti22) = _RTI
     (t00, t01, t02), (t10, t11, t12) = _RT[0], _RT[1]
     c0, c1, _ = _RC
@@ -454,7 +578,6 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg):
     J = None
     jac_current = False
     rejected = False
-    n_steps = 0
     while t < t_end:
         if n_steps >= cfg.max_steps:
             return "max_steps"

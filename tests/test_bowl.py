@@ -1,5 +1,6 @@
 """Bowl profiles: axis start, residuals, coefficient formulas, tail fits."""
 
+import math
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from translab.bowl import (
     AXIS_EPS,
     _slope_field,
+    _slope_scalar,
     coeffs_degenerate,
     coeffs_nondegenerate,
     default_window,
@@ -260,3 +262,36 @@ def test_slope_derivative_matches_differences(key, r, v):
     h = 1e-6 * v
     fd = (value(r, v + h, None)[0] - value(r, v - h, None)[0]) / (2 * h)
     assert derivative(r, v, None) == pytest.approx(fd, rel=1e-7)
+
+
+def test_slope_rhs_maps_overflow_to_nan():
+    # (1 + v^2)^(beta+1) of sk:k=3,n=5 overflows at v = 1e150, a state an
+    # explicit stage can probe: the RHS gives NaN, not an OverflowError
+    f = from_key("sk:k=3,n=5")
+    rhs, jac = _slope_scalar(f, ImplicitBranch(f), None)
+    assert math.isnan(rhs(4.5, (1e150,))[0])
+    assert math.isnan(rhs(4.5, (-1e150,))[0])
+    (d,) = jac(4.5, (1e150,))
+    assert isinstance(d, float)
+
+
+def test_mean_profile_hands_off_once_to_radau():
+    # DOP853 steps (7 coefficients) through the near-axis transition, then
+    # Radau IIA steps (3) on the whole stiff tail: one handoff, one way
+    tr = profile("mean:n=3", 500.0).trajectory
+    kinds = [len(seg.Q[0]) for seg in tr.segments]
+    n = kinds.index(3)
+    assert set(kinds[:n]) == {7} and set(kinds[n:]) == {3}
+    assert tr.handoff == tr.segments[n].t0 == tr.ts[n]
+    assert 1.0 < tr.handoff < 10.0
+    assert tr.step_counts() == {"handoff": tr.handoff, "explicit_steps": n,
+                                "radau_steps": len(kinds) - n}
+
+
+def test_gauss_n5_tail_stays_explicit():
+    # a non-stiff degenerate tail: the handoff rule never fires, and the
+    # explicit steps need far fewer nodes than Radau IIA's 2,752
+    tr = profile("gauss:n=5", 1e4).trajectory
+    assert tr.handoff is None
+    assert tr.step_counts()["radau_steps"] == 0
+    assert len(tr.ts) < 1000

@@ -309,3 +309,26 @@ def test_fit_window_used(tmp_path):
     assert run(["bowl", "--curvature", "mean:n=3", "--rmax", "60", "--fit-lo", "8",
                 "--fit-hi", "40", "--out", str(out), "--quiet"]) == 0
     assert json.loads((out / "bowl.json").read_text())["fit_window"] == [8.0, 40.0]
+
+
+def test_json_reports_each_charts_steppers(tmp_path):
+    # per chart: where the explicit steps handed off to Radau IIA (null if
+    # they did not) and the accepted steps of each kind
+    out = tmp_path / "b"
+    assert run(["bowl", "--curvature", "mean:n=3", "--rmax", "60", "--out", str(out), "--quiet"]) == 0
+    charts = json.loads((out / "bowl.json").read_text())["charts"]
+    rows = len((out / "profile.csv").read_text().splitlines()) - 1
+    assert set(charts) == {"bowl"}
+    bowl = charts["bowl"]
+    assert bowl["explicit_steps"] > 0 and bowl["radau_steps"] > 0
+    assert bowl["explicit_steps"] + bowl["radau_steps"] == rows - 1
+    assert 1.0 < bowl["handoff"] < 60.0
+    out = tmp_path / "c"
+    assert run(["catenoid", "--curvature", "qk:k=4,n=6", "--R", "1", "--rmax", "120",
+                "--out", str(out), "--quiet"]) == 0
+    charts = json.loads((out / "catenoid.json").read_text())["charts"]
+    assert set(charts) == {"neck_up", "neck_down", "upper", "lower", "bowl"}
+    for name in ("neck_up", "neck_down", "lower"):  # no jac: explicit throughout
+        assert charts[name]["handoff"] is None and charts[name]["radau_steps"] == 0
+    for name in ("upper", "bowl"):
+        assert charts[name]["handoff"] > 1.0 and charts[name]["radau_steps"] > 0

@@ -16,7 +16,7 @@ from translab.curvature import (
     registry_keys,
     zero_ray,
 )
-from translab.errors import ParameterError, UnsupportedError
+from translab.errors import ParameterError, TranslabError, UnsupportedError
 from translab.implicit import ImplicitBranch
 
 ALL_KEYS = registry_keys()
@@ -276,3 +276,17 @@ def test_signed_odd_scaling_rule():
         assert f.value(c * x, c * y) == pytest.approx(
             -abs(c) ** 3 * f.value(x, y), rel=1e-12
         )
+
+
+def test_kconv_inverse_has_no_root_outside_its_domain():
+    # at y < 0 the k-fold sum k y is negative, where value raises: the
+    # closed form gives NaN there, for floats and arrays, and solve_level
+    # no longer returns the formula's x = 1.5 at (y, z) = (-1, 1)
+    f = from_key("kconv:k=2,n=4")
+    assert math.isnan(f.solve_x(-1.0, 1.0))
+    with np.errstate(all="ignore"):
+        xs = f.solve_x(np.array([-1.0, -0.25, 0.5, 1.0]), 1.0)
+    assert np.isnan(xs[:2]).all() and np.isfinite(xs[2:]).all()
+    assert xs[3] == pytest.approx(0.0, abs=1e-12)  # gamma(0, 1) = 1
+    with pytest.raises(TranslabError):
+        ImplicitBranch(f).solve_level(-1.0, 1.0)

@@ -353,9 +353,8 @@ def test_solve_levels_matches_scalar(monkeypatch, key, ulps, z):
     assert np.all(np.abs(levels - scalar) / scale <= bound, where=~np.isnan(scalar))
     # the fallback elements are the scalar solves themselves
     assert np.array_equal(levels[~accepted], scalar[~accepted], equal_nan=True)
-    # the accepted closed forms solve the level wherever gamma is defined
-    # (kconv's formula also inverts at y < 0, outside its domain), to a
-    # residual on the scale of the alpha-homogeneous terms
+    # the accepted closed forms solve the level wherever gamma is defined,
+    # to a residual on the scale of the alpha-homogeneous terms
     f = b.source
     for x, y in zip(closed[accepted].tolist(), ys[accepted].tolist()):
         try:

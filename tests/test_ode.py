@@ -78,7 +78,7 @@ def test_resample_accuracy_and_nodes():
     assert v == pytest.approx(math.exp(0.5), abs=1e-9)
     i = len(tr.ts) // 2
     assert tr.resample([tr.ts[i]])[0, 0] == pytest.approx(tr.ys[i, 0], abs=1e-12)
-    # the quartic dense output integrates exactly: int_0^t e^x dx = e^t - 1
+    # the dense output integrates exactly: int_0^t e^x dx = e^t - 1
     nodes = tr.node_integrals(0.0)
     assert nodes == pytest.approx(np.exp(tr.ts) - 1.0, abs=1e-9)
     grid = np.linspace(0.0, 1.0, 97)
@@ -98,13 +98,15 @@ def test_resample_out_of_range():
 
 def test_empirical_order_at_least_four():
     # fixed-step operation: loose tolerances make the controller accept the
-    # max_step; halving it must shrink the error by >= 2^4
+    # max_step; halving it must shrink the error by >= 2^4.  DOP853 is of
+    # order 8: the steps are long enough for the error to stay clear of
+    # round-off, and the ratio (~2^7.9 here) is held to at least 2^7
     errs = []
-    for h in (0.05, 0.025):
+    for h in (0.25, 0.125):
         cfg = IntegratorConfig(rel_tol=0.5, abs_tol=0.5, max_step=h)
         tr = integrate(lambda t, y: (y[0],), 0.0, [1.0], 1.0, cfg)
         errs.append(abs(tr.ys[-1, 0] - math.e))
-    assert errs[0] / errs[1] >= 16.0
+    assert errs[0] / errs[1] >= 2.0**7
 
 
 def test_tolerance_monotonicity():
@@ -202,8 +204,9 @@ def test_stiff_step_bit_identical_repeat():
 def test_stiff_step_count_far_below_explicit():
     implicit = integrate(_stiff_rhs, 0.0, [2.0], 2.0, jac=_stiff_jac)
     explicit = integrate(_stiff_rhs, 0.0, [2.0], 2.0)
-    # the explicit pair is held below h ~ 3.3 / lam on the whole interval
-    assert len(explicit.ts) > 2.0 * _LAM / 3.3
+    # the explicit pair is held below its stability bound, h ~ 6.1 / lam
+    # for DOP853, on the whole interval
+    assert len(explicit.ts) > 2.0 * _LAM / 6.1
     assert 10 * len(implicit.ts) < len(explicit.ts)
 
 
@@ -232,6 +235,46 @@ def test_stiff_array_evaluation_matches_steps():
     assert np.array_equal(tr.node_integrals(0.5), nodes)
     per_step = [nodes[j] + tr.segments[j].integral(float(t))[0] for t, j in zip(grid, idx)]
     assert np.array_equal(tr.integral_at(grid, nodes), np.array(per_step))
+
+
+def test_dop853_tableau():
+    # row sums equal the nodes, and the solution weights integrate c^(q-1)
+    # exactly up to q = 8: a mistyped coefficient breaks one of these
+    c = ode._C
+    for row, ci in zip(ode._A, c):
+        assert math.fsum(row) == pytest.approx(ci, abs=1e-14)
+    b, cb = ode._A[12], [c[j] for j in ode._B_COLS]
+    for q in range(1, 9):
+        assert math.fsum(w * x ** (q - 1) for w, x in zip(b, cb)) == pytest.approx(1 / q, abs=1e-14)
+    # the error estimates weight differences of two consistent rules
+    assert math.fsum(ode._E5) == pytest.approx(0.0, abs=1e-14)
+    assert math.fsum(ode._E3) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_mixed_trajectory_array_evaluation_matches_steps():
+    # a scalar run with jac: DOP853 steps (7 coefficients) up to the
+    # handoff, Radau IIA steps (3) after it; the array evaluation pads the
+    # Radau coefficients and still equals the per-step one bit for bit
+    tr = integrate(_stiff_rhs, 0.0, [2.0], 2.0, jac=_stiff_jac)
+    assert {len(seg.Q[0]) for seg in tr.segments} == {7, 3}
+    h0 = tr.handoff
+    grid = np.sort(np.concatenate([np.linspace(tr.ts[0], tr.ts[-1], 777),
+                                   np.linspace(0.0, 2.0 * h0, 101)]))
+    idx = tr.segment_index(grid)
+    per_step = [tr.ys[0] if t <= tr.ts[0] else tr.segments[j].eval(float(t))
+                for t, j in zip(grid, idx)]
+    assert np.array_equal(tr.resample(grid), np.array(per_step))
+    nodes = np.cumsum([0.5] + [seg.integral(t)[0] for seg, t in zip(tr.segments, tr.ts[1:])])
+    assert np.array_equal(tr.node_integrals(0.5), nodes)
+    per_step = [nodes[j] + tr.segments[j].integral(float(t))[0] for t, j in zip(grid, idx)]
+    assert np.array_equal(tr.integral_at(grid, nodes), np.array(per_step))
+    # continuous at the handoff node
+    i = int(np.searchsorted(tr.ts, h0))
+    assert tr.ts[i] == h0 == tr.segments[i].t0
+    assert tr.segments[i - 1].eval(h0)[0] == pytest.approx(tr.segments[i].y0[0], abs=1e-14)
+    around = np.array([h0 - 1e-9, h0, h0 + 1e-9])
+    assert np.ptp(tr.resample(around)[:, 0]) <= 1e-9 * abs(tr.fs[i, 0]) * 2.01 + 1e-14
+    assert np.ptp(tr.integral_at(around, nodes)) <= 2e-9 * np.max(np.abs(tr.ys)) + 1e-14
 
 
 def test_batched_core_many_components_exact_solution():
@@ -263,6 +306,9 @@ def test_batched_max_norm_lets_no_quiet_component_dilute_an_error():
     active = np.zeros(32)
     active[0] = 1.0
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10)
+    # the reference runs are batched too, two equal active components, so
+    # that every run steps on Radau IIA (a scalar run with jac starts
+    # explicit); equal components give the max norm of one
     batch = integrate(
         lambda t, y: active * _stiff_batch_rhs(t, y),
         0.0,
@@ -271,11 +317,11 @@ def test_batched_max_norm_lets_no_quiet_component_dilute_an_error():
         cfg,
         jac=lambda t, y: active * _stiff_batch_jac(t, y),
     )
-    alone = integrate(_stiff_rhs, 0.0, [2.0], 2.0, cfg, jac=_stiff_jac)
+    alone = integrate(_stiff_batch_rhs, 0.0, [2.0, 2.0], 2.0, cfg, jac=_stiff_batch_jac)
     diluted = cfg.rel_tol * 32**0.5
     rms_like = integrate(
-        _stiff_rhs, 0.0, [2.0], 2.0, IntegratorConfig(rel_tol=diluted, abs_tol=diluted),
-        jac=_stiff_jac,
+        _stiff_batch_rhs, 0.0, [2.0, 2.0], 2.0,
+        IntegratorConfig(rel_tol=diluted, abs_tol=diluted), jac=_stiff_batch_jac,
     )
 
     def error(tr):
