@@ -178,11 +178,13 @@ def solve_neck(f: CurvatureFunction, R: float, handoff_tan: float = HANDOFF_TAN)
     u_cap = 6.0 * R
 
     def curvature_zero(u, y):
-        # r'' changes sign when the solved x crosses zero
+        # r'' changes sign when the solved x crosses zero; x is measured in
+        # the neck's own scale |x(1/R, 0)| = kappa_neck (by homogeneity), so
+        # that the graze band is relative at every R
         r, p = y
         yarg = 1.0 / (r * (1 + p * p) ** beta)
         try:
-            return branch.solve_level(yarg, p)
+            return branch.solve_level(yarg, p) / kappa_neck
         except TranslabError:
             return math.nan
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,97 +29,102 @@ from .implicit import ImplicitBranch
 
 
 _SUITES = ("homogeneity", "implicit", "ordering", "barrier", "all")
+_HANDOFFS = {"pi8": math.tan(math.pi / 8), "pi6": math.tan(math.pi / 6)}
+
+
+class _Parse(NamedTuple):
+    """How a raw option string becomes its value: ``convert`` it, then
+    require ``ok`` of the result; a ValueError in either rejects it."""
+
+    convert: Callable
+    ok: Callable
+    what: str  # completes "--<flag> must be ..."
+    metavar: Optional[str] = None  # argparse's, where it should list choices
+
+    def __call__(self, flag: str, raw: str):
+        try:
+            value = self.convert(raw)
+            if self.ok(value):
+                return value
+        except ValueError:
+            pass
+        raise ParameterError(f"{flag} must be {self.what}, got {raw!r}")
+
+
+_TEXT = _Parse(str, lambda s: True, "a string")  # a path, or a key that from_key parses
+_FINITE = _Parse(float, math.isfinite, "a finite number")
+_POSITIVE = _Parse(float, lambda x: 0 < x < math.inf, "a finite positive number")
+_SEED = _Parse(int, lambda n: n >= 0, "a non-negative integer")
+_SUITE = _Parse(str, _SUITES.__contains__, f"one of {', '.join(_SUITES)}",
+                "{" + ",".join(_SUITES) + "}")
+_HANDOFF = _Parse(str, lambda s: s in _HANDOFFS or 0 < float(s) < math.inf,
+                  "pi8, pi6 or a finite positive tangent")
+_REQUIRED = object()
+
+
+class _Option(NamedTuple):
+    default: object  # None: unset unless given; _REQUIRED: must be given
+    parse: _Parse
+    help: Optional[str] = None
+
+
+# Every option of every command, declared once.  Option ``name`` of
+# ``section`` is the flag --name (``_`` written ``-``), the config key
+# ``[section] name`` and the environment variable TRANSLAB_SECTION_NAME (both
+# case-insensitive); the global options belong to every command.
+_OPTIONS = {
+    "global": {"out": _Option("out", _TEXT, "output directory"), "seed": _Option(0, _SEED)},
+    "bowl": {"curvature": _Option(_REQUIRED, _TEXT), "rmax": _Option(500.0, _POSITIVE),
+             "fit_lo": _Option(None, _FINITE), "fit_hi": _Option(None, _FINITE)},
+    "catenoid": {"curvature": _Option(_REQUIRED, _TEXT), "R": _Option(_REQUIRED, _POSITIVE),
+                 "rmax": _Option(50.0, _POSITIVE),
+                 "handoff": _Option("pi8", _HANDOFF, "pi8, pi6, or tangent value")},
+    "verify": {"suite": _Option(_REQUIRED, _SUITE), "curvature": _Option(_REQUIRED, _TEXT)},
+}
+_COMMANDS = {
+    "bowl": "bowl-type translator profile and asymptotics",
+    "catenoid": "catenoidal translator W_R",
+    "verify": "property suites",
+    "list": "enumerate registry keys",
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _parse_args(argv):
     p = argparse.ArgumentParser(prog="translab", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", default=None, help="key=value config file")
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
+    for command, summary in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        for section in (command, "global"):
+            if section == "global":
+                sp.add_argument("--config", help="key=value config file")
+            for name, opt in _OPTIONS.get(section, {}).items():
+                sp.add_argument(_flag(name), help=opt.help, metavar=opt.parse.metavar)
         sp.add_argument("--quiet", action="store_true")
-
-    b = sub.add_parser("bowl", help="bowl-type translator profile and asymptotics")
-    b.add_argument("--curvature", default=None)
-    b.add_argument("--rmax", type=float, default=None)
-    b.add_argument("--fit-lo", type=float, default=None)
-    b.add_argument("--fit-hi", type=float, default=None)
-    common(b)
-
-    c = sub.add_parser("catenoid", help="catenoidal translator W_R")
-    c.add_argument("--curvature", default=None)
-    c.add_argument("--R", type=float, default=None)
-    c.add_argument("--rmax", type=float, default=None)
-    c.add_argument("--handoff", default=None, help="pi8, pi6, or tangent value")
-    common(c)
-
-    v = sub.add_parser("verify", help="property suites")
-    v.add_argument("--suite", default=None, choices=_SUITES)
-    v.add_argument("--curvature", default=None)
-    common(v)
-
-    ls = sub.add_parser("list", help="enumerate registry keys")
-    common(ls)
     return p.parse_args(argv)
 
 
-# per command, the default of each option; None marks a required option
-_DEFAULTS = {
-    "global": {"out": "out", "seed": 0},
-    "bowl": {"curvature": None, "rmax": 500.0},
-    "catenoid": {"curvature": None, "R": None, "rmax": 50.0, "handoff": "pi8"},
-    "verify": {"curvature": None, "suite": None},
-}
-_FLOAT_KEYS = ("rmax", "fit_lo", "fit_hi", "R")
-_HANDOFFS = {"pi8": math.tan(math.pi / 8), "pi6": math.tan(math.pi / 6)}
-
-
 def _merge_config(args, cfg: dict) -> None:
-    """Fill the options not given on the command line from the config (file
-    and environment, whose keys ``cliio._KNOWN_KEYS`` are the lower-case
-    option names), then from the defaults, and check their values."""
-    for section in (args.command, "global"):
-        values = cfg.get(section, {})
-        for attr in vars(args):
-            if getattr(args, attr) is None and attr.lower() in values:
-                setattr(args, attr, values[attr.lower()])
-    for attr, default in {**_DEFAULTS["global"], **_DEFAULTS.get(args.command, {})}.items():
-        if getattr(args, attr) is None:
-            if default is None:
-                raise ParameterError(f"missing required option --{attr}")
-            setattr(args, attr, default)
-    try:
-        args.seed = int(args.seed)
-    except ValueError:
-        raise ParameterError(f"seed must be an integer, got {args.seed!r}") from None
-    if args.seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {args.seed}")
-    if getattr(args, "suite", None) not in (None, *_SUITES):
-        raise ParameterError(f"--suite must be one of {', '.join(_SUITES)}, got {args.suite!r}")
-    for attr in _FLOAT_KEYS:
-        raw = getattr(args, attr, None)
-        if raw is None:
-            continue
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ParameterError(f"--{attr.replace('_', '-')} must be a finite number, got {raw!r}")
-        setattr(args, attr, value)
+    """Give each option of the command its value: the flag's, else the
+    config's (``load_config``: the environment over the file), else its
+    default.  A given string goes through the option's parse, whatever its
+    source."""
+    for section in ("global", args.command):
+        for name, opt in _OPTIONS.get(section, {}).items():
+            raw = getattr(args, name)
+            if raw is None:
+                raw = cfg[section].get(name.lower())
+            if raw is None and opt.default is _REQUIRED:
+                raise ParameterError(f"missing required option {_flag(name)}")
+            setattr(args, name, opt.default if raw is None else opt.parse(_flag(name), raw))
 
 
 def _echo(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command",) and v is not None}
-
-
-def _emit(manifest: RunManifest, path: Path, writer, *data) -> None:
-    """Write one output file and list it in the manifest."""
-    writer(path, *data)
-    manifest.record_file(path)
 
 
 def _run(args, command) -> int:
@@ -127,7 +132,7 @@ def _run(args, command) -> int:
 
     ``command(args)`` builds the curvature function and checks the options;
     a TranslabError there exits 2 before the run directory is made.  It
-    returns the solve step ``solve(out, manifest)``, which writes the data
+    returns the solve step ``solve(manifest)``, which writes the data
     files, records the checks and returns the JSON sidecar payload.  A
     TranslabError raised by the solve step is recorded in error.json; it
     exits 2 when it is a rejected parameter (ParameterError), 3 otherwise.
@@ -137,16 +142,16 @@ def _run(args, command) -> int:
     except TranslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    manifest = RunManifest(out, args.command, _echo(args))
+    manifest = RunManifest(args.out, args.command, _echo(args))
     try:
-        payload = solve(out, manifest)
+        payload = solve(manifest)
     except TranslabError as exc:
-        write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
+        write_json(manifest.out_dir / "error.json",
+                   {"error": type(exc).__name__, "message": str(exc)})
         rejected = isinstance(exc, ParameterError)
         print(f"{'error' if rejected else 'solver error'}: {exc}", file=sys.stderr)
         return 2 if rejected else 3
-    _emit(manifest, out / f"{args.command}.json", write_json, {**payload, "seed": args.seed})
+    manifest.emit(f"{args.command}.json", write_json, {**payload, "seed": args.seed})
     manifest.write()
     if not args.quiet:
         for name, chk in manifest.checks.items():
@@ -156,8 +161,6 @@ def _run(args, command) -> int:
 
 def cmd_bowl(args):
     f = from_key(args.curvature)
-    if args.rmax <= 0:
-        raise ParameterError(f"rmax must be positive, got {args.rmax}")
     window = None
     if args.fit_lo is not None or args.fit_hi is not None:
         window = (args.fit_lo, args.fit_hi)
@@ -168,15 +171,15 @@ def cmd_bowl(args):
                 f"the fit window needs 0 < fit-lo < fit-hi <= rmax, got {window} at rmax {args.rmax}"
             )
 
-    def solve(out, manifest):
+    def solve(manifest):
         profile = solve_bowl(f, args.rmax)
         report = fit_tail(profile, window)
         gexp = growth_exponent(profile, window)
 
-        _emit(manifest, out / "profile.csv", write_csv, "r,u,v,residual",
-              [profile.r, profile.u, profile.v, profile.residuals])
-        _emit(manifest, out / "bowl_plot.gp", emit_plot_script, f"bowl profile {f.name}",
-              [("profile.csv", "1:2", "u(r)"), ("profile.csv", "1:3", "v(r)")])
+        manifest.emit("profile.csv", write_csv, "r,u,v,residual",
+                      [profile.r, profile.u, profile.v, profile.residuals])
+        manifest.emit("bowl_plot.gp", emit_plot_script, f"bowl profile {f.name}",
+                      [("profile.csv", "1:2", "u(r)"), ("profile.csv", "1:3", "v(r)")])
         manifest.record_check("residual", profile.residuals.max() <= 1e-8,
                               f"max={profile.residuals.max():.2e}")
         tol = {"a": 0.01, "b": 0.05, "d_gamma": 0.02, "A_gamma": 0.02}
@@ -205,29 +208,18 @@ def cmd_catenoid(args):
     f = from_key(args.curvature)
     if not f.is_signed:
         raise ParameterError(f"curvature function {f.name} is not signed")
-    if args.R <= 0 or args.rmax <= 0:
-        raise ParameterError("R and rmax must be positive")
-    handoff = _HANDOFFS.get(args.handoff)
-    if handoff is None:
-        try:
-            handoff = float(args.handoff)
-        except ValueError:
-            handoff = math.nan
-        if not 0 < handoff < math.inf:
-            raise ParameterError(
-                f"--handoff must be pi8, pi6 or a finite positive tangent, got {args.handoff!r}"
-            )
+    handoff = _HANDOFFS.get(args.handoff) or float(args.handoff)
 
-    def solve(out, manifest):
+    def solve(manifest):
         res = solve_catenoid(f, args.R, args.rmax, handoff_tan=handoff)
         gexp = upper_growth_exponent(res)
 
         for side, prof in (("upper", res.upper), ("lower", res.lower)):
-            _emit(manifest, out / f"{side}.csv", write_csv, "s,r,u,theta,kappa,residual",
-                  [prof.s, prof.r, prof.u, prof.theta, prof.kappa, prof.residuals])
-        _emit(manifest, out / "catenoid_plot.gp", emit_plot_script,
-              f"catenoidal translator {f.name} R={args.R}",
-              [("upper.csv", "2:3", "upper branch"), ("lower.csv", "2:3", "lower branch")])
+            manifest.emit(f"{side}.csv", write_csv, "s,r,u,theta,kappa,residual",
+                          [prof.s, prof.r, prof.u, prof.theta, prof.kappa, prof.residuals])
+        manifest.emit("catenoid_plot.gp", emit_plot_script,
+                      f"catenoidal translator {f.name} R={args.R}",
+                      [("upper.csv", "2:3", "upper branch"), ("lower.csv", "2:3", "lower branch")])
         emb = res.embeddedness
         manifest.record_check(
             "embeddedness", bool(emb.get("min_gap", 0) > 0) if emb.get("conclusive") else True,
@@ -261,7 +253,7 @@ def cmd_verify(args):
     f = from_key(args.curvature)
     suites = _SUITES[:-1] if args.suite == "all" else [args.suite]  # all but "all"
 
-    def solve(out, manifest):
+    def solve(manifest):
         results = {}
         branch = ImplicitBranch(f)
         if "homogeneity" in suites:
@@ -352,8 +344,7 @@ def cmd_list(args) -> int:
     print("registered examples:")
     for key in registry_keys():
         f = from_key(key)
-        tags = []
-        tags.append("degenerate" if f.is_one_degenerate else "nondegenerate")
+        tags = ["degenerate" if f.is_one_degenerate else "nondegenerate"]
         if f.is_signed:
             tags.append("signed")
         print(f"  {key:20s} alpha={f.alpha}  [{', '.join(tags)}]")
@@ -363,8 +354,7 @@ def cmd_list(args) -> int:
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     try:
-        cfg = load_config(args.config)
-        _merge_config(args, cfg)
+        _merge_config(args, load_config(args.config, _OPTIONS))
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

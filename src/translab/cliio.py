@@ -25,19 +25,14 @@ from .errors import ParameterError
 
 ENV_PREFIX = "TRANSLAB_"
 
-_KNOWN_KEYS = {
-    "global": {"out", "seed"},
-    "bowl": {"curvature", "rmax", "fit_lo", "fit_hi"},
-    "catenoid": {"curvature", "r", "rmax", "handoff"},
-    "verify": {"curvature", "suite"},
-}
 
-
-def load_config(path: Optional[str]) -> dict:
+def load_config(path: Optional[str], known: dict) -> dict:
     """Flat key=value sections; environment variables override as
-    TRANSLAB_<SECTION>_<KEY>.  Unknown keys are rejected, in the file and
-    under a known section's environment prefix alike."""
-    cfg = {section: {} for section in _KNOWN_KEYS}
+    TRANSLAB_<SECTION>_<KEY>, and each key is stored lower-cased.  ``known``
+    maps each section to its option names, which match keys regardless of
+    case; any other section or key is rejected, in the file and under a
+    known section's environment prefix alike."""
+    cfg = {section: {} for section in known}
     items = []  # (section, key, value), the environment's after the file's
     if path:
         parser = configparser.ConfigParser()
@@ -45,7 +40,7 @@ def load_config(path: Optional[str]) -> dict:
         if not read:
             raise ParameterError(f"config file {path!r} not readable")
         for section in parser.sections():
-            if section not in _KNOWN_KEYS:
+            if section not in known:
                 raise ParameterError(f"unknown config section [{section}]")
             items += [(section, key, val) for key, val in parser.items(section)]
     for env_key, val in os.environ.items():
@@ -53,10 +48,10 @@ def load_config(path: Optional[str]) -> dict:
             continue
         rest = env_key[len(ENV_PREFIX):].lower()
         section, sep, key = rest.partition("_")
-        if section in _KNOWN_KEYS and sep:
+        if section in known and sep:
             items.append((section, key, val))
     for section, key, val in items:
-        if key not in _KNOWN_KEYS[section]:
+        if key not in map(str.lower, known[section]):
             raise ParameterError(f"unknown config key {key!r} in [{section}]")
         cfg[section][key] = val
     return cfg
@@ -75,9 +70,8 @@ def _json_default(o):
 
 
 def write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    Path(path).write_text(text + "\n")
 
 
 def sha256_of(path: Path) -> str:
@@ -100,8 +94,10 @@ class RunManifest:
         self.files = []
         self._t0 = time.monotonic()
 
-    def record_file(self, path: Path) -> None:
-        self.files.append(Path(path))
+    def emit(self, name: str, writer, *data) -> None:
+        """Write one output file with ``writer(path, *data)`` and list it."""
+        writer(self.out_dir / name, *data)
+        self.files.append(self.out_dir / name)
 
     def record_check(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks[name] = {"passed": bool(passed), "detail": detail}
@@ -141,5 +137,4 @@ def emit_plot_script(path: Path, title: str, plots: list) -> None:
     ]
     lines.append("plot " + ", \\\n     ".join(plot_parts))
     lines.append("pause -1")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")

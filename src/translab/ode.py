@@ -160,7 +160,8 @@ _NEWTON_TOL_FLOOR = 10 * sys.float_info.epsilon
 _MIN_STEP = 1e-14
 # a stop fires once its function clears this band past zero, which filters
 # tangential grazes at interpolation-noise level; the crossing is then
-# bisected to this time tolerance
+# bisected to this time tolerance, or until the midpoint rounds to an end
+# of the bracket (past t = 8192 an ulp of t exceeds the tolerance)
 _GRAZE = 1e-10
 _STOP_TOL = 1e-12
 
@@ -378,6 +379,8 @@ def integrate(
             ta, tb = seg.t0, t_new
             while tb - ta > _STOP_TOL:
                 tm = 0.5 * (ta + tb)
+                if tm in (ta, tb):
+                    break
                 if g(tm, seg.eval(tm)) <= 0:
                     ta = tm
                 else:

@@ -85,6 +85,21 @@ def test_neck_stop_reason(key, reason, r_exit):
     assert neck.up_exit[1] == pytest.approx(r_exit, rel=1e-12)
 
 
+@pytest.mark.parametrize("key, R", [("qk:k=3,n=6", 1e4), ("qk:k=3,n=6", 1e5), ("qk:k=4,n=6", 1e6)])
+def test_large_neck_reaches_handoff(key, R):
+    # the curvature-zero stop is measured in the neck's own curvature scale,
+    # so it clears the graze band at any R instead of letting the up side
+    # grind to its cap; from R = 1e5 on, the down side's handoff stop fires
+    # past tau = 8192, where an ulp of tau exceeds the bisection tolerance
+    t0 = time.perf_counter()
+    neck = solve_neck(from_key(key), R)
+    res = solve_catenoid(from_key(key), R, 5 * R)
+    assert time.perf_counter() - t0 < 2.0
+    assert neck.up_exit_reason == "curvature_zero"
+    assert neck.up_exit[0] < 0.01 * R  # far short of the cap u = 6 R
+    assert res.case == "derivative_origin"
+
+
 def test_neck_requires_signed():
     with pytest.raises(UnsupportedError):
         solve_neck(from_key("mean:n=3"), 1.0)

@@ -52,6 +52,14 @@ def test_event_sign_change_bracketing():
     assert g_before <= 0 <= g_after or abs(g_before) < 1e-10
 
 
+def test_stop_past_t_8192_ends():
+    # past t = 8192 an ulp of t exceeds the bisection tolerance, so the
+    # bisection ends where its midpoint rounds to an end of the bracket
+    tr = integrate(lambda t, y: (1.0,), 0.0, [0.0], 2e4, stops=(lambda t, y: y[0] - 1e4,))
+    assert (tr.termination, tr.stop) == ("terminal_event", 0)
+    assert tr.t_final == pytest.approx(1e4, rel=1e-15)
+
+
 def test_falling_direction_filter():
     # y = cos t crosses 0.5 falling at t = pi/3: a stop fires on rising
     # crossings only, so y - 0.5 never fires and 0.5 - y does
