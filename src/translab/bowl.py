@@ -213,19 +213,11 @@ def solve_bowl(f: CurvatureFunction, r_max: float) -> BowlProfile:
     if a <= 1.0 / 3.0:
         raise ParameterError(f"bowl solver requires alpha > 1/3, got {a}")
     branch = ImplicitBranch(f)
-    clamp = None
-    stops = []
-    if not f.is_one_degenerate:
-        # right endpoint of U+: the y-argument may only touch y = 1 (cylinder)
-        clamp = 1.0
-        stops.append(lambda r, yv: yv[0] / (r * (1 + yv[0] ** 2) ** f.beta) - (1.0 - 1e-12))
+    # right endpoint of U+: the y-argument may only touch y = 1 (cylinder)
+    clamp = None if f.is_one_degenerate else 1.0
     rhs, jac = _slope_scalar(f, branch, clamp)
-    traj = integrate(rhs, AXIS_EPS, [f.lambda0 * AXIS_EPS], r_max, PROFILE_CONFIG, stops, jac=jac)
-    if traj.termination == "terminal_event":
-        termination = "reached cylinder slope y=1"
-    elif traj.termination == "reached_end":
-        termination = "reached_end"
-    else:
+    traj = integrate(rhs, AXIS_EPS, [f.lambda0 * AXIS_EPS], r_max, PROFILE_CONFIG, jac=jac)
+    if traj.termination != "reached_end":
         raise StructureError(f"bowl integration failed: {traj.termination} at r={traj.t_final}")
 
     r = traj.ts
@@ -241,7 +233,7 @@ def solve_bowl(f: CurvatureFunction, r_max: float) -> BowlProfile:
         u=u,
         v=v,
         residuals=_node_residuals(f, r, v, traj.fs[:, 0], v, clamp_y=clamp),
-        termination=termination,
+        termination=traj.termination,
         lambda0=f.lambda0,
         trajectory=traj,
     )

@@ -131,18 +131,19 @@ def _run(args, command) -> int:
     """Run a solving command and return its exit code.
 
     ``command(args)`` builds the curvature function and checks the options;
-    a TranslabError there exits 2 before the run directory is made.  It
-    returns the solve step ``solve(manifest)``, which writes the data
-    files, records the checks and returns the JSON sidecar payload.  A
+    a TranslabError there exits 2 before the run directory is made, and so
+    does an OSError making it (``--out`` naming a file or a path through
+    one).  It returns the solve step ``solve(manifest)``, which writes the
+    data files, records the checks and returns the JSON sidecar payload.  A
     TranslabError raised by the solve step is recorded in error.json; it
     exits 2 when it is a rejected parameter (ParameterError), 3 otherwise.
     """
     try:
         solve = command(args)
-    except TranslabError as exc:
+        manifest = RunManifest(args.out, args.command, _echo(args))
+    except (TranslabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    manifest = RunManifest(args.out, args.command, _echo(args))
     try:
         payload = solve(manifest)
     except TranslabError as exc:

@@ -4,9 +4,11 @@ Every function of the principal curvatures used here is evaluated on the
 rotational slice (x, y, ..., y) of R^n, which collapses it to a function
 gamma(x, y) of two variables.  Each family below provides the slice value,
 analytic first partials, a cone-membership predicate and a closed-form
-inverse in x, for a float or an ndarray of y.  The inverse feeds the ODE
-right-hand sides (``ImplicitBranch.solve_level`` and ``solve_levels``) and
-cross-checks the generic root solver.
+inverse in x, for a float or an ndarray of y.  Each inverse is exact: it
+returns the root of gamma(x, y) = z on the monotone piece ``x_chart`` names,
+and NaN where that piece holds none, so its callers trust any finite value.
+It feeds the ODE right-hand sides (``ImplicitBranch.solve_level`` and
+``solve_levels``) and cross-checks the generic root solver.
 
 Construction normalizes gamma so that gamma(0, 1) = 1 whenever that value is
 positive; the original scale is kept in ``normalization``.
@@ -54,9 +56,6 @@ class CurvatureFunction:
     name: str
     dimension_n: int
     alpha: Fraction
-    # whether _raw_solve_x is an algebraically exact inverse on its chart
-    # (False where an even power can produce a spurious root)
-    closed_inverse_exact = True
     # how the slice formula reaches the level gamma = -1 at y in (-1, 0):
     # None where the family stays positive there, "direct" where the formula
     # takes the value -1, "reflected" where it is even in x and the level is
@@ -94,7 +93,8 @@ class CurvatureFunction:
         return None
 
     def _raw_solve_x(self, y, z_raw):
-        """Closed-form x with raw gamma(x, y) = z_raw; NaN where there is none."""
+        """Closed-form x with raw gamma(x, y) = z_raw inside ``x_chart``; NaN
+        where there is none."""
         raise NotImplementedError
 
     def cone_contains(self, x: float, y: float) -> bool:
@@ -135,10 +135,6 @@ class CurvatureFunction:
             return self._raw_solve_x(y, z * self.normalization)
         except (ZeroDivisionError, OverflowError):
             return y * math.nan
-
-    def value_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``value`` over arrays (families whose inverse is verified)."""
-        return self._raw_value_array(x, y) / self.normalization
 
     def x_chart(self, y: float, z: float) -> tuple:
         """Open x-interval of the monotone piece holding the z-level at this y.
@@ -308,11 +304,12 @@ class HessianQuotient(CurvatureFunction):
         self.k = k
         self.l = l
         self.m = k - l
-        self.closed_inverse_exact = self.m == 1  # m-th power solve is not
         self._bk = comb(n - 1, k)
         self._bk1 = comb(n - 1, k - 1)
         self._bl = comb(n - 1, l)
         self._bl1 = comb(n - 1, l - 1) if l >= 1 else 0
+        # with a pole (l >= 1), y times this is the raw value's limit at x = +-inf
+        self._limit = (self._bk1 / self._bl1) ** (1.0 / self.m) if l >= 1 else None
         name = f"qk:k={k},n={n}" if l == k - 1 else f"hq:k={k},l={l},n={n}"
         super().__init__(name, n, Fraction(1))
         if l == k - 1 and k < n:
@@ -378,16 +375,26 @@ class HessianQuotient(CurvatureFunction):
         return gxx, gxy, gyy
 
     def _raw_solve_x(self, y, z_raw):
-        # cross-multiplied m-th power equation; for even m the caller must be
-        # on a branch where sign(y) = sign(z), else the root is spurious
+        # the cross-multiplied equation num/den = (z/y)^m
         m = self.m
         zm = z_raw**m
         ym = y**m
-        return y * (self._bl * zm - self._bk * ym) / (self._bk1 * ym - self._bl1 * zm)
-
-    def _raw_value_array(self, x, y):
-        rho = (self._bk * y + self._bk1 * x) / (self._bl * y + self._bl1 * x)
-        return y * rho if self.m == 1 else y * rho ** (1.0 / self.m)
+        x = y * (self._bl * zm - self._bk * ym) / (self._bk1 * ym - self._bl1 * zm)
+        if m == 1:
+            return x
+        # the root solves the level only where z/y > 0 (for even m the
+        # equation also has roots at z/y < 0) and num/den > 0, computed as
+        # ``value`` computes them; it counts only strictly inside the piece
+        # ``x_chart`` picks, with the ends and split computed as there, so a
+        # root rounded onto an end or onto the other piece gives NaN
+        num = self._bk * y + self._bk1 * x
+        den = self._bl * y + self._bl1 * x
+        x_n = -self._bk * y / self._bk1
+        on_chart = (x - x_n) * y > 0  # x > x_n for y > 0, x < x_n for y < 0
+        if self._bl1:
+            right = (y < 0) & (z_raw < y * self._limit)
+            on_chart = _where(right, x > -self._bl * y / self._bl1, on_chart)
+        return _where((y * z_raw > 0) & (num * den > 0) & on_chart, x)
 
     def cone_contains(self, x, y):
         return _garding_slice_ok(self.dimension_n, self.k, x, y)
@@ -406,26 +413,8 @@ class HessianQuotient(CurvatureFunction):
         x_n = -self._bk * y / self._bk1
         if y > 0:
             return (max(x_n, pole), inf)
-        limit = (y * (self._bk1 / self._bl1) ** (1.0 / self.m)) / self.normalization
-        return (pole, inf) if z < limit else (-inf, x_n)
-
-    def x_chart_array(self, y, z):
-        """``x_chart`` over an array of y, as (lo, hi) arrays."""
-        inf = math.inf
-        if self._bl1 == 0:
-            if self.m == 1:
-                return np.full(y.shape, -inf), np.full(y.shape, inf)
-            x_n = -self._bk * y / self._bk1
-            return np.where(y > 0, x_n, -inf), np.where(y > 0, inf, x_n)
-        pole = -self._bl * y / self._bl1
-        if self.m == 1:
-            right = z < (y * self._bk1 / self._bl1) / self.normalization
-            return np.where(right, pole, -inf), np.where(right, inf, pole)
-        x_n = -self._bk * y / self._bk1
-        right = z < (y * (self._bk1 / self._bl1) ** (1.0 / self.m)) / self.normalization
-        lo = np.where(y > 0, np.maximum(x_n, pole), np.where(right, pole, -inf))
-        hi = np.where((y > 0) | right, inf, x_n)
-        return lo, hi
+        # the level lies on the piece x > pole below the limit
+        return (pole, inf) if z * self.normalization < y * self._limit else (-inf, x_n)
 
 
 class KNorm(CurvatureFunction):

@@ -4,8 +4,10 @@ The level set is solved for x by one safeguarded Newton loop in an expanding
 bracket: Newton steps where they land inside the bracket and shrink it fast
 enough, splits otherwise, geometric in the distance to a near chart end (a
 pole, a radicand root).  It only uses ``value`` and ``grad`` of the curvature
-function, so it stays independent of the closed-form inverses, which feed
-the ODE right-hand sides through ``solve_level`` and cross-check it.
+function, so it stays independent of the closed-form inverses, which
+cross-check it.  ``solve_level`` and ``solve_levels`` feed the ODE
+right-hand sides: each takes the exact closed form where it is finite and
+the numeric solve elsewhere.
 
 ``g_plus`` is the positive-level branch on U+;  ``g_minus`` the z = -1 branch
 at y in (-1, 0);  ``solve_extended`` the unrestricted monotone solve used by
@@ -237,49 +239,24 @@ class ImplicitBranch:
         return self._solve_bracketed(y, z, c - 0.25 * w, c + 0.25 * w)
 
     def solve_level(self, y: float, z: float, seed: Optional[float] = None) -> float:
-        """Fast x-solve: the family's closed form, numeric where it has no root.
-
-        Families whose inverse is algebraically exact are trusted directly;
-        other closed forms (even-power branches can be spurious) are
-        residual-verified and fall back to the numeric path.
-        """
-        f = self.source
-        try:
-            x = f.solve_x(y, z)
-            if f.closed_inverse_exact:
-                if math.isfinite(x):
-                    return x
-            elif math.isfinite(x) and abs(f.value(x, y) - z) <= 1e-10 * max(1.0, abs(z)):
-                lo, hi = f.x_chart(y, z)
-                if lo < x < hi:
-                    return x
-        except DomainError:  # the verifying value at a spurious root
-            pass
+        """Fast x-solve: the family's closed form, which is exact where it
+        is finite, else the numeric ``solve_extended``."""
+        x = self.source.solve_x(y, z)
+        if math.isfinite(x):
+            return x
         return self.solve_extended(y, z, seed)
-
-    def closed_levels(self, ys: np.ndarray, z: float) -> tuple:
-        """The closed-form inverse at (ys, z) and the mask of the elements
-        that pass the acceptance rule of ``solve_level``, both evaluated as
-        arrays."""
-        f = self.source
-        with np.errstate(all="ignore"):
-            x = f.solve_x(ys, z)
-            ok = np.isfinite(x)
-            if not f.closed_inverse_exact:
-                lo, hi = f.x_chart_array(ys, z)
-                ok &= np.abs(f.value_array(x, ys) - z) <= 1e-10 * max(1.0, abs(z))
-                ok &= (lo < x) & (x < hi)
-        return x, ok
 
     def solve_levels(self, ys: np.ndarray, z: float, seeds) -> np.ndarray:
         """``solve_level`` over an array of y at one level z; NaN where the
         solve fails.
 
-        Elements the array closed form accepts (``closed_levels``) take it;
-        every other one goes to the scalar ``solve_level`` with its seed.
-        ``seeds`` broadcasts against ys, NaN standing for no seed.
+        Elements where the array closed form is finite take it; every other
+        one goes to the scalar ``solve_level`` with its seed.  ``seeds``
+        broadcasts against ys, NaN standing for no seed.
         """
-        x, ok = self.closed_levels(ys, z)
+        with np.errstate(all="ignore"):
+            x = self.source.solve_x(ys, z)
+        ok = np.isfinite(x)
         if ok.all():
             return x
         rest = np.flatnonzero(~ok)

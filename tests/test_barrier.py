@@ -154,16 +154,23 @@ def test_ordering_every_family(monkeypatch, key):
     # every family's array closed form takes every component the batched
     # RHS passes: no element falls back to the scalar solve_level
     f = from_key(key)
-    elements, rejected = [], []
-    original = ImplicitBranch.closed_levels
+    elements, rejected, inside = [], [], []
+    original_levels, original_level = ImplicitBranch.solve_levels, ImplicitBranch.solve_level
 
-    def spy(self, ys, z):
-        x, ok = original(self, ys, z)
-        elements.append(ok.size)
-        rejected.append(int(ok.size - ok.sum()))
-        return x, ok
+    def levels_spy(self, ys, z, seeds):
+        elements.append(ys.size)
+        inside.append(True)
+        try:
+            return original_levels(self, ys, z, seeds)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(ImplicitBranch, "closed_levels", spy)
+    def level_spy(self, y, z, seed=None):
+        rejected.append(bool(inside))  # the batched Jacobian calls it too
+        return original_level(self, y, z, seed)
+
+    monkeypatch.setattr(ImplicitBranch, "solve_levels", levels_spy)
+    monkeypatch.setattr(ImplicitBranch, "solve_level", level_spy)
     v_lo, v_hi = admissible_slope_range(f, 1.0)
     for seed in range(4):
         rng = np.random.default_rng(seed)

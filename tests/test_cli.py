@@ -1,9 +1,14 @@
 """CLI: exit codes, file contracts, config handling, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import translab
 from translab.cli import main
 from translab.curvature import registry_keys
 
@@ -14,6 +19,14 @@ def run(args):
 
 def test_list():
     assert run(["list"]) == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime depends on numpy alone (pyproject.toml); scipy is a test oracle
+    env = {**os.environ, "PYTHONPATH": str(Path(translab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", "import sys, translab.cli; print('scipy' in sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_bowl_files_and_exit(tmp_path):
@@ -227,6 +240,15 @@ def test_config_unknown_key_rejected(tmp_path, monkeypatch):
 
 def test_missing_required_exit2(tmp_path):
     assert run(["bowl", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/x"])
+def test_out_not_a_directory_exit2(tmp_path, capsys, out):
+    # --out naming a file, or a path through one: no run directory, no traceback
+    (tmp_path / "afile").write_text("")
+    assert run(["bowl", "--curvature", "mean:n=3", "--rmax", "60",
+                "--out", str(tmp_path / out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

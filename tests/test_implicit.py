@@ -316,7 +316,9 @@ def test_laurent_tail_rejects_nondegenerate():
 def test_solve_levels_matches_scalar(monkeypatch, key, ulps, z):
     b = branch(key)
     ys = np.concatenate([[0.0, 1.0], np.linspace(-3.0, 3.0, 600), np.geomspace(1e-3, 1e2, 400)])
-    closed, accepted = b.closed_levels(ys, z)
+    with np.errstate(all="ignore"):
+        closed = b.source.solve_x(ys, z)
+    accepted = np.isfinite(closed)
     levels = b.solve_levels(ys.reshape(2, -1), z, np.nan).ravel()
 
     numeric = []
@@ -364,12 +366,42 @@ def test_solve_levels_matches_scalar(monkeypatch, key, ulps, z):
         assert residual <= 1e-10 * max(1.0, z) * max(1.0, abs(x), abs(y)) ** f.alpha_float
 
 
-@pytest.mark.parametrize("key", HQ_CASES + ["qk:k=3,n=7", "qk:k=4,n=4"])
-def test_x_chart_array_matches_scalar(key):
-    f = from_key(key)
-    ys = np.concatenate([np.linspace(-3.0, 3.0, 241), [0.0]])
-    for z in (1.0, -1.0, 2.5, -0.3):
-        lo, hi = f.x_chart_array(ys, z)
-        expected = np.array([f.x_chart(y, z) for y in ys.tolist()])
-        assert np.array_equal(lo, expected[:, 0])
-        assert np.array_equal(hi, expected[:, 1])
+# m = k - l = 2, 3, 4, without a pole (l = 0) and with one (l = 1)
+@pytest.mark.parametrize("key", ["hq:k=2,l=0,n=3", "hq:k=3,l=0,n=5", "hq:k=4,l=0,n=5",
+                                 "hq:k=3,l=1,n=5", "hq:k=4,l=1,n=5", "hq:k=5,l=1,n=6"])
+def test_hq_power_inverse_exact(key):
+    # the m-th-power inverse, scalar or array, is finite only at a root
+    # strictly inside x_chart; where it is NaN the numeric solve finds none
+    b = branch(key)
+    f = b.source
+    mag = np.geomspace(1e-3, 1e3, 31)
+    ys = np.concatenate([-mag, mag])
+    finite = []
+
+    def check_root(x, y, z):
+        lo, hi = f.x_chart(y, z)
+        assert lo < x < hi
+        # the residual bound of test_solve_levels_matches_scalar plus the
+        # change of gamma over a few ulps of x: near the numerator root
+        # (|z/y| small) gamma is steep and no float x meets the first
+        tol = 1e-10 * max(1.0, abs(z)) * max(1.0, abs(x), abs(y))
+        assert abs(f.value(x, y) - z) <= tol + 8 * f.grad(x, y)[0] * math.ulp(x)
+        finite.append(x)
+
+    for z in (-1e3, -2.5, -1.0, -0.3, -1e-3, 1e-3, 0.3, 1.0, 2.5, 1e3):
+        for y, x_array in zip(ys.tolist(), f.solve_x(ys, z).tolist()):
+            x_scalar = f.solve_x(y, z)
+            if math.isnan(x_scalar):
+                with pytest.raises(TranslabError):
+                    b.solve_extended(y, z)
+            for x in (x_scalar, x_array):
+                if not math.isnan(x):
+                    check_root(x, y, z)
+    # levels whose root lies within a few ulps of the numerator root x_n,
+    # where the computed root may round onto x_n or next to it
+    for y in ys.tolist():
+        for ratio in np.geomspace(1e-12, 1e-2, 21).tolist():
+            x = f.solve_x(y, ratio * y)
+            if not math.isnan(x):
+                check_root(x, y, ratio * y)
+    assert finite
