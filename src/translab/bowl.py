@@ -77,41 +77,40 @@ class AsymptoticReport:
 def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional[float]):
     """The slope equation v' = F(r, v) and its derivative dF/dv.
 
-    Returns two maps of (r, v, seed): ``value`` gives (F, x) with x the
-    branch root (the seed of the next solve), ``derivative`` gives
+    Returns two maps of (r, v): ``value`` gives F, ``derivative`` gives
 
         dF/dv = 2 (beta+1) v (1+v^2)^beta x
                 + (-gamma_y/gamma_x) (1 + v^2 - 2 beta v^2) / r,
 
-    whose second term drops where the y-argument is held at clamp_y.  Both
-    raise TranslabError where the root solve fails.  ``value`` also takes
-    an ndarray of v, with r and the seeds broadcasting against it (see
-    ``ImplicitBranch.solve_levels``); F and x are then NaN where the solve
-    fails.
+    with x the branch root; the second term drops where the y-argument is
+    held at clamp_y.  Both raise TranslabError where the root solve fails.
+    ``value`` also takes an ndarray of v, with r broadcasting against it;
+    F is then NaN where the family's closed form has no root.
     """
     beta = f.beta
     beta1 = beta + 1.0
 
-    def value(r, v, seed):
+    def value(r, v):
         one_plus = 1.0 + v * v
         yarg = v / (r * one_plus**beta)
         if isinstance(yarg, np.ndarray):
             if clamp_y is not None:
                 yarg = np.minimum(yarg, clamp_y)
-            x = branch.solve_levels(yarg, 1.0, seed)
+            with np.errstate(all="ignore"):
+                x = f.solve_x(yarg, 1.0)
         else:
             if clamp_y is not None and yarg >= clamp_y:
                 yarg = clamp_y
-            x = branch.solve_level(yarg, 1.0, seed)
-        return one_plus**beta1 * x, x
+            x = branch.solve_level(yarg, 1.0)
+        return one_plus**beta1 * x
 
-    def derivative(r, v, seed):
+    def derivative(r, v):
         one_plus = 1.0 + v * v
         yarg = v / (r * one_plus**beta)
         clamped = clamp_y is not None and yarg >= clamp_y
         if clamped:
             yarg = clamp_y
-        x = branch.solve_level(yarg, 1.0, seed)
+        x = branch.solve_level(yarg, 1.0)
         d = 2.0 * beta1 * v * one_plus**beta * x
         if not clamped:
             gx, gy = f.grad(x, yarg)
@@ -123,24 +122,21 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
 
 def _slope_scalar(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional[float]):
     """RHS and Jacobian of the slope equation as one-component maps for
-    ``integrate``.  Each root solve is seeded with the last root; a failed
-    one, or an overflow at a huge v, gives NaN: a domain exit.  The explicit
-    catenoid charts build their RHS on this one.
+    ``integrate``.  A failed root solve, or an overflow at a huge v, gives
+    NaN: a domain exit.  The explicit catenoid charts build their RHS on
+    this one.
     """
     value, derivative = _slope_field(f, branch, clamp_y)
-    seed = None
 
     def rhs(r, vs):
-        nonlocal seed
         try:
-            F, seed = value(r, vs[0], seed)
+            return (value(r, vs[0]),)
         except (TranslabError, OverflowError):
-            F = math.nan
-        return (F,)
+            return (math.nan,)
 
     def jac(r, vs):
         try:
-            return (derivative(r, vs[0], seed),)
+            return (derivative(r, vs[0]),)
         except (TranslabError, ZeroDivisionError, OverflowError):
             return (math.nan,)
 
@@ -152,30 +148,22 @@ def _slope_batch(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
     slope equation, one per state component (the batched steps of
     ``integrate``).
 
-    Each component seeds its root solves with its own last root, so two
-    components holding equal data compute bit-identical values.  A failed
-    root solve gives NaN, which the integrator treats as a domain exit.
+    Each element is solved on its own, so two components holding equal data
+    compute bit-identical values.  A failed root solve gives NaN, which the
+    integrator treats as a domain exit.
     """
     value, derivative = _slope_field(f, branch, clamp_y)
-    seeds = np.nan  # per component once set; NaN: no seed
-
-    def rhs(r, vs):
-        nonlocal seeds
-        F, x = value(r, vs, seeds)
-        last = x[-1] if x.ndim == 2 else x  # the last stage of a stage batch
-        seeds = np.where(np.isnan(last), seeds, last)
-        return F
 
     def jac(r, vs):
         out = np.empty(len(vs))
-        for i, (v, seed) in enumerate(zip(vs, np.broadcast_to(seeds, len(vs)))):
+        for i, v in enumerate(vs):
             try:
-                out[i] = derivative(r, float(v), None if math.isnan(seed) else float(seed))
+                out[i] = derivative(r, float(v))
             except (TranslabError, ZeroDivisionError):
                 out[i] = math.nan
         return out
 
-    return rhs, jac
+    return value, jac
 
 
 def _node_residuals(f: CurvatureFunction, r, q, x_num, y_num, z=1.0,

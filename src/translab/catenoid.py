@@ -148,18 +148,15 @@ def _neck_rhs(f: CurvatureFunction, branch: ImplicitBranch, z_sign: float):
     derivative is unchanged: d2r/dtau2 = r_uu either way.
     """
     beta = f.beta
-    state = {"seed": None}
 
     def rhs(u, y):
         r, p = y
         one_plus = 1.0 + p * p
         yarg = 1.0 / (r * one_plus**beta)
-        z = z_sign * p
         try:
-            x = branch.solve_level(yarg, z, seed=state["seed"])
+            x = branch.solve_level(yarg, z_sign * p)
         except TranslabError:
             return (math.nan, math.nan)
-        state["seed"] = x
         return (p, -(one_plus ** (beta + 1.0)) * x)
 
     return rhs

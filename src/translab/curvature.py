@@ -7,8 +7,8 @@ analytic first partials, a cone-membership predicate and a closed-form
 inverse in x, for a float or an ndarray of y.  Each inverse is exact: it
 returns the root of gamma(x, y) = z on the monotone piece ``x_chart`` names,
 and NaN where that piece holds none, so its callers trust any finite value.
-It feeds the ODE right-hand sides (``ImplicitBranch.solve_level`` and
-``solve_levels``) and cross-checks the generic root solver.
+It alone solves the ODE right-hand sides (``ImplicitBranch.solve_level`` and
+the batched slope RHS) and cross-checks the generic root solver.
 
 Construction normalizes gamma so that gamma(0, 1) = 1 whenever that value is
 positive; the original scale is kept in ``normalization``.
@@ -218,7 +218,9 @@ class GaussRoot(CurvatureFunction):
 
     def _raw_solve_x(self, y, z_raw):
         n = self.dimension_n
-        return z_raw**n / y ** (n - 1)
+        x = z_raw**n / y ** (n - 1)
+        # an even root has no level below 0, and its chart is x > 0
+        return x if n % 2 == 1 else _where((z_raw > 0) & (x > 0), x)
 
     def cone_contains(self, x, y):
         return x > 0 and y > 0
@@ -381,6 +383,10 @@ class HessianQuotient(CurvatureFunction):
         ym = y**m
         x = y * (self._bl * zm - self._bk * ym) / (self._bk1 * ym - self._bl1 * zm)
         if m == 1:
+            if self._bl1:
+                # the piece x_chart picks: x > pole below the limit, x < pole above it
+                below = z_raw < y * self._limit
+                x = _where((x > -self._bl * y / self._bl1) == below, x)
             return x
         # the root solves the level only where z/y > 0 (for even m the
         # equation also has roots at z/y < 0) and num/den > 0, computed as
@@ -407,14 +413,14 @@ class HessianQuotient(CurvatureFunction):
             x_n = -self._bk * y / self._bk1  # numerator root
             return (x_n, inf) if y > 0 else (-inf, x_n)
         pole = -self._bl * y / self._bl1
+        # the level lies on the piece x > pole below the limit
+        below = z * self.normalization < y * self._limit
         if self.m == 1:
-            limit = (y * self._bk1 / self._bl1) / self.normalization
-            return (pole, inf) if z < limit else (-inf, pole)
+            return (pole, inf) if below else (-inf, pole)
         x_n = -self._bk * y / self._bk1
         if y > 0:
             return (max(x_n, pole), inf)
-        # the level lies on the piece x > pole below the limit
-        return (pole, inf) if z * self.normalization < y * self._limit else (-inf, x_n)
+        return (pole, inf) if below else (-inf, x_n)
 
 
 class KNorm(CurvatureFunction):
@@ -448,8 +454,10 @@ class KNorm(CurvatureFunction):
         k, n = self.k, self.dimension_n
         s = z_raw**k - (n - 1) * y**k
         root = abs(s) ** (1.0 / k)
-        # an even power sum has no level below 0; an odd one takes the odd root
-        return _where(s < 0, -root if k % 2 == 1 else math.nan, root)
+        # an odd power sum takes the odd root below 0; an even one has no sum or level below 0
+        if k % 2 == 1:
+            return _where(s < 0, -root, root)
+        return _where((s > 0) & (z_raw > 0), root)
 
     def cone_contains(self, x, y):
         return x > 0 and y > 0

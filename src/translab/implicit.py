@@ -5,13 +5,13 @@ bracket: Newton steps where they land inside the bracket and shrink it fast
 enough, splits otherwise, geometric in the distance to a near chart end (a
 pole, a radicand root).  It only uses ``value`` and ``grad`` of the curvature
 function, so it stays independent of the closed-form inverses, which
-cross-check it.  ``solve_level`` and ``solve_levels`` feed the ODE
-right-hand sides: each takes the exact closed form where it is finite and
-the numeric solve elsewhere.
+cross-check it.  ``solve_level`` feeds the ODE right-hand sides: it is the
+family's exact closed form, and a ``ConvergenceError`` where that has no
+root.
 
 ``g_plus`` is the positive-level branch on U+;  ``g_minus`` the z = -1 branch
-at y in (-1, 0);  ``solve_extended`` the unrestricted monotone solve used by
-the catenoid charts, where x may take either sign.
+at y in (-1, 0);  ``solve_extended`` the unrestricted monotone solve, where
+x may take either sign.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .curvature import CurvatureFunction
-from .errors import ConvergenceError, DomainError, TranslabError, UnsupportedError
+from .errors import ConvergenceError, DomainError, UnsupportedError
 
 # a bracket spanning more than this factor in the distance to a finite chart
 # end is split geometrically in that distance, a narrower one arithmetically
@@ -228,46 +228,18 @@ class ImplicitBranch:
         upper = y if not f.is_one_degenerate else y * z ** (1.0 / f.alpha_float) * f.lambda0 + y
         return self._solve_bracketed(y, z, 0.0, upper)
 
-    def solve_extended(self, y: float, z: float, seed: Optional[float] = None) -> float:
-        """Monotone-in-x solve with no positivity restriction on x.
+    def solve_extended(self, y: float, z: float) -> float:
+        """Monotone-in-x solve with no positivity restriction on x, from a
+        bracket centred at 0."""
+        w = max(1.0, abs(y))
+        return self._solve_bracketed(y, z, -0.25 * w, 0.25 * w)
 
-        Used by the catenoid charts where the curvature argument changes
-        sign; the seed (if given) centers the initial bracket.
-        """
-        c = seed if seed is not None else 0.0
-        w = max(1.0, abs(c), abs(y))
-        return self._solve_bracketed(y, z, c - 0.25 * w, c + 0.25 * w)
-
-    def solve_level(self, y: float, z: float, seed: Optional[float] = None) -> float:
-        """Fast x-solve: the family's closed form, which is exact where it
-        is finite, else the numeric ``solve_extended``."""
+    def solve_level(self, y: float, z: float) -> float:
+        """The x-solve of the slope equations: the family's closed form,
+        exact where it is finite; a ConvergenceError where it has no root."""
         x = self.source.solve_x(y, z)
-        if math.isfinite(x):
-            return x
-        return self.solve_extended(y, z, seed)
-
-    def solve_levels(self, ys: np.ndarray, z: float, seeds) -> np.ndarray:
-        """``solve_level`` over an array of y at one level z; NaN where the
-        solve fails.
-
-        Elements where the array closed form is finite take it; every other
-        one goes to the scalar ``solve_level`` with its seed.  ``seeds``
-        broadcasts against ys, NaN standing for no seed.
-        """
-        with np.errstate(all="ignore"):
-            x = self.source.solve_x(ys, z)
-        ok = np.isfinite(x)
-        if ok.all():
-            return x
-        rest = np.flatnonzero(~ok)
-        xs = []
-        for y, seed in zip(ys.ravel()[rest].tolist(),
-                           np.broadcast_to(seeds, ys.shape).ravel()[rest].tolist()):
-            try:
-                xs.append(self.solve_level(y, z, None if math.isnan(seed) else seed))
-            except TranslabError:
-                xs.append(math.nan)
-        np.put(x, rest, xs)
+        if not math.isfinite(x):
+            raise ConvergenceError(f"{self.source.name}: no root of gamma = {z} at y={y}")
         return x
 
     def g_minus(self, y: float) -> float:

@@ -151,26 +151,20 @@ def test_ordering_gap_on_shared_steps(key):
 
 @pytest.mark.parametrize("key", registry_keys())
 def test_ordering_every_family(monkeypatch, key):
-    # every family's array closed form takes every component the batched
-    # RHS passes: no element falls back to the scalar solve_level
+    # every family's array closed form has a root for every component the
+    # batched RHS passes: no element is NaN
     f = from_key(key)
-    elements, rejected, inside = [], [], []
-    original_levels, original_level = ImplicitBranch.solve_levels, ImplicitBranch.solve_level
+    elements, missed = [], []
+    original = f.solve_x
 
-    def levels_spy(self, ys, z, seeds):
-        elements.append(ys.size)
-        inside.append(True)
-        try:
-            return original_levels(self, ys, z, seeds)
-        finally:
-            inside.pop()
+    def spy(y, z):
+        x = original(y, z)
+        if isinstance(y, np.ndarray):  # the batched RHS; the Jacobian is scalar
+            elements.append(x.size)
+            missed.append(int(np.isnan(x).sum()))
+        return x
 
-    def level_spy(self, y, z, seed=None):
-        rejected.append(bool(inside))  # the batched Jacobian calls it too
-        return original_level(self, y, z, seed)
-
-    monkeypatch.setattr(ImplicitBranch, "solve_levels", levels_spy)
-    monkeypatch.setattr(ImplicitBranch, "solve_level", level_spy)
+    monkeypatch.setattr(f, "solve_x", spy)
     v_lo, v_hi = admissible_slope_range(f, 1.0)
     for seed in range(4):
         rng = np.random.default_rng(seed)
@@ -182,7 +176,7 @@ def test_ordering_every_family(monkeypatch, key):
         assert rep["min_gap"] >= -1e-9
         assert rep["all_ordered"]
     assert sum(elements) > 10**4
-    assert sum(rejected) == 0
+    assert sum(missed) == 0
 
 
 def test_ordering_truncated_span_is_not_verified():

@@ -65,7 +65,7 @@ def test_height_matches_high_order_oracle():
     value, _ = _slope_field(f, ImplicitBranch(f), None)
     grid = np.geomspace(1.0, 1e3, 25)
     sol = solve_ivp(
-        lambda r, y: [value(r, y[0], None)[0], y[0]],
+        lambda r, y: [value(r, y[0]), y[0]],
         (AXIS_EPS, 1e3),
         [p.lambda0 * AXIS_EPS, 0.5 * p.lambda0 * AXIS_EPS**2],
         method="DOP853",
@@ -260,8 +260,8 @@ def test_slope_derivative_matches_differences(key, r, v):
     f = from_key(key)
     value, derivative = _slope_field(f, ImplicitBranch(f), 1.0)
     h = 1e-6 * v
-    fd = (value(r, v + h, None)[0] - value(r, v - h, None)[0]) / (2 * h)
-    assert derivative(r, v, None) == pytest.approx(fd, rel=1e-7)
+    fd = (value(r, v + h) - value(r, v - h)) / (2 * h)
+    assert derivative(r, v) == pytest.approx(fd, rel=1e-7)
 
 
 def test_slope_rhs_maps_overflow_to_nan():

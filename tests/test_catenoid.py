@@ -197,7 +197,7 @@ def test_upper_height_against_dop853_oracle(chart):
     value, _ = _slope_field(f, ImplicitBranch(f), None)
 
     def graph(r, y):
-        return [value(r, y[0], None)[0], y[0], math.sqrt(1.0 + y[0] ** 2)]
+        return [value(r, y[0]), y[0], math.sqrt(1.0 + y[0] ** 2)]
 
     def oracle(rhs, span, y0, **kw):
         sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-13, atol=1e-20, **kw)
@@ -222,7 +222,7 @@ def test_upper_height_against_dop853_oracle(chart):
     r1, (w1, u1, s1) = down.t[-1], down.y[:, -1]
 
     def turning(w, y):
-        drdw = 1.0 / value(y[0], w, None)[0]
+        drdw = 1.0 / value(y[0], w)
         return [drdw, w * drdw, math.sqrt(1.0 + w * w) * drdw]
 
     sol = oracle(turning, (w1, HANDOFF_TAN), [r1, u1, s1], t_eval=[0.0, HANDOFF_TAN])

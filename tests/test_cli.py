@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,17 @@ def test_catenoid_rmax_near_neck_exit2(tmp_path, key, rmax, bound):
     head, _, tail = error["message"].partition("the fit windows need r_max > ")
     assert head == f"r_max={float(rmax)} lies too close to the neck: "
     assert float(tail) == pytest.approx(bound, rel=1e-12)
+
+
+def test_knorm_fold_bowl_fails_fast(tmp_path):
+    # knorm:k=4,n=4's slope reaches the clamped cylinder y = 1, where the
+    # root x = 0 lies on the chart end and the closed form has none: the
+    # run ends with a classified StructureError within seconds
+    t0 = time.perf_counter()
+    assert run(["bowl", "--curvature", "knorm:k=4,n=4", "--rmax", "200",
+                "--out", str(tmp_path), "--quiet"]) == 3
+    assert time.perf_counter() - t0 < 5.0
+    assert json.loads((tmp_path / "error.json").read_text())["error"] == "StructureError"
 
 
 def test_bowl_bad_curvature_exit2(tmp_path):
