@@ -7,8 +7,9 @@ analytic first partials, a cone-membership predicate and a closed-form
 inverse in x, for a float or an ndarray of y.  Each inverse is exact: it
 returns the root of gamma(x, y) = z on the monotone piece ``x_chart`` names,
 and NaN where that piece holds none, so its callers trust any finite value.
-It alone solves the ODE right-hand sides (``ImplicitBranch.solve_level`` and
-the batched slope RHS) and cross-checks the generic root solver.
+It is the only x-solve: every ``ImplicitBranch`` branch and the batched slope
+RHS take it, and ``ImplicitBranch.bisect_level`` checks it by bisection on
+``value``.
 
 Construction normalizes gamma so that gamma(0, 1) = 1 whenever that value is
 positive; the original scale is kept in ``normalization``.
@@ -141,17 +142,10 @@ class CurvatureFunction:
 
         Defaults to the whole line; rational families override to exclude
         denominator poles, root families to keep radicands nonnegative, even
-        k-norms to keep the half-line x > 0 where they increase.
+        k-norms to keep the half-line x > 0 where they increase, k-convexity
+        to keep its k-fold sums positive.
         """
         return (-math.inf, math.inf)
-
-    def grad_fd(self, x: float, y: float) -> tuple:
-        """Central-difference gradient with the step policy of the config."""
-        h = 1e-6 * max(1.0, abs(x), abs(y))
-        return (
-            (self.value(x + h, y) - self.value(x - h, y)) / (2 * h),
-            (self.value(x, y + h) - self.value(x, y - h)) / (2 * h),
-        )
 
     def sample_cone_point(self, rng: np.random.Generator) -> tuple:
         """A random point of the positive slice cone, radius in [0.2, 5]."""
@@ -284,7 +278,9 @@ class SymmetricPoly(CurvatureFunction):
 
     def _raw_solve_x(self, y, z_raw):
         k = self.k
-        return (z_raw - self._b * y**k) / (self._a * y ** (k - 1))
+        x = (z_raw - self._b * y**k) / (self._a * y ** (k - 1))
+        # gamma_x = a y^(k-1): for even k no piece increases in x at y < 0
+        return x if k % 2 else _where(y > 0, x)
 
     def cone_contains(self, x, y):
         return _garding_slice_ok(self.dimension_n, self.k, x, y)
@@ -516,6 +512,10 @@ class KConvexity(CurvatureFunction):
     def cone_contains(self, x, y):
         k = self.k
         return y > 0 and x + (k - 1) * y > 0
+
+    def x_chart(self, y, z):
+        # the k-fold sums that contain x are positive
+        return (-(self.k - 1) * y, math.inf)
 
 
 # ---------------------------------------------------------------------------

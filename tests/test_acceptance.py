@@ -125,12 +125,12 @@ def test_criterion_3_implicit_branch_correctness():
                 if not b.in_u_plus(float(y), float(z)):
                     continue
                 x = b.g_plus(float(y), float(z))
-                worst_cf = max(worst_cf, abs(x - f.solve_x(float(y), float(z))))
+                worst_cf = max(worst_cf, abs(x - b.bisect_level(float(y), float(z))))
                 worst_rt = max(worst_rt, abs(f.value(x, float(y)) - float(z)))
         if y_lo is not None:
             for y in np.linspace(y_lo, -0.02, 50):
                 x = b.g_minus(float(y))
-                worst_cf = max(worst_cf, abs(x - f.solve_x(float(y), -1.0)))
+                worst_cf = max(worst_cf, abs(x - b.bisect_level(float(y), -1.0)))
                 worst_rt = max(worst_rt, abs(f.value(x, float(y)) + 1.0))
         a = f.alpha_float
         for c in (0.5, 2.0, 5.0):

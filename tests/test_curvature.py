@@ -177,7 +177,9 @@ def test_gradient_positive_and_matches_differences(key):
         x, y = f.sample_cone_point(rng)
         gx, gy = f.grad(x, y)
         assert gx > 0 and gy > 0
-        fx, fy = f.grad_fd(x, y)
+        h = 1e-6 * max(1.0, abs(x), abs(y))
+        fx = (f.value(x + h, y) - f.value(x - h, y)) / (2 * h)
+        fy = (f.value(x, y + h) - f.value(x, y - h)) / (2 * h)
         scale = max(1.0, abs(gx), abs(gy))
         assert abs(gx - fx) / scale < 1e-6
         assert abs(gy - fy) / scale < 1e-6

@@ -1,4 +1,4 @@
-"""Implicit branches: numeric solves vs closed forms, derivatives, endpoints."""
+"""Implicit branches: closed forms vs the bisection oracle, derivatives, endpoints."""
 
 import math
 from math import comb
@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from translab.barrier import BarrierSpec, log_grid, verify_inequality
+from translab.catenoid import classify_case
+from translab.cli import main
 from translab.curvature import from_key
 from translab.errors import ConvergenceError, DomainError, TranslabError, UnsupportedError
 from translab.implicit import ImplicitBranch
@@ -32,8 +35,8 @@ def test_g_plus_mean_linear_inversion():
 
 @pytest.mark.parametrize("key", ["mean:n=3", "sk:k=3,n=5", "knorm:k=2,n=3", "kconv:k=2,n=4"])
 def test_g_plus_at_right_endpoint(key):
-    # g_+ -> 0 at the right endpoint of U+; knorm approaches like sqrt(eps),
-    # so the solved value there sits at the sqrt of the residual tolerance
+    # g_+ -> 0 at the right endpoint of U+; knorm approaches like the square
+    # root of the distance (6.3e-7 here), the others linearly
     b = branch(key)
     assert abs(b.g_plus(1.0 - 1e-13, 1.0)) < 2e-5
 
@@ -48,9 +51,8 @@ def test_hq_closed_form_grid(key):
         for z in np.linspace(0.05, 3.0, 50):
             if not b.in_u_plus(float(y), float(z)):
                 continue
-            x_num = b.g_plus(float(y), float(z))
-            x_closed = f.solve_x(float(y), float(z))
-            worst = max(worst, abs(x_num - x_closed))
+            x = b.g_plus(float(y), float(z))
+            worst = max(worst, abs(x - b.bisect_level(float(y), float(z))))
             count += 1
     assert count > 100
     assert worst <= 1e-10
@@ -124,6 +126,14 @@ def test_g_minus_outside_interval():
         branch("qk:k=3,n=7").g_minus(-1.5)
 
 
+def test_g_minus_has_no_decreasing_branch():
+    # S_k has gamma_x = a y^(k-1), negative at y < 0 for even k
+    b = branch("sk:k=2,n=4")
+    for solve in (b.g_minus, lambda y: b.bisect_level(y, -1.0)):
+        with pytest.raises(ConvergenceError, match="no root"):
+            solve(-0.5)
+
+
 def test_g_minus_decreasing_in_y():
     b = branch("qk:k=3,n=7")
     ys = np.linspace(-0.5, -0.01, 40)
@@ -136,43 +146,36 @@ def test_g_minus_hq_closed_form_grid(key, y_lo):
     f = from_key(key)
     b = ImplicitBranch(f)
     worst = 0.0
-    for y in np.linspace(y_lo, -0.01, 50):
-        x_num = b.g_minus(float(y))
-        x_closed = f.solve_x(float(y), -1.0)
-        worst = max(worst, abs(x_num - x_closed))
-        assert abs(f.value(x_num, float(y)) + 1.0) <= 1e-10
+    for y in np.linspace(y_lo, -0.01, 50).tolist():
+        x = b.g_minus(y)
+        x_bis = b.bisect_level(y, -1.0)
+        residual = abs(f.value(x, y) + 1.0)
+        assert residual <= 1e-10
+        if 0.5 * math.ulp(1.0) / f.grad(x, y)[0] > 1e-9:
+            # half an ulp of the level fixes x only to more than 1e-9 here
+            # (hq:k=2,l=1,n=4 at y = -0.33327, where gamma_x = 6.25e-8): the
+            # closed form solves the level at least as well as the oracle
+            assert residual <= abs(f.value(x_bis, y) + 1.0)
+        else:
+            worst = max(worst, abs(x - x_bis))
     assert worst <= 1e-9
-
-
-def _counted(f):
-    """Count value and grad calls on one curvature function instance."""
-    calls = {"value": 0, "grad": 0}
-    for name in calls:
-        method = getattr(f, name)
-
-        def wrapper(x, y, _method=method, _name=name):
-            calls[_name] += 1
-            return _method(x, y)
-
-        setattr(f, name, wrapper)
-    return calls
 
 
 @pytest.mark.parametrize(
     "y,residual_bound",
     # the root sits 2.5e-11 (1.2e-21) above the pole at 8.45e-6 (5.7e-11); the
-    # residuals are those of the bisect-then-Newton solver this one replaced
+    # residuals are those of the bisect-then-Newton solver that preceded the
+    # closed form, and the oracle meets them
     [(-3.4e-6, 4.37e-11), (-2.3e-11, 4.24e-6)],
 )
 def test_g_minus_pole_hugging_root(y, residual_bound):
     f = from_key("qk:k=3,n=7")
     b = ImplicitBranch(f)
-    calls = _counted(f)
-    x = b.g_minus(y)
-    # that solver took 71 and 139 calls here
-    assert calls["value"] + calls["grad"] <= 24
-    assert abs(f.value(x, y) + 1.0) <= residual_bound
-    assert x == pytest.approx(f.solve_x(y, -1.0), rel=4e-16)
+    x_bis = b.bisect_level(y, -1.0)
+    assert abs(f.value(x_bis, y) + 1.0) <= residual_bound
+    # next to the pole one ulp of x moves gamma by up to 7.4e-6, so the
+    # closed form is held to ulps of x, not to the residual
+    assert abs(b.g_minus(y) - x_bis) <= 2 * math.ulp(x_bis)
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -215,8 +218,10 @@ def test_dg_dy_mean(n):
 
 
 def test_dg_minus_dy_at_zero_qk():
-    b = branch("qk:k=3,n=7")
-    assert b.dg_minus_dy_at_zero() == pytest.approx(-(7 - 3 + 1) / (3 - 1), abs=1e-9)
+    # the slope of g_- at the origin is -(n-k+1)/(k-1) on Q_k
+    for k, n in ((3, 6), (4, 6), (5, 6), (3, 7)):
+        b = branch(f"qk:k={k},n={n}")
+        assert b.dg_minus_dy_at_zero() == pytest.approx(-(n - k + 1) / (k - 1), abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -256,7 +261,8 @@ def test_endpoint_identities(key):
     ep = b.endpoint_data()
     a = f.alpha_float
     assert ep.left_value == pytest.approx(f.value(1.0, 1.0) ** (-1.0 / a), abs=1e-12)
-    assert b.endpoint_left_by_limit() == pytest.approx(ep.left_value, abs=1e-6)
+    # the interior solve at a relative distance 1e-8 from the left endpoint
+    assert b.g_plus(f.lambda0 * (1 + 1e-8), 1.0) == pytest.approx(ep.left_value, abs=1e-6)
     if not f.is_one_degenerate:
         assert ep.right_value == 0.0
 
@@ -315,7 +321,7 @@ def test_laurent_tail_rejects_nondegenerate():
 @pytest.mark.parametrize("z", [1.0, 2.5])
 def test_solve_levels_matches_scalar(key, ulps, z):
     # the array inverse equals the scalar one, and where it has no root,
-    # neither has solve_level nor the numeric solve: no root is missed
+    # neither has solve_level nor the bisection oracle: no root is missed
     b = branch(key)
     f = b.source
     ys = np.concatenate([[0.0, 1.0], np.linspace(-3.0, 3.0, 600), np.geomspace(1e-3, 1e2, 400)])
@@ -330,7 +336,7 @@ def test_solve_levels_matches_scalar(key, ulps, z):
         with pytest.raises(ConvergenceError):
             b.solve_level(y, z)
         with pytest.raises(TranslabError):
-            b.solve_extended(y, z)
+            b.bisect_level(y, z)
     scale = np.spacing(np.maximum(np.abs(scalar), np.abs(ys)))
     bound = np.full(ys.shape, float(ulps))
     if key.startswith("knorm"):
@@ -352,13 +358,6 @@ def test_solve_levels_matches_scalar(key, ulps, z):
         assert residual <= 1e-10 * max(1.0, z) * max(1.0, abs(x), abs(y)) ** f.alpha_float
 
 
-# levels without a root that the residual-stopped numeric solve still meets,
-# gamma being flat there to round-off: the knorm:k=4,n=4 fold, whose root
-# x = 0 is the chart end, and qk:k=5,n=6's limit at x = -inf
-FLAT_LEVELS = {("knorm:k=4,n=4", -1.0, 1.0), ("knorm:k=4,n=4", 1.0, 1.0),
-               ("qk:k=5,n=6", -1.0, -2.5)}
-
-
 # every registry family, the Hessian quotients with m = k - l = 2, 3, 4
 # without a pole (l = 0) and with one (l = 1), the m = 1 quotients (qk), odd
 # and even roots and k-norms
@@ -369,7 +368,7 @@ FLAT_LEVELS = {("knorm:k=4,n=4", -1.0, 1.0), ("knorm:k=4,n=4", 1.0, 1.0),
     "kconv:k=2,n=4", "kconv:k=3,n=3"])
 def test_hq_power_inverse_exact(key):
     # the closed-form inverse, scalar or array, is finite only at a root
-    # strictly inside x_chart; where it is NaN the numeric solve finds none
+    # strictly inside x_chart; where it is NaN the bisection oracle finds none
     b = branch(key)
     f = b.source
     mag = np.geomspace(1e-3, 1e3, 31)
@@ -405,9 +404,9 @@ def test_hq_power_inverse_exact(key):
             xs = f.solve_x(ys, z)
         for y, x_array in zip(ys.tolist(), xs.tolist()):
             x_scalar = f.solve_x(y, z)
-            if not math.isfinite(x_scalar) and (key, y, z) not in FLAT_LEVELS:
+            if not math.isfinite(x_scalar):
                 with pytest.raises(TranslabError):
-                    b.solve_extended(y, z)
+                    b.bisect_level(y, z)
             for x in (x_scalar, x_array):
                 if math.isfinite(x):
                     check_root(x, y, z)
@@ -423,3 +422,59 @@ def test_hq_power_inverse_exact(key):
             limit = y * f._limit / f.normalization
             check_levels(y, [limit + i * math.ulp(limit) for i in range(-40, 41)])
     assert finite
+
+
+# ---------------------------------------------------------------------------
+# the bisection oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key,y,z", [
+    # levels gamma only approaches: qk:k=5,n=6's limit at x = -inf,
+    # knorm:k=4,n=4's value at the chart end x = 0 and kconv:k=2,n=4's limit
+    # at x = +inf.  gamma comes within round-off of them at finite x (a
+    # residual-stopped Newton solve returned x = -1.1e15 and 1.5e-5 on the
+    # first two; kconv rounds to the level exactly from x = 3.4e15 on)
+    ("qk:k=5,n=6", -1.0, -2.5), ("knorm:k=4,n=4", 1.0, 1.0), ("knorm:k=4,n=4", -1.0, 1.0),
+    ("kconv:k=2,n=4", 0.1, 0.3),
+])
+def test_no_root_where_gamma_only_approaches_the_level(key, y, z):
+    b = branch(key)
+    with pytest.raises(TranslabError):
+        b.solve_extended(y, z)
+    with pytest.raises(ConvergenceError, match="no root"):
+        b.bisect_level(y, z)
+
+
+@pytest.mark.parametrize("key", ["kconv:k=2,n=4", "kconv:k=3,n=3"])
+def test_oracle_keeps_to_the_kconv_domain(key):
+    # the root lies at x < 0, and x_chart keeps the probes where the k-fold
+    # sums containing x are positive, so that value is defined
+    b = branch(key)
+    x = b.solve_extended(1.0, 1e-3)
+    assert x < 0
+    assert b.bisect_level(1.0, 1e-3) == pytest.approx(x, rel=1e-15)
+
+
+def test_no_solve_path_reaches_the_oracle(monkeypatch, tmp_path):
+    def oracle(self, y, z):
+        raise AssertionError("bisect_level called")
+
+    monkeypatch.setattr(ImplicitBranch, "bisect_level", oracle)
+    b = branch("qk:k=4,n=6")
+    assert b.in_u_plus(0.9, 1.0)
+    b.g_plus(0.9, 1.0)
+    b.g_minus(-0.1)
+    b.dg_dy(1.0, 1.0, order=2)
+    b.dg_minus_dy_at_zero()
+    branch("gauss:n=4").laurent_tail()
+    classify_case(b.source, b)
+    spec = BarrierSpec("power", a=0.5, b=-1.0, valid_range=(1.0, 1e4))
+    verify_inequality(spec, b.source, log_grid(2.0, 1e3, per_decade=40))
+    assert main(["bowl", "--curvature", "gauss:n=4", "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    assert main(["catenoid", "--curvature", "qk:k=4,n=6", "--R", "1",
+                 "--out", str(tmp_path / "c"), "--quiet"]) == 0
+    # the implicit suite of verify does call it, so the spy is in place
+    with pytest.raises(AssertionError, match="bisect_level called"):
+        main(["verify", "--suite", "implicit", "--curvature", "qk:k=4,n=6",
+              "--out", str(tmp_path / "v"), "--quiet"])
