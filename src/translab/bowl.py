@@ -260,13 +260,12 @@ def coeffs_degenerate(f: CurvatureFunction) -> tuple:
     if not f.is_one_degenerate:
         raise ParameterError(f"{f.name} is 1-nondegenerate; use coeffs_nondegenerate")
     alpha = f.alpha_float
-    br = ImplicitBranch(f)
-    k_g, c_g = br.laurent_tail()
-    if k_g < 3 * alpha - 1 - 1e-9:
+    k_g, c_g = f.laurent
+    if k_g < 3 * f.alpha - 1:
         raise ParameterError(
             f"tail exponent k={k_g} below 3*alpha-1={3*alpha-1}; expansion hypothesis fails"
         )
-    boundary = abs(k_g - (3 * alpha - 1)) <= 1e-9
+    boundary = k_g == 3 * f.alpha - 1
     d_g = alpha * (k_g + 1) / (k_g - 2 * alpha + 1)
     A_g = (d_g / c_g) ** (alpha / (2 * alpha - 1 - k_g))
     return k_g, c_g, d_g, A_g, boundary

@@ -303,26 +303,13 @@ def solve_upper_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float) -
     return _profile("upper", [neck_cols, columns], traj, {"upper": traj.step_counts()})
 
 
-def classify_case(f: CurvatureFunction, branch: ImplicitBranch) -> tuple:
-    """Lower-end dichotomy from the origin behavior of the slice function:
-    (case, b), b the slope of g_- at the origin on a derivative_origin end
-    and None on a continuous_origin one."""
-    meta = f.signed_meta
-    if meta is not None and meta.origin_value == "continuous_zero":
-        return "continuous_origin", None
-    # derivative case requires g_-(0,-1) = 0 with finite negative slope
-    try:
-        lim = branch.g_minus_limit_at_zero()
-        if math.isfinite(lim) and abs(lim) < 1e-3:
-            slope = branch.dg_minus_dy_at_zero()
-            if slope < 0:
-                return "derivative_origin", slope
-    except TranslabError:
-        pass
-    if meta is not None and meta.origin_value == "undefined":
-        raise ClassificationError(
-            f"{f.name}: origin not continuous and g_-(0,-1) data inconclusive"
-        )
+def classify_case(f: CurvatureFunction) -> tuple:
+    """Lower-end dichotomy from the family's origin data ``minus_origin``:
+    ("derivative_origin", b) where g_-(0, -1) = 0 with a finite negative
+    slope b, else ("continuous_origin", None)."""
+    limit, slope = f.minus_origin or (math.nan, math.nan)
+    if limit == 0 and slope < 0:
+        return "derivative_origin", slope
     return "continuous_origin", None
 
 
@@ -368,7 +355,7 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
         r = _window_grid(tail.ts, (max(r_h * LOWER_FIT, r_max / 10.0), r_max))
         w = -tail.resample(r)[:, 0]
         b_hat = _loglog_fit(r, w)[0]
-        is_log = abs(b + 1.0) < 1e-9
+        is_log = b == -1
         # amplitude with the formula exponent pinned
         a_R = float(math.exp(np.mean(np.log(w) - b * np.log(r))))
         theta_p_end = abs(tail.fs[-1, 0]) / (1 + tail.ys[-1, 0] ** 2) ** 1.5
@@ -490,7 +477,7 @@ def solve_catenoid(
 ) -> CatenoidResult:
     """Full catenoid construction: neck, both branches, offsets, embeddedness."""
     neck = solve_neck(f, R, handoff_tan)
-    case, b = classify_case(f, ImplicitBranch(f))
+    case, b = classify_case(f)
     r_min = UPPER_FIT * R
     if case == "derivative_origin":
         r_min = max(r_min, LOWER_FIT * neck.down_exit[1])

@@ -306,13 +306,13 @@ def cmd_verify(args):
                 except TranslabError:
                     b = -1.0  # divergent g_- at the origin: any b < 0 works
                 expect, note = "verified_super", ""
-                if b >= -1e-10:
-                    # no decaying power, the slope being zero to the accuracy
-                    # of its extrapolation (k-norms): g_- tends to a constant c,
-                    # so with b = -1 as for a divergent g_- the margins tend to
-                    # -c, and the sign of c forces the verdict
+                if b >= 0:
+                    # no decaying power, g_- leaving the origin flat (k-norms):
+                    # it tends to a constant c, so with b = -1 as for a
+                    # divergent g_- the margins tend to -c, and the sign of c
+                    # forces the verdict
                     b = -1.0
-                    c = branch.g_minus_limit_at_zero()
+                    c = f.minus_origin[0]
                     if c > 0:
                         expect = "verified_sub"
                     note = f" (g_- tends to {c:.4g} at the origin: {expect} expected)"

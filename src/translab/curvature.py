@@ -12,13 +12,14 @@ RHS take it, and ``ImplicitBranch.bisect_level`` checks it by bisection on
 ``value``.
 
 Construction normalizes gamma so that gamma(0, 1) = 1 whenever that value is
-positive; the original scale is kept in ``normalization``.
+positive; the original scale is kept in ``normalization``.  It also sets each
+family's exact asymptotic data (``minus_origin``, ``laurent``) and, on a
+signed family, its zero ray, so that no caller estimates them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional
@@ -27,15 +28,9 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, UnsupportedError
 
-_NORM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SignedMeta:
-    """Zero-ray data for sign-changing slice functions."""
-
-    zero_ray: tuple  # unit vector (x0, y0), gamma=0, d/dx gamma > 0, x0/y0 < 0
-    origin_value: str  # "continuous_zero" or "undefined"
+def _unit(x: float, y: float) -> tuple:
+    norm = math.hypot(x, y)
+    return x / norm, y / norm
 
 
 def _where(ok, x, other=math.nan):
@@ -62,6 +57,15 @@ class CurvatureFunction:
     # takes the value -1, "reflected" where it is even in x and the level is
     # the odd sign rule's image -gamma(x, -y) of the level 1
     minus_level: Optional[str] = None
+    # (L, S) with g_-(y, -1) = L + S y + o(y) as y -> 0-: L is infinite (S
+    # NaN) where g_- diverges, and the pair None where no -1 level reaches
+    # the origin
+    minus_origin: Optional[tuple] = None
+    # (k, c) with g_+(y, 1) ~ c y^-k as y -> inf, on 1-degenerate families
+    laurent: Optional[tuple] = None
+    # on signed families, the unit (x0, y0) with gamma = 0, gamma_x > 0
+    # and x0/y0 < 0
+    zero_ray: Optional[tuple] = None
 
     def __init__(self, name: str, n: int, alpha: Fraction):
         if n < 2:
@@ -69,12 +73,11 @@ class CurvatureFunction:
         self.name = name
         self.dimension_n = n
         self.alpha = Fraction(alpha)
-        self.signed_meta: Optional[SignedMeta] = None
         # the family's fixed data: the raw slice value at (0, 1), which is
         # the normalization unless it vanishes (1-degenerate), the value at
         # the umbilic point (1, 1) and the umbilic slope lambda0 of the bowl
         self.value_at_01 = self._raw_value(0.0, 1.0)
-        self.is_one_degenerate = abs(self.value_at_01) <= _NORM_TOL
+        self.is_one_degenerate = self.value_at_01 == 0
         self.normalization = 1.0 if self.is_one_degenerate else self.value_at_01
         self.alpha_float = a = float(self.alpha)
         self.beta = (a - 1.0) / (2.0 * a)
@@ -105,7 +108,7 @@ class CurvatureFunction:
 
     @property
     def is_signed(self) -> bool:
-        return self.signed_meta is not None
+        return self.zero_ray is not None
 
     def value(self, x: float, y: float) -> float:
         return self._raw_value(x, y) / self.normalization
@@ -192,6 +195,7 @@ class GaussRoot(CurvatureFunction):
 
     def __init__(self, n: int):
         super().__init__(f"gauss:n={n}", n, Fraction(1))
+        self.laurent = (n - 1.0, 1.0)  # x y^(n-1) = 1
 
     def _raw_value(self, x, y):
         n = self.dimension_n
@@ -250,12 +254,17 @@ class SymmetricPoly(CurvatureFunction):
         self._a = comb(n - 1, k - 1)
         self._b = comb(n - 1, k)
         super().__init__(f"sk:k={k},n={n}", n, Fraction(k))
+        # the -1 level x = -(c + B_k y^k)/(B_{k-1} y^(k-1)), B_j = C(n-1, j)
+        # and c the normalization: a line for k = 1, diverging at the origin
+        # for odd k >= 3 and absent for even k (``_raw_solve_x``)
+        if k == 1:
+            self.minus_origin = (-(n - 1.0), -(n - 1.0))
+        elif k % 2 == 1:
+            self.minus_origin = (-math.inf, math.nan)
         if k % 2 == 1 and k < n:
-            ratio = -(n - k) / k
-            norm = math.hypot(ratio, 1.0)
-            self.signed_meta = SignedMeta(
-                zero_ray=(ratio / norm, 1.0 / norm), origin_value="continuous_zero"
-            )
+            self.zero_ray = _unit(-(n - k) / k, 1.0)
+        if k == n:
+            self.laurent = (n - 1.0, 1.0)  # x y^(n-1) = 1
 
     def _raw_value(self, x, y):
         k = self.k
@@ -310,12 +319,21 @@ class HessianQuotient(CurvatureFunction):
         self._limit = (self._bk1 / self._bl1) ** (1.0 / self.m) if l >= 1 else None
         name = f"qk:k={k},n={n}" if l == k - 1 else f"hq:k={k},l={l},n={n}"
         super().__init__(name, n, Fraction(1))
+        # the -1 level solves num/den = (c/|y|)^m, c the normalization, which
+        # grows without bound as y -> 0-: with a pole (l >= 1) x tends to the
+        # pole -B_l y/B_{l-1} through the origin; without one it is the line
+        # x = -(n-1)(1+y) of H/(n-1) for m = 1 and diverges for m >= 2
+        if l >= 1:
+            self.minus_origin = (0.0, -(n - l) / l)
+        elif self.m == 1:
+            self.minus_origin = (-(n - 1.0), -(n - 1.0))
+        else:
+            self.minus_origin = (-math.inf, math.nan)
         if l == k - 1 and k < n:
-            ratio = -(n - k) / k
-            norm = math.hypot(ratio, 1.0)
-            self.signed_meta = SignedMeta(
-                zero_ray=(ratio / norm, 1.0 / norm), origin_value="undefined"
-            )
+            self.zero_ray = _unit(-(n - k) / k, 1.0)
+        if k == n:
+            # B_k = 0: x = B_l y/(y^m - B_{l-1})
+            self.laurent = (self.m - 1.0, float(self._bl))
 
     def _ratio(self, x, y):
         num = self._bk * y + self._bk1 * x
@@ -379,11 +397,13 @@ class HessianQuotient(CurvatureFunction):
         ym = y**m
         x = y * (self._bl * zm - self._bk * ym) / (self._bk1 * ym - self._bl1 * zm)
         if m == 1:
+            # gamma(x, 0) = 0 for every x: no level has a root at y = 0
+            ok = y != 0
             if self._bl1:
                 # the piece x_chart picks: x > pole below the limit, x < pole above it
                 below = z_raw < y * self._limit
-                x = _where((x > -self._bl * y / self._bl1) == below, x)
-            return x
+                ok = ok & ((x > -self._bl * y / self._bl1) == below)
+            return _where(ok, x)
         # the root solves the level only where z/y > 0 (for even m the
         # equation also has roots at z/y < 0) and num/den > 0, computed as
         # ``value`` computes them; it counts only strictly inside the piece
@@ -429,6 +449,11 @@ class KNorm(CurvatureFunction):
         # odd k: the signed root reaches -1 itself; even k: through the sign rule
         self.minus_level = "direct" if k % 2 == 1 else "reflected"
         super().__init__(f"knorm:k={k},n={n}", n, Fraction(1))
+        # the -1 level x = -(c^k + (n-1) y^k)^(1/k) for odd k, and for even k
+        # its reflection (c^k - (n-1) y^k)^(1/k), c the normalization: it
+        # leaves the origin at -+c, with slope -(n-1) for k = 1 and 0 beyond
+        c = self.normalization
+        self.minus_origin = (c if k % 2 == 0 else -c, -(n - 1.0) if k == 1 else 0.0)
 
     def _raw_value(self, x, y):
         k, n = self.k, self.dimension_n
@@ -632,9 +657,9 @@ def zero_ray(f: CurvatureFunction) -> tuple:
     """The unit zero-ray point (x0, y0) of a signed function."""
     from .errors import StructureError
 
-    if f.signed_meta is None:
+    if f.zero_ray is None:
         raise UnsupportedError(f"{f.name} is not signed")
-    x0, y0 = f.signed_meta.zero_ray
+    x0, y0 = f.zero_ray
     v = f.value(x0, y0)
     gx, _ = f.grad(x0, y0)
     if abs(v) > 1e-10 or gx <= 0 or x0 / y0 >= 0:

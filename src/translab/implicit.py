@@ -4,7 +4,10 @@ Every branch is the family's exact closed-form inverse
 (``CurvatureFunction.solve_x``), and a ``ConvergenceError`` where that has no
 root.  ``solve_level`` feeds the ODE right-hand sides; ``g_plus`` is the
 positive-level branch on U+;  ``g_minus`` the z = -1 branch at y in (-1, 0);
-``solve_extended`` the solve where x may take either sign.
+``solve_extended`` the solve where x may take either sign.  Their asymptotic
+constants are family data, not estimates: the origin limit and slope of g_-
+(``CurvatureFunction.minus_origin``, which ``dg_minus_dy_at_zero`` reads) and
+the Laurent pair of g_+(y, 1) at infinity (``CurvatureFunction.laurent``).
 
 ``bisect_level`` is an independent oracle for the closed forms, on no solve
 path: a bisection that uses only ``value``.  ``verify --suite implicit`` and
@@ -17,8 +20,6 @@ import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .curvature import CurvatureFunction
 from .errors import ClassificationError, ConvergenceError, DomainError, UnsupportedError
@@ -173,41 +174,16 @@ class ImplicitBranch:
         return -(gyy + 2.0 * gxy * g1 + gxx * g1 * g1) / gx
 
     def dg_minus_dy_at_zero(self) -> float:
-        """Slope of the -1 branch at y -> 0-, Richardson-extrapolated.
-
-        Implicit derivatives -gamma_y/gamma_x along the branch are smooth in
-        y here, so Neville extrapolation from four geometric steps reaches
-        ~1e-10, enough to decide the logarithmic boundary case b = -1.
-        """
+        """Slope of the -1 branch at y -> 0-: the family's ``minus_origin`` slope."""
         f = self.source
-        if f.minus_level is None:
-            raise UnsupportedError(f"{f.name} has no -1 level")
-        hs = [4e-3, 2e-3, 1e-3, 5e-4]
-        vals = []
-        for h in hs:
-            x = self.g_minus(-h)
-            gx, gy = f.grad(x, -h)
-            vals.append(-gy / gx)
-        if abs(vals[-1]) > 2.0 * abs(vals[0]) and abs(vals[-1]) > 1e2:
-            raise ClassificationError(
-                f"{f.name}: dg_-/dy diverges toward y=0 (g_-(0,-1) is not 0)"
-            )
-        # Neville tableau in h (values are analytic in h near 0)
-        n = len(hs)
-        for m in range(1, n):
-            for i in range(n - m):
-                vals[i] = (hs[i + m] * vals[i] - hs[i] * vals[i + 1]) / (hs[i + m] - hs[i])
-        return vals[0]
+        if f.minus_origin is None:
+            raise UnsupportedError(f"{f.name}: no -1 level reaches the origin")
+        limit, slope = f.minus_origin
+        if not math.isfinite(limit):
+            raise ClassificationError(f"{f.name}: g_- diverges toward y=0 (g_-(0,-1) is not 0)")
+        return slope
 
-    def g_minus_limit_at_zero(self) -> float:
-        """Limit of g_-(y, -1) as y -> 0-, inf if it diverges."""
-        v1 = abs(self.g_minus(-1e-4))
-        v2 = abs(self.g_minus(-1e-5))
-        if v2 > 2 * v1 and v2 > 1e2:
-            return math.inf
-        return self.g_minus(-1e-6)
-
-    # -- endpoints and tails -----------------------------------------------------
+    # -- endpoints -----------------------------------------------------------
 
     def endpoint_data(self) -> EndpointData:
         f = self.source
@@ -221,24 +197,3 @@ class ImplicitBranch:
         if gm11 > 0:
             m0 = -(gm11 ** (-1.0 / f.alpha_float))
         return EndpointData(left_value=left, right_value=right, m0_bar=m0)
-
-    def laurent_tail(self) -> tuple:
-        """Leading Laurent term of g_+(y, 1) at infinity: (k_gamma, c_gamma).
-
-        Fits log g vs log y by least squares on 48 log-spaced y in [1e3, 1e6];
-        raises ClassificationError if the tail is not a clean power law.
-        """
-        from .bowl import _loglog_fit
-
-        f = self.source
-        if not f.is_one_degenerate:
-            raise UnsupportedError(f"{f.name} is 1-nondegenerate; g_+ has no Laurent tail")
-        ys = np.geomspace(1e3, 1e6, 48)
-        gs = np.array([self.g_plus(float(y), 1.0) for y in ys])
-        if np.any(gs <= 0):
-            raise ClassificationError("g_+ tail is not positive")
-        slope, intercept = _loglog_fit(ys, gs)
-        resid = float(np.max(np.abs(slope * np.log(ys) + intercept - np.log(gs))))
-        if resid > 1e-3:
-            raise ClassificationError(f"g_+ tail deviates from a power law (resid={resid:.2e})")
-        return -slope, math.exp(intercept)

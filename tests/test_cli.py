@@ -163,6 +163,22 @@ def test_catenoid_files(tmp_path):
     assert payload["end_behavior"]["kind"] == "logarithmic"
 
 
+@pytest.mark.parametrize("key", ["qk:k=1,n=4", "hq:k=1,l=0,n=4"])
+def test_catenoid_first_quotient_is_normalized_s1(tmp_path, key):
+    # Q_1 = S_1/S_0 normalizes to H/(n-1), as S_1 does: the same translator,
+    # with a continuous origin
+    payloads = []
+    for curvature in (key, "sk:k=1,n=4"):
+        out = tmp_path / curvature.replace(":", "_")
+        assert run(["catenoid", "--curvature", curvature, "--R", "1",
+                    "--out", str(out), "--quiet"]) == 0
+        payloads.append(json.loads((out / "catenoid.json").read_text()))
+    quotient, s1 = payloads
+    assert quotient["case"] == s1["case"] == "continuous_origin"
+    for field in ("s0", "C_plus", "C_minus"):
+        assert quotient[field] == pytest.approx(s1[field], abs=1e-9)
+
+
 def test_verify_suites(tmp_path):
     assert run(["verify", "--suite", "implicit", "--curvature", "hq:k=2,l=0,n=3",
                 "--out", str(tmp_path / "v1"), "--quiet"]) == 0

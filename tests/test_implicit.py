@@ -113,7 +113,7 @@ def test_g_minus_qk_closed_form_value():
 def test_g_minus_qk_limit_zero():
     b = branch("qk:k=3,n=7")
     assert abs(b.g_minus(-1e-7)) < 1e-5
-    assert b.g_minus_limit_at_zero() == pytest.approx(0.0, abs=1e-4)
+    assert b.source.minus_origin[0] == 0.0
 
 
 def test_g_minus_mean_unsupported():
@@ -218,25 +218,17 @@ def test_dg_dy_mean(n):
 
 
 def test_dg_minus_dy_at_zero_qk():
-    # the slope of g_- at the origin is -(n-k+1)/(k-1) on Q_k
+    # the slope of g_- at the origin is -(n-k+1)/(k-1) on Q_k, exactly: b = -1
+    # for k = 4, n = 6 decides the logarithmic lower end of criterion 7
     for k, n in ((3, 6), (4, 6), (5, 6), (3, 7)):
-        b = branch(f"qk:k={k},n={n}")
-        assert b.dg_minus_dy_at_zero() == pytest.approx(-(n - k + 1) / (k - 1), abs=1e-9)
+        assert branch(f"qk:k={k},n={n}").dg_minus_dy_at_zero() == -(n - k + 1) / (k - 1)
 
 
-@pytest.mark.parametrize(
-    "key,expected",
-    # values of the bisect-then-Newton solver this one replaced; b = -1 for
-    # k = 4, n = 6 decides the logarithmic lower end of criterion 7
-    [
-        ("qk:k=3,n=6", -1.999999999674181),
-        ("qk:k=4,n=6", -0.9999999998370905),
-        ("qk:k=5,n=6", -0.49999999976027126),
-        ("qk:k=3,n=7", -2.4999999997066915),
-    ],
-)
-def test_dg_minus_dy_at_zero_unchanged(key, expected):
-    assert branch(key).dg_minus_dy_at_zero() == pytest.approx(expected, abs=1e-12)
+@pytest.mark.parametrize("key", ["mean:n=3", "sk:k=2,n=4", "sk:k=3,n=5", "hq:k=2,l=0,n=3"])
+def test_dg_minus_dy_at_zero_needs_a_finite_limit(key):
+    # no -1 level at the origin, or one that diverges there: no slope
+    with pytest.raises(TranslabError):
+        branch(key).dg_minus_dy_at_zero()
 
 
 def test_dg_dy_matches_differences():
@@ -293,14 +285,13 @@ def test_m0_bar_absent_for_sk():
 def test_laurent_tail_gauss(n):
     # oracle: (x y^(n-1))^(1/n) = 1  =>  x = y^(1-n)
     b = branch(f"gauss:n={n}")
-    k, c = b.laurent_tail()
-    assert k == pytest.approx(n - 1, abs=1e-6)
-    assert c == pytest.approx(1.0, abs=1e-6)
+    assert b.source.laurent == (n - 1, 1.0)
+    for y in (1e3, 1e6):
+        assert b.g_plus(y, 1.0) == pytest.approx(y ** (1 - n), rel=1e-14)
 
 
 def test_laurent_tail_rejects_nondegenerate():
-    with pytest.raises(UnsupportedError):
-        branch("mean:n=3").laurent_tail()
+    assert from_key("mean:n=3").laurent is None
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +347,20 @@ def test_solve_levels_matches_scalar(key, ulps, z):
         except DomainError:
             continue
         assert residual <= 1e-10 * max(1.0, z) * max(1.0, abs(x), abs(y)) ** f.alpha_float
+
+
+@pytest.mark.parametrize("key", ["qk:k=3,n=7", "qk:k=3,n=6"])
+def test_qk_has_no_root_at_y_zero(key):
+    # gamma(x, 0) = 0 for every x off the pole: no level has a root at y = 0
+    b = branch(key)
+    f = b.source
+    for z in (-2.0, -0.3, 0.3, 1.0):
+        assert math.isnan(f.solve_x(0.0, z))
+        with np.errstate(all="ignore"):
+            assert np.isnan(f.solve_x(np.array([0.0]), z)).all()
+        for solve in (b.solve_level, b.bisect_level):
+            with pytest.raises(ConvergenceError, match="no root"):
+                solve(0.0, z)
 
 
 # every registry family, the Hessian quotients with m = k - l = 2, 3, 4
@@ -467,8 +472,7 @@ def test_no_solve_path_reaches_the_oracle(monkeypatch, tmp_path):
     b.g_minus(-0.1)
     b.dg_dy(1.0, 1.0, order=2)
     b.dg_minus_dy_at_zero()
-    branch("gauss:n=4").laurent_tail()
-    classify_case(b.source, b)
+    classify_case(b.source)
     spec = BarrierSpec("power", a=0.5, b=-1.0, valid_range=(1.0, 1e4))
     verify_inequality(spec, b.source, log_grid(2.0, 1e3, per_decade=40))
     assert main(["bowl", "--curvature", "gauss:n=4", "--out", str(tmp_path / "b"), "--quiet"]) == 0
