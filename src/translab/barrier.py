@@ -193,21 +193,28 @@ def compare_orderings(
     All pairs form one 2N-component state on a single step sequence, so
     each gap is read off one discrete flow: two solutions integrated
     separately would differ by their independently controlled errors on
-    v ~ r, which on the attracting tail exceed the gap itself.  The steps
-    are Radau IIA with the analytic dF/dv, whose stability function is
-    positive on the negative real axis, so the stiff tail contracts the gap
-    without reversing its sign at tolerance-limited step sizes.  The order
-    counts as verified only when the run reaches r_end: one failing
-    component stops every pair, and a truncated span proves nothing.
+    v ~ r, which on the attracting tail exceed the gap itself.  On
+    y' = lam y a step multiplies a gap by the method's stability function
+    R(h lam), so the steps keep the order where R > 0.  They are explicit
+    DOP853 from r0, held to h max|dF/dv| <= ``ode.STABLE_STEP`` = 3 where
+    its R is positive (R(-3) = 0.05, the first zero near -4.35), until the
+    stiffest component turns stiff; then Radau IIA with the analytic dF/dv,
+    whose R is positive on the whole negative real axis, so the stiff tail
+    contracts the gap without reversing its sign at tolerance-limited step
+    sizes.
+    ``steps`` reports the handoff radius and the explicit and Radau IIA
+    step counts.  The order counts as verified only when the run reaches
+    r_end: one failing component stops every pair, and a truncated span
+    proves nothing.
     """
-    from .bowl import _slope_batch
+    from .bowl import _slope_field
 
     pairs = [(min(lo, hi), max(lo, hi)) for lo, hi in v0_pairs]
     if not pairs:
         raise ParameterError("compare_orderings needs at least one pair")
     cfg = config or IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
     clamp = None if f.is_one_degenerate else 1.0
-    rhs, jac = _slope_batch(f, ImplicitBranch(f), clamp)
+    rhs, jac = _slope_field(f, ImplicitBranch(f), clamp)
     # components 2i and 2i+1 hold the lower and upper member of pair i
     traj = integrate(rhs, r0, [v for pair in pairs for v in pair], r_end, cfg, jac=jac)
     grid = np.linspace(r0, r_end, 200)
@@ -223,6 +230,7 @@ def compare_orderings(
         "all_ordered": reached and min_gap >= -1e-9,
         "termination": traj.termination,
         "r_reached": traj.t_final,
+        "steps": traj.step_counts(),
     }
 
 

@@ -84,8 +84,10 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
 
     with x the branch root; the second term drops where the y-argument is
     held at clamp_y.  Both raise TranslabError where the root solve fails.
-    ``value`` also takes an ndarray of v, with r broadcasting against it;
-    F is then NaN where the family's closed form has no root.
+    Both also take an ndarray of v, with r broadcasting against it, and
+    then give NaN where a float v raises: the broadcasting RHS and diagonal
+    Jacobian of uncoupled copies of the equation, one per component of a
+    batched state, each element computed on its own.
     """
     beta = f.beta
     beta1 = beta + 1.0
@@ -93,7 +95,7 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
     def value(r, v):
         one_plus = 1.0 + v * v
         yarg = v / (r * one_plus**beta)
-        if isinstance(yarg, np.ndarray):
+        if not isinstance(yarg, float):  # an ndarray (the cheaper test on floats)
             if clamp_y is not None:
                 yarg = np.minimum(yarg, clamp_y)
             with np.errstate(all="ignore"):
@@ -107,6 +109,16 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
     def derivative(r, v):
         one_plus = 1.0 + v * v
         yarg = v / (r * one_plus**beta)
+        if not isinstance(yarg, float):
+            held = clamp_y is not None and yarg >= clamp_y
+            if clamp_y is not None:
+                yarg = np.minimum(yarg, clamp_y)
+            with np.errstate(all="ignore"):
+                x = f.solve_x(yarg, 1.0)
+                gx, gy = f.grad(x, yarg)
+                d = 2.0 * beta1 * v * one_plus**beta * x - np.where(
+                    held, 0.0, gy / gx * (one_plus - 2.0 * beta * v * v) / r)
+            return np.where(np.isinf(d), math.nan, d)  # a zero gamma_x raises on floats
         clamped = clamp_y is not None and yarg >= clamp_y
         if clamped:
             yarg = clamp_y
@@ -141,29 +153,6 @@ def _slope_scalar(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optiona
             return (math.nan,)
 
     return rhs, jac
-
-
-def _slope_batch(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional[float]):
-    """Broadcasting RHS and diagonal Jacobian for uncoupled copies of the
-    slope equation, one per state component (the batched steps of
-    ``integrate``).
-
-    Each element is solved on its own, so two components holding equal data
-    compute bit-identical values.  A failed root solve gives NaN, which the
-    integrator treats as a domain exit.
-    """
-    value, derivative = _slope_field(f, branch, clamp_y)
-
-    def jac(r, vs):
-        out = np.empty(len(vs))
-        for i, v in enumerate(vs):
-            try:
-                out[i] = derivative(r, float(v))
-            except (TranslabError, ZeroDivisionError):
-                out[i] = math.nan
-        return out
-
-    return value, jac
 
 
 def _node_residuals(f: CurvatureFunction, r, q, x_num, y_num, z=1.0,

@@ -298,7 +298,7 @@ def cmd_verify(args):
             manifest.record_check("ordering", rep["all_ordered"],
                                   f"min_gap={rep['min_gap']:.2e} {rep['termination']}")
             results["ordering"] = {key: rep[key] for key in
-                                   ("min_gap", "pairs", "termination", "r_reached")}
+                                   ("min_gap", "pairs", "termination", "r_reached", "steps")}
         if "barrier" in suites:
             if f.minus_level is not None:
                 try:

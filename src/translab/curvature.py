@@ -46,7 +46,8 @@ class CurvatureFunction:
 
     Instances are immutable; all evaluation methods are pure.  ``value`` and
     ``grad`` return the *normalized* function.  Points outside the set where
-    the family's formula extends raise :class:`DomainError`.
+    the family's formula extends raise :class:`DomainError`; ``grad`` also
+    takes ndarrays of x and y and returns NaN there instead.
     """
 
     name: str
@@ -136,9 +137,11 @@ class CurvatureFunction:
         """Closed-form inverse of the normalized slice value, for a float or
         an ndarray of y; NaN (in the shape of y) where there is no root."""
         try:
-            return self._raw_solve_x(y, z * self.normalization)
+            x = self._raw_solve_x(y, z * self.normalization)
         except (ZeroDivisionError, OverflowError):
             return y * math.nan
+        # a vanishing denominator gives +-inf on arrays where floats raise
+        return x if isinstance(x, float) else np.where(np.isinf(x), math.nan, x)
 
     def x_chart(self, y: float, z: float) -> tuple:
         """Open x-interval of the monotone piece holding the z-level at this y.
@@ -209,9 +212,15 @@ class GaussRoot(CurvatureFunction):
 
     def _raw_grad(self, x, y):
         n = self.dimension_n
-        v = self._raw_value(x, y)
-        if x == 0 or y == 0:
-            raise DomainError("gauss gradient undefined on the boundary")
+        if isinstance(x, np.ndarray):  # NaN where a float raises
+            p = x * y ** (n - 1)
+            root = abs(p) ** (1.0 / n)
+            ok = (x != 0) & (y != 0) & ((p >= 0) | (n % 2 == 1))
+            v = _where(ok, np.where(p >= 0, root, -root))
+        else:
+            v = self._raw_value(x, y)
+            if x == 0 or y == 0:
+                raise DomainError("gauss gradient undefined on the boundary")
         return v / (n * x), (n - 1) * v / (n * y)
 
     def _raw_solve_x(self, y, z_raw):
@@ -355,7 +364,8 @@ class HessianQuotient(CurvatureFunction):
         den = self._bl * y + self._bl1 * x
         rho = num / den
         m = self.m
-        if m > 1 and rho <= 0:
+        # on arrays the power below gives NaN there
+        if m > 1 and not isinstance(rho, np.ndarray) and rho <= 0:
             raise DomainError(f"{self.name}: gradient undefined where quotient <= 0")
         drho_dx = (self._bk1 * den - self._bl1 * num) / den**2
         drho_dy = (self._bk * den - self._bl * num) / den**2
@@ -466,9 +476,14 @@ class KNorm(CurvatureFunction):
 
     def _raw_grad(self, x, y):
         k, n = self.k, self.dimension_n
-        v = self._raw_value(x, y)
-        if v == 0:
-            raise DomainError(f"{self.name}: gradient undefined on the zero set")
+        if isinstance(x, np.ndarray):  # NaN where a float raises
+            s = x**k + (n - 1) * y**k
+            root = abs(s) ** (1.0 / k)
+            v = _where((s > 0) | (s < 0) & (k % 2 == 1), np.where(s > 0, root, -root))
+        else:
+            v = self._raw_value(x, y)
+            if v == 0:
+                raise DomainError(f"{self.name}: gradient undefined on the zero set")
         return (x / v) ** (k - 1), (n - 1) * (y / v) ** (k - 1)
 
     def _raw_solve_x(self, y, z_raw):
@@ -508,6 +523,8 @@ class KConvexity(CurvatureFunction):
         k = self.k
         sx = x + (k - 1) * y
         sy = k * y
+        if isinstance(sx, np.ndarray):  # NaN where a float raises
+            return _where(sx > 0, sx), _where(sy > 0, sy)
         if sx <= 0 or (self._b > 0 and sy <= 0):
             raise DomainError(f"{self.name}: a k-fold sum is non-positive")
         return sx, sy

@@ -10,26 +10,26 @@ Two fixed steppers share one integration loop (stop location, node storage):
   supplies.  The stage "solves" are then divisions, one real and one
   complex per component and iteration.
 
-A one-component run with ``jac`` (a bowl, an ascending catenoid chart)
-steps explicitly through the smooth transition near the axis or the neck
-and hands off to Radau IIA, once, where dF/dy shows the attracting tail
-turn stiff (``STIFF_STEP``): there the explicit pair is stability-limited,
-the implicit step tolerance-limited.  Runs without ``jac`` step explicitly
-throughout, runs of several components with it (the batched comparison
-runs, whose ordering argument rests on Radau IIA) implicitly.  Every step
-keeps its dense output as y0 + sum_k Q_k s^(k+1) (``_Segment``), which
-``Trajectory`` evaluates and integrates exactly as arrays, so heights are
-quadratures of the slope, never extra state.
+A run with ``jac`` (a bowl, an ascending catenoid chart, a batched
+comparison run) steps explicitly through the smooth transition near the
+axis, the neck or the start and hands off to Radau IIA, once, where dF/dy
+shows the attracting tail turn stiff (``STIFF_STEP``): there the explicit
+pair is stability-limited, the implicit step tolerance-limited.  Runs
+without ``jac`` step explicitly throughout.  Every step keeps its dense
+output as y0 + sum_k Q_k s^(k+1) (``_Segment``), which ``Trajectory``
+evaluates and integrates exactly as arrays, so heights are quadratures of
+the slope, never extra state.
 Reproducibility matters more here than solver variety, so the tableaux,
 the dense-output polynomials and the controllers are all spelled out
 below; identical inputs produce bit-identical trajectories.
 
 The explicit steps and the implicit steps of a single component work on
 plain Python floats (tuples), an order of magnitude faster than ndarray
-arithmetic at the sizes of the charts (one or two components).  Implicit
-steps of more than one component, the batched comparison runs, work on
-ndarrays: one RHS call evaluates the three stages of every component.
-Trajectories are packed into numpy arrays on exit.
+arithmetic at the sizes of the charts (one or two components); the
+explicit steps of a batched run do too, with one broadcasting RHS call per
+stage.  Its implicit steps work on ndarrays: one RHS call evaluates the
+three stages of every component.  Trajectories are packed into numpy
+arrays on exit.
 
 References
 ----------
@@ -111,13 +111,15 @@ _D = (
      -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564))
 _DENSE = 7
 
-# The handoff rule of the one-component runs with ``jac``: after each
-# explicit step, with lam = |dF/dy| at the new node and h the next step, the
-# run moves to Radau IIA once h lam >= STIFF_STEP (stability is about to
-# bound the step) and t lam > STIFF_SPAN (the transient 1/lam is short
-# against the scale t of the slope charts: t lam ~ c near the axis, 2r^2 on
-# the alpha = 1 tail); until then h lam <= STABLE_STEP, inside DOP853's real
-# stability interval (~6).  RHS calls per pass of the benchmark's bowl and
+# The handoff rule of the runs with ``jac``: after each explicit step, with
+# lam = max_i |dF_i/dy_i| at the new node and h the next step, the run moves
+# to Radau IIA once h lam >= STIFF_STEP (stability is about to bound the
+# step) and t lam > STIFF_SPAN (the transient 1/lam is short against the
+# scale t of the slope charts: t lam ~ c near the axis, 2r^2 on the
+# alpha = 1 tail); until then h lam <= STABLE_STEP, inside DOP853's real
+# stability interval (~6) and inside [-4.35, 0], where its stability
+# function is positive, so explicit steps keep two solutions in order as
+# the Radau IIA steps do.  RHS calls per pass of the benchmark's bowl and
 # catenoid CLI jobs at (STIFF_STEP, STIFF_SPAN) = (0.3, 20): 22,869, 55,721;
 # (0.1, 20): 22,886, 57,357; (1, 20): 32,079, 274,393; (0.3, 5): 26,966,
 # 67,935; (0.3, 50): 21,609, 57,285; Radau IIA alone: 35,463, 118,511.
@@ -206,7 +208,7 @@ class _Segment:
     def __init__(self, t0, h, y0, Q):
         self.t0 = t0
         self.h = h
-        self.y0 = y0  # tuple, or an ndarray on the batched core
+        self.y0 = y0  # floats, or an ndarray on the batched Radau IIA core
         self.Q = Q  # per component, the coefficients of s, s^2, ...
 
     def eval(self, t):
@@ -259,15 +261,18 @@ class Trajectory:
         ``_Segment``, in the same order.  Past a handoff the Radau IIA
         coefficients are padded with zeros, which leave every value as is."""
         segs = self.segments
-        Q = [seg.Q for seg in segs]
-        if self.handoff is not None:
-            pad = (0.0,) * (_DENSE - len(_RP))
-            Q = [q if len(q[0]) == _DENSE else [tuple(c) + pad for c in q] for q in Q]
+        k = self.step_counts()["explicit_steps"]  # the steps before the handoff
+        if k in (0, len(segs)):
+            Q = np.array([seg.Q for seg in segs])
+        else:
+            Q = np.zeros((len(segs), len(segs[0].Q), _DENSE))
+            Q[:k] = [seg.Q for seg in segs[:k]]
+            Q[k:, :, :len(_RP)] = [seg.Q for seg in segs[k:]]
         return (
             np.array([seg.t0 for seg in segs]),
             np.array([seg.h for seg in segs]),
             np.array([seg.y0 for seg in segs]),
-            np.moveaxis(np.array(Q), -1, 0),
+            np.moveaxis(Q, -1, 0),
         )
 
     def _first_integral(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -312,19 +317,19 @@ def integrate(
     """Integrate rhs from t0 to t_end (> t0) with adaptive steps.
 
     The steps are explicit DOP853.  ``jac`` returns the diagonal of d rhs /
-    dy of a system whose component i depends on y[i] alone; with it, one
-    component hands off to Radau IIA where it turns stiff (``STIFF_STEP``,
-    ``Trajectory.handoff``), and several step on Radau IIA throughout, stable
-    at any step size.  Components integrated together share one step
-    sequence, so the difference of two solutions is that of one discrete flow.
+    dy of a system whose component i depends on y[i] alone; with it, the run
+    hands off to Radau IIA, stable at any step size, where its stiffest
+    component turns stiff (``STIFF_STEP``, ``Trajectory.handoff``), and the
+    explicit error is measured in the max norm over the components.
+    Components integrated together share one step sequence, so the
+    difference of two solutions is that of one discrete flow.
 
-    With ``jac`` and more than one component the state is an ndarray and
-    ``rhs`` must broadcast: it is called with a scalar t and a (dim,) state,
-    or, once per Newton iteration for all three stages, with a (3, 1)
-    column of times and a (3, dim) state, and returns an array of the
-    state's shape whose entry [k, i] depends on t[k] and y[k, i] alone.
-    ``jac`` is called with a scalar t and a (dim,) state.  Otherwise states
-    are tuples of floats.
+    With ``jac`` and more than one component ``rhs`` and ``jac`` must
+    broadcast: they are called with a scalar t and a (dim,) ndarray state,
+    and ``rhs`` also, once per Newton iteration for all three Radau stages,
+    with a (3, 1) column of times and a (3, dim) state; ``rhs`` returns an
+    array of the state's shape whose entry [k, i] depends on t[k] and
+    y[k, i] alone.  Otherwise states are tuples of floats.
 
     Every accepted step keeps its dense-output polynomial (see ``_Segment``)
     in ``Trajectory.segments``.  Each of the ``stops`` is a function g(t, y);
@@ -340,9 +345,19 @@ def integrate(
     if t_end <= t0:
         raise ParameterError(f"t_end must exceed t0, got {t0} -> {t_end}")
     batched = jac is not None and len(state0) > 1
-    y = np.array(state0, dtype=float) if batched else tuple(float(v) for v in state0)
+    if batched:
+        # the explicit steps pass lists of floats to the broadcasting maps
+        def step_rhs(t, y):
+            return rhs(t, np.array(y)).tolist()
+
+        def stiffness(t, y):  # the stiffest component decides; NaN stays NaN
+            return float(np.abs(jac(t, np.array(y))).max())
+    else:
+        step_rhs = rhs
+        stiffness = jac and (lambda t, y: abs(jac(t, y)[0]))
+    y = tuple(float(v) for v in state0)
     t = float(t0)
-    f = tuple(float(v) for v in rhs(t, y))
+    f = tuple(float(v) for v in step_rhs(t, y))
     if not all(math.isfinite(v) for v in f):
         raise ParameterError("rhs not finite at the initial state")
 
@@ -353,10 +368,7 @@ def integrate(
     stop = None
     g_prev = [g(t, y) for g in stops]
 
-    if batched:
-        steps = _radau_array_steps(rhs, jac, t, y, f, t_end, cfg)
-    else:
-        steps = _dop853_steps(rhs, jac, t, y, f, t_end, cfg)
+    steps = _dop853_steps(step_rhs, stiffness, t, y, f, t_end, cfg)
     handoff = None
     while True:
         try:
@@ -367,7 +379,8 @@ def integrate(
                 break
             # the explicit steps found the run stiff at the last node
             handoff = ts[-1]
-            steps = _radau_steps(rhs, jac, handoff, ys[-1], fs[-1], t_end, cfg, *termination)
+            radau = _radau_array_steps if batched else _radau_steps
+            steps = radau(rhs, jac, handoff, ys[-1], fs[-1], t_end, cfg, *termination)
             continue
         segments.append(seg)
 
@@ -391,7 +404,7 @@ def integrate(
             y_stop = seg.eval(t_stop)
             ts.append(t_stop)
             ys.append(y_stop)
-            fs.append(tuple(float(v) for v in rhs(t_stop, y_stop)))
+            fs.append(tuple(float(v) for v in step_rhs(t_stop, y_stop)))
             termination = "terminal_event"
             break
         ts.append(t_new)
@@ -410,36 +423,36 @@ def integrate(
     )
 
 
-def _first_step(y, f, cfg):
-    """Conservative first step from the RHS magnitude."""
-    rel, ab = cfg.rel_tol, cfg.abs_tol
-    dim = len(y)
-    d0 = math.sqrt(sum((v / (ab + rel * abs(v))) ** 2 for v in y) / dim)
-    d1 = math.sqrt(sum((fv / (ab + rel * abs(yv))) ** 2 for fv, yv in zip(f, y)) / dim)
-    return 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-
-
-def _explicit_first_step(rhs, t, y, f, t_end, cfg):
+def _explicit_first_step(rhs, t, y, f, t_end, cfg, norm):
     """Hairer's initial step for an order-8 pair, from the norms of y and f
-    and a second-derivative estimate after one Euler step."""
+    and a second-derivative estimate after one Euler step; ``norm`` pools
+    the squared components (``sum`` or ``max``)."""
     sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y]
-    dny, dnf = (sum((v / s) ** 2 for v, s in zip(x, sc)) for x in (y, f))
+    dny, dnf = (norm([(v / s) ** 2 for v, s in zip(x, sc)]) for x in (y, f))
     h = 0.01 * math.sqrt(dny / dnf) if min(dny, dnf) > 1e-10 else 1e-6
     h = min(h, t_end - t, cfg.max_step)
     f1 = rhs(t + h, [v + h * fv for v, fv in zip(y, f)])
-    der = max(math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f, sc))) / h, dnf**0.5)
+    der = max(math.sqrt(norm([((a - b) / s) ** 2 for a, b, s in zip(f1, f, sc)])) / h, dnf**0.5)
     return min(100 * h, (0.01 / der) ** 0.125 if der > 1e-15 else max(1e-6, 1e-3 * h))
 
 
-def _dop853_steps(rhs, jac, t, y, f, t_end, cfg):
+def _dop853_steps(rhs, stiffness, t, y, f, t_end, cfg):
     """Accepted DOP853 steps as (segment, t_new, y_new, f_new), with the
     stage sums written out, Hairer's step control (exponent 1/8, safety 0.9,
     factors in [1/3, 6], none above 1 after a rejection) and non-finite
-    stages halving the step.  Returns the termination reason, or, when
-    ``jac`` meets the handoff rule, (next step size, step attempts)."""
-    dim = len(y)
+    stages halving the step.  ``stiffness(t, y)`` is max |d rhs_i / dy_i|,
+    or None without ``jac``.  Returns the termination reason, or, when the
+    stiffness meets the handoff rule, (next step size, step attempts).
+
+    The error is measured in Hairer's RMS norm over the components or, with
+    a stiffness, in the max norm, so that quiet components of a batched run
+    do not dilute one component's error (as in ``_radau_array_steps``); on
+    one component the two are the same.
+    """
     rel, ab = cfg.rel_tol, cfg.abs_tol
-    h = _explicit_first_step(rhs, t, y, f, t_end, cfg)
+    # squared scaled components pooled: summed over n (the RMS norm) or the largest (n = 1)
+    norm, n = (sum, len(y)) if stiffness is None else (max, 1)
+    h = _explicit_first_step(rhs, t, y, f, t_end, cfg, norm)
     c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _C[1:11]
     c13, c14, c15 = _C[13:]
     ((a1_0,), (a2_0, a2_1), (a3_0, a3_2), (a4_0, a4_2, a4_3), (a5_0, a5_3, a5_4),
@@ -489,14 +502,13 @@ def _dop853_steps(rhs, jac, t, y, f, t_end, cfg):
         ks = list(zip(k0, k5, k6, k7, k8, k9, k10, k11))  # per component
         y_new = [y0 + h * sum(map(mul, b, x)) for y0, x in zip(y, ks)]
         # Hairer's blend of the 5th- and 3rd-order estimates, held to a
-        # fraction of the tolerance (DENSE_MARGIN); NaN stages make it NaN
-        err5 = err3 = 0.0
-        for y0, y1, x in zip(y, y_new, ks):
-            sc = ab + rel * max(abs(y0), abs(y1))
-            err5 += (sum(map(mul, _E5, x)) / sc) ** 2
-            err3 += (sum(map(mul, _E3, x)) / sc) ** 2
+        # fraction of the tolerance (DENSE_MARGIN); NaN stages make it NaN,
+        # or, where the max norm passes over them, the new state
+        sc = [ab + rel * max(abs(y0), abs(y1)) for y0, y1 in zip(y, y_new)]
+        err5 = norm([(sum(map(mul, _E5, x)) / s) ** 2 for x, s in zip(ks, sc)])
+        err3 = norm([(sum(map(mul, _E3, x)) / s) ** 2 for x, s in zip(ks, sc)])
         den = err5 + 0.01 * err3
-        err = DENSE_MARGIN * h * err5 / math.sqrt(den * dim) if den != 0 else 0.0
+        err = DENSE_MARGIN * h * err5 / math.sqrt(den * n) if den != 0 else 0.0
 
         if err <= 1.0:
             t_new = t + h
@@ -514,7 +526,7 @@ def _dop853_steps(rhs, jac, t, y, f, t_end, cfg):
                           + a15_12 * x12 + a15_13 * x13 + a15_14 * x14)
                 for y0, (x0, x5, x6, x7, x8, _, _, _), x12, x13, x14
                 in zip(y, ks, k12, k13, k14)])
-            if not math.isfinite(sum(k12) + sum(k13) + sum(k14) + sum(k15)):
+            if not math.isfinite(sum(y_new) + sum(k12) + sum(k13) + sum(k14) + sum(k15)):
                 err = math.nan
         if not err <= 1.0:
             rejected = True
@@ -538,8 +550,8 @@ def _dop853_steps(rhs, jac, t, y, f, t_end, cfg):
         t, y, k0 = t_new, y_new, k12
         h *= min(1.0 if rejected else 6.0, 0.9 * err**-0.125 if err > 0 else 6.0)
         rejected = False
-        if jac is not None:
-            lam = abs(jac(t, y)[0])
+        if stiffness is not None:
+            lam = stiffness(t, y)
             if h * lam >= STIFF_STEP and t * lam > STIFF_SPAN:
                 return h, n_steps
             if h * lam > STABLE_STEP:
@@ -706,8 +718,9 @@ def _rows(AT, X):
     return P[0] + P[1] + P[2]
 
 
-def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg):
-    """Accepted Radau IIA steps of several components on ndarrays.
+def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
+    """Accepted Radau IIA steps of several components on ndarrays, from a
+    first step h with n_steps of the step budget spent.
 
     The rules of ``_radau_steps``, applied to all components on one step
     sequence.  The stage values are (3, dim) arrays; one RHS call per Newton
@@ -723,7 +736,6 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg):
     dim = y.size
     rel, ab = cfg.rel_tol, cfg.abs_tol
     newton_tol = max(_NEWTON_TOL_FLOOR / rel, min(0.03, rel**0.5))
-    h = _first_step(y, f, cfg)
     TI, T = _transposed(_RTI), _transposed(_RT)
     PT = _transposed(np.array(_RP).T)  # Q^T = P^T Z
     c0, c1, _ = _RC
@@ -735,7 +747,6 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg):
     J = None
     jac_current = False
     rejected = False
-    n_steps = 0
     # per component, the stage solve in the eigenbasis: a real division and
     # a complex one, (a + i b) / (mr - J + i mi), as a 3x3 block (transposed)
     S = np.zeros((3, 3, dim))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from translab import barrier, ode
 from translab.barrier import (
     BarrierSpec,
     admissible_slope_range,
@@ -14,7 +15,7 @@ from translab.barrier import (
 from translab.curvature import from_key, registry_keys
 from translab.errors import DomainError, ParameterError
 from translab.implicit import ImplicitBranch
-from translab.ode import IntegratorConfig
+from translab.ode import IntegratorConfig, integrate
 
 
 def test_cone_is_line_for_beta_zero():
@@ -152,19 +153,26 @@ def test_ordering_gap_on_shared_steps(key):
 @pytest.mark.parametrize("key", registry_keys())
 def test_ordering_every_family(monkeypatch, key):
     # every family's array closed form has a root for every component the
-    # batched RHS passes: no element is NaN
+    # batched RHS and Jacobian pass: no element is NaN.  The explicit steps
+    # stay inside DOP853's ordering interval h max|dF/dv| <= STABLE_STEP
     f = from_key(key)
-    elements, missed = [], []
+    elements, missed, runs = [], [], []
     original = f.solve_x
 
     def spy(y, z):
         x = original(y, z)
-        if isinstance(y, np.ndarray):  # the batched RHS; the Jacobian is scalar
+        if isinstance(y, np.ndarray):  # the batched RHS and Jacobian
             elements.append(x.size)
             missed.append(int(np.isnan(x).sum()))
         return x
 
+    def integrate_spy(rhs, t0, state0, t_end, config, jac):
+        tr = integrate(rhs, t0, state0, t_end, config, jac=jac)
+        runs.append((tr, jac))
+        return tr
+
     monkeypatch.setattr(f, "solve_x", spy)
+    monkeypatch.setattr(barrier, "integrate", integrate_spy)
     v_lo, v_hi = admissible_slope_range(f, 1.0)
     for seed in range(4):
         rng = np.random.default_rng(seed)
@@ -175,6 +183,13 @@ def test_ordering_every_family(monkeypatch, key):
         assert rep["r_reached"] == 100.0
         assert rep["min_gap"] >= -1e-9
         assert rep["all_ordered"]
+        tr, jac = runs[-1]
+        steps = rep["steps"]
+        assert steps == tr.step_counts()
+        assert steps["explicit_steps"] + steps["radau_steps"] == len(tr.segments)
+        explicit = tr.segments[:steps["explicit_steps"]]
+        assert all(seg.h * np.abs(jac(seg.t0, np.array(seg.y0))).max() <= ode.STABLE_STEP
+                   for seg in explicit)
     assert sum(elements) > 10**4
     assert sum(missed) == 0
 

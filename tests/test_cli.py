@@ -302,6 +302,10 @@ def test_verify_ordering_records_termination(tmp_path):
     assert ordering["termination"] == "reached_end"
     assert ordering["r_reached"] == 100.0
     assert ordering["pairs"] == 10
+    # the run's steps: explicit DOP853 up to the handoff, Radau IIA after it
+    steps = ordering["steps"]
+    assert 1.0 < steps["handoff"] < 100.0
+    assert steps["explicit_steps"] > 0 and steps["radau_steps"] > 0
 
 
 @pytest.mark.parametrize("source", ["flag", "config", "env"])

@@ -16,7 +16,7 @@ from translab.curvature import (
     registry_keys,
     zero_ray,
 )
-from translab.errors import ParameterError, TranslabError, UnsupportedError
+from translab.errors import DomainError, ParameterError, TranslabError, UnsupportedError
 from translab.implicit import ImplicitBranch
 
 ALL_KEYS = registry_keys()
@@ -199,6 +199,31 @@ def test_solve_x_floats_and_arrays(key):
             xs = f.solve_x(ys, z)
         assert xs.shape == ys.shape
         assert np.array_equal(np.isfinite(xs), np.isfinite(floats))
+
+
+@pytest.mark.parametrize("key", ALL_KEYS + [
+    "gauss:n=5", "hq:k=3,l=1,n=5", "knorm:k=3,n=3", "kconv:k=3,n=3"])
+def test_grad_floats_and_arrays(key):
+    # the batched Jacobian's one call: the array gradient equals the float
+    # one, and is NaN where the float one raises DomainError
+    f = from_key(key)
+    pts = np.array([-2.0, -0.5, 0.0, 0.3, 1.0, 2.5])
+    x, y = (a.ravel() for a in np.meshgrid(pts, pts))
+    with np.errstate(all="ignore"):
+        gx, gy, _ = np.broadcast_arrays(*f.grad(x, y), x)  # mean: constants
+    undefined = 0
+    for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+        try:
+            fx, fy = f.grad(xi, yi)
+        except DomainError:
+            undefined += 1
+            assert math.isnan(gx[i]) and math.isnan(gy[i])
+            continue
+        except ZeroDivisionError:
+            continue
+        for a, b in ((gx[i], fx), (gy[i], fy)):
+            assert a == pytest.approx(b, rel=1e-13, abs=1e-300)
+    assert undefined > 0 or key.startswith(("mean", "sk", "qk"))
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (3, 5), (3, 7)])

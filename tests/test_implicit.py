@@ -320,9 +320,12 @@ def test_solve_levels_matches_scalar(key, ulps, z):
         levels = f.solve_x(ys.reshape(2, -1), z).ravel()
     scalar = np.array([f.solve_x(y, z) for y in ys.tolist()])
 
+    # where there is no root both forms give NaN, never +-inf (a vanishing
+    # denominator raises on floats and divides to inf on arrays)
     finite = np.isfinite(scalar)
     assert finite.any()
-    assert np.array_equal(np.isfinite(levels), finite)
+    assert np.array_equal(np.isnan(levels), ~finite)
+    assert np.array_equal(np.isnan(scalar), ~finite)
     for y in ys[~finite].tolist():
         with pytest.raises(ConvergenceError):
             b.solve_level(y, z)
@@ -361,6 +364,24 @@ def test_qk_has_no_root_at_y_zero(key):
         for solve in (b.solve_level, b.bisect_level):
             with pytest.raises(ConvergenceError, match="no root"):
                 solve(0.0, z)
+
+
+@pytest.mark.parametrize("key", ["qk:k=3,n=7", "qk:k=5,n=6"])
+def test_qk_vanishing_denominator_gives_nan(key):
+    # the m = 1 inverse divides by B_{k-1} y - B_{k-2} z, which vanishes at
+    # the limit level: NaN for an array of y, as for a float, not +-inf
+    f = from_key(key)
+    zeros = 0
+    for z in np.linspace(-3.0, 3.0, 61).tolist():
+        z_raw = z * f.normalization
+        y0 = f._bl1 * z_raw / f._bk1
+        ys = y0 + np.spacing(abs(y0)) * np.arange(-6, 7)
+        ys = ys[f._bk1 * ys - f._bl1 * z_raw == 0]
+        zeros += ys.size
+        with np.errstate(all="ignore"):
+            assert np.isnan(f.solve_x(ys, z)).all()
+        assert all(math.isnan(f.solve_x(y, z)) for y in ys.tolist())
+    assert zeros > 10
 
 
 # every registry family, the Hessian quotients with m = k - l = 2, 3, 4

@@ -315,8 +315,8 @@ def test_batched_max_norm_lets_no_quiet_component_dilute_an_error():
     active[0] = 1.0
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10)
     # the reference runs are batched too, two equal active components, so
-    # that every run steps on Radau IIA (a scalar run with jac starts
-    # explicit); equal components give the max norm of one
+    # that every run takes the same steppers and norm (DOP853, then Radau
+    # IIA past the handoff); equal components give the max norm of one
     batch = integrate(
         lambda t, y: active * _stiff_batch_rhs(t, y),
         0.0,
@@ -349,10 +349,111 @@ def test_batched_max_norm_lets_no_quiet_component_dilute_an_error():
         (lambda t, y: (-y[0],), [1.0], lambda t, y: (-1.0,)),
         (lambda t, y: -y, [1.0, 2.0, 3.0], lambda t, y: -np.ones(len(y))),
     ],
-    ids=["dopri", "radau", "radau-batched"],
+    ids=["dopri", "radau", "batched"],
 )
 def test_max_steps_has_its_own_termination(rhs, state0, jac):
     tr = integrate(rhs, 0.0, state0, 10.0, IntegratorConfig(max_steps=3), jac=jac)
     assert tr.termination == "max_steps"
     assert len(tr.ts) <= 4
     assert tr.t_final < 10.0
+
+
+def test_batched_max_norm_on_a_run_that_never_hands_off():
+    # the explicit steps of a batched run measure their error in the max
+    # norm too: one moving component among 31 quiet ones on a non-stiff
+    # problem (t max|lam| <= 10 < STIFF_SPAN) meets the tolerance as alone
+    def rhs(t, y):
+        return -(y - np.cos(t)) - np.sin(t)
+
+    def jac(t, y):
+        return -np.ones(len(y))
+
+    active = np.zeros(32)
+    active[0] = 1.0
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10)
+    batch = integrate(lambda t, y: active * rhs(t, y), 0.0, [2.0] + [1.0] * 31, 10.0, cfg,
+                      jac=lambda t, y: active * jac(t, y))
+    alone = integrate(rhs, 0.0, [2.0, 2.0], 10.0, cfg, jac=jac)
+    diluted = cfg.rel_tol * 32**0.5
+    rms_like = integrate(rhs, 0.0, [2.0, 2.0], 10.0,
+                         IntegratorConfig(rel_tol=diluted, abs_tol=diluted), jac=jac)
+
+    def error(tr):
+        return np.max(np.abs(tr.ys[:, 0] - [math.cos(t) + math.exp(-t) for t in tr.ts]))
+
+    assert batch.step_counts() == {"handoff": None, "explicit_steps": len(batch.segments),
+                                   "radau_steps": 0}
+    assert np.all(batch.ys[:, 1:] == 1.0)
+    assert abs(len(batch.ts) - len(alone.ts)) <= 2
+    assert error(batch) <= 1.5 * error(alone)
+    assert error(rms_like) > 3 * error(alone)
+
+
+def test_batched_run_hands_off_as_one_component_does():
+    # equal components of a batched run take the one-component run's
+    # explicit steps bit for bit (max norm, max |lam|) and hand off at the
+    # same node; the step budget carries over to the Radau IIA steps
+    one = integrate(_stiff_rhs, 0.0, [2.0], 2.0, jac=_stiff_jac)
+    batch = integrate(_stiff_batch_rhs, 0.0, [2.0] * 3, 2.0, jac=_stiff_batch_jac)
+    counts = one.step_counts()
+    assert counts["explicit_steps"] > 10 and counts["radau_steps"] > 10
+    assert batch.step_counts() == counts
+    n = counts["explicit_steps"] + 1
+    assert np.array_equal(batch.ts[:n], one.ts[:n])
+    assert np.array_equal(batch.ys[:n], np.repeat(one.ys[:n], 3, axis=1))
+    assert np.max(np.abs(batch.ys - one.ys)) <= 1e-12
+    # budgets that end the run just before, at and just past the handoff:
+    # each capped run is a prefix of the full one, dense output included
+    handoffs = set()
+    for budget in range(counts["explicit_steps"], counts["explicit_steps"] + 6):
+        capped = integrate(_stiff_batch_rhs, 0.0, [2.0] * 3, 2.0,
+                           IntegratorConfig(max_steps=budget), jac=_stiff_batch_jac)
+        assert capped.termination == "max_steps"
+        assert len(capped.segments) <= budget
+        handoffs.add(capped.handoff)
+        grid = np.linspace(0.0, capped.t_final, 50)
+        assert np.array_equal(capped.resample(grid), batch.resample(grid))
+    assert handoffs == {None, batch.handoff}
+
+
+# DOP853's stages 1-11 name their nonzero weights a_ij by these j (see
+# _dop853_steps); stage 0 has none
+_DOP853_COLS = ([0], [0, 1], [0, 2], [0, 2, 3], [0, 3, 4], [0, 3, 4, 5], [0, 3, 4, 5, 6],
+                [0, 3, 4, 5, 6, 7], [0, *range(3, 9)], [0, *range(3, 10)], [0, *range(3, 11)])
+
+
+def _stability(A, b):
+    """R(z) = 1 + z b^T (I - z A)^-1 1, the step map of y' = lam y at z = h lam."""
+    one = np.ones(len(b))
+    return lambda z: 1.0 + z * b @ np.linalg.solve(np.eye(len(b)) - z * A, one)
+
+
+def test_stability_functions_keep_solutions_in_order():
+    # on y' = lam y a step multiplies the gap of two solutions by R(h lam),
+    # so a comparison run keeps their order where R > 0: DOP853 on its
+    # explicit steps, held to h max|lam| <= STABLE_STEP, Radau IIA on all
+    A = np.zeros((12, 12))
+    for i, (row, cols) in enumerate(zip(ode._A[1:12], _DOP853_COLS), start=1):
+        A[i, cols] = row
+    b = np.zeros(12)
+    b[list(ode._B_COLS)] = ode._A[12]
+    # the linear order conditions b A^(q-1) 1 = 1/q! up to order 8 pin the
+    # stage columns above
+    for q in range(1, 9):
+        assert b @ np.linalg.matrix_power(A, q - 1) @ np.ones(12) == pytest.approx(
+            1 / math.factorial(q), rel=1e-10)
+    R = _stability(A, b)
+    assert min(R(z) for z in np.linspace(-ode.STABLE_STEP, 0.0, 3001)) > 0.0
+    assert R(-3.0) == pytest.approx(0.0497, abs=1e-4)
+    assert R(-4.34) > 0.0 > R(-4.36)  # the first sign change
+
+    # Radau IIA's coefficient matrix from the eigenbasis the Newton solve
+    # uses: R is the (2, 3) Pade approximant of exp, positive for z <= 0
+    mu = ode._MU_COMPLEX
+    M = np.array([[ode._MU_REAL, 0, 0], [0, mu.real, -mu.imag], [0, mu.imag, mu.real]])
+    A = np.linalg.inv(np.array(ode._RT) @ M @ np.array(ode._RTI))
+    R = _stability(A, A[2])  # stiffly accurate: b is the last row
+    for z in -np.geomspace(1e-6, 1e8, 300):
+        pade = (1 + 2 * z / 5 + z * z / 20) / (1 - 3 * z / 5 + 3 * z * z / 20 - z**3 / 60)
+        assert R(z) == pytest.approx(pade, rel=1e-9)
+        assert R(z) > 0.0
