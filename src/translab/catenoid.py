@@ -1,34 +1,46 @@
 """Catenoidal translators: neck solve, branch continuation, classification.
 
-Construction follows three charts.  A horizontal-graph chart r(u) covers the
-neck, where the generating curve has a vertical tangent:
+The generating curve (r, u)(s) is written in its tangent angle phi:
 
-    r'' = -(1 + r'^2)^(beta+1) * X( 1/(r (1+r'^2)^beta), r' ),
+    dr/ds = cos phi,   du/ds = sin phi,   dphi/ds = X(sin phi / r, cos phi),
 
-X(y, z) being the x-solve of gamma(x, y) = z anchored at the zero ray (the
-curvature at the neck is negative, so r''(0) = -X(1/R, 0) > 0 and the neck
-is strictly convex).  Once the tangent tilts by pi/8 the branches continue
-as vertical graphs in the slope variable; on the lower branch the turning
-region (slope through zero) is integrated with the slope as the independent
-variable, which stays regular even where the profile curvature blows up.
+X(y, z) being the x-solve of gamma(x, y) = z (``solve_x``).  The
+homogeneity scaling cancels, so no beta appears, and dphi/ds is the exact
+profile curvature.  The neck (R, 0) has the vertical tangent phi = pi/2 and
+the curvature X(1/R, 0) = -kappa_neck < 0, so it is strictly convex.  Three
+kinds of chart build the two branches from it:
 
-Every chart integrates only the state that feeds back: (r, r') on the neck,
-the slope on the graph charts and r(w) on the turning chart.  The height
-and the arc length are quadratures of the dense output, exact for integrals
-of the state and 4-point Gauss-Legendre otherwise.  The ascending graph
-charts (the upper branch, and the lower branch past its turn) ride the same
-strongly attracting tail as the bowl and hand off to Radau IIA as it does;
-the neck, descending and turning charts are not stiff and step explicitly.
+* the neck chart, state (r, phi) in the arc length a from the neck (a = s
+  going up, a = -s going down), until the tangent tilts from the vertical
+  by arctan(handoff_tan) or, going up, the curvature crosses zero;
+* the graph charts of the slope v = du/dr in r: the upper branch, the
+  lower tail past the bottom, and the descending lower branch of a
+  derivative_origin end;
+* the lower arc of a continuous_origin end, in its tilt psi = phi - pi/2
+  from the vertical, with r the only state:
 
-Angle bookkeeping on the lower branch: the reported angle is
+      dr/dpsi = D sin psi,   du/dpsi = -D cos psi,   ds/dpsi = D,
+      D = -1 / X(cos psi / r, -sin psi),
 
-    theta_bar = pi/2 + |arctan(du/dr)|      (graph charts)
+  from the neck's down exit through the bottom psi = pi/2, which stays a
+  regular point where the curvature blows up (D -> 0 on sk), to the tilt
+  of the slope HANDOFF_TAN, where the lower tail takes over.
 
-which starts near pi at the neck, falls, touches pi/2 exactly at the lowest
+Every chart integrates only the state that feeds back.  The height and the
+arc length are quadratures of the dense output, exact for integrals of the
+state and 4-point Gauss-Legendre otherwise.  The ascending graph charts
+ride the same strongly attracting tail as the bowl and hand off to Radau
+IIA as it does; the other charts are not stiff and step explicitly.
+
+Angle bookkeeping: the reported angle ``theta`` is phi on the upper branch
+and, on the lower branch, whose arc length s runs down from the neck,
+
+    theta_bar = pi/2 + |psi - pi/2|   (pi/2 + |arctan(du/dr)| on graph charts)
+
+which starts at pi at the neck, falls, touches pi/2 exactly at the lowest
 point of the branch (recorded as both the pi/2 crossing s0 and the angle
 minimum s1), and rises back toward pi along the convex outer end.  The
-bottom is the point w = 0 of the turning chart, whose independent variable
-is the slope w, so s0 is a quadrature up to a known end point.
+reported ``kappa`` is d theta / ds: X, and -X past the bottom.
 """
 
 from __future__ import annotations
@@ -73,10 +85,13 @@ _GL_IN = math.sqrt(3 / 7 - 2 / 7 * math.sqrt(6 / 5))
 _GL_OUT = math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5))
 _ARC_X = 0.5 + 0.5 * np.array([-_GL_OUT, -_GL_IN, _GL_IN, _GL_OUT])
 _ARC_W = np.array([18 - 30**0.5, 18 + 30**0.5, 18 + 30**0.5, 18 - 30**0.5]) / 72
-# the neck and turning charts cross strongly curved arcs in few, long steps
-# (~0.07 rad a step on the turning arc of sk:k=3,n=5); their profile rows
-# sample every step at this many equal parts, to resolve the arc
+# the neck chart and the lower arc cross strongly curved arcs in few, long
+# steps (up to 0.15 rad of tilt a step on the lower arc of sk:k=3,n=5); their
+# profile rows sample every step at this many equal parts, and the lower
+# arc's at parts of at most ROW_TILT in psi, so that a row's chord falls
+# short of its arc by about ROW_TILT^2 / 24 at most
 SUBSTEPS = 4
+ROW_TILT = 0.02
 
 
 @dataclass
@@ -84,13 +99,12 @@ class NeckSolution:
     R: float
     curvature_key: str
     kappa_at_neck: float
-    # per side: (u, r, r_u, s) at the chart exit, with s arc length from the neck
-    up_exit: tuple
-    down_exit: tuple
-    up_samples: np.ndarray  # columns u, r, r_u, s
-    down_samples: np.ndarray
+    # per side, one row per sample: columns s, r, u, phi, kappa, residual,
+    # with s the arc length from the neck and phi the tangent angle (pi/2 at
+    # the neck); the last row is the chart exit
+    up: np.ndarray
+    down: np.ndarray
     up_exit_reason: str  # "handoff" | "curvature_zero"
-    residual_max: float
     charts: dict = field(default_factory=dict)  # per chart, ``Trajectory.step_counts``
 
 
@@ -104,7 +118,7 @@ class Profile:
     kappa: np.ndarray
     residuals: np.ndarray
     # the closing graph chart, whose nodes end the arrays above: the
-    # ascending chart of the upper branch or past the lower turn, or the
+    # ascending chart of the upper branch or past the lower bottom, or the
     # descending chart of a derivative_origin lower branch
     tail: Optional[Trajectory] = field(default=None, repr=False)
     charts: dict = field(default_factory=dict)  # as on NeckSolution
@@ -112,7 +126,7 @@ class Profile:
     def u_at(self, rs) -> np.ndarray:
         """Height at radii on the branch.  On the tail chart it is the node
         height plus the exact integral of the step's slope polynomial; on the
-        neck and turning charts before it, linear interpolation."""
+        neck chart and the lower arc before it, linear interpolation."""
         rs = np.asarray(rs, dtype=float)
         out = np.interp(rs, self.r, self.u)
         if self.tail is not None:
@@ -140,30 +154,8 @@ class CatenoidResult:
     charts: dict = field(default_factory=dict)  # every chart's, and the bowl's
 
 
-def _neck_rhs(f: CurvatureFunction, branch: ImplicitBranch, z_sign: float):
-    """Horizontal chart RHS in the marching variable tau.
-
-    Up side (tau = u): state slope p = r_u, curvature argument z = p.
-    Down side (tau = -u): p = dr/dtau = -r_u, so z = -p while the second
-    derivative is unchanged: d2r/dtau2 = r_uu either way.
-    """
-    beta = f.beta
-
-    def rhs(u, y):
-        r, p = y
-        one_plus = 1.0 + p * p
-        yarg = 1.0 / (r * one_plus**beta)
-        try:
-            x = branch.solve_level(yarg, z_sign * p)
-        except TranslabError:
-            return (math.nan, math.nan)
-        return (p, -(one_plus ** (beta + 1.0)) * x)
-
-    return rhs
-
-
 def solve_neck(f: CurvatureFunction, R: float, handoff_tan: float = HANDOFF_TAN) -> NeckSolution:
-    """Integrate the neck chart both ways from (r, u) = (R, 0)."""
+    """Integrate the neck chart both ways from (r, phi) = (R, pi/2)."""
     if not f.is_signed:
         raise UnsupportedError(f"{f.name} is not signed; no catenoidal neck exists")
     if R <= 0:
@@ -171,60 +163,46 @@ def solve_neck(f: CurvatureFunction, R: float, handoff_tan: float = HANDOFF_TAN)
     branch = ImplicitBranch(f)
     x0, y0 = zero_ray(f)
     kappa_neck = -(x0 / y0) / R
-    beta = f.beta
-    u_cap = 6.0 * R
+    tilt = math.atan(handoff_tan)
 
-    def curvature_zero(u, y):
-        # r'' changes sign when the solved x crosses zero; x is measured in
-        # the neck's own scale |x(1/R, 0)| = kappa_neck (by homogeneity), so
-        # that the graze band is relative at every R
-        r, p = y
-        yarg = 1.0 / (r * (1 + p * p) ** beta)
+    def curvature(y):
         try:
-            return branch.solve_level(yarg, p) / kappa_neck
+            return branch.solve_level(math.sin(y[1]) / y[0], math.cos(y[1]))
         except TranslabError:
             return math.nan
 
-    def handoff(u, y):
-        return y[1] - handoff_tan
+    def side(sign, stops):
+        # a = sign * s, so d(r, phi)/da = sign (cos phi, X); the tilt from
+        # the vertical is sign (pi/2 - phi)
+        def rhs(a, y):
+            return (sign * math.cos(y[1]), sign * curvature(y))
 
-    # up side: slope rises from 0; stop at the handoff tangent or when the
-    # profile curvature crosses zero (whichever first)
-    tr_up = integrate(_neck_rhs(f, branch, +1.0), 0.0, [R, 0.0], u_cap, PROFILE_CONFIG,
-                      (handoff, curvature_zero))
-    if tr_up.termination != "terminal_event":
-        raise StructureError(f"neck chart (up) did not reach a handoff: {tr_up.termination}")
-    up_reason = ("handoff", "curvature_zero")[tr_up.stop]
+        def handoff(a, y):
+            return sign * (math.pi / 2 - y[1]) - tilt
 
-    # down side in tau = -u; the graph slope there is r_u = -dr/dtau
-    tr_dn = integrate(_neck_rhs(f, branch, -1.0), 0.0, [R, 0.0], u_cap, PROFILE_CONFIG, (handoff,))
-    if tr_dn.termination != "terminal_event":
-        raise StructureError(f"neck chart (down) did not reach the handoff: {tr_dn.termination}")
+        tr = integrate(rhs, 0.0, [R, math.pi / 2], 6.0 * R, PROFILE_CONFIG, (handoff, *stops))
+        if tr.termination != "terminal_event":
+            raise StructureError(f"neck chart did not reach a handoff: {tr.termination}")
+        a = _substeps(tr)
+        r, phi = tr.resample(a).T
+        kappa = f.solve_x(np.sin(phi) / r, np.cos(phi))
+        u = _quadrature(tr, lambda a, y: sign * np.sin(y[:, 1]), 0.0, a)
+        rows = np.column_stack([a, r, u, phi, kappa,
+                                _node_residuals(f, r, 0.0, kappa, np.sin(phi), np.cos(phi))])
+        return tr, rows
 
-    # residual of the neck equation at the nodes, in the solved chart: the
-    # y-argument is 1/(r (1+p^2)^beta) and the level z = +-p
-    res = float(np.max(np.concatenate([
-        _node_residuals(f, tr.ys[:, 0], tr.ys[:, 1], -tr.fs[:, 1], 1.0, sign * tr.ys[:, 1])
-        for tr, sign in ((tr_up, +1.0), (tr_dn, -1.0))
-    ])))
-    # samples (u, r, r_u, s) per side at the substeps; the arc length s is
-    # the quadrature of sqrt(1 + p^2) in tau
-    up_samples, dn_samples = (
-        np.column_stack([sign * t, y[:, 0], sign * y[:, 1], _quadrature(
-            tr, lambda t, y: np.sqrt(1.0 + y[:, 1] * y[:, 1]), 0.0, t)])
-        for tr, sign in ((tr_up, 1.0), (tr_dn, -1.0))
-        for t in [_substeps(tr)] for y in [tr.resample(t)]
-    )
+    # going up, the curvature may cross zero before the handoff tilt (on sk
+    # it is never reached); X is measured in the neck's own scale
+    # |X(1/R, 0)| = kappa_neck, so that the graze band is relative at every R
+    tr_up, up = side(1.0, (lambda a, y: curvature(y) / kappa_neck,))
+    tr_dn, down = side(-1.0, ())
     return NeckSolution(
         R=R,
         curvature_key=f.name,
         kappa_at_neck=kappa_neck,
-        up_exit=tuple(float(x) for x in up_samples[-1]),
-        down_exit=tuple(float(x) for x in dn_samples[-1]),
-        up_samples=up_samples,
-        down_samples=dn_samples,
-        up_exit_reason=up_reason,
-        residual_max=res,
+        up=up,
+        down=down,
+        up_exit_reason=("handoff", "curvature_zero")[tr_up.stop],
         charts={"neck_up": tr_up.step_counts(), "neck_down": tr_dn.step_counts()},
     )
 
@@ -234,14 +212,6 @@ def _graph_columns(f: CurvatureFunction, traj: Trajectory, u, s) -> tuple:
     theta = arctan v, and the signed curvature from the stored v'."""
     r, v, vp = traj.ts, traj.ys[:, 0], traj.fs[:, 0]
     return s, r, u, np.arctan(v), vp / (1.0 + v * v) ** 1.5, _node_residuals(f, r, v, vp, v)
-
-
-def _neck_columns(samples: np.ndarray, theta: np.ndarray, residual: float) -> tuple:
-    """Profile columns (s, r, u, theta, kappa, residual) of one side's
-    neck-chart samples (columns u, r, r_u, s); kappa = d theta / ds."""
-    s = samples[:, 3]
-    kappa = np.gradient(theta, s) if len(samples) > 2 else np.zeros(len(samples))
-    return (s, samples[:, 1], samples[:, 0], theta, kappa, np.full(len(samples), residual))
 
 
 def _profile(side: str, columns: list, tail: Optional[Trajectory], charts: dict) -> Profile:
@@ -263,15 +233,18 @@ def _quadrature(traj: Trajectory, g, start: float, t: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([[start], _gauss(traj, g, t[:-1], t[1:])]))
 
 
-def _substeps(traj: Trajectory) -> np.ndarray:
-    """The nodes of a chart with every step split into SUBSTEPS equal parts."""
-    t0, h = traj.ts[:-1, None], np.diff(traj.ts)[:, None]
-    return np.append(t0 + h * np.arange(SUBSTEPS) / SUBSTEPS, traj.ts[-1])
+def _substeps(traj: Trajectory, max_part: float = math.inf) -> np.ndarray:
+    """The nodes of a chart with every step split into SUBSTEPS equal
+    parts, or into more where a part would exceed max_part."""
+    h = np.diff(traj.ts)
+    parts = np.maximum(SUBSTEPS, np.ceil(h / max_part)).astype(int)
+    return np.append(np.concatenate([t + dt * np.arange(n) / n for t, dt, n in
+                                     zip(traj.ts[:-1], h, parts)]), traj.ts[-1])
 
 
-def _graph_chart(f, branch, r0, v0, u0, s0, r_max, what, stiff, stops=()):
-    """Graph chart of the slope v(r) from (r0, v0) to r_max, or to the first
-    rising zero of a stop.  Returns (trajectory, u, s) at the nodes.
+def _graph_chart(f, branch, r0, v0, u0, s0, r_max, what, stiff):
+    """Graph chart of the slope v(r) from (r0, v0) to r_max.  Returns
+    (trajectory, u, s) at the nodes.
 
     The slope is the only state; the height u and the arc length s never
     feed back, so they are quadratures of the dense slope: u exactly, as
@@ -280,8 +253,8 @@ def _graph_chart(f, branch, r0, v0, u0, s0, r_max, what, stiff, stops=()):
     dF/dv and hand off to Radau IIA on the tail, the others step explicitly.
     """
     rhs, jac = _slope_scalar(f, branch, None)
-    traj = integrate(rhs, r0, [v0], r_max, PROFILE_CONFIG, stops, jac=jac if stiff else None)
-    if traj.termination != ("terminal_event" if stops else "reached_end"):
+    traj = integrate(rhs, r0, [v0], r_max, PROFILE_CONFIG, jac=jac if stiff else None)
+    if traj.termination != "reached_end":
         raise StructureError(f"{what}: {traj.termination} at r={traj.t_final}")
     s = _quadrature(traj, lambda t, y: np.sqrt(1.0 + y[:, 0] * y[:, 0]), s0, traj.ts)
     return traj, traj.node_integrals(u0), s
@@ -290,17 +263,16 @@ def _graph_chart(f, branch, r0, v0, u0, s0, r_max, what, stiff, stops=()):
 def solve_upper_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float) -> Profile:
     """Continue the ascending branch from the neck chart exit to r_max."""
     branch = ImplicitBranch(f)
-    u_h, r_h, ru_h, s_h = neck.up_exit
+    s_h, r_h, u_h, phi_h = neck.up[-1, :4].tolist()
     if r_h >= r_max:
         raise ParameterError(f"r_max={r_max} does not extend past the neck chart (r={r_h})")
-    traj, u, s = _graph_chart(f, branch, r_h, 1.0 / ru_h, u_h, s_h, r_max,
+    traj, u, s = _graph_chart(f, branch, r_h, math.tan(phi_h), u_h, s_h, r_max,
                               "upper branch stopped early", stiff=True)
     columns = _graph_columns(f, traj, u, s)
     if np.any(columns[3] <= 0) or np.any(columns[3] >= math.pi / 2):
         raise StructureError("upper branch tangent angle left (0, pi/2)")
-    nu = neck.up_samples  # theta = pi/2 - arctan(r_u) on the neck chart
-    neck_cols = _neck_columns(nu, math.pi / 2 - np.arctan(nu[:, 2]), neck.residual_max)
-    return _profile("upper", [neck_cols, columns], traj, {"upper": traj.step_counts()})
+    # the neck rows are profile columns as they stand: theta = phi going up
+    return _profile("upper", [neck.up.T, columns], traj, {"upper": traj.step_counts()})
 
 
 def classify_case(f: CurvatureFunction) -> tuple:
@@ -324,15 +296,14 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
     descends and flattens forever; the end slope is fitted to -a r^b.
     """
     branch = ImplicitBranch(f)
-    u_h, r_h, ru_h, s_h = neck.down_exit
+    s_h, r_h, u_h, phi_h = neck.down[-1, :4].tolist()
     if r_h >= r_max:
         raise ParameterError(f"r_max={r_max} does not extend past the neck chart (r={r_h})")
-    w_h = 1.0 / ru_h  # negative: the branch descends
 
     # profile columns (s, r, u, theta, kappa, residual), one entry per chart,
-    # the neck chart samples first
-    nd = neck.down_samples
-    columns = [_neck_columns(nd, math.pi - np.abs(np.arctan(nd[:, 2])), neck.residual_max)]
+    # the neck chart rows first, where theta = pi - psi = 3 pi/2 - phi
+    s, r, u, phi, kappa, resid = neck.down.T
+    columns = [(s, r, u, 1.5 * math.pi - phi, kappa, resid)]
 
     charts = {}
 
@@ -346,7 +317,8 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
     end_behavior = {"case": case}
 
     if case == "derivative_origin":
-        tail, u, s = _graph_chart(f, branch, r_h, w_h, u_h, s_h, r_max,
+        # the slope du/dr = tan phi < 0: the branch descends
+        tail, u, s = _graph_chart(f, branch, r_h, math.tan(phi_h), u_h, s_h, r_max,
                                   "lower branch stopped early", stiff=False)
         if tail.ys[-1, 0] >= 0:
             raise StructureError("derivative_origin branch unexpectedly turned upward")
@@ -370,57 +342,41 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
             }
         )
     else:
-        # descend in r until the slope flattens to the chart-switch angle
-        tr1, u, s = _graph_chart(f, branch, r_h, w_h, u_h, s_h, r_max,
-                                 "continuous_origin branch never flattened", stiff=False,
-                                 stops=(lambda r, y: y[0] + HANDOFF_TAN,))
-        add_graph_chart("lower_descending", tr1, u, s)
-        r1, w1, u1, arc1 = tr1.t_final, tr1.ys[-1, 0], u[-1], s[-1]
+        # the lower arc in its tilt psi, from the neck's exit through the
+        # bottom psi = pi/2 to the tail's slope HANDOFF_TAN; its rows take
+        # the steps in parts of at most ROW_TILT
+        def rhs(psi, y):  # dr/dpsi = D sin psi = -sin psi / X
+            try:
+                x = branch.solve_level(math.cos(psi) / y[0], -math.sin(psi))
+            except TranslabError:
+                return (math.nan,)
+            return (-math.sin(psi) / x if x < 0 else math.nan,)
 
-        # turning chart: the slope w is the independent variable and r(w)
-        # the only state; dr/dw = 1/F stays finite where the profile
-        # curvature blows up
-        slope, _ = _slope_scalar(f, branch, None)
+        def x_at(psi, y):
+            return f.solve_x(np.cos(psi) / y[:, 0], -np.sin(psi))
 
-        def turn_rhs(w, y):
-            (F,) = slope(y[0], (w,))
-            return (1.0 / F if F > 0 else math.nan,)
+        def ds(psi, y):
+            return -1.0 / x_at(psi, y)
 
-        tr2 = integrate(turn_rhs, w1, [r1], HANDOFF_TAN, PROFILE_CONFIG)
-        if tr2.termination != "reached_end":
-            raise StructureError(f"turning chart failed: {tr2.termination}")
-        w = _substeps(tr2)
-        r = tr2.resample(w)[:, 0]
-        dr_dw = np.array([turn_rhs(*wr)[0] for wr in zip(w.tolist(), r[:, None].tolist())])
-        root = np.sqrt(1.0 + w * w)
-
-        def g(t, y):
-            return y[:, 0] * t / np.sqrt(1.0 + t * t)
-
-        # du = w dr and ds = sqrt(1+w^2) dr, integrated by parts so that only
-        # r itself is integrated and the full order is kept:
-        #   u = u1 + [w r] - int r dw,
-        #   s = arc1 + [sqrt(1+w^2) r] - int r w / sqrt(1+w^2) dw,
-        # the first integral exact, the second (of g) by Gauss-Legendre
-        u = u1 + (w * r - w1 * r1) - tr2.integral_at(w, tr2.node_integrals(0.0))
-        quad = _quadrature(tr2, g, 0.0, w)
-        s = arc1 + (root * r - root[0] * r1) - quad
-        zero = np.zeros(1)
-        j = int(np.searchsorted(w, 0.0)) - 1  # the bottom w = 0 follows sample j
-        s0 = float(arc1 + tr2.resample(zero)[0, 0] - root[0] * r1 - quad[j]
-                   - _gauss(tr2, g, w[j:j + 1], zero)[0])
-        s1 = s0  # the folded angle attains its minimum at the bottom
-        n_pi2 = n_min = 1
-
-        # d theta / ds = sign(w) / ((1+w^2) ds/dw), with ds/dw > 0 at the samples
-        dth_ds = np.sign(w) / ((1 + w * w) * root * dr_dw)
-        resid = _node_residuals(f, r, w, 1.0 / dr_dw, w)
-        theta = math.pi / 2 + np.abs(np.arctan(w))
-        columns.append((s, r, u, theta, dth_ds, resid))
-        charts["turning"] = tr2.step_counts()
+        arc = integrate(rhs, phi_h - math.pi / 2, [r_h], math.pi / 2 + math.atan(HANDOFF_TAN),
+                        PROFILE_CONFIG)
+        if arc.termination != "reached_end":
+            raise StructureError(f"lower arc failed: {arc.termination}")
+        psi = _substeps(arc, ROW_TILT)
+        y = arc.resample(psi)
+        r, x = y[:, 0], x_at(psi, y)
+        u = _quadrature(arc, lambda psi, y: np.cos(psi) / x_at(psi, y), u_h, psi)
+        s = _quadrature(arc, ds, s_h, psi)
+        j = int(np.searchsorted(psi, math.pi / 2)) - 1  # the bottom follows row j
+        s0 = s1 = float(s[j] + _gauss(arc, ds, psi[j:j + 1], np.array([math.pi / 2]))[0])
+        n_pi2 = n_min = 1  # the folded angle attains its minimum at the bottom
+        resid = _node_residuals(f, r, 0.0, x, np.cos(psi), -np.sin(psi))
+        bottom = psi - math.pi / 2
+        columns.append((s, r, u, math.pi / 2 + np.abs(bottom), -np.sign(bottom) * x, resid))
+        charts["lower_arc"] = arc.step_counts()
 
         # ascending convex tail back in the r chart
-        tail, u3, s3 = _graph_chart(f, branch, float(r[-1]), float(w[-1]), float(u[-1]),
+        tail, u3, s3 = _graph_chart(f, branch, float(r[-1]), HANDOFF_TAN, float(u[-1]),
                                     float(s[-1]), r_max, "lower tail stopped early", stiff=True)
         if np.any(tail.fs[:, 0] <= 0):
             raise StructureError("post-turn tail is not convex")
@@ -447,7 +403,7 @@ def check_embeddedness(result: CatenoidResult) -> dict:
     gap = up.u_at(grid) - lo.u_at(grid)
     # the gap levels off at C+ - C-, where its increments sink to round-off
     # (the tail heights are exact quadratures; the few points that fall on
-    # the neck chart or, next to the bottom, on the turning chart are
+    # the neck chart or, next to the bottom, on the lower arc are
     # interpolated linearly between their nodes); test the trend against a
     # noise floor
     tol = 1e-4 * max(1.0, float(np.max(np.abs(gap))))
@@ -480,7 +436,7 @@ def solve_catenoid(
     case, b = classify_case(f)
     r_min = UPPER_FIT * R
     if case == "derivative_origin":
-        r_min = max(r_min, LOWER_FIT * neck.down_exit[1])
+        r_min = max(r_min, LOWER_FIT * float(neck.down[-1, 1]))
     if not r_max > r_min:
         raise ParameterError(f"r_max={float(r_max)} lies too close to the neck: "
                              f"the fit windows need r_max > {float(r_min)}")

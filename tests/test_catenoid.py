@@ -49,24 +49,23 @@ def test_neck_kappa_sk_R2():
 
 def test_neck_initial_condition_exact():
     neck = solve_neck(from_key("sk:k=3,n=5"), 1.5)
-    assert neck.up_samples[0, 1] == 1.5
-    assert neck.up_samples[0, 2] == 0.0
-    assert neck.down_samples[0, 1] == 1.5
+    for rows in (neck.up, neck.down):
+        assert tuple(rows[0, :4]) == (0.0, 1.5, 0.0, math.pi / 2)  # s, r, u, phi
 
 
 def test_neck_strictly_convex_and_residual():
     neck = solve_neck(from_key("sk:k=3,n=5"), 1.0)
-    assert neck.residual_max <= 1e-8
-    for samples in (neck.up_samples, neck.down_samples):
-        r = samples[:, 1]
-        assert np.all(r >= samples[0, 1] - 1e-12)  # the neck is the r minimum
+    for rows in (neck.up, neck.down):
+        assert rows[:, 5].max() <= 1e-8
+        r = rows[:, 1]
+        assert np.all(r >= rows[0, 1] - 1e-12)  # the neck is the r minimum
 
 
 def test_neck_curvature_matches_quadratic_start():
     # r(u) = R + kappa u^2 / 2 + O(u^3) near the neck
     neck = solve_neck(from_key("qk:k=3,n=6"), 1.0)
-    u = neck.up_samples[:, 0]
-    r = neck.up_samples[:, 1]
+    u = neck.up[:, 2]
+    r = neck.up[:, 1]
     small = u < 0.05
     fitted = np.polyfit(u[small], r[small], 3)
     assert 2 * fitted[1] == pytest.approx(neck.kappa_at_neck, rel=1e-3)
@@ -82,7 +81,7 @@ def test_neck_stop_reason(key, reason, r_exit):
     # tangent, or the profile curvature changing sign before it (s_3)
     neck = solve_neck(from_key(key), 1.0)
     assert neck.up_exit_reason == reason
-    assert neck.up_exit[1] == pytest.approx(r_exit, rel=1e-12)
+    assert neck.up[-1, 1] == pytest.approx(r_exit, rel=1e-12)
 
 
 @pytest.mark.parametrize("key, R", [("qk:k=3,n=6", 1e4), ("qk:k=3,n=6", 1e5), ("qk:k=4,n=6", 1e6)])
@@ -90,13 +89,13 @@ def test_large_neck_reaches_handoff(key, R):
     # the curvature-zero stop is measured in the neck's own curvature scale,
     # so it clears the graze band at any R instead of letting the up side
     # grind to its cap; from R = 1e5 on, the down side's handoff stop fires
-    # past tau = 8192, where an ulp of tau exceeds the bisection tolerance
+    # past a = 8192, where an ulp of a exceeds the bisection tolerance
     t0 = time.perf_counter()
     neck = solve_neck(from_key(key), R)
     res = solve_catenoid(from_key(key), R, 5 * R)
     assert time.perf_counter() - t0 < 2.0
     assert neck.up_exit_reason == "curvature_zero"
-    assert neck.up_exit[0] < 0.01 * R  # far short of the cap u = 6 R
+    assert neck.up[-1, 0] < 0.01 * R  # far short of the cap a = 6 R
     assert res.case == "derivative_origin"
 
 
@@ -185,16 +184,28 @@ def test_u_at_reproduces_node_heights():
 
 @pytest.mark.parametrize("chart", ["upper", "descending", "turning"])
 def test_upper_height_against_dop853_oracle(chart):
-    # each chart's quadratures against scipy's DOP853 on the 3-state system:
-    # (v, u, s) in r on the graph charts, (r, u, s) in the slope w on the
-    # turning chart
+    # the profile against scipy's DOP853 on 3-state systems in charts that
+    # the code does not use, from the neck on: (r, r_u, s) in u on the neck
+    # (in tau = -u going down), (v, u, s) in r on the graph charts, and
+    # (r, u, s) in the slope w through the bottom on a turning chart
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     key, rmax = ("sk:k=3,n=5", 12.0) if chart == "turning" else ("qk:k=3,n=6", 200.0)
     f = from_key(key)
     res = catenoid(key, 1.0, rmax)
-    neck = solve_neck(f, 1.0)
-    u_h, r_h, ru_h, s_h = neck.up_exit if chart == "upper" else neck.down_exit
-    value, _ = _slope_field(f, ImplicitBranch(f), None)
+    branch = ImplicitBranch(f)
+    value, _ = _slope_field(f, branch, None)
+    sign = 1.0 if chart == "upper" else -1.0  # tau = sign u
+
+    def neck(tau, y):
+        # p = dr/dtau = sign r_u, and d2r/dtau2 = r_uu =
+        # -(1 + r_u^2)^(beta+1) X(1 / (r (1+r_u^2)^beta), r_u)
+        r, p, _ = y
+        one_plus = 1.0 + p * p
+        x = branch.solve_level(1.0 / (r * one_plus**f.beta), sign * p)
+        return [p, -(one_plus ** (f.beta + 1.0)) * x, math.sqrt(one_plus)]
+
+    def neck_exit(tau, y):
+        return y[1] - HANDOFF_TAN
 
     def graph(r, y):
         return [value(r, y[0]), y[0], math.sqrt(1.0 + y[0] ** 2)]
@@ -204,10 +215,18 @@ def test_upper_height_against_dop853_oracle(chart):
         assert sol.success
         return sol
 
+    neck_exit.terminal = True
+    top = oracle(neck, (0.0, 6.0), [1.0, 0.0, 0.0], events=neck_exit)
+    # both necks end on the handoff tilt, the upper one before its curvature
+    # crosses zero
+    assert top.status == 1
+    r_h, p_h, s_h = top.y[:, -1]
+    u_h, v_h = sign * top.t[-1], sign / p_h  # the slope du/dr
+
     if chart != "turning":
         prof = res.upper if chart == "upper" else res.lower
         grid = np.geomspace(r_h, rmax, 25)
-        sol = oracle(graph, (r_h, rmax), [1.0 / ru_h, u_h, s_h], t_eval=grid)
+        sol = oracle(graph, (r_h, rmax), [v_h, u_h, s_h], t_eval=grid)
         # node heights, the dense height between the nodes and the arc length
         assert prof.u[-1] == pytest.approx(sol.y[1, -1], rel=1e-10)
         assert prof.u_at(grid) == pytest.approx(sol.y[1], rel=1e-10)
@@ -218,7 +237,7 @@ def test_upper_height_against_dop853_oracle(chart):
         return y[0] + HANDOFF_TAN
 
     turn_enter.terminal = True
-    down = oracle(graph, (r_h, rmax), [1.0 / ru_h, u_h, s_h], events=turn_enter)
+    down = oracle(graph, (r_h, rmax), [v_h, u_h, s_h], events=turn_enter)
     r1, (w1, u1, s1) = down.t[-1], down.y[:, -1]
 
     def turning(w, y):

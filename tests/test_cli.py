@@ -7,11 +7,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import translab
+from translab.catenoid import solve_catenoid, solve_neck
 from translab.cli import main
-from translab.curvature import registry_keys
+from translab.curvature import from_key, registry_keys
 
 
 def run(args):
@@ -161,6 +163,37 @@ def test_catenoid_files(tmp_path):
     payload = json.loads((out / "catenoid.json").read_text())
     assert payload["case"] == "derivative_origin"
     assert payload["end_behavior"]["kind"] == "logarithmic"
+
+
+@pytest.mark.parametrize("key, R, rmax", [("qk:k=3,n=6", 1.0, 200.0), ("qk:k=4,n=6", 1.0, 200.0),
+                                          ("qk:k=5,n=6", 1.0, 200.0), ("sk:k=3,n=5", 1.0, 6.0)])
+def test_catenoid_csv_kappa_is_the_exact_curvature(tmp_path, key, R, rmax):
+    # every row's kappa is d theta / ds, the curvature X(sin phi / r, cos phi)
+    # at the row's tangent angle phi: theta on the upper branch; the lower
+    # branch reports theta = 3 pi/2 - phi, and past its bottom phi - pi/2,
+    # where kappa is -X
+    assert run(["catenoid", "--curvature", key, "--R", repr(R), "--rmax", repr(rmax),
+                "--out", str(tmp_path), "--quiet"]) == 0
+    f = from_key(key)
+    s0 = json.loads((tmp_path / "catenoid.json").read_text())["s0"]
+    kappa_neck = solve_neck(f, R).kappa_at_neck
+    res = solve_catenoid(f, R, rmax)
+    for side, prof in (("upper", res.upper), ("lower", res.lower)):
+        s, r, _, theta, kappa, residual = np.loadtxt(tmp_path / f"{side}.csv", delimiter=",",
+                                                     skiprows=1, unpack=True)
+        sign = np.ones_like(s)
+        if side == "upper":
+            phi = theta
+        else:
+            past = s > s0 if s0 is not None else np.zeros(len(s), dtype=bool)
+            phi = np.where(past, theta + np.pi / 2, 1.5 * np.pi - theta)
+            sign[past] = -1.0
+        x = f.solve_x(np.sin(phi) / r, np.cos(phi))
+        assert np.all(np.abs(kappa - sign * x) <= 1e-10 * np.maximum(np.abs(x), kappa_neck))
+        # the rows before the closing graph chart come from the angle charts,
+        # each with its own residual, not one number repeated
+        assert len(s) == len(prof.s)
+        assert len(set(residual[:len(s) - len(prof.tail.ts)])) > 1
 
 
 @pytest.mark.parametrize("key", ["qk:k=1,n=4", "hq:k=1,l=0,n=4"])

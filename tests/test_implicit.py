@@ -1,5 +1,6 @@
 """Implicit branches: closed forms vs the bisection oracle, derivatives, endpoints."""
 
+import json
 import math
 from math import comb
 
@@ -503,3 +504,21 @@ def test_no_solve_path_reaches_the_oracle(monkeypatch, tmp_path):
     with pytest.raises(AssertionError, match="bisect_level called"):
         main(["verify", "--suite", "implicit", "--curvature", "qk:k=4,n=6",
               "--out", str(tmp_path / "v"), "--quiet"])
+
+
+@pytest.mark.parametrize("skew", [0.0, 1e-6])
+def test_verify_closed_form_check_is_conditioned(tmp_path, monkeypatch, skew):
+    # knorm:k=5,n=6 has cone samples where gamma_x ~ 4e-8, so half an ulp of
+    # the level leaves x open by ~1e-8: there the check compares the level
+    # residuals of the closed form and the oracle, and passes; a closed form
+    # off by a relative 1e-6 still fails it
+    g_plus = ImplicitBranch.g_plus
+    monkeypatch.setattr(ImplicitBranch, "g_plus", lambda self, y, z: g_plus(self, y, z) * (1 + skew))
+    out = tmp_path / "v"
+    code = main(["verify", "--suite", "implicit", "--curvature", "knorm:k=5,n=6",
+                 "--out", str(out), "--quiet"])
+    report = json.loads((out / "verify.json").read_text())["suites"]["implicit"]
+    assert report["closed_form_by_level"] > 0
+    assert code == (1 if skew else 0)
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    assert checks["closed_form"]["passed"] is not bool(skew)
