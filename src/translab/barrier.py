@@ -214,7 +214,7 @@ def compare_orderings(
         raise ParameterError("compare_orderings needs at least one pair")
     cfg = config or IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
     clamp = None if f.is_one_degenerate else 1.0
-    rhs, jac = _slope_field(f, ImplicitBranch(f), clamp)
+    rhs, jac = _slope_field(f, clamp)
     # components 2i and 2i+1 hold the lower and upper member of pair i
     traj = integrate(rhs, r0, [v for pair in pairs for v in pair], r_end, cfg, jac=jac)
     grid = np.linspace(r0, r_end, 200)

@@ -74,7 +74,7 @@ class AsymptoticReport:
     fit_window: tuple
 
 
-def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional[float]):
+def _slope_field(f: CurvatureFunction, clamp_y: Optional[float]):
     """The slope equation v' = F(r, v) and its derivative dF/dv.
 
     Returns two maps of (r, v): ``value`` gives F, ``derivative`` gives
@@ -82,12 +82,15 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
         dF/dv = 2 (beta+1) v (1+v^2)^beta x
                 + (-gamma_y/gamma_x) (1 + v^2 - 2 beta v^2) / r,
 
-    with x the branch root; the second term drops where the y-argument is
-    held at clamp_y.  Both raise TranslabError where the root solve fails.
-    Both also take an ndarray of v, with r broadcasting against it, and
-    then give NaN where a float v raises: the broadcasting RHS and diagonal
-    Jacobian of uncoupled copies of the equation, one per component of a
-    batched state, each element computed on its own.
+    with x the closed-form root ``solve_x``; the second term drops where the
+    y-argument is held at clamp_y.  Both give NaN where that has no root.
+    On a float v both raise OverflowError where a power overflows, and
+    ``derivative`` raises ZeroDivisionError where gamma_x vanishes and
+    DomainError where ``grad`` does.  Both also take an ndarray of v, with r
+    broadcasting against it, and then give NaN where a float v raises: the
+    broadcasting RHS and diagonal Jacobian of uncoupled copies of the
+    equation, one per component of a batched state, each element computed
+    on its own.
     """
     beta = f.beta
     beta1 = beta + 1.0
@@ -103,7 +106,7 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
         else:
             if clamp_y is not None and yarg >= clamp_y:
                 yarg = clamp_y
-            x = branch.solve_level(yarg, 1.0)
+            x = f.solve_x(yarg, 1.0)
         return one_plus**beta1 * x
 
     def derivative(r, v):
@@ -122,7 +125,7 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
         clamped = clamp_y is not None and yarg >= clamp_y
         if clamped:
             yarg = clamp_y
-        x = branch.solve_level(yarg, 1.0)
+        x = f.solve_x(yarg, 1.0)
         d = 2.0 * beta1 * v * one_plus**beta * x
         if not clamped:
             gx, gy = f.grad(x, yarg)
@@ -132,24 +135,23 @@ def _slope_field(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional
     return value, derivative
 
 
-def _slope_scalar(f: CurvatureFunction, branch: ImplicitBranch, clamp_y: Optional[float]):
+def _slope_scalar(f: CurvatureFunction, clamp_y: Optional[float]):
     """RHS and Jacobian of the slope equation as one-component maps for
-    ``integrate``.  A failed root solve, or an overflow at a huge v, gives
-    NaN: a domain exit.  The explicit catenoid charts build their RHS on
-    this one.
+    ``integrate``.  A missing root, or an overflow at a huge v, gives NaN: a
+    domain exit.  The catenoid graph charts build their RHS on this one.
     """
-    value, derivative = _slope_field(f, branch, clamp_y)
+    value, derivative = _slope_field(f, clamp_y)
 
     def rhs(r, vs):
         try:
             return (value(r, vs[0]),)
-        except (TranslabError, OverflowError):
+        except OverflowError:
             return (math.nan,)
 
     def jac(r, vs):
         try:
             return (derivative(r, vs[0]),)
-        except (TranslabError, ZeroDivisionError, OverflowError):
+        except (DomainError, ZeroDivisionError, OverflowError):  # see ``_slope_field``
             return (math.nan,)
 
     return rhs, jac
@@ -189,10 +191,9 @@ def solve_bowl(f: CurvatureFunction, r_max: float) -> BowlProfile:
     a = f.alpha_float
     if a <= 1.0 / 3.0:
         raise ParameterError(f"bowl solver requires alpha > 1/3, got {a}")
-    branch = ImplicitBranch(f)
     # right endpoint of U+: the y-argument may only touch y = 1 (cylinder)
     clamp = None if f.is_one_degenerate else 1.0
-    rhs, jac = _slope_scalar(f, branch, clamp)
+    rhs, jac = _slope_scalar(f, clamp)
     traj = integrate(rhs, AXIS_EPS, [f.lambda0 * AXIS_EPS], r_max, PROFILE_CONFIG, jac=jac)
     if traj.termination != "reached_end":
         raise StructureError(f"bowl integration failed: {traj.termination} at r={traj.t_final}")

@@ -10,21 +10,23 @@ profile curvature.  The neck (R, 0) has the vertical tangent phi = pi/2 and
 the curvature X(1/R, 0) = -kappa_neck < 0, so it is strictly convex.  Three
 kinds of chart build the two branches from it:
 
-* the neck chart, state (r, phi) in the arc length a from the neck (a = s
-  going up, a = -s going down), until the tangent tilts from the vertical
-  by arctan(handoff_tan) or, going up, the curvature crosses zero;
-* the graph charts of the slope v = du/dr in r: the upper branch, the
-  lower tail past the bottom, and the descending lower branch of a
-  derivative_origin end;
-* the lower arc of a continuous_origin end, in its tilt psi = phi - pi/2
-  from the vertical, with r the only state:
+* the neck chart, state (r, phi) in the arc length s up from the neck,
+  until the tangent tilts from the vertical by arctan(handoff_tan) or the
+  curvature crosses zero;
+* the lower arc, in the tilt psi = phi - pi/2 from the vertical down from
+  the neck, with r the only state:
 
       dr/dpsi = D sin psi,   du/dpsi = -D cos psi,   ds/dpsi = D,
       D = -1 / X(cos psi / r, -sin psi),
 
-  from the neck's down exit through the bottom psi = pi/2, which stays a
+  regular at the neck psi = 0, where D = 1 / kappa_neck.  On a
+  derivative_origin end it runs to the neck tilt arctan(handoff_tan); on a
+  continuous_origin end through the bottom psi = pi/2, which stays a
   regular point where the curvature blows up (D -> 0 on sk), to the tilt
-  of the slope HANDOFF_TAN, where the lower tail takes over.
+  of the slope handoff_tan;
+* the graph charts of the slope v = du/dr in r, from the exits of those
+  two: the upper branch, and the descending lower branch of a
+  derivative_origin end or the lower tail past the bottom.
 
 Every chart integrates only the state that feeds back.  The height and the
 arc length are quadratures of the dense output, exact for integrals of the
@@ -61,14 +63,7 @@ from .bowl import (
     solve_bowl,
 )
 from .curvature import CurvatureFunction, zero_ray
-from .errors import (
-    ClassificationError,
-    ParameterError,
-    StructureError,
-    TranslabError,
-    UnsupportedError,
-)
-from .implicit import ImplicitBranch
+from .errors import ClassificationError, ParameterError, StructureError, UnsupportedError
 from .ode import Trajectory, integrate
 
 HANDOFF_TAN = math.tan(math.pi / 8)
@@ -86,10 +81,10 @@ _GL_OUT = math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5))
 _ARC_X = 0.5 + 0.5 * np.array([-_GL_OUT, -_GL_IN, _GL_IN, _GL_OUT])
 _ARC_W = np.array([18 - 30**0.5, 18 + 30**0.5, 18 + 30**0.5, 18 - 30**0.5]) / 72
 # the neck chart and the lower arc cross strongly curved arcs in few, long
-# steps (up to 0.15 rad of tilt a step on the lower arc of sk:k=3,n=5); their
-# profile rows sample every step at this many equal parts, and the lower
-# arc's at parts of at most ROW_TILT in psi, so that a row's chord falls
-# short of its arc by about ROW_TILT^2 / 24 at most
+# steps (up to 0.31 rad of tilt a step on the lower arc of sk:k=3,n=5); their
+# profile rows sample every step at this many equal parts, or the lower
+# arc's at parts of at most ROW_TILT in psi if more, so that a row's chord
+# falls short of its arc by about ROW_TILT^2 / 24 at most
 SUBSTEPS = 4
 ROW_TILT = 0.02
 
@@ -99,11 +94,10 @@ class NeckSolution:
     R: float
     curvature_key: str
     kappa_at_neck: float
-    # per side, one row per sample: columns s, r, u, phi, kappa, residual,
-    # with s the arc length from the neck and phi the tangent angle (pi/2 at
-    # the neck); the last row is the chart exit
+    # the neck chart's rows up from the neck: columns s, r, u, phi, kappa,
+    # residual, with s the arc length and phi the tangent angle (pi/2 at the
+    # neck); the last row is the chart exit
     up: np.ndarray
-    down: np.ndarray
     up_exit_reason: str  # "handoff" | "curvature_zero"
     charts: dict = field(default_factory=dict)  # per chart, ``Trajectory.step_counts``
 
@@ -126,7 +120,7 @@ class Profile:
     def u_at(self, rs) -> np.ndarray:
         """Height at radii on the branch.  On the tail chart it is the node
         height plus the exact integral of the step's slope polynomial; on the
-        neck chart and the lower arc before it, linear interpolation."""
+        neck chart or the lower arc before it, linear interpolation."""
         rs = np.asarray(rs, dtype=float)
         out = np.interp(rs, self.r, self.u)
         if self.tail is not None:
@@ -155,55 +149,44 @@ class CatenoidResult:
 
 
 def solve_neck(f: CurvatureFunction, R: float, handoff_tan: float = HANDOFF_TAN) -> NeckSolution:
-    """Integrate the neck chart both ways from (r, phi) = (R, pi/2)."""
+    """Integrate the neck chart up from (r, phi) = (R, pi/2), in the arc
+    length s, to the handoff tilt arctan(handoff_tan), or to where the
+    curvature crosses zero first (on sk that tilt is never reached)."""
     if not f.is_signed:
         raise UnsupportedError(f"{f.name} is not signed; no catenoidal neck exists")
     if R <= 0:
         raise ParameterError(f"neck radius must be positive, got {R}")
-    branch = ImplicitBranch(f)
     x0, y0 = zero_ray(f)
     kappa_neck = -(x0 / y0) / R
     tilt = math.atan(handoff_tan)
 
     def curvature(y):
-        try:
-            return branch.solve_level(math.sin(y[1]) / y[0], math.cos(y[1]))
-        except TranslabError:
-            return math.nan
+        return f.solve_x(math.sin(y[1]) / y[0], math.cos(y[1]))
 
-    def side(sign, stops):
-        # a = sign * s, so d(r, phi)/da = sign (cos phi, X); the tilt from
-        # the vertical is sign (pi/2 - phi)
-        def rhs(a, y):
-            return (sign * math.cos(y[1]), sign * curvature(y))
+    def rhs(s, y):
+        return (math.cos(y[1]), curvature(y))
 
-        def handoff(a, y):
-            return sign * (math.pi / 2 - y[1]) - tilt
+    def handoff(s, y):
+        return math.pi / 2 - y[1] - tilt
 
-        tr = integrate(rhs, 0.0, [R, math.pi / 2], 6.0 * R, PROFILE_CONFIG, (handoff, *stops))
-        if tr.termination != "terminal_event":
-            raise StructureError(f"neck chart did not reach a handoff: {tr.termination}")
-        a = _substeps(tr)
-        r, phi = tr.resample(a).T
-        kappa = f.solve_x(np.sin(phi) / r, np.cos(phi))
-        u = _quadrature(tr, lambda a, y: sign * np.sin(y[:, 1]), 0.0, a)
-        rows = np.column_stack([a, r, u, phi, kappa,
-                                _node_residuals(f, r, 0.0, kappa, np.sin(phi), np.cos(phi))])
-        return tr, rows
-
-    # going up, the curvature may cross zero before the handoff tilt (on sk
-    # it is never reached); X is measured in the neck's own scale
-    # |X(1/R, 0)| = kappa_neck, so that the graze band is relative at every R
-    tr_up, up = side(1.0, (lambda a, y: curvature(y) / kappa_neck,))
-    tr_dn, down = side(-1.0, ())
+    # X is measured in the neck's own scale |X(1/R, 0)| = kappa_neck, so that
+    # the graze band of the curvature-zero stop is relative at every R
+    tr = integrate(rhs, 0.0, [R, math.pi / 2], 6.0 * R, PROFILE_CONFIG,
+                   (handoff, lambda s, y: curvature(y) / kappa_neck))
+    if tr.termination != "terminal_event":
+        raise StructureError(f"neck chart did not reach a handoff: {tr.termination}")
+    s = _substeps(tr)
+    r, phi = tr.resample(s).T
+    kappa = f.solve_x(np.sin(phi) / r, np.cos(phi))
+    u = _quadrature(tr, lambda s, y: np.sin(y[:, 1]), 0.0, s)
     return NeckSolution(
         R=R,
         curvature_key=f.name,
         kappa_at_neck=kappa_neck,
-        up=up,
-        down=down,
-        up_exit_reason=("handoff", "curvature_zero")[tr_up.stop],
-        charts={"neck_up": tr_up.step_counts(), "neck_down": tr_dn.step_counts()},
+        up=np.column_stack([s, r, u, phi, kappa,
+                            _node_residuals(f, r, 0.0, kappa, np.sin(phi), np.cos(phi))]),
+        up_exit_reason=("handoff", "curvature_zero")[tr.stop],
+        charts={"neck_up": tr.step_counts()},
     )
 
 
@@ -242,7 +225,7 @@ def _substeps(traj: Trajectory, max_part: float = math.inf) -> np.ndarray:
                                      zip(traj.ts[:-1], h, parts)]), traj.ts[-1])
 
 
-def _graph_chart(f, branch, r0, v0, u0, s0, r_max, what, stiff):
+def _graph_chart(f, r0, v0, u0, s0, r_max, what, stiff):
     """Graph chart of the slope v(r) from (r0, v0) to r_max.  Returns
     (trajectory, u, s) at the nodes.
 
@@ -252,22 +235,21 @@ def _graph_chart(f, branch, r0, v0, u0, s0, r_max, what, stiff):
     sqrt(1 + v^2).  ``stiff`` charts (the ascending ones) pass the analytic
     dF/dv and hand off to Radau IIA on the tail, the others step explicitly.
     """
-    rhs, jac = _slope_scalar(f, branch, None)
+    rhs, jac = _slope_scalar(f, None)
     traj = integrate(rhs, r0, [v0], r_max, PROFILE_CONFIG, jac=jac if stiff else None)
     if traj.termination != "reached_end":
-        raise StructureError(f"{what}: {traj.termination} at r={traj.t_final}")
+        raise StructureError(f"{what} stopped early: {traj.termination} at r={traj.t_final}")
     s = _quadrature(traj, lambda t, y: np.sqrt(1.0 + y[:, 0] * y[:, 0]), s0, traj.ts)
     return traj, traj.node_integrals(u0), s
 
 
 def solve_upper_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float) -> Profile:
     """Continue the ascending branch from the neck chart exit to r_max."""
-    branch = ImplicitBranch(f)
     s_h, r_h, u_h, phi_h = neck.up[-1, :4].tolist()
     if r_h >= r_max:
         raise ParameterError(f"r_max={r_max} does not extend past the neck chart (r={r_h})")
-    traj, u, s = _graph_chart(f, branch, r_h, math.tan(phi_h), u_h, s_h, r_max,
-                              "upper branch stopped early", stiff=True)
+    traj, u, s = _graph_chart(f, r_h, math.tan(phi_h), u_h, s_h, r_max,
+                              "upper branch", stiff=True)
     columns = _graph_columns(f, traj, u, s)
     if np.any(columns[3] <= 0) or np.any(columns[3] >= math.pi / 2):
         raise StructureError("upper branch tangent angle left (0, pi/2)")
@@ -286,104 +268,87 @@ def classify_case(f: CurvatureFunction) -> tuple:
 
 
 def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, case: str,
-                       b: Optional[float]) -> tuple:
+                       b: Optional[float], handoff_tan: float = HANDOFF_TAN) -> tuple:
     """Descend from the neck on the lower end of ``classify_case``, with
     its slope b; returns (Profile, s0, s1, end_behavior, n_pi2, n_min).
 
+    The lower arc starts at the neck, psi = 0, with r = R and u = s = 0.
     Case "continuous_origin": the branch bottoms out at finite radius
     (slope-zero crossing, arc length s0 = s1) and continues as a convex
     ascending graph to r_max.  Case "derivative_origin": the branch
     descends and flattens forever; the end slope is fitted to -a r^b.
     """
-    branch = ImplicitBranch(f)
-    s_h, r_h, u_h, phi_h = neck.down[-1, :4].tolist()
-    if r_h >= r_max:
-        raise ParameterError(f"r_max={r_max} does not extend past the neck chart (r={r_h})")
+    descending = case == "derivative_origin"
+    tilt = math.atan(handoff_tan)
 
-    # profile columns (s, r, u, theta, kappa, residual), one entry per chart,
-    # the neck chart rows first, where theta = pi - psi = 3 pi/2 - phi
-    s, r, u, phi, kappa, resid = neck.down.T
-    columns = [(s, r, u, 1.5 * math.pi - phi, kappa, resid)]
+    def rhs(psi, y):  # dr/dpsi = D sin psi = -sin psi / X
+        x = f.solve_x(math.cos(psi) / y[0], -math.sin(psi))
+        return (-math.sin(psi) / x if x < 0 else math.nan,)
 
-    charts = {}
+    def x_at(psi, y):
+        return f.solve_x(np.cos(psi) / y[:, 0], -np.sin(psi))
 
-    def add_graph_chart(name, traj, u, s):
-        s, r, u, th, kappa, resid = _graph_columns(f, traj, u, s)
-        columns.append((s, r, u, math.pi / 2 + np.abs(th), np.sign(th) * np.abs(kappa), resid))
-        charts[name] = traj.step_counts()
+    def ds(psi, y):
+        return -1.0 / x_at(psi, y)
 
-    s0 = s1 = None
-    n_pi2 = n_min = 0
-    end_behavior = {"case": case}
-
-    if case == "derivative_origin":
-        # the slope du/dr = tan phi < 0: the branch descends
-        tail, u, s = _graph_chart(f, branch, r_h, math.tan(phi_h), u_h, s_h, r_max,
-                                  "lower branch stopped early", stiff=False)
-        if tail.ys[-1, 0] >= 0:
-            raise StructureError("derivative_origin branch unexpectedly turned upward")
-        add_graph_chart("lower", tail, u, s)
-        # the end slope -a r^b, fitted on a geometric grid of the dense slope
-        r = _window_grid(tail.ts, (max(r_h * LOWER_FIT, r_max / 10.0), r_max))
-        w = -tail.resample(r)[:, 0]
-        b_hat = _loglog_fit(r, w)[0]
-        is_log = b == -1
-        # amplitude with the formula exponent pinned
-        a_R = float(math.exp(np.mean(np.log(w) - b * np.log(r))))
-        theta_p_end = abs(tail.fs[-1, 0]) / (1 + tail.ys[-1, 0] ** 2) ** 1.5
-        end_behavior.update(
-            {
-                "kind": "logarithmic" if is_log else "power_law",
-                "b": b,
-                "b_fitted": b_hat,
-                "exponent_u": b + 1.0,
-                "a_R": a_R,
-                "theta_prime_end": float(theta_p_end),
-            }
-        )
-    else:
-        # the lower arc in its tilt psi, from the neck's exit through the
-        # bottom psi = pi/2 to the tail's slope HANDOFF_TAN; its rows take
-        # the steps in parts of at most ROW_TILT
-        def rhs(psi, y):  # dr/dpsi = D sin psi = -sin psi / X
-            try:
-                x = branch.solve_level(math.cos(psi) / y[0], -math.sin(psi))
-            except TranslabError:
-                return (math.nan,)
-            return (-math.sin(psi) / x if x < 0 else math.nan,)
-
-        def x_at(psi, y):
-            return f.solve_x(np.cos(psi) / y[:, 0], -np.sin(psi))
-
-        def ds(psi, y):
-            return -1.0 / x_at(psi, y)
-
-        arc = integrate(rhs, phi_h - math.pi / 2, [r_h], math.pi / 2 + math.atan(HANDOFF_TAN),
-                        PROFILE_CONFIG)
-        if arc.termination != "reached_end":
-            raise StructureError(f"lower arc failed: {arc.termination}")
-        psi = _substeps(arc, ROW_TILT)
-        y = arc.resample(psi)
-        r, x = y[:, 0], x_at(psi, y)
-        u = _quadrature(arc, lambda psi, y: np.cos(psi) / x_at(psi, y), u_h, psi)
-        s = _quadrature(arc, ds, s_h, psi)
+    # the lower arc ends at the neck tilt, where the descending chart takes
+    # over at the slope -1 / handoff_tan, or past the bottom psi = pi/2 at
+    # the tilt of the slope handoff_tan, where the lower tail takes over
+    arc = integrate(rhs, 0.0, [neck.R], tilt if descending else math.pi / 2 + tilt,
+                    PROFILE_CONFIG)
+    if arc.termination != "reached_end":
+        raise StructureError(f"lower arc failed: {arc.termination}")
+    psi = _substeps(arc, ROW_TILT)
+    y = arc.resample(psi)
+    r, x = y[:, 0], x_at(psi, y)
+    u = _quadrature(arc, lambda psi, y: np.cos(psi) / x_at(psi, y), 0.0, psi)
+    s = _quadrature(arc, ds, 0.0, psi)
+    bottom = psi - math.pi / 2
+    # profile columns (s, r, u, theta, kappa, residual), one entry per chart
+    columns = [(s, r, u, math.pi / 2 + np.abs(bottom), -np.sign(bottom) * x,
+                _node_residuals(f, r, 0.0, x, np.cos(psi), -np.sin(psi)))]
+    if not descending:
         j = int(np.searchsorted(psi, math.pi / 2)) - 1  # the bottom follows row j
-        s0 = s1 = float(s[j] + _gauss(arc, ds, psi[j:j + 1], np.array([math.pi / 2]))[0])
-        n_pi2 = n_min = 1  # the folded angle attains its minimum at the bottom
-        resid = _node_residuals(f, r, 0.0, x, np.cos(psi), -np.sin(psi))
-        bottom = psi - math.pi / 2
-        columns.append((s, r, u, math.pi / 2 + np.abs(bottom), -np.sign(bottom) * x, resid))
-        charts["lower_arc"] = arc.step_counts()
+        s0 = float(s[j] + _gauss(arc, ds, psi[j:j + 1], np.array([math.pi / 2]))[0])
 
-        # ascending convex tail back in the r chart
-        tail, u3, s3 = _graph_chart(f, branch, float(r[-1]), HANDOFF_TAN, float(u[-1]),
-                                    float(s[-1]), r_max, "lower tail stopped early", stiff=True)
+    # the fit windows: the C+- offsets from r_max / UPPER_FIT, a
+    # derivative_origin end from LOWER_FIT times its graph chart's start
+    r_h = float(r[-1])
+    r_min = max(UPPER_FIT * neck.R, LOWER_FIT * r_h if descending else 0.0)
+    if not r_max > r_min:
+        raise ParameterError(f"r_max={float(r_max)} lies too close to the neck: "
+                             f"the fit windows need r_max > {float(r_min)}")
+    tail, u, s = _graph_chart(f, r_h, -1.0 / handoff_tan if descending else handoff_tan,
+                              float(u[-1]), float(s[-1]), r_max,
+                              "lower branch" if descending else "lower tail", stiff=not descending)
+    s, r, u, th, kappa, resid = _graph_columns(f, tail, u, s)
+    columns.append((s, r, u, math.pi / 2 + np.abs(th), np.sign(th) * np.abs(kappa), resid))
+    charts = {"lower_arc": arc.step_counts(),
+              "lower" if descending else "lower_tail": tail.step_counts()}
+    profile = _profile("lower", columns, tail, charts)
+
+    if not descending:
         if np.any(tail.fs[:, 0] <= 0):
             raise StructureError("post-turn tail is not convex")
-        add_graph_chart("lower_tail", tail, u3, s3)
-        end_behavior.update({"kind": "bowl_type"})
+        # the folded angle attains its minimum at the bottom
+        return profile, s0, s0, {"case": case, "kind": "bowl_type"}, 1, 1
 
-    return _profile("lower", columns, tail, charts), s0, s1, end_behavior, n_pi2, n_min
+    if tail.ys[-1, 0] >= 0:
+        raise StructureError("derivative_origin branch unexpectedly turned upward")
+    # the end slope -a r^b, fitted on a geometric grid of the dense slope
+    r = _window_grid(tail.ts, (max(r_h * LOWER_FIT, r_max / 10.0), r_max))
+    w = -tail.resample(r)[:, 0]
+    end_behavior = {
+        "case": case,
+        "kind": "logarithmic" if b == -1 else "power_law",
+        "b": b,
+        "b_fitted": _loglog_fit(r, w)[0],
+        "exponent_u": b + 1.0,
+        # the amplitude with the formula exponent pinned
+        "a_R": float(math.exp(np.mean(np.log(w) - b * np.log(r)))),
+        "theta_prime_end": float(abs(tail.fs[-1, 0]) / (1 + tail.ys[-1, 0] ** 2) ** 1.5),
+    }
+    return profile, None, None, end_behavior, 0, 0
 
 
 def check_embeddedness(result: CatenoidResult) -> dict:
@@ -434,14 +399,10 @@ def solve_catenoid(
     """Full catenoid construction: neck, both branches, offsets, embeddedness."""
     neck = solve_neck(f, R, handoff_tan)
     case, b = classify_case(f)
-    r_min = UPPER_FIT * R
-    if case == "derivative_origin":
-        r_min = max(r_min, LOWER_FIT * float(neck.down[-1, 1]))
-    if not r_max > r_min:
-        raise ParameterError(f"r_max={float(r_max)} lies too close to the neck: "
-                             f"the fit windows need r_max > {float(r_min)}")
+    # the lower branch first: it rejects an r_max too close to the neck
+    lower, s0, s1, end_behavior, n_pi2, n_min = solve_lower_branch(f, neck, r_max, case, b,
+                                                                    handoff_tan)
     upper = solve_upper_branch(f, neck, r_max)
-    lower, s0, s1, end_behavior, n_pi2, n_min = solve_lower_branch(f, neck, r_max, case, b)
     result = CatenoidResult(
         R=R,
         curvature_key=f.name,

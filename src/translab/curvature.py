@@ -7,9 +7,9 @@ analytic first partials, a cone-membership predicate and a closed-form
 inverse in x, for a float or an ndarray of y.  Each inverse is exact: it
 returns the root of gamma(x, y) = z on the monotone piece ``x_chart`` names,
 and NaN where that piece holds none, so its callers trust any finite value.
-It is the only x-solve: every ``ImplicitBranch`` branch and the batched slope
-RHS take it, and ``ImplicitBranch.bisect_level`` checks it by bisection on
-``value``.
+It is the only x-solve: every ODE right-hand side and every
+``ImplicitBranch`` branch take it, and ``ImplicitBranch.bisect_level`` checks
+it by bisection on ``value``.
 
 Construction normalizes gamma so that gamma(0, 1) = 1 whenever that value is
 positive; the original scale is kept in ``normalization``.  It also sets each
@@ -135,13 +135,17 @@ class CurvatureFunction:
 
     def solve_x(self, y, z: float):
         """Closed-form inverse of the normalized slice value, for a float or
-        an ndarray of y; NaN (in the shape of y) where there is no root."""
+        an ndarray of y; NaN (in the shape of y) where there is no root,
+        never +-inf, so that the RHS built on it ends on a domain exit."""
         try:
             x = self._raw_solve_x(y, z * self.normalization)
         except (ZeroDivisionError, OverflowError):
             return y * math.nan
-        # a vanishing denominator gives +-inf on arrays where floats raise
-        return x if isinstance(x, float) else np.where(np.isinf(x), math.nan, x)
+        # a vanishing denominator gives +-inf on arrays where floats raise, an
+        # overflowing product +-inf on both
+        if isinstance(x, float):
+            return math.nan if math.isinf(x) else x
+        return np.where(np.isinf(x), math.nan, x)
 
     def x_chart(self, y: float, z: float) -> tuple:
         """Open x-interval of the monotone piece holding the z-level at this y.

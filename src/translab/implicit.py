@@ -2,12 +2,13 @@
 
 Every branch is the family's exact closed-form inverse
 (``CurvatureFunction.solve_x``), and a ``ConvergenceError`` where that has no
-root.  ``solve_level`` feeds the ODE right-hand sides; ``g_plus`` is the
-positive-level branch on U+;  ``g_minus`` the z = -1 branch at y in (-1, 0);
-``solve_extended`` the solve where x may take either sign.  Their asymptotic
-constants are family data, not estimates: the origin limit and slope of g_-
-(``CurvatureFunction.minus_origin``, which ``dg_minus_dy_at_zero`` reads) and
-the Laurent pair of g_+(y, 1) at infinity (``CurvatureFunction.laurent``).
+root.  ``solve_level`` is that solve at any level; ``g_plus`` is the
+positive-level branch on U+;  ``g_minus`` the z = -1 branch at y in (-1, 0).
+The ODE right-hand sides take ``solve_x`` itself, whose NaN ends a run on a
+domain exit.  The asymptotic constants of the branches are family data, not
+estimates: the origin limit and slope of g_- (``CurvatureFunction.minus_origin``,
+which ``dg_minus_dy_at_zero`` reads) and the Laurent pair of g_+(y, 1) at
+infinity (``CurvatureFunction.laurent``).
 
 ``bisect_level`` is an independent oracle for the closed forms, on no solve
 path: a bisection that uses only ``value``.  ``verify --suite implicit`` and
@@ -58,8 +59,6 @@ class ImplicitBranch:
             raise ConvergenceError(f"{self.source.name}: no root of gamma = {z} at y={y}")
         return x
 
-    # the x-solve of the slope equations: the helper itself, not a wrapper
-    # around it, as it runs at every RHS call
     solve_level = _root
 
     def bisect_level(self, y: float, z: float) -> float:
@@ -101,19 +100,6 @@ class ImplicitBranch:
 
     # -- public branches ------------------------------------------------------
 
-    def u_plus_bounds(self, y: float, z: float) -> tuple:
-        """The defining inequalities of U+ as (lhs, y^alpha, rhs-or-inf);
-        the rhs z/gamma(0, 1) is z, gamma being normalized at (0, 1)."""
-        f = self.source
-        hi = math.inf if f.is_one_degenerate else z
-        return z / f.value_at_11, y**f.alpha_float, hi
-
-    def in_u_plus(self, y: float, z: float) -> bool:
-        if y <= 0 or z <= 0:
-            return False
-        lo, ya, hi = self.u_plus_bounds(y, z)
-        return lo < ya < hi
-
     def g_plus(self, y: float, z: float) -> float:
         """Unique x > 0 with gamma(x, y) = z, for y^alpha < z/gamma(0, 1).
 
@@ -122,16 +108,14 @@ class ImplicitBranch:
         """
         if y <= 0 or z <= 0:
             raise DomainError(f"U+ requires y > 0 and z > 0, got ({y}, {z})")
-        _, ya, hi = self.u_plus_bounds(y, z)
-        if not ya < hi:
+        # the rhs z/gamma(0, 1) is z, gamma being normalized at (0, 1)
+        ya = y**self.source.alpha_float
+        if not (self.source.is_one_degenerate or ya < z):
             raise DomainError(
-                f"(y, z) outside U+: need y^alpha < z/gamma(0,1), got {ya} >= {hi}",
+                f"(y, z) outside U+: need y^alpha < z/gamma(0,1), got {ya} >= {z}",
                 violated="right",
             )
         return self._root(y, z)
-
-    # the solve with no positivity restriction on x
-    solve_extended = _root
 
     def g_minus(self, y: float) -> float:
         """The x-solve of gamma(x, y) = -1 for y in (-1, 0).

@@ -215,11 +215,6 @@ class _Segment:
         s = (t - self.t0) / self.h
         return tuple(y0 + s * _poly(q, s) for y0, q in zip(self.y0, self.Q))
 
-    def integral(self, t):
-        """Exact integral of the step polynomial from t0 to t."""
-        s = (t - self.t0) / self.h
-        return tuple(self.h * s * (y0 + _poly_integral(q, s)) for y0, q in zip(self.y0, self.Q))
-
 
 @dataclass
 class Trajectory:

@@ -5,6 +5,8 @@ the Laurent pair of g_+(y, 1) at infinity (``laurent``) in closed form.
 These estimates recover them numerically from probes of the bisection
 oracle ``ImplicitBranch.bisect_level``, which evaluates only ``value``, so
 that they share nothing with the closed-form inverses the data came from.
+The grid tests of the branches sample U+ by its defining inequalities
+(``in_u_plus``).
 """
 
 import math
@@ -55,3 +57,13 @@ def laurent_fit(branch) -> tuple:
     gs = [branch.bisect_level(y, 1.0) for y in ys.tolist()]
     slope, intercept = np.polyfit(np.log(ys), np.log(gs), 1)
     return -float(slope), math.exp(intercept)
+
+
+def in_u_plus(f, y: float, z: float) -> bool:
+    """(y, z) in U+: y, z > 0 and z / gamma(1, 1) < y^alpha < z / gamma(0, 1),
+    the right bound absent on a 1-degenerate family (gamma(0, 1) = 0);
+    gamma(0, 1) is 1 on the others, gamma being normalized there."""
+    if y <= 0 or z <= 0:
+        return False
+    ya = y**f.alpha_float
+    return z / f.value_at_11 < ya and (f.is_one_degenerate or ya < z)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from asymptotic_oracle import laurent_fit
+from asymptotic_oracle import in_u_plus, laurent_fit
 
 from translab.barrier import (
     BarrierSpec,
@@ -124,7 +124,7 @@ def test_criterion_3_implicit_branch_correctness():
         b = ImplicitBranch(f)
         for y in np.linspace(0.05, 3.0, 50):
             for z in np.linspace(0.05, 3.0, 50):
-                if not b.in_u_plus(float(y), float(z)):
+                if not in_u_plus(f, float(y), float(z)):
                     continue
                 x = b.g_plus(float(y), float(z))
                 worst_cf = max(worst_cf, abs(x - b.bisect_level(float(y), float(z))))

@@ -71,6 +71,44 @@ def test_power_margins_qk(n, k):
     assert np.all(np.diff(tail) <= 0)
 
 
+# The power barrier of ``verify --suite barrier``: w = -a r^b with a = 0.5 on
+# log_grid(2, 1e3).  On qk (alpha = 1, so beta = 0) with g_-(y, -1) =
+# b y + T y^2 + ..., the margin is a^3 b r^(3b-1) - T a^2 r^(2b-2) + ...,
+# negative on every qk key: it counts as nonnegative only once it falls
+# under SIGN_TOL.
+POWER_SPEC = {"a": 0.5, "valid_range": (1.0, 1e4)}
+
+
+@pytest.mark.parametrize("key, limit, r_star", [
+    ("qk:k=3,n=6", -1 / 2, 28.29), ("qk:k=4,n=6", -3 / 8, 139.49), ("qk:k=3,n=7", -35 / 64, 17.74),
+])
+def test_power_margin_settles_inside_the_sign_band(key, limit, r_star):
+    # b = -2, -1, -5/2: margin r^(2-2b) tends to a limit, and the margin
+    # enters the band at r_star
+    f = from_key(key)
+    spec = BarrierSpec("power", b=ImplicitBranch(f).dg_minus_dy_at_zero(), **POWER_SPEC)
+    rep = verify_inequality(spec, f, log_grid(2.0, 1e3, per_decade=400))
+    assert rep.margins.max() < 0
+    assert rep.r_star_nonneg == pytest.approx(r_star, rel=1e-3)
+    (m,) = verify_inequality(spec, f, np.array([1e3])).margins
+    assert m * 1e3 ** (2 - 2 * spec.b) == pytest.approx(limit, rel=1e-3)
+
+
+def test_power_margin_of_qk56_stays_outside_the_sign_band():
+    # b = -1/2: the (1 + w^2) term a^3 b r^(3b-1) leads, and the margin
+    # approaches it as slowly as 1 + 3 r^(-1/2), so it is still -2.2e-9 at the
+    # grid end r = 1e3: the barrier reads verified_sub, not verified_super
+    f = from_key("qk:k=5,n=6")
+    spec = BarrierSpec("power", b=ImplicitBranch(f).dg_minus_dy_at_zero(), **POWER_SPEC)
+    assert spec.b == -0.5
+    rep = verify_inequality(spec, f, log_grid(2.0, 1e3, per_decade=400))
+    assert rep.margins.max() < -barrier.SIGN_TOL
+    assert rep.r_star_nonneg is None and rep.verdict == "verified_sub"
+    r = np.array([1e3, 1e4])
+    lead = spec.a**3 * spec.b * r ** (3 * spec.b - 1)
+    assert verify_inequality(spec, f, r).margins / lead == pytest.approx([1.095, 1.030], abs=1e-3)
+
+
 def test_cone_margin_nonpositive_knorm():
     f = from_key("knorm:k=2,n=3")
     m0 = ImplicitBranch(f).endpoint_data().m0_bar

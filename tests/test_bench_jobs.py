@@ -43,4 +43,4 @@ def test_traced_catenoid_pass(tmp_path):
     # the wrapped entry points were reached, and the per-layer metrics compute
     metrics = tracer.layer_metrics()
     assert metrics["ode.integrate.calls"] > 0
-    assert metrics["implicit.solve_level.calls"] > 0
+    assert metrics["curvature.solve_x.calls"] > 0

@@ -19,7 +19,6 @@ from translab.bowl import (
 )
 from translab.curvature import from_key
 from translab.errors import FitError, ParameterError
-from translab.implicit import ImplicitBranch
 
 # profiles reused across tests (solves are pure)
 _CACHE = {}
@@ -62,7 +61,7 @@ def test_height_matches_high_order_oracle():
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     f = from_key("gauss:n=4")
     p = profile("gauss:n=4", 1e3)
-    value, _ = _slope_field(f, ImplicitBranch(f), None)
+    value, _ = _slope_field(f, None)
     grid = np.geomspace(1.0, 1e3, 25)
     sol = solve_ivp(
         lambda r, y: [value(r, y[0]), y[0]],
@@ -258,7 +257,7 @@ def test_bowl_below_cylinder_cone():
 )
 def test_slope_derivative_matches_differences(key, r, v):
     f = from_key(key)
-    value, derivative = _slope_field(f, ImplicitBranch(f), 1.0)
+    value, derivative = _slope_field(f, 1.0)
     h = 1e-6 * v
     fd = (value(r, v + h) - value(r, v - h)) / (2 * h)
     assert derivative(r, v) == pytest.approx(fd, rel=1e-7)
@@ -268,7 +267,7 @@ def test_slope_rhs_maps_overflow_to_nan():
     # (1 + v^2)^(beta+1) of sk:k=3,n=5 overflows at v = 1e150, a state an
     # explicit stage can probe: the RHS gives NaN, not an OverflowError
     f = from_key("sk:k=3,n=5")
-    rhs, jac = _slope_scalar(f, ImplicitBranch(f), None)
+    rhs, jac = _slope_scalar(f, None)
     assert math.isnan(rhs(4.5, (1e150,))[0])
     assert math.isnan(rhs(4.5, (-1e150,))[0])
     (d,) = jac(4.5, (1e150,))

@@ -47,15 +47,45 @@ def test_neck_kappa_sk_R2():
     assert neck.kappa_at_neck == pytest.approx((5 - 3) / (3 * 2.0), abs=1e-8)
 
 
+def _lower_arc_rows(res):
+    """The lower profile's rows on the lower arc, the chart before its tail:
+    columns s, r, u, theta, kappa, residual."""
+    lo = res.lower
+    n = len(lo.s) - len(lo.tail.ts)
+    return np.column_stack([lo.s, lo.r, lo.u, lo.theta, lo.kappa, lo.residuals])[:n]
+
+
 def test_neck_initial_condition_exact():
     neck = solve_neck(from_key("sk:k=3,n=5"), 1.5)
-    for rows in (neck.up, neck.down):
-        assert tuple(rows[0, :4]) == (0.0, 1.5, 0.0, math.pi / 2)  # s, r, u, phi
+    assert tuple(neck.up[0, :4]) == (0.0, 1.5, 0.0, math.pi / 2)  # s, r, u, phi
+    rows = _lower_arc_rows(catenoid("sk:k=3,n=5", 1.5, 12.0))
+    assert tuple(rows[0, :4]) == (0.0, 1.5, 0.0, math.pi)  # s, r, u, theta
+
+
+@pytest.mark.parametrize("key, R, rmax", [("sk:k=3,n=5", 1.5, 12.0), ("qk:k=5,n=6", 2.0, 30.0)])
+def test_lower_branch_starts_at_the_neck(key, R, rmax):
+    # the lower arc starts on the neck itself, psi = 0, where D = 1/kappa_neck
+    # is regular: its first row is the neck, with the neck's curvature
+    # X(1/R, 0), which equals -kappa_neck up to the rounding of either
+    f = from_key(key)
+    s, r, u, theta, kappa = _lower_arc_rows(catenoid(key, R, rmax))[0, :5]
+    assert (s, r, u, theta, kappa) == (0.0, R, 0.0, math.pi, f.solve_x(1.0 / R, 0.0))
+    assert kappa == pytest.approx(-solve_neck(f, R).kappa_at_neck, rel=1e-15)
+
+
+@pytest.mark.parametrize("key, tail", [("sk:k=3,n=5", "lower_tail"), ("qk:k=3,n=6", "lower")])
+def test_lower_branch_leaves_the_neck_on_the_arc(key, tail):
+    # both lower ends leave the neck on the scalar tilt chart, and no neck
+    # chart runs down
+    res = catenoid(key, 1.0, 12.0)
+    assert set(res.charts) == {"neck_up", "upper", "lower_arc", tail, "bowl"}
+    assert set(res.lower.charts) == {"lower_arc", tail}
 
 
 def test_neck_strictly_convex_and_residual():
     neck = solve_neck(from_key("sk:k=3,n=5"), 1.0)
-    for rows in (neck.up, neck.down):
+    arc = _lower_arc_rows(catenoid("sk:k=3,n=5", 1.0, 12.0))
+    for rows in (neck.up, arc):
         assert rows[:, 5].max() <= 1e-8
         r = rows[:, 1]
         assert np.all(r >= rows[0, 1] - 1e-12)  # the neck is the r minimum
@@ -87,16 +117,17 @@ def test_neck_stop_reason(key, reason, r_exit):
 @pytest.mark.parametrize("key, R", [("qk:k=3,n=6", 1e4), ("qk:k=3,n=6", 1e5), ("qk:k=4,n=6", 1e6)])
 def test_large_neck_reaches_handoff(key, R):
     # the curvature-zero stop is measured in the neck's own curvature scale,
-    # so it clears the graze band at any R instead of letting the up side
-    # grind to its cap; from R = 1e5 on, the down side's handoff stop fires
-    # past a = 8192, where an ulp of a exceeds the bisection tolerance
+    # so it clears the graze band at any R instead of letting the neck chart
+    # grind to its cap; the lower arc runs in the tilt, whose span does not
+    # grow with R, so it takes as few steps at any R
     t0 = time.perf_counter()
     neck = solve_neck(from_key(key), R)
     res = solve_catenoid(from_key(key), R, 5 * R)
     assert time.perf_counter() - t0 < 2.0
     assert neck.up_exit_reason == "curvature_zero"
-    assert neck.up[-1, 0] < 0.01 * R  # far short of the cap a = 6 R
+    assert neck.up[-1, 0] < 0.01 * R  # far short of the cap s = 6 R
     assert res.case == "derivative_origin"
+    assert res.charts["lower_arc"]["explicit_steps"] <= 20
 
 
 def test_neck_requires_signed():
@@ -192,8 +223,7 @@ def test_upper_height_against_dop853_oracle(chart):
     key, rmax = ("sk:k=3,n=5", 12.0) if chart == "turning" else ("qk:k=3,n=6", 200.0)
     f = from_key(key)
     res = catenoid(key, 1.0, rmax)
-    branch = ImplicitBranch(f)
-    value, _ = _slope_field(f, branch, None)
+    value, _ = _slope_field(f, None)
     sign = 1.0 if chart == "upper" else -1.0  # tau = sign u
 
     def neck(tau, y):
@@ -201,7 +231,7 @@ def test_upper_height_against_dop853_oracle(chart):
         # -(1 + r_u^2)^(beta+1) X(1 / (r (1+r_u^2)^beta), r_u)
         r, p, _ = y
         one_plus = 1.0 + p * p
-        x = branch.solve_level(1.0 / (r * one_plus**f.beta), sign * p)
+        x = f.solve_x(1.0 / (r * one_plus**f.beta), sign * p)
         return [p, -(one_plus ** (f.beta + 1.0)) * x, math.sqrt(one_plus)]
 
     def neck_exit(tau, y):

@@ -414,8 +414,8 @@ def test_json_reports_each_charts_steppers(tmp_path):
     assert run(["catenoid", "--curvature", "qk:k=4,n=6", "--R", "1", "--rmax", "120",
                 "--out", str(out), "--quiet"]) == 0
     charts = json.loads((out / "catenoid.json").read_text())["charts"]
-    assert set(charts) == {"neck_up", "neck_down", "upper", "lower", "bowl"}
-    for name in ("neck_up", "neck_down", "lower"):  # no jac: explicit throughout
+    assert set(charts) == {"neck_up", "lower_arc", "upper", "lower", "bowl"}
+    for name in ("neck_up", "lower_arc", "lower"):  # no jac: explicit throughout
         assert charts[name]["handoff"] is None and charts[name]["radau_steps"] == 0
     for name in ("upper", "bowl"):
         assert charts[name]["handoff"] > 1.0 and charts[name]["radau_steps"] > 0

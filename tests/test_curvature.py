@@ -77,7 +77,7 @@ def test_analytic_second_partials_match_differences(key, monkeypatch):
     # lies on the right end of U+, reached by the unrestricted solve
     f = from_key(key)
     y = 1.0
-    x = ImplicitBranch(f).solve_extended(y, 1.0)
+    x = f.solve_x(y, 1.0)
     assert abs(x) < 1e-12
     analytic = f.second_partials(x, y)
     monkeypatch.setattr(f, "_raw_second", lambda x, y: None)
@@ -303,6 +303,18 @@ def test_signed_odd_scaling_rule():
         assert f.value(c * x, c * y) == pytest.approx(
             -abs(c) ** 3 * f.value(x, y), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("key, y", [("mean:n=3", 1.7e308), ("mean:n=3", -1.7e308),
+                                    ("sk:k=3,n=5", 1e-160)])
+def test_overflowing_inverse_gives_nan(key, y):
+    # the closed form overflows to -inf, +inf and +inf here, in float as in
+    # array arithmetic; solve_x gives NaN for both, so that an RHS ends on a
+    # domain exit and no stop function sees an infinity cross zero
+    f = from_key(key)
+    assert math.isnan(f.solve_x(y, 1.0))
+    with np.errstate(all="ignore"):
+        assert np.isnan(f.solve_x(np.array([y]), 1.0)).all()
 
 
 def test_kconv_inverse_has_no_root_outside_its_domain():
