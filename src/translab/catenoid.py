@@ -34,6 +34,12 @@ state and 4-point Gauss-Legendre otherwise.  The ascending graph charts
 ride the same strongly attracting tail as the bowl and hand off to Radau
 IIA as it does; the other charts are not stiff and step explicitly.
 
+Each ascending end is a vertical translate of the bowl, solved first to
+r_max: its chart stops at the merge radius r_m, where its slope meets the
+bowl's (``MERGE_GAP``), and past r_m its rows are the bowl's, moved up by
+the offset C = u - u_b at r_m (C+, and C- past a lower bottom; read at
+r_max on a chart that does not merge), with s carried on by quadrature.
+
 Angle bookkeeping: the reported angle ``theta`` is phi on the upper branch
 and, on the lower branch, whose arc length s runs down from the neck,
 
@@ -48,6 +54,7 @@ reported ``kappa`` is d theta / ds: X, and -X past the bottom.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,7 +74,7 @@ from .errors import ClassificationError, ParameterError, StructureError, Unsuppo
 from .ode import Trajectory, integrate
 
 HANDOFF_TAN = math.tan(math.pi / 8)
-# fit windows: the upper tail window from r_max / UPPER_FIT (``upper_window``)
+# fit windows: the upper tail window from r_max / UPPER_FIT (``upper_growth_exponent``)
 # must start past the neck radius R, where the branch has height 0, and a
 # derivative_origin lower end is fitted from max(LOWER_FIT r_h, r_max / 10),
 # r_h its chart's start, to r_max; so r_max > UPPER_FIT R and > LOWER_FIT r_h
@@ -87,6 +94,9 @@ _ARC_W = np.array([18 - 30**0.5, 18 + 30**0.5, 18 + 30**0.5, 18 - 30**0.5]) / 72
 # falls short of its arc by about ROW_TILT^2 / 24 at most
 SUBSTEPS = 4
 ROW_TILT = 0.02
+# an ascending chart merges with the bowl where |v - v_b| / v_b falls below
+# this, a few tolerances: C+- move < 1e-11 relative for 2e-12 to 1e-11 (4e-11 at 3e-11)
+MERGE_GAP = 5 * PROFILE_CONFIG.rel_tol
 
 
 @dataclass
@@ -111,21 +121,32 @@ class Profile:
     theta: np.ndarray
     kappa: np.ndarray
     residuals: np.ndarray
-    # the closing graph chart, whose nodes end the arrays above: the
-    # ascending chart of the upper branch or past the lower bottom, or the
-    # descending chart of a derivative_origin lower branch
+    # the closing graph chart, whose nodes are the rows from tail_start:
+    # the ascending chart of the upper branch or past the lower bottom, or
+    # the descending chart of a derivative_origin lower branch
     tail: Optional[Trajectory] = field(default=None, repr=False)
+    tail_start: int = 0
     charts: dict = field(default_factory=dict)  # as on NeckSolution
+    # on an ascending end: u - u_b at the tail's last node, its merge radius
+    # (None if it reached r_max unmerged) and the bowl, whose rows follow it
+    offset: Optional[float] = None
+    r_merge: Optional[float] = None
+    bowl: Optional[BowlProfile] = field(default=None, repr=False)
 
     def u_at(self, rs) -> np.ndarray:
         """Height at radii on the branch.  On the tail chart it is the node
-        height plus the exact integral of the step's slope polynomial; on the
-        neck chart or the lower arc before it, linear interpolation."""
+        height plus the exact integral of the step's slope polynomial, past
+        the merge the bowl's height plus the offset; on the neck chart or
+        the lower arc before the tail, linear interpolation."""
         rs = np.asarray(rs, dtype=float)
         out = np.interp(rs, self.r, self.u)
         if self.tail is not None:
             on = rs >= self.tail.ts[0]
-            out[on] = self.tail.integral_at(rs[on], self.u[len(self.u) - len(self.tail.ts):])
+            if self.r_merge is not None:
+                past = rs > self.r_merge
+                out[past] = self.bowl.u_at(rs[past]) + self.offset
+                on &= ~past
+            out[on] = self.tail.integral_at(rs[on], self.u[self.tail_start:])
         return out
 
 
@@ -190,16 +211,12 @@ def solve_neck(f: CurvatureFunction, R: float, handoff_tan: float = HANDOFF_TAN)
     )
 
 
-def _graph_columns(f: CurvatureFunction, traj: Trajectory, u, s) -> tuple:
-    """Profile columns (s, r, u, theta, kappa, residual) of a graph chart:
-    theta = arctan v, and the signed curvature from the stored v'."""
-    r, v, vp = traj.ts, traj.ys[:, 0], traj.fs[:, 0]
-    return s, r, u, np.arctan(v), vp / (1.0 + v * v) ** 1.5, _node_residuals(f, r, v, vp, v)
-
-
-def _profile(side: str, columns: list, tail: Optional[Trajectory], charts: dict) -> Profile:
-    """A branch profile from its charts' columns, in order along the branch."""
-    return Profile(side, *(np.concatenate(c) for c in zip(*columns)), tail=tail, charts=charts)
+def _profile(side: str, columns: list, tail: Optional[Trajectory], charts: dict,
+             **ends) -> Profile:
+    """A branch profile from its charts' columns, in order along the branch,
+    the last one the tail's (see ``_graph_chart`` for the ends)."""
+    return Profile(side, *(np.concatenate(c) for c in zip(*columns)), tail=tail, charts=charts,
+                   tail_start=sum(len(c[0]) for c in columns[:-1]), **ends)
 
 
 def _gauss(traj: Trajectory, g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,36 +242,72 @@ def _substeps(traj: Trajectory, max_part: float = math.inf) -> np.ndarray:
                                      zip(traj.ts[:-1], h, parts)]), traj.ts[-1])
 
 
-def _graph_chart(f, r0, v0, u0, s0, r_max, what, stiff):
+def _arc(t, y):
+    return np.sqrt(1.0 + y[:, 0] * y[:, 0])
+
+
+def _merge_stop(bowl: BowlProfile):
+    """The merge |v - v_b| / v_b <= MERGE_GAP as a stop, 1 - gap / MERGE_GAP
+    (it must clear the graze band), with v_b on the bowl step covering r."""
+    starts, steps = bowl.trajectory.ts.tolist(), bowl.trajectory.segments
+
+    def merged(r, y):
+        v_b = steps[min(bisect_right(starts, r), len(steps)) - 1].eval(r)[0]
+        return 1.0 - abs(y[0] - v_b) / (MERGE_GAP * v_b)
+
+    return merged
+
+
+def _graph_chart(f, r0, v0, u0, s0, r_max, what, bowl=None):
     """Graph chart of the slope v(r) from (r0, v0) to r_max.  Returns
-    (trajectory, u, s) at the nodes.
+    (trajectory, columns, ends): its profile columns and, on an ascending
+    chart (given the bowl), the ``Profile`` fields of its end.
 
     The slope is the only state; the height u and the arc length s never
     feed back, so they are quadratures of the dense slope: u exactly, as
     the integral of each step's polynomial, s by Gauss-Legendre on
-    sqrt(1 + v^2).  ``stiff`` charts (the ascending ones) pass the analytic
-    dF/dv and hand off to Radau IIA on the tail, the others step explicitly.
+    sqrt(1 + v^2).  An ascending chart passes the analytic dF/dv, hands off
+    to Radau IIA on the tail and stops at its merge with the bowl, whose
+    rows follow; the descending chart steps explicitly.
     """
     rhs, jac = _slope_scalar(f, None)
-    traj = integrate(rhs, r0, [v0], r_max, PROFILE_CONFIG, jac=jac if stiff else None)
-    if traj.termination != "reached_end":
+    ascending = bowl is not None
+    traj = integrate(rhs, r0, [v0], r_max, PROFILE_CONFIG,
+                     (_merge_stop(bowl),) if ascending else (), jac=jac if ascending else None)
+    if traj.termination not in ("reached_end", "terminal_event"):
         raise StructureError(f"{what} stopped early: {traj.termination} at r={traj.t_final}")
-    s = _quadrature(traj, lambda t, y: np.sqrt(1.0 + y[:, 0] * y[:, 0]), s0, traj.ts)
-    return traj, traj.node_integrals(u0), s
+    r, v, vp = traj.ts, traj.ys[:, 0], traj.fs[:, 0]
+    s, u = _quadrature(traj, _arc, s0, r), traj.node_integrals(u0)
+    # profile columns (s, r, u, theta, kappa, residual): theta = arctan v, and
+    # the signed curvature from the stored v'
+    columns = (s, r, u, np.arctan(v), vp / (1.0 + v * v) ** 1.5, _node_residuals(f, r, v, vp, v))
+    if not ascending:
+        return traj, columns, {}
+    r_m = traj.t_final
+    C = float(u[-1] - bowl.u_at([r_m])[0])
+    merged = traj.termination == "terminal_event"
+    if merged:
+        j = int(np.searchsorted(bowl.r, r_m, side="right"))
+        r, v = bowl.r[j:], bowl.v[j:]
+        rows = (_quadrature(bowl.trajectory, _arc, s[-1], np.append(r_m, r))[1:], r, bowl.u[j:] + C,
+                np.arctan(v), bowl.trajectory.fs[j:, 0] / (1.0 + v * v) ** 1.5, bowl.residuals[j:])
+        columns = tuple(np.concatenate(c) for c in zip(columns, rows))
+    return traj, columns, {"offset": C, "r_merge": r_m if merged else None, "bowl": bowl}
 
 
-def solve_upper_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float) -> Profile:
-    """Continue the ascending branch from the neck chart exit to r_max."""
+def solve_upper_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float,
+                       bowl: BowlProfile) -> Profile:
+    """Continue the ascending branch from the neck chart exit to its merge
+    with the bowl (solved to r_max), and on the bowl to r_max."""
     s_h, r_h, u_h, phi_h = neck.up[-1, :4].tolist()
     if r_h >= r_max:
         raise ParameterError(f"r_max={r_max} does not extend past the neck chart (r={r_h})")
-    traj, u, s = _graph_chart(f, r_h, math.tan(phi_h), u_h, s_h, r_max,
-                              "upper branch", stiff=True)
-    columns = _graph_columns(f, traj, u, s)
+    traj, columns, ends = _graph_chart(f, r_h, math.tan(phi_h), u_h, s_h, r_max,
+                                       "upper branch", bowl)
     if np.any(columns[3] <= 0) or np.any(columns[3] >= math.pi / 2):
         raise StructureError("upper branch tangent angle left (0, pi/2)")
     # the neck rows are profile columns as they stand: theta = phi going up
-    return _profile("upper", [neck.up.T, columns], traj, {"upper": traj.step_counts()})
+    return _profile("upper", [neck.up.T, columns], traj, {"upper": traj.step_counts()}, **ends)
 
 
 def classify_case(f: CurvatureFunction) -> tuple:
@@ -268,15 +321,16 @@ def classify_case(f: CurvatureFunction) -> tuple:
 
 
 def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, case: str,
-                       b: Optional[float], handoff_tan: float = HANDOFF_TAN) -> tuple:
+                       b: Optional[float], bowl: BowlProfile,
+                       handoff_tan: float = HANDOFF_TAN) -> tuple:
     """Descend from the neck on the lower end of ``classify_case``, with
     its slope b; returns (Profile, s0, s1, end_behavior, n_pi2, n_min).
 
     The lower arc starts at the neck, psi = 0, with r = R and u = s = 0.
     Case "continuous_origin": the branch bottoms out at finite radius
     (slope-zero crossing, arc length s0 = s1) and continues as a convex
-    ascending graph to r_max.  Case "derivative_origin": the branch
-    descends and flattens forever; the end slope is fitted to -a r^b.
+    ascending graph, merging with the bowl.  Case "derivative_origin": the
+    branch descends and flattens forever; the end slope is fitted to -a r^b.
     """
     descending = case == "derivative_origin"
     tilt = math.atan(handoff_tan)
@@ -311,21 +365,20 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
         j = int(np.searchsorted(psi, math.pi / 2)) - 1  # the bottom follows row j
         s0 = float(s[j] + _gauss(arc, ds, psi[j:j + 1], np.array([math.pi / 2]))[0])
 
-    # the fit windows: the C+- offsets from r_max / UPPER_FIT, a
-    # derivative_origin end from LOWER_FIT times its graph chart's start
+    # the fit windows: the upper growth exponent's from r_max / UPPER_FIT, a
+    # derivative_origin end's from LOWER_FIT times its graph chart's start
     r_h = float(r[-1])
     r_min = max(UPPER_FIT * neck.R, LOWER_FIT * r_h if descending else 0.0)
     if not r_max > r_min:
         raise ParameterError(f"r_max={float(r_max)} lies too close to the neck: "
                              f"the fit windows need r_max > {float(r_min)}")
-    tail, u, s = _graph_chart(f, r_h, -1.0 / handoff_tan if descending else handoff_tan,
-                              float(u[-1]), float(s[-1]), r_max,
-                              "lower branch" if descending else "lower tail", stiff=not descending)
-    s, r, u, th, kappa, resid = _graph_columns(f, tail, u, s)
+    tail, (s, r, u, th, kappa, resid), ends = _graph_chart(
+        f, r_h, -1.0 / handoff_tan if descending else handoff_tan, float(u[-1]), float(s[-1]),
+        r_max, "lower branch" if descending else "lower tail", None if descending else bowl)
     columns.append((s, r, u, math.pi / 2 + np.abs(th), np.sign(th) * np.abs(kappa), resid))
     charts = {"lower_arc": arc.step_counts(),
               "lower" if descending else "lower_tail": tail.step_counts()}
-    profile = _profile("lower", columns, tail, charts)
+    profile = _profile("lower", columns, tail, charts, **ends)
 
     if not descending:
         if np.any(tail.fs[:, 0] <= 0):
@@ -354,10 +407,8 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
 def check_embeddedness(result: CatenoidResult) -> dict:
     """Minimum vertical separation of the branches over the shared graph range."""
     up, lo = result.upper, result.lower
-    if result.case == "continuous_origin":
-        # past the bottom both branches are graphs
-        i_bottom = int(np.argmin(lo.u))
-        r_lo_start = lo.r[i_bottom]
+    if result.case == "continuous_origin":  # past the bottom both branches are graphs
+        r_lo_start = lo.r[int(np.argmin(lo.u))]
     else:
         r_lo_start = lo.r[0]
     r_star = max(up.r[0], r_lo_start) * 1.001
@@ -383,12 +434,6 @@ def check_embeddedness(result: CatenoidResult) -> dict:
     }
 
 
-def upper_window(r_max: float) -> tuple:
-    """The upper branch's tail window, on which the C+- offsets and the
-    growth exponent are read."""
-    return (r_max / UPPER_FIT, 0.9 * r_max)
-
-
 def solve_catenoid(
     f: CurvatureFunction,
     R: float,
@@ -396,35 +441,22 @@ def solve_catenoid(
     handoff_tan: float = HANDOFF_TAN,
     bowl: Optional[BowlProfile] = None,
 ) -> CatenoidResult:
-    """Full catenoid construction: neck, both branches, offsets, embeddedness."""
+    """Full catenoid construction: neck, bowl, both branches, embeddedness."""
     neck = solve_neck(f, R, handoff_tan)
     case, b = classify_case(f)
-    # the lower branch first: it rejects an r_max too close to the neck
-    lower, s0, s1, end_behavior, n_pi2, n_min = solve_lower_branch(f, neck, r_max, case, b,
-                                                                    handoff_tan)
-    upper = solve_upper_branch(f, neck, r_max)
-    result = CatenoidResult(
-        R=R,
-        curvature_key=f.name,
-        upper=upper,
-        lower=lower,
-        s0=s0,
-        s1=s1,
-        case=case,
-        n_pi2_events=n_pi2,
-        n_theta_min_events=n_min,
-        end_behavior=end_behavior,
-        handoff_tan=handoff_tan,
-    )
     if bowl is None:
         bowl = solve_bowl(f, r_max)
-    result.charts = {**neck.charts, **upper.charts, **lower.charts,
-                     "bowl": bowl.trajectory.step_counts()}
-    grid = np.geomspace(*upper_window(r_max), 200)
-    ub = bowl.u_at(grid)
-    result.C_plus = float(np.mean(upper.u_at(grid) - ub))
-    if case == "continuous_origin":
-        result.C_minus = float(np.mean(lower.u_at(grid) - ub))
+    # the lower branch first: it rejects an r_max too close to the neck
+    lower, s0, s1, end_behavior, n_pi2, n_min = solve_lower_branch(f, neck, r_max, case, b,
+                                                                    bowl, handoff_tan)
+    upper = solve_upper_branch(f, neck, r_max, bowl)
+    result = CatenoidResult(
+        R=R, curvature_key=f.name, upper=upper, lower=lower, s0=s0, s1=s1, case=case,
+        n_pi2_events=n_pi2, n_theta_min_events=n_min, C_plus=upper.offset,
+        C_minus=lower.offset, end_behavior=end_behavior, handoff_tan=handoff_tan,
+        charts={**neck.charts, **upper.charts, **lower.charts,
+                "bowl": bowl.trajectory.step_counts()},
+    )
     result.embeddedness = check_embeddedness(result)
     return result
 
@@ -433,7 +465,8 @@ def upper_growth_exponent(result: CatenoidResult, window: Optional[tuple] = None
     """Log-log slope of u_+ over the tail window (expected alpha + 1), fitted
     on a geometric grid of the dense height."""
     up = result.upper
-    r = _window_grid(up.r, window or upper_window(up.r[-1]))
+    r_max = up.r[-1]
+    r = _window_grid(up.r, window or (r_max / UPPER_FIT, 0.9 * r_max))
     u = up.u_at(r)
     if np.any(u <= 0):
         raise ClassificationError("upper height not positive on the window")

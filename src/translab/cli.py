@@ -24,7 +24,7 @@ from .bowl import fit_tail, growth_exponent, solve_bowl
 from .catenoid import solve_catenoid, upper_growth_exponent
 from .cliio import RunManifest, emit_plot_script, load_config, write_csv, write_json
 from .curvature import check_homogeneity, family_patterns, from_key, registry_keys
-from .errors import ParameterError, TranslabError
+from .errors import ConvergenceError, ParameterError, TranslabError
 from .implicit import ImplicitBranch
 
 
@@ -240,6 +240,7 @@ def cmd_catenoid(args):
             "n_theta_min_events": res.n_theta_min_events,
             "C_plus": res.C_plus,
             "C_minus": res.C_minus,
+            "r_merge": {"upper": res.upper.r_merge, "lower": res.lower.r_merge},
             "end_behavior": res.end_behavior,
             "embeddedness": res.embeddedness,
             "upper_growth_exponent": gexp,
@@ -307,24 +308,25 @@ def cmd_verify(args):
             v_lo, v_hi = admissible_slope_range(f, 1.0)
             pairs = [tuple(sorted(rng.uniform(v_lo, v_hi, 2))) for _ in range(10)]
             rep = compare_orderings(f, pairs, 1.0, 100.0)
+            if rep["termination"] != "reached_end":  # a truncated span proves nothing
+                raise ConvergenceError(f"ordering run ended on {rep['termination']} "
+                                       f"at r={rep['r_reached']}")
             manifest.record_check("ordering", rep["all_ordered"],
                                   f"min_gap={rep['min_gap']:.2e} {rep['termination']}")
             results["ordering"] = {key: rep[key] for key in
                                    ("min_gap", "pairs", "termination", "r_reached", "steps")}
         if "barrier" in suites:
-            if f.minus_level is not None:
-                try:
-                    b = branch.dg_minus_dy_at_zero()
-                except TranslabError:
-                    b = -1.0  # divergent g_- at the origin: any b < 0 works
+            if f.minus_origin is not None:
+                c, b = f.minus_origin
                 expect, note = "verified_super", ""
-                if b >= 0:
+                if not math.isfinite(c):
+                    b = -1.0  # divergent g_- at the origin: any b < 0 works
+                elif b >= 0:
                     # no decaying power, g_- leaving the origin flat (k-norms):
                     # it tends to a constant c, so with b = -1 as for a
                     # divergent g_- the margins tend to -c, and the sign of c
                     # forces the verdict
                     b = -1.0
-                    c = f.minus_origin[0]
                     if c > 0:
                         expect = "verified_sub"
                     note = f" (g_- tends to {c:.4g} at the origin: {expect} expected)"
@@ -339,7 +341,7 @@ def cmd_verify(args):
                 )
                 results["barrier"] = {"verdict": rep.verdict, "min_margin": rep.min_margin}
             else:
-                manifest.record_check("barrier_power", True, "no -1 level; skipped")
+                manifest.record_check("barrier_power", True, "no -1 level at the origin; skipped")
         return {
             "curvature_key": f.name,
             "degeneracy": "one_degenerate" if f.is_one_degenerate else "one_nondegenerate",

@@ -44,3 +44,6 @@ def test_traced_catenoid_pass(tmp_path):
     metrics = tracer.layer_metrics()
     assert metrics["ode.integrate.calls"] > 0
     assert metrics["curvature.solve_x.calls"] > 0
+    # the ascending charts stop where they merge into the bowl (5,640 nodes
+    # when they ran on to r_max; the counts are deterministic per seed)
+    assert metrics["ode.nodes"] <= 4500

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from translab.bowl import _slope_field, solve_bowl
+from translab.bowl import PROFILE_CONFIG, _slope_field, _slope_scalar, solve_bowl
 from translab.catenoid import (
     HANDOFF_TAN,
     check_embeddedness,
@@ -17,6 +17,7 @@ from translab.catenoid import (
 from translab.curvature import from_key
 from translab.errors import FitError, ParameterError, UnsupportedError
 from translab.implicit import ImplicitBranch
+from translab.ode import integrate
 
 _CACHE = {}
 
@@ -51,8 +52,7 @@ def _lower_arc_rows(res):
     """The lower profile's rows on the lower arc, the chart before its tail:
     columns s, r, u, theta, kappa, residual."""
     lo = res.lower
-    n = len(lo.s) - len(lo.tail.ts)
-    return np.column_stack([lo.s, lo.r, lo.u, lo.theta, lo.kappa, lo.residuals])[:n]
+    return np.column_stack([lo.s, lo.r, lo.u, lo.theta, lo.kappa, lo.residuals])[:lo.tail_start]
 
 
 def test_neck_initial_condition_exact():
@@ -277,7 +277,7 @@ def test_upper_height_against_dop853_oracle(chart):
     sol = oracle(turning, (w1, HANDOFF_TAN), [r1, u1, s1], t_eval=[0.0, HANDOFF_TAN])
     # the bottom at w = 0, and the chart's end, which starts the tail
     lo = res.lower
-    end = len(lo.u) - len(lo.tail.ts)
+    end = lo.tail_start
     assert res.s0 == pytest.approx(sol.y[2, 0], rel=1e-10)
     assert lo.r[end] == pytest.approx(sol.y[0, -1], rel=1e-10)
     assert lo.u[end] == pytest.approx(sol.y[1, -1], rel=1e-10)
@@ -308,6 +308,46 @@ def test_c_plus_window_stability():
         grid = np.geomspace(*w, 100)
         c = float(np.mean(up.u_at(grid) - bowl.u_at(grid)))
         assert c == pytest.approx(res.C_plus, rel=1e-3)
+
+
+@pytest.mark.parametrize("key, R, rmax", [
+    ("qk:k=3,n=6", 1.0, 200.0), ("qk:k=4,n=6", 1.0, 200.0), ("qk:k=5,n=6", 1.0, 200.0),
+    ("sk:k=3,n=5", 1.0, 6.0), ("qk:k=3,n=6", 10.0, 400.0)])
+def test_ascending_ends_merge_into_the_bowl(key, R, rmax):
+    res = catenoid(key, R, rmax)
+    bowl = _CACHE[("bowl", key, rmax)]
+    ends = [res.upper] + ([res.lower] if res.case == "continuous_origin" else [])
+    assert res.lower.r_merge is None or res.case == "continuous_origin"
+    for prof, C in zip(ends, (res.C_plus, res.C_minus)):
+        assert 0 < prof.r_merge < 15 * R
+        # the chart's last node is the merge; the rows past it are the
+        # bowl's, moved up by C, and reach r_max
+        last = prof.tail_start + len(prof.tail.ts) - 1
+        assert prof.r[last] == prof.r_merge == prof.tail.t_final
+        past = slice(last + 1, None)
+        assert np.array_equal(prof.r[past], bowl.r[bowl.r > prof.r_merge])
+        assert np.array_equal(prof.u[past], bowl.u[bowl.r > prof.r_merge] + C)
+        assert prof.r[-1] == rmax
+        assert np.all(np.diff(prof.s[last:]) > 0)
+        assert C == pytest.approx(prof.u[last] - bowl.u_at([prof.r_merge])[0], rel=1e-15)
+
+
+def test_offsets_at_the_merge_match_the_window_mean():
+    # on sk:k=3,n=5 at R 2, the window (r_max / 3, 0.9 r_max) = (3.33, 9) lies
+    # past both merges; there the mean of u - u_b on a chart run on to r_max
+    # gives C+- as read at r_m
+    f = from_key("sk:k=3,n=5")
+    res = catenoid("sk:k=3,n=5", 2.0, 10.0)
+    bowl = _CACHE[("bowl", "sk:k=3,n=5", 10.0)]
+    rhs, jac = _slope_scalar(f, None)
+    grid = np.geomspace(10.0 / 3.0, 9.0, 200)
+    for prof, C in ((res.upper, res.C_plus), (res.lower, res.C_minus)):
+        assert prof.r_merge < grid[0]
+        i = prof.tail_start
+        chart = integrate(rhs, prof.r[i], prof.tail.ys[0], 10.0, PROFILE_CONFIG, jac=jac)
+        assert chart.termination == "reached_end"
+        u = chart.integral_at(grid, chart.node_integrals(prof.u[i]))
+        assert np.mean(u - bowl.u_at(grid)) == pytest.approx(C, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

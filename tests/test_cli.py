@@ -1,6 +1,7 @@
 """CLI: exit codes, file contracts, config handling, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -193,7 +194,7 @@ def test_catenoid_csv_kappa_is_the_exact_curvature(tmp_path, key, R, rmax):
         # the rows before the closing graph chart come from the angle charts,
         # each with its own residual, not one number repeated
         assert len(s) == len(prof.s)
-        assert len(set(residual[:len(s) - len(prof.tail.ts)])) > 1
+        assert len(set(residual[:prof.tail_start])) > 1
 
 
 @pytest.mark.parametrize("key", ["qk:k=1,n=4", "hq:k=1,l=0,n=4"])
@@ -339,6 +340,50 @@ def test_verify_ordering_records_termination(tmp_path):
     steps = ordering["steps"]
     assert 1.0 < steps["handoff"] < 100.0
     assert steps["explicit_steps"] > 0 and steps["radau_steps"] > 0
+
+
+def test_verify_ordering_solver_failure_exit3(tmp_path):
+    # the k = 4 norm's comparison run underflows its step before r = 100; a
+    # truncated span proves nothing, so it is a solver error, not a failed check
+    out = tmp_path / "v"
+    assert run(["verify", "--suite", "all", "--curvature", "knorm:k=4,n=4",
+                "--out", str(out), "--quiet"]) == 3
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ConvergenceError"
+    assert "step_underflow" in error["message"] and "at r=" in error["message"]
+
+
+@pytest.mark.parametrize("key, suite", [("sk:k=2,n=4", "all"), ("sk:k=4,n=5", "barrier")])
+def test_verify_barrier_even_sk_skipped(tmp_path, key, suite):
+    # the -1 level of an even S_k does not reach the origin: no power barrier
+    out = tmp_path / "v"
+    assert run(["verify", "--suite", suite, "--curvature", key, "--out", str(out),
+                "--quiet"]) == 0
+    check = json.loads((out / "manifest.json").read_text())["checks"]["barrier_power"]
+    assert check == {"passed": True, "detail": "no -1 level at the origin; skipped"}
+
+
+def test_catenoid_reports_merge_radii(tmp_path):
+    out = tmp_path / "c"
+    assert run(["catenoid", "--curvature", "sk:k=3,n=5", "--R", "1", "--rmax", "6",
+                "--out", str(out), "--quiet"]) == 0
+    merge = json.loads((out / "catenoid.json").read_text())["r_merge"]
+    assert 2.0 < merge["upper"] < 3.0 and 2.0 < merge["lower"] < 3.0
+
+
+def test_catenoid_unmerged_chart_reports_null_merge(tmp_path):
+    # r_max 4 lies before the upper chart's merge (r 4.93): the chart runs to
+    # r_max and C+ is read there.  The growth exponent on (4/3, 3.6), short of
+    # the r^2 regime, reads 1.911 and fails its 2% band, as it does with the
+    # chart integrated to r_max; only that check fails
+    out = tmp_path / "c"
+    assert run(["catenoid", "--curvature", "qk:k=3,n=6", "--R", "1", "--rmax", "4",
+                "--out", str(out), "--quiet"]) == 1
+    payload = json.loads((out / "catenoid.json").read_text())
+    assert payload["r_merge"] == {"upper": None, "lower": None}
+    assert math.isfinite(payload["C_plus"])
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    assert [name for name, chk in checks.items() if not chk["passed"]] == ["growth_exponent"]
 
 
 @pytest.mark.parametrize("source", ["flag", "config", "env"])
