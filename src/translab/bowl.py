@@ -32,7 +32,7 @@ from .ode import IntegratorConfig, Trajectory, integrate
 # the series start radius
 AXIS_EPS = 1e-6
 # the tolerance of every profile chart, bowl and catenoid: the implicit step
-# is tolerance-limited on the stiff tail, where this costs ~10^3 steps and
+# is tolerance-limited on the stiff tail, where this costs 70-140 steps and
 # keeps the quasi-steady slope drift below the tail-fit resolution
 PROFILE_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 # tail fits sample the dense output on this many geometric points

@@ -4,10 +4,10 @@ Two fixed steppers share one integration loop (stop location, node storage):
 
 * DOP853, Hairer's explicit 8th-order pair with its 5th- and 3rd-order
   error estimate and 7th-order dense output;
-* 3-stage Radau IIA (order 5, stiffly accurate, L-stable) with simplified
-  Newton iterations and its cubic collocation polynomial as dense output,
+* 5-stage Radau IIA (order 9, stiffly accurate, L-stable) with simplified
+  Newton iterations and its quintic collocation polynomial as dense output,
   for uncoupled components whose diagonal Jacobian ``jac`` the caller
-  supplies.  The stage "solves" are then divisions, one real and one
+  supplies.  The stage "solves" are then divisions, one real and two
   complex per component and iteration.
 
 A run with ``jac`` (a bowl, an ascending catenoid chart, a batched
@@ -28,7 +28,7 @@ plain Python floats (tuples), an order of magnitude faster than ndarray
 arithmetic at the sizes of the charts (one or two components); the
 explicit steps of a batched run do too, with one broadcasting RHS call per
 stage.  Its implicit steps work on ndarrays: one RHS call evaluates the
-three stages of every component.  Trajectories are packed into numpy
+five stages of every component.  Trajectories are packed into numpy
 arrays on exit.
 
 References
@@ -37,6 +37,8 @@ Hairer, Norsett & Wanner (1993), Solving Ordinary Differential Equations I,
 Sec. II.10 (DOP853: coefficients, error estimate, dense output).
 Hairer & Wanner (1996), Solving Ordinary Differential Equations II,
 Sec. IV.8 (Radau IIA, simplified Newton, step-size prediction).
+Hairer & Wanner (1999), J. Comput. Appl. Math. 111, 93-111 (the 5-stage
+Radau IIA method at tight tolerances).
 Petzold (1983), SIAM J. Sci. Stat. Comput. 4, 136-148 (automatic switching
 between non-stiff and stiff methods).
 """
@@ -120,46 +122,85 @@ _DENSE = 7
 # stability interval (~6) and inside [-4.35, 0], where its stability
 # function is positive, so explicit steps keep two solutions in order as
 # the Radau IIA steps do.  RHS calls per pass of the benchmark's bowl and
-# catenoid CLI jobs at (STIFF_STEP, STIFF_SPAN) = (0.3, 20): 22,869, 55,721;
-# (0.1, 20): 22,886, 57,357; (1, 20): 32,079, 274,393; (0.3, 5): 26,966,
-# 67,935; (0.3, 50): 21,609, 57,285; Radau IIA alone: 35,463, 118,511.
+# catenoid CLI jobs at (STIFF_STEP, STIFF_SPAN) = (0.3, 20): 15,615, 28,128;
+# (0.1 or 0.2, 20): 15,580, 28,067, with 9 more catenoid nodes; (1, 20):
+# 30,605, 115,466; (0.3, 50): 16,761, 35,580; (0.3, 5): 15,538, 27,199 and
+# (0.3, 2): 10,658, 24,354, both moving runs that must stay explicit onto
+# Radau IIA; Radau IIA alone: 10,429, 27,287.
 STIFF_STEP = 0.3
 STIFF_SPAN = 20.0
-STABLE_STEP = 3.0  # 2 or 5 move the counts above by under 0.5%
+STABLE_STEP = 3.0  # 2 or 5 move the counts above by under 1%
 # Every stop, quadrature and fit reads the dense output, whose error inside a
 # step is up to 1.3-2.9 times the tolerance where the step's error estimate
-# meets it (y' = y, -y, cos t and the logistic equation at rel_tol 1e-8 and
-# 1e-10), and 0.4-0.7 times where the estimate is held to a third of it
+# meets it (DOP853 on y' = y, -y, cos t and the logistic equation at rel_tol
+# 1e-8 and 1e-10), and 0.4-0.7 times where the estimate is held to a third of
+# it; so is Radau IIA's, whose collocation polynomial is of order 5 (on y' =
+# -1e4 (y - cos t) - sin t at 1e-10: 222 times the tolerance falls to 50)
 DENSE_MARGIN = 3.0
 
-# Radau IIA, 3 stages: nodes, error-estimate weights, the eigenvalues of the
-# inverse coefficient matrix (one real, one complex pair), the eigenvector
-# basis _RT with its inverse _RTI, and the collocation polynomial
-# y(t0+s*h) = y0 + sum_k Q_k s^(k+1) with Q = Z^T _RP
-_S6 = 6**0.5
-_RC = ((4 - _S6) / 10, (4 + _S6) / 10, 1.0)
-_RE = ((-13 - 7 * _S6) / 3, (-13 + 7 * _S6) / 3, -1 / 3)
-_MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
-_MU_COMPLEX = 3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3)) - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6))
+# Radau IIA, 5 stages (order 9): the nodes _RC (the zeros of
+# d^4/dx^4 [x^4 (x-1)^5]), the error-estimate weights _RE (mu_real times the
+# embedded weights minus b, times A^-1), the eigenvalues of the inverse
+# coefficient matrix A^-1 (one real, two complex pairs), its eigenvector basis
+# _RT with its inverse _RTI (the last row of _RT picks the stage at c = 1),
+# and the collocation polynomial y(t0+s*h) = y0 + sum_k Q_k s^(k+1) with
+# Q = Z^T _RP
+_RC = (0.05710419611451768, 0.2768430136381238, 0.5835904323689168, 0.8602401356562195, 1.0)
+_RE = (-27.78093394406464, 3.641478498049213, -1.2525477211691187, 0.5920031671845428, -0.2)
+_MU_REAL = 6.2867047517292765
+_MU_COMPLEX = (3.655694325463572 - 6.543736899360077j, 5.70095329867179 - 3.2102656003085497j)
 _RT = (
-    (0.09443876248897524, -0.1412552950209542, 0.03002919410514742),
-    (0.2502131229653333, 0.20412935229379994, -0.3829421127572619),
-    (1.0, 1.0, 0.0),
+    (0.013576867344947943, -0.010242047817908826, -0.04767387729029572, -0.011478515255229515,
+     0.01401985889287541),
+    (0.0016179004017190875, 0.05017286451737106, 0.09433181918161143, -0.007668830749180163,
+     -0.024708578426518527),
+    (0.07915785334744721, -0.23053953404341795, -0.1027030453801259, 0.01939846399882895,
+     -0.08180035370375117),
+    (0.41225608268046143, 0.37789390224886127, -0.46674413033249434, 0.40760117128019907,
+     -0.19968242788680252),
+    (1.0, 1.0, 0.0, 1.0, 0.0),
 )
 _RTI = (
-    (4.178718591551904, 0.32768282076106237, 0.5233764454994495),
-    (-4.178718591551904, -0.32768282076106237, 0.47662355450055044),
-    (0.5028726349457868, -2.571926949855605, 0.5960392048282249),
+    (27.697693775684087, 12.783337911304406, 3.20848938671343, -0.9514904122489162,
+     0.7415504960259897),
+    (5.344186437834912, 4.593615567759161, -3.0363603234594243, 1.050660190231459,
+     -0.27277861186429625),
+    (-3.748059807439805, 3.984965736343885, 1.0444156416080188, -1.1840985681379486,
+     0.44991777015678036),
+    (-33.041880213519, -17.376953479063566, -0.17212906325400557, -0.09916977798254265,
+     0.5312281158383066),
+    (8.611443979875292, -9.699991409528808, -1.9147286396968743, -2.41869200608494,
+     1.0474634879353375),
 )
 _RP = (
-    (13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6),
-    (13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6),
-    (1 / 3, -8 / 3, 10 / 3),
+    (27.78093394406464, -208.02785730090133, 524.1878839694918, -543.8283560361325,
+     199.88739542347736),
+    (-3.641478498049213, 77.88337605511782, -264.89491356822634, 317.67586907995275,
+     -127.022853068795),
+    (1.2525477211691187, -29.167414317829696, 137.90290440413477, -202.09087094360743,
+     92.10283313613321),
+    (-0.5920031671845428, 14.111895563613205, -72.39587480540027, 123.04335789978718,
+     -64.16737549081559),
+    (0.2, -4.8, 25.2, -44.8, 25.2),
 )
-_NEWTON_MAXITER = 6
-_NEWTON_TOL_FLOOR = 10 * sys.float_info.epsilon
-# a step below this length ends the run with 'step_underflow'
+_RPT = tuple(zip(*_RP))
+# coefficients per component of a Radau IIA step's dense output, one per stage
+_RADAU_DENSE = len(_RC)
+_ERR_EXP = -1 / (_RADAU_DENSE + 1)
+# the Newton cap and tolerance floor: on the bowl and catenoid CLI jobs 6-12
+# iterations move the RHS calls by under 1%, floors of 10, 30 and 100 eps take
+# 16,315, 15,912 and 15,615 bowl calls.  The iteration stops on its increment
+# of the stage values: in the eigenbasis, whose transform magnifies rounding,
+# the bowl of qk:k=4,n=6 to r 5e6 took 592,238 steps where it takes 1,815
+_NEWTON_MAXITER = 10
+_NEWTON_TOL_FLOOR = 100 * sys.float_info.epsilon
+# a step below this length ends the run with 'step_underflow', and so do
+# _STALL_STEPS Radau IIA steps that advance t by less than a tenth of t: on a
+# fold of the slope field and past the precision horizon the steps collapse
+# and regrow without end (knorm:k=4,n=4 at r 25.9, sk:k=3,n=5 past r 130);
+# healthy charts take 70-200 steps, the bowl of qk:k=4,n=6 to r 5e6 1,815
 _MIN_STEP = 1e-14
+_STALL_STEPS = 1000
 # a stop fires once its function clears this band past zero, which filters
 # tangential grazes at interpolation-noise level; the crossing is then
 # bisected to this time tolerance, or until the midpoint rounds to an end
@@ -200,8 +241,8 @@ def _poly_integral(q, s):
 
 class _Segment:
     """One accepted step with its dense output y(t0 + s h) = y0 + sum_k
-    Q_k s^(k+1): per component 3 coefficients on Radau IIA steps (the
-    collocation cubic), 7 on DOP853 steps."""
+    Q_k s^(k+1): per component _RADAU_DENSE coefficients on Radau IIA steps
+    (the collocation polynomial), _DENSE on DOP853 steps."""
 
     __slots__ = ("t0", "h", "y0", "Q")
 
@@ -245,9 +286,9 @@ class Trajectory:
 
     def step_counts(self) -> dict:
         """The handoff point and the accepted explicit and Radau IIA steps."""
-        explicit = sum(len(seg.Q[0]) == _DENSE for seg in self.segments)
-        return {"handoff": self.handoff, "explicit_steps": explicit,
-                "radau_steps": len(self.segments) - explicit}
+        radau = sum(len(seg.Q[0]) == _RADAU_DENSE for seg in self.segments)
+        return {"handoff": self.handoff, "explicit_steps": len(self.segments) - radau,
+                "radau_steps": radau}
 
     @cached_property
     def _polys(self) -> tuple:
@@ -262,7 +303,7 @@ class Trajectory:
         else:
             Q = np.zeros((len(segs), len(segs[0].Q), _DENSE))
             Q[:k] = [seg.Q for seg in segs[:k]]
-            Q[k:, :, :len(_RP)] = [seg.Q for seg in segs[k:]]
+            Q[k:, :, :_RADAU_DENSE] = [seg.Q for seg in segs[k:]]
         return (
             np.array([seg.t0 for seg in segs]),
             np.array([seg.h for seg in segs]),
@@ -321,8 +362,8 @@ def integrate(
 
     With ``jac`` and more than one component ``rhs`` and ``jac`` must
     broadcast: they are called with a scalar t and a (dim,) ndarray state,
-    and ``rhs`` also, once per Newton iteration for all three Radau stages,
-    with a (3, 1) column of times and a (3, dim) state; ``rhs`` returns an
+    and ``rhs`` also, once per Newton iteration for all five Radau stages,
+    with a (5, 1) column of times and a (5, dim) state; ``rhs`` returns an
     array of the state's shape whose entry [k, i] depends on t[k] and
     y[k, i] alone.  Otherwise states are tuples of floats.
 
@@ -559,8 +600,14 @@ def _predict_factor(h, h_old, err, err_old):
     if err == 0.0:
         return 10.0
     if err_old is None:
-        return err**-0.25
-    return min(1.0, h / h_old * (err_old / err) ** 0.25) * err**-0.25
+        return err**_ERR_EXP
+    return min(1.0, h / h_old * (err_old / err) ** -_ERR_EXP) * err**_ERR_EXP
+
+
+def _combine(M, x):
+    """M x for five floats x, each row summed as written, as ``_rows`` does."""
+    x0, x1, x2, x3, x4 = x
+    return [m0 * x0 + m1 * x1 + m2 * x2 + m3 * x3 + m4 * x4 for m0, m1, m2, m3, m4 in M]
 
 
 def _radau_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
@@ -568,87 +615,82 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
     f_new), from a first step h with n_steps of the step budget spent.
 
     The stage system is solved by simplified Newton in the eigenbasis of
-    the Radau coefficient matrix, so each iteration costs three RHS calls,
-    one real and one complex division.  The previous collocation polynomial,
-    extrapolated, starts the iteration; the Jacobian is re-evaluated only
-    when the iteration slows down or fails.  Returns the termination reason
-    when the steps end.
+    the Radau coefficient matrix, so each iteration costs five RHS calls,
+    one real and two complex divisions; the iteration stops on its increment
+    of the stage values.  The previous collocation polynomial, extrapolated,
+    starts the iteration; the Jacobian is re-evaluated only when the
+    iteration slows down or fails.  The arithmetic is that of
+    ``_radau_array_steps`` on one component, so that both take the same
+    steps.  Returns the termination reason when the steps end.
     """
     (y,), (f,) = y, f
     rel, ab = cfg.rel_tol, cfg.abs_tol
     newton_tol = max(_NEWTON_TOL_FLOOR / rel, min(0.03, rel**0.5))
-    (ti00, ti01, ti02), (ti10, ti11, ti12), (ti20, ti21, ti22) = _RTI
-    (t00, t01, t02), (t10, t11, t12) = _RT[0], _RT[1]
-    c0, c1, _ = _RC
-    re0, re1, re2 = _RE
-    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = _RP
+    e0, e1, e2, e3, e4 = _RE
 
     h_old = err_old = None
     prev = None  # last accepted step (t0, h, y0, Q): its polynomial starts Newton
     J = None
-    jac_current = False
-    rejected = False
+    jac_current = rejected = False
+    marks = [-math.inf] * _STALL_STEPS  # t after each accepted step
     while t < t_end:
         if n_steps >= cfg.max_steps:
             return "max_steps"
         n_steps += 1
         h = min(h, t_end - t, cfg.max_step)
-        if h < _MIN_STEP:
+        if h < _MIN_STEP or t - marks[-_STALL_STEPS] < 0.1 * abs(t):
             return "step_underflow"
         if J is None:
             J = float(jac(t, (y,))[0])
             jac_current = True
             if not math.isfinite(J):
                 return "domain_exit"
+        # the stage solve: a real division and two complex ones,
+        # (a + i b) / (mr - J + i mi), as the products of 2x2 blocks
         m_real = _MU_REAL / h
-        m_cplx = _MU_COMPLEX / h
         den_real = m_real - J
-        den_cplx = m_cplx - J
-        scale = ab + rel * abs(y)
+        inv_real = 1.0 / den_real
+        (mr1, mi1), (mr2, mi2) = [(mu.real / h, mu.imag / h) for mu in _MU_COMPLEX]
+        cr1, cr2 = mr1 - J, mr2 - J
+        mod1, mod2 = cr1 * cr1 + mi1 * mi1, cr2 * cr2 + mi2 * mi2
+        a1, b1, a2, b2 = cr1 / mod1, mi1 / mod1, cr2 / mod2, mi2 / mod2
+        scale2 = (ab + rel * abs(y)) ** 2
+        stage_t = [t + c * h for c in _RC]
 
         if prev is None:
-            Z0 = Z1 = Z2 = 0.0
+            Z = [0.0] * _RADAU_DENSE
         else:
-            pt, ph, py, (q1, q2, q3) = prev
-            Z0, Z1, Z2 = (py + s * (q1 + s * (q2 + s * q3)) - y for s in (
-                (t + c0 * h - pt) / ph, (t + c1 * h - pt) / ph, (t + h - pt) / ph))
-        W0 = ti00 * Z0 + ti01 * Z1 + ti02 * Z2
-        W1 = ti10 * Z0 + ti11 * Z1 + ti12 * Z2
-        W2 = ti20 * Z0 + ti21 * Z1 + ti22 * Z2
+            pt, ph, py, q = prev
+            Z = [py + s * _poly(q, s) - y for s in [(ts - pt) / ph for ts in stage_t]]
+        W = _combine(_RTI, Z)
 
         converged = False
         norm_old = rate = None
         for it in range(_NEWTON_MAXITER):
-            f0 = rhs(t + c0 * h, (y + Z0,))[0]
-            f1 = rhs(t + c1 * h, (y + Z1,))[0]
-            f2 = rhs(t + h, (y + Z2,))[0]
-            dr = (ti00 * f0 + ti01 * f1 + ti02 * f2 - m_real * W0) / den_real
-            dc = (
-                complex(ti10 * f0 + ti11 * f1 + ti12 * f2, ti20 * f0 + ti21 * f1 + ti22 * f2)
-                - m_cplx * complex(W1, W2)
-            ) / den_cplx
-            W0 += dr
-            W1 += dc.real
-            W2 += dc.imag
+            g0, g1, g2, g3, g4 = _combine(_RTI, [rhs(ts, (y + z,))[0] for ts, z in zip(stage_t, Z)])
+            w0, w1, w2, w3, w4 = W
+            r0 = g0 - m_real * w0
+            r1, r2 = g1 - (mr1 * w1 - mi1 * w2), g2 - (mi1 * w1 + mr1 * w2)
+            r3, r4 = g3 - (mr2 * w3 - mi2 * w4), g4 - (mi2 * w3 + mr2 * w4)
+            dW = (inv_real * r0, a1 * r1 + b1 * r2, a1 * r2 - b1 * r1,
+                  a2 * r3 + b2 * r4, a2 * r4 - b2 * r3)
+            W = [w + d for w, d in zip(W, dW)]
+            dZ = _combine(_RT, dW)
             # a non-finite RHS value makes the norm non-finite
-            dw_norm = math.sqrt(
-                ((dr / scale) ** 2 + (dc.real / scale) ** 2 + (dc.imag / scale) ** 2) / 3
-            )
-            if not math.isfinite(dw_norm):
+            dz_norm = math.sqrt(sum(d * d for d in dZ) / scale2 / _RADAU_DENSE)
+            if not math.isfinite(dz_norm):
                 break
             if norm_old is not None:
-                rate = dw_norm / norm_old
+                rate = dz_norm / norm_old
                 # stop when diverging or when the remaining iterations
                 # cannot reach the tolerance at this rate
-                if rate >= 1 or rate ** (_NEWTON_MAXITER - it) / (1 - rate) * dw_norm > newton_tol:
+                if rate >= 1 or rate ** (_NEWTON_MAXITER - it) / (1 - rate) * dz_norm > newton_tol:
                     break
-            Z0 = t00 * W0 + t01 * W1 + t02 * W2
-            Z1 = t10 * W0 + t11 * W1 + t12 * W2
-            Z2 = W0 + W1
-            if dw_norm == 0 or (rate is not None and rate / (1 - rate) * dw_norm < newton_tol):
+            Z = [z + d for z, d in zip(Z, dZ)]
+            if dz_norm == 0 or (rate is not None and rate / (1 - rate) * dz_norm < newton_tol):
                 converged = True
                 break
-            norm_old = dw_norm
+            norm_old = dz_norm
         if not converged:
             if jac_current:
                 h *= 0.5
@@ -656,10 +698,11 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
                 J = None  # retry the same step with a fresh Jacobian
             continue
 
-        y_new = y + Z2
-        ze = (re0 * Z0 + re1 * Z1 + re2 * Z2) / h
+        z0, z1, z2, z3, z4 = Z
+        y_new = y + z4
+        ze = (e0 * z0 + e1 * z1 + e2 * z2 + e3 * z3 + e4 * z4) / h
         err = (f + ze) / den_real
-        sc = ab + rel * max(abs(y), abs(y_new))
+        sc = (ab + rel * max(abs(y), abs(y_new))) / DENSE_MARGIN
         err_norm = abs(err / sc)
         if rejected and err_norm > 1.0:
             # after a rejection the estimate is filtered once more through
@@ -677,40 +720,50 @@ def _radau_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
 
         t_new = t + h
         f_new = float(rhs(t_new, (y_new,))[0])
-        Q = (
-            Z0 * p00 + Z1 * p10 + Z2 * p20,
-            Z0 * p01 + Z1 * p11 + Z2 * p21,
-            Z0 * p02 + Z1 * p12 + Z2 * p22,
-        )
+        # P^T maps the chord s Z_5 to (Z_5, 0, ..., 0): the stages' deviations
+        # from it, small on a smooth step, keep the large _RP's rounding off Q
+        Q = _combine(_RPT, [z - c * z4 for z, c in zip(Z, _RC)])
+        Q[0] += z4
         prev = t, h, y, Q
         yield _Segment(t, h, (y,), (Q,)), t_new, (y_new,), (f_new,)
         if not math.isfinite(f_new):
             return "domain_exit"
 
-        factor = min(10.0, safety * _predict_factor(h, h_old, err_norm, err_old))
+        factor = min(8.0, max(0.2, safety * _predict_factor(h, h_old, err_norm, err_old)))
         h_old, err_old = h, err_norm
         t, y, f = t_new, y_new, f_new
         # a slow iteration asks for the Jacobian of the new point
         if rate is not None and it > 1 and rate > 1e-3:
             J = None
-        jac_current = False
-        rejected = False
+        marks.append(t)
+        jac_current = rejected = False
         h *= factor
     return "reached_end"
 
 
 def _transposed(A):
-    """A 3x3 matrix laid out for ``_rows``."""
-    return np.ascontiguousarray(np.array(A).T[:, :, None])
+    """A square matrix, or one per component, laid out for ``_rows``."""
+    return np.ascontiguousarray(np.swapaxes(np.array(A), 0, 1).reshape(len(A), len(A), -1))
 
 
 def _rows(AT, X):
-    """A X for X of shape (3, dim), given AT[j, i] = A[i, j] (of shape
-    (3, 3, 1), or (3, 3, dim) for one matrix per component).  Each row is
-    summed as the written-out combination a0 * x0 + a1 * x1 + a2 * x2,
-    without a matrix product."""
+    """A X for X of shape (n, dim), given AT[j, i] = A[i, j] (of shape
+    (n, n, 1), or (n, n, dim) for one matrix per component).  Each row is
+    summed as the written-out combination a0 * x0 + a1 * x1 + ..., without
+    a matrix product."""
     P = AT * X[:, None]
-    return P[0] + P[1] + P[2]
+    return sum(P[1:], P[0])
+
+
+def _eigen_blocks(real, pairs):
+    """The 5x5 matrix (of scalars or per-component arrays) of w -> (real w0,
+    m1 (w1 + i w2), m2 (w3 + i w4)), m = mr + i mi for the (mr, mi) of pairs."""
+    M = np.zeros((5, 5) + np.shape(real))
+    M[0, 0] = real
+    for k, (mr, mi) in zip((1, 3), pairs):
+        M[k, k] = M[k + 1, k + 1] = mr
+        M[k, k + 1], M[k + 1, k] = -mi, mi
+    return M
 
 
 def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
@@ -718,39 +771,36 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
     first step h with n_steps of the step budget spent.
 
     The rules of ``_radau_steps``, applied to all components on one step
-    sequence.  The stage values are (3, dim) arrays; one RHS call per Newton
-    iteration evaluates the three stages of every component.  The Newton
+    sequence.  The stage values are (5, dim) arrays; one RHS call per Newton
+    iteration evaluates the five stages of every component.  The Newton
     increment and the error estimate are measured in the max norm over the
     components, so that quiet components do not dilute one component's
     error.  The transforms are row combinations (``_rows``), not matrix
     products, so that runs repeat bit for bit and equal components compute
-    bit-identical values.
+    bit-identical values.  Components equal at a node take one Newton start:
+    the extrapolation magnifies the rounding in which their last polynomials
+    differ, so they would split again by tens of ulps (a comparison run's
+    gap would read that noise), where with one start they stay equal.
     """
     y = np.array(y)
     f = np.array(f)
-    dim = y.size
     rel, ab = cfg.rel_tol, cfg.abs_tol
     newton_tol = max(_NEWTON_TOL_FLOOR / rel, min(0.03, rel**0.5))
-    TI, T = _transposed(_RTI), _transposed(_RT)
-    PT = _transposed(np.array(_RP).T)  # Q^T = P^T Z
-    c0, c1, _ = _RC
-    re0, re1, re2 = _RE
-    mu_r, mu_i = _MU_COMPLEX.real, _MU_COMPLEX.imag
+    TI, T, PT = _transposed(_RTI), _transposed(_RT), _transposed(_RPT)
+    RE = np.array(_RE)[:, None, None]  # the estimate as one row for ``_rows``
+    RC = np.array(_RC)[:, None]
 
     h_old = err_old = None
     prev = None
     J = None
-    jac_current = False
-    rejected = False
-    # per component, the stage solve in the eigenbasis: a real division and
-    # a complex one, (a + i b) / (mr - J + i mi), as a 3x3 block (transposed)
-    S = np.zeros((3, 3, dim))
+    jac_current = rejected = False
+    marks = [-math.inf] * _STALL_STEPS
     while t < t_end:
         if n_steps >= cfg.max_steps:
             return "max_steps"
         n_steps += 1
         h = min(h, t_end - t, cfg.max_step)
-        if h < _MIN_STEP:
+        if h < _MIN_STEP or t - marks[-_STALL_STEPS] < 0.1 * abs(t):
             return "step_underflow"
         if J is None:
             J = np.array(jac(t, y), dtype=float)
@@ -758,23 +808,27 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
             if not np.all(np.isfinite(J)):
                 return "domain_exit"
         m_real = _MU_REAL / h
-        mr, mi = mu_r / h, mu_i / h
-        M = _transposed([[m_real, 0.0, 0.0], [0.0, mr, -mi], [0.0, mi, mr]])
+        ms = [(mu.real / h, mu.imag / h) for mu in _MU_COMPLEX]
+        M = _transposed(_eigen_blocks(m_real, ms))
         den_real = m_real - J
-        cr = mr - J
-        mod = cr * cr + mi * mi
-        S[0, 0] = 1.0 / den_real
-        S[1, 1] = S[2, 2] = cr / mod
-        S[2, 1] = mi / mod
-        S[1, 2] = -S[2, 1]
+        # per component, the division by (mr - J + i mi) is the product
+        # with the block of (cr - i mi) / |cr + i mi|^2, cr = mr - J
+        blocks = []
+        for mr, mi in ms:
+            cr = mr - J
+            mod = cr * cr + mi * mi
+            blocks.append((cr / mod, -mi / mod))
+        S = _transposed(_eigen_blocks(1.0 / den_real, blocks))
         scale2 = (ab + rel * np.abs(y)) ** 2
-        stage_t = np.array([[t + c0 * h], [t + c1 * h], [t + h]])
+        stage_t = t + RC * h
 
         if prev is None:
-            Z = np.zeros((3, dim))
+            Z = np.zeros((_RADAU_DENSE, y.size))
         else:
             s = (stage_t - prev.t0) / prev.h
             Z = prev.y0 + s * _poly(prev.Q.T, s) - y
+            _, first, where = np.unique(y, return_index=True, return_inverse=True)
+            Z = Z[:, first[where]]
         W = _rows(TI, Z)
 
         converged = False
@@ -782,20 +836,21 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
         for it in range(_NEWTON_MAXITER):
             dW = _rows(S, _rows(TI, rhs(stage_t, y + Z)) - _rows(M, W))
             W += dW
+            dZ = _rows(T, dW)
             # a non-finite RHS value makes the norm non-finite
-            dW *= dW
-            dw_norm = math.sqrt(float(((dW[0] + dW[1] + dW[2]) / scale2).max()) / 3)
-            if not math.isfinite(dw_norm):
+            dZ2 = dZ * dZ
+            dz_norm = math.sqrt(float((sum(dZ2[1:], dZ2[0]) / scale2).max()) / _RADAU_DENSE)
+            if not math.isfinite(dz_norm):
                 break
             if norm_old is not None:
-                rate = dw_norm / norm_old
-                if rate >= 1 or rate ** (_NEWTON_MAXITER - it) / (1 - rate) * dw_norm > newton_tol:
+                rate = dz_norm / norm_old
+                if rate >= 1 or rate ** (_NEWTON_MAXITER - it) / (1 - rate) * dz_norm > newton_tol:
                     break
-            Z = _rows(T, W)
-            if dw_norm == 0 or (rate is not None and rate / (1 - rate) * dw_norm < newton_tol):
+            Z = Z + dZ
+            if dz_norm == 0 or (rate is not None and rate / (1 - rate) * dz_norm < newton_tol):
                 converged = True
                 break
-            norm_old = dw_norm
+            norm_old = dz_norm
         if not converged:
             if jac_current:
                 h *= 0.5
@@ -803,10 +858,10 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
                 J = None
             continue
 
-        y_new = y + Z[2]
-        ze = (re0 * Z[0] + re1 * Z[1] + re2 * Z[2]) / h
+        y_new = y + Z[-1]
+        ze = _rows(RE, Z)[0] / h
         err = (f + ze) / den_real
-        sc = ab + rel * np.maximum(np.abs(y), np.abs(y_new))
+        sc = (ab + rel * np.maximum(np.abs(y), np.abs(y_new))) / DENSE_MARGIN
         err_norm = float(np.abs(err / sc).max())
         if rejected and err_norm > 1.0:
             err = (rhs(t, y + err) + ze) / den_real
@@ -822,17 +877,19 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
 
         t_new = t + h
         f_new = np.array(rhs(t_new, y_new), dtype=float)
-        prev = _Segment(t, h, y, _rows(PT, Z).T)
+        Q = _rows(PT, Z - RC * Z[-1])
+        Q[0] += Z[-1]
+        prev = _Segment(t, h, y, Q.T)
         yield prev, t_new, y_new, f_new
         if not np.all(np.isfinite(f_new)):
             return "domain_exit"
 
-        factor = min(10.0, safety * _predict_factor(h, h_old, err_norm, err_old))
+        factor = min(8.0, max(0.2, safety * _predict_factor(h, h_old, err_norm, err_old)))
         h_old, err_old = h, err_norm
         t, y, f = t_new, y_new, f_new
         if rate is not None and it > 1 and rate > 1e-3:
             J = None
-        jac_current = False
-        rejected = False
+        marks.append(t)
+        jac_current = rejected = False
         h *= factor
     return "reached_end"

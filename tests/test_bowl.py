@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from translab import ode
 from translab.bowl import (
     AXIS_EPS,
     _slope_field,
@@ -276,11 +277,11 @@ def test_slope_rhs_maps_overflow_to_nan():
 
 def test_mean_profile_hands_off_once_to_radau():
     # DOP853 steps (7 coefficients) through the near-axis transition, then
-    # Radau IIA steps (3) on the whole stiff tail: one handoff, one way
+    # Radau IIA steps (5) on the whole stiff tail: one handoff, one way
     tr = profile("mean:n=3", 500.0).trajectory
     kinds = [len(seg.Q[0]) for seg in tr.segments]
-    n = kinds.index(3)
-    assert set(kinds[:n]) == {7} and set(kinds[n:]) == {3}
+    n = kinds.index(ode._RADAU_DENSE)
+    assert set(kinds[:n]) == {ode._DENSE} and set(kinds[n:]) == {ode._RADAU_DENSE}
     assert tr.handoff == tr.segments[n].t0 == tr.ts[n]
     assert 1.0 < tr.handoff < 10.0
     assert tr.step_counts() == {"handoff": tr.handoff, "explicit_steps": n,
@@ -288,8 +289,8 @@ def test_mean_profile_hands_off_once_to_radau():
 
 
 def test_gauss_n5_tail_stays_explicit():
-    # a non-stiff degenerate tail: the handoff rule never fires, and the
-    # explicit steps need far fewer nodes than Radau IIA's 2,752
+    # a non-stiff degenerate tail: the handoff rule never fires (330 nodes;
+    # Radau IIA from the axis takes 292)
     tr = profile("gauss:n=5", 1e4).trajectory
     assert tr.handoff is None
     assert tr.step_counts()["radau_steps"] == 0

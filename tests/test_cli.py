@@ -344,10 +344,13 @@ def test_verify_ordering_records_termination(tmp_path):
 
 def test_verify_ordering_solver_failure_exit3(tmp_path):
     # the k = 4 norm's comparison run underflows its step before r = 100; a
-    # truncated span proves nothing, so it is a solver error, not a failed check
+    # truncated span proves nothing, so it is a solver error, not a failed check,
+    # and it ends within seconds
     out = tmp_path / "v"
+    t0 = time.perf_counter()
     assert run(["verify", "--suite", "all", "--curvature", "knorm:k=4,n=4",
                 "--out", str(out), "--quiet"]) == 3
+    assert time.perf_counter() - t0 < 5.0
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "ConvergenceError"
     assert "step_underflow" in error["message"] and "at r=" in error["message"]

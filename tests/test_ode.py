@@ -238,8 +238,8 @@ def test_stiff_step_uncoupled_components_share_steps():
 
 
 def test_stiff_array_evaluation_matches_steps():
-    # resample, integral_at and node_integrals evaluate the collocation cubics
-    # as arrays; each value equals the per-step evaluation bit for bit
+    # resample, integral_at and node_integrals evaluate the collocation
+    # polynomials as arrays; each value equals the per-step evaluation bit for bit
     tr = integrate(_stiff_batch_rhs, 0.0, [2.0, 2.5], 1.0, jac=_stiff_batch_jac)
     grid = np.linspace(tr.ts[0], tr.ts[-1], 777)
     idx = tr.segment_index(grid)
@@ -268,10 +268,10 @@ def test_dop853_tableau():
 
 def test_mixed_trajectory_array_evaluation_matches_steps():
     # a scalar run with jac: DOP853 steps (7 coefficients) up to the
-    # handoff, Radau IIA steps (3) after it; the array evaluation pads the
+    # handoff, Radau IIA steps (5) after it; the array evaluation pads the
     # Radau coefficients and still equals the per-step one bit for bit
     tr = integrate(_stiff_rhs, 0.0, [2.0], 2.0, jac=_stiff_jac)
-    assert {len(seg.Q[0]) for seg in tr.segments} == {7, 3}
+    assert {len(seg.Q[0]) for seg in tr.segments} == {ode._DENSE, ode._RADAU_DENSE} == {7, 5}
     h0 = tr.handoff
     grid = np.sort(np.concatenate([np.linspace(tr.ts[0], tr.ts[-1], 777),
                                    np.linspace(0.0, 2.0 * h0, 101)]))
@@ -455,12 +455,84 @@ def test_stability_functions_keep_solutions_in_order():
     assert R(-4.34) > 0.0 > R(-4.36)  # the first sign change
 
     # Radau IIA's coefficient matrix from the eigenbasis the Newton solve
-    # uses: R is the (2, 3) Pade approximant of exp, positive for z <= 0
-    mu = ode._MU_COMPLEX
-    M = np.array([[ode._MU_REAL, 0, 0], [0, mu.real, -mu.imag], [0, mu.imag, mu.real]])
+    # uses: R is the (4, 5) Pade approximant of exp, whose numerator has no
+    # real root, so R > 0 for z <= 0
+    M = np.zeros((5, 5))
+    M[0, 0] = ode._MU_REAL
+    for k, mu in zip((1, 3), ode._MU_COMPLEX):
+        M[k:k + 2, k:k + 2] = [[mu.real, -mu.imag], [mu.imag, mu.real]]
     A = np.linalg.inv(np.array(ode._RT) @ M @ np.array(ode._RTI))
-    R = _stability(A, A[2])  # stiffly accurate: b is the last row
+    R = _stability(A, A[4])  # stiffly accurate: b is the last row
+    numerator = np.polynomial.Polynomial([1, 4 / 9, 1 / 12, 1 / 126, 1 / 3024])
+    denominator = np.polynomial.Polynomial([1, -5 / 9, 5 / 36, -5 / 252, 5 / 3024, -1 / 15120])
+    assert np.all(np.abs(numerator.roots().imag) > 0.5)
     for z in -np.geomspace(1e-6, 1e8, 300):
-        pade = (1 + 2 * z / 5 + z * z / 20) / (1 - 3 * z / 5 + 3 * z * z / 20 - z**3 / 60)
-        assert R(z) == pytest.approx(pade, rel=1e-9)
+        assert R(z) == pytest.approx(numerator(z) / denominator(z), rel=1e-9)
         assert R(z) > 0.0
+
+
+def test_radau_tableau_from_its_definition():
+    # every literal of the 5-stage tableau, rebuilt in double precision from
+    # its definition
+    Poly = np.polynomial.Polynomial
+    # the nodes: the zeros of d^4/dx^4 [x^4 (x-1)^5], polished by Newton
+    p = (Poly.fromroots([0.0] * 4) * Poly([-1.0, 1.0]) ** 5).deriv(4)
+    c = np.sort(p.roots().real)
+    for _ in range(3):
+        c = c - p(c) / p.deriv()(c)
+    # A_ij: the integral from 0 to c_i of the Lagrange polynomial l_j
+    ell = [Poly.fromroots(np.delete(c, j)) for j in range(5)]
+    A = np.array([[(l / l(c[j])).integ()(ci) for j, l in enumerate(ell)] for ci in c])
+    # the eigenbasis of A^-1: a real eigenvector and the real and imaginary
+    # parts of one of each complex pair, each with last entry 1; the pairs
+    # in the order of their real parts
+    lam, V = np.linalg.eig(np.linalg.inv(A))
+    real = int(np.argmin(np.abs(lam.imag)))
+    pairs = sorted((k for k in range(5) if lam[k].imag > 0), key=lambda k: lam[k].real)
+    columns = [V[:, real].real / V[4, real].real]
+    for k in pairs:
+        columns += [(V[:, k] / V[4, k]).real, (V[:, k] / V[4, k]).imag]
+    T = np.array(columns).T
+    # _RTI is the inverse of _RT (from the literal: the inverse of the rebuilt
+    # basis carries its rounding times the condition number of _RT)
+    TI = np.linalg.inv(np.array(ode._RT))
+    # the embedded weights bh match the quadrature orders 1-5 with the weight
+    # 1 / mu_real on the step's start, so E = mu_real (bh - b)^T A^-1 solves
+    # A^T E = -V^-1 e_1, V the Vandermonde matrix of the orders
+    V = np.vander(c, 5, increasing=True).T
+    E = -np.linalg.solve(A.T, np.linalg.solve(V, np.eye(5)[0]))
+    # the monomial map: row i holds the coefficients of s, ..., s^5 of the
+    # Lagrange polynomial of c_i on the nodes 0, c_1, ..., c_5
+    nodes = np.concatenate(([0.0], c))
+    P = [(lambda l: l / l(c[i]))(Poly.fromroots(np.delete(nodes, i + 1))).coef[1:]
+         for i in range(5)]
+
+    def close(rebuilt, literal):
+        return np.all(np.abs(np.subtract(rebuilt, literal)) <= 1e-13 * np.maximum(np.abs(literal), 1))
+
+    assert close(c, ode._RC) and ode._RC[4] == 1.0
+    assert close(lam[real].real, ode._MU_REAL) and np.all(np.abs(lam[real].imag) < 1e-13)
+    assert close([lam[k].conjugate() for k in pairs], ode._MU_COMPLEX)
+    assert close(T, ode._RT) and ode._RT[4] == (1.0, 1.0, 0.0, 1.0, 0.0)
+    assert close(TI, ode._RTI)
+    assert close(E, ode._RE)
+    assert close(P, ode._RP)
+
+
+def test_radau_order_on_a_linear_problem():
+    # fixed steps of the Radau IIA core on y' = -y over [0, 4] (tolerances
+    # loose enough for every step to meet them at max_step): halving h cuts
+    # the node error by about 2^9 (order 9, 2^8.96 here) and the error of
+    # the collocation polynomial inside the steps by about 2^6 (order 5,
+    # 2^5.6 here)
+    node, dense = [], []
+    for h in (1.0, 0.5):
+        cfg = IntegratorConfig(rel_tol=1.0, abs_tol=1.0, max_step=h)
+        steps = list(ode._radau_steps(lambda t, y: (-y[0],), lambda t, y: (-1.0,),
+                                      0.0, (1.0,), (-1.0,), 4.0, cfg, h, 0))
+        assert [seg.h for seg, *_ in steps] == [h] * round(4.0 / h)
+        node.append(max(abs(y[0] - math.exp(-t)) for _, t, y, _ in steps))
+        dense.append(max(abs(seg.eval(t)[0] - math.exp(-t)) for seg, *_ in steps
+                         for t in seg.t0 + seg.h * np.linspace(0.0, 1.0, 41)))
+    assert node[0] / node[1] >= 2.0**8.5
+    assert dense[0] / dense[1] >= 2.0**5
