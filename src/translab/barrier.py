@@ -195,13 +195,12 @@ def compare_orderings(
     separately would differ by their independently controlled errors on
     v ~ r, which on the attracting tail exceed the gap itself.  On
     y' = lam y a step multiplies a gap by the method's stability function
-    R(h lam), so the steps keep the order where R > 0.  They are explicit
-    DOP853 from r0, held to h max|dF/dv| <= ``ode.STABLE_STEP`` = 3 where
-    its R is positive (R(-3) = 0.05, the first zero near -4.35), until the
-    stiffest component turns stiff; then Radau IIA with the analytic dF/dv,
-    whose R is positive on the whole negative real axis, so the stiff tail
-    contracts the gap without reversing its sign at tolerance-limited step
-    sizes.
+    R(h lam), so the steps keep the order where R > 0.  A step is explicit
+    DOP853 while h max|dF/dv| < ``ode.STIFF_STEP`` = 0.3, well inside
+    [-4.35, 0], where its R is positive; from the first step that fails
+    that test on, it is Radau IIA with the analytic dF/dv, whose R is
+    positive on the whole negative real axis, so the stiff tail contracts
+    the gap without reversing its sign at tolerance-limited step sizes.
     ``steps`` reports the handoff radius and the explicit and Radau IIA
     step counts.  The order counts as verified only when the run reaches
     r_end: one failing component stops every pair, and a truncated span

@@ -7,9 +7,9 @@ The slope v = u'(r) of a rotationally symmetric graphical translator obeys
 
 integrated here from a series start v = lambda0 * r at the axis, where
 lambda0 = gamma(1,...,1)^(-1/alpha) is the umbilic curvature forced by the
-translator equation at r = 0.  The tail is strongly attracting: the steps,
-explicit near the axis, hand off to Radau IIA (analytic dF/dv) where it
-turns stiff; the height u is the exact integral of the dense slope output.
+translator equation at r = 0.  The slope is strongly attracting from the
+axis on (|dF/dv| ~ 2-5 / r there), so every step is Radau IIA with the
+analytic dF/dv; the height u is the exact integral of the dense slope output.
 
 Closed-form asymptotic coefficients (the nondegenerate pair (a, b) and the
 degenerate quadruple (k, c, d, A)) are evaluated from implicit-branch

@@ -266,9 +266,11 @@ def _graph_chart(f, r0, v0, u0, s0, r_max, what, bowl=None):
     The slope is the only state; the height u and the arc length s never
     feed back, so they are quadratures of the dense slope: u exactly, as
     the integral of each step's polynomial, s by Gauss-Legendre on
-    sqrt(1 + v^2).  An ascending chart passes the analytic dF/dv, hands off
-    to Radau IIA on the tail and stops at its merge with the bowl, whose
-    rows follow; the descending chart steps explicitly.
+    sqrt(1 + v^2).  An ascending chart passes the analytic dF/dv: it steps
+    explicitly from the neck or the bottom while h |dF/dv| < STIFF_STEP,
+    hands off to Radau IIA before the first stiff step and stops at its
+    merge with the bowl, whose rows follow; the descending chart steps
+    explicitly.
     """
     rhs, jac = _slope_scalar(f, None)
     ascending = bowl is not None

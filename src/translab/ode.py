@@ -11,14 +11,14 @@ Two fixed steppers share one integration loop (stop location, node storage):
   complex per component and iteration.
 
 A run with ``jac`` (a bowl, an ascending catenoid chart, a batched
-comparison run) steps explicitly through the smooth transition near the
-axis, the neck or the start and hands off to Radau IIA, once, where dF/dy
-shows the attracting tail turn stiff (``STIFF_STEP``): there the explicit
-pair is stability-limited, the implicit step tolerance-limited.  Runs
-without ``jac`` step explicitly throughout.  Every step keeps its dense
-output as y0 + sum_k Q_k s^(k+1) (``_Segment``), which ``Trajectory``
-evaluates and integrates exactly as arrays, so heights are quadratures of
-the slope, never extra state.
+comparison run) steps explicitly only while dF/dy leaves the step
+tolerance-limited (``STIFF_STEP``) and hands off to Radau IIA, once, before
+its first stiff step: a bowl from the axis on, an ascending chart or a
+comparison run after a short non-stiff start.  Runs without ``jac`` step
+explicitly throughout.  Every step keeps its dense output as
+y0 + sum_k Q_k s^(k+1) (``_Segment``), which ``Trajectory`` evaluates and
+integrates exactly as arrays, so heights are quadratures of the slope,
+never extra state.
 Reproducibility matters more here than solver variety, so the tableaux,
 the dense-output polynomials and the controllers are all spelled out
 below; identical inputs produce bit-identical trajectories.
@@ -113,23 +113,20 @@ _D = (
      -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564))
 _DENSE = 7
 
-# The handoff rule of the runs with ``jac``: after each explicit step, with
-# lam = max_i |dF_i/dy_i| at the new node and h the next step, the run moves
-# to Radau IIA once h lam >= STIFF_STEP (stability is about to bound the
-# step) and t lam > STIFF_SPAN (the transient 1/lam is short against the
-# scale t of the slope charts: t lam ~ c near the axis, 2r^2 on the
-# alpha = 1 tail); until then h lam <= STABLE_STEP, inside DOP853's real
-# stability interval (~6) and inside [-4.35, 0], where its stability
-# function is positive, so explicit steps keep two solutions in order as
-# the Radau IIA steps do.  RHS calls per pass of the benchmark's bowl and
-# catenoid CLI jobs at (STIFF_STEP, STIFF_SPAN) = (0.3, 20): 15,615, 28,128;
-# (0.1 or 0.2, 20): 15,580, 28,067, with 9 more catenoid nodes; (1, 20):
-# 30,605, 115,466; (0.3, 50): 16,761, 35,580; (0.3, 5): 15,538, 27,199 and
-# (0.3, 2): 10,658, 24,354, both moving runs that must stay explicit onto
-# Radau IIA; Radau IIA alone: 10,429, 27,287.
+# The handoff rule of the runs with ``jac``: before each explicit step, the
+# first included, with lam = max_i |dF_i/dy_i| at its start and h its size,
+# the run moves to Radau IIA, once, if h lam >= STIFF_STEP (stability is
+# about to bound the step).  So every explicit step has h lam < STIFF_STEP,
+# inside [-4.35, 0], where DOP853's stability function is positive, and
+# keeps two solutions in order as the Radau IIA steps do.  A bowl, with
+# lam ~ 2-5 / r at the axis, hands off before its first step.  RHS calls
+# per traced pass (seed 1) of the benchmark's bowl, catenoid and ordering
+# jobs at STIFF_STEP = 0.1: 10,365, 26,660, 919; 0.3: 10,365, 24,350, 1,076;
+# 1: 10,365, 27,032, 5,848; Radau IIA from the first step: 10,365, 27,209,
+# 888, but on the non-stiff start of a catenoid chart its order-5 step
+# control takes 2-4 times DOP853's steps (sk:k=3,n=5's lower tail: 97 -> 218
+# steps).
 STIFF_STEP = 0.3
-STIFF_SPAN = 20.0
-STABLE_STEP = 3.0  # 2 or 5 move the counts above by under 1%
 # Every stop, quadrature and fit reads the dense output, whose error inside a
 # step is up to 1.3-2.9 times the tolerance where the step's error estimate
 # meets it (DOP853 on y' = y, -y, cos t and the logistic equation at rel_tol
@@ -268,7 +265,9 @@ class Trajectory:
     stop: Optional[int] = None
     # accepted steps with their dense output
     segments: list = field(default_factory=list, repr=False)
-    handoff: Optional[float] = None  # where the explicit steps gave way to Radau IIA
+    # where the run moved to Radau IIA (the start, if before any explicit
+    # step), or None if it did not
+    handoff: Optional[float] = None
 
     @property
     def t_final(self) -> float:
@@ -354,9 +353,10 @@ def integrate(
 
     The steps are explicit DOP853.  ``jac`` returns the diagonal of d rhs /
     dy of a system whose component i depends on y[i] alone; with it, the run
-    hands off to Radau IIA, stable at any step size, where its stiffest
-    component turns stiff (``STIFF_STEP``, ``Trajectory.handoff``), and the
-    explicit error is measured in the max norm over the components.
+    hands off to Radau IIA, stable at any step size, before the first step
+    on which its stiffest component is stiff (``STIFF_STEP``,
+    ``Trajectory.handoff``), and the explicit error is measured in the max
+    norm over the components.
     Components integrated together share one step sequence, so the
     difference of two solutions is that of one discrete flow.
 
@@ -477,8 +477,8 @@ def _dop853_steps(rhs, stiffness, t, y, f, t_end, cfg):
     stage sums written out, Hairer's step control (exponent 1/8, safety 0.9,
     factors in [1/3, 6], none above 1 after a rejection) and non-finite
     stages halving the step.  ``stiffness(t, y)`` is max |d rhs_i / dy_i|,
-    or None without ``jac``.  Returns the termination reason, or, when the
-    stiffness meets the handoff rule, (next step size, step attempts).
+    or None without ``jac``.  Returns the termination reason, or, before a
+    step of size h with h stiffness >= ``STIFF_STEP``, (h, step attempts).
 
     The error is measured in Hairer's RMS norm over the components or, with
     a stiffness, in the max norm, so that quiet components of a batched run
@@ -503,10 +503,13 @@ def _dop853_steps(rhs, stiffness, t, y, f, t_end, cfg):
     n_steps = 0
     k0 = f
     while t < t_end:
+        h = min(h, t_end - t, cfg.max_step)
+        # the handoff rule (see STIFF_STEP); a NaN stiffness fails it
+        if stiffness is not None and h * stiffness(t, y) >= STIFF_STEP:
+            return h, n_steps
         if n_steps >= cfg.max_steps:
             return "max_steps"
         n_steps += 1
-        h = min(h, t_end - t, cfg.max_step)
         if h < _MIN_STEP:
             return "step_underflow"
 
@@ -586,12 +589,6 @@ def _dop853_steps(rhs, stiffness, t, y, f, t_end, cfg):
         t, y, k0 = t_new, y_new, k12
         h *= min(1.0 if rejected else 6.0, 0.9 * err**-0.125 if err > 0 else 6.0)
         rejected = False
-        if stiffness is not None:
-            lam = stiffness(t, y)
-            if h * lam >= STIFF_STEP and t * lam > STIFF_SPAN:
-                return h, n_steps
-            if h * lam > STABLE_STEP:
-                h = STABLE_STEP / lam
     return "reached_end"
 
 

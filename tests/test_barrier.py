@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from translab import barrier, ode
+from translab import barrier, bowl, catenoid, ode
 from translab.barrier import (
     BarrierSpec,
     admissible_slope_range,
@@ -192,7 +192,7 @@ def test_ordering_gap_on_shared_steps(key):
 def test_ordering_every_family(monkeypatch, key):
     # every family's array closed form has a root for every component the
     # batched RHS and Jacobian pass: no element is NaN.  The explicit steps
-    # stay inside DOP853's ordering interval h max|dF/dv| <= STABLE_STEP
+    # have h max|dF/dv| < STIFF_STEP, inside DOP853's ordering interval
     f = from_key(key)
     elements, missed, runs = [], [], []
     original = f.solve_x
@@ -225,11 +225,39 @@ def test_ordering_every_family(monkeypatch, key):
         steps = rep["steps"]
         assert steps == tr.step_counts()
         assert steps["explicit_steps"] + steps["radau_steps"] == len(tr.segments)
-        explicit = tr.segments[:steps["explicit_steps"]]
-        assert all(seg.h * np.abs(jac(seg.t0, np.array(seg.y0))).max() <= ode.STABLE_STEP
-                   for seg in explicit)
+        assert all(z < ode.STIFF_STEP for z in _explicit_stiffness(tr, jac))
     assert sum(elements) > 10**4
     assert sum(missed) == 0
+
+
+def _explicit_stiffness(tr, jac):
+    """h max|dF/dv| at the start of each explicit step of a run with jac."""
+    explicit = tr.segments[:tr.step_counts()["explicit_steps"]]
+    return [seg.h * np.abs(jac(seg.t0, np.array(seg.y0))).max() for seg in explicit]
+
+
+def test_profile_charts_step_explicitly_only_below_stiff_step(monkeypatch):
+    # the ordering argument above holds on the profile charts with jac too:
+    # a bowl is stiff from the axis on and takes no explicit step; an
+    # ascending catenoid chart starts non-stiff and takes explicit steps,
+    # the first included, only while h |dF/dv| < STIFF_STEP
+    runs = []
+
+    def integrate_spy(rhs, t0, state0, t_end, config, stops=(), jac=None):
+        tr = integrate(rhs, t0, state0, t_end, config, stops, jac=jac)
+        if jac is not None:
+            runs.append((tr, jac))
+        return tr
+
+    monkeypatch.setattr(bowl, "integrate", integrate_spy)
+    monkeypatch.setattr(catenoid, "integrate", integrate_spy)
+    catenoid.solve_catenoid(from_key("qk:k=4,n=6"), 1.0, 120.0)
+    (bowl_run, bowl_jac), (upper, upper_jac) = runs
+    assert bowl_run.handoff == bowl.AXIS_EPS
+    assert _explicit_stiffness(bowl_run, bowl_jac) == []
+    stiffness = _explicit_stiffness(upper, upper_jac)
+    assert len(stiffness) > 10
+    assert max(stiffness) < ode.STIFF_STEP
 
 
 def test_ordering_truncated_span_is_not_verified():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import translab
+from translab.bowl import AXIS_EPS
 from translab.catenoid import solve_catenoid, solve_neck
 from translab.cli import main
 from translab.curvature import from_key, registry_keys
@@ -454,10 +455,8 @@ def test_json_reports_each_charts_steppers(tmp_path):
     charts = json.loads((out / "bowl.json").read_text())["charts"]
     rows = len((out / "profile.csv").read_text().splitlines()) - 1
     assert set(charts) == {"bowl"}
-    bowl = charts["bowl"]
-    assert bowl["explicit_steps"] > 0 and bowl["radau_steps"] > 0
-    assert bowl["explicit_steps"] + bowl["radau_steps"] == rows - 1
-    assert 1.0 < bowl["handoff"] < 60.0
+    # a bowl is stiff from the axis on: Radau IIA from its first step
+    assert charts["bowl"] == {"handoff": AXIS_EPS, "explicit_steps": 0, "radau_steps": rows - 1}
     out = tmp_path / "c"
     assert run(["catenoid", "--curvature", "qk:k=4,n=6", "--R", "1", "--rmax", "120",
                 "--out", str(out), "--quiet"]) == 0
@@ -465,5 +464,8 @@ def test_json_reports_each_charts_steppers(tmp_path):
     assert set(charts) == {"neck_up", "lower_arc", "upper", "lower", "bowl"}
     for name in ("neck_up", "lower_arc", "lower"):  # no jac: explicit throughout
         assert charts[name]["handoff"] is None and charts[name]["radau_steps"] == 0
-    for name in ("upper", "bowl"):
-        assert charts[name]["handoff"] > 1.0 and charts[name]["radau_steps"] > 0
+    # the upper chart starts non-stiff at the neck's exit and hands off on
+    # its tail; its bowl takes no explicit step
+    upper = charts["upper"]
+    assert upper["handoff"] > 1.0 and upper["explicit_steps"] > 0 and upper["radau_steps"] > 0
+    assert charts["bowl"]["handoff"] == AXIS_EPS and charts["bowl"]["explicit_steps"] == 0
