@@ -41,7 +41,7 @@ FIT_SAMPLES = 200
 
 @dataclass
 class BowlProfile:
-    curvature_key: str
+    curvature: CurvatureFunction = field(repr=False)
     alpha: float
     beta: float
     r: np.ndarray
@@ -204,7 +204,7 @@ def solve_bowl(f: CurvatureFunction, r_max: float) -> BowlProfile:
     # each step adds the exact integral of its collocation polynomial
     u = traj.node_integrals(0.5 * f.lambda0 * AXIS_EPS**2)
     return BowlProfile(
-        curvature_key=f.name,
+        curvature=f,
         alpha=a,
         beta=f.beta,
         r=r,
@@ -293,9 +293,7 @@ def default_window(profile: BowlProfile) -> tuple:
 def fit_tail(profile: BowlProfile, window: Optional[tuple] = None) -> AsymptoticReport:
     """Fit tail coefficients from the profile and compare with the formulas
     of the family's regime."""
-    from .curvature import from_key
-
-    f = from_key(profile.curvature_key)
+    f = profile.curvature
     regime = "degenerate" if f.is_one_degenerate else "nondegenerate"
     window = window or default_window(profile)
     r = _window_grid(profile.r, window)

@@ -102,7 +102,6 @@ MERGE_GAP = 5 * PROFILE_CONFIG.rel_tol
 @dataclass
 class NeckSolution:
     R: float
-    curvature_key: str
     kappa_at_neck: float
     # the neck chart's rows up from the neck: columns s, r, u, phi, kappa,
     # residual, with s the arc length and phi the tangent angle (pi/2 at the
@@ -153,7 +152,6 @@ class Profile:
 @dataclass
 class CatenoidResult:
     R: float
-    curvature_key: str
     upper: Profile
     lower: Profile
     s0: Optional[float]
@@ -202,7 +200,6 @@ def solve_neck(f: CurvatureFunction, R: float, handoff_tan: float = HANDOFF_TAN)
     u = _quadrature(tr, lambda s, y: np.sin(y[:, 1]), 0.0, s)
     return NeckSolution(
         R=R,
-        curvature_key=f.name,
         kappa_at_neck=kappa_neck,
         up=np.column_stack([s, r, u, phi, kappa,
                             _node_residuals(f, r, 0.0, kappa, np.sin(phi), np.cos(phi))]),
@@ -453,7 +450,7 @@ def solve_catenoid(
                                                                     bowl, handoff_tan)
     upper = solve_upper_branch(f, neck, r_max, bowl)
     result = CatenoidResult(
-        R=R, curvature_key=f.name, upper=upper, lower=lower, s0=s0, s1=s1, case=case,
+        R=R, upper=upper, lower=lower, s0=s0, s1=s1, case=case,
         n_pi2_events=n_pi2, n_theta_min_events=n_min, C_plus=upper.offset,
         C_minus=lower.offset, end_behavior=end_behavior, handoff_tan=handoff_tan,
         charts={**neck.charts, **upper.charts, **lower.charts,

@@ -23,13 +23,13 @@ Reproducibility matters more here than solver variety, so the tableaux,
 the dense-output polynomials and the controllers are all spelled out
 below; identical inputs produce bit-identical trajectories.
 
-The explicit steps and the implicit steps of a single component work on
-plain Python floats (tuples), an order of magnitude faster than ndarray
-arithmetic at the sizes of the charts (one or two components); the
-explicit steps of a batched run do too, with one broadcasting RHS call per
-stage.  Its implicit steps work on ndarrays: one RHS call evaluates the
-five stages of every component.  Trajectories are packed into numpy
-arrays on exit.
+The explicit steps work on plain Python floats (tuples), an order of
+magnitude faster than ndarray arithmetic at the sizes of the charts (one
+or two components), with one broadcasting RHS call per stage on a batched
+run.  One Radau IIA step controller serves every run on one of two stage
+kernels: plain floats for one component (``_Floats``), ndarrays for a
+batched run (``_Arrays``), where one RHS call evaluates the five stages of
+every component.  Trajectories are packed into numpy arrays on exit.
 
 References
 ----------
@@ -49,7 +49,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -192,10 +192,12 @@ _ERR_EXP = -1 / (_RADAU_DENSE + 1)
 _NEWTON_MAXITER = 10
 _NEWTON_TOL_FLOOR = 100 * sys.float_info.epsilon
 # a step below this length ends the run with 'step_underflow', and so do
-# _STALL_STEPS Radau IIA steps that advance t by less than a tenth of t: on a
-# fold of the slope field and past the precision horizon the steps collapse
-# and regrow without end (knorm:k=4,n=4 at r 25.9, sk:k=3,n=5 past r 130);
-# healthy charts take 70-200 steps, the bowl of qk:k=4,n=6 to r 5e6 1,815
+# _STALL_STEPS accepted steps, explicit or Radau IIA and possibly across the
+# handoff, that advance t by less than a tenth of |t|: on a fold of the slope
+# field and past the precision horizon the steps collapse and regrow without
+# end (knorm:k=4,n=4 at r 25.9, sk:k=3,n=5 past r 130), and where the RHS is
+# NaN at isolated points DOP853 creeps (the neck chart of qk:k=3,n=6 at R
+# 1e17); healthy charts take 70-200 steps, the bowl of qk:k=4,n=6 to r 5e6 1,815
 _MIN_STEP = 1e-14
 _STALL_STEPS = 1000
 # a stop fires once its function clears this band past zero, which filters
@@ -246,7 +248,7 @@ class _Segment:
     def __init__(self, t0, h, y0, Q):
         self.t0 = t0
         self.h = h
-        self.y0 = y0  # floats, or an ndarray on the batched Radau IIA core
+        self.y0 = y0  # floats, or an ndarray on the batched Radau IIA kernel
         self.Q = Q  # per component, the coefficients of s, s^2, ...
 
     def eval(self, t):
@@ -373,24 +375,21 @@ def integrate(
     zero crossing of any of them that clears the graze band, located on the
     dense output by bisection; ``Trajectory.stop`` is the index of the one
     that fired.
-    Non-finite RHS values end the trajectory with termination 'domain_exit',
-    a step-size underflow with 'step_underflow', and running out of
-    ``max_steps`` step attempts with 'max_steps'.
+    Non-finite RHS values end the trajectory with termination 'domain_exit';
+    a step-size underflow, or a stall (``_STALL_STEPS`` accepted steps that
+    advance t by less than a tenth of |t|), with 'step_underflow'; running
+    out of ``max_steps`` step attempts with 'max_steps'; reaching t_end with
+    'reached_end'.
     """
     cfg = config or IntegratorConfig()
     if t_end <= t0:
         raise ParameterError(f"t_end must exceed t0, got {t0} -> {t_end}")
     batched = jac is not None and len(state0) > 1
-    if batched:
-        # the explicit steps pass lists of floats to the broadcasting maps
-        def step_rhs(t, y):
-            return rhs(t, np.array(y)).tolist()
-
-        def stiffness(t, y):  # the stiffest component decides; NaN stays NaN
-            return float(np.abs(jac(t, np.array(y))).max())
-    else:
-        step_rhs = rhs
-        stiffness = jac and (lambda t, y: abs(jac(t, y)[0]))
+    kernel = (_Arrays if batched else _Floats)(rhs, jac)  # the Radau IIA stage kernel
+    # the explicit steps pass lists of floats to the broadcasting maps of a
+    # batched run, whose stiffest component decides (NaN stays NaN)
+    step_rhs = (lambda t, y: rhs(t, np.array(y)).tolist()) if batched else rhs
+    stiffness = jac and (lambda t, y: kernel.norm(kernel.call(jac, t, kernel.load(y))))
     y = tuple(float(v) for v in state0)
     t = float(t0)
     f = tuple(float(v) for v in step_rhs(t, y))
@@ -415,8 +414,7 @@ def integrate(
                 break
             # the explicit steps found the run stiff at the last node
             handoff = ts[-1]
-            radau = _radau_array_steps if batched else _radau_steps
-            steps = radau(rhs, jac, handoff, ys[-1], fs[-1], t_end, cfg, *termination)
+            steps = _radau_steps(kernel, handoff, ys[-1], fs[-1], t_end, cfg, *termination)
             continue
         segments.append(seg)
 
@@ -447,6 +445,11 @@ def integrate(
         ys.append(y_new)
         fs.append(f_new)
         g_prev = g_new
+        # the stall rule (see _STALL_STEPS)
+        if (len(ts) > _STALL_STEPS and t_new < t_end
+                and t_new - ts[-_STALL_STEPS] < 0.1 * abs(t_new)):
+            termination = "step_underflow"
+            break
 
     return Trajectory(
         ts=np.array(ts),
@@ -482,8 +485,8 @@ def _dop853_steps(rhs, stiffness, t, y, f, t_end, cfg):
 
     The error is measured in Hairer's RMS norm over the components or, with
     a stiffness, in the max norm, so that quiet components of a batched run
-    do not dilute one component's error (as in ``_radau_array_steps``); on
-    one component the two are the same.
+    do not dilute one component's error (as in ``_radau_steps``); on one
+    component the two are the same.
     """
     rel, ab = cfg.rel_tol, cfg.abs_tol
     # squared scaled components pooled: summed over n (the RMS norm) or the largest (n = 1)
@@ -607,142 +610,6 @@ def _combine(M, x):
     return [m0 * x0 + m1 * x1 + m2 * x2 + m3 * x3 + m4 * x4 for m0, m1, m2, m3, m4 in M]
 
 
-def _radau_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
-    """Accepted Radau IIA steps of one component as (segment, t_new, y_new,
-    f_new), from a first step h with n_steps of the step budget spent.
-
-    The stage system is solved by simplified Newton in the eigenbasis of
-    the Radau coefficient matrix, so each iteration costs five RHS calls,
-    one real and two complex divisions; the iteration stops on its increment
-    of the stage values.  The previous collocation polynomial, extrapolated,
-    starts the iteration; the Jacobian is re-evaluated only when the
-    iteration slows down or fails.  The arithmetic is that of
-    ``_radau_array_steps`` on one component, so that both take the same
-    steps.  Returns the termination reason when the steps end.
-    """
-    (y,), (f,) = y, f
-    rel, ab = cfg.rel_tol, cfg.abs_tol
-    newton_tol = max(_NEWTON_TOL_FLOOR / rel, min(0.03, rel**0.5))
-    e0, e1, e2, e3, e4 = _RE
-
-    h_old = err_old = None
-    prev = None  # last accepted step (t0, h, y0, Q): its polynomial starts Newton
-    J = None
-    jac_current = rejected = False
-    marks = [-math.inf] * _STALL_STEPS  # t after each accepted step
-    while t < t_end:
-        if n_steps >= cfg.max_steps:
-            return "max_steps"
-        n_steps += 1
-        h = min(h, t_end - t, cfg.max_step)
-        if h < _MIN_STEP or t - marks[-_STALL_STEPS] < 0.1 * abs(t):
-            return "step_underflow"
-        if J is None:
-            J = float(jac(t, (y,))[0])
-            jac_current = True
-            if not math.isfinite(J):
-                return "domain_exit"
-        # the stage solve: a real division and two complex ones,
-        # (a + i b) / (mr - J + i mi), as the products of 2x2 blocks
-        m_real = _MU_REAL / h
-        den_real = m_real - J
-        inv_real = 1.0 / den_real
-        (mr1, mi1), (mr2, mi2) = [(mu.real / h, mu.imag / h) for mu in _MU_COMPLEX]
-        cr1, cr2 = mr1 - J, mr2 - J
-        mod1, mod2 = cr1 * cr1 + mi1 * mi1, cr2 * cr2 + mi2 * mi2
-        a1, b1, a2, b2 = cr1 / mod1, mi1 / mod1, cr2 / mod2, mi2 / mod2
-        scale2 = (ab + rel * abs(y)) ** 2
-        stage_t = [t + c * h for c in _RC]
-
-        if prev is None:
-            Z = [0.0] * _RADAU_DENSE
-        else:
-            pt, ph, py, q = prev
-            Z = [py + s * _poly(q, s) - y for s in [(ts - pt) / ph for ts in stage_t]]
-        W = _combine(_RTI, Z)
-
-        converged = False
-        norm_old = rate = None
-        for it in range(_NEWTON_MAXITER):
-            g0, g1, g2, g3, g4 = _combine(_RTI, [rhs(ts, (y + z,))[0] for ts, z in zip(stage_t, Z)])
-            w0, w1, w2, w3, w4 = W
-            r0 = g0 - m_real * w0
-            r1, r2 = g1 - (mr1 * w1 - mi1 * w2), g2 - (mi1 * w1 + mr1 * w2)
-            r3, r4 = g3 - (mr2 * w3 - mi2 * w4), g4 - (mi2 * w3 + mr2 * w4)
-            dW = (inv_real * r0, a1 * r1 + b1 * r2, a1 * r2 - b1 * r1,
-                  a2 * r3 + b2 * r4, a2 * r4 - b2 * r3)
-            W = [w + d for w, d in zip(W, dW)]
-            dZ = _combine(_RT, dW)
-            # a non-finite RHS value makes the norm non-finite
-            dz_norm = math.sqrt(sum(d * d for d in dZ) / scale2 / _RADAU_DENSE)
-            if not math.isfinite(dz_norm):
-                break
-            if norm_old is not None:
-                rate = dz_norm / norm_old
-                # stop when diverging or when the remaining iterations
-                # cannot reach the tolerance at this rate
-                if rate >= 1 or rate ** (_NEWTON_MAXITER - it) / (1 - rate) * dz_norm > newton_tol:
-                    break
-            Z = [z + d for z, d in zip(Z, dZ)]
-            if dz_norm == 0 or (rate is not None and rate / (1 - rate) * dz_norm < newton_tol):
-                converged = True
-                break
-            norm_old = dz_norm
-        if not converged:
-            if jac_current:
-                h *= 0.5
-            else:
-                J = None  # retry the same step with a fresh Jacobian
-            continue
-
-        z0, z1, z2, z3, z4 = Z
-        y_new = y + z4
-        ze = (e0 * z0 + e1 * z1 + e2 * z2 + e3 * z3 + e4 * z4) / h
-        err = (f + ze) / den_real
-        sc = (ab + rel * max(abs(y), abs(y_new))) / DENSE_MARGIN
-        err_norm = abs(err / sc)
-        if rejected and err_norm > 1.0:
-            # after a rejection the estimate is filtered once more through
-            # the RHS, which keeps it honest on the stiff components
-            err = (rhs(t, (y + err,))[0] + ze) / den_real
-            err_norm = abs(err / sc)
-        safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + it + 1)
-        if not err_norm <= 1.0:
-            if math.isfinite(err_norm):
-                h *= max(0.2, safety * _predict_factor(h, h_old, err_norm, err_old))
-            else:
-                h *= 0.5
-            rejected = True
-            continue
-
-        t_new = t + h
-        f_new = float(rhs(t_new, (y_new,))[0])
-        # P^T maps the chord s Z_5 to (Z_5, 0, ..., 0): the stages' deviations
-        # from it, small on a smooth step, keep the large _RP's rounding off Q
-        Q = _combine(_RPT, [z - c * z4 for z, c in zip(Z, _RC)])
-        Q[0] += z4
-        prev = t, h, y, Q
-        yield _Segment(t, h, (y,), (Q,)), t_new, (y_new,), (f_new,)
-        if not math.isfinite(f_new):
-            return "domain_exit"
-
-        factor = min(8.0, max(0.2, safety * _predict_factor(h, h_old, err_norm, err_old)))
-        h_old, err_old = h, err_norm
-        t, y, f = t_new, y_new, f_new
-        # a slow iteration asks for the Jacobian of the new point
-        if rate is not None and it > 1 and rate > 1e-3:
-            J = None
-        marks.append(t)
-        jac_current = rejected = False
-        h *= factor
-    return "reached_end"
-
-
-def _transposed(A):
-    """A square matrix, or one per component, laid out for ``_rows``."""
-    return np.ascontiguousarray(np.swapaxes(np.array(A), 0, 1).reshape(len(A), len(A), -1))
-
-
 def _rows(AT, X):
     """A X for X of shape (n, dim), given AT[j, i] = A[i, j] (of shape
     (n, n, 1), or (n, n, dim) for one matrix per component).  Each row is
@@ -754,71 +621,115 @@ def _rows(AT, X):
 
 def _eigen_blocks(real, pairs):
     """The 5x5 matrix (of scalars or per-component arrays) of w -> (real w0,
-    m1 (w1 + i w2), m2 (w3 + i w4)), m = mr + i mi for the (mr, mi) of pairs."""
-    M = np.zeros((5, 5) + np.shape(real))
-    M[0, 0] = real
+    m1 (w1 + i w2), m2 (w3 + i w4)), m = mr + i mi for the (mr, mi) of
+    pairs, laid out for ``_rows``."""
+    MT = np.zeros((5, 5, np.size(real)))
+    MT[0, 0] = real
     for k, (mr, mi) in zip((1, 3), pairs):
-        M[k, k] = M[k + 1, k + 1] = mr
-        M[k, k + 1], M[k + 1, k] = -mi, mi
-    return M
+        MT[k, k] = MT[k + 1, k + 1] = mr
+        MT[k + 1, k], MT[k, k + 1] = -mi, mi
+    return MT
 
 
-def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
-    """Accepted Radau IIA steps of several components on ndarrays, from a
-    first step h with n_steps of the step budget spent.
+class _Floats:
+    """The Radau IIA stage arithmetic of one component on plain floats, one
+    of the two stage kernels of ``_radau_steps``.  A kernel loads a state
+    tuple, calls the RHS or ``jac`` on a state, takes the max norm and the
+    element-wise maximum, and holds the stage times with the Newton start
+    extrapolated from the last segment (Z and its transform W), the stage
+    solve of a step size (``solver``), one simplified Newton iteration (W +
+    dW, Z + dZ and the norm of dZ), the error estimate's combination of the
+    stages and the accepted step as ``integrate`` keeps it.
 
-    The rules of ``_radau_steps``, applied to all components on one step
-    sequence.  The stage values are (5, dim) arrays; one RHS call per Newton
-    iteration evaluates the five stages of every component.  The Newton
-    increment and the error estimate are measured in the max norm over the
-    components, so that quiet components do not dilute one component's
-    error.  The transforms are row combinations (``_rows``), not matrix
-    products, so that runs repeat bit for bit and equal components compute
-    bit-identical values.  Components equal at a node take one Newton start:
-    the extrapolation magnifies the rounding in which their last polynomials
+    Here the stage values Z and their transforms W are lists of five floats,
+    and the stage solve is a real division and two complex ones, (a + i b) /
+    (mr - J + i mi), as the products of 2x2 blocks.  The operations are
+    those of ``_Arrays`` on one component, so that both take the same steps.
+    """
+
+    load, norm, maximum = itemgetter(0), abs, max
+
+    def __init__(self, rhs, jac):
+        self.rhs, self.jac = rhs, jac
+
+    @staticmethod
+    def call(fn, t, y):
+        return float(fn(t, (y,))[0])
+
+    @staticmethod
+    def start(prev, t, h, y):
+        stage_t = [t + c * h for c in _RC]
+        if prev is None:
+            Z = [0.0] * _RADAU_DENSE
+        else:
+            (py,), (q,) = prev.y0, prev.Q
+            Z = [py + s * _poly(q, s) - y for s in [(ts - prev.t0) / prev.h for ts in stage_t]]
+        return stage_t, Z, _combine(_RTI, Z)
+
+    @staticmethod
+    def solver(m_real, inv_real, pairs):
+        return m_real, inv_real, pairs
+
+    def newton(self, stage_t, y, Z, W, solve, scale2):
+        m_real, inv_real, ((mr1, mi1, a1, b1), (mr2, mi2, a2, b2)) = solve
+        rhs = self.rhs
+        g0, g1, g2, g3, g4 = _combine(_RTI, [rhs(ts, (y + z,))[0] for ts, z in zip(stage_t, Z)])
+        w0, w1, w2, w3, w4 = W
+        r0 = g0 - m_real * w0
+        r1, r2 = g1 - (mr1 * w1 - mi1 * w2), g2 - (mi1 * w1 + mr1 * w2)
+        r3, r4 = g3 - (mr2 * w3 - mi2 * w4), g4 - (mi2 * w3 + mr2 * w4)
+        dW = (inv_real * r0, a1 * r1 + b1 * r2, a1 * r2 - b1 * r1,
+              a2 * r3 + b2 * r4, a2 * r4 - b2 * r3)
+        dZ = _combine(_RT, dW)
+        return ([w + d for w, d in zip(W, dW)], [z + d for z, d in zip(Z, dZ)],
+                math.sqrt(sum(d * d for d in dZ) / scale2 / _RADAU_DENSE))
+
+    @staticmethod
+    def estimate(Z):
+        return _combine((_RE,), Z)[0]
+
+    @staticmethod
+    def accepted(t, h, y, Z, y_new, f_new):
+        # P^T maps the chord s Z_5 to (Z_5, 0, ..., 0): the stages' deviations
+        # from it, small on a smooth step, keep the large _RP's rounding off Q
+        z4 = Z[-1]
+        Q = _combine(_RPT, [z - c * z4 for z, c in zip(Z, _RC)])
+        Q[0] += z4
+        return _Segment(t, h, (y,), (Q,)), (y_new,), (f_new,)
+
+
+class _Arrays:
+    """The Radau IIA stage arithmetic of several components on ndarrays (see
+    ``_Floats``).  The stage values Z and their transforms W are (5, dim)
+    arrays, and one RHS call per Newton iteration evaluates the five stages
+    of every component.
+    The transforms are row combinations (``_rows``), not matrix products, so
+    that runs repeat bit for bit and equal components compute bit-identical
+    values.  Components equal at a node take one Newton start: the
+    extrapolation magnifies the rounding in which their last polynomials
     differ, so they would split again by tens of ulps (a comparison run's
     gap would read that noise), where with one start they stay equal.
     """
-    y = np.array(y)
-    f = np.array(f)
-    rel, ab = cfg.rel_tol, cfg.abs_tol
-    newton_tol = max(_NEWTON_TOL_FLOOR / rel, min(0.03, rel**0.5))
-    TI, T, PT = _transposed(_RTI), _transposed(_RT), _transposed(_RPT)
+
+    TI, T, PT = (np.ascontiguousarray(np.transpose(A))[:, :, None] for A in (_RTI, _RT, _RPT))
     RE = np.array(_RE)[:, None, None]  # the estimate as one row for ``_rows``
     RC = np.array(_RC)[:, None]
+    load, maximum = np.array, np.maximum
 
-    h_old = err_old = None
-    prev = None
-    J = None
-    jac_current = rejected = False
-    marks = [-math.inf] * _STALL_STEPS
-    while t < t_end:
-        if n_steps >= cfg.max_steps:
-            return "max_steps"
-        n_steps += 1
-        h = min(h, t_end - t, cfg.max_step)
-        if h < _MIN_STEP or t - marks[-_STALL_STEPS] < 0.1 * abs(t):
-            return "step_underflow"
-        if J is None:
-            J = np.array(jac(t, y), dtype=float)
-            jac_current = True
-            if not np.all(np.isfinite(J)):
-                return "domain_exit"
-        m_real = _MU_REAL / h
-        ms = [(mu.real / h, mu.imag / h) for mu in _MU_COMPLEX]
-        M = _transposed(_eigen_blocks(m_real, ms))
-        den_real = m_real - J
-        # per component, the division by (mr - J + i mi) is the product
-        # with the block of (cr - i mi) / |cr + i mi|^2, cr = mr - J
-        blocks = []
-        for mr, mi in ms:
-            cr = mr - J
-            mod = cr * cr + mi * mi
-            blocks.append((cr / mod, -mi / mod))
-        S = _transposed(_eigen_blocks(1.0 / den_real, blocks))
-        scale2 = (ab + rel * np.abs(y)) ** 2
-        stage_t = t + RC * h
+    def __init__(self, rhs, jac):
+        self.rhs, self.jac = rhs, jac
 
+    @staticmethod
+    def call(fn, t, y):
+        return np.array(fn(t, y), dtype=float)
+
+    @staticmethod
+    def norm(x):
+        return float(np.abs(x).max())
+
+    @staticmethod
+    def start(prev, t, h, y):
+        stage_t = t + _Arrays.RC * h
         if prev is None:
             Z = np.zeros((_RADAU_DENSE, y.size))
         else:
@@ -826,24 +737,94 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
             Z = prev.y0 + s * _poly(prev.Q.T, s) - y
             _, first, where = np.unique(y, return_index=True, return_inverse=True)
             Z = Z[:, first[where]]
-        W = _rows(TI, Z)
+        return stage_t, Z, _rows(_Arrays.TI, Z)
+
+    @staticmethod
+    def solver(m_real, inv_real, pairs):
+        return (_eigen_blocks(m_real, [(mr, mi) for mr, mi, _, _ in pairs]),
+                _eigen_blocks(inv_real, [(a, -b) for _, _, a, b in pairs]))
+
+    def newton(self, stage_t, y, Z, W, solve, scale2):
+        M, S = solve
+        dW = _rows(S, _rows(self.TI, self.rhs(stage_t, y + Z)) - _rows(M, W))
+        dZ = _rows(self.T, dW)
+        dZ2 = dZ * dZ
+        dz2 = sum(dZ2[1:], dZ2[0]) / scale2
+        return W + dW, Z + dZ, math.sqrt(float(dz2.max()) / _RADAU_DENSE)
+
+    @staticmethod
+    def estimate(Z):
+        return _rows(_Arrays.RE, Z)[0]
+
+    @staticmethod
+    def accepted(t, h, y, Z, y_new, f_new):
+        Q = _rows(_Arrays.PT, Z - _Arrays.RC * Z[-1])
+        Q[0] += Z[-1]
+        return _Segment(t, h, y, Q.T), y_new, f_new
+
+
+def _radau_steps(kernel, t, y, f, t_end, cfg, h, n_steps):
+    """Accepted Radau IIA steps as (segment, t_new, y_new, f_new), from a
+    first step h with n_steps of the step budget spent, on the stage
+    arithmetic of ``kernel`` (``_Floats`` for one component, ``_Arrays``
+    for several on one step sequence).
+
+    The stage system is solved by simplified Newton in the eigenbasis of
+    the Radau coefficient matrix, so each iteration costs five RHS
+    evaluations and, per component, one real and two complex divisions; the
+    iteration stops on its increment of the stage values.  The previous
+    collocation polynomial, extrapolated, starts the iteration; the Jacobian
+    is re-evaluated only when the iteration slows down or fails.  The Newton
+    increment and the error estimate are measured in the kernel's norm, the
+    max norm over the components.  Returns the termination reason when the
+    steps end.
+    """
+    y, f = kernel.load(y), kernel.load(f)
+    rel, ab = cfg.rel_tol, cfg.abs_tol
+    newton_tol = max(_NEWTON_TOL_FLOOR / rel, min(0.03, rel**0.5))
+
+    h_old = err_old = None
+    prev = None  # the last accepted segment: its polynomial starts Newton
+    J = None
+    jac_current = rejected = False
+    while t < t_end:
+        if n_steps >= cfg.max_steps:
+            return "max_steps"
+        n_steps += 1
+        h = min(h, t_end - t, cfg.max_step)
+        if h < _MIN_STEP:
+            return "step_underflow"
+        if J is None:
+            J = kernel.call(kernel.jac, t, y)
+            jac_current = True
+            if not math.isfinite(kernel.norm(J)):
+                return "domain_exit"
+        m_real = _MU_REAL / h
+        den_real = m_real - J
+        pairs = []  # 1 / (mr - J + i mi) = (cr - i mi) / |cr + i mi|^2, cr = mr - J
+        for mu in _MU_COMPLEX:
+            mr, mi = mu.real / h, mu.imag / h
+            cr = mr - J
+            mod = cr * cr + mi * mi
+            pairs.append((mr, mi, cr / mod, mi / mod))
+        solve = kernel.solver(m_real, 1.0 / den_real, pairs)
+        scale2 = (ab + rel * abs(y)) ** 2
+        stage_t, Z, W = kernel.start(prev, t, h, y)
 
         converged = False
         norm_old = rate = None
         for it in range(_NEWTON_MAXITER):
-            dW = _rows(S, _rows(TI, rhs(stage_t, y + Z)) - _rows(M, W))
-            W += dW
-            dZ = _rows(T, dW)
             # a non-finite RHS value makes the norm non-finite
-            dZ2 = dZ * dZ
-            dz_norm = math.sqrt(float((sum(dZ2[1:], dZ2[0]) / scale2).max()) / _RADAU_DENSE)
+            W, Z_next, dz_norm = kernel.newton(stage_t, y, Z, W, solve, scale2)
             if not math.isfinite(dz_norm):
                 break
             if norm_old is not None:
                 rate = dz_norm / norm_old
+                # stop when diverging or when the remaining iterations
+                # cannot reach the tolerance at this rate
                 if rate >= 1 or rate ** (_NEWTON_MAXITER - it) / (1 - rate) * dz_norm > newton_tol:
                     break
-            Z = Z + dZ
+            Z = Z_next
             if dz_norm == 0 or (rate is not None and rate / (1 - rate) * dz_norm < newton_tol):
                 converged = True
                 break
@@ -852,17 +833,19 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
             if jac_current:
                 h *= 0.5
             else:
-                J = None
+                J = None  # retry the same step with a fresh Jacobian
             continue
 
         y_new = y + Z[-1]
-        ze = _rows(RE, Z)[0] / h
+        ze = kernel.estimate(Z) / h
         err = (f + ze) / den_real
-        sc = (ab + rel * np.maximum(np.abs(y), np.abs(y_new))) / DENSE_MARGIN
-        err_norm = float(np.abs(err / sc).max())
+        sc = (ab + rel * kernel.maximum(abs(y), abs(y_new))) / DENSE_MARGIN
+        err_norm = kernel.norm(err / sc)
         if rejected and err_norm > 1.0:
-            err = (rhs(t, y + err) + ze) / den_real
-            err_norm = float(np.abs(err / sc).max())
+            # after a rejection the estimate is filtered once more through
+            # the RHS, which keeps it honest on the stiff components
+            err = (kernel.call(kernel.rhs, t, y + err) + ze) / den_real
+            err_norm = kernel.norm(err / sc)
         safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + it + 1)
         if not err_norm <= 1.0:
             if math.isfinite(err_norm):
@@ -873,20 +856,18 @@ def _radau_array_steps(rhs, jac, t, y, f, t_end, cfg, h, n_steps):
             continue
 
         t_new = t + h
-        f_new = np.array(rhs(t_new, y_new), dtype=float)
-        Q = _rows(PT, Z - RC * Z[-1])
-        Q[0] += Z[-1]
-        prev = _Segment(t, h, y, Q.T)
-        yield prev, t_new, y_new, f_new
-        if not np.all(np.isfinite(f_new)):
+        f_new = kernel.call(kernel.rhs, t_new, y_new)
+        prev, y_out, f_out = kernel.accepted(t, h, y, Z, y_new, f_new)
+        yield prev, t_new, y_out, f_out
+        if not math.isfinite(kernel.norm(f_new)):
             return "domain_exit"
 
         factor = min(8.0, max(0.2, safety * _predict_factor(h, h_old, err_norm, err_old)))
         h_old, err_old = h, err_norm
         t, y, f = t_new, y_new, f_new
+        # a slow iteration asks for the Jacobian of the new point
         if rate is not None and it > 1 and rate > 1e-3:
             J = None
-        marks.append(t)
         jac_current = rejected = False
         h *= factor
     return "reached_end"

@@ -123,6 +123,18 @@ def test_knorm_fold_bowl_fails_fast(tmp_path):
     assert json.loads((tmp_path / "error.json").read_text())["error"] == "StructureError"
 
 
+def test_creeping_neck_chart_stalls_fast(tmp_path):
+    # at R 1e17 qk:k=3,n=6's closed-form x lies within rounding of its pole,
+    # and the neck chart's RHS is NaN at isolated tilts: the explicit steps
+    # collapse and creep there, and the stall rule ends the run within
+    # seconds (left to the step budget, it runs for about 95 s)
+    t0 = time.perf_counter()
+    assert run(["catenoid", "--curvature", "qk:k=3,n=6", "--R", "1e17", "--rmax", "1e18",
+                "--out", str(tmp_path), "--quiet"]) == 3
+    assert time.perf_counter() - t0 < 5.0
+    assert "step_underflow" in json.loads((tmp_path / "error.json").read_text())["message"]
+
+
 def test_bowl_bad_curvature_exit2(tmp_path):
     assert run(["bowl", "--curvature", "bogus:n=3", "--out", str(tmp_path)]) == 2
 

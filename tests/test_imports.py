@@ -1,9 +1,13 @@
-"""Every module-level import of the package is used by its module.
+"""Every module-level import of the package is used by its module, and
+every private module-level name is read somewhere.
 
-No linter ships with the package, so this is an ``ast`` pass over
+No linter ships with the package, so these are ``ast`` passes over
 ``src/translab/*.py``: a name bound by a top-level ``import`` or ``from ...
 import`` must be read somewhere in the module, or be re-exported through the
 module's ``__all__``.  ``from __future__`` imports are directives, not names.
+A module-level function, class or constant whose name starts with ``_``
+(dunders aside) must be read, as a name or as an attribute, somewhere in
+``src/translab/`` or ``tests/``.
 """
 
 import ast
@@ -12,6 +16,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "translab"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +47,48 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_names(source: str) -> dict:
+    """The module-level functions, classes and constants of ``source`` whose
+    names start with ``_`` (dunders aside), with their lines."""
+    bound = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        bound[n.id] = node.lineno
+    return {name: line for name, line in bound.items()
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+
+
+def names_read(source: str) -> set:
+    """The names and attribute names that ``source`` reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def unread_private_names(modules: dict, readers: list) -> list:
+    """The private names that the ``modules`` (file name -> source) define
+    and neither they nor the ``readers`` (sources) read."""
+    read = set().union(*map(names_read, [*modules.values(), *readers]))
+    return sorted(f"{file}: {name} (line {line})" for file, source in modules.items()
+                  for name, line in private_names(source).items() if name not in read)
+
+
+def test_the_check_finds_an_unread_private_name():
+    module = ("_A = 1\n_B, _C = 2, 3\n__all__ = []\ndef _f():\n    return _A\n"
+              "class _K:\n    pass\ndef g():\n    pass\n")
+    reader = "from pkg import m\nm._C\n"
+    assert unread_private_names({"m.py": module}, [reader]) == [
+        "m.py: _B (line 2)", "m.py: _K (line 6)", "m.py: _f (line 4)"]
+
+
+def test_no_unread_private_names():
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
+    assert unread_private_names(modules, readers) == []

@@ -567,20 +567,27 @@ def test_radau_tableau_from_its_definition():
     assert close(P, ode._RP)
 
 
-def test_radau_order_on_a_linear_problem():
-    # fixed steps of the Radau IIA core on y' = -y over [0, 4] (tolerances
+@pytest.mark.parametrize("kernel, y0", [
+    (ode._Floats(lambda t, y: (-y[0],), lambda t, y: (-1.0,)), (1.0,)),
+    (ode._Arrays(lambda t, y: -y, lambda t, y: -np.ones_like(y)), (1.0, 0.5, 2.0)),
+], ids=["floats", "arrays"])
+def test_radau_order_on_a_linear_problem(kernel, y0):
+    # fixed steps of the Radau IIA core on y' = -y over [0, 4], with the
+    # stage arithmetic of one component and of a batch of three (tolerances
     # loose enough for every step to meet them at max_step): halving h cuts
     # the node error by about 2^9 (order 9, 2^8.96 here) and the error of
     # the collocation polynomial inside the steps by about 2^6 (order 5,
     # 2^5.6 here)
+    def error(t, y):
+        return max(abs(v - v0 * math.exp(-t)) for v, v0 in zip(y, y0))
+
     node, dense = [], []
     for h in (1.0, 0.5):
         cfg = IntegratorConfig(rel_tol=1.0, abs_tol=1.0, max_step=h)
-        steps = list(ode._radau_steps(lambda t, y: (-y[0],), lambda t, y: (-1.0,),
-                                      0.0, (1.0,), (-1.0,), 4.0, cfg, h, 0))
+        steps = list(ode._radau_steps(kernel, 0.0, y0, tuple(-v for v in y0), 4.0, cfg, h, 0))
         assert [seg.h for seg, *_ in steps] == [h] * round(4.0 / h)
-        node.append(max(abs(y[0] - math.exp(-t)) for _, t, y, _ in steps))
-        dense.append(max(abs(seg.eval(t)[0] - math.exp(-t)) for seg, *_ in steps
+        node.append(max(error(t, y) for _, t, y, _ in steps))
+        dense.append(max(error(t, seg.eval(t)) for seg, *_ in steps
                          for t in seg.t0 + seg.h * np.linspace(0.0, 1.0, 41)))
     assert node[0] / node[1] >= 2.0**8.5
     assert dense[0] / dense[1] >= 2.0**5
