@@ -50,16 +50,13 @@ class BarrierSpec:
 @dataclass
 class BarrierReport:
     grid: np.ndarray
-    w: np.ndarray
     margins: np.ndarray
     min_margin: float
-    r_star: Optional[float]  # first grid radius past which the verdict sign holds
     verdict: str  # verified_super | verified_sub | violated
-    r_at: Optional[float] = None
-    skipped: int = 0
+    skipped: int
     # settle radii for each orientation (to SIGN_TOL); None if never settles
-    r_star_nonneg: Optional[float] = None
-    r_star_nonpos: Optional[float] = None
+    r_star_nonneg: Optional[float]
+    r_star_nonpos: Optional[float]
 
 
 def _invert_scaled(target: float, beta: float) -> float:
@@ -121,7 +118,6 @@ def verify_inequality(spec: BarrierSpec, f: CurvatureFunction, grid: np.ndarray)
     beta = f.beta
     branch = ImplicitBranch(f)
     margins = np.full(len(grid), np.nan)
-    ws = np.full(len(grid), np.nan)
     skipped = 0
     # the cone barrier's argument is m_bar up to rounding: a few distinct
     # values over the whole grid, each solved once
@@ -134,7 +130,6 @@ def verify_inequality(spec: BarrierSpec, f: CurvatureFunction, grid: np.ndarray)
             if g is None:
                 g = g_of[yarg] = branch.g_minus(yarg)
             margins[i] = wp - (1 + w * w) ** (beta + 1.0) * g
-            ws[i] = w
         except TranslabError:
             skipped += 1
     valid = ~np.isnan(margins)
@@ -142,7 +137,6 @@ def verify_inequality(spec: BarrierSpec, f: CurvatureFunction, grid: np.ndarray)
         raise DomainError("barrier argument left the g_- domain at every grid point")
     mv = margins[valid]
     gv = np.asarray(grid)[valid]
-    min_margin = float(np.min(mv))
 
     def settle_radius(sign):
         good = sign * mv >= -SIGN_TOL
@@ -156,19 +150,10 @@ def verify_inequality(spec: BarrierSpec, f: CurvatureFunction, grid: np.ndarray)
     r_super = settle_radius(+1)
     r_sub = settle_radius(-1)
     if r_super is not None and (r_sub is None or r_super <= r_sub):
-        return BarrierReport(
-            gv, ws[valid], mv, min_margin, r_super, "verified_super",
-            skipped=skipped, r_star_nonneg=r_super, r_star_nonpos=r_sub,
-        )
-    if r_sub is not None:
-        return BarrierReport(
-            gv, ws[valid], mv, min_margin, r_sub, "verified_sub",
-            skipped=skipped, r_star_nonneg=r_super, r_star_nonpos=r_sub,
-        )
-    worst = int(np.argmin(np.abs(mv)))
-    return BarrierReport(
-        gv, ws[valid], mv, min_margin, None, "violated", r_at=float(gv[worst]), skipped=skipped
-    )
+        verdict = "verified_super"
+    else:
+        verdict = "violated" if r_sub is None else "verified_sub"
+    return BarrierReport(gv, mv, float(np.min(mv)), verdict, skipped, r_super, r_sub)
 
 
 def log_grid(r_lo: float, r_hi: float, per_decade: int = 400) -> np.ndarray:
@@ -218,14 +203,11 @@ def compare_orderings(
     traj = integrate(rhs, r0, [v for pair in pairs for v in pair], r_end, cfg, jac=jac)
     grid = np.linspace(r0, r_end, 200)
     vs = traj.resample(grid[grid <= traj.t_final])
-    gaps = np.min(vs[:, 1::2] - vs[:, 0::2], axis=0)
-    worst = int(np.argmin(gaps))
-    min_gap = float(gaps[worst])
+    min_gap = float(np.min(vs[:, 1::2] - vs[:, 0::2]))
     reached = traj.termination == "reached_end"
     return {
         "min_gap": min_gap,
         "pairs": len(pairs),
-        "worst_pair": pairs[worst],
         "all_ordered": reached and min_gap >= -1e-9,
         "termination": traj.termination,
         "r_reached": traj.t_final,

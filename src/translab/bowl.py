@@ -42,14 +42,10 @@ FIT_SAMPLES = 200
 @dataclass
 class BowlProfile:
     curvature: CurvatureFunction = field(repr=False)
-    alpha: float
-    beta: float
     r: np.ndarray
     u: np.ndarray
     v: np.ndarray
     residuals: np.ndarray
-    termination: str
-    lambda0: float
     trajectory: Trajectory = field(repr=False, default=None)
 
     @property
@@ -203,18 +199,8 @@ def solve_bowl(f: CurvatureFunction, r_max: float) -> BowlProfile:
     # u(AXIS_EPS) is the exact integral of the series start on [0, AXIS_EPS];
     # each step adds the exact integral of its collocation polynomial
     u = traj.node_integrals(0.5 * f.lambda0 * AXIS_EPS**2)
-    return BowlProfile(
-        curvature=f,
-        alpha=a,
-        beta=f.beta,
-        r=r,
-        u=u,
-        v=v,
-        residuals=_node_residuals(f, r, v, traj.fs[:, 0], v, clamp_y=clamp),
-        termination=traj.termination,
-        lambda0=f.lambda0,
-        trajectory=traj,
-    )
+    return BowlProfile(curvature=f, r=r, u=u, v=v, trajectory=traj,
+                       residuals=_node_residuals(f, r, v, traj.fs[:, 0], v, clamp_y=clamp))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +284,7 @@ def fit_tail(profile: BowlProfile, window: Optional[tuple] = None) -> Asymptotic
     window = window or default_window(profile)
     r = _window_grid(profile.r, window)
     v = profile.v_at(r)
-    al = profile.alpha
+    al = f.alpha_float
 
     if regime == "nondegenerate":
         a_f, b_f = coeffs_nondegenerate(f)

@@ -46,8 +46,8 @@ and, on the lower branch, whose arc length s runs down from the neck,
     theta_bar = pi/2 + |psi - pi/2|   (pi/2 + |arctan(du/dr)| on graph charts)
 
 which starts at pi at the neck, falls, touches pi/2 exactly at the lowest
-point of the branch (recorded as both the pi/2 crossing s0 and the angle
-minimum s1), and rises back toward pi along the convex outer end.  The
+point of the branch (its arc length s0, both the pi/2 crossing and the angle
+minimum), and rises back toward pi along the convex outer end.  The
 reported ``kappa`` is d theta / ds: X, and -X past the bottom.
 """
 
@@ -113,7 +113,6 @@ class NeckSolution:
 
 @dataclass
 class Profile:
-    side: str  # "upper" | "lower"
     s: np.ndarray
     r: np.ndarray
     u: np.ndarray
@@ -126,8 +125,9 @@ class Profile:
     tail: Optional[Trajectory] = field(default=None, repr=False)
     tail_start: int = 0
     charts: dict = field(default_factory=dict)  # as on NeckSolution
-    # on an ascending end: u - u_b at the tail's last node, its merge radius
-    # (None if it reached r_max unmerged) and the bowl, whose rows follow it
+    # on an ascending end: u - u_b at the tail's last node (C+ on the upper
+    # branch, C- on the lower), its merge radius (None if it reached r_max
+    # unmerged) and the bowl, whose rows follow it
     offset: Optional[float] = None
     r_merge: Optional[float] = None
     bowl: Optional[BowlProfile] = field(default=None, repr=False)
@@ -154,16 +154,10 @@ class CatenoidResult:
     R: float
     upper: Profile
     lower: Profile
-    s0: Optional[float]
-    s1: Optional[float]
+    s0: Optional[float]  # the bottom's arc length on a continuous_origin end
     case: str  # "continuous_origin" | "derivative_origin"
-    n_pi2_events: int
-    n_theta_min_events: int
-    C_plus: Optional[float] = None
-    C_minus: Optional[float] = None
     end_behavior: dict = field(default_factory=dict)
     embeddedness: dict = field(default_factory=dict)
-    handoff_tan: float = HANDOFF_TAN
     charts: dict = field(default_factory=dict)  # every chart's, and the bowl's
 
 
@@ -208,11 +202,10 @@ def solve_neck(f: CurvatureFunction, R: float, handoff_tan: float = HANDOFF_TAN)
     )
 
 
-def _profile(side: str, columns: list, tail: Optional[Trajectory], charts: dict,
-             **ends) -> Profile:
+def _profile(columns: list, tail: Optional[Trajectory], charts: dict, **ends) -> Profile:
     """A branch profile from its charts' columns, in order along the branch,
     the last one the tail's (see ``_graph_chart`` for the ends)."""
-    return Profile(side, *(np.concatenate(c) for c in zip(*columns)), tail=tail, charts=charts,
+    return Profile(*(np.concatenate(c) for c in zip(*columns)), tail=tail, charts=charts,
                    tail_start=sum(len(c[0]) for c in columns[:-1]), **ends)
 
 
@@ -306,7 +299,7 @@ def solve_upper_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float,
     if np.any(columns[3] <= 0) or np.any(columns[3] >= math.pi / 2):
         raise StructureError("upper branch tangent angle left (0, pi/2)")
     # the neck rows are profile columns as they stand: theta = phi going up
-    return _profile("upper", [neck.up.T, columns], traj, {"upper": traj.step_counts()}, **ends)
+    return _profile([neck.up.T, columns], traj, {"upper": traj.step_counts()}, **ends)
 
 
 def classify_case(f: CurvatureFunction) -> tuple:
@@ -323,11 +316,11 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
                        b: Optional[float], bowl: BowlProfile,
                        handoff_tan: float = HANDOFF_TAN) -> tuple:
     """Descend from the neck on the lower end of ``classify_case``, with
-    its slope b; returns (Profile, s0, s1, end_behavior, n_pi2, n_min).
+    its slope b; returns (Profile, s0, end_behavior).
 
     The lower arc starts at the neck, psi = 0, with r = R and u = s = 0.
     Case "continuous_origin": the branch bottoms out at finite radius
-    (slope-zero crossing, arc length s0 = s1) and continues as a convex
+    (slope-zero crossing, arc length s0) and continues as a convex
     ascending graph, merging with the bowl.  Case "derivative_origin": the
     branch descends and flattens forever; the end slope is fitted to -a r^b.
     """
@@ -377,13 +370,12 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
     columns.append((s, r, u, math.pi / 2 + np.abs(th), np.sign(th) * np.abs(kappa), resid))
     charts = {"lower_arc": arc.step_counts(),
               "lower" if descending else "lower_tail": tail.step_counts()}
-    profile = _profile("lower", columns, tail, charts, **ends)
+    profile = _profile(columns, tail, charts, **ends)
 
     if not descending:
         if np.any(tail.fs[:, 0] <= 0):
             raise StructureError("post-turn tail is not convex")
-        # the folded angle attains its minimum at the bottom
-        return profile, s0, s0, {"case": case, "kind": "bowl_type"}, 1, 1
+        return profile, s0, {"case": case, "kind": "bowl_type"}
 
     if tail.ys[-1, 0] >= 0:
         raise StructureError("derivative_origin branch unexpectedly turned upward")
@@ -400,7 +392,7 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
         "a_R": float(math.exp(np.mean(np.log(w) - b * np.log(r)))),
         "theta_prime_end": float(abs(tail.fs[-1, 0]) / (1 + tail.ys[-1, 0] ** 2) ** 1.5),
     }
-    return profile, None, None, end_behavior, 0, 0
+    return profile, None, end_behavior
 
 
 def check_embeddedness(result: CatenoidResult) -> dict:
@@ -446,13 +438,10 @@ def solve_catenoid(
     if bowl is None:
         bowl = solve_bowl(f, r_max)
     # the lower branch first: it rejects an r_max too close to the neck
-    lower, s0, s1, end_behavior, n_pi2, n_min = solve_lower_branch(f, neck, r_max, case, b,
-                                                                    bowl, handoff_tan)
+    lower, s0, end_behavior = solve_lower_branch(f, neck, r_max, case, b, bowl, handoff_tan)
     upper = solve_upper_branch(f, neck, r_max, bowl)
     result = CatenoidResult(
-        R=R, upper=upper, lower=lower, s0=s0, s1=s1, case=case,
-        n_pi2_events=n_pi2, n_theta_min_events=n_min, C_plus=upper.offset,
-        C_minus=lower.offset, end_behavior=end_behavior, handoff_tan=handoff_tan,
+        R=R, upper=upper, lower=lower, s0=s0, case=case, end_behavior=end_behavior,
         charts={**neck.charts, **upper.charts, **lower.charts,
                 "bowl": bowl.trajectory.step_counts()},
     )

@@ -190,8 +190,8 @@ def cmd_bowl(args):
             "curvature_key": f.name,
             "alpha": f.alpha_float,
             "beta": f.beta,
-            "lambda0": profile.lambda0,
-            "termination": profile.termination,
+            "lambda0": f.lambda0,
+            "termination": profile.trajectory.termination,
             "regime": report.regime,
             "formula": report.formula,
             "fitted": report.fitted,
@@ -214,6 +214,7 @@ def cmd_catenoid(args):
     def solve(manifest):
         res = solve_catenoid(f, args.R, args.rmax, handoff_tan=handoff)
         gexp = upper_growth_exponent(res)
+        events = int(res.case == "continuous_origin")
 
         for side, prof in (("upper", res.upper), ("lower", res.lower)):
             manifest.emit(f"{side}.csv", write_csv, "s,r,u,theta,kappa,residual",
@@ -235,16 +236,17 @@ def cmd_catenoid(args):
             "R": res.R,
             "case": res.case,
             "s0": res.s0,
-            "s1": res.s1,
-            "n_pi2_events": res.n_pi2_events,
-            "n_theta_min_events": res.n_theta_min_events,
-            "C_plus": res.C_plus,
-            "C_minus": res.C_minus,
+            "s1": res.s0,  # the folded angle's minimum is the bottom
+            # a continuous_origin end crosses pi/2 once, at its one angle minimum
+            "n_pi2_events": events,
+            "n_theta_min_events": events,
+            "C_plus": res.upper.offset,
+            "C_minus": res.lower.offset,
             "r_merge": {"upper": res.upper.r_merge, "lower": res.lower.r_merge},
             "end_behavior": res.end_behavior,
             "embeddedness": res.embeddedness,
             "upper_growth_exponent": gexp,
-            "handoff_tan": res.handoff_tan,
+            "handoff_tan": handoff,
             "charts": res.charts,
         }
 

@@ -20,10 +20,6 @@ class DomainError(TranslabError):
 class ConvergenceError(TranslabError):
     """A root solve or integration failed to converge."""
 
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
-
 
 class UnsupportedError(TranslabError):
     """Operation not available for this curvature function."""

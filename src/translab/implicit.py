@@ -95,7 +95,7 @@ class ImplicitBranch:
         _, past = least(lambda v: v > z, below, hi)
         if below <= lo + 1 or past >= hi - 1:
             raise ConvergenceError(f"{f.name}: no root of gamma = {z} at y={y}, only its approach "
-                                   "to a chart end", bracket=(_float_at(below), _float_at(past)))
+                                   "to a chart end")
         return _float_at((first + past - 1) // 2 if past > first else first)
 
     # -- public branches ------------------------------------------------------

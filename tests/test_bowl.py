@@ -36,8 +36,8 @@ def test_axis_start_mean_n3():
     f = from_key("mean:n=3")
     assert f.value(1.0, 1.0) == pytest.approx(1.5)
     p = profile("mean:n=3", 50.0)
-    assert p.lambda0 == pytest.approx(2.0 / 3.0, abs=1e-14)
-    assert p.v[0] / p.r[0] == pytest.approx(p.lambda0, abs=1e-6)
+    assert f.lambda0 == pytest.approx(2.0 / 3.0, abs=1e-14)
+    assert p.v[0] / p.r[0] == pytest.approx(f.lambda0, abs=1e-6)
 
 
 @pytest.mark.parametrize("key,rmax", [("mean:n=4", 30.0), ("gauss:n=4", 30.0), ("sk:k=3,n=5", 8.0)])
@@ -50,7 +50,7 @@ def test_axis_umbilic_start(key, rmax):
 
 def test_gauss_profile_reaches_and_residual():
     p = profile("gauss:n=4", 1e3)
-    assert p.termination == "reached_end"
+    assert p.trajectory.termination == "reached_end"
     assert p.r[-1] >= 1e3 - 1e-9
     assert p.residuals.max() <= 1e-8
 
@@ -67,7 +67,7 @@ def test_height_matches_high_order_oracle():
     sol = solve_ivp(
         lambda r, y: [value(r, y[0]), y[0]],
         (AXIS_EPS, 1e3),
-        [p.lambda0 * AXIS_EPS, 0.5 * p.lambda0 * AXIS_EPS**2],
+        [f.lambda0 * AXIS_EPS, 0.5 * f.lambda0 * AXIS_EPS**2],
         method="DOP853",
         rtol=1e-13,
         atol=1e-20,
@@ -88,7 +88,7 @@ def test_alpha_three_reaches_r100():
     t0 = time.perf_counter()
     p = solve_bowl(from_key("sk:k=3,n=5"), 100.0)
     dt = time.perf_counter() - t0
-    assert p.termination == "reached_end"
+    assert p.trajectory.termination == "reached_end"
     assert dt < 5.0
     assert fit_tail(p).rel_errors["a"] <= 0.01
     assert growth_exponent(p) == pytest.approx(4.0, rel=0.02)
@@ -102,9 +102,9 @@ def test_v_strictly_increasing():
 def test_slope_argument_in_domain_closure():
     # nondegenerate: y = v/(r (1+v^2)^beta) never exceeds the cylinder value
     p = profile("mean:n=4", 50.0)
-    y = p.v / (p.r * (1 + p.v**2) ** p.beta)
+    y = p.v / (p.r * (1 + p.v**2) ** p.curvature.beta)
     assert np.all(y <= 1.0 + 1e-12)
-    lam0 = p.lambda0
+    lam0 = p.curvature.lambda0
     assert np.all(y >= lam0 - 1e-9)
 
 

@@ -130,6 +130,26 @@ def test_large_neck_reaches_handoff(key, R):
     assert res.charts["lower_arc"]["explicit_steps"] <= 20
 
 
+# past these R one DOP853 step crosses the pole z = 2y of X onto the other
+# piece of solve_x, and the chart rides X near the pole to the handoff tilt
+# (CHANGES.md FOUND: large-R necks)
+_POLE_CROSSED = {(3, 12), (4, 13), (5, 13), (5, 14)}
+
+
+@pytest.mark.parametrize("k, e", [
+    pytest.param(k, e, marks=pytest.mark.xfail((k, e) in _POLE_CROSSED, strict=True,
+                                               reason="a neck chart step crosses the pole of X"))
+    for k in (3, 4, 5) for e in range(3, 15)])
+def test_large_neck_ends_at_its_curvature_zero(k, e):
+    # on a neck of radius R the curvature X(sin phi / r, cos phi) vanishes
+    # where gamma(0, y) = y meets z = cos phi, at the tilt 1 / R from the
+    # vertical, well before the handoff tilt pi/8
+    R = 10.0**e
+    neck = solve_neck(from_key(f"qk:k={k},n=6"), R)
+    assert neck.up_exit_reason == "curvature_zero"
+    assert (math.pi / 2 - neck.up[-1, 3]) * R == pytest.approx(1.0, rel=0.03)
+
+
 def test_neck_requires_signed():
     with pytest.raises(UnsupportedError):
         solve_neck(from_key("mean:n=3"), 1.0)
@@ -145,10 +165,16 @@ def test_neck_requires_signed():
 def test_sk_case_and_events():
     res = catenoid("sk:k=3,n=5", 1.0, 12.0)
     assert res.case == "continuous_origin"
-    assert res.n_pi2_events == 1
-    assert res.n_theta_min_events == 1
     assert res.s0 is not None and res.s0 > 0
-    assert res.s1 == res.s0  # folded angle attains its minimum at the bottom
+    # one pi/2 event at one angle minimum: the folded angle falls to its
+    # minimum and rises after it, but for the row repeated where the lower
+    # arc hands over to the tail
+    th = res.lower.theta
+    i0 = int(np.argmin(th))
+    assert np.all(np.diff(th[: i0 + 1]) < 0)
+    rise = np.diff(th[i0:])
+    assert np.all(rise >= 0)
+    assert (np.flatnonzero(rise == 0) + i0).tolist() == [res.lower.tail_start - 1]
 
 
 def test_sk_lower_theta_structure():
@@ -307,7 +333,7 @@ def test_c_plus_window_stability():
     for w in [(4.0, 8.0), (6.0, 11.0)]:
         grid = np.geomspace(*w, 100)
         c = float(np.mean(up.u_at(grid) - bowl.u_at(grid)))
-        assert c == pytest.approx(res.C_plus, rel=1e-3)
+        assert c == pytest.approx(up.offset, rel=1e-3)
 
 
 @pytest.mark.parametrize("key, R, rmax", [
@@ -318,7 +344,8 @@ def test_ascending_ends_merge_into_the_bowl(key, R, rmax):
     bowl = _CACHE[("bowl", key, rmax)]
     ends = [res.upper] + ([res.lower] if res.case == "continuous_origin" else [])
     assert res.lower.r_merge is None or res.case == "continuous_origin"
-    for prof, C in zip(ends, (res.C_plus, res.C_minus)):
+    for prof in ends:
+        C = prof.offset
         assert 0 < prof.r_merge < 15 * R
         # the chart's last node is the merge; the rows past it are the
         # bowl's, moved up by C, and reach r_max
@@ -341,13 +368,13 @@ def test_offsets_at_the_merge_match_the_window_mean():
     bowl = _CACHE[("bowl", "sk:k=3,n=5", 10.0)]
     rhs, jac = _slope_scalar(f, None)
     grid = np.geomspace(10.0 / 3.0, 9.0, 200)
-    for prof, C in ((res.upper, res.C_plus), (res.lower, res.C_minus)):
+    for prof in (res.upper, res.lower):
         assert prof.r_merge < grid[0]
         i = prof.tail_start
         chart = integrate(rhs, prof.r[i], prof.tail.ys[0], 10.0, PROFILE_CONFIG, jac=jac)
         assert chart.termination == "reached_end"
         u = chart.integral_at(grid, chart.node_integrals(prof.u[i]))
-        assert np.mean(u - bowl.u_at(grid)) == pytest.approx(C, rel=1e-9)
+        assert np.mean(u - bowl.u_at(grid)) == pytest.approx(prof.offset, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +437,9 @@ def test_chart_independence_sk():
     r8 = catenoid("sk:k=3,n=5", 1.0, 12.0)
     r6 = catenoid("sk:k=3,n=5", 1.0, 12.0, handoff_tan=math.tan(math.pi / 6))
     assert abs(r8.s0 - r6.s0) / r8.s0 < 1e-4
-    assert abs(r8.C_plus - r6.C_plus) / max(abs(r8.C_plus), 1e-12) < 1e-4
-    assert abs(r8.C_minus - r6.C_minus) / abs(r8.C_minus) < 1e-4
+    c8, c6 = r8.upper.offset, r6.upper.offset
+    assert abs(c8 - c6) / max(abs(c8), 1e-12) < 1e-4
+    assert abs(r8.lower.offset - r6.lower.offset) / abs(r8.lower.offset) < 1e-4
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

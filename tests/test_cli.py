@@ -177,6 +177,10 @@ def test_catenoid_files(tmp_path):
     payload = json.loads((out / "catenoid.json").read_text())
     assert payload["case"] == "derivative_origin"
     assert payload["end_behavior"]["kind"] == "logarithmic"
+    # no bottom, no lower offset; the handoff tangent is the default's
+    assert [payload[k] for k in ("s0", "s1", "n_pi2_events", "n_theta_min_events", "C_minus")] \
+        == [None, None, 0, 0, None]
+    assert payload["handoff_tan"] == math.tan(math.pi / 8)
 
 
 @pytest.mark.parametrize("key, R, rmax", [("qk:k=3,n=6", 1.0, 200.0), ("qk:k=4,n=6", 1.0, 200.0),
@@ -222,6 +226,8 @@ def test_catenoid_first_quotient_is_normalized_s1(tmp_path, key):
         payloads.append(json.loads((out / "catenoid.json").read_text()))
     quotient, s1 = payloads
     assert quotient["case"] == s1["case"] == "continuous_origin"
+    # the bottom is the one pi/2 event and the one angle minimum
+    assert (s1["s1"], s1["n_pi2_events"], s1["n_theta_min_events"]) == (s1["s0"], 1, 1)
     for field in ("s0", "C_plus", "C_minus"):
         assert quotient[field] == pytest.approx(s1[field], abs=1e-9)
 

@@ -1,5 +1,6 @@
 """Every module-level import of the package is used by its module, and
-every private module-level name is read somewhere.
+every private module-level name and every field of class state is read
+somewhere.
 
 No linter ships with the package, so these are ``ast`` passes over
 ``src/translab/*.py``: a name bound by a top-level ``import`` or ``from ...
@@ -7,7 +8,9 @@ import`` must be read somewhere in the module, or be re-exported through the
 module's ``__all__``.  ``from __future__`` imports are directives, not names.
 A module-level function, class or constant whose name starts with ``_``
 (dunders aside) must be read, as a name or as an attribute, somewhere in
-``src/translab/`` or ``tests/``.
+``src/translab/`` or ``tests/``.  Every field that a class declares, and every
+attribute that its ``__init__`` sets on ``self``, must be read as an attribute
+somewhere in ``src/translab/``, ``tests/`` or ``bench/``.
 """
 
 import ast
@@ -17,6 +20,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "translab"
 TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def unused_imports(source: str) -> list:
@@ -92,3 +96,48 @@ def test_no_unread_private_names():
     modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     readers = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
     assert unread_private_names(modules, readers) == []
+
+
+def state_fields(source: str) -> dict:
+    """The state that the classes of ``source`` declare, as "Class.name" with
+    its line: every annotated field in a class body (dataclass or NamedTuple)
+    and every ``self.<name>`` that an ``__init__`` assigns."""
+    fields = {}
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                fields[f"{cls.name}.{node.target.id}"] = node.lineno
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                for n in ast.walk(node):
+                    if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                            and isinstance(n.value, ast.Name) and n.value.id == "self"):
+                        fields[f"{cls.name}.{n.attr}"] = n.lineno
+    return fields
+
+
+def unread_state(modules: dict, readers: list) -> list:
+    """The class state that the ``modules`` (file name -> source) declare and
+    that neither they nor the ``readers`` (sources) read as an attribute."""
+    read = {n.attr for source in [*modules.values(), *readers] for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{file}: {name} (line {line})" for file, source in modules.items()
+                  for name, line in state_fields(source).items()
+                  if name.partition(".")[2] not in read)
+
+
+def test_the_check_finds_unread_state():
+    module = ("class P:\n    a: int\n    b: float = 0.0\n"
+              "class E(Exception):\n    def __init__(self, m, c=None):\n"
+              "        super().__init__(m)\n        self.c = c\n        self.d = 1\n"
+              "def f(p, e):\n    return p.a, e.d\n")
+    reader = "from pkg import m\nm.P(a=1, b=2).b = 3\n"  # a keyword and a store read nothing
+    assert unread_state({"m.py": module}, [reader]) == [
+        "m.py: E.c (line 7)", "m.py: P.b (line 3)"]
+
+
+def test_no_unread_state():
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text() for path in sorted([*TESTS.glob("*.py"), *BENCH.glob("*.py")])]
+    assert unread_state(modules, readers) == []

@@ -471,6 +471,20 @@ def test_batched_run_hands_off_as_one_component_does():
     assert handoffs == {None, batch.handoff}
 
 
+def test_stall_rule_ends_a_stability_limited_explicit_run():
+    # y' = -1e6 (y - cos t) - sin t, given no Jacobian, keeps DOP853 on its
+    # stability boundary at h ~ 6.4e-6: _STALL_STEPS accepted steps advance t
+    # by less than a tenth of |t|, and the stall rule ends the run there,
+    # on the solution y = cos t
+    tr = integrate(lambda t, y: (-1e6 * (y[0] - math.cos(t)) - math.sin(t),),
+                   1.0, [math.cos(1.0)], 10.0)
+    assert tr.termination == "step_underflow"
+    assert tr.step_counts() == {"handoff": None, "explicit_steps": ode._STALL_STEPS,
+                                "radau_steps": 0}
+    assert 1.0 < tr.t_final < 1.01
+    assert np.max(np.abs(tr.ys[:, 0] - np.cos(tr.ts))) <= 1e-9
+
+
 # DOP853's stages 1-11 name their nonzero weights a_ij by these j (see
 # _dop853_steps); stage 0 has none
 _DOP853_COLS = ([0], [0, 1], [0, 2], [0, 2, 3], [0, 3, 4], [0, 3, 4, 5], [0, 3, 4, 5, 6],
