@@ -24,12 +24,13 @@ the dense-output polynomials and the controllers are all spelled out
 below; identical inputs produce bit-identical trajectories.
 
 The explicit steps work on plain Python floats (tuples), an order of
-magnitude faster than ndarray arithmetic at the sizes of the charts (one
-or two components), with one broadcasting RHS call per stage on a batched
-run.  One Radau IIA step controller serves every run on one of two stage
-kernels: plain floats for one component (``_Floats``), ndarrays for a
-batched run (``_Arrays``), where one RHS call evaluates the five stages of
-every component.  Trajectories are packed into numpy arrays on exit.
+magnitude faster than ndarray arithmetic at the sizes of the charts, with
+one broadcasting RHS call per stage on a batched run.  One Radau IIA step
+controller serves every run on one of two stage kernels, each building its
+stage-solve coefficients from h and J (``solver``): written-out float
+expressions on five named stages for one component (``_Floats``), ndarrays
+for a batched run (``_Arrays``), one RHS call for the five stages of every
+component.  Trajectories are packed into numpy arrays on exit.
 
 References
 ----------
@@ -186,9 +187,10 @@ _RADAU_DENSE = len(_RC)
 _ERR_EXP = -1 / (_RADAU_DENSE + 1)
 # the Newton cap and tolerance floor: on the bowl and catenoid CLI jobs 6-12
 # iterations move the RHS calls by under 1%, floors of 10, 30 and 100 eps take
-# 16,315, 15,912 and 15,615 bowl calls.  The iteration stops on its increment
-# of the stage values: in the eigenbasis, whose transform magnifies rounding,
-# the bowl of qk:k=4,n=6 to r 5e6 took 592,238 steps where it takes 1,815
+# 16,315, 15,912 and 15,615 bowl calls, and one above 0.03 stalls bowls at
+# rel_tol 1e-14.  The iteration stops on its increment of the stage values: in
+# the eigenbasis, whose transform magnifies rounding, the bowl of qk:k=4,n=6 to
+# r 5e6 took 592,238 steps where it takes 1,815
 _NEWTON_MAXITER = 10
 _NEWTON_TOL_FLOOR = 100 * sys.float_info.epsilon
 # a step below this length ends the run with 'step_underflow', and so do
@@ -604,12 +606,6 @@ def _predict_factor(h, h_old, err, err_old):
     return min(1.0, h / h_old * (err_old / err) ** -_ERR_EXP) * err**_ERR_EXP
 
 
-def _combine(M, x):
-    """M x for five floats x, each row summed as written, as ``_rows`` does."""
-    x0, x1, x2, x3, x4 = x
-    return [m0 * x0 + m1 * x1 + m2 * x2 + m3 * x3 + m4 * x4 for m0, m1, m2, m3, m4 in M]
-
-
 def _rows(AT, X):
     """A X for X of shape (n, dim), given AT[j, i] = A[i, j] (of shape
     (n, n, 1), or (n, n, dim) for one matrix per component).  Each row is
@@ -619,16 +615,32 @@ def _rows(AT, X):
     return sum(P[1:], P[0])
 
 
-def _eigen_blocks(real, pairs):
+def _eigen_blocks(real, mr1, mi1, mr2, mi2):
     """The 5x5 matrix (of scalars or per-component arrays) of w -> (real w0,
-    m1 (w1 + i w2), m2 (w3 + i w4)), m = mr + i mi for the (mr, mi) of
-    pairs, laid out for ``_rows``."""
+    m1 (w1 + i w2), m2 (w3 + i w4)), m = mr + i mi, laid out for ``_rows``."""
     MT = np.zeros((5, 5, np.size(real)))
     MT[0, 0] = real
-    for k, (mr, mi) in zip((1, 3), pairs):
+    for k, mr, mi in ((1, mr1, mi1), (3, mr2, mi2)):
         MT[k, k] = MT[k + 1, k + 1] = mr
         MT[k + 1, k], MT[k, k + 1] = -mi, mi
     return MT
+
+
+def _transform(M):
+    """x -> M x on five floats, one written-out expression per row summed left
+    to right as ``_rows`` sums it, with the entries of M in closure cells."""
+    ((m00, m01, m02, m03, m04), (m10, m11, m12, m13, m14), (m20, m21, m22, m23, m24),
+     (m30, m31, m32, m33, m34), (m40, m41, m42, m43, m44)) = M
+    def product(x0, x1, x2, x3, x4):
+        return (m00 * x0 + m01 * x1 + m02 * x2 + m03 * x3 + m04 * x4,
+                m10 * x0 + m11 * x1 + m12 * x2 + m13 * x3 + m14 * x4,
+                m20 * x0 + m21 * x1 + m22 * x2 + m23 * x3 + m24 * x4,
+                m30 * x0 + m31 * x1 + m32 * x2 + m33 * x3 + m34 * x4,
+                m40 * x0 + m41 * x1 + m42 * x2 + m43 * x3 + m44 * x4)
+    return product
+
+
+_rti, _rt, _rpt = _transform(_RTI), _transform(_RT), _transform(_RPT)
 
 
 class _Floats:
@@ -637,14 +649,13 @@ class _Floats:
     tuple, calls the RHS or ``jac`` on a state, takes the max norm and the
     element-wise maximum, and holds the stage times with the Newton start
     extrapolated from the last segment (Z and its transform W), the stage
-    solve of a step size (``solver``), one simplified Newton iteration (W +
-    dW, Z + dZ and the norm of dZ), the error estimate's combination of the
-    stages and the accepted step as ``integrate`` keeps it.
+    solve's coefficients at h and J (``solver``), one simplified Newton
+    iteration (W + dW, Z + dZ and the norm of dZ), the error estimate's
+    combination of the stages and the accepted step as ``integrate`` keeps it.
 
-    Here the stage values Z and their transforms W are lists of five floats,
-    and the stage solve is a real division and two complex ones, (a + i b) /
-    (mr - J + i mi), as the products of 2x2 blocks.  The operations are
-    those of ``_Arrays`` on one component, so that both take the same steps.
+    Here Z and W are five floats, named stage by stage, and the transforms
+    are ``_transform``'s products: the operations are those of ``_Arrays``
+    on one component, so that both take the same steps.
     """
 
     load, norm, maximum = itemgetter(0), abs, max
@@ -658,44 +669,59 @@ class _Floats:
 
     @staticmethod
     def start(prev, t, h, y):
-        stage_t = [t + c * h for c in _RC]
+        c0, c1, c2, c3, c4 = _RC
+        stage_t = t + c0 * h, t + c1 * h, t + c2 * h, t + c3 * h, t + c4 * h
         if prev is None:
-            Z = [0.0] * _RADAU_DENSE
-        else:
-            (py,), (q,) = prev.y0, prev.Q
-            Z = [py + s * _poly(q, s) - y for s in [(ts - prev.t0) / prev.h for ts in stage_t]]
-        return stage_t, Z, _combine(_RTI, Z)
+            return stage_t, (0.0,) * 5, (0.0,) * 5  # W = TI Z is exactly zero too
+        (py,), ((q0, q1, q2, q3, q4),) = prev.y0, prev.Q
+        z0, z1, z2, z3, z4 = [py + s * (q0 + s * (q1 + s * (q2 + s * (q3 + s * q4)))) - y
+                              for s in [(ts - prev.t0) / prev.h for ts in stage_t]]
+        return stage_t, (z0, z1, z2, z3, z4), _rti(z0, z1, z2, z3, z4)
 
     @staticmethod
-    def solver(m_real, inv_real, pairs):
-        return m_real, inv_real, pairs
+    def solver(h, J):
+        """mu / h and 1 / (mu / h - J) for the real eigenvalue mu, then (mr, mi,
+        a, b) with mr + i mi = mu / h and a - i b = 1 / (mr - J + i mi) for each
+        complex one; elementwise on an array J."""
+        m_real = _MU_REAL / h
+        coeffs = [m_real, 1.0 / (m_real - J)]
+        for mu in _MU_COMPLEX:
+            mr, mi = mu.real / h, mu.imag / h
+            cr = mr - J
+            mod = cr * cr + mi * mi
+            coeffs += mr, mi, cr / mod, mi / mod
+        return coeffs
 
     def newton(self, stage_t, y, Z, W, solve, scale2):
-        m_real, inv_real, ((mr1, mi1, a1, b1), (mr2, mi2, a2, b2)) = solve
+        m_real, inv_real, mr1, mi1, a1, b1, mr2, mi2, a2, b2 = solve
         rhs = self.rhs
-        g0, g1, g2, g3, g4 = _combine(_RTI, [rhs(ts, (y + z,))[0] for ts, z in zip(stage_t, Z)])
-        w0, w1, w2, w3, w4 = W
+        (t0, t1, t2, t3, t4), (z0, z1, z2, z3, z4), (w0, w1, w2, w3, w4) = stage_t, Z, W
+        g0, g1, g2, g3, g4 = _rti(rhs(t0, (y + z0,))[0], rhs(t1, (y + z1,))[0],
+                                  rhs(t2, (y + z2,))[0], rhs(t3, (y + z3,))[0],
+                                  rhs(t4, (y + z4,))[0])
         r0 = g0 - m_real * w0
         r1, r2 = g1 - (mr1 * w1 - mi1 * w2), g2 - (mi1 * w1 + mr1 * w2)
         r3, r4 = g3 - (mr2 * w3 - mi2 * w4), g4 - (mi2 * w3 + mr2 * w4)
-        dW = (inv_real * r0, a1 * r1 + b1 * r2, a1 * r2 - b1 * r1,
-              a2 * r3 + b2 * r4, a2 * r4 - b2 * r3)
-        dZ = _combine(_RT, dW)
-        return ([w + d for w, d in zip(W, dW)], [z + d for z, d in zip(Z, dZ)],
-                math.sqrt(sum(d * d for d in dZ) / scale2 / _RADAU_DENSE))
+        d0, d1, d2 = inv_real * r0, a1 * r1 + b1 * r2, a1 * r2 - b1 * r1
+        d3, d4 = a2 * r3 + b2 * r4, a2 * r4 - b2 * r3
+        e0, e1, e2, e3, e4 = _rt(d0, d1, d2, d3, d4)
+        dz2 = (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4) / scale2
+        return ((w0 + d0, w1 + d1, w2 + d2, w3 + d3, w4 + d4),
+                (z0 + e0, z1 + e1, z2 + e2, z3 + e3, z4 + e4), math.sqrt(dz2 / _RADAU_DENSE))
 
     @staticmethod
     def estimate(Z):
-        return _combine((_RE,), Z)[0]
+        (z0, z1, z2, z3, z4), (e0, e1, e2, e3, e4) = Z, _RE
+        return e0 * z0 + e1 * z1 + e2 * z2 + e3 * z3 + e4 * z4
 
     @staticmethod
     def accepted(t, h, y, Z, y_new, f_new):
         # P^T maps the chord s Z_5 to (Z_5, 0, ..., 0): the stages' deviations
         # from it, small on a smooth step, keep the large _RP's rounding off Q
-        z4 = Z[-1]
-        Q = _combine(_RPT, [z - c * z4 for z, c in zip(Z, _RC)])
-        Q[0] += z4
-        return _Segment(t, h, (y,), (Q,)), (y_new,), (f_new,)
+        (z0, z1, z2, z3, z4), (c0, c1, c2, c3, c4) = Z, _RC
+        q0, q1, q2, q3, q4 = _rpt(z0 - c0 * z4, z1 - c1 * z4, z2 - c2 * z4, z3 - c3 * z4,
+                                  z4 - c4 * z4)
+        return _Segment(t, h, (y,), ((q0 + z4, q1, q2, q3, q4),)), (y_new,), (f_new,)
 
 
 class _Arrays:
@@ -740,9 +766,9 @@ class _Arrays:
         return stage_t, Z, _rows(_Arrays.TI, Z)
 
     @staticmethod
-    def solver(m_real, inv_real, pairs):
-        return (_eigen_blocks(m_real, [(mr, mi) for mr, mi, _, _ in pairs]),
-                _eigen_blocks(inv_real, [(a, -b) for _, _, a, b in pairs]))
+    def solver(h, J):
+        m_real, inv_real, mr1, mi1, a1, b1, mr2, mi2, a2, b2 = _Floats.solver(h, J)
+        return _eigen_blocks(m_real, mr1, mi1, mr2, mi2), _eigen_blocks(inv_real, a1, -b1, a2, -b2)
 
     def newton(self, stage_t, y, Z, W, solve, scale2):
         M, S = solve
@@ -781,7 +807,7 @@ def _radau_steps(kernel, t, y, f, t_end, cfg, h, n_steps):
     """
     y, f = kernel.load(y), kernel.load(f)
     rel, ab = cfg.rel_tol, cfg.abs_tol
-    newton_tol = max(_NEWTON_TOL_FLOOR / rel, min(0.03, rel**0.5))
+    newton_tol = min(0.03, max(_NEWTON_TOL_FLOOR / rel, rel**0.5))
 
     h_old = err_old = None
     prev = None  # the last accepted segment: its polynomial starts Newton
@@ -799,15 +825,8 @@ def _radau_steps(kernel, t, y, f, t_end, cfg, h, n_steps):
             jac_current = True
             if not math.isfinite(kernel.norm(J)):
                 return "domain_exit"
-        m_real = _MU_REAL / h
-        den_real = m_real - J
-        pairs = []  # 1 / (mr - J + i mi) = (cr - i mi) / |cr + i mi|^2, cr = mr - J
-        for mu in _MU_COMPLEX:
-            mr, mi = mu.real / h, mu.imag / h
-            cr = mr - J
-            mod = cr * cr + mi * mi
-            pairs.append((mr, mi, cr / mod, mi / mod))
-        solve = kernel.solver(m_real, 1.0 / den_real, pairs)
+        den_real = _MU_REAL / h - J
+        solve = kernel.solver(h, J)
         scale2 = (ab + rel * abs(y)) ** 2
         stage_t, Z, W = kernel.start(prev, t, h, y)
 

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from translab import ode
+from translab import bowl, ode
 from translab.bowl import (
     AXIS_EPS,
     _slope_field,
@@ -294,3 +294,45 @@ def test_gauss_n5_tail_node_count():
     assert tr.step_counts()["explicit_steps"] == 0
     assert len(tr.ts) < 1000  # any stepper on a non-stiff tail
     assert len(tr.ts) <= 300  # this one's count, pinned
+
+
+def test_mean_profile_layer_counts(monkeypatch):
+    # the one-component Radau IIA path pinned call by call: mean:n=3 to r 500
+    # takes 176 steps, 2,863 RHS calls (integrate's first one included) and
+    # 78 Jacobian calls (the stiffness test's included), so a change to the
+    # stage kernel that moves a single Newton iteration fails here
+    calls = {"rhs": 0, "jac": 0}
+    scalar = bowl._slope_scalar
+
+    def counted(name, fn):
+        def wrapped(r, vs):
+            calls[name] += 1
+            return fn(r, vs)
+        return wrapped
+
+    def counted_scalar(f, clamp_y):
+        rhs, jac = scalar(f, clamp_y)
+        return counted("rhs", rhs), counted("jac", jac)
+
+    monkeypatch.setattr(bowl, "_slope_scalar", counted_scalar)
+    tr = solve_bowl(from_key("mean:n=3"), 500.0).trajectory
+    assert tr.step_counts() == {"handoff": AXIS_EPS, "explicit_steps": 0, "radau_steps": 176}
+    assert calls == {"rhs": 2863, "jac": 78}
+
+
+@pytest.mark.parametrize("key, r_max", [("mean:n=3", 500.0), ("sk:k=3,n=5", 100.0)])
+def test_bowl_at_tight_tolerance_reaches_r_max(key, r_max):
+    # at rel_tol 1e-14 the Newton tolerance is capped at 0.03, where the floor
+    # 100 eps / rel_tol alone is 2.2, more than the tolerance that scales the
+    # iteration's norm: uncapped, these runs end in step_underflow at r 381.8
+    # and 14.84; capped, they take 357 and 608 nodes and agree with the
+    # profile at 1e-12 to 3e-13
+    f = from_key(key)
+    rhs, jac = _slope_scalar(f, 1.0)
+    tr = ode.integrate(rhs, AXIS_EPS, [f.lambda0 * AXIS_EPS], r_max,
+                       ode.IntegratorConfig(rel_tol=1e-14, abs_tol=1e-16), jac=jac)
+    assert tr.termination == "reached_end"
+    assert len(tr.ts) < 1000
+    ref = profile(key, r_max)
+    far = ref.r > 1
+    assert np.max(np.abs(tr.resample(ref.r[far])[:, 0] / ref.v[far] - 1)) < 1e-12

@@ -443,6 +443,28 @@ def test_explicit_steps_of_a_run_with_jac_stay_below_stiff_step():
     assert stiff.step_counts()["explicit_steps"] == 0 and stiff.handoff == 0.0
 
 
+def test_float_kernel_takes_the_array_kernels_steps_bit_for_bit():
+    # the one-component Radau IIA kernel writes out the array kernel's
+    # operations in its order, so on a RHS that floats and ndarrays evaluate
+    # alike (+, -, * only) a run and a batched run of equal components take
+    # the same steps and keep the same dense output, bit for bit
+    def rhs(t, y):
+        return -200.0 * (y - t) * (1.0 + y * y) + 1.0
+
+    def jac(t, y):
+        return -200.0 * (1.0 + y * y) - 200.0 * (y - t) * (2.0 * y)
+
+    one = integrate(lambda t, ys: (rhs(t, ys[0]),), 0.0, [0.5], 3.0,
+                    jac=lambda t, ys: (jac(t, ys[0]),))
+    batch = integrate(rhs, 0.0, [0.5, 0.5], 3.0, jac=jac)
+    assert one.step_counts() == batch.step_counts() == {"handoff": 0.0, "explicit_steps": 0,
+                                                         "radau_steps": 105}
+    assert np.array_equal(batch.ts, one.ts)
+    assert np.array_equal(batch.ys, np.repeat(one.ys, 2, axis=1))
+    grid = np.linspace(0.0, 3.0, 101)
+    assert np.array_equal(batch.resample(grid), np.repeat(one.resample(grid), 2, axis=1))
+
+
 def test_batched_run_hands_off_as_one_component_does():
     # equal components of a batched run take the one-component run's
     # explicit steps bit for bit (max norm, max |lam|) and hand off at the
