@@ -23,14 +23,13 @@ Reproducibility matters more here than solver variety, so the tableaux,
 the dense-output polynomials and the controllers are all spelled out
 below; identical inputs produce bit-identical trajectories.
 
-The explicit steps work on plain Python floats (tuples), an order of
-magnitude faster than ndarray arithmetic at the sizes of the charts, with
-one broadcasting RHS call per stage on a batched run.  One Radau IIA step
-controller serves every run on one of two stage kernels, each building its
-stage-solve coefficients from h and J (``solver``): written-out float
-expressions on five named stages for one component (``_Floats``), ndarrays
-for a batched run (``_Arrays``), one RHS call for the five stages of every
-component.  Trajectories are packed into numpy arrays on exit.
+Each stepper has one step controller and two stage kernels that sum alike,
+chosen by the number of components: written-out float expressions for one
+(``_dop853_kernel``, ``_Floats``), an order of magnitude faster than
+ndarrays at the sizes of the charts; for several, tuple comprehensions of
+floats with one broadcasting RHS call per DOP853 stage, and ndarrays with
+one RHS call for the five Radau IIA stages (``_Arrays``).  Trajectories are
+packed into numpy arrays on exit.
 
 References
 ----------
@@ -49,8 +48,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import itemgetter, mul
+from functools import cached_property, reduce
+from operator import add, itemgetter, mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,7 +57,7 @@ import numpy as np
 from .errors import ParameterError
 
 # DOP853 (Hairer's dop853.f): the nodes _C of stages 0-15 and, per stage, its
-# nonzero weights a_ij in the order of j (the j are named in _dop853_steps).
+# nonzero weights a_ij in the order of j (the j are named in _dop853_kernel).
 # Stage 12 is the RHS at the new solution, its row the solution weights b of
 # the stages _B_COLS; stages 13-15 serve the dense output only
 _C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
@@ -355,12 +354,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate rhs from t0 to t_end (> t0) with adaptive steps.
 
-    The steps are explicit DOP853.  ``jac`` returns the diagonal of d rhs /
-    dy of a system whose component i depends on y[i] alone; with it, the run
-    hands off to Radau IIA, stable at any step size, before the first step
-    on which its stiffest component is stiff (``STIFF_STEP``,
-    ``Trajectory.handoff``), and the explicit error is measured in the max
-    norm over the components.
+    The steps are explicit DOP853, on floats for one component and tuples for
+    several (``_dop853_kernel``).  ``jac`` returns the diagonal of d rhs / dy
+    of a system whose component i depends on y[i] alone; with it, the run
+    hands off to Radau IIA, stable at any step size, before the first step on
+    which its stiffest component is stiff (``STIFF_STEP``, ``Trajectory.handoff``),
+    and the explicit error is measured in the max norm over the components.
     Components integrated together share one step sequence, so the
     difference of two solutions is that of one discrete flow.
 
@@ -477,36 +476,25 @@ def _explicit_first_step(rhs, t, y, f, t_end, cfg, norm):
     return min(100 * h, (0.01 / der) ** 0.125 if der > 1e-15 else max(1e-6, 1e-3 * h))
 
 
-def _dop853_steps(rhs, stiffness, t, y, f, t_end, cfg):
-    """Accepted DOP853 steps as (segment, t_new, y_new, f_new), with the
-    stage sums written out, Hairer's step control (exponent 1/8, safety 0.9,
-    factors in [1/3, 6], none above 1 after a rejection) and non-finite
-    stages halving the step.  ``stiffness(t, y)`` is max |d rhs_i / dy_i|,
-    or None without ``jac``.  Returns the termination reason, or, before a
-    step of size h with h stiffness >= ``STIFF_STEP``, (h, step attempts).
+def _dop853_steps(rhs, stiffness, t, y, k0, t_end, cfg):
+    """Accepted DOP853 steps as (segment, t_new, y_new, f_new) from y and its
+    RHS k0, on the kernel for len(y) (``_dop853_kernel``), with Hairer's step
+    control (exponent 1/8, safety 0.9, factors in [1/3, 6], none above 1 after
+    a rejection) and non-finite stages halving the step.  ``stiffness(t, y)`` is
+    max |d rhs_i / dy_i| or None without ``jac``.  Returns the termination reason
+    or, before a step of size h with h stiffness >= ``STIFF_STEP``, (h, step attempts).
 
     The error is measured in Hairer's RMS norm over the components or, with
     a stiffness, in the max norm, so that quiet components of a batched run
     do not dilute one component's error (as in ``_radau_steps``); on one
     component the two are the same.
     """
-    rel, ab = cfg.rel_tol, cfg.abs_tol
     # squared scaled components pooled: summed over n (the RMS norm) or the largest (n = 1)
     norm, n = (sum, len(y)) if stiffness is None else (max, 1)
-    h = _explicit_first_step(rhs, t, y, f, t_end, cfg, norm)
-    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _C[1:11]
-    c13, c14, c15 = _C[13:]
-    ((a1_0,), (a2_0, a2_1), (a3_0, a3_2), (a4_0, a4_2, a4_3), (a5_0, a5_3, a5_4),
-     (a6_0, a6_3, a6_4, a6_5), (a7_0, a7_3, a7_4, a7_5, a7_6),
-     (a8_0, a8_3, a8_4, a8_5, a8_6, a8_7), (a9_0, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
-     (a10_0, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
-     (a11_0, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
-     b, (a13_0, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11, a13_12),
-     (a14_0, a14_5, a14_6, a14_7, a14_10, a14_11, a14_12, a14_13),
-     (a15_0, a15_5, a15_6, a15_7, a15_8, a15_12, a15_13, a15_14)) = _A[1:]
+    h = _explicit_first_step(rhs, t, y, k0, t_end, cfg, norm)
+    step = _dop853_kernel(rhs, len(y), norm, n, cfg.rel_tol, cfg.abs_tol)
     rejected = False
     n_steps = 0
-    k0 = f
     while t < t_end:
         h = min(h, t_end - t, cfg.max_step)
         # the handoff rule (see STIFF_STEP); a NaN stiffness fails it
@@ -518,6 +506,106 @@ def _dop853_steps(rhs, stiffness, t, y, f, t_end, cfg):
         if h < _MIN_STEP:
             return "step_underflow"
 
+        err, y_new, Q, k12 = step(t, h, y, k0)
+        if not err <= 1.0:
+            rejected = True
+            h *= max(1 / 3, 0.9 * err**-0.125) if math.isfinite(err) else 0.5
+            if h < _MIN_STEP and not math.isfinite(err):
+                return "domain_exit"
+            continue
+        t_new = t + h
+        yield _Segment(t, h, y, Q), t_new, y_new, k12
+
+        t, y, k0 = t_new, y_new, k12
+        h *= min(1.0 if rejected else 6.0, 0.9 * err**-0.125 if err > 0 else 6.0)
+        rejected = False
+    return "reached_end"
+
+
+def _dop853_kernel(rhs, dim, norm, n, rel, ab):
+    """One DOP853 step on ``dim`` components, a closure over the tableau:
+    step(t, h, y, k0) -> (err, y_new, Q, k12), err scaled by DENSE_MARGIN and
+    Nones past an err above 1 or NaN; written-out floats for one component,
+    tuple comprehensions for several, both summing left to right from 0.0
+    (``reduce``: ``sum`` is compensated from Python 3.12 on), so bit for bit alike."""
+    _, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, _, _, c13, c14, c15 = _C
+    ((a1_0,), (a2_0, a2_1), (a3_0, a3_2), (a4_0, a4_2, a4_3), (a5_0, a5_3, a5_4),
+     (a6_0, a6_3, a6_4, a6_5), (a7_0, a7_3, a7_4, a7_5, a7_6),
+     (a8_0, a8_3, a8_4, a8_5, a8_6, a8_7), (a9_0, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
+     (a10_0, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+     (a11_0, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
+     b, (a13_0, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11, a13_12),
+     (a14_0, a14_5, a14_6, a14_7, a14_10, a14_11, a14_12, a14_13),
+     (a15_0, a15_5, a15_6, a15_7, a15_8, a15_12, a15_13, a15_14)) = _A[1:]
+    if dim == 1:
+        b0, b5, b6, b7, b8, b9, b10, b11 = b
+        e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = _E5
+        e3_0, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11 = _E3
+        # the weights of stages 0 and 5-15 in F3 (p), F4 (q), F5 (r) and F6 (w)
+        ((p0, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15),
+         (q0, q5, q6, q7, q8, q9, q10, q11, q12, q13, q14, q15),
+         (r0, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14, r15),
+         (w0, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15)) = _D
+        def step(t, h, y, k0):
+            (y0,), (x0,) = y, k0
+            x1, = rhs(t + c1 * h, (y0 + h * a1_0 * x0,))
+            x2, = rhs(t + c2 * h, (y0 + h * (a2_0 * x0 + a2_1 * x1),))
+            x3, = rhs(t + c3 * h, (y0 + h * (a3_0 * x0 + a3_2 * x2),))
+            x4, = rhs(t + c4 * h, (y0 + h * (a4_0 * x0 + a4_2 * x2 + a4_3 * x3),))
+            x5, = rhs(t + c5 * h, (y0 + h * (a5_0 * x0 + a5_3 * x3 + a5_4 * x4),))
+            x6, = rhs(t + c6 * h, (y0 + h * (a6_0 * x0 + a6_3 * x3 + a6_4 * x4 + a6_5 * x5),))
+            x7, = rhs(t + c7 * h, (y0 + h * (a7_0 * x0 + a7_3 * x3 + a7_4 * x4 + a7_5 * x5
+                                            + a7_6 * x6),))
+            x8, = rhs(t + c8 * h, (y0 + h * (a8_0 * x0 + a8_3 * x3 + a8_4 * x4 + a8_5 * x5
+                                            + a8_6 * x6 + a8_7 * x7),))
+            x9, = rhs(t + c9 * h, (y0 + h * (a9_0 * x0 + a9_3 * x3 + a9_4 * x4 + a9_5 * x5
+                                            + a9_6 * x6 + a9_7 * x7 + a9_8 * x8),))
+            x10, = rhs(t + c10 * h, (y0 + h * (a10_0 * x0 + a10_3 * x3 + a10_4 * x4 + a10_5 * x5
+                                               + a10_6 * x6 + a10_7 * x7 + a10_8 * x8
+                                               + a10_9 * x9),))
+            x11, = rhs(t + h, (y0 + h * (a11_0 * x0 + a11_3 * x3 + a11_4 * x4 + a11_5 * x5
+                                         + a11_6 * x6 + a11_7 * x7 + a11_8 * x8 + a11_9 * x9
+                                         + a11_10 * x10),))
+            y1 = y0 + h * (0.0 + b0 * x0 + b5 * x5 + b6 * x6 + b7 * x7 + b8 * x8 + b9 * x9
+                           + b10 * x10 + b11 * x11)
+            sc = ab + rel * max(abs(y0), abs(y1))
+            err5 = ((0.0 + e5_0 * x0 + e5_5 * x5 + e5_6 * x6 + e5_7 * x7 + e5_8 * x8 + e5_9 * x9
+                     + e5_10 * x10 + e5_11 * x11) / sc) ** 2
+            err3 = ((0.0 + e3_0 * x0 + e3_5 * x5 + e3_6 * x6 + e3_7 * x7 + e3_8 * x8 + e3_9 * x9
+                     + e3_10 * x10 + e3_11 * x11) / sc) ** 2
+            den = err5 + 0.01 * err3
+            err = DENSE_MARGIN * h * err5 / math.sqrt(den) if den != 0 else 0.0
+            if not err <= 1.0:
+                return err, None, None, None
+            x12, = k12 = rhs(t + h, (y1,))
+            x13, = rhs(t + c13 * h, (y0 + h * (a13_0 * x0 + a13_6 * x6 + a13_7 * x7 + a13_8 * x8
+                                               + a13_9 * x9 + a13_10 * x10 + a13_11 * x11
+                                               + a13_12 * x12),))
+            x14, = rhs(t + c14 * h, (y0 + h * (a14_0 * x0 + a14_5 * x5 + a14_6 * x6 + a14_7 * x7
+                                               + a14_10 * x10 + a14_11 * x11 + a14_12 * x12
+                                               + a14_13 * x13),))
+            x15, = rhs(t + c15 * h, (y0 + h * (a15_0 * x0 + a15_5 * x5 + a15_6 * x6 + a15_7 * x7
+                                               + a15_8 * x8 + a15_12 * x12 + a15_13 * x13
+                                               + a15_14 * x14),))
+            if not math.isfinite(y1 + x12 + x13 + x14 + x15):
+                return math.nan, None, None, None
+            f0 = y1 - y0
+            f1 = h * x0 - f0
+            f2 = 2 * f0 - h * (x0 + x12)
+            f3 = h * (0.0 + p0 * x0 + p5 * x5 + p6 * x6 + p7 * x7 + p8 * x8 + p9 * x9 + p10 * x10
+                      + p11 * x11 + p12 * x12 + p13 * x13 + p14 * x14 + p15 * x15)
+            f4 = h * (0.0 + q0 * x0 + q5 * x5 + q6 * x6 + q7 * x7 + q8 * x8 + q9 * x9 + q10 * x10
+                      + q11 * x11 + q12 * x12 + q13 * x13 + q14 * x14 + q15 * x15)
+            f5 = h * (0.0 + r0 * x0 + r5 * x5 + r6 * x6 + r7 * x7 + r8 * x8 + r9 * x9 + r10 * x10
+                      + r11 * x11 + r12 * x12 + r13 * x13 + r14 * x14 + r15 * x15)
+            f6 = h * (0.0 + w0 * x0 + w5 * x5 + w6 * x6 + w7 * x7 + w8 * x8 + w9 * x9 + w10 * x10
+                      + w11 * x11 + w12 * x12 + w13 * x13 + w14 * x14 + w15 * x15)
+            Q = (f0 + f1, f2 + f3 - f1, f4 + f5 - f2 - 2 * f3, f3 + f6 - 2 * f4 - 3 * f5,
+                 f4 + 3 * (f5 - f6), 3 * f6 - f5, -f6)
+            return err, (y1,), (Q,), k12
+        return step
+
+    def step(t, h, y, k0):
         k1 = rhs(t + c1 * h, [y0 + h * a1_0 * x0 for y0, x0 in zip(y, k0)])
         k2 = rhs(t + c2 * h, [y0 + h * (a2_0 * x0 + a2_1 * x1) for y0, x0, x1 in zip(y, k0, k1)])
         k3 = rhs(t + c3 * h, [y0 + h * (a3_0 * x0 + a3_2 * x2) for y0, x0, x2 in zip(y, k0, k2)])
@@ -544,57 +632,42 @@ def _dop853_steps(rhs, stiffness, t, y, f, t_end, cfg):
                           for y0, x0, x3, x4, x5, x6, x7, x8, x9, x10
                           in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)])
         ks = list(zip(k0, k5, k6, k7, k8, k9, k10, k11))  # per component
-        y_new = [y0 + h * sum(map(mul, b, x)) for y0, x in zip(y, ks)]
-        # Hairer's blend of the 5th- and 3rd-order estimates, held to a
-        # fraction of the tolerance (DENSE_MARGIN); NaN stages make it NaN,
-        # or, where the max norm passes over them, the new state
+        y_new = [y0 + h * reduce(add, map(mul, b, x), 0.0) for y0, x in zip(y, ks)]
         sc = [ab + rel * max(abs(y0), abs(y1)) for y0, y1 in zip(y, y_new)]
-        err5 = norm([(sum(map(mul, _E5, x)) / s) ** 2 for x, s in zip(ks, sc)])
-        err3 = norm([(sum(map(mul, _E3, x)) / s) ** 2 for x, s in zip(ks, sc)])
+        err5 = norm([(reduce(add, map(mul, _E5, x), 0.0) / s) ** 2 for x, s in zip(ks, sc)])
+        err3 = norm([(reduce(add, map(mul, _E3, x), 0.0) / s) ** 2 for x, s in zip(ks, sc)])
         den = err5 + 0.01 * err3
         err = DENSE_MARGIN * h * err5 / math.sqrt(den * n) if den != 0 else 0.0
-
-        if err <= 1.0:
-            t_new = t + h
-            k12 = rhs(t_new, y_new)
-            k13 = rhs(t + c13 * h, [
-                y0 + h * (a13_0 * x0 + a13_6 * x6 + a13_7 * x7 + a13_8 * x8 + a13_9 * x9
-                          + a13_10 * x10 + a13_11 * x11 + a13_12 * x12)
-                for y0, (x0, _, x6, x7, x8, x9, x10, x11), x12 in zip(y, ks, k12)])
-            k14 = rhs(t + c14 * h, [
-                y0 + h * (a14_0 * x0 + a14_5 * x5 + a14_6 * x6 + a14_7 * x7 + a14_10 * x10
-                          + a14_11 * x11 + a14_12 * x12 + a14_13 * x13)
-                for y0, (x0, x5, x6, x7, _, _, x10, x11), x12, x13 in zip(y, ks, k12, k13)])
-            k15 = rhs(t + c15 * h, [
-                y0 + h * (a15_0 * x0 + a15_5 * x5 + a15_6 * x6 + a15_7 * x7 + a15_8 * x8
-                          + a15_12 * x12 + a15_13 * x13 + a15_14 * x14)
-                for y0, (x0, x5, x6, x7, x8, _, _, _), x12, x13, x14
-                in zip(y, ks, k12, k13, k14)])
-            if not math.isfinite(sum(y_new) + sum(k12) + sum(k13) + sum(k14) + sum(k15)):
-                err = math.nan
         if not err <= 1.0:
-            rejected = True
-            h *= max(1 / 3, 0.9 * err**-0.125) if math.isfinite(err) else 0.5
-            if h < _MIN_STEP and not math.isfinite(err):
-                return "domain_exit"
-            continue
-
-        # Hairer's dense output, expanded in powers of s
+            return err, None, None, None
+        k12 = rhs(t + h, y_new)
+        k13 = rhs(t + c13 * h, [
+            y0 + h * (a13_0 * x0 + a13_6 * x6 + a13_7 * x7 + a13_8 * x8 + a13_9 * x9
+                      + a13_10 * x10 + a13_11 * x11 + a13_12 * x12)
+            for y0, (x0, _, x6, x7, x8, x9, x10, x11), x12 in zip(y, ks, k12)])
+        k14 = rhs(t + c14 * h, [
+            y0 + h * (a14_0 * x0 + a14_5 * x5 + a14_6 * x6 + a14_7 * x7 + a14_10 * x10
+                      + a14_11 * x11 + a14_12 * x12 + a14_13 * x13)
+            for y0, (x0, x5, x6, x7, _, _, x10, x11), x12, x13 in zip(y, ks, k12, k13)])
+        k15 = rhs(t + c15 * h, [
+            y0 + h * (a15_0 * x0 + a15_5 * x5 + a15_6 * x6 + a15_7 * x7 + a15_8 * x8
+                      + a15_12 * x12 + a15_13 * x13 + a15_14 * x14)
+            for y0, (x0, x5, x6, x7, x8, _, _, _), x12, x13, x14
+            in zip(y, ks, k12, k13, k14)])
+        if not math.isfinite(sum(y_new) + sum(k12) + sum(k13) + sum(k14) + sum(k15)):
+            return math.nan, None, None, None
         Q = []
         for y0, y1, x, x12, x13, x14, x15 in zip(y, y_new, ks, k12, k13, k14, k15):
             x += (x12, x13, x14, x15)
             f0 = y1 - y0
             f1 = h * x[0] - f0
             f2 = 2 * f0 - h * (x[0] + x12)
-            f3, f4, f5, f6 = [h * sum(map(mul, d, x)) for d in _D]
+            f3, f4, f5, f6 = [h * reduce(add, map(mul, d, x), 0.0) for d in _D]
             Q.append((f0 + f1, f2 + f3 - f1, f4 + f5 - f2 - 2 * f3, f3 + f6 - 2 * f4 - 3 * f5,
                       f4 + 3 * (f5 - f6), 3 * f6 - f5, -f6))
-        yield _Segment(t, h, y, Q), t_new, y_new, k12
+        return err, y_new, Q, k12
 
-        t, y, k0 = t_new, y_new, k12
-        h *= min(1.0 if rejected else 6.0, 0.9 * err**-0.125 if err > 0 else 6.0)
-        rejected = False
-    return "reached_end"
+    return step
 
 
 def _predict_factor(h, h_old, err, err_old):

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from translab import bowl, ode
+from translab import bowl, catenoid, ode
 from translab.bowl import (
     AXIS_EPS,
     _slope_field,
@@ -18,6 +18,7 @@ from translab.bowl import (
     growth_exponent,
     solve_bowl,
 )
+from translab.catenoid import solve_catenoid
 from translab.curvature import from_key
 from translab.errors import FitError, ParameterError
 
@@ -296,15 +297,13 @@ def test_gauss_n5_tail_node_count():
     assert len(tr.ts) <= 300  # this one's count, pinned
 
 
-def test_mean_profile_layer_counts(monkeypatch):
-    # the one-component Radau IIA path pinned call by call: mean:n=3 to r 500
-    # takes 176 steps, 2,863 RHS calls (integrate's first one included) and
-    # 78 Jacobian calls (the stiffness test's included), so a change to the
-    # stage kernel that moves a single Newton iteration fails here
-    calls = {"rhs": 0, "jac": 0}
-    scalar = bowl._slope_scalar
+def _count_slope_calls(monkeypatch, module):
+    """Wrap the maps that ``module._slope_scalar`` builds so that they count
+    their calls: one {"rhs": n, "jac": n} per chart, in the order built."""
+    charts = []
+    scalar = module._slope_scalar
 
-    def counted(name, fn):
+    def counted(calls, name, fn):
         def wrapped(r, vs):
             calls[name] += 1
             return fn(r, vs)
@@ -312,12 +311,37 @@ def test_mean_profile_layer_counts(monkeypatch):
 
     def counted_scalar(f, clamp_y):
         rhs, jac = scalar(f, clamp_y)
-        return counted("rhs", rhs), counted("jac", jac)
+        charts.append({"rhs": 0, "jac": 0})
+        return counted(charts[-1], "rhs", rhs), counted(charts[-1], "jac", jac)
 
-    monkeypatch.setattr(bowl, "_slope_scalar", counted_scalar)
+    monkeypatch.setattr(module, "_slope_scalar", counted_scalar)
+    return charts
+
+
+def test_mean_profile_layer_counts(monkeypatch):
+    # the one-component Radau IIA path pinned call by call: mean:n=3 to r 500
+    # takes 176 steps, 2,863 RHS calls (integrate's first one included) and
+    # 78 Jacobian calls (the stiffness test's included), so a change to the
+    # stage kernel that moves a single Newton iteration fails here
+    charts = _count_slope_calls(monkeypatch, bowl)
     tr = solve_bowl(from_key("mean:n=3"), 500.0).trajectory
     assert tr.step_counts() == {"handoff": AXIS_EPS, "explicit_steps": 0, "radau_steps": 176}
-    assert calls == {"rhs": 2863, "jac": 78}
+    assert charts == [{"rhs": 2863, "jac": 78}]
+
+
+def test_catenoid_graph_chart_layer_counts(monkeypatch):
+    # the one-component DOP853 path pinned call by call on the graph charts
+    # of qk:k=3,n=6 (R 1, r 200): the descending lower chart steps
+    # explicitly throughout, the upper chart explicitly up to its handoff
+    # to Radau IIA; RHS calls include integrate's first one and the stop's
+    # final one, Jacobian calls the stiffness tests'.  A change to the
+    # explicit stage kernel that moves a single step or rejection fails here
+    charts = _count_slope_calls(monkeypatch, catenoid)
+    res = solve_catenoid(from_key("qk:k=3,n=6"), 1.0, 200.0)
+    counts = {name: (c["explicit_steps"], c["radau_steps"]) for name, c in res.charts.items()
+              if name in ("lower", "upper")}
+    assert counts == {"lower": (139, 0), "upper": (36, 52)}
+    assert charts == [{"rhs": 2098, "jac": 0}, {"rhs": 1181, "jac": 42}]
 
 
 @pytest.mark.parametrize("key, r_max", [("mean:n=3", 500.0), ("sk:k=3,n=5", 100.0)])

@@ -15,6 +15,7 @@ import translab
 from translab.bowl import AXIS_EPS
 from translab.catenoid import solve_catenoid, solve_neck
 from translab.cli import main
+from translab.cliio import write_csv
 from translab.curvature import from_key, registry_keys
 
 
@@ -287,6 +288,18 @@ def test_reproducible_outputs(tmp_path, argv, names):
     ma = json.loads((a / "manifest.json").read_text())
     mb = json.loads((b / "manifest.json").read_text())
     assert ma["files"] == mb["files"]
+
+
+@pytest.mark.parametrize("n", [0, 1, 1024, 2049])
+def test_write_csv_is_savetxt_bytes(tmp_path, n):
+    # the CSV contract is np.savetxt's bytes; write_csv formats blocks of 1024
+    # rows, so the sizes straddle a block's edges
+    cols = np.random.default_rng(n).standard_normal((3, n)) * np.array([[1e-200], [1e50], [1e300]])
+    cols[0, ::7], cols[1, ::5], cols[2, ::3] = np.nan, -np.inf, -0.0
+    write_csv(tmp_path / "a.csv", "x,y,z", cols)
+    np.savetxt(tmp_path / "b.csv", np.column_stack(cols), fmt="%.17g", delimiter=",",
+               header="x,y,z", comments="")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_config_file(tmp_path):

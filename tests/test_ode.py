@@ -477,6 +477,10 @@ def test_batched_run_hands_off_as_one_component_does():
     n = counts["explicit_steps"] + 1
     assert np.array_equal(batch.ts[:n], one.ts[:n])
     assert np.array_equal(batch.ys[:n], np.repeat(one.ys[:n], 3, axis=1))
+    # and the same dense output: the one-component run steps on the float
+    # kernel, the batched run on the tuple comprehensions
+    grid = np.linspace(0.0, one.handoff, 200)
+    assert np.array_equal(batch.resample(grid), np.repeat(one.resample(grid), 3, axis=1))
     assert np.max(np.abs(batch.ys - one.ys)) <= 1e-12
     # budgets that end the run just before, at and just past the handoff
     # (the explicit steps spend 6 more attempts on rejections): each capped
@@ -508,7 +512,7 @@ def test_stall_rule_ends_a_stability_limited_explicit_run():
 
 
 # DOP853's stages 1-11 name their nonzero weights a_ij by these j (see
-# _dop853_steps); stage 0 has none
+# _dop853_kernel); stage 0 has none
 _DOP853_COLS = ([0], [0, 1], [0, 2], [0, 2, 3], [0, 3, 4], [0, 3, 4, 5], [0, 3, 4, 5, 6],
                 [0, 3, 4, 5, 6, 7], [0, *range(3, 9)], [0, *range(3, 10)], [0, *range(3, 11)])
 
