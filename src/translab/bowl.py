@@ -80,13 +80,13 @@ def _slope_field(f: CurvatureFunction, clamp_y: Optional[float]):
 
     with x the closed-form root ``solve_x``; the second term drops where the
     y-argument is held at clamp_y.  Both give NaN where that has no root.
-    On a float v both raise OverflowError where a power overflows, and
-    ``derivative`` raises ZeroDivisionError where gamma_x vanishes and
-    DomainError where ``grad`` does.  Both also take an ndarray of v, with r
-    broadcasting against it, and then give NaN where a float v raises: the
-    broadcasting RHS and diagonal Jacobian of uncoupled copies of the
-    equation, one per component of a batched state, each element computed
-    on its own.
+    ``value`` takes an ndarray of v (F on a float is ``_slope_scalar``'s
+    RHS); on a float v ``derivative`` raises OverflowError where a power
+    overflows, ZeroDivisionError where gamma_x vanishes and DomainError
+    where ``grad`` does.  On an ndarray of v, with r broadcasting against
+    it, both give NaN there instead: the broadcasting RHS and diagonal
+    Jacobian of uncoupled copies of the equation, one per component of a
+    batched state, each element computed on its own.
     """
     beta = f.beta
     beta1 = beta + 1.0
@@ -94,21 +94,16 @@ def _slope_field(f: CurvatureFunction, clamp_y: Optional[float]):
     def value(r, v):
         one_plus = 1.0 + v * v
         yarg = v / (r * one_plus**beta)
-        if not isinstance(yarg, float):  # an ndarray (the cheaper test on floats)
-            if clamp_y is not None:
-                yarg = np.minimum(yarg, clamp_y)
-            with np.errstate(all="ignore"):
-                x = f.solve_x(yarg, 1.0)
-        else:
-            if clamp_y is not None and yarg >= clamp_y:
-                yarg = clamp_y
+        if clamp_y is not None:
+            yarg = np.minimum(yarg, clamp_y)
+        with np.errstate(all="ignore"):
             x = f.solve_x(yarg, 1.0)
         return one_plus**beta1 * x
 
     def derivative(r, v):
         one_plus = 1.0 + v * v
         yarg = v / (r * one_plus**beta)
-        if not isinstance(yarg, float):
+        if not isinstance(yarg, float):  # an ndarray (the cheaper test on floats)
             held = clamp_y is not None and yarg >= clamp_y
             if clamp_y is not None:
                 yarg = np.minimum(yarg, clamp_y)
@@ -133,15 +128,26 @@ def _slope_field(f: CurvatureFunction, clamp_y: Optional[float]):
 
 def _slope_scalar(f: CurvatureFunction, clamp_y: Optional[float]):
     """RHS and Jacobian of the slope equation as one-component maps for
-    ``integrate``.  A missing root, or an overflow at a huge v, gives NaN: a
+    ``integrate``.  The RHS is F written out in one frame on the family's
+    float inverse; a missing root, or an overflow at a huge v, gives NaN: a
     domain exit.  The catenoid graph charts build their RHS on this one.
     """
-    value, derivative = _slope_field(f, clamp_y)
+    _, derivative = _slope_field(f, clamp_y)
+    beta = f.beta
+    beta1 = beta + 1.0
+    inverse, level = f._float_x, f.normalization
 
     def rhs(r, vs):
+        v = vs[0]
+        one_plus = 1.0 + v * v
         try:
-            return (value(r, vs[0]),)
-        except OverflowError:
+            yarg = v / (r * one_plus**beta)
+            if clamp_y is not None and yarg >= clamp_y:
+                yarg = clamp_y
+            x = inverse(yarg, level)
+            # ``solve_x`` on floats: no root and an infinite one give NaN
+            return (math.nan,) if math.isinf(x) else (one_plus**beta1 * x,)
+        except (ZeroDivisionError, OverflowError):
             return (math.nan,)
 
     def jac(r, vs):

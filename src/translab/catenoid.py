@@ -174,7 +174,7 @@ def solve_neck(f: CurvatureFunction, R: float, handoff_tan: float = HANDOFF_TAN)
     tilt = math.atan(handoff_tan)
 
     def curvature(y):
-        return f.solve_x(math.sin(y[1]) / y[0], math.cos(y[1]))
+        return f.solve_float(math.sin(y[1]) / y[0], math.cos(y[1]))
 
     def rhs(s, y):
         return (math.cos(y[1]), curvature(y))
@@ -328,7 +328,7 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
     tilt = math.atan(handoff_tan)
 
     def rhs(psi, y):  # dr/dpsi = D sin psi = -sin psi / X
-        x = f.solve_x(math.cos(psi) / y[0], -math.sin(psi))
+        x = f.solve_float(math.cos(psi) / y[0], -math.sin(psi))
         return (-math.sin(psi) / x if x < 0 else math.nan,)
 
     def x_at(psi, y):

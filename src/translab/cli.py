@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 solver error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Callable, NamedTuple, Optional
@@ -93,7 +94,9 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process on its first use."""
     p = argparse.ArgumentParser(prog="translab", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -105,7 +108,7 @@ def _parse_args(argv):
             for name, opt in _OPTIONS.get(section, {}).items():
                 sp.add_argument(_flag(name), help=opt.help, metavar=opt.parse.metavar)
         sp.add_argument("--quiet", action="store_true")
-    return p.parse_args(argv)
+    return p
 
 
 def _merge_config(args, cfg: dict) -> None:
@@ -369,7 +372,7 @@ def cmd_list(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv if argv is not None else sys.argv[1:])
+    args = _parser().parse_args(argv if argv is not None else sys.argv[1:])
     try:
         _merge_config(args, load_config(args.config, _OPTIONS))
     except ParameterError as exc:

@@ -4,12 +4,16 @@ Every function of the principal curvatures used here is evaluated on the
 rotational slice (x, y, ..., y) of R^n, which collapses it to a function
 gamma(x, y) of two variables.  Each family below provides the slice value,
 analytic first partials, a cone-membership predicate and a closed-form
-inverse in x, for a float or an ndarray of y.  Each inverse is exact: it
-returns the root of gamma(x, y) = z on the monotone piece ``x_chart`` names,
-and NaN where that piece holds none, so its callers trust any finite value.
-It is the only x-solve: every ODE right-hand side and every
-``ImplicitBranch`` branch take it, and ``ImplicitBranch.bisect_level`` checks
-it by bisection on ``value``.
+inverse in x, written twice: on floats with plain conditionals
+(``_float_x``) and on ndarrays with ``np.where`` (``_array_x``), the same
+NaNs and roots within a few ulps.  ``solve_x`` picks one by type; callers
+that hold floats skip the test: ``ImplicitBranch`` and the catenoid angle
+charts call ``solve_float``, the slope RHS the float inverse itself.  Each
+inverse is exact: it returns the root of gamma(x, y) = z on the monotone
+piece ``x_chart`` names, and NaN where that piece holds none, so its callers
+trust any finite value.  It is the only x-solve: every ODE right-hand side
+and every ``ImplicitBranch`` branch take it, and
+``ImplicitBranch.bisect_level`` checks it by bisection on ``value``.
 
 Construction normalizes gamma so that gamma(0, 1) = 1 whenever that value is
 positive; the original scale is kept in ``normalization``.  It also sets each
@@ -31,14 +35,6 @@ from .errors import DomainError, ParameterError, UnsupportedError
 def _unit(x: float, y: float) -> tuple:
     norm = math.hypot(x, y)
     return x / norm, y / norm
-
-
-def _where(ok, x, other=math.nan):
-    """``x if ok else other`` on floats, ``np.where`` if ok or x is an
-    ndarray (kconv's ok is a float when its y-term vanishes)."""
-    if isinstance(ok, np.ndarray) or isinstance(x, np.ndarray):
-        return np.where(ok, x, other)
-    return x if ok else other
 
 
 class CurvatureFunction:
@@ -97,9 +93,13 @@ class CurvatureFunction:
         """(gxx, gxy, gyy) of the raw slice value, or None to use differences."""
         return None
 
-    def _raw_solve_x(self, y, z_raw):
+    def _float_x(self, y: float, z_raw: float) -> float:
         """Closed-form x with raw gamma(x, y) = z_raw inside ``x_chart``; NaN
-        where there is none."""
+        where there is none (it may raise, or give +-inf, as float arithmetic does)."""
+        raise NotImplementedError
+
+    def _array_x(self, y, z_raw):
+        """``_float_x`` on ndarrays; +-inf where a float division raises."""
         raise NotImplementedError
 
     def cone_contains(self, x: float, y: float) -> bool:
@@ -133,19 +133,28 @@ class CurvatureFunction:
         gxy = 0.5 * ((gyp[0] - gym[0]) / (2 * h) + (gxp[1] - gxm[1]) / (2 * h))
         return gxx, gxy, gyy
 
-    def solve_x(self, y, z: float):
-        """Closed-form inverse of the normalized slice value, for a float or
-        an ndarray of y; NaN (in the shape of y) where there is no root,
-        never +-inf, so that the RHS built on it ends on a domain exit."""
+    def solve_x(self, y, z):
+        """Closed-form inverse of the normalized slice value: ``solve_float``
+        on floats, the family's ``_array_x`` where y or z is an ndarray; NaN
+        (in the shape of y) where there is no root, never +-inf, so that the
+        RHS built on it ends on a domain exit."""
+        if not (isinstance(y, np.ndarray) or isinstance(z, np.ndarray)):
+            return self.solve_float(y, z)
         try:
-            x = self._raw_solve_x(y, z * self.normalization)
+            x = self._array_x(y, z * self.normalization)
         except (ZeroDivisionError, OverflowError):
             return y * math.nan
         # a vanishing denominator gives +-inf on arrays where floats raise, an
         # overflowing product +-inf on both
-        if isinstance(x, float):
-            return math.nan if math.isinf(x) else x
         return np.where(np.isinf(x), math.nan, x)
+
+    def solve_float(self, y: float, z: float) -> float:
+        """``solve_x`` on floats, on the family's ``_float_x``."""
+        try:
+            x = self._float_x(y, z * self.normalization)
+        except (ZeroDivisionError, OverflowError):
+            return math.nan
+        return math.nan if math.isinf(x) else x
 
     def x_chart(self, y: float, z: float) -> tuple:
         """Open x-interval of the monotone piece holding the z-level at this y.
@@ -190,8 +199,10 @@ class MeanCurvature(CurvatureFunction):
     def _raw_second(self, x, y):
         return 0.0, 0.0, 0.0
 
-    def _raw_solve_x(self, y, z_raw):
+    def _float_x(self, y, z_raw):
         return z_raw - (self.dimension_n - 1) * y
+
+    _array_x = _float_x
 
     def cone_contains(self, x, y):
         return x + (self.dimension_n - 1) * y > 0
@@ -220,18 +231,23 @@ class GaussRoot(CurvatureFunction):
             p = x * y ** (n - 1)
             root = abs(p) ** (1.0 / n)
             ok = (x != 0) & (y != 0) & ((p >= 0) | (n % 2 == 1))
-            v = _where(ok, np.where(p >= 0, root, -root))
+            v = np.where(ok, np.where(p >= 0, root, -root), math.nan)
         else:
             v = self._raw_value(x, y)
             if x == 0 or y == 0:
                 raise DomainError("gauss gradient undefined on the boundary")
         return v / (n * x), (n - 1) * v / (n * y)
 
-    def _raw_solve_x(self, y, z_raw):
+    def _float_x(self, y, z_raw):
         n = self.dimension_n
         x = z_raw**n / y ** (n - 1)
         # an even root has no level below 0, and its chart is x > 0
-        return x if n % 2 == 1 else _where((z_raw > 0) & (x > 0), x)
+        return x if n % 2 == 1 or z_raw > 0 and x > 0 else math.nan
+
+    def _array_x(self, y, z_raw):
+        n = self.dimension_n
+        x = z_raw**n / y ** (n - 1)
+        return x if n % 2 == 1 else np.where((z_raw > 0) & (x > 0), x, math.nan)
 
     def cone_contains(self, x, y):
         return x > 0 and y > 0
@@ -269,7 +285,7 @@ class SymmetricPoly(CurvatureFunction):
         super().__init__(f"sk:k={k},n={n}", n, Fraction(k))
         # the -1 level x = -(c + B_k y^k)/(B_{k-1} y^(k-1)), B_j = C(n-1, j)
         # and c the normalization: a line for k = 1, diverging at the origin
-        # for odd k >= 3 and absent for even k (``_raw_solve_x``)
+        # for odd k >= 3 and absent for even k (``_float_x``)
         if k == 1:
             self.minus_origin = (-(n - 1.0), -(n - 1.0))
         elif k % 2 == 1:
@@ -298,11 +314,16 @@ class SymmetricPoly(CurvatureFunction):
         ) * y ** (k - 2)
         return gxx, gxy, gyy
 
-    def _raw_solve_x(self, y, z_raw):
+    def _float_x(self, y, z_raw):
         k = self.k
         x = (z_raw - self._b * y**k) / (self._a * y ** (k - 1))
         # gamma_x = a y^(k-1): for even k no piece increases in x at y < 0
-        return x if k % 2 else _where(y > 0, x)
+        return x if k % 2 or y > 0 else math.nan
+
+    def _array_x(self, y, z_raw):
+        k = self.k
+        x = (z_raw - self._b * y**k) / (self._a * y ** (k - 1))
+        return x if k % 2 else np.where(y > 0, x, math.nan)
 
     def cone_contains(self, x, y):
         return _garding_slice_ok(self.dimension_n, self.k, x, y)
@@ -404,20 +425,19 @@ class HessianQuotient(CurvatureFunction):
         gyy = 2 * q_y + y * q_yy
         return gxx, gxy, gyy
 
-    def _raw_solve_x(self, y, z_raw):
+    def _float_x(self, y, z_raw):
         # the cross-multiplied equation num/den = (z/y)^m
         m = self.m
         zm = z_raw**m
         ym = y**m
         x = y * (self._bl * zm - self._bk * ym) / (self._bk1 * ym - self._bl1 * zm)
         if m == 1:
-            # gamma(x, 0) = 0 for every x: no level has a root at y = 0
-            ok = y != 0
-            if self._bl1:
-                # the piece x_chart picks: x > pole below the limit, x < pole above it
-                below = z_raw < y * self._limit
-                ok = ok & ((x > -self._bl * y / self._bl1) == below)
-            return _where(ok, x)
+            # gamma(x, 0) = 0 for every x: no level has a root at y = 0; with
+            # a pole, x_chart picks x > pole below the limit, x < pole above it
+            if y == 0 or self._bl1 and (
+                    (x > -self._bl * y / self._bl1) != (z_raw < y * self._limit)):
+                return math.nan
+            return x
         # the root solves the level only where z/y > 0 (for even m the
         # equation also has roots at z/y < 0) and num/den > 0, computed as
         # ``value`` computes them; it counts only strictly inside the piece
@@ -426,11 +446,30 @@ class HessianQuotient(CurvatureFunction):
         num = self._bk * y + self._bk1 * x
         den = self._bl * y + self._bl1 * x
         x_n = -self._bk * y / self._bk1
-        on_chart = (x - x_n) * y > 0  # x > x_n for y > 0, x < x_n for y < 0
+        if self._bl1 and y < 0 and z_raw < y * self._limit:
+            on_chart = x > -self._bl * y / self._bl1
+        else:
+            on_chart = (x - x_n) * y > 0  # x > x_n for y > 0, x < x_n for y < 0
+        return x if y * z_raw > 0 and num * den > 0 and on_chart else math.nan
+
+    def _array_x(self, y, z_raw):
+        m = self.m
+        zm = z_raw**m
+        ym = y**m
+        x = y * (self._bl * zm - self._bk * ym) / (self._bk1 * ym - self._bl1 * zm)
+        if m == 1:
+            ok = y != 0
+            if self._bl1:
+                ok = ok & ((x > -self._bl * y / self._bl1) == (z_raw < y * self._limit))
+            return np.where(ok, x, math.nan)
+        num = self._bk * y + self._bk1 * x
+        den = self._bl * y + self._bl1 * x
+        x_n = -self._bk * y / self._bk1
+        on_chart = (x - x_n) * y > 0
         if self._bl1:
             right = (y < 0) & (z_raw < y * self._limit)
-            on_chart = _where(right, x > -self._bl * y / self._bl1, on_chart)
-        return _where((y * z_raw > 0) & (num * den > 0) & on_chart, x)
+            on_chart = np.where(right, x > -self._bl * y / self._bl1, on_chart)
+        return np.where((y * z_raw > 0) & (num * den > 0) & on_chart, x, math.nan)
 
     def cone_contains(self, x, y):
         return _garding_slice_ok(self.dimension_n, self.k, x, y)
@@ -483,21 +522,30 @@ class KNorm(CurvatureFunction):
         if isinstance(x, np.ndarray):  # NaN where a float raises
             s = x**k + (n - 1) * y**k
             root = abs(s) ** (1.0 / k)
-            v = _where((s > 0) | (s < 0) & (k % 2 == 1), np.where(s > 0, root, -root))
+            v = np.where((s > 0) | (s < 0) & (k % 2 == 1), np.where(s > 0, root, -root),
+                         math.nan)
         else:
             v = self._raw_value(x, y)
             if v == 0:
                 raise DomainError(f"{self.name}: gradient undefined on the zero set")
         return (x / v) ** (k - 1), (n - 1) * (y / v) ** (k - 1)
 
-    def _raw_solve_x(self, y, z_raw):
+    def _float_x(self, y, z_raw):
         k, n = self.k, self.dimension_n
         s = z_raw**k - (n - 1) * y**k
         root = abs(s) ** (1.0 / k)
         # an odd power sum takes the odd root below 0; an even one has no sum or level below 0
         if k % 2 == 1:
-            return _where(s < 0, -root, root)
-        return _where((s > 0) & (z_raw > 0), root)
+            return -root if s < 0 else root
+        return root if s > 0 and z_raw > 0 else math.nan
+
+    def _array_x(self, y, z_raw):
+        k, n = self.k, self.dimension_n
+        s = z_raw**k - (n - 1) * y**k
+        root = abs(s) ** (1.0 / k)
+        if k % 2 == 1:
+            return np.where(s < 0, -root, root)
+        return np.where((s > 0) & (z_raw > 0), root, math.nan)
 
     def cone_contains(self, x, y):
         return x > 0 and y > 0
@@ -528,7 +576,7 @@ class KConvexity(CurvatureFunction):
         sx = x + (k - 1) * y
         sy = k * y
         if isinstance(sx, np.ndarray):  # NaN where a float raises
-            return _where(sx > 0, sx), _where(sy > 0, sy)
+            return np.where(sx > 0, sx, math.nan), np.where(sy > 0, sy, math.nan)
         if sx <= 0 or (self._b > 0 and sy <= 0):
             raise DomainError(f"{self.name}: a k-fold sum is non-positive")
         return sx, sy
@@ -546,14 +594,24 @@ class KConvexity(CurvatureFunction):
         dtot_dy = -self._a * (k - 1) / sx**2 - (self._b * k / sy**2 if self._b else 0.0)
         return -dtot_dx / tot**2, -dtot_dy / tot**2
 
-    def _raw_solve_x(self, y, z_raw):
+    def _float_x(self, y, z_raw):
         # no root where a k-fold sum (``_sums``) is non-positive: lhs, sy <= 0
         k = self.k
         sy = k * y
         rest = self._b / sy if self._b else 0.0
         lhs = 1.0 / z_raw - rest
-        ok = (lhs > 0) & (sy > 0) if self._b else lhs > 0
-        return _where(ok, self._a / lhs - (k - 1) * y)
+        if lhs > 0 and (sy > 0 or not self._b):
+            return self._a / lhs - (k - 1) * y
+        return math.nan
+
+    def _array_x(self, y, z_raw):
+        # 1/z is +-inf at z = 0, where the float division raises
+        k = self.k
+        sy = k * y
+        rest = self._b / sy if self._b else 0.0
+        lhs = 1.0 / z_raw - rest
+        ok = (lhs > 0) & (z_raw != 0)
+        return np.where(ok & (sy > 0) if self._b else ok, self._a / lhs - (k - 1) * y, math.nan)
 
     def cone_contains(self, x, y):
         k = self.k

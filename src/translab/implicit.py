@@ -1,12 +1,13 @@
 """Implicit x-branches of the slice level sets gamma(x, y) = z.
 
-Every branch is the family's exact closed-form inverse
-(``CurvatureFunction.solve_x``), and a ``ConvergenceError`` where that has no
-root.  ``solve_level`` is that solve at any level; ``g_plus`` is the
+Every branch is the family's exact closed-form inverse on floats
+(``CurvatureFunction.solve_float``), and a ``ConvergenceError`` where that
+has no root.  ``solve_level`` is that solve at any level; ``g_plus`` is the
 positive-level branch on U+;  ``g_minus`` the z = -1 branch at y in (-1, 0).
-The ODE right-hand sides take ``solve_x`` itself, whose NaN ends a run on a
-domain exit.  The asymptotic constants of the branches are family data, not
-estimates: the origin limit and slope of g_- (``CurvatureFunction.minus_origin``,
+The ODE right-hand sides take the closed form itself (``solve_x``, on a float
+the family's float inverse), whose NaN ends a run on a domain exit.  The
+asymptotic constants of the branches are family data, not estimates: the
+origin limit and slope of g_- (``CurvatureFunction.minus_origin``,
 which ``dg_minus_dy_at_zero`` reads) and the Laurent pair of g_+(y, 1) at
 infinity (``CurvatureFunction.laurent``).
 
@@ -54,7 +55,7 @@ class ImplicitBranch:
     def _root(self, y: float, z: float) -> float:
         """The closed-form x with gamma(x, y) = z, exact where it is finite;
         a ConvergenceError where it has no root."""
-        x = self.source.solve_x(y, z)
+        x = self.source.solve_float(y, z)
         if not math.isfinite(x):
             raise ConvergenceError(f"{self.source.name}: no root of gamma = {z} at y={y}")
         return x

@@ -834,8 +834,9 @@ class _Arrays:
         else:
             s = (stage_t - prev.t0) / prev.h
             Z = prev.y0 + s * _poly(prev.Q.T, s) - y
-            _, first, where = np.unique(y, return_index=True, return_inverse=True)
-            Z = Z[:, first[where]]
+            if len(set(y.tolist())) < y.size:  # else first[where] is the identity
+                _, first, where = np.unique(y, return_index=True, return_inverse=True)
+                Z = Z[:, first[where]]
         return stage_t, Z, _rows(_Arrays.TI, Z)
 
     @staticmethod

@@ -63,10 +63,10 @@ def test_height_matches_high_order_oracle():
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     f = from_key("gauss:n=4")
     p = profile("gauss:n=4", 1e3)
-    value, _ = _slope_field(f, None)
+    rhs, _ = _slope_scalar(f, None)
     grid = np.geomspace(1.0, 1e3, 25)
     sol = solve_ivp(
-        lambda r, y: [value(r, y[0]), y[0]],
+        lambda r, y: [rhs(r, (y[0],))[0], y[0]],
         (AXIS_EPS, 1e3),
         [f.lambda0 * AXIS_EPS, 0.5 * f.lambda0 * AXIS_EPS**2],
         method="DOP853",
@@ -259,9 +259,10 @@ def test_bowl_below_cylinder_cone():
 )
 def test_slope_derivative_matches_differences(key, r, v):
     f = from_key(key)
-    value, derivative = _slope_field(f, 1.0)
+    rhs, _ = _slope_scalar(f, 1.0)
+    _, derivative = _slope_field(f, 1.0)
     h = 1e-6 * v
-    fd = (value(r, v + h) - value(r, v - h)) / (2 * h)
+    fd = (rhs(r, (v + h,))[0] - rhs(r, (v - h,))[0]) / (2 * h)
     assert derivative(r, v) == pytest.approx(fd, rel=1e-7)
 
 

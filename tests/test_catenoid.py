@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from translab.bowl import PROFILE_CONFIG, _slope_field, _slope_scalar, solve_bowl
+from translab.bowl import PROFILE_CONFIG, _slope_scalar, solve_bowl
 from translab.catenoid import (
     HANDOFF_TAN,
     check_embeddedness,
@@ -249,7 +249,7 @@ def test_upper_height_against_dop853_oracle(chart):
     key, rmax = ("sk:k=3,n=5", 12.0) if chart == "turning" else ("qk:k=3,n=6", 200.0)
     f = from_key(key)
     res = catenoid(key, 1.0, rmax)
-    value, _ = _slope_field(f, None)
+    slope, _ = _slope_scalar(f, None)
     sign = 1.0 if chart == "upper" else -1.0  # tau = sign u
 
     def neck(tau, y):
@@ -264,7 +264,7 @@ def test_upper_height_against_dop853_oracle(chart):
         return y[1] - HANDOFF_TAN
 
     def graph(r, y):
-        return [value(r, y[0]), y[0], math.sqrt(1.0 + y[0] ** 2)]
+        return [slope(r, (y[0],))[0], y[0], math.sqrt(1.0 + y[0] ** 2)]
 
     def oracle(rhs, span, y0, **kw):
         sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-13, atol=1e-20, **kw)
@@ -297,7 +297,7 @@ def test_upper_height_against_dop853_oracle(chart):
     r1, (w1, u1, s1) = down.t[-1], down.y[:, -1]
 
     def turning(w, y):
-        drdw = 1.0 / value(y[0], w)
+        drdw = 1.0 / slope(y[0], (w,))[0]
         return [drdw, w * drdw, math.sqrt(1.0 + w * w) * drdw]
 
     sol = oracle(turning, (w1, HANDOFF_TAN), [r1, u1, s1], t_eval=[0.0, HANDOFF_TAN])

@@ -478,6 +478,19 @@ def test_fit_window_used(tmp_path):
     assert json.loads((out / "bowl.json").read_text())["fit_window"] == [8.0, 40.0]
 
 
+def test_in_process_calls_share_no_option(tmp_path, capsys):
+    # one argparse tree serves every call in a process: the fit window and
+    # --quiet of the first call are unset in the second
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert run(["bowl", "--curvature", "mean:n=3", "--rmax", "60", "--fit-lo", "8",
+                "--fit-hi", "40", "--out", str(first), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(["bowl", "--curvature", "mean:n=3", "--rmax", "60", "--out", str(second)]) == 0
+    assert "PASS residual" in capsys.readouterr().out
+    config = json.loads((second / "manifest.json").read_text())["config"]
+    assert "fit_lo" not in config and "fit_hi" not in config and config["quiet"] is False
+    assert json.loads((second / "bowl.json").read_text())["fit_window"] != [8.0, 40.0]
+
 def test_json_reports_each_charts_steppers(tmp_path):
     # per chart: where the explicit steps handed off to Radau IIA (null if
     # they did not) and the accepted steps of each kind

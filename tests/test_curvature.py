@@ -187,9 +187,9 @@ def test_gradient_positive_and_matches_differences(key):
 
 @pytest.mark.parametrize("key", ALL_KEYS + ["knorm:k=3,n=3", "kconv:k=3,n=3"])
 def test_solve_x_floats_and_arrays(key):
-    # one formula serves both: a float stays a float, an array keeps its
-    # shape (kconv:k=3,n=3 has no y-term, so its root test is a float), and
-    # NaN stands for "no root" instead of an exception, at zero levels too
+    # a float stays a float, an array keeps its shape (kconv:k=3,n=3 has no
+    # y-term, so its root test is a float), and NaN stands for "no root"
+    # instead of an exception, at zero levels too
     f = from_key(key)
     ys = np.array([-1.0, 0.0, 0.5, 2.0])
     for z in (-1.0, 0.0, 1.0):
@@ -303,6 +303,49 @@ def test_signed_odd_scaling_rule():
         assert f.value(c * x, c * y) == pytest.approx(
             -abs(c) ** 3 * f.value(x, y), rel=1e-12
         )
+
+
+def _inverse_samples():
+    """(y, z) pairs for the inverses: y of both signs at magnitudes 1e-6 to
+    1e8, z in [-2, 2] and at the levels 0, -0.0 and +-1, and every pair of
+    a few special values."""
+    rng = np.random.default_rng(29)
+    y = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-6, 8, 3000)
+    z = np.where(rng.uniform(size=3000) < 0.8, rng.uniform(-2.0, 2.0, 3000),
+                 rng.choice([0.0, -0.0, 1.0, -1.0], 3000))
+    special_y, special_z = [0.0, -0.0, 0.5, 1.0, -1.0, 5.7e7], [0.0, -0.0, 0.3, 1.0, -1.0]
+    return (np.concatenate([y, np.repeat(special_y, len(special_z))]),
+            np.concatenate([z, np.tile(special_z, len(special_y))]))
+
+
+@pytest.mark.parametrize("key", ALL_KEYS + [
+    "qk:k=3,n=6", "qk:k=4,n=6", "qk:k=5,n=6", "hq:k=3,l=0,n=4", "hq:k=3,l=1,n=5",
+    "gauss:n=5", "sk:k=2,n=4", "knorm:k=3,n=3", "kconv:k=3,n=3"])
+def test_float_and_array_inverses_agree(key):
+    # solve_x takes the family's float inverse on floats and its array
+    # inverse on ndarrays: NaN at the same points, and finite roots within
+    # 4 ulps, times the root's condition number in (y, z) where that
+    # exceeds 1 (numpy's array power may round differently from Python's
+    # pow, and a difference of powers magnifies that); but where one side's
+    # root lies within 4 ulps of an x_chart end, the other side's may have
+    # rounded onto it and give NaN (an end itself is no root: the chart is open)
+    f = from_key(key)
+    ys, zs = _inverse_samples()
+    with np.errstate(all="ignore"):
+        arrays = f.solve_x(ys, zs)
+    floats = np.array([f.solve_x(y, z) for y, z in zip(ys.tolist(), zs.tolist())])
+    assert np.isfinite(floats).sum() > 100
+    finite = np.isfinite(arrays) & np.isfinite(floats)
+    for i in np.flatnonzero(finite & (np.abs(arrays - floats) > 4 * np.spacing(np.abs(floats)))):
+        y, z, x, eps = float(ys[i]), float(zs[i]), float(floats[i]), 1e-6
+        cond = (abs(f.solve_x(y * (1 + eps), z) - x)
+                + abs(f.solve_x(y, z * (1 + eps)) - x)) / (eps * abs(x))
+        assert abs(arrays[i] - x) <= 4 * max(1.0, cond) * math.ulp(x), (y, z, x, cond)
+    for i in np.flatnonzero(np.isnan(arrays) != np.isnan(floats)):
+        y, z = float(ys[i]), float(zs[i])
+        x = float(np.nan_to_num(floats[i], nan=arrays[i]))
+        lo, hi = f.x_chart(y, z)
+        assert lo < x < hi and min(x - lo, hi - x) <= 4 * math.ulp(x), (y, z, x)
 
 
 @pytest.mark.parametrize("key, y", [("mean:n=3", 1.7e308), ("mean:n=3", -1.7e308),
