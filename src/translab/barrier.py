@@ -200,7 +200,8 @@ def compare_orderings(
     clamp = None if f.is_one_degenerate else 1.0
     rhs, jac = _slope_field(f, clamp)
     # components 2i and 2i+1 hold the lower and upper member of pair i
-    traj = integrate(rhs, r0, [v for pair in pairs for v in pair], r_end, cfg, jac=jac)
+    with np.errstate(all="ignore"):
+        traj = integrate(rhs, r0, [v for pair in pairs for v in pair], r_end, cfg, jac=jac)
     grid = np.linspace(r0, r_end, 200)
     vs = traj.resample(grid[grid <= traj.t_final])
     min_gap = float(np.min(vs[:, 1::2] - vs[:, 0::2]))

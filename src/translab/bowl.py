@@ -86,7 +86,9 @@ def _slope_field(f: CurvatureFunction, clamp_y: Optional[float]):
     where ``grad`` does.  On an ndarray of v, with r broadcasting against
     it, both give NaN there instead: the broadcasting RHS and diagonal
     Jacobian of uncoupled copies of the equation, one per component of a
-    batched state, each element computed on its own.
+    batched state, each element computed on its own, under the caller's
+    numpy error state: a batched run sets it once (``compare_orderings``
+    ignores every floating-point error for its run).
     """
     beta = f.beta
     beta1 = beta + 1.0
@@ -96,9 +98,7 @@ def _slope_field(f: CurvatureFunction, clamp_y: Optional[float]):
         yarg = v / (r * one_plus**beta)
         if clamp_y is not None:
             yarg = np.minimum(yarg, clamp_y)
-        with np.errstate(all="ignore"):
-            x = f.solve_x(yarg, 1.0)
-        return one_plus**beta1 * x
+        return one_plus**beta1 * f.solve_x(yarg, 1.0)
 
     def derivative(r, v):
         one_plus = 1.0 + v * v
@@ -107,11 +107,10 @@ def _slope_field(f: CurvatureFunction, clamp_y: Optional[float]):
             held = clamp_y is not None and yarg >= clamp_y
             if clamp_y is not None:
                 yarg = np.minimum(yarg, clamp_y)
-            with np.errstate(all="ignore"):
-                x = f.solve_x(yarg, 1.0)
-                gx, gy = f.grad(x, yarg)
-                d = 2.0 * beta1 * v * one_plus**beta * x - np.where(
-                    held, 0.0, gy / gx * (one_plus - 2.0 * beta * v * v) / r)
+            x = f.solve_x(yarg, 1.0)
+            gx, gy = f.grad(x, yarg)
+            d = 2.0 * beta1 * v * one_plus**beta * x - np.where(
+                held, 0.0, gy / gx * (one_plus - 2.0 * beta * v * v) / r)
             return np.where(np.isinf(d), math.nan, d)  # a zero gamma_x raises on floats
         clamped = clamp_y is not None and yarg >= clamp_y
         if clamped:

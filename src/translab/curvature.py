@@ -595,23 +595,28 @@ class KConvexity(CurvatureFunction):
         return -dtot_dx / tot**2, -dtot_dy / tot**2
 
     def _float_x(self, y, z_raw):
-        # no root where a k-fold sum (``_sums``) is non-positive: lhs, sy <= 0
+        # no root where a k-fold sum (``_sums``) is non-positive: lhs, sy <= 0,
+        # or a root that rounds onto the chart end x = -(k-1) y (a/lhs lost
+        # against (k-1) y at a tiny level)
         k = self.k
         sy = k * y
         rest = self._b / sy if self._b else 0.0
         lhs = 1.0 / z_raw - rest
         if lhs > 0 and (sy > 0 or not self._b):
-            return self._a / lhs - (k - 1) * y
+            x = self._a / lhs - (k - 1) * y
+            return x if x + (k - 1) * y > 0 else math.nan
         return math.nan
 
     def _array_x(self, y, z_raw):
-        # 1/z is +-inf at z = 0, where the float division raises
+        # as ``_float_x``; at z = 0, where the float division raises, 1/z is
+        # +-inf and x the chart end or no root
         k = self.k
         sy = k * y
         rest = self._b / sy if self._b else 0.0
         lhs = 1.0 / z_raw - rest
-        ok = (lhs > 0) & (z_raw != 0)
-        return np.where(ok & (sy > 0) if self._b else ok, self._a / lhs - (k - 1) * y, math.nan)
+        x = self._a / lhs - (k - 1) * y
+        ok = (lhs > 0) & (x + (k - 1) * y > 0)
+        return np.where(ok & (sy > 0) if self._b else ok, x, math.nan)
 
     def cone_contains(self, x, y):
         k = self.k

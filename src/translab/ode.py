@@ -181,6 +181,8 @@ _RP = (
     (0.2, -4.8, 25.2, -44.8, 25.2),
 )
 _RPT = tuple(zip(*_RP))
+_EIGEN_AT = np.array([[1, 0, 0, 0, 0], [0, 2, 3, 0, 0], [0, 4, 2, 0, 0],  # see _eigen_blocks
+                      [0, 0, 0, 5, 6], [0, 0, 0, 7, 5]])
 # coefficients per component of a Radau IIA step's dense output, one per stage
 _RADAU_DENSE = len(_RC)
 _ERR_EXP = -1 / (_RADAU_DENSE + 1)
@@ -683,20 +685,17 @@ def _rows(AT, X):
     """A X for X of shape (n, dim), given AT[j, i] = A[i, j] (of shape
     (n, n, 1), or (n, n, dim) for one matrix per component).  Each row is
     summed as the written-out combination a0 * x0 + a1 * x1 + ..., without
-    a matrix product."""
-    P = AT * X[:, None]
-    return sum(P[1:], P[0])
+    a matrix product: one reduction over the outer axis, which numpy adds
+    row after row, left to right."""
+    return np.add.reduce(AT * X[:, None], axis=0)
 
 
 def _eigen_blocks(real, mr1, mi1, mr2, mi2):
-    """The 5x5 matrix (of scalars or per-component arrays) of w -> (real w0,
-    m1 (w1 + i w2), m2 (w3 + i w4)), m = mr + i mi, laid out for ``_rows``."""
-    MT = np.zeros((5, 5, np.size(real)))
-    MT[0, 0] = real
-    for k, mr, mi in ((1, mr1, mi1), (3, mr2, mi2)):
-        MT[k, k] = MT[k + 1, k + 1] = mr
-        MT[k + 1, k], MT[k, k + 1] = -mi, mi
-    return MT
+    """The 5x5 matrix of w -> (real w0, m1 (w1 + i w2), m2 (w3 + i w4)),
+    m = mr + i mi, laid out for ``_rows``: (5, 5, dim), entry [j, i] the row
+    ``_EIGEN_AT[j, i]`` of the stack (0, real, mr1, mi1, -mi1, mr2, mi2, -mi2)
+    of (dim,) arrays, one value per component."""
+    return np.array((np.zeros(real.shape), real, mr1, mi1, -mi1, mr2, mi2, -mi2))[_EIGEN_AT]
 
 
 def _transform(M):
@@ -799,19 +798,21 @@ class _Floats:
 
 class _Arrays:
     """The Radau IIA stage arithmetic of several components on ndarrays (see
-    ``_Floats``).  The stage values Z and their transforms W are (5, dim)
-    arrays, and one RHS call per Newton iteration evaluates the five stages
-    of every component.
-    The transforms are row combinations (``_rows``), not matrix products, so
-    that runs repeat bit for bit and equal components compute bit-identical
-    values.  Components equal at a node take one Newton start: the
-    extrapolation magnifies the rounding in which their last polynomials
+    ``_Floats``).  Z and W are (5, dim) arrays, one RHS call per Newton
+    iteration evaluates the five stages of every component, and the stage
+    solve's blocks are mu / h (``MU``) and one gather.  The transforms are
+    row combinations, one reduction each (``_rows``), not matrix products,
+    so that runs repeat bit for bit and equal components compute
+    bit-identical values.  Components equal at a node take one Newton start:
+    the extrapolation magnifies the rounding in which their last polynomials
     differ, so they would split again by tens of ulps (a comparison run's
     gap would read that noise), where with one start they stay equal.
     """
 
     TI, T, PT = (np.ascontiguousarray(np.transpose(A))[:, :, None] for A in (_RTI, _RT, _RPT))
     RE = np.array(_RE)[:, None, None]  # the estimate as one row for ``_rows``
+    # the block of mu / h, one for every component: (-mi) / h is -(mi / h) and 0 / h is 0
+    MU = _eigen_blocks(*np.array([_MU_REAL, *np.array(_MU_COMPLEX).view(float)])[:, None])
     RC = np.array(_RC)[:, None]
     load, maximum = np.array, np.maximum
 
@@ -841,15 +842,14 @@ class _Arrays:
 
     @staticmethod
     def solver(h, J):
-        m_real, inv_real, mr1, mi1, a1, b1, mr2, mi2, a2, b2 = _Floats.solver(h, J)
-        return _eigen_blocks(m_real, mr1, mi1, mr2, mi2), _eigen_blocks(inv_real, a1, -b1, a2, -b2)
+        _, inv_real, _, _, a1, b1, _, _, a2, b2 = _Floats.solver(h, J)
+        return _Arrays.MU / h, _eigen_blocks(inv_real, a1, -b1, a2, -b2)
 
     def newton(self, stage_t, y, Z, W, solve, scale2):
         M, S = solve
         dW = _rows(S, _rows(self.TI, self.rhs(stage_t, y + Z)) - _rows(M, W))
         dZ = _rows(self.T, dW)
-        dZ2 = dZ * dZ
-        dz2 = sum(dZ2[1:], dZ2[0]) / scale2
+        dz2 = np.add.reduce(dZ * dZ, axis=0) / scale2
         return W + dW, Z + dZ, math.sqrt(float(dz2.max()) / _RADAU_DENSE)
 
     @staticmethod

@@ -1,5 +1,7 @@
 """Barriers: cone round trips, margin signs, comparison principle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,26 @@ def test_profile_charts_step_explicitly_only_below_stiff_step(monkeypatch):
     stiffness = _explicit_stiffness(upper, upper_jac)
     assert len(stiffness) > 10
     assert max(stiffness) < ode.STIFF_STEP
+
+
+def test_ordering_run_leaves_the_error_state_as_it_found_it():
+    # a comparison run ignores numpy's floating-point errors for its run
+    # alone, its NaNs being domain exits: knorm:k=4,n=4's run of `verify
+    # --suite ordering`, which ends in step_underflow, warns of nothing, and
+    # the caller's error state is back after it, also when the run raises:
+    # at v = 1e200, v * v overflows, the RHS is not finite at the start
+    f = from_key("knorm:k=4,n=4")
+    v_lo, v_hi = admissible_slope_range(f, 1.0)
+    rng = np.random.default_rng(0)
+    pairs = [tuple(sorted(rng.uniform(v_lo, v_hi, 2))) for _ in range(10)]
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = np.geterr()
+        assert compare_orderings(f, pairs, 1.0, 100.0)["termination"] == "step_underflow"
+        assert np.geterr() == state
+        with pytest.raises(ParameterError, match="not finite"):
+            compare_orderings(f, [(0.8, 1e200)], 1.0, 100.0)
+        assert np.geterr() == state
 
 
 def test_ordering_truncated_span_is_not_verified():

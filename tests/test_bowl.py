@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from translab import bowl, catenoid, ode
+from translab.barrier import admissible_slope_range, compare_orderings
 from translab.bowl import (
     AXIS_EPS,
     _slope_field,
@@ -298,11 +299,12 @@ def test_gauss_n5_tail_node_count():
     assert len(tr.ts) <= 300  # this one's count, pinned
 
 
-def _count_slope_calls(monkeypatch, module):
-    """Wrap the maps that ``module._slope_scalar`` builds so that they count
-    their calls: one {"rhs": n, "jac": n} per chart, in the order built."""
+def _count_slope_calls(monkeypatch, module, builder="_slope_scalar"):
+    """Wrap the maps that ``module``'s ``builder`` (``_slope_scalar`` unless
+    named) builds so that they count their calls: one {"rhs": n, "jac": n}
+    per chart, in the order built."""
     charts = []
-    scalar = module._slope_scalar
+    scalar = getattr(module, builder)
 
     def counted(calls, name, fn):
         def wrapped(r, vs):
@@ -315,7 +317,7 @@ def _count_slope_calls(monkeypatch, module):
         charts.append({"rhs": 0, "jac": 0})
         return counted(charts[-1], "rhs", rhs), counted(charts[-1], "jac", jac)
 
-    monkeypatch.setattr(module, "_slope_scalar", counted_scalar)
+    monkeypatch.setattr(module, builder, counted_scalar)
     return charts
 
 
@@ -328,6 +330,28 @@ def test_mean_profile_layer_counts(monkeypatch):
     tr = solve_bowl(from_key("mean:n=3"), 500.0).trajectory
     assert tr.step_counts() == {"handoff": AXIS_EPS, "explicit_steps": 0, "radau_steps": 176}
     assert charts == [{"rhs": 2863, "jac": 78}]
+
+
+def test_ordering_pairs_layer_counts(monkeypatch):
+    # the batched path pinned call by call on the ordering-pairs bench jobs
+    # at seed 1: 8 seeded pairs each on mean:n=3 and hq:k=2,l=0,n=4, r from
+    # 1 to 100, each family one 16-component run on the tuple DOP853 and the
+    # ndarray Radau IIA kernels.  An RHS call evaluates every component (one
+    # per Newton iteration for all five stages; integrate's first one
+    # included), Jacobian calls include the stiffness tests'.  The pairs
+    # meet on the attracting tail, so each minimum gap is exactly +0.0
+    charts = _count_slope_calls(monkeypatch, bowl, "_slope_field")
+    rng = np.random.default_rng([1, 4])
+    reports = []
+    for key in ("mean:n=3", "hq:k=2,l=0,n=4"):
+        f = from_key(key)
+        v_lo, v_hi = admissible_slope_range(f, 1.0)
+        pairs = [tuple(sorted(rng.uniform(v_lo, v_hi, 2))) for _ in range(8)]
+        reports.append(compare_orderings(f, pairs, 1.0, 100.0))
+    assert [(rep["steps"]["explicit_steps"], rep["steps"]["radau_steps"])
+            for rep in reports] == [(13, 76), (11, 75)]
+    assert charts == [{"rhs": 554, "jac": 63}, {"rhs": 522, "jac": 61}]
+    assert [rep["min_gap"].hex() for rep in reports] == ["0x0.0p+0"] * 2
 
 
 def test_catenoid_graph_chart_layer_counts(monkeypatch):

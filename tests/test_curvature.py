@@ -372,3 +372,22 @@ def test_kconv_inverse_has_no_root_outside_its_domain():
     assert xs[3] == pytest.approx(0.0, abs=1e-12)  # gamma(0, 1) = 1
     with pytest.raises(TranslabError):
         ImplicitBranch(f).solve_level(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("key", ["kconv:k=2,n=4", "kconv:k=3,n=3"])
+def test_kconv_root_rounded_onto_its_chart_end_is_nan(key):
+    # at tiny levels a / lhs vanishes against (k-1) y and the root rounds
+    # onto the open chart end x = -(k-1) y, where a k-fold sum is 0 and value
+    # raises: no root there, for floats and arrays, as HessianQuotient
+    # gives for a root rounded onto an end; a level a little larger keeps it
+    f = from_key(key)
+    levels = [1e-200, 1e-300, 1e-310]
+    for z in levels:
+        assert math.isnan(f.solve_x(1.0, z))
+        with pytest.raises(TranslabError):
+            f.value(f.x_chart(1.0, z)[0], 1.0)
+    with np.errstate(all="ignore"):
+        assert np.isnan(f.solve_x(np.ones(3), np.array(levels))).all()
+        assert np.isnan(f.solve_x(np.array([1.0, 2.0, 4.0]), 1e-300)).all()
+    x = f.solve_x(1.0, 1e-14)
+    assert f.x_chart(1.0, 1e-14)[0] < x == f.solve_x(np.array([1.0]), 1e-14)[0]

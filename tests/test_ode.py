@@ -456,13 +456,25 @@ def test_float_kernel_takes_the_array_kernels_steps_bit_for_bit():
 
     one = integrate(lambda t, ys: (rhs(t, ys[0]),), 0.0, [0.5], 3.0,
                     jac=lambda t, ys: (jac(t, ys[0]),))
-    batch = integrate(rhs, 0.0, [0.5, 0.5], 3.0, jac=jac)
-    assert one.step_counts() == batch.step_counts() == {"handoff": 0.0, "explicit_steps": 0,
-                                                         "radau_steps": 105}
-    assert np.array_equal(batch.ts, one.ts)
-    assert np.array_equal(batch.ys, np.repeat(one.ys, 2, axis=1))
     grid = np.linspace(0.0, 3.0, 101)
-    assert np.array_equal(batch.resample(grid), np.repeat(one.resample(grid), 2, axis=1))
+    for dim in (2, 16):  # 16: the size of a comparison run of 8 pairs
+        batch = integrate(rhs, 0.0, [0.5] * dim, 3.0, jac=jac)
+        assert one.step_counts() == batch.step_counts() == {"handoff": 0.0, "explicit_steps": 0,
+                                                             "radau_steps": 105}
+        assert np.array_equal(batch.ts, one.ts)
+        assert np.array_equal(batch.ys, np.repeat(one.ys, dim, axis=1))
+        assert np.array_equal(batch.resample(grid), np.repeat(one.resample(grid), dim, axis=1))
+    # unequal components that meet at a node (the tracks from 0.5 and 0.501
+    # round to one float at node 98 of 106) take one Newton start from then
+    # on (``np.unique``) and stay equal; 16 components repeat the run of the
+    # two bit for bit
+    two = integrate(rhs, 0.0, [0.5, 0.501], 3.0, jac=jac)
+    mixed = integrate(rhs, 0.0, [0.5, 0.501] * 8, 3.0, jac=jac)
+    met = np.flatnonzero(two.ys[:, 0] == two.ys[:, 1])
+    assert np.array_equal(met, np.arange(98, len(two.ts))) and len(two.ts) == 106
+    assert np.array_equal(mixed.ts, two.ts)
+    assert np.array_equal(mixed.ys, np.tile(two.ys, 8))
+    assert np.array_equal(mixed.resample(grid), np.tile(two.resample(grid), 8))
 
 
 def test_batched_run_hands_off_as_one_component_does():

@@ -79,6 +79,10 @@ RUNS = (
     ("catenoid", "--curvature", "sk:k=3,n=5", "--R", "2", "--rmax", "8"),
     ("catenoid", "--curvature", "qk:k=3,n=6", "--R", "1e5", "--rmax", "4e5"),
     ("verify", "--suite", "all", "--curvature", "qk:k=5,n=6"),
+    # the comparison runs of the ordering-pairs bench families on a second
+    # set of pairs
+    ("verify", "--suite", "ordering", "--curvature", "mean:n=3", "--seed", "5"),
+    ("verify", "--suite", "ordering", "--curvature", "hq:k=2,l=0,n=4", "--seed", "5"),
 )
 NOT_JUDGED = {"manifest.json"}
 ENTRY = "import sys; from translab.cli import main; sys.exit(main())"
