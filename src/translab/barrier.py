@@ -180,13 +180,11 @@ def compare_orderings(
     separately would differ by their independently controlled errors on
     v ~ r, which on the attracting tail exceed the gap itself.  On
     y' = lam y a step multiplies a gap by the method's stability function
-    R(h lam), so the steps keep the order where R > 0.  A step is explicit
-    DOP853 while h max|dF/dv| < ``ode.STIFF_STEP`` = 0.3, well inside
-    [-4.35, 0], where its R is positive; from the first step that fails
-    that test on, it is Radau IIA with the analytic dF/dv, whose R is
-    positive on the whole negative real axis, so the stiff tail contracts
-    the gap without reversing its sign at tolerance-limited step sizes.
-    ``steps`` reports the handoff radius and the explicit and Radau IIA
+    R(h lam), so the steps keep the order where R > 0.  Every step is
+    Radau IIA with the analytic dF/dv, from r0 on, whose R is positive on
+    the whole negative real axis, so the stiff tail contracts the gap
+    without reversing its sign at tolerance-limited step sizes.  ``steps``
+    reports the handoff radius (r0) and the explicit (none) and Radau IIA
     step counts.  The order counts as verified only when the run reaches
     r_end: one failing component stops every pair, and a truncated span
     proves nothing.

@@ -68,16 +68,10 @@ def write_csv(path: Path, header: str, columns: Iterable[np.ndarray]) -> None:
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 def write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    """The payload as sorted, indented JSON; every value is plain Python
+    (a numpy value raises TypeError)."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
     Path(path).write_text(text + "\n")
 
 

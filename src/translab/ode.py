@@ -10,12 +10,13 @@ Two fixed steppers share one integration loop (stop location, node storage):
   supplies.  The stage "solves" are then divisions, one real and two
   complex per component and iteration.
 
-A run with ``jac`` (a bowl, an ascending catenoid chart, a batched
-comparison run) steps explicitly only while dF/dy leaves the step
-tolerance-limited (``STIFF_STEP``) and hands off to Radau IIA, once, before
-its first stiff step: a bowl from the axis on, an ascending chart or a
-comparison run after a short non-stiff start.  Runs without ``jac`` step
-explicitly throughout.  Every step keeps its dense output as
+A one-component run with ``jac`` (a bowl, an ascending catenoid chart)
+steps explicitly only while dF/dy leaves the step tolerance-limited
+(``STIFF_STEP``) and hands off to Radau IIA, once, before its first stiff
+step: a bowl from the axis on, an ascending chart after a short non-stiff
+start.  A batched run (``jac`` and several components: a comparison run)
+is Radau IIA from its start.  Runs without ``jac`` step explicitly
+throughout.  Every step keeps its dense output as
 y0 + sum_k Q_k s^(k+1) (``_Segment``), which ``Trajectory`` evaluates and
 integrates exactly as arrays, so heights are quadratures of the slope,
 never extra state.
@@ -26,10 +27,10 @@ below; identical inputs produce bit-identical trajectories.
 Each stepper has one step controller and two stage kernels that sum alike,
 chosen by the number of components: written-out float expressions for one
 (``_dop853_kernel``, ``_Floats``), an order of magnitude faster than
-ndarrays at the sizes of the charts; for several, tuple comprehensions of
-floats with one broadcasting RHS call per DOP853 stage, and ndarrays with
-one RHS call for the five Radau IIA stages (``_Arrays``).  Trajectories are
-packed into numpy arrays on exit.
+ndarrays at the sizes of the charts; for several, a loop over the DOP853
+tableau rows on tuples of floats (the 2-state neck chart), and ndarrays
+with one RHS call for the five Radau IIA stages (``_Arrays``).
+Trajectories are packed into numpy arrays on exit.
 
 References
 ----------
@@ -57,9 +58,9 @@ import numpy as np
 from .errors import ParameterError
 
 # DOP853 (Hairer's dop853.f): the nodes _C of stages 0-15 and, per stage, its
-# nonzero weights a_ij in the order of j (the j are named in _dop853_kernel).
-# Stage 12 is the RHS at the new solution, its row the solution weights b of
-# the stages _B_COLS; stages 13-15 serve the dense output only
+# nonzero weights a_ij on the stages j of _A_COLS, in the order of j.  Stage
+# 12 is the RHS at the new solution, its row the solution weights b of the
+# stages _B_COLS; stages 13-15 serve the dense output only
 _C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
       1 / 3, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0,
       0.1, 0.2, 0.7777777777777778)
@@ -88,7 +89,11 @@ _A = (
      -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
     (-0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
      0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987))
-_B_COLS = (0, 5, 6, 7, 8, 9, 10, 11)
+_A_COLS = ((), (0,), (0, 1), (0, 2), (0, 2, 3), (0, 3, 4), (0, 3, 4, 5), (0, 3, 4, 5, 6),
+           (0, 3, 4, 5, 6, 7), (0, *range(3, 9)), (0, *range(3, 10)), (0, *range(3, 11)),
+           (0, *range(5, 12)), (0, *range(6, 13)), (0, 5, 6, 7, 10, 11, 12, 13),
+           (0, 5, 6, 7, 8, 12, 13, 14))
+_B_COLS = _A_COLS[12]
 # the 5th- and 3rd-order error estimates, weights of the stages _B_COLS (the
 # 3rd-order one is b minus Hairer's bhh, which weights stages 0, 8 and 11)
 _E5 = (0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
@@ -113,19 +118,16 @@ _D = (
      -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564))
 _DENSE = 7
 
-# The handoff rule of the runs with ``jac``: before each explicit step, the
-# first included, with lam = max_i |dF_i/dy_i| at its start and h its size,
-# the run moves to Radau IIA, once, if h lam >= STIFF_STEP (stability is
-# about to bound the step).  So every explicit step has h lam < STIFF_STEP,
-# inside [-4.35, 0], where DOP853's stability function is positive, and
-# keeps two solutions in order as the Radau IIA steps do.  A bowl, with
-# lam ~ 2-5 / r at the axis, hands off before its first step.  RHS calls
-# per traced pass (seed 1) of the benchmark's bowl, catenoid and ordering
-# jobs at STIFF_STEP = 0.1: 10,365, 26,660, 919; 0.3: 10,365, 24,350, 1,076;
-# 1: 10,365, 27,032, 5,848; Radau IIA from the first step: 10,365, 27,209,
-# 888, but on the non-stiff start of a catenoid chart its order-5 step
-# control takes 2-4 times DOP853's steps (sk:k=3,n=5's lower tail: 97 -> 218
-# steps).
+# The handoff rule of the one-component runs with ``jac``: before each
+# explicit step, the first included, with lam = |dF/dy| at its start and h
+# its size, the run moves to Radau IIA, once, if h lam >= STIFF_STEP
+# (stability is about to bound the step).  A bowl, with lam ~ 2-5 / r at the
+# axis, hands off before its first step.  RHS calls per traced pass (seed 1)
+# of the benchmark's bowl and catenoid jobs at STIFF_STEP = 0.1: 10,365,
+# 26,660; 0.3: 10,365, 24,350; 1: 10,365, 27,032; Radau IIA from the first
+# step: 10,365, 27,209, for on the non-stiff start of a catenoid chart its
+# order-5 step control takes 2-4 times DOP853's steps (sk:k=3,n=5's lower
+# tail: 97 -> 218 steps).
 STIFF_STEP = 0.3
 # Every stop, quadrature and fit reads the dense output, whose error inside a
 # step is up to 1.3-2.9 times the tolerance where the step's error estimate
@@ -358,12 +360,12 @@ def integrate(
 
     The steps are explicit DOP853, on floats for one component and tuples for
     several (``_dop853_kernel``).  ``jac`` returns the diagonal of d rhs / dy
-    of a system whose component i depends on y[i] alone; with it, the run
-    hands off to Radau IIA, stable at any step size, before the first step on
-    which its stiffest component is stiff (``STIFF_STEP``, ``Trajectory.handoff``),
-    and the explicit error is measured in the max norm over the components.
-    Components integrated together share one step sequence, so the
-    difference of two solutions is that of one discrete flow.
+    of a system whose component i depends on y[i] alone, and with it the
+    steps are Radau IIA, stable at any step size (``Trajectory.handoff``):
+    on one component from the first step on which it is stiff (``STIFF_STEP``),
+    on several from t0, with Hairer's first step in the max norm over the
+    components.  Components integrated together share one step sequence, so
+    the difference of two solutions is that of one discrete flow.
 
     With ``jac`` and more than one component ``rhs`` and ``jac`` must
     broadcast: they are called with a scalar t and a (dim,) ndarray state,
@@ -389,10 +391,8 @@ def integrate(
         raise ParameterError(f"t_end must exceed t0, got {t0} -> {t_end}")
     batched = jac is not None and len(state0) > 1
     kernel = (_Arrays if batched else _Floats)(rhs, jac)  # the Radau IIA stage kernel
-    # the explicit steps pass lists of floats to the broadcasting maps of a
-    # batched run, whose stiffest component decides (NaN stays NaN)
+    # lists of floats go to the broadcasting maps of a batched run (NaN stays NaN)
     step_rhs = (lambda t, y: rhs(t, np.array(y)).tolist()) if batched else rhs
-    stiffness = jac and (lambda t, y: kernel.norm(kernel.call(jac, t, kernel.load(y))))
     y = tuple(float(v) for v in state0)
     t = float(t0)
     f = tuple(float(v) for v in step_rhs(t, y))
@@ -406,8 +406,15 @@ def integrate(
     stop = None
     g_prev = [g(t, y) for g in stops]
 
-    steps = _dop853_steps(step_rhs, stiffness, t, y, f, t_end, cfg)
-    handoff = None
+    if batched:
+        # Radau IIA from t0 on, from Hairer's first step in the max norm
+        handoff = t
+        steps = _radau_steps(kernel, t, y, f, t_end, cfg,
+                             _explicit_first_step(step_rhs, t, y, f, t_end, cfg, max), 0)
+    else:
+        handoff = None
+        stiffness = jac and (lambda t, y: abs(kernel.call(jac, t, y[0])))
+        steps = _dop853_steps(rhs, stiffness, t, y, f, t_end, cfg)
     while True:
         try:
             seg, t_new, y_new, f_new = next(steps)
@@ -482,19 +489,14 @@ def _dop853_steps(rhs, stiffness, t, y, k0, t_end, cfg):
     """Accepted DOP853 steps as (segment, t_new, y_new, f_new) from y and its
     RHS k0, on the kernel for len(y) (``_dop853_kernel``), with Hairer's step
     control (exponent 1/8, safety 0.9, factors in [1/3, 6], none above 1 after
-    a rejection) and non-finite stages halving the step.  ``stiffness(t, y)`` is
-    max |d rhs_i / dy_i| or None without ``jac``.  Returns the termination reason
-    or, before a step of size h with h stiffness >= ``STIFF_STEP``, (h, step attempts).
-
-    The error is measured in Hairer's RMS norm over the components or, with
-    a stiffness, in the max norm, so that quiet components of a batched run
-    do not dilute one component's error (as in ``_radau_steps``); on one
-    component the two are the same.
+    a rejection), the error in Hairer's RMS norm over the components, and
+    non-finite stages halving the step.  ``stiffness(t, y)`` is |d rhs / dy|
+    of a one-component run with ``jac``, else None.  Returns the termination
+    reason or, before a step of size h with h stiffness >= ``STIFF_STEP``,
+    (h, step attempts).
     """
-    # squared scaled components pooled: summed over n (the RMS norm) or the largest (n = 1)
-    norm, n = (sum, len(y)) if stiffness is None else (max, 1)
-    h = _explicit_first_step(rhs, t, y, k0, t_end, cfg, norm)
-    step = _dop853_kernel(rhs, len(y), norm, n, cfg.rel_tol, cfg.abs_tol)
+    h = _explicit_first_step(rhs, t, y, k0, t_end, cfg, sum)
+    step = _dop853_kernel(rhs, len(y), cfg.rel_tol, cfg.abs_tol)
     rejected = False
     n_steps = 0
     while t < t_end:
@@ -524,12 +526,13 @@ def _dop853_steps(rhs, stiffness, t, y, k0, t_end, cfg):
     return "reached_end"
 
 
-def _dop853_kernel(rhs, dim, norm, n, rel, ab):
+def _dop853_kernel(rhs, dim, rel, ab):
     """One DOP853 step on ``dim`` components, a closure over the tableau:
     step(t, h, y, k0) -> (err, y_new, Q, k12), err scaled by DENSE_MARGIN and
-    Nones past an err above 1 or NaN; written-out floats for one component,
-    tuple comprehensions for several, both summing left to right from 0.0
-    (``reduce``: ``sum`` is compensated from Python 3.12 on), so bit for bit alike."""
+    Nones past an err above 1 or NaN; written-out floats for one component, a
+    loop over the tableau rows (``_A_COLS``) for several, both summing left to
+    right (``reduce``: ``sum`` is compensated from Python 3.12 on), so bit for
+    bit alike."""
     _, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, _, _, c13, c14, c15 = _C
     ((a1_0,), (a2_0, a2_1), (a3_0, a3_2), (a4_0, a4_2, a4_3), (a5_0, a5_3, a5_4),
      (a6_0, a6_3, a6_4, a6_5), (a7_0, a7_3, a7_4, a7_5, a7_6),
@@ -607,67 +610,40 @@ def _dop853_kernel(rhs, dim, norm, n, rel, ab):
             return err, (y1,), (Q,), k12
         return step
 
+    def stage(i, t, h, y, ks):
+        """The RHS at stage i >= 2 from the stages on its columns, each
+        component's weights summed left to right as the written-out rows are."""
+        return rhs(t + _C[i] * h, [y0 + h * reduce(add, map(mul, _A[i], x))
+                                   for y0, x in zip(y, zip(*[ks[j] for j in _A_COLS[i]]))])
+
     def step(t, h, y, k0):
-        k1 = rhs(t + c1 * h, [y0 + h * a1_0 * x0 for y0, x0 in zip(y, k0)])
-        k2 = rhs(t + c2 * h, [y0 + h * (a2_0 * x0 + a2_1 * x1) for y0, x0, x1 in zip(y, k0, k1)])
-        k3 = rhs(t + c3 * h, [y0 + h * (a3_0 * x0 + a3_2 * x2) for y0, x0, x2 in zip(y, k0, k2)])
-        k4 = rhs(t + c4 * h, [y0 + h * (a4_0 * x0 + a4_2 * x2 + a4_3 * x3)
-                              for y0, x0, x2, x3 in zip(y, k0, k2, k3)])
-        k5 = rhs(t + c5 * h, [y0 + h * (a5_0 * x0 + a5_3 * x3 + a5_4 * x4)
-                              for y0, x0, x3, x4 in zip(y, k0, k3, k4)])
-        k6 = rhs(t + c6 * h, [y0 + h * (a6_0 * x0 + a6_3 * x3 + a6_4 * x4 + a6_5 * x5)
-                              for y0, x0, x3, x4, x5 in zip(y, k0, k3, k4, k5)])
-        k7 = rhs(t + c7 * h, [y0 + h * (a7_0 * x0 + a7_3 * x3 + a7_4 * x4 + a7_5 * x5 + a7_6 * x6)
-                              for y0, x0, x3, x4, x5, x6 in zip(y, k0, k3, k4, k5, k6)])
-        k8 = rhs(t + c8 * h, [y0 + h * (a8_0 * x0 + a8_3 * x3 + a8_4 * x4 + a8_5 * x5 + a8_6 * x6
-                                        + a8_7 * x7)
-                              for y0, x0, x3, x4, x5, x6, x7 in zip(y, k0, k3, k4, k5, k6, k7)])
-        k9 = rhs(t + c9 * h, [y0 + h * (a9_0 * x0 + a9_3 * x3 + a9_4 * x4 + a9_5 * x5 + a9_6 * x6
-                                        + a9_7 * x7 + a9_8 * x8) for y0, x0, x3, x4, x5, x6, x7, x8
-                              in zip(y, k0, k3, k4, k5, k6, k7, k8)])
-        k10 = rhs(t + c10 * h, [y0 + h * (a10_0 * x0 + a10_3 * x3 + a10_4 * x4 + a10_5 * x5
-                                          + a10_6 * x6 + a10_7 * x7 + a10_8 * x8 + a10_9 * x9)
-                                for y0, x0, x3, x4, x5, x6, x7, x8, x9
-                                in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)])
-        k11 = rhs(t + h, [y0 + h * (a11_0 * x0 + a11_3 * x3 + a11_4 * x4 + a11_5 * x5 + a11_6 * x6
-                                    + a11_7 * x7 + a11_8 * x8 + a11_9 * x9 + a11_10 * x10)
-                          for y0, x0, x3, x4, x5, x6, x7, x8, x9, x10
-                          in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)])
-        ks = list(zip(k0, k5, k6, k7, k8, k9, k10, k11))  # per component
-        y_new = [y0 + h * reduce(add, map(mul, b, x), 0.0) for y0, x in zip(y, ks)]
+        ks = [k0, rhs(t + c1 * h, [y0 + h * a1_0 * x0 for y0, x0 in zip(y, k0)])]
+        for i in range(2, 12):
+            ks.append(stage(i, t, h, y, ks))
+        xs = list(zip(*[ks[j] for j in _B_COLS]))  # per component
+        y_new = [y0 + h * reduce(add, map(mul, b, x), 0.0) for y0, x in zip(y, xs)]
         sc = [ab + rel * max(abs(y0), abs(y1)) for y0, y1 in zip(y, y_new)]
-        err5 = norm([(reduce(add, map(mul, _E5, x), 0.0) / s) ** 2 for x, s in zip(ks, sc)])
-        err3 = norm([(reduce(add, map(mul, _E3, x), 0.0) / s) ** 2 for x, s in zip(ks, sc)])
+        err5 = sum([(reduce(add, map(mul, _E5, x), 0.0) / s) ** 2 for x, s in zip(xs, sc)])
+        err3 = sum([(reduce(add, map(mul, _E3, x), 0.0) / s) ** 2 for x, s in zip(xs, sc)])
         den = err5 + 0.01 * err3
-        err = DENSE_MARGIN * h * err5 / math.sqrt(den * n) if den != 0 else 0.0
+        err = DENSE_MARGIN * h * err5 / math.sqrt(den * dim) if den != 0 else 0.0
         if not err <= 1.0:
             return err, None, None, None
-        k12 = rhs(t + h, y_new)
-        k13 = rhs(t + c13 * h, [
-            y0 + h * (a13_0 * x0 + a13_6 * x6 + a13_7 * x7 + a13_8 * x8 + a13_9 * x9
-                      + a13_10 * x10 + a13_11 * x11 + a13_12 * x12)
-            for y0, (x0, _, x6, x7, x8, x9, x10, x11), x12 in zip(y, ks, k12)])
-        k14 = rhs(t + c14 * h, [
-            y0 + h * (a14_0 * x0 + a14_5 * x5 + a14_6 * x6 + a14_7 * x7 + a14_10 * x10
-                      + a14_11 * x11 + a14_12 * x12 + a14_13 * x13)
-            for y0, (x0, x5, x6, x7, _, _, x10, x11), x12, x13 in zip(y, ks, k12, k13)])
-        k15 = rhs(t + c15 * h, [
-            y0 + h * (a15_0 * x0 + a15_5 * x5 + a15_6 * x6 + a15_7 * x7 + a15_8 * x8
-                      + a15_12 * x12 + a15_13 * x13 + a15_14 * x14)
-            for y0, (x0, x5, x6, x7, x8, _, _, _), x12, x13, x14
-            in zip(y, ks, k12, k13, k14)])
-        if not math.isfinite(sum(y_new) + sum(k12) + sum(k13) + sum(k14) + sum(k15)):
+        ks.append(rhs(t + h, y_new))
+        for i in range(13, 16):
+            ks.append(stage(i, t, h, y, ks))
+        if not math.isfinite(sum(y_new) + sum(map(sum, ks[12:]))):
             return math.nan, None, None, None
         Q = []
-        for y0, y1, x, x12, x13, x14, x15 in zip(y, y_new, ks, k12, k13, k14, k15):
-            x += (x12, x13, x14, x15)
+        # per component, stages 0 and 5-15, the ones _D weights (stage 12 at x[8])
+        for y0, y1, x in zip(y, y_new, zip(ks[0], *ks[5:])):
             f0 = y1 - y0
             f1 = h * x[0] - f0
-            f2 = 2 * f0 - h * (x[0] + x12)
+            f2 = 2 * f0 - h * (x[0] + x[8])
             f3, f4, f5, f6 = [h * reduce(add, map(mul, d, x), 0.0) for d in _D]
             Q.append((f0 + f1, f2 + f3 - f1, f4 + f5 - f2 - 2 * f3, f3 + f6 - 2 * f4 - 3 * f5,
                       f4 + 3 * (f5 - f6), 3 * f6 - f5, -f6))
-        return err, y_new, Q, k12
+        return err, y_new, Q, ks[12]
 
     return step
 

@@ -335,11 +335,11 @@ def test_mean_profile_layer_counts(monkeypatch):
 def test_ordering_pairs_layer_counts(monkeypatch):
     # the batched path pinned call by call on the ordering-pairs bench jobs
     # at seed 1: 8 seeded pairs each on mean:n=3 and hq:k=2,l=0,n=4, r from
-    # 1 to 100, each family one 16-component run on the tuple DOP853 and the
-    # ndarray Radau IIA kernels.  An RHS call evaluates every component (one
-    # per Newton iteration for all five stages; integrate's first one
-    # included), Jacobian calls include the stiffness tests'.  The pairs
-    # meet on the attracting tail, so each minimum gap is exactly +0.0
+    # 1 to 100, each family one 16-component run on the ndarray Radau IIA
+    # kernel from r 1 on.  An RHS call evaluates every component (one per
+    # Newton iteration for all five stages; integrate's first one and the
+    # first step's probe included).  The pairs meet on the attracting tail,
+    # so each minimum gap is exactly +0.0
     charts = _count_slope_calls(monkeypatch, bowl, "_slope_field")
     rng = np.random.default_rng([1, 4])
     reports = []
@@ -349,8 +349,8 @@ def test_ordering_pairs_layer_counts(monkeypatch):
         pairs = [tuple(sorted(rng.uniform(v_lo, v_hi, 2))) for _ in range(8)]
         reports.append(compare_orderings(f, pairs, 1.0, 100.0))
     assert [(rep["steps"]["explicit_steps"], rep["steps"]["radau_steps"])
-            for rep in reports] == [(13, 76), (11, 75)]
-    assert charts == [{"rhs": 554, "jac": 63}, {"rhs": 522, "jac": 61}]
+            for rep in reports] == [(0, 109), (0, 102)]
+    assert charts == [{"rhs": 455, "jac": 50}, {"rhs": 433, "jac": 48}]
     assert [rep["min_gap"].hex() for rep in reports] == ["0x0.0p+0"] * 2
 
 
@@ -367,6 +367,42 @@ def test_catenoid_graph_chart_layer_counts(monkeypatch):
               if name in ("lower", "upper")}
     assert counts == {"lower": (139, 0), "upper": (36, 52)}
     assert charts == [{"rhs": 2098, "jac": 0}, {"rhs": 1181, "jac": 42}]
+
+
+def test_neck_chart_layer_counts(monkeypatch):
+    # the several-component DOP853 path pinned call by call on the 2-state
+    # neck charts of the catenoid bench jobs at R 1: explicit steps, RHS
+    # calls (integrate's first one and the stop's final one included), the
+    # stop that ended the chart and its exit row (r, u, phi) bit for bit.  A
+    # change to the tableau loop that moves a single rounding fails here
+    calls = []
+
+    def integrate_spy(rhs, *args, **kwargs):
+        calls.append(0)
+
+        def counted(s, y):
+            calls[-1] += 1
+            return rhs(s, y)
+        return ode.integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(catenoid, "integrate", integrate_spy)
+    found = {}
+    for key in ("qk:k=3,n=6", "qk:k=4,n=6", "qk:k=5,n=6", "sk:k=3,n=5"):
+        neck = catenoid.solve_neck(from_key(key), 1.0)
+        counts = neck.charts["neck_up"]
+        assert counts["handoff"] is None and counts["radau_steps"] == 0
+        found[key] = (counts["explicit_steps"], calls[-1], neck.up_exit_reason,
+                      tuple(float(v).hex() for v in neck.up[-1, 1:4]))
+    assert found == {
+        "qk:k=3,n=6": (7, 108, "handoff",
+                       ("0x1.19eb7d817133ap+0", "0x1.dee7b1c68dc72p-2", "0x1.2d97c7f3321f9p+0")),
+        "qk:k=4,n=6": (8, 123, "handoff",
+                       ("0x1.37a0ff1076ea7p+0", "0x1.f6059e61385a1p-1", "0x1.2d97c7f332177p+0")),
+        "qk:k=5,n=6": (14, 213, "handoff",
+                       ("0x1.c8d0e645502dap+0", "0x1.93a73bd5f0367p+1", "0x1.2d97c7f33220ap+0")),
+        "sk:k=3,n=5": (12, 194, "curvature_zero",
+                       ("0x1.4a5fc1d776802p+0", "0x1.19ae712d19d6bp+0", "0x1.308687b7475e1p+0")),
+    }
 
 
 @pytest.mark.parametrize("key, r_max", [("mean:n=3", 500.0), ("sk:k=3,n=5", 100.0)])

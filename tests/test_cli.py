@@ -368,10 +368,33 @@ def test_verify_ordering_records_termination(tmp_path):
     assert ordering["termination"] == "reached_end"
     assert ordering["r_reached"] == 100.0
     assert ordering["pairs"] == 10
-    # the run's steps: explicit DOP853 up to the handoff, Radau IIA after it
+    # the run's steps: Radau IIA from r 1 on, none explicit
     steps = ordering["steps"]
-    assert 1.0 < steps["handoff"] < 100.0
-    assert steps["explicit_steps"] > 0 and steps["radau_steps"] > 0
+    assert steps["handoff"] == 1.0
+    assert steps["explicit_steps"] == 0 and steps["radau_steps"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bowl", "--curvature", "mean:n=3", "--rmax", "60"], 0),
+        (["bowl", "--curvature", "gauss:n=4", "--rmax", "300"], 0),
+        (["catenoid", "--curvature", "qk:k=4,n=6", "--R", "1", "--rmax", "120"], 0),
+        (["catenoid", "--curvature", "sk:k=3,n=5", "--R", "1", "--rmax", "6"], 0),
+        (["verify", "--suite", "all", "--curvature", "mean:n=3"], 0),
+        (["verify", "--suite", "all", "--curvature", "knorm:k=4,n=4"], 3),
+    ],
+    ids=["bowl", "bowl-degenerate", "catenoid-derivative-origin", "catenoid-continuous-origin",
+         "verify-all", "solver-error"],
+)
+def test_every_json_payload_is_plain_python(tmp_path, argv, code):
+    # write_json has no fallback for numpy values: every command hands it
+    # plain Python, or the run would end in a TypeError
+    assert run(argv + ["--out", str(tmp_path), "--quiet"]) == code
+    names = sorted(p.name for p in tmp_path.glob("*.json"))
+    assert names == (["error.json"] if code == 3 else sorted([f"{argv[0]}.json", "manifest.json"]))
+    for name in names:
+        assert isinstance(json.loads((tmp_path / name).read_text()), dict)
 
 
 def test_verify_ordering_solver_failure_exit3(tmp_path):
