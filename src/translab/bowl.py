@@ -5,11 +5,12 @@ The slope v = u'(r) of a rotationally symmetric graphical translator obeys
     v' = (1 + v^2)^(beta+1) * g_+( v / (r (1+v^2)^beta), 1 ),
     beta = (alpha - 1) / (2 alpha),
 
-integrated here from a series start v = lambda0 * r at the axis, where
-lambda0 = gamma(1,...,1)^(-1/alpha) is the umbilic curvature forced by the
-translator equation at r = 0.  The slope is strongly attracting from the
-axis on (|dF/dv| ~ 2-5 / r there), so every step is Radau IIA with the
-analytic dF/dv; the height u is the exact integral of the dense slope output.
+integrated here from the axis series v = lambda0 r + c3 r^3 + c5 r^5 at
+AXIS_EPS, where lambda0 = gamma(1,...,1)^(-1/alpha) is the umbilic curvature
+forced by the translator equation at r = 0 (c3 and c5: ``axis_series``).  The
+slope is strongly attracting from the axis on (|dF/dv| ~ 2-5 / r there), so
+every step is Radau IIA with the analytic dF/dv; the height u is the exact
+integral of the series and of the dense slope output.
 
 Closed-form asymptotic coefficients (the nondegenerate pair (a, b) and the
 degenerate quadruple (k, c, d, A)) are evaluated from implicit-branch
@@ -29,8 +30,9 @@ from .errors import DomainError, FitError, ParameterError, StructureError, Trans
 from .implicit import ImplicitBranch
 from .ode import IntegratorConfig, Trajectory, integrate
 
-# the series start radius
-AXIS_EPS = 1e-6
+# the start of the axis series (``CurvatureFunction.axis_series``), O(r^6)
+# relative: 1.1e-15 off a rel_tol 1e-14 run from r 1e-6 on fifteen families
+AXIS_EPS = 1e-3
 # the tolerance of every profile chart, bowl and catenoid: the implicit step
 # is tolerance-limited on the stiff tail, where this costs 70-140 steps and
 # keeps the quasi-steady slope drift below the tail-fit resolution
@@ -185,9 +187,9 @@ def _node_residuals(f: CurvatureFunction, r, q, x_num, y_num, z=1.0,
     return out
 
 
-def solve_bowl(f: CurvatureFunction, r_max: float) -> BowlProfile:
-    """Integrate the bowl slope ODE from the axis out to r_max."""
-    if r_max <= 10 * AXIS_EPS:
+def solve_bowl(f: CurvatureFunction, r_max: float, r0: float = AXIS_EPS) -> BowlProfile:
+    """Integrate the bowl slope ODE from the axis series at r0 out to r_max."""
+    if r_max <= 10 * r0:
         raise ParameterError(f"r_max={r_max} too small")
     a = f.alpha_float
     if a <= 1.0 / 3.0:
@@ -195,15 +197,16 @@ def solve_bowl(f: CurvatureFunction, r_max: float) -> BowlProfile:
     # right endpoint of U+: the y-argument may only touch y = 1 (cylinder)
     clamp = None if f.is_one_degenerate else 1.0
     rhs, jac = _slope_scalar(f, clamp)
-    traj = integrate(rhs, AXIS_EPS, [f.lambda0 * AXIS_EPS], r_max, PROFILE_CONFIG, jac=jac)
+    lam, (c3, c5), s = f.lambda0, f.axis_series, r0 * r0
+    traj = integrate(rhs, r0, [r0 * (lam + s * (c3 + s * c5))], r_max, PROFILE_CONFIG, jac=jac)
     if traj.termination != "reached_end":
         raise StructureError(f"bowl integration failed: {traj.termination} at r={traj.t_final}")
 
     r = traj.ts
     v = traj.ys[:, 0]
-    # u(AXIS_EPS) is the exact integral of the series start on [0, AXIS_EPS];
-    # each step adds the exact integral of its collocation polynomial
-    u = traj.node_integrals(0.5 * f.lambda0 * AXIS_EPS**2)
+    # u(r0) is the exact integral of the series on [0, r0]; each step adds
+    # the exact integral of its collocation polynomial
+    u = traj.node_integrals(s * (lam / 2 + s * (c3 / 4 + s * c5 / 6)))
     return BowlProfile(curvature=f, r=r, u=u, v=v, trajectory=traj,
                        residuals=_node_residuals(f, r, v, traj.fs[:, 0], v, clamp_y=clamp))
 

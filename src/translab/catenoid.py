@@ -61,6 +61,7 @@ from typing import Optional
 import numpy as np
 
 from .bowl import (
+    AXIS_EPS,
     PROFILE_CONFIG,
     BowlProfile,
     _loglog_fit,
@@ -436,7 +437,7 @@ def solve_catenoid(
     neck = solve_neck(f, R, handoff_tan)
     case, b = classify_case(f)
     if bowl is None:
-        bowl = solve_bowl(f, r_max)
+        bowl = solve_bowl(f, r_max, min(AXIS_EPS, R / 2))  # started below every chart
     # the lower branch first: it rejects an r_max too close to the neck
     lower, s0, end_behavior = solve_lower_branch(f, neck, r_max, case, b, bowl, handoff_tan)
     upper = solve_upper_branch(f, neck, r_max, bowl)

@@ -79,7 +79,19 @@ class CurvatureFunction:
         self.alpha_float = a = float(self.alpha)
         self.beta = (a - 1.0) / (2.0 * a)
         self.value_at_11 = self._raw_value(1.0, 1.0) / self.normalization
-        self.lambda0 = self.value_at_11 ** (-1.0 / a)
+        self.lambda0 = lam = self.value_at_11 ** (-1.0 / a)
+        # (c3, c5) of the bowl's axis series v = lambda0 r + c3 r^3 + c5 r^5:
+        # the r^2 and r^4 balances of the slope equation on X(y) = g_+(y, 1) =
+        # lambda0 + x1 (y - lambda0) + x2 (y - lambda0)^2 / 2, with x1 = -(n-1)
+        # (the partials are equal at the umbilic), x2 from gamma(X(y), y) = 1
+        b, x1 = self.beta, 1.0 - n
+        gxx, gxy, gyy = self.second_partials(lam, lam)
+        x2 = -(gxx * x1 * x1 + 2.0 * gxy * x1 + gyy) / self.grad(lam, lam)[0]
+        c3 = lam**3 * (1.0 + n * b) / (n + 2)
+        y2 = c3 - b * lam**3  # the r^2 coefficient of y = v / (r (1+v^2)^beta)
+        self.axis_series = c3, (x1 * (0.5 * b * (b + 1.0) * lam**5 - 3.0 * b * lam**2 * c3)
+                                + 0.5 * x2 * y2 * y2 + (b + 1.0) * lam**2
+                                * (x1 * y2 + 2.0 * c3 + 0.5 * b * lam**3)) / (n + 4)
 
     # -- per-family hooks -------------------------------------------------
 

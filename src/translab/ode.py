@@ -8,7 +8,8 @@ Two fixed steppers share one integration loop (stop location, node storage):
   Newton iterations and its quintic collocation polynomial as dense output,
   for uncoupled components whose diagonal Jacobian ``jac`` the caller
   supplies.  The stage "solves" are then divisions, one real and two
-  complex per component and iteration.
+  complex per component and iteration, on a Jacobian taken at the step's
+  midpoint and at its start only where Newton fails with that one.
 
 A one-component run with ``jac`` (a bowl, an ascending catenoid chart)
 steps explicitly only while dF/dy leaves the step tolerance-limited
@@ -123,7 +124,8 @@ _DENSE = 7
 # its size, the run moves to Radau IIA, once, if h lam >= STIFF_STEP
 # (stability is about to bound the step).  A bowl, with lam ~ 2-5 / r at the
 # axis, hands off before its first step.  RHS calls per traced pass (seed 1)
-# of the benchmark's bowl and catenoid jobs at STIFF_STEP = 0.1: 10,365,
+# of the benchmark's bowl and catenoid jobs, with the Jacobian at the step's
+# start and the bowl from r 1e-6 on, at STIFF_STEP = 0.1: 10,365,
 # 26,660; 0.3: 10,365, 24,350; 1: 10,365, 27,032; Radau IIA from the first
 # step: 10,365, 27,209, for on the non-stiff start of a catenoid chart its
 # order-5 step control takes 2-4 times DOP853's steps (sk:k=3,n=5's lower
@@ -193,7 +195,7 @@ _ERR_EXP = -1 / (_RADAU_DENSE + 1)
 # 16,315, 15,912 and 15,615 bowl calls, and one above 0.03 stalls bowls at
 # rel_tol 1e-14.  The iteration stops on its increment of the stage values: in
 # the eigenbasis, whose transform magnifies rounding, the bowl of qk:k=4,n=6 to
-# r 5e6 took 592,238 steps where it takes 1,815
+# r 5e6 took 592,238 steps where it takes 1,613
 _NEWTON_MAXITER = 10
 _NEWTON_TOL_FLOOR = 100 * sys.float_info.epsilon
 # a step below this length ends the run with 'step_underflow', and so do
@@ -202,7 +204,7 @@ _NEWTON_TOL_FLOOR = 100 * sys.float_info.epsilon
 # field and past the precision horizon the steps collapse and regrow without
 # end (knorm:k=4,n=4 at r 25.9, sk:k=3,n=5 past r 130), and where the RHS is
 # NaN at isolated points DOP853 creeps (the neck chart of qk:k=3,n=6 at R
-# 1e17); healthy charts take 70-200 steps, the bowl of qk:k=4,n=6 to r 5e6 1,815
+# 1e17); healthy charts take 70-200 steps, the bowl of qk:k=4,n=6 to r 5e6 1,613
 _MIN_STEP = 1e-14
 _STALL_STEPS = 1000
 # a stop fires once its function clears this band past zero, which filters
@@ -794,6 +796,7 @@ class _Arrays:
 
     def __init__(self, rhs, jac):
         self.rhs, self.jac = rhs, jac
+        self.groups = (None, None)  # the number of distinct components, each one's first equal
 
     @staticmethod
     def call(fn, t, y):
@@ -803,17 +806,19 @@ class _Arrays:
     def norm(x):
         return float(np.abs(x).max())
 
-    @staticmethod
-    def start(prev, t, h, y):
+    def start(self, prev, t, h, y):
         stage_t = t + _Arrays.RC * h
         if prev is None:
             Z = np.zeros((_RADAU_DENSE, y.size))
         else:
             s = (stage_t - prev.t0) / prev.h
             Z = prev.y0 + s * _poly(prev.Q.T, s) - y
-            if len(set(y.tolist())) < y.size:  # else first[where] is the identity
-                _, first, where = np.unique(y, return_index=True, return_inverse=True)
-                Z = Z[:, first[where]]
+            distinct = len(set(y.tolist()))
+            if distinct < y.size:  # else the map is the identity
+                if distinct != self.groups[0]:  # equal components stay equal: groups only merge
+                    _, first, where = np.unique(y, return_index=True, return_inverse=True)
+                    self.groups = distinct, first[where]
+                Z = Z[:, self.groups[1]]
         return stage_t, Z, _rows(_Arrays.TI, Z)
 
     @staticmethod
@@ -850,10 +855,15 @@ def _radau_steps(kernel, t, y, f, t_end, cfg, h, n_steps):
     evaluations and, per component, one real and two complex divisions; the
     iteration stops on its increment of the stage values.  The previous
     collocation polynomial, extrapolated, starts the iteration; the Jacobian
-    is re-evaluated only when the iteration slows down or fails.  The Newton
-    increment and the error estimate are measured in the kernel's norm, the
-    max norm over the components.  Returns the termination reason when the
-    steps end.
+    is re-evaluated only when the iteration slows down or fails, at the
+    step's midpoint (t + h/2, y + h/2 f): at (t, y) the iteration contracts
+    at a rate near h/r on a bowl's tail (mean:n=3 to r 500: 537 iterations
+    against 472).  Where Newton fails with it, or it is not finite, the
+    same step is tried with the Jacobian at (t, y) before h is halved
+    (without that, mean:n=3 stalls at r 5.9e5 on its way to 1e6).  The
+    Newton increment and the error estimate are measured in the kernel's
+    norm, the max norm over the components.  Returns the termination reason
+    when the steps end.
     """
     y, f = kernel.load(y), kernel.load(f)
     rel, ab = cfg.rel_tol, cfg.abs_tol
@@ -862,7 +872,7 @@ def _radau_steps(kernel, t, y, f, t_end, cfg, h, n_steps):
     h_old = err_old = None
     prev = None  # the last accepted segment: its polynomial starts Newton
     J = None
-    jac_current = rejected = False
+    fresh, rejected = None, False  # fresh: this step's Jacobian at "mid" or "start"
     while t < t_end:
         if n_steps >= cfg.max_steps:
             return "max_steps"
@@ -870,9 +880,12 @@ def _radau_steps(kernel, t, y, f, t_end, cfg, h, n_steps):
         h = min(h, t_end - t, cfg.max_step)
         if h < _MIN_STEP:
             return "step_underflow"
+        if J is None and fresh != "mid":
+            J, fresh = kernel.call(kernel.jac, t + 0.5 * h, y + 0.5 * h * f), "mid"
+            if not math.isfinite(kernel.norm(J)):
+                J = None
         if J is None:
-            J = kernel.call(kernel.jac, t, y)
-            jac_current = True
+            J, fresh = kernel.call(kernel.jac, t, y), "start"
             if not math.isfinite(kernel.norm(J)):
                 return "domain_exit"
         den_real = _MU_REAL / h - J
@@ -899,7 +912,7 @@ def _radau_steps(kernel, t, y, f, t_end, cfg, h, n_steps):
                 break
             norm_old = dz_norm
         if not converged:
-            if jac_current:
+            if fresh == "start":
                 h *= 0.5
             else:
                 J = None  # retry the same step with a fresh Jacobian
@@ -937,6 +950,6 @@ def _radau_steps(kernel, t, y, f, t_end, cfg, h, n_steps):
         # a slow iteration asks for the Jacobian of the new point
         if rate is not None and it > 1 and rate > 1e-3:
             J = None
-        jac_current = rejected = False
+        fresh, rejected = None, False
         h *= factor
     return "reached_end"

@@ -25,6 +25,10 @@ from translab.errors import FitError, ParameterError
 
 # profiles reused across tests (solves are pure)
 _CACHE = {}
+# the oracles' own start: the linear series v = lambda0 r at r 1e-6, whose
+# truncation c3 r^2 / lambda0 (~1e-13 relative) decays along the attracting
+# slope, independent of the three-term series at AXIS_EPS
+_ORACLE_EPS = 1e-6
 
 
 def profile(key, r_max):
@@ -68,8 +72,8 @@ def test_height_matches_high_order_oracle():
     grid = np.geomspace(1.0, 1e3, 25)
     sol = solve_ivp(
         lambda r, y: [rhs(r, (y[0],))[0], y[0]],
-        (AXIS_EPS, 1e3),
-        [f.lambda0 * AXIS_EPS, 0.5 * f.lambda0 * AXIS_EPS**2],
+        (_ORACLE_EPS, 1e3),
+        [f.lambda0 * _ORACLE_EPS, 0.5 * f.lambda0 * _ORACLE_EPS**2],
         method="DOP853",
         rtol=1e-13,
         atol=1e-20,
@@ -323,13 +327,13 @@ def _count_slope_calls(monkeypatch, module, builder="_slope_scalar"):
 
 def test_mean_profile_layer_counts(monkeypatch):
     # the one-component Radau IIA path pinned call by call: mean:n=3 to r 500
-    # takes 176 steps, 2,863 RHS calls (integrate's first one included) and
-    # 78 Jacobian calls (the stiffness test's included), so a change to the
+    # takes 163 steps, 2,405 RHS calls (integrate's first one included) and
+    # 58 Jacobian calls (the stiffness test's included), so a change to the
     # stage kernel that moves a single Newton iteration fails here
     charts = _count_slope_calls(monkeypatch, bowl)
     tr = solve_bowl(from_key("mean:n=3"), 500.0).trajectory
-    assert tr.step_counts() == {"handoff": AXIS_EPS, "explicit_steps": 0, "radau_steps": 176}
-    assert charts == [{"rhs": 2863, "jac": 78}]
+    assert tr.step_counts() == {"handoff": AXIS_EPS, "explicit_steps": 0, "radau_steps": 163}
+    assert charts == [{"rhs": 2405, "jac": 58}]
 
 
 def test_ordering_pairs_layer_counts(monkeypatch):
@@ -338,8 +342,8 @@ def test_ordering_pairs_layer_counts(monkeypatch):
     # 1 to 100, each family one 16-component run on the ndarray Radau IIA
     # kernel from r 1 on.  An RHS call evaluates every component (one per
     # Newton iteration for all five stages; integrate's first one and the
-    # first step's probe included).  The pairs meet on the attracting tail,
-    # so each minimum gap is exactly +0.0
+    # first step's probe included).  The pairs meet on the attracting tail:
+    # mean:n=3's minimum gap is exactly +0.0, hq's one rounding, -2^-50
     charts = _count_slope_calls(monkeypatch, bowl, "_slope_field")
     rng = np.random.default_rng([1, 4])
     reports = []
@@ -349,9 +353,9 @@ def test_ordering_pairs_layer_counts(monkeypatch):
         pairs = [tuple(sorted(rng.uniform(v_lo, v_hi, 2))) for _ in range(8)]
         reports.append(compare_orderings(f, pairs, 1.0, 100.0))
     assert [(rep["steps"]["explicit_steps"], rep["steps"]["radau_steps"])
-            for rep in reports] == [(0, 109), (0, 102)]
-    assert charts == [{"rhs": 455, "jac": 50}, {"rhs": 433, "jac": 48}]
-    assert [rep["min_gap"].hex() for rep in reports] == ["0x0.0p+0"] * 2
+            for rep in reports] == [(0, 108), (0, 101)]
+    assert charts == [{"rhs": 414, "jac": 45}, {"rhs": 391, "jac": 43}]
+    assert [rep["min_gap"].hex() for rep in reports] == ["0x0.0p+0", "-0x1.0000000000000p-50"]
 
 
 def test_catenoid_graph_chart_layer_counts(monkeypatch):
@@ -409,15 +413,42 @@ def test_neck_chart_layer_counts(monkeypatch):
 def test_bowl_at_tight_tolerance_reaches_r_max(key, r_max):
     # at rel_tol 1e-14 the Newton tolerance is capped at 0.03, where the floor
     # 100 eps / rel_tol alone is 2.2, more than the tolerance that scales the
-    # iteration's norm: uncapped, these runs end in step_underflow at r 381.8
-    # and 14.84; capped, they take 357 and 608 nodes and agree with the
-    # profile at 1e-12 to 3e-13
+    # iteration's norm: uncapped, these runs end in step_underflow at r 455.7
+    # and 14.28; capped, they take 354 and 544 nodes and agree with the
+    # profile at 3.0e-13 and 1.6e-13
     f = from_key(key)
     rhs, jac = _slope_scalar(f, 1.0)
-    tr = ode.integrate(rhs, AXIS_EPS, [f.lambda0 * AXIS_EPS], r_max,
+    tr = ode.integrate(rhs, _ORACLE_EPS, [f.lambda0 * _ORACLE_EPS], r_max,
                        ode.IntegratorConfig(rel_tol=1e-14, abs_tol=1e-16), jac=jac)
     assert tr.termination == "reached_end"
     assert len(tr.ts) < 1000
     ref = profile(key, r_max)
     far = ref.r > 1
     assert np.max(np.abs(tr.resample(ref.r[far])[:, 0] / ref.v[far] - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("key, r_max", [("mean:n=3", 500.0), ("kconv:k=2,n=4", 200.0),
+                                        ("qk:k=3,n=6", 200.0), ("hq:k=2,l=0,n=3", 200.0),
+                                        ("gauss:n=4", 1e4), ("sk:k=3,n=5", 100.0)])
+def test_axis_series_start_matches_a_tight_rerun(key, r_max):
+    # the three-term series at AXIS_EPS against a rel_tol 1e-14 run from the
+    # oracles' start: the slope and its integral, the height, within 1e-14
+    # relative (1.1e-15 and 3.3e-16 at most on these six bowls)
+    f = from_key(key)
+    p = profile(key, r_max)
+    rhs, jac = _slope_scalar(f, None if f.is_one_degenerate else 1.0)
+    ref = ode.integrate(rhs, _ORACLE_EPS, [f.lambda0 * _ORACLE_EPS], 0.1,
+                        ode.IntegratorConfig(rel_tol=1e-14, abs_tol=1e-30), jac=jac)
+    assert ref.termination == "reached_end"
+    assert p.r[0] == AXIS_EPS
+    assert p.v[0] == pytest.approx(ref.resample([AXIS_EPS])[0, 0], rel=1e-14, abs=0.0)
+    u_ref = ref.integral_at(np.array([AXIS_EPS]),
+                            ref.node_integrals(0.5 * f.lambda0 * _ORACLE_EPS**2))[0]
+    assert p.u[0] == pytest.approx(u_ref, rel=1e-14, abs=0.0)
+
+
+def test_mean_bowl_reaches_r_1e6():
+    # the Jacobian at the step's midpoint stalls this bowl at r 5.9e5 unless a
+    # step on which Newton fails is retried with the Jacobian at its start
+    p = solve_bowl(from_key("mean:n=3"), 1e6)
+    assert p.trajectory.termination == "reached_end" and p.r[-1] == 1e6

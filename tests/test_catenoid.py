@@ -359,6 +359,19 @@ def test_ascending_ends_merge_into_the_bowl(key, R, rmax):
         assert C == pytest.approx(prof.u[last] - bowl.u_at([prof.r_merge])[0], rel=1e-15)
 
 
+def test_small_neck_merges_into_a_bowl_started_below_it():
+    # at R 1e-9 every chart starts far below AXIS_EPS, so the catenoid starts
+    # its bowl at R / 2, below the merge stop's first query.  C+ is the
+    # difference of heights of about 2.6e-6 at the merge radius r 0.0028,
+    # where the slope is below 1e-2 and abs_tol sets the scale: against a
+    # rerun at abs_tol 1e-20 it reads 6e-11 off here, and 5e-11 off with the
+    # Jacobian at each step's start and the bowl from r 1e-6, the value pinned
+    res = solve_catenoid(from_key("qk:k=3,n=6"), 1e-9, 12.0)
+    assert res.charts["bowl"]["handoff"] == 5e-10
+    assert res.upper.r_merge == pytest.approx(0.0028, rel=0.01)
+    assert res.upper.offset == pytest.approx(1.1069130488441787e-08, rel=1e-10)
+
+
 def test_offsets_at_the_merge_match_the_window_mean():
     # on sk:k=3,n=5 at R 2, the window (r_max / 3, 0.9 r_max) = (3.33, 9) lies
     # past both merges; there the mean of u - u_b on a chart run on to r_max

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from asymptotic_oracle import ORIGIN_STEPS, g_minus_probe, laurent_fit, origin_estimate
 
-from translab.curvature import from_key
+from translab.curvature import from_key, registry_keys
 from translab.implicit import ImplicitBranch
 
 DIVERGES = (-math.inf, math.nan)
@@ -127,3 +127,13 @@ def test_degeneracy_is_an_exact_zero(key):
     f = from_key(key)
     assert f.is_one_degenerate == (f.value_at_01 == 0.0) == (f.laurent is not None)
     assert f.is_one_degenerate or abs(f.value_at_01) > 0.1
+
+
+@pytest.mark.parametrize("key", registry_keys())
+def test_umbilic_slope_of_g_plus(key):
+    # X'(lambda0) = -gamma_y / gamma_x = -(n-1) at the umbilic (lambda0,
+    # lambda0), where every partial of the symmetric function is equal: the
+    # bowl's axis series (``axis_series``) takes it as exact
+    f = from_key(key)
+    gx, gy = f.grad(f.lambda0, f.lambda0)
+    assert -gy / gx == pytest.approx(1.0 - f.dimension_n, rel=1e-12, abs=0.0)

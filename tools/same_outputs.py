@@ -86,6 +86,10 @@ RUNS = (
     # the comparison run that moves most with its stepper: at seed 0 all 77
     # of its steps were explicit while h max|dF/dv| stayed below STIFF_STEP
     ("verify", "--suite", "ordering", "--curvature", "gauss:n=4"),
+    # a bowl whose Radau IIA steps stall without the retry of a failed Newton
+    # iteration at the step's start, and a neck far inside the bowl's start
+    ("bowl", "--curvature", "mean:n=3", "--rmax", "1e6"),
+    ("catenoid", "--curvature", "qk:k=3,n=6", "--R", "1e-9", "--rmax", "12"),
 )
 NOT_JUDGED = {"manifest.json"}
 ENTRY = "import sys; from translab.cli import main; sys.exit(main())"
