@@ -20,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .curvature import CurvatureFunction
-from .errors import ConvergenceError, DomainError, ParameterError, TranslabError
-from .implicit import ImplicitBranch
+from .errors import ConvergenceError, DomainError, ParameterError
 from .ode import IntegratorConfig, integrate
 
 # a margin counts as nonnegative (nonpositive) down to -SIGN_TOL (up to SIGN_TOL)
@@ -59,56 +58,72 @@ class BarrierReport:
     r_star_nonpos: Optional[float]
 
 
-def _invert_scaled(target: float, beta: float) -> float:
-    """The w with w / (1+w^2)^beta = target.
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x**e elementwise, rounded as Python's float ``**`` rounds it (np.power
+    may round an ulp away); exponents 0 and 1 are exact either way."""
+    if e == 0:
+        return np.ones_like(x)
+    return x if e == 1 else np.array([v**e for v in x.tolist()])
+
+
+def _invert_scaled(target: np.ndarray, beta: float) -> np.ndarray:
+    """The w with w / (1+w^2)^beta = target, elementwise; NaN where the
+    bracket passes 1e12 or Newton stalls.
 
     The map is odd and, for beta < 1/2, strictly increasing, so a safeguarded
     Newton on w >= 0 for |target| converges globally; the sign is mirrored.
+    Each element takes the steps and the stopping test of its own scalar
+    iteration, on ``_pow``'s powers, whatever elements share the call.
     """
-    t = abs(target)
-    phi = lambda w: w / (1 + w * w) ** beta - t  # noqa: E731
-
-    lo, hi = 0.0, 1.0
-    while phi(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ConvergenceError(f"no bracket for w / (1+w^2)^beta = {target}")
+    t = np.abs(target)
+    out = np.full(t.shape, math.nan)
+    phi = lambda w, t: w / _pow(1 + w * w, beta) - t  # noqa: E731
+    hi, act = np.ones(t.shape), np.arange(t.size)
+    while act.size:
+        act = act[phi(hi[act], t[act]) < 0]
+        hi[act] *= 2.0
+        act = act[hi[act] <= 1e12]
+    act = np.flatnonzero(hi <= 1e12)
+    t, lo, hi = t[act], np.zeros(act.size), hi[act]
     w = 0.5 * (lo + hi)
     for _ in range(100):
-        fw = phi(w)
-        if fw < 0:
-            lo = w
-        else:
-            hi = w
-        if abs(fw) <= 1e-14 * max(1.0, t):
-            return math.copysign(w, target)
-        q = 1 + w * w
-        dphi = (1 + (1 - 2 * beta) * w * w) / q ** (beta + 1)
-        step = fw / dphi
-        w_new = w - step
-        if not lo < w_new < hi:
-            w_new = 0.5 * (lo + hi)
-        if hi - lo <= 4 * math.ulp(max(abs(lo), abs(hi), 1e-30)):
-            return math.copysign(0.5 * (lo + hi), target)
-        w = w_new
-    raise ConvergenceError(f"Newton stalled on w / (1+w^2)^beta = {target}")
+        if not act.size:
+            break
+        fw = phi(w, t)
+        below = fw < 0
+        lo, hi = np.where(below, w, lo), np.where(below, hi, w)
+        converged = np.abs(fw) <= 1e-14 * np.maximum(1.0, t)
+        dphi = (1 + (1 - 2 * beta) * w * w) / _pow(1 + w * w, beta + 1)
+        w_new, mid = w - fw / dphi, 0.5 * (lo + hi)
+        w_new = np.where((lo < w_new) & (w_new < hi), w_new, mid)
+        # 0 <= lo <= hi: the bracket's largest end is hi
+        pinched = ~converged & (hi - lo <= 4 * np.spacing(np.maximum(hi, 1e-30)))
+        out[act[converged]], out[act[pinched]] = w[converged], mid[pinched]
+        go = ~(converged | pinched)
+        act, t, lo, hi, w = act[go], t[go], lo[go], hi[go], w_new[go]
+    return np.copysign(out, target)
 
 
-def evaluate_barrier(spec: BarrierSpec, r: float, beta: float) -> tuple:
-    """Barrier value and derivative (w, w') at radius r."""
-    if not spec.valid_range[0] <= r <= spec.valid_range[1]:
-        raise DomainError(f"r={r} outside barrier range {spec.valid_range}")
+def evaluate_barrier(spec: BarrierSpec, r, beta: float) -> tuple:
+    """Barrier values and derivatives (w, w') at the radii r, as arrays; a
+    DomainError unless every radius lies in ``spec.valid_range``, and w is
+    NaN where the cone profile has no inverse (``_invert_scaled``)."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.all((spec.valid_range[0] <= r) & (r <= spec.valid_range[1])):
+        raise DomainError(f"radii outside barrier range {spec.valid_range}")
     if spec.kind == "power":
-        w = -spec.a * r**spec.b
-        return w, -spec.a * spec.b * r ** (spec.b - 1.0)
+        return -spec.a * _pow(r, spec.b), -spec.a * spec.b * _pow(r, spec.b - 1.0)
     m = spec.m_bar
     w = _invert_scaled(m * r, beta)
-    wp = m * (1 + w * w) ** (beta + 1.0) / (1 + (1 - 2 * beta) * w * w)
-    return w, wp
+    return w, m * _pow(1 + w * w, beta + 1.0) / (1 + (1 - 2 * beta) * w * w)
 
 
 def verify_inequality(spec: BarrierSpec, f: CurvatureFunction, grid: np.ndarray) -> BarrierReport:
-    """Margins w' - (1+w^2)^(beta+1) g_-(w/(r(1+w^2)^beta), -1) on the grid.
+    """Margins w' - (1+w^2)^(beta+1) g_-(w/(r(1+w^2)^beta), -1) on the grid,
+    as arrays, g_- by one ``f.solve_x`` call at the arguments in (-1, 0).  A
+    radius outside the range, an argument outside (-1, 0) or one without a
+    root counts as ``skipped``.  Each margin has the bits of the per-point
+    arithmetic on Python floats (``_pow``) at the family's array root.
 
     The verdict states the uniform sign beyond the first radius r_star where
     it settles; the asymptotic supersolutions of the power family approach
@@ -116,39 +131,35 @@ def verify_inequality(spec: BarrierSpec, f: CurvatureFunction, grid: np.ndarray)
     tolerance.
     """
     beta = f.beta
-    branch = ImplicitBranch(f)
+    grid = np.asarray(grid, dtype=float)
     margins = np.full(len(grid), np.nan)
-    skipped = 0
-    # the cone barrier's argument is m_bar up to rounding: a few distinct
-    # values over the whole grid, each solved once
-    g_of = {}
-    for i, r in enumerate(grid):
-        try:
-            w, wp = evaluate_barrier(spec, float(r), beta)
-            yarg = w / (r * (1 + w * w) ** beta)
-            g = g_of.get(yarg)
-            if g is None:
-                g = g_of[yarg] = branch.g_minus(yarg)
-            margins[i] = wp - (1 + w * w) ** (beta + 1.0) * g
-        except TranslabError:
-            skipped += 1
+    skipped = len(grid)
+    inside = np.flatnonzero((spec.valid_range[0] <= grid) & (grid <= spec.valid_range[1]))
+    if f.minus_level is not None and inside.size:
+        r = grid[inside]
+        w, wp = evaluate_barrier(spec, r, beta)
+        one = 1 + w * w
+        y = w / (r * _pow(one, beta))
+        arg = (-1.0 < y) & (y < 0.0)  # the U- strip; NaN w falls outside it
+        at = inside[arg]
+        # "reflected": gamma(x, y) = -gamma(x, -y), the -1 level at y is the 1 level at -y
+        s = -1.0 if f.minus_level == "reflected" else 1.0
+        with np.errstate(all="ignore"):
+            g = f.solve_x(s * y[arg], -s)
+            margins[at] = wp[arg] - _pow(one[arg], beta + 1.0) * g
+        skipped -= int(np.count_nonzero(~np.isnan(g)))
     valid = ~np.isnan(margins)
-    if valid.sum() == 0:
+    if not valid.any():
         raise DomainError("barrier argument left the g_- domain at every grid point")
-    mv = margins[valid]
-    gv = np.asarray(grid)[valid]
+    mv, gv = margins[valid], grid[valid]
 
     def settle_radius(sign):
-        good = sign * mv >= -SIGN_TOL
-        idx = len(good)
-        for j in range(len(good) - 1, -1, -1):
-            if not good[j]:
-                break
-            idx = j
-        return float(gv[idx]) if idx < len(good) else None
+        # the start of the trailing run of margins within SIGN_TOL of the sign
+        off = np.flatnonzero(sign * mv < -SIGN_TOL)
+        idx = off[-1] + 1 if off.size else 0
+        return float(gv[idx]) if idx < len(mv) else None
 
-    r_super = settle_radius(+1)
-    r_sub = settle_radius(-1)
+    r_super, r_sub = settle_radius(+1), settle_radius(-1)
     if r_super is not None and (r_sub is None or r_super <= r_sub):
         verdict = "verified_super"
     else:
@@ -218,4 +229,7 @@ def admissible_slope_range(f: CurvatureFunction, r0: float) -> tuple:
     """Initial slopes at r0 whose scaled argument sits inside U+."""
     y_lo = f.lambda0
     y_hi = 1.0 if not f.is_one_degenerate else 10.0 * y_lo
-    return _invert_scaled(y_lo * 1.001 * r0, f.beta), _invert_scaled(y_hi * 0.999 * r0, f.beta)
+    v_lo, v_hi = _invert_scaled(np.array([y_lo * 1.001 * r0, y_hi * 0.999 * r0]), f.beta).tolist()
+    if math.isnan(v_lo + v_hi):
+        raise ConvergenceError(f"{f.name}: no slope at r0={r0} for the ends of U+")
+    return v_lo, v_hi

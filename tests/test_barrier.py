@@ -1,5 +1,6 @@
 """Barriers: cone round trips, margin signs, comparison principle."""
 
+import math
 import warnings
 
 import numpy as np
@@ -292,28 +293,224 @@ def test_ordering_truncated_span_is_not_verified():
     assert not rep["all_ordered"]
 
 
-def test_cone_barrier_solves_each_argument_once(monkeypatch):
+def _scalar_invert(target, beta):
+    """The per-point reference of ``barrier._invert_scaled``: the scalar
+    safeguarded Newton on Python floats, NaN where it finds no w."""
+    t = abs(target)
+
+    def phi(w):
+        return w / (1 + w * w) ** beta - t
+
+    lo, hi = 0.0, 1.0
+    while phi(hi) < 0:
+        hi *= 2.0
+        if hi > 1e12:
+            return math.nan
+    w = 0.5 * (lo + hi)
+    for _ in range(100):
+        fw = phi(w)
+        if fw < 0:
+            lo = w
+        else:
+            hi = w
+        if abs(fw) <= 1e-14 * max(1.0, t):
+            return math.copysign(w, target)
+        q = 1 + w * w
+        dphi = (1 + (1 - 2 * beta) * w * w) / q ** (beta + 1)
+        w_new = w - fw / dphi
+        if not lo < w_new < hi:
+            w_new = 0.5 * (lo + hi)
+        if hi - lo <= 4 * math.ulp(max(abs(lo), abs(hi), 1e-30)):
+            return math.copysign(0.5 * (lo + hi), target)
+        w = w_new
+    return math.nan
+
+
+def _per_point_report(spec, f, grid, inverse=None):
+    """``verify_inequality`` point by point on Python floats and ``**``, with
+    the x-solve ``inverse(y, z)`` (``f.solve_float`` by default): a point
+    outside the range, with an argument outside (-1, 0) or without a root
+    counts as skipped, and r_star is found by a reverse scan."""
+    inverse = inverse or f.solve_float
+    beta = f.beta
+    radii, margins, skipped = [], [], 0
+    for r in grid.tolist():
+        if not spec.valid_range[0] <= r <= spec.valid_range[1]:
+            skipped += 1
+            continue
+        if spec.kind == "power":
+            w = -spec.a * r**spec.b
+            wp = -spec.a * spec.b * r ** (spec.b - 1.0)
+        else:
+            w = _scalar_invert(spec.m_bar * r, beta)
+            wp = spec.m_bar * (1 + w * w) ** (beta + 1.0) / (1 + (1 - 2 * beta) * w * w)
+        y = w / (r * (1 + w * w) ** beta)
+        x = math.nan
+        if f.minus_level is not None and -1.0 < y < 0.0:
+            x = inverse(-y, 1.0) if f.minus_level == "reflected" else inverse(y, -1.0)
+        if math.isnan(x):
+            skipped += 1
+            continue
+        radii.append(r)
+        margins.append(wp - (1 + w * w) ** (beta + 1.0) * x)
+
+    def settle_radius(sign):
+        idx = len(margins)
+        for j in range(len(margins) - 1, -1, -1):
+            if not sign * margins[j] >= -barrier.SIGN_TOL:
+                break
+            idx = j
+        return radii[idx] if idx < len(margins) else None
+
+    r_super, r_sub = settle_radius(+1), settle_radius(-1)
+    if r_super is not None and (r_sub is None or r_super <= r_sub):
+        verdict = "verified_super"
+    else:
+        verdict = "violated" if r_sub is None else "verified_sub"
+    return barrier.BarrierReport(np.array(radii), np.array(margins), min(margins), verdict,
+                                 skipped, r_super, r_sub)
+
+
+def _array_root(f):
+    """The family's array inverse at one argument: as ``solve_x`` takes it
+    on a whole grid, its np.power rounding included."""
+    return lambda y, z: float(f.solve_x(np.array([y]), z)[0])
+
+
+def _assert_same_report(rep, expected, margins=True):
+    assert np.array_equal(rep.grid, expected.grid)
+    assert (rep.verdict, rep.skipped, rep.r_star_nonneg, rep.r_star_nonpos) == (
+        expected.verdict, expected.skipped, expected.r_star_nonneg, expected.r_star_nonpos)
+    if margins:
+        assert np.array_equal(rep.margins, expected.margins)
+        assert rep.min_margin == expected.min_margin
+
+
+def _cli_power_spec(f):
+    """The power barrier of ``verify --suite barrier``."""
+    c, b = f.minus_origin
+    return BarrierSpec("power", b=b if math.isfinite(c) and b < 0 else -1.0, **POWER_SPEC)
+
+
+def test_cone_barrier_takes_one_array_inverse(monkeypatch):
+    # the cone barrier's argument is m_bar up to rounding; the whole grid
+    # takes one array call of the closed-form inverse
     f = from_key("knorm:k=2,n=3")
-    branch = ImplicitBranch(f)
-    m0 = branch.endpoint_data().m0_bar
+    m0 = ImplicitBranch(f).endpoint_data().m0_bar
     spec = BarrierSpec("implicit_cone", m_bar=m0, valid_range=(0.5, 200))
     grid = log_grid(1.0, 100.0, per_decade=400)
-    beta = f.beta
-    args, expected = [], []
-    for r in grid:
-        w, wp = evaluate_barrier(spec, float(r), beta)
-        args.append(w / (r * (1 + w * w) ** beta))
-        expected.append(wp - (1 + w * w) ** (beta + 1.0) * branch.g_minus(args[-1]))
+    expected = _per_point_report(spec, f, grid)
+    calls = []
+    original = f.solve_x
 
-    solves = []
-    original = ImplicitBranch.g_minus
+    def spy(y, z):
+        calls.append(isinstance(y, np.ndarray))
+        return original(y, z)
 
-    def spy(self, y):
-        solves.append(y)
-        return original(self, y)
-
-    monkeypatch.setattr(ImplicitBranch, "g_minus", spy)
+    monkeypatch.setattr(f, "solve_x", spy)
     rep = verify_inequality(spec, f, grid)
     assert len(grid) == 800
-    assert len(solves) == len(set(args)) <= 3
-    assert np.array_equal(rep.margins, expected)
+    assert calls == [True]
+    assert np.array_equal(rep.margins, expected.margins)
+    _assert_same_report(rep, expected, margins=False)
+
+
+@pytest.mark.parametrize("key", ["qk:k=3,n=7", "qk:k=4,n=6"])
+def test_bench_power_margins_equal_the_per_point_margins(key):
+    # the bench's power barrier jobs keep every margin bit of the per-point
+    # loop on solve_float
+    f = from_key(key)
+    grid = log_grid(2.0, 1e3, per_decade=400)
+    spec = _cli_power_spec(f)
+    _assert_same_report(verify_inequality(spec, f, grid), _per_point_report(spec, f, grid))
+
+
+@pytest.mark.parametrize("key", [k for k in registry_keys() if from_key(k).minus_level])
+def test_array_margins_equal_the_per_point_margins(key):
+    # every margin is the per-point arithmetic on Python floats and ** bit
+    # for bit, at the family's array root.  Against solve_float the report
+    # is the same, but a margin moves where the array inverse rounds a
+    # power as np.power does, an ulp or so away from Python's pow (see
+    # test_float_and_array_inverses_agree): one of 1,080 on hq:k=2,l=0,n=3
+    f = from_key(key)
+    grid = log_grid(2.0, 1e3, per_decade=400)
+    spec = _cli_power_spec(f)
+    rep = verify_inequality(spec, f, grid)
+    _assert_same_report(rep, _per_point_report(spec, f, grid, _array_root(f)))
+    on_floats = _per_point_report(spec, f, grid)
+    _assert_same_report(rep, on_floats, margins=False)
+    assert np.count_nonzero(rep.margins != on_floats.margins) <= 2
+
+
+# the skip paths: a grid that crosses valid_range (r < 0.5 and r > 5e3),
+# arguments at or below -1 (w <= -r at r <= 2.5 for a = 3, b = -0.2), the
+# pole horizon of qk:k=2,n=8 (below |y| ~ 1e-16 the quotient's inverse
+# decides its piece by rounding, and many radii have no root) and a cone
+# barrier with beta = 1/3 without a profile past r ~ 9e3, where
+# w / (1+w^2)^(1/3) = 0.9 r needs w > 1e12
+SKIP_CASES = {
+    "knorm:k=2,n=3": BarrierSpec("power", a=3.0, b=-0.2, valid_range=(0.5, 5e3)),
+    "hq:k=2,l=0,n=3": BarrierSpec("power", a=3.0, b=-0.2, valid_range=(0.5, 5e3)),
+    "qk:k=2,n=8": BarrierSpec("power", b=-7.0, **POWER_SPEC),
+    "sk:k=3,n=5": BarrierSpec("implicit_cone", m_bar=-0.9, valid_range=(0.5, 2e4)),
+}
+
+
+@pytest.mark.parametrize("key", SKIP_CASES)
+def test_skipped_points_are_counted_as_per_point(key):
+    f, spec = from_key(key), SKIP_CASES[key]
+    grid = log_grid(0.3, 3e4, per_decade=50)
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = np.geterr()
+        rep = verify_inequality(spec, f, grid)
+        assert np.geterr() == state
+    expected = _per_point_report(spec, f, grid, _array_root(f))
+    _assert_same_report(rep, expected)
+    assert 0 < rep.skipped < len(grid)
+    assert rep.skipped + len(rep.grid) == len(grid)
+
+
+@pytest.mark.parametrize("key, spec, grid", [
+    # a family without a -1 level
+    ("mean:n=3", BarrierSpec("power", a=0.5, b=-1.0, valid_range=(1.0, 1e4)),
+     log_grid(2.0, 1e3, per_decade=400)),
+    # the argument -1/2 at every radius of this grid, where the quotient's
+    # denominator vanishes: the closed form divides by zero, no root
+    ("qk:k=3,n=6", BarrierSpec("implicit_cone", m_bar=-0.5, valid_range=(0.5, 200)),
+     log_grid(0.3, 3e4, per_decade=50)),
+])
+def test_no_point_solved_raises_domain_error(key, spec, grid):
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = np.geterr()
+        with pytest.raises(DomainError, match="at every grid point"):
+            verify_inequality(spec, from_key(key), grid)
+        assert np.geterr() == state
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25, 1 / 3, 0.4])
+def test_invert_scaled_takes_each_scalar_iteration(beta):
+    # elementwise, bit for bit the scalar Newton, NaN where its bracket
+    # passes 1e12 (t = 1e4 needs w = 1e12 at beta = 1/3, 1e20 at 0.4)
+    rng = np.random.default_rng(3)
+    targets = np.concatenate([[0.0, -0.0, 1e-300, -1e4, 1e4, 0.999, -1.001],
+                              rng.uniform(-200, 200, 50), -np.geomspace(1e-6, 1e3, 50)])
+    w = barrier._invert_scaled(targets, beta)
+    expected = np.array([_scalar_invert(t, beta) for t in targets.tolist()])
+    assert np.array_equal(w, expected, equal_nan=True)
+    assert np.isnan(w).any() == (beta >= 1 / 3)
+
+
+# the ends of U+ that the comparison runs draw their pairs from, as the
+# scalar Newton gave them; sk:k=2,n=4 and sk:k=3,n=5 take Python-float powers
+# (beta = 1/4, 1/3)
+@pytest.mark.parametrize("key, lo, hi", [
+    ("mean:n=3", "0x1.55acb6f46508dp-1", "0x1.ff7ced916872bp-1"),
+    ("hq:k=2,l=0,n=4", "0x1.6a6694f8f3b9ap-1", "0x1.ff7ced916872bp-1"),
+    ("sk:k=2,n=4", "0x1.9a3bc3eea4a9dp-1", "0x1.452a7e0ae2865p+0"),
+    ("sk:k=3,n=5", "0x1.cbf370c2325b6p-1", "0x1.767fa36029d15p+0"),
+])
+def test_admissible_slope_range_bits(key, lo, hi):
+    v_lo, v_hi = admissible_slope_range(from_key(key), 1.0)
+    assert (v_lo.hex(), v_hi.hex()) == (lo, hi)

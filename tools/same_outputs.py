@@ -90,6 +90,11 @@ RUNS = (
     # iteration at the step's start, and a neck far inside the bowl's start
     ("bowl", "--curvature", "mean:n=3", "--rmax", "1e6"),
     ("catenoid", "--curvature", "qk:k=3,n=6", "--R", "1e-9", "--rmax", "12"),
+    # barrier margins: a beta != 0 power barrier, the reflected -1 level of
+    # the even k-norms and the power barrier of the bench's qk:k=3,n=7
+    ("verify", "--suite", "barrier", "--curvature", "sk:k=3,n=5"),
+    ("verify", "--suite", "barrier", "--curvature", "knorm:k=2,n=3"),
+    ("verify", "--suite", "barrier", "--curvature", "qk:k=3,n=7"),
 )
 NOT_JUDGED = {"manifest.json"}
 ENTRY = "import sys; from translab.cli import main; sys.exit(main())"
