@@ -120,7 +120,7 @@ def evaluate_barrier(spec: BarrierSpec, r, beta: float) -> tuple:
 
 def verify_inequality(spec: BarrierSpec, f: CurvatureFunction, grid: np.ndarray) -> BarrierReport:
     """Margins w' - (1+w^2)^(beta+1) g_-(w/(r(1+w^2)^beta), -1) on the grid,
-    as arrays, g_- by one ``f.solve_x`` call at the arguments in (-1, 0).  A
+    as arrays, g_- by one ``f.solve_minus`` call at the arguments in (-1, 0).  A
     radius outside the range, an argument outside (-1, 0) or one without a
     root counts as ``skipped``.  Each margin has the bits of the per-point
     arithmetic on Python floats (``_pow``) at the family's array root.
@@ -141,12 +141,9 @@ def verify_inequality(spec: BarrierSpec, f: CurvatureFunction, grid: np.ndarray)
         one = 1 + w * w
         y = w / (r * _pow(one, beta))
         arg = (-1.0 < y) & (y < 0.0)  # the U- strip; NaN w falls outside it
-        at = inside[arg]
-        # "reflected": gamma(x, y) = -gamma(x, -y), the -1 level at y is the 1 level at -y
-        s = -1.0 if f.minus_level == "reflected" else 1.0
         with np.errstate(all="ignore"):
-            g = f.solve_x(s * y[arg], -s)
-            margins[at] = wp[arg] - _pow(one[arg], beta + 1.0) * g
+            g = f.solve_minus(y[arg])
+            margins[inside[arg]] = wp[arg] - _pow(one[arg], beta + 1.0) * g
         skipped -= int(np.count_nonzero(~np.isnan(g)))
     valid = ~np.isnan(margins)
     if not valid.any():

@@ -12,9 +12,9 @@ slope is strongly attracting from the axis on (|dF/dv| ~ 2-5 / r there), so
 every step is Radau IIA with the analytic dF/dv; the height u is the exact
 integral of the series and of the dense slope output.
 
-Closed-form asymptotic coefficients (the nondegenerate pair (a, b) and the
-degenerate quadruple (k, c, d, A)) are evaluated from implicit-branch
-derivatives and checked against tail fits of the computed profile.
+Closed-form asymptotic coefficients (the nondegenerate pair (a, b) from the
+partials of gamma at the cylinder, the degenerate quadruple (k, c, d, A) from
+the Laurent pair) are checked against tail fits of the computed profile.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .curvature import CurvatureFunction
-from .errors import DomainError, FitError, ParameterError, StructureError, TranslabError
-from .implicit import ImplicitBranch
+from .errors import (ConvergenceError, DomainError, FitError, ParameterError, StructureError,
+                     TranslabError)
 from .ode import IntegratorConfig, Trajectory, integrate
 
 # the start of the axis series (``CurvatureFunction.axis_series``), O(r^6)
@@ -224,9 +224,16 @@ def coeffs_nondegenerate(f: CurvatureFunction) -> tuple:
     if alpha <= 1.0 / 3.0:
         raise ParameterError("expansion requires alpha > 1/3")
     beta = f.beta
-    br = ImplicitBranch(f)
-    g1 = br.dg_dy(1.0, 1.0, order=1)
-    g2 = br.dg_dy(1.0, 1.0, order=2)
+    # g' and g'' of x = g(y, 1) at the cylinder y = 1: differentiate gamma(g, y) = 1
+    x = f.solve_float(1.0, 1.0)
+    if not math.isfinite(x):
+        raise ConvergenceError(f"{f.name}: no root of gamma = 1.0 at y=1.0")
+    gx, gy = f.grad(x, 1.0)
+    if gx <= 0:
+        raise DomainError(f"{f.name}: gamma_x <= 0 at solved point ({x}, 1.0)")
+    g1 = -gy / gx
+    gxx, gxy, gyy = f.second_partials(x, 1.0)
+    g2 = -(gyy + 2.0 * gxy * g1 + gxx * g1 * g1) / gx
     if g1 == 0:
         raise DomainError("dg/dy(1,1) vanishes; coefficient formulas degenerate")
     a = -alpha * (alpha / g1 + beta)

@@ -262,7 +262,6 @@ def cmd_verify(args):
 
     def solve(manifest):
         results = {}
-        branch = ImplicitBranch(f)
         if "homogeneity" in suites:
             rep = check_homogeneity(f, samples=200, seed=args.seed)
             ok = rep["max_defect"] <= 1e-10
@@ -276,6 +275,7 @@ def cmd_verify(args):
                 mono_ok &= gx > 0 and gy > 0
             manifest.record_check("monotonicity", bool(mono_ok), "grad > 0 on cone samples")
         if "implicit" in suites:
+            branch = ImplicitBranch(f)
             rng = np.random.default_rng(args.seed)
             worst_rt = 0.0
             worst_cf = 0.0
@@ -342,9 +342,11 @@ def cmd_verify(args):
                 settled = rep.r_star_nonneg if expect == "verified_super" else rep.r_star_nonpos
                 manifest.record_check(
                     "barrier_power", settled is not None,
-                    f"verdict={rep.verdict} min_margin={rep.min_margin:.2e}{note}",
+                    f"verdict={rep.verdict} min_margin={rep.min_margin:.2e} "
+                    f"skipped={rep.skipped} judged={len(rep.grid)}{note}",
                 )
-                results["barrier"] = {"verdict": rep.verdict, "min_margin": rep.min_margin}
+                results["barrier"] = {"verdict": rep.verdict, "min_margin": rep.min_margin,
+                                      "skipped": rep.skipped, "judged": len(rep.grid)}
             else:
                 manifest.record_check("barrier_power", True, "no -1 level at the origin; skipped")
         return {

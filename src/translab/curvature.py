@@ -6,13 +6,14 @@ gamma(x, y) of two variables.  Each family below provides the slice value,
 analytic first partials, a cone-membership predicate and a closed-form
 inverse in x, written twice: on floats with plain conditionals
 (``_float_x``) and on ndarrays with ``np.where`` (``_array_x``), the same
-NaNs and roots within a few ulps.  ``solve_x`` picks one by type; callers
-that hold floats skip the test: ``ImplicitBranch`` and the catenoid angle
-charts call ``solve_float``, the slope RHS the float inverse itself.  Each
-inverse is exact: it returns the root of gamma(x, y) = z on the monotone
-piece ``x_chart`` names, and NaN where that piece holds none, so its callers
-trust any finite value.  It is the only x-solve: every ODE right-hand side
-and every ``ImplicitBranch`` branch take it, and
+NaNs and roots within a few ulps.  ``solve_x`` picks one by type, and
+``solve_minus`` takes it at the -1 level; callers that hold floats skip the
+test: the catenoid angle charts, the bowl coefficients and ``ImplicitBranch``
+call ``solve_float``, the slope RHS the float inverse itself.  Each inverse
+is exact: it returns the root of gamma(x, y) = z on the monotone piece
+``x_chart`` names, and NaN where that piece holds none, so its callers trust
+any finite value.  It is the only x-solve: every ODE right-hand side,
+barrier margin and ``ImplicitBranch`` branch takes it, and
 ``ImplicitBranch.bisect_level`` checks it by bisection on ``value``.
 
 Construction normalizes gamma so that gamma(0, 1) = 1 whenever that value is
@@ -167,6 +168,20 @@ class CurvatureFunction:
         except (ZeroDivisionError, OverflowError):
             return math.nan
         return math.nan if math.isinf(x) else x
+
+    def solve_minus(self, y):
+        """The x-solve of gamma(x, y) = -1 at y in (-1, 0), a float or an ndarray
+        (``solve_x``, NaN without a root): on S_k and odd k-norms the level lies
+        at x < 0 and is returned unrestricted."""
+        if self.minus_level is None:
+            raise UnsupportedError(f"{self.name} is positive; the -1 level is empty")
+        if not np.all((-1.0 < y) & (y < 0.0)):
+            raise DomainError(f"U- requires y in (-1, 0), got {y}")
+        # "reflected", the odd sign rule on a formula even in x: gamma(x, y) =
+        # -gamma(x, -y), so the -1 level at y is the 1 level at -y
+        if self.minus_level == "reflected":
+            return self.solve_x(-y, 1.0)
+        return self.solve_x(y, -1.0)
 
     def x_chart(self, y: float, z: float) -> tuple:
         """Open x-interval of the monotone piece holding the z-level at this y.

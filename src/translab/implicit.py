@@ -1,15 +1,14 @@
-"""Implicit x-branches of the slice level sets gamma(x, y) = z.
+"""Implicit x-branches of the slice level sets gamma(x, y) = z: the oracle
+and the entry points of the benchmark, on no solver's path.
 
 Every branch is the family's exact closed-form inverse on floats
 (``CurvatureFunction.solve_float``), and a ``ConvergenceError`` where that
 has no root.  ``solve_level`` is that solve at any level; ``g_plus`` is the
-positive-level branch on U+;  ``g_minus`` the z = -1 branch at y in (-1, 0).
-The ODE right-hand sides take the closed form itself (``solve_x``, on a float
-the family's float inverse), whose NaN ends a run on a domain exit.  The
-asymptotic constants of the branches are family data, not estimates: the
-origin limit and slope of g_- (``CurvatureFunction.minus_origin``,
-which ``dg_minus_dy_at_zero`` reads) and the Laurent pair of g_+(y, 1) at
-infinity (``CurvatureFunction.laurent``).
+positive-level branch on U+.  The solvers take the family's own methods: the
+-1 level is ``CurvatureFunction.solve_minus``, and the asymptotic constants
+are family data, not estimates: the origin limit and slope of g_-
+(``minus_origin``, which ``dg_minus_dy_at_zero`` reads) and the Laurent pair
+of g_+(y, 1) at infinity (``laurent``).
 
 ``bisect_level`` is an independent oracle for the closed forms, on no solve
 path: a bisection that uses only ``value``.  ``verify --suite implicit`` and
@@ -41,8 +40,6 @@ def _float_at(index: int) -> float:
 
 @dataclass
 class EndpointData:
-    left_value: float
-    right_value: float
     m0_bar: Optional[float]  # -gamma(-1,1)^(-1/alpha), when gamma(-1,1) > 0
 
 
@@ -118,46 +115,6 @@ class ImplicitBranch:
             )
         return self._root(y, z)
 
-    def g_minus(self, y: float) -> float:
-        """The x-solve of gamma(x, y) = -1 for y in (-1, 0).
-
-        For families whose -1 level lies at x > 0 (Hessian quotients,
-        even k-norms) this is the standard U- branch; for S_k and odd
-        k-norms the level lies at x < 0 and the chart solution is returned
-        unrestricted.
-        """
-        f = self.source
-        if f.minus_level is None:
-            raise UnsupportedError(f"{f.name} is positive; the -1 level is empty")
-        if not -1.0 < y < 0.0:
-            raise DomainError(f"U- requires y in (-1, 0), got {y}")
-        # "reflected", the odd sign rule on a formula even in x: gamma(x, y) =
-        # -gamma(x, -y), so the -1 level at y is the 1 level at -y
-        y, z = (-y, 1.0) if f.minus_level == "reflected" else (y, -1.0)
-        return self._root(y, z)
-
-    # -- derivatives -----------------------------------------------------------
-
-    def dg_dy(self, y: float, z: float, order: int = 1) -> float:
-        """Implicit y-derivatives of the positive branch at (y, z).
-
-        Order 1 is -gamma_y/gamma_x at (g, y); order 2 differentiates once
-        more, consuming second partials of gamma.
-        """
-        x = self._root(y, z)
-        f = self.source
-        gx, gy = f.grad(x, y)
-        if gx <= 0:
-            raise DomainError(f"{f.name}: gamma_x <= 0 at solved point ({x}, {y})")
-        g1 = -gy / gx
-        if order == 1:
-            return g1
-        if order != 2:
-            raise UnsupportedError("dg_dy supports orders 1 and 2")
-        gxx, gxy, gyy = f.second_partials(x, y)
-        # differentiate gamma_x g' + gamma_y = 0 along y -> solve for g''
-        return -(gyy + 2.0 * gxy * g1 + gxx * g1 * g1) / gx
-
     def dg_minus_dy_at_zero(self) -> float:
         """Slope of the -1 branch at y -> 0-: the family's ``minus_origin`` slope."""
         f = self.source
@@ -171,14 +128,10 @@ class ImplicitBranch:
     # -- endpoints -----------------------------------------------------------
 
     def endpoint_data(self) -> EndpointData:
+        """The cone slope ratio m0_bar; the left end of U+ is ``lambda0``."""
         f = self.source
-        left = f.lambda0  # g_+(gamma(1,1)^(-1/alpha), 1) = same value, by scaling
-        right = 0.0 if not f.is_one_degenerate else math.nan
-        m0 = None
         try:
             gm11 = f.value(-1.0, 1.0)
         except DomainError:
             gm11 = -math.inf
-        if gm11 > 0:
-            m0 = -(gm11 ** (-1.0 / f.alpha_float))
-        return EndpointData(left_value=left, right_value=right, m0_bar=m0)
+        return EndpointData(m0_bar=-(gm11 ** (-1.0 / f.alpha_float)) if gm11 > 0 else None)

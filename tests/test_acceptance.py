@@ -130,10 +130,16 @@ def test_criterion_3_implicit_branch_correctness():
                 worst_cf = max(worst_cf, abs(x - b.bisect_level(float(y), float(z))))
                 worst_rt = max(worst_rt, abs(f.value(x, float(y)) - float(z)))
         if y_lo is not None:
-            for y in np.linspace(y_lo, -0.02, 50):
-                x = b.g_minus(float(y))
-                worst_cf = max(worst_cf, abs(x - b.bisect_level(float(y), -1.0)))
-                worst_rt = max(worst_rt, abs(f.value(x, float(y)) + 1.0))
+            ys = np.linspace(y_lo, -0.02, 50)
+            with np.errstate(all="ignore"):
+                xs = f.solve_minus(ys)
+            # the -1 level one float at a time and as one array; max() would
+            # pass over a NaN root, so each must be finite to be compared
+            for y, x_array in zip(ys.tolist(), xs.tolist()):
+                for x in (f.solve_minus(y), x_array):
+                    assert math.isfinite(x), f"{key}: no root of the -1 level at y={y}"
+                    worst_cf = max(worst_cf, abs(x - b.bisect_level(y, -1.0)))
+                    worst_rt = max(worst_rt, abs(f.value(x, y) + 1.0))
         a = f.alpha_float
         for c in (0.5, 2.0, 5.0):
             for y in np.linspace(0.45, 0.95, 10):

@@ -158,8 +158,7 @@ def test_solution_vs_own_power_supersolution():
     # descending-slope solution of the minus equation stays above its
     # matched power barrier (subsolution side of the comparison)
     f = from_key("qk:k=3,n=7")
-    br = ImplicitBranch(f)
-    b = br.dg_minus_dy_at_zero()
+    b = ImplicitBranch(f).dg_minus_dy_at_zero()
     beta = f.beta
     r0, r1 = 5.0, 200.0
     a = 0.3
@@ -168,9 +167,11 @@ def test_solution_vs_own_power_supersolution():
     def rhs(r, y):
         v = y[0]
         one = 1.0 + v * v
-        return (one ** (beta + 1.0) * br.g_minus(v / (r * one**beta)),)
+        return (one ** (beta + 1.0) * f.solve_minus(v / (r * one**beta)),)
 
     tr = integrate(rhs, r0, [-a * r0**b], r1)
+    # a NaN root would end the run early on a domain exit
+    assert tr.termination == "reached_end"
     rs = np.geomspace(r0, min(r1, tr.t_final), 60)
     v = tr.resample(rs)[:, 0]
     w = -a * rs**b

@@ -14,9 +14,8 @@ from translab.catenoid import (
     solve_neck,
     upper_growth_exponent,
 )
-from translab.curvature import from_key
+from translab.curvature import CurvatureFunction, from_key
 from translab.errors import FitError, ParameterError, UnsupportedError
-from translab.implicit import ImplicitBranch
 from translab.ode import integrate
 
 _CACHE = {}
@@ -412,13 +411,13 @@ def test_qk_lower_end_classification(k, kind, exp_u):
 def test_lower_end_classified_once(monkeypatch):
     # the limit and slope of g_- at the origin are family data: no solve
     calls = []
-    g_minus = ImplicitBranch.g_minus
+    solve_minus = CurvatureFunction.solve_minus
 
     def counted(self, y):
         calls.append(y)
-        return g_minus(self, y)
+        return solve_minus(self, y)
 
-    monkeypatch.setattr(ImplicitBranch, "g_minus", counted)
+    monkeypatch.setattr(CurvatureFunction, "solve_minus", counted)
     res = solve_catenoid(from_key("qk:k=3,n=6"), 1.0, 20.0)
     assert res.case == "derivative_origin"
     assert len(calls) == 0

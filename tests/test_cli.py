@@ -259,6 +259,21 @@ def test_verify_barrier_even_knorm_is_sub(tmp_path):
     assert "1.414 at the origin: verified_sub expected" in check["detail"]
 
 
+@pytest.mark.parametrize("key, skipped", [("qk:k=2,n=8", 332), ("qk:k=3,n=7", 0)])
+def test_verify_barrier_reports_skipped_radii(tmp_path, key, skipped):
+    # qk:k=2,n=8 has no root at 332 of the 1,080 radii, where |y| falls below
+    # ~1e-16 and its inverse picks a piece by rounding: the verdict stands on
+    # the judged radii, and the report says how many those are
+    out = tmp_path / "v"
+    assert run(["verify", "--suite", "barrier", "--curvature", key,
+                "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "verify.json").read_text())["suites"]["barrier"]
+    assert report["skipped"] + report["judged"] == 1080
+    assert report["skipped"] == skipped
+    check = json.loads((out / "manifest.json").read_text())["checks"]["barrier_power"]
+    assert f"skipped={skipped} judged={1080 - skipped}" in check["detail"]
+
+
 def test_verify_barrier_odd_knorm(tmp_path):
     # the -1 level of an odd k-norm lies at x < 0 and g_- tends to a negative
     # constant at the origin, so the power barrier is a supersolution

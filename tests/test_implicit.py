@@ -1,4 +1,5 @@
-"""Implicit branches: closed forms vs the bisection oracle, derivatives, endpoints."""
+"""Implicit branches: closed forms vs the bisection oracle, the -1 level, the
+cylinder derivatives, endpoints."""
 
 import json
 import math
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translab.barrier import BarrierSpec, log_grid, verify_inequality
+from translab.bowl import coeffs_nondegenerate
 from translab.catenoid import classify_case
 from translab.cli import main
 from translab.curvature import from_key
@@ -98,69 +100,86 @@ def test_scaling_law_grid():
 
 
 # ---------------------------------------------------------------------------
-# g_minus
+# g_minus: CurvatureFunction.solve_minus on floats and on arrays
 # ---------------------------------------------------------------------------
+
+
+def g_minus(f, ys):
+    """The -1 level at each y, solved one float at a time and as one array;
+    every root is finite (a NaN compares as no error in max)."""
+    ys = np.asarray(ys, dtype=float)
+    floats = np.array([f.solve_minus(y) for y in ys.tolist()])
+    with np.errstate(all="ignore"):
+        array = f.solve_minus(ys)
+    assert np.isfinite(floats).all() and np.isfinite(array).all()
+    return floats, array
 
 
 def test_g_minus_qk_closed_form_value():
     # reference closed form for Q_k with n=7, k=3 at y = -0.1
     n, k = 7, 3
-    b = branch(f"qk:k={k},n={n}")
     Bk, Bk1, Bk2 = comb(n - 1, k), comb(n - 1, k - 1), comb(n - 1, k - 2)
     y = -0.1
     expected = Bk * y * (-1 - y) / (Bk1 * y + Bk * Bk2 / Bk1)
-    assert b.g_minus(y) == pytest.approx(expected, abs=1e-10)
+    for x in g_minus(from_key(f"qk:k={k},n={n}"), [y]):
+        assert x[0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_g_minus_qk_limit_zero():
-    b = branch("qk:k=3,n=7")
-    assert abs(b.g_minus(-1e-7)) < 1e-5
-    assert b.source.minus_origin[0] == 0.0
+    f = from_key("qk:k=3,n=7")
+    for x in g_minus(f, [-1e-7]):
+        assert abs(x[0]) < 1e-5
+    assert f.minus_origin[0] == 0.0
 
 
 def test_g_minus_mean_unsupported():
-    with pytest.raises(UnsupportedError):
-        branch("mean:n=3").g_minus(-0.5)
+    f = from_key("mean:n=3")
+    for y in (-0.5, np.array([-0.5])):
+        with pytest.raises(UnsupportedError):
+            f.solve_minus(y)
 
 
 def test_g_minus_outside_interval():
-    with pytest.raises(DomainError):
-        branch("qk:k=3,n=7").g_minus(-1.5)
+    f = from_key("qk:k=3,n=7")
+    for y in (-1.5, np.array([-0.5, -1.5])):
+        with pytest.raises(DomainError):
+            f.solve_minus(y)
 
 
 def test_g_minus_has_no_decreasing_branch():
     # S_k has gamma_x = a y^(k-1), negative at y < 0 for even k
     b = branch("sk:k=2,n=4")
-    for solve in (b.g_minus, lambda y: b.bisect_level(y, -1.0)):
-        with pytest.raises(ConvergenceError, match="no root"):
-            solve(-0.5)
+    assert math.isnan(b.source.solve_minus(-0.5))
+    with np.errstate(all="ignore"):
+        assert np.isnan(b.source.solve_minus(np.array([-0.5]))).all()
+    with pytest.raises(ConvergenceError, match="no root"):
+        b.bisect_level(-0.5, -1.0)
 
 
 def test_g_minus_decreasing_in_y():
-    b = branch("qk:k=3,n=7")
-    ys = np.linspace(-0.5, -0.01, 40)
-    gs = [b.g_minus(float(y)) for y in ys]
-    assert all(g1 > g2 for g1, g2 in zip(gs, gs[1:]))
+    for gs in g_minus(from_key("qk:k=3,n=7"), np.linspace(-0.5, -0.01, 40)):
+        assert np.all(gs[:-1] > gs[1:])
 
 
 @pytest.mark.parametrize("key,y_lo", [("hq:k=2,l=1,n=4", -0.45), ("hq:k=3,l=1,n=5", -0.40)])
 def test_g_minus_hq_closed_form_grid(key, y_lo):
     f = from_key(key)
     b = ImplicitBranch(f)
-    worst = 0.0
-    for y in np.linspace(y_lo, -0.01, 50).tolist():
-        x = b.g_minus(y)
-        x_bis = b.bisect_level(y, -1.0)
-        residual = abs(f.value(x, y) + 1.0)
-        assert residual <= 1e-10
-        if 0.5 * math.ulp(1.0) / f.grad(x, y)[0] > 1e-9:
-            # half an ulp of the level fixes x only to more than 1e-9 here
-            # (hq:k=2,l=1,n=4 at y = -0.33327, where gamma_x = 6.25e-8): the
-            # closed form solves the level at least as well as the oracle
-            assert residual <= abs(f.value(x_bis, y) + 1.0)
-        else:
-            worst = max(worst, abs(x - x_bis))
-    assert worst <= 1e-9
+    ys = np.linspace(y_lo, -0.01, 50).tolist()
+    for xs in g_minus(f, ys):
+        worst = 0.0
+        for x, y in zip(xs.tolist(), ys):
+            x_bis = b.bisect_level(y, -1.0)
+            residual = abs(f.value(x, y) + 1.0)
+            assert residual <= 1e-10
+            if 0.5 * math.ulp(1.0) / f.grad(x, y)[0] > 1e-9:
+                # half an ulp of the level fixes x only to more than 1e-9 here
+                # (hq:k=2,l=1,n=4 at y = -0.33327, where gamma_x = 6.25e-8): the
+                # closed form solves the level at least as well as the oracle
+                assert residual <= abs(f.value(x_bis, y) + 1.0)
+            else:
+                worst = max(worst, abs(x - x_bis))
+        assert worst <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -177,18 +196,19 @@ def test_g_minus_pole_hugging_root(y, residual_bound):
     assert abs(f.value(x_bis, y) + 1.0) <= residual_bound
     # next to the pole one ulp of x moves gamma by up to 7.4e-6, so the
     # closed form is held to ulps of x, not to the residual
-    assert abs(b.g_minus(y) - x_bis) <= 2 * math.ulp(x_bis)
+    for x in g_minus(f, [y]):
+        assert abs(x[0] - x_bis) <= 2 * math.ulp(x_bis)
 
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_g_minus_odd_knorm(k):
     # oracle: x^k + 2 y^k = -2 on the slice of n = 3, so x < 0 at y in (-1, 0)
     f = from_key(f"knorm:k={k},n=3")
-    b = ImplicitBranch(f)
-    for y in (-0.9, -0.5, -0.1, -1e-3):
-        x = b.g_minus(y)
-        assert abs(f.value(x, y) + 1.0) <= 1e-13
-        assert x == pytest.approx(-((2.0 + 2.0 * y**k) ** (1.0 / k)), abs=1e-12)
+    ys = (-0.9, -0.5, -0.1, -1e-3)
+    for xs in g_minus(f, ys):
+        for x, y in zip(xs.tolist(), ys):
+            assert abs(f.value(x, y) + 1.0) <= 1e-13
+            assert x == pytest.approx(-((2.0 + 2.0 * y**k) ** (1.0 / k)), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -202,9 +222,8 @@ def test_g_minus_odd_knorm(k):
     ],
 )
 def test_g_minus_even_knorm(key, expected):
-    b = branch(key)
-    for y, x in zip((-0.9, -0.5, -0.1, -1e-3), expected):
-        assert b.g_minus(y) == pytest.approx(x, abs=1e-12)
+    for xs in g_minus(from_key(key), (-0.9, -0.5, -0.1, -1e-3)):
+        assert xs.tolist() == pytest.approx(list(expected), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +233,13 @@ def test_g_minus_even_knorm(key, expected):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_dg_dy_mean(n):
-    b = branch(f"mean:n={n}")
-    assert b.dg_dy(1.0, 1.0, 1) == pytest.approx(-(n - 1), abs=1e-8)
-    assert b.dg_dy(1.0, 1.0, 2) == pytest.approx(0.0, abs=1e-8)
+    # g' and g'' of g_+(y, 1) at the cylinder y = 1, read back from the pair
+    # (a, b) that coeffs_nondegenerate builds on them (alpha = 1, beta = 0)
+    a, b = coeffs_nondegenerate(from_key(f"mean:n={n}"))
+    g1 = -1.0 / a
+    g2 = 2.0 * g1 * (a / g1 + a * (1.0 - 2.0 * a) - b) / a**2
+    assert g1 == pytest.approx(-(n - 1), abs=1e-8)
+    assert g2 == pytest.approx(0.0, abs=1e-8)
 
 
 def test_dg_minus_dy_at_zero_qk():
@@ -233,16 +256,6 @@ def test_dg_minus_dy_at_zero_needs_a_finite_limit(key):
         branch(key).dg_minus_dy_at_zero()
 
 
-def test_dg_dy_matches_differences():
-    b = branch("sk:k=3,n=5")
-    y, z = 0.8, 1.0
-    h = 1e-6
-    fd = (b.g_plus(y + h, z) - b.g_plus(y - h, z)) / (2 * h)
-    assert b.dg_dy(y, z, 1) == pytest.approx(fd, rel=1e-6)
-    fd2 = (b.g_plus(y + h, z) - 2 * b.g_plus(y, z) + b.g_plus(y - h, z)) / h**2
-    assert b.dg_dy(y, z, 2) == pytest.approx(fd2, rel=1e-3)
-
-
 # ---------------------------------------------------------------------------
 # endpoints
 # ---------------------------------------------------------------------------
@@ -250,26 +263,23 @@ def test_dg_dy_matches_differences():
 
 @pytest.mark.parametrize("key", ["mean:n=3", "sk:k=3,n=5", "hq:k=2,l=0,n=3", "knorm:k=2,n=3"])
 def test_endpoint_identities(key):
+    # the left end of U+ is the umbilic slope lambda0
     f = from_key(key)
     b = ImplicitBranch(f)
-    ep = b.endpoint_data()
     a = f.alpha_float
-    assert ep.left_value == pytest.approx(f.value(1.0, 1.0) ** (-1.0 / a), abs=1e-12)
+    assert f.lambda0 == pytest.approx(f.value(1.0, 1.0) ** (-1.0 / a), abs=1e-12)
     # the interior solve at a relative distance 1e-8 from the left endpoint
-    assert b.g_plus(f.lambda0 * (1 + 1e-8), 1.0) == pytest.approx(ep.left_value, abs=1e-6)
-    if not f.is_one_degenerate:
-        assert ep.right_value == 0.0
+    assert b.g_plus(f.lambda0 * (1 + 1e-8), 1.0) == pytest.approx(f.lambda0, abs=1e-6)
 
 
 def test_m0_bar_knorm_identity():
     f = from_key("knorm:k=2,n=3")
-    b = ImplicitBranch(f)
-    ep = b.endpoint_data()
+    ep = ImplicitBranch(f).endpoint_data()
     assert ep.m0_bar is not None
     assert ep.m0_bar == pytest.approx(-f.value(-1.0, 1.0) ** -1.0, abs=1e-12)
     # g_-(m0, -1) = -m0 within 1e-8 (interior solve)
-    gm = b.g_minus(ep.m0_bar * (1 - 1e-12))
-    assert gm == pytest.approx(-ep.m0_bar, abs=1e-8)
+    for gm in g_minus(f, [ep.m0_bar * (1 - 1e-12)]):
+        assert gm[0] == pytest.approx(-ep.m0_bar, abs=1e-8)
 
 
 def test_m0_bar_absent_for_sk():
@@ -490,8 +500,8 @@ def test_no_solve_path_reaches_the_oracle(monkeypatch, tmp_path):
     monkeypatch.setattr(ImplicitBranch, "bisect_level", oracle)
     b = branch("qk:k=4,n=6")
     b.g_plus(0.9, 1.0)
-    b.g_minus(-0.1)
-    b.dg_dy(1.0, 1.0, order=2)
+    g_minus(b.source, [-0.1])
+    coeffs_nondegenerate(b.source)
     b.dg_minus_dy_at_zero()
     classify_case(b.source)
     spec = BarrierSpec("power", a=0.5, b=-1.0, valid_range=(1.0, 1e4))

@@ -1,6 +1,6 @@
-"""Every module-level import of the package is used by its module, and
-every private module-level name and every field of class state is read
-somewhere.
+"""Every module-level import of the package is used by its module, every
+private module-level name and every field of class state is read somewhere,
+and only the CLI imports ``translab.implicit``.
 
 No linter ships with the package, so these are ``ast`` passes over
 ``src/translab/*.py``: a name bound by a top-level ``import`` or ``from ...
@@ -51,6 +51,39 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_implicit(source: str) -> bool:
+    """Whether ``source``, a module of the package, imports ``translab.implicit``
+    anywhere: absolutely, relatively or as a name of the package."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "translab.implicit" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in ("translab.implicit", ".implicit"):
+                return True
+            if module in ("translab", ".") and any(a.name == "implicit" for a in node.names):
+                return True
+    return False
+
+
+def test_the_check_finds_an_implicit_import():
+    for source in ("from .implicit import ImplicitBranch\n", "from . import curvature, implicit\n",
+                   "import translab.implicit as im\n", "from translab.implicit import X\n",
+                   "def f():\n    from .implicit import ImplicitBranch\n"):
+        assert imports_implicit(source), source
+    for source in ("from .curvature import implicit\n", "from .implicitly import A\n",
+                   "import translab.curvature\n", "implicit = 1\n"):
+        assert not imports_implicit(source), source
+
+
+def test_only_the_cli_imports_implicit():
+    # the bisection oracle and the bench's entry points live in implicit; no
+    # solver reaches them
+    importers = [path.name for path in sorted(SRC.glob("*.py")) if imports_implicit(path.read_text())]
+    assert importers == ["cli.py"]
 
 
 def private_names(source: str) -> dict:

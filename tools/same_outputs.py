@@ -95,6 +95,12 @@ RUNS = (
     ("verify", "--suite", "barrier", "--curvature", "sk:k=3,n=5"),
     ("verify", "--suite", "barrier", "--curvature", "knorm:k=2,n=3"),
     ("verify", "--suite", "barrier", "--curvature", "qk:k=3,n=7"),
+    # a power barrier judged on 748 of its 1,080 radii, the "direct" -1 level
+    # of an odd k-norm, and the reflected even-k margins, which the --suite
+    # all run of knorm:k=4,n=4 never reaches (its ordering run exits 3 first)
+    ("verify", "--suite", "barrier", "--curvature", "qk:k=2,n=8"),
+    ("verify", "--suite", "barrier", "--curvature", "knorm:k=3,n=3"),
+    ("verify", "--suite", "barrier", "--curvature", "knorm:k=4,n=4"),
 )
 NOT_JUDGED = {"manifest.json"}
 ENTRY = "import sys; from translab.cli import main; sys.exit(main())"
