@@ -229,4 +229,6 @@ def admissible_slope_range(f: CurvatureFunction, r0: float) -> tuple:
     v_lo, v_hi = _invert_scaled(np.array([y_lo * 1.001 * r0, y_hi * 0.999 * r0]), f.beta).tolist()
     if math.isnan(v_lo + v_hi):
         raise ConvergenceError(f"{f.name}: no slope at r0={r0} for the ends of U+")
+    if v_lo >= v_hi:  # lambda0 within 0.2% of 1: the insets cross
+        raise DomainError(f"{f.name}: no slope at r0={r0} inside U+ (lambda0 = {y_lo!r})")
     return v_lo, v_hi

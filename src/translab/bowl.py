@@ -130,13 +130,14 @@ def _slope_field(f: CurvatureFunction, clamp_y: Optional[float]):
 def _slope_scalar(f: CurvatureFunction, clamp_y: Optional[float]):
     """RHS and Jacobian of the slope equation as one-component maps for
     ``integrate``.  The RHS is F written out in one frame on the family's
-    float inverse; a missing root, or an overflow at a huge v, gives NaN: a
-    domain exit.  The catenoid graph charts build their RHS on this one.
+    ``_inverse``, its root kept as ``solve_float`` keeps it; a missing root,
+    or an overflow at a huge v, gives NaN: a domain exit.  The catenoid graph
+    charts build their RHS on this one.
     """
     _, derivative = _slope_field(f, clamp_y)
     beta = f.beta
     beta1 = beta + 1.0
-    inverse, level = f._float_x, f.normalization
+    inverse, level = f._inverse, f.normalization
 
     def rhs(r, vs):
         v = vs[0]
@@ -145,9 +146,9 @@ def _slope_scalar(f: CurvatureFunction, clamp_y: Optional[float]):
             yarg = v / (r * one_plus**beta)
             if clamp_y is not None and yarg >= clamp_y:
                 yarg = clamp_y
-            x = inverse(yarg, level)
-            # ``solve_x`` on floats: no root and an infinite one give NaN
-            return (math.nan,) if math.isinf(x) else (one_plus**beta1 * x,)
+            x, ok = inverse(yarg, level)
+            # ``solve_float``'s selection: no root and an infinite one give NaN
+            return (one_plus**beta1 * x,) if ok and not math.isinf(x) else (math.nan,)
         except (ZeroDivisionError, OverflowError):
             return (math.nan,)
 

@@ -27,16 +27,20 @@ ENV_PREFIX = "TRANSLAB_"
 
 
 def load_config(path: Optional[str], known: dict) -> dict:
-    """Flat key=value sections; environment variables override as
-    TRANSLAB_<SECTION>_<KEY>, and each key is stored lower-cased.  ``known``
-    maps each section to its option names, which match keys regardless of
-    case; any other section or key is rejected, in the file and under a
-    known section's environment prefix alike."""
+    """Flat key=value sections, each value as written; environment variables
+    override as TRANSLAB_<SECTION>_<KEY>, and each key is stored lower-cased.
+    ``known`` maps each section to its option names, which match keys
+    regardless of case; any other section or key is rejected, in the file
+    and under a known section's environment prefix alike, as is a file that
+    does not parse."""
     cfg = {section: {} for section in known}
     items = []  # (section, key, value), the environment's after the file's
     if path:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ParameterError(f"config file {path!r}: {exc}") from exc
         if not read:
             raise ParameterError(f"config file {path!r} not readable")
         for section in parser.sections():

@@ -4,17 +4,18 @@ Every function of the principal curvatures used here is evaluated on the
 rotational slice (x, y, ..., y) of R^n, which collapses it to a function
 gamma(x, y) of two variables.  Each family below provides the slice value,
 analytic first partials, a cone-membership predicate and a closed-form
-inverse in x, written twice: on floats with plain conditionals
-(``_float_x``) and on ndarrays with ``np.where`` (``_array_x``), the same
-NaNs and roots within a few ulps.  ``solve_x`` picks one by type, and
-``solve_minus`` takes it at the -1 level; callers that hold floats skip the
-test: the catenoid angle charts, the bowl coefficients and ``ImplicitBranch``
-call ``solve_float``, the slope RHS the float inverse itself.  Each inverse
-is exact: it returns the root of gamma(x, y) = z on the monotone piece
-``x_chart`` names, and NaN where that piece holds none, so its callers trust
-any finite value.  It is the only x-solve: every ODE right-hand side,
-barrier margin and ``ImplicitBranch`` branch takes it, and
-``ImplicitBranch.bisect_level`` checks it by bisection on ``value``.
+inverse in x, written once, selected by the caller: ``_inverse`` returns the
+root and its chart test (a bool, or a bool array) by one formula on floats
+and ndarrays, and ``solve_float`` keeps the root by a plain conditional,
+``solve_x`` on ndarrays by ``np.where`` (roots within the few ulps of
+numpy's array power).  Callers that hold floats skip the type test: the
+catenoid angle charts, the bowl coefficients and ``ImplicitBranch`` call
+``solve_float``, the slope RHS ``_inverse`` itself.  Each inverse is exact:
+it returns the root of gamma(x, y) = z on the monotone piece ``x_chart``
+names, and NaN where that piece holds none, so its callers trust any finite
+value.  It is the only x-solve: every ODE right-hand side, barrier margin
+and ``ImplicitBranch`` branch takes it (``solve_minus`` at the -1 level),
+and ``ImplicitBranch.bisect_level`` checks it by bisection on ``value``.
 
 Construction normalizes gamma so that gamma(0, 1) = 1 whenever that value is
 positive; the original scale is kept in ``normalization``.  It also sets each
@@ -106,13 +107,11 @@ class CurvatureFunction:
         """(gxx, gxy, gyy) of the raw slice value, or None to use differences."""
         return None
 
-    def _float_x(self, y: float, z_raw: float) -> float:
-        """Closed-form x with raw gamma(x, y) = z_raw inside ``x_chart``; NaN
-        where there is none (it may raise, or give +-inf, as float arithmetic does)."""
-        raise NotImplementedError
-
-    def _array_x(self, y, z_raw):
-        """``_float_x`` on ndarrays; +-inf where a float division raises."""
+    def _inverse(self, y, z_raw) -> tuple:
+        """(x, ok): the closed-form x with raw gamma(x, y) = z_raw, and whether
+        it lies inside ``x_chart``, by one formula on floats (ok a bool) and on
+        ndarrays (a bool array).  It may raise, or give +-inf, as float and
+        array arithmetic do: +-inf on arrays where a float division raises."""
         raise NotImplementedError
 
     def cone_contains(self, x: float, y: float) -> bool:
@@ -147,27 +146,29 @@ class CurvatureFunction:
         return gxx, gxy, gyy
 
     def solve_x(self, y, z):
-        """Closed-form inverse of the normalized slice value: ``solve_float``
-        on floats, the family's ``_array_x`` where y or z is an ndarray; NaN
-        (in the shape of y) where there is no root, never +-inf, so that the
-        RHS built on it ends on a domain exit."""
+        """Closed-form inverse of the normalized slice value, written once
+        (``_inverse``) and selected by the caller: ``solve_float`` on floats,
+        else ``np.where`` on ``ok``; NaN (in the shape of y) where there is no
+        root, never +-inf, so that the RHS built on it ends on a domain exit."""
         if not (isinstance(y, np.ndarray) or isinstance(z, np.ndarray)):
             return self.solve_float(y, z)
         try:
-            x = self._array_x(y, z * self.normalization)
+            x, ok = self._inverse(y, z * self.normalization)
         except (ZeroDivisionError, OverflowError):
             return y * math.nan
         # a vanishing denominator gives +-inf on arrays where floats raise, an
         # overflowing product +-inf on both
-        return np.where(np.isinf(x), math.nan, x)
+        return np.where(ok & ~np.isinf(x), x, math.nan)
 
     def solve_float(self, y: float, z: float) -> float:
-        """``solve_x`` on floats, on the family's ``_float_x``."""
+        """``solve_x`` on floats, ``_inverse``'s root kept by a plain
+        conditional: on one float a helper or numpy call costs more than the
+        formula, and every one-component RHS stage solves once."""
         try:
-            x = self._float_x(y, z * self.normalization)
+            x, ok = self._inverse(y, z * self.normalization)
         except (ZeroDivisionError, OverflowError):
             return math.nan
-        return math.nan if math.isinf(x) else x
+        return x if ok and not math.isinf(x) else math.nan
 
     def solve_minus(self, y):
         """The x-solve of gamma(x, y) = -1 at y in (-1, 0), a float or an ndarray
@@ -226,10 +227,8 @@ class MeanCurvature(CurvatureFunction):
     def _raw_second(self, x, y):
         return 0.0, 0.0, 0.0
 
-    def _float_x(self, y, z_raw):
-        return z_raw - (self.dimension_n - 1) * y
-
-    _array_x = _float_x
+    def _inverse(self, y, z_raw):
+        return z_raw - (self.dimension_n - 1) * y, True
 
     def cone_contains(self, x, y):
         return x + (self.dimension_n - 1) * y > 0
@@ -265,16 +264,11 @@ class GaussRoot(CurvatureFunction):
                 raise DomainError("gauss gradient undefined on the boundary")
         return v / (n * x), (n - 1) * v / (n * y)
 
-    def _float_x(self, y, z_raw):
+    def _inverse(self, y, z_raw):
         n = self.dimension_n
         x = z_raw**n / y ** (n - 1)
         # an even root has no level below 0, and its chart is x > 0
-        return x if n % 2 == 1 or z_raw > 0 and x > 0 else math.nan
-
-    def _array_x(self, y, z_raw):
-        n = self.dimension_n
-        x = z_raw**n / y ** (n - 1)
-        return x if n % 2 == 1 else np.where((z_raw > 0) & (x > 0), x, math.nan)
+        return x, n % 2 == 1 or (z_raw > 0) & (x > 0)
 
     def cone_contains(self, x, y):
         return x > 0 and y > 0
@@ -312,7 +306,7 @@ class SymmetricPoly(CurvatureFunction):
         super().__init__(f"sk:k={k},n={n}", n, Fraction(k))
         # the -1 level x = -(c + B_k y^k)/(B_{k-1} y^(k-1)), B_j = C(n-1, j)
         # and c the normalization: a line for k = 1, diverging at the origin
-        # for odd k >= 3 and absent for even k (``_float_x``)
+        # for odd k >= 3 and absent for even k (``_inverse``)
         if k == 1:
             self.minus_origin = (-(n - 1.0), -(n - 1.0))
         elif k % 2 == 1:
@@ -341,16 +335,11 @@ class SymmetricPoly(CurvatureFunction):
         ) * y ** (k - 2)
         return gxx, gxy, gyy
 
-    def _float_x(self, y, z_raw):
+    def _inverse(self, y, z_raw):
         k = self.k
         x = (z_raw - self._b * y**k) / (self._a * y ** (k - 1))
         # gamma_x = a y^(k-1): for even k no piece increases in x at y < 0
-        return x if k % 2 or y > 0 else math.nan
-
-    def _array_x(self, y, z_raw):
-        k = self.k
-        x = (z_raw - self._b * y**k) / (self._a * y ** (k - 1))
-        return x if k % 2 else np.where(y > 0, x, math.nan)
+        return x, k % 2 == 1 or y > 0
 
     def cone_contains(self, x, y):
         return _garding_slice_ok(self.dimension_n, self.k, x, y)
@@ -452,7 +441,7 @@ class HessianQuotient(CurvatureFunction):
         gyy = 2 * q_y + y * q_yy
         return gxx, gxy, gyy
 
-    def _float_x(self, y, z_raw):
+    def _inverse(self, y, z_raw):
         # the cross-multiplied equation num/den = (z/y)^m
         m = self.m
         zm = z_raw**m
@@ -461,10 +450,10 @@ class HessianQuotient(CurvatureFunction):
         if m == 1:
             # gamma(x, 0) = 0 for every x: no level has a root at y = 0; with
             # a pole, x_chart picks x > pole below the limit, x < pole above it
-            if y == 0 or self._bl1 and (
-                    (x > -self._bl * y / self._bl1) != (z_raw < y * self._limit)):
-                return math.nan
-            return x
+            ok = y != 0
+            if self._bl1:
+                ok = ok & ((x > -self._bl * y / self._bl1) == (z_raw < y * self._limit))
+            return x, ok
         # the root solves the level only where z/y > 0 (for even m the
         # equation also has roots at z/y < 0) and num/den > 0, computed as
         # ``value`` computes them; it counts only strictly inside the piece
@@ -473,30 +462,13 @@ class HessianQuotient(CurvatureFunction):
         num = self._bk * y + self._bk1 * x
         den = self._bl * y + self._bl1 * x
         x_n = -self._bk * y / self._bk1
-        if self._bl1 and y < 0 and z_raw < y * self._limit:
-            on_chart = x > -self._bl * y / self._bl1
-        else:
-            on_chart = (x - x_n) * y > 0  # x > x_n for y > 0, x < x_n for y < 0
-        return x if y * z_raw > 0 and num * den > 0 and on_chart else math.nan
-
-    def _array_x(self, y, z_raw):
-        m = self.m
-        zm = z_raw**m
-        ym = y**m
-        x = y * (self._bl * zm - self._bk * ym) / (self._bk1 * ym - self._bl1 * zm)
-        if m == 1:
-            ok = y != 0
-            if self._bl1:
-                ok = ok & ((x > -self._bl * y / self._bl1) == (z_raw < y * self._limit))
-            return np.where(ok, x, math.nan)
-        num = self._bk * y + self._bk1 * x
-        den = self._bl * y + self._bl1 * x
-        x_n = -self._bk * y / self._bk1
-        on_chart = (x - x_n) * y > 0
+        on_chart = (x - x_n) * y > 0  # x > x_n for y > 0, x < x_n for y < 0
         if self._bl1:
+            # below the limit at y < 0 the piece right of the pole (``right
+            # ^ True`` negates a bool and a bool array alike)
             right = (y < 0) & (z_raw < y * self._limit)
-            on_chart = np.where(right, x > -self._bl * y / self._bl1, on_chart)
-        return np.where((y * z_raw > 0) & (num * den > 0) & on_chart, x, math.nan)
+            on_chart = right & (x > -self._bl * y / self._bl1) | (right ^ True) & on_chart
+        return x, (y * z_raw > 0) & (num * den > 0) & on_chart
 
     def cone_contains(self, x, y):
         return _garding_slice_ok(self.dimension_n, self.k, x, y)
@@ -557,22 +529,14 @@ class KNorm(CurvatureFunction):
                 raise DomainError(f"{self.name}: gradient undefined on the zero set")
         return (x / v) ** (k - 1), (n - 1) * (y / v) ** (k - 1)
 
-    def _float_x(self, y, z_raw):
+    def _inverse(self, y, z_raw):
         k, n = self.k, self.dimension_n
         s = z_raw**k - (n - 1) * y**k
         root = abs(s) ** (1.0 / k)
         # an odd power sum takes the odd root below 0; an even one has no sum or level below 0
         if k % 2 == 1:
-            return -root if s < 0 else root
-        return root if s > 0 and z_raw > 0 else math.nan
-
-    def _array_x(self, y, z_raw):
-        k, n = self.k, self.dimension_n
-        s = z_raw**k - (n - 1) * y**k
-        root = abs(s) ** (1.0 / k)
-        if k % 2 == 1:
-            return np.where(s < 0, -root, root)
-        return np.where((s > 0) & (z_raw > 0), root, math.nan)
+            return (1 - 2 * (s < 0)) * root, True
+        return root, (s > 0) & (z_raw > 0)
 
     def cone_contains(self, x, y):
         return x > 0 and y > 0
@@ -621,29 +585,17 @@ class KConvexity(CurvatureFunction):
         dtot_dy = -self._a * (k - 1) / sx**2 - (self._b * k / sy**2 if self._b else 0.0)
         return -dtot_dx / tot**2, -dtot_dy / tot**2
 
-    def _float_x(self, y, z_raw):
+    def _inverse(self, y, z_raw):
         # no root where a k-fold sum (``_sums``) is non-positive: lhs, sy <= 0,
         # or a root that rounds onto the chart end x = -(k-1) y (a/lhs lost
-        # against (k-1) y at a tiny level)
-        k = self.k
-        sy = k * y
-        rest = self._b / sy if self._b else 0.0
-        lhs = 1.0 / z_raw - rest
-        if lhs > 0 and (sy > 0 or not self._b):
-            x = self._a / lhs - (k - 1) * y
-            return x if x + (k - 1) * y > 0 else math.nan
-        return math.nan
-
-    def _array_x(self, y, z_raw):
-        # as ``_float_x``; at z = 0, where the float division raises, 1/z is
-        # +-inf and x the chart end or no root
+        # against (k-1) y at a tiny level); an array divides by z = 0 to +-inf
         k = self.k
         sy = k * y
         rest = self._b / sy if self._b else 0.0
         lhs = 1.0 / z_raw - rest
         x = self._a / lhs - (k - 1) * y
         ok = (lhs > 0) & (x + (k - 1) * y > 0)
-        return np.where(ok & (sy > 0) if self._b else ok, x, math.nan)
+        return x, (ok & (sy > 0) if self._b else ok)
 
     def cone_contains(self, x, y):
         k = self.k

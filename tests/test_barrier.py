@@ -515,3 +515,10 @@ def test_invert_scaled_takes_each_scalar_iteration(beta):
 def test_admissible_slope_range_bits(key, lo, hi):
     v_lo, v_hi = admissible_slope_range(from_key(key), 1.0)
     assert (v_lo.hex(), v_hi.hex()) == (lo, hi)
+
+
+@pytest.mark.parametrize("key", ["mean:n=1000", "kconv:k=2,n=1000", "hq:k=2,l=0,n=800"])
+def test_admissible_slope_range_never_empty(key):
+    # lambda0 > 0.998 puts the inset lower end 1.001 lambda0 past 0.999
+    with pytest.raises(DomainError, match="inside U\\+"):
+        admissible_slope_range(from_key(key), 1.0)

@@ -398,9 +398,11 @@ def test_verify_ordering_records_termination(tmp_path):
         (["catenoid", "--curvature", "sk:k=3,n=5", "--R", "1", "--rmax", "6"], 0),
         (["verify", "--suite", "all", "--curvature", "mean:n=3"], 0),
         (["verify", "--suite", "all", "--curvature", "knorm:k=4,n=4"], 3),
+        # lambda0 = 0.999: no slope inside U+ to draw ordering pairs from
+        (["verify", "--suite", "ordering", "--curvature", "mean:n=1000"], 3),
     ],
     ids=["bowl", "bowl-degenerate", "catenoid-derivative-origin", "catenoid-continuous-origin",
-         "verify-all", "solver-error"],
+         "verify-all", "solver-error", "empty-slope-range"],
 )
 def test_every_json_payload_is_plain_python(tmp_path, argv, code):
     # write_json has no fallback for numpy values: every command hands it

@@ -94,3 +94,28 @@ def test_help_lists_flags(capsys, command, flags):
     assert exc.value.code == 0
     listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
     assert listed == flags + ["--config", "--out", "--seed", "--quiet"]
+
+
+@pytest.mark.parametrize("text", [
+    b"rmax = 60\n",  # no section header
+    b"[bowl]\nrmax = 60\nrmax = 70\n",  # a repeated key
+    b"[bowl]\nrmax = 60\n[bowl]\nfit_lo = 10\n",  # a repeated section
+    b"[bowl]\nrmax = %(x)s\n",  # taken as written, then parsed as --rmax
+    b"[bowl]\nrmax = 6\xff0\n",  # not UTF-8
+], ids=["no-section", "repeated-key", "repeated-section", "interpolation", "not-utf8"])
+def test_unparsable_config_file_exit2_before_run_dir(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text)
+    out = tmp_path / "o"
+    assert main(["bowl", "--curvature", "mean:n=3", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_config_value_taken_as_written(tmp_path):
+    # a % in a value is no interpolation: the run writes where --out run%1 would
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[global]\nout = {tmp_path / 'run%1'}\n[bowl]\nrmax = 60\n")
+    assert main(["bowl", "--curvature", "mean:n=3", "--config", str(cfg), "--quiet"]) == 0
+    assert (tmp_path / "run%1" / "manifest.json").is_file()

@@ -348,6 +348,28 @@ def test_float_and_array_inverses_agree(key):
         assert lo < x < hi and min(x - lo, hi - x) <= 4 * math.ulp(x), (y, z, x)
 
 
+@pytest.mark.parametrize("key", ["mean:n=3", "qk:k=3,n=6", "qk:k=2,n=8", "qk:k=5,n=6",
+                                 "kconv:k=2,n=4", "kconv:k=3,n=3", "sk:k=1,n=3"])
+def test_inverse_without_powers_same_bits_on_floats_and_arrays(key):
+    # each family's one inverse serves floats and ndarrays; where it takes no
+    # power but **1 (or **0), the two give the same bits, the sign of a zero
+    # included, and NaN at the same points
+    f = from_key(key)
+    ys, zs = _inverse_samples()
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan])
+    ys, zs = (np.concatenate([ys, np.repeat(special, len(ys)), np.tile(ys, len(special)),
+                              np.repeat(special, len(special))]),
+              np.concatenate([zs, np.tile(zs, len(special)), np.repeat(special, len(zs)),
+                              np.tile(special, len(special))]))
+    with np.errstate(all="ignore"):
+        arrays = f.solve_x(ys, zs)
+    floats = np.array([f.solve_float(y, z) for y, z in zip(ys.tolist(), zs.tolist())])
+    nan = np.isnan(floats)
+    assert np.isfinite(floats).sum() > 100
+    assert np.array_equal(np.isnan(arrays), nan)
+    assert np.array_equal(arrays[~nan].view(np.uint64), floats[~nan].view(np.uint64))
+
+
 @pytest.mark.parametrize("key, y", [("mean:n=3", 1.7e308), ("mean:n=3", -1.7e308),
                                     ("sk:k=3,n=5", 1e-160)])
 def test_overflowing_inverse_gives_nan(key, y):

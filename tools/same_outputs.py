@@ -101,6 +101,13 @@ RUNS = (
     ("verify", "--suite", "barrier", "--curvature", "qk:k=2,n=8"),
     ("verify", "--suite", "barrier", "--curvature", "knorm:k=3,n=3"),
     ("verify", "--suite", "barrier", "--curvature", "knorm:k=4,n=4"),
+    # every suite on the two-piece -1 level of an m = 2 quotient with a pole,
+    # on a k-convexity with B_k = 0 and on an odd Gauss root
+    ("verify", "--suite", "all", "--curvature", "hq:k=3,l=1,n=5"),
+    ("verify", "--suite", "all", "--curvature", "kconv:k=3,n=3"),
+    ("verify", "--suite", "all", "--curvature", "gauss:n=5"),
+    # lambda0 = 0.999 leaves no slope inside U+ to draw ordering pairs from
+    ("verify", "--suite", "ordering", "--curvature", "mean:n=1000"),
 )
 NOT_JUDGED = {"manifest.json"}
 ENTRY = "import sys; from translab.cli import main; sys.exit(main())"
