@@ -24,15 +24,19 @@ kinds of chart build the two branches from it:
   continuous_origin end through the bottom psi = pi/2, which stays a
   regular point where the curvature blows up (D -> 0 on sk), to the tilt
   of the slope handoff_tan;
-* the graph charts of the slope v = du/dr in r, from the exits of those
-  two: the upper branch, and the descending lower branch of a
-  derivative_origin end or the lower tail past the bottom.
+* the graph charts of the slope v = du/dr from the exits of those two:
+  in r on the upper branch and the lower tail past the bottom; on the
+  descending lower branch of a derivative_origin end, where v ~ -a r^b,
+  in sigma = ln(r / r_max) on q = v (r / r_h)^-b from its start r_h, which
+  moves over O(1) where v falls over decades: 61, 51 and 40 steps on
+  qk:k=3,4,5,n=6 from R 1 to r 200, less than half of what v in r takes.
 
 Every chart integrates only the state that feeds back.  The height and the
 arc length are quadratures of the dense output, exact for integrals of the
-state and 4-point Gauss-Legendre otherwise.  The ascending graph charts
-ride the same strongly attracting tail as the bowl and hand off to Radau
-IIA as it does; the other charts are not stiff and step explicitly.
+state and 4-point Gauss-Legendre otherwise, on parts of a step short enough
+for the powers of r in sigma.  The ascending graph charts ride the same
+strongly attracting tail as the bowl and hand off to Radau IIA as it does;
+the other charts are not stiff and step explicitly.
 
 Each ascending end is a vertical translate of the bowl, solved first to
 r_max: its chart stops at the merge radius r_m, where its slope meets the
@@ -56,7 +60,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -126,6 +130,7 @@ class Profile:
     tail: Optional[Trajectory] = field(default=None, repr=False)
     tail_start: int = 0
     charts: dict = field(default_factory=dict)  # as on NeckSolution
+    height: Optional[Callable] = field(default=None, repr=False)  # u(r) on the tail
     # on an ascending end: u - u_b at the tail's last node (C+ on the upper
     # branch, C- on the lower), its merge radius (None if it reached r_max
     # unmerged) and the bowl, whose rows follow it
@@ -134,19 +139,18 @@ class Profile:
     bowl: Optional[BowlProfile] = field(default=None, repr=False)
 
     def u_at(self, rs) -> np.ndarray:
-        """Height at radii on the branch.  On the tail chart it is the node
-        height plus the exact integral of the step's slope polynomial, past
-        the merge the bowl's height plus the offset; on the neck chart or
-        the lower arc before the tail, linear interpolation."""
+        """Height at radii on the branch: on the tail chart its ``height``,
+        past the merge the bowl's height plus the offset; on the neck chart
+        or the lower arc before the tail, linear interpolation."""
         rs = np.asarray(rs, dtype=float)
         out = np.interp(rs, self.r, self.u)
         if self.tail is not None:
-            on = rs >= self.tail.ts[0]
+            on = rs >= self.r[self.tail_start]
             if self.r_merge is not None:
                 past = rs > self.r_merge
                 out[past] = self.bowl.u_at(rs[past]) + self.offset
                 on &= ~past
-            out[on] = self.tail.integral_at(rs[on], self.u[self.tail_start:])
+            out[on] = self.height(rs[on])
         return out
 
 
@@ -210,18 +214,22 @@ def _profile(columns: list, tail: Optional[Trajectory], charts: dict, **ends) ->
                    tail_start=sum(len(c[0]) for c in columns[:-1]), **ends)
 
 
-def _gauss(traj: Trajectory, g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _gauss(traj: Trajectory, g, a: np.ndarray, b: np.ndarray, max_part=math.inf) -> np.ndarray:
     """Gauss-Legendre integrals of g(t, y) over the intervals [a, b] inside
-    the span, y being the dense output at the points t."""
-    h = b - a
-    t = (a[:, None] + h[:, None] * _ARC_X).ravel()
-    return h * (g(t, traj.resample(t)).reshape(len(h), -1) @ _ARC_W)
+    the span, each split into equal parts of at most max_part, y being the
+    dense output at the points t."""
+    n = np.maximum(1, np.ceil((b - a) / max_part)).astype(int)
+    part = np.repeat((b - a) / n, n)
+    lo = np.repeat(a, n) + part * (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
+    t = (lo[:, None] + part[:, None] * _ARC_X).ravel()
+    parts = part * (g(t, traj.resample(t)).reshape(len(part), -1) @ _ARC_W)
+    return np.bincount(np.repeat(np.arange(len(a)), n), parts, len(a))
 
 
-def _quadrature(traj: Trajectory, g, start: float, t: np.ndarray) -> np.ndarray:
+def _quadrature(traj: Trajectory, g, start: float, t: np.ndarray, max_part=math.inf) -> np.ndarray:
     """start plus the Gauss-Legendre integral of g(t, y) from t[0] to each
-    point of t, piece by piece; no piece may straddle a node."""
-    return np.cumsum(np.concatenate([[start], _gauss(traj, g, t[:-1], t[1:])]))
+    point of t, piece by piece (see ``_gauss``); no piece may straddle a node."""
+    return np.cumsum(np.concatenate([[start], _gauss(traj, g, t[:-1], t[1:], max_part)]))
 
 
 def _substeps(traj: Trajectory, max_part: float = math.inf) -> np.ndarray:
@@ -249,33 +257,62 @@ def _merge_stop(bowl: BowlProfile):
     return merged
 
 
-def _graph_chart(f, r0, v0, u0, s0, r_max, what, bowl=None):
+def _graph_chart(f, r0, v0, u0, s0, r_max, what, bowl=None, b=None):
     """Graph chart of the slope v(r) from (r0, v0) to r_max.  Returns
-    (trajectory, columns, ends): its profile columns and, on an ascending
-    chart (given the bowl), the ``Profile`` fields of its end.
+    (trajectory, columns, ends): its profile columns and the ``Profile``
+    fields of its end (the height on it, and the merge given the bowl).
 
-    The slope is the only state; the height u and the arc length s never
-    feed back, so they are quadratures of the dense slope: u exactly, as
-    the integral of each step's polynomial, s by Gauss-Legendre on
-    sqrt(1 + v^2).  An ascending chart passes the analytic dF/dv: it steps
-    explicitly from the neck or the bottom while h |dF/dv| < STIFF_STEP,
-    hands off to Radau IIA before the first stiff step and stops at its
-    merge with the bowl, whose rows follow; the descending chart steps
-    explicitly.
+    The slope is the only state.  An ascending chart integrates v in r
+    with the analytic dF/dv: it steps explicitly from the neck or the
+    bottom while h |dF/dv| < STIFF_STEP, hands off to Radau IIA before the
+    first stiff step and stops at its merge with the bowl, whose rows
+    follow.  The descending chart steps explicitly on q = v (r / r0)^-b in
+    sigma = ln(r / r_max): dq/dsigma = r^(1-b) r0^b F(r, q (r / r0)^b) - b q.
     """
     rhs, jac = _slope_scalar(f, None)
-    ascending = bowl is not None
-    traj = integrate(rhs, r0, [v0], r_max, PROFILE_CONFIG,
-                     (_merge_stop(bowl),) if ascending else (), jac=jac if ascending else None)
+    descending = bowl is None
+    if descending:
+        def q_rhs(sig, qs):
+            r = r_max * math.exp(sig)
+            rb = (r / r0)**b
+            return (r / rb * rhs(r, (qs[0] * rb,))[0] - b * qs[0],)
+
+        # t + (0 - t) lands on 0 exactly, where ln r may fall an ulp short;
+        # the stall rule (``_STALL_STEPS``), on |sigma|, is inert at 40-140 steps
+        traj = integrate(q_rhs, math.log(r0 / r_max), [v0], 0.0, PROFILE_CONFIG)
+    else:
+        traj = integrate(rhs, r0, [v0], r_max, PROFILE_CONFIG, (_merge_stop(bowl),), jac=jac)
     if traj.termination not in ("reached_end", "terminal_event"):
-        raise StructureError(f"{what} stopped early: {traj.termination} at r={traj.t_final}")
-    r, v, vp = traj.ts, traj.ys[:, 0], traj.fs[:, 0]
-    s, u = _quadrature(traj, _arc, s0, r), traj.node_integrals(u0)
+        raise StructureError(f"{what} stopped early: {traj.termination} at r="
+                             f"{r_max * math.exp(traj.t_final) if descending else traj.t_final}")
+    if descending:
+        def du(sig, y):  # v r
+            return y[:, 0] * (r_max * np.exp(sig))**(b + 1.0) / r0**b
+
+        def arc(sig, y):  # r sqrt(1 + v^2)
+            r = r_max * np.exp(sig)
+            return r * np.sqrt(1.0 + (y[:, 0] * (r / r0)**b) ** 2)
+
+        def height(rs):
+            idx = traj.segment_index(sig := np.log(rs / r_max))
+            return u[idx] + _gauss(traj, du, traj.ts[idx], sig, part)
+
+        # the ends are r0 and r_max exactly; v' = r^(b-1) r0^-b (dq/dsigma + b q)
+        sig, q = traj.ts, traj.ys[:, 0]
+        r = np.concatenate([[r0], r_max * np.exp(sig[1:-1]), [r_max]])
+        rb = (r / r0)**b
+        v, vp = q * rb, rb / r * (traj.fs[:, 0] + b * q)
+        part = 0.25 / max(1.0, 2.0 * abs(b))  # 1e-15 on s, where whole steps lose 1e-8
+        s, u = _quadrature(traj, arc, s0, sig, part), _quadrature(traj, du, u0, sig, part)
+    else:
+        r, v, vp = traj.ts, traj.ys[:, 0], traj.fs[:, 0]
+        s, u = _quadrature(traj, _arc, s0, r), traj.node_integrals(u0)
+        height = lambda rs: traj.integral_at(rs, u)  # noqa: E731
     # profile columns (s, r, u, theta, kappa, residual): theta = arctan v, and
-    # the signed curvature from the stored v'
+    # the signed curvature from the stored derivative
     columns = (s, r, u, np.arctan(v), vp / (1.0 + v * v) ** 1.5, _node_residuals(f, r, v, vp, v))
-    if not ascending:
-        return traj, columns, {}
+    if descending:
+        return traj, columns, {"height": height}
     r_m = traj.t_final
     C = float(u[-1] - bowl.u_at([r_m])[0])
     merged = traj.termination == "terminal_event"
@@ -285,7 +322,8 @@ def _graph_chart(f, r0, v0, u0, s0, r_max, what, bowl=None):
         rows = (_quadrature(bowl.trajectory, _arc, s[-1], np.append(r_m, r))[1:], r, bowl.u[j:] + C,
                 np.arctan(v), bowl.trajectory.fs[j:, 0] / (1.0 + v * v) ** 1.5, bowl.residuals[j:])
         columns = tuple(np.concatenate(c) for c in zip(columns, rows))
-    return traj, columns, {"offset": C, "r_merge": r_m if merged else None, "bowl": bowl}
+    return traj, columns, {"height": height, "offset": C, "r_merge": r_m if merged else None,
+                           "bowl": bowl}
 
 
 def solve_upper_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float,
@@ -367,7 +405,7 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
                              f"the fit windows need r_max > {float(r_min)}")
     tail, (s, r, u, th, kappa, resid), ends = _graph_chart(
         f, r_h, -1.0 / handoff_tan if descending else handoff_tan, float(u[-1]), float(s[-1]),
-        r_max, "lower branch" if descending else "lower tail", None if descending else bowl)
+        r_max, "lower branch" if descending else "lower tail", None if descending else bowl, b)
     columns.append((s, r, u, math.pi / 2 + np.abs(th), np.sign(th) * np.abs(kappa), resid))
     charts = {"lower_arc": arc.step_counts(),
               "lower" if descending else "lower_tail": tail.step_counts()}
@@ -381,8 +419,8 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
     if tail.ys[-1, 0] >= 0:
         raise StructureError("derivative_origin branch unexpectedly turned upward")
     # the end slope -a r^b, fitted on a geometric grid of the dense slope
-    r = _window_grid(tail.ts, (max(r_h * LOWER_FIT, r_max / 10.0), r_max))
-    w = -tail.resample(r)[:, 0]
+    r = _window_grid(r, (max(r_h * LOWER_FIT, r_max / 10.0), r_max))
+    w = -tail.resample(np.log(r / r_max))[:, 0] * (r / r_h)**b
     end_behavior = {
         "case": case,
         "kind": "logarithmic" if b == -1 else "power_law",
@@ -391,7 +429,7 @@ def solve_lower_branch(f: CurvatureFunction, neck: NeckSolution, r_max: float, c
         "exponent_u": b + 1.0,
         # the amplitude with the formula exponent pinned
         "a_R": float(math.exp(np.mean(np.log(w) - b * np.log(r)))),
-        "theta_prime_end": float(abs(tail.fs[-1, 0]) / (1 + tail.ys[-1, 0] ** 2) ** 1.5),
+        "theta_prime_end": float(abs(kappa[-1])),
     }
     return profile, None, end_behavior
 

@@ -4,8 +4,9 @@ Output contract (stable for diff-based regression):
   bowl profile CSV      header "r,u,v,residual"
   catenoid branch CSV   header "s,r,u,theta,kappa,residual"
 Numbers are written with 17 significant digits, so identical runs are
-byte-identical; every emitted file is listed in manifest.json with its
-sha256.
+byte-identical; every emitted file is listed in manifest.json with the
+sha256 of the bytes written, hashed as they are written.  Files are
+rewritten in place (``_write``).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import json
 import os
 import time
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -61,30 +63,35 @@ def load_config(path: Optional[str], known: dict) -> dict:
     return cfg
 
 
-def write_csv(path: Path, header: str, columns: Iterable[np.ndarray]) -> None:
+def _write(path: Path, chunks: Iterable[str]) -> str:
+    """Write the chunks to path in place, cut to the bytes written, and
+    return their sha256.  On ext4 a file truncated to zero is flushed at
+    close, which makes rewriting it ~10x dearer.  A write killed midway may
+    leave old bytes past the new ones, which manifest.json does not vouch for."""
+    digest = hashlib.sha256()
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        for data in map(str.encode, chunks):
+            digest.update(data)
+            fh.write(data)
+        fh.truncate()
+    return digest.hexdigest()
+
+
+def write_csv(path: Path, header: str, columns: Iterable[np.ndarray]) -> str:
     """``np.savetxt``'s bytes (fmt "%.17g", delimiter ","), by one % per block
-    of 1024 rows, so that the memory taken does not grow with the row count."""
+    of 1024 rows, so that the memory taken does not grow with the row count;
+    returns their sha256 (``_write``)."""
     rows = np.column_stack(columns)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for block in np.split(rows, range(1024, len(rows), 1024)):
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+    return _write(path, chain([header + "\n"], (
+        line * len(block) % tuple(block.ravel().tolist())
+        for block in np.split(rows, range(1024, len(rows), 1024)))))
 
 
-def write_json(path: Path, payload: dict) -> None:
+def write_json(path: Path, payload: dict) -> str:
     """The payload as sorted, indented JSON; every value is plain Python
-    (a numpy value raises TypeError)."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n")
-
-
-def sha256_of(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    (a numpy value raises TypeError).  Returns its sha256 (``_write``)."""
+    return _write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 class RunManifest:
@@ -100,9 +107,9 @@ class RunManifest:
         self._t0 = time.monotonic()
 
     def emit(self, name: str, writer, *data) -> None:
-        """Write one output file with ``writer(path, *data)`` and list it."""
-        writer(self.out_dir / name, *data)
-        self.files.append(self.out_dir / name)
+        """Write one output file with ``writer(path, *data)``, which returns
+        the sha256 of the bytes it wrote, and list it."""
+        self.files.append((name, writer(self.out_dir / name, *data)))
 
     def record_check(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks[name] = {"passed": bool(passed), "detail": detail}
@@ -118,28 +125,17 @@ class RunManifest:
             "config": self.config_echo,
             "wall_time_s": round(time.monotonic() - self._t0, 3),
             "checks": self.checks,
-            "files": [
-                {"name": p.name, "sha256": sha256_of(p)} for p in sorted(self.files)
-            ],
+            "files": [{"name": name, "sha256": digest} for name, digest in sorted(self.files)],
         }
         path = self.out_dir / "manifest.json"
         write_json(path, payload)
         return path
 
 
-def emit_plot_script(path: Path, title: str, plots: list) -> None:
+def emit_plot_script(path: Path, title: str, plots: list) -> str:
     """Plain gnuplot script referencing the emitted CSVs."""
-    lines = [
-        "# gnuplot script",
-        "set datafile separator ','",
-        f"set title '{title}'",
-        "set key left top",
-        "set grid",
-    ]
-    plot_parts = [
-        f"'{fname}' every ::1 using {cols} with lines title '{label}'"
-        for fname, cols, label in plots
-    ]
-    lines.append("plot " + ", \\\n     ".join(plot_parts))
-    lines.append("pause -1")
-    Path(path).write_text("\n".join(lines) + "\n")
+    parts = [f"'{fname}' every ::1 using {cols} with lines title '{label}'"
+             for fname, cols, label in plots]
+    return _write(path, [f"# gnuplot script\nset datafile separator ','\nset title '{title}'\n"
+                         "set key left top\nset grid\nplot " + ", \\\n     ".join(parts)
+                         + "\npause -1\n"])

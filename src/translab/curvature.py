@@ -44,8 +44,8 @@ class CurvatureFunction:
 
     Instances are immutable; all evaluation methods are pure.  ``value`` and
     ``grad`` return the *normalized* function.  Points outside the set where
-    the family's formula extends raise :class:`DomainError`; ``grad`` also
-    takes ndarrays of x and y and returns NaN there instead.
+    the formula extends, or where ``value`` overflows, raise DomainError;
+    ``grad`` also takes ndarrays of x and y and returns NaN there instead.
     """
 
     name: str
@@ -124,7 +124,10 @@ class CurvatureFunction:
         return self.zero_ray is not None
 
     def value(self, x: float, y: float) -> float:
-        return self._raw_value(x, y) / self.normalization
+        try:
+            return self._raw_value(x, y) / self.normalization
+        except OverflowError:  # a float power past 1e308, as x**1000 on knorm:k=1000
+            raise DomainError(f"{self.name}: a power overflows at ({x}, {y})") from None
 
     def grad(self, x: float, y: float) -> tuple:
         gx, gy = self._raw_grad(x, y)
@@ -154,8 +157,8 @@ class CurvatureFunction:
             return self.solve_float(y, z)
         try:
             x, ok = self._inverse(y, z * self.normalization)
-        except (ZeroDivisionError, OverflowError):
-            return y * math.nan
+        except (ZeroDivisionError, OverflowError):  # raised on a float y or z
+            return np.full(np.broadcast(y, z).shape, math.nan)
         # a vanishing denominator gives +-inf on arrays where floats raise, an
         # overflowing product +-inf on both
         return np.where(ok & ~np.isinf(x), x, math.nan)
@@ -446,13 +449,16 @@ class HessianQuotient(CurvatureFunction):
         m = self.m
         zm = z_raw**m
         ym = y**m
-        x = y * (self._bl * zm - self._bk * ym) / (self._bk1 * ym - self._bl1 * zm)
+        cross = self._bk1 * ym - self._bl1 * zm
+        x = y * (self._bl * zm - self._bk * ym) / cross
         if m == 1:
             # gamma(x, 0) = 0 for every x: no level has a root at y = 0; with
-            # a pole, x_chart picks x > pole below the limit, x < pole above it
+            # a pole, x_chart picks x > pole below the limit, x < pole above it:
+            # x - pole = y^2 (B_l B_{k-1} - B_k B_{l-1}) / (B_{l-1} cross) has
+            # the sign of cross ((n-l)/l > (n-k)/k), also where x rounds onto it
             ok = y != 0
             if self._bl1:
-                ok = ok & ((x > -self._bl * y / self._bl1) == (z_raw < y * self._limit))
+                ok = ok & ((cross > 0) == (z_raw < y * self._limit))
             return x, ok
         # the root solves the level only where z/y > 0 (for even m the
         # equation also has roots at z/y < 0) and num/den > 0, computed as

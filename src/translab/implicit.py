@@ -78,8 +78,8 @@ class ImplicitBranch:
             while b - a > 1:
                 mid = (a + b) // 2
                 x = _float_at(mid)
-                try:
-                    v = f.value(x, y)
+                try:  # ``value``, but for the OverflowError that it classifies
+                    v = f._raw_value(x, y) / f.normalization
                 except OverflowError:  # a power of x: gamma is huge, with the sign of x
                     v = math.copysign(math.inf, x)
                 if math.isnan(v):

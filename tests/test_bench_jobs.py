@@ -46,9 +46,11 @@ def test_traced_catenoid_pass(tmp_path):
     assert metrics["curvature.solve_x.calls"] > 0
     # the ascending charts stop where they merge into the bowl, the stiff
     # tails take 5-stage Radau IIA steps, and the runs with jac hand off
-    # before their first stiff step: 1,635 nodes (1,811 when the handoff
-    # also waited for r |dF/dv| > 20; the counts are deterministic per seed)
-    assert metrics["ode.nodes"] <= 1800
+    # before their first stiff step, and the descending lower charts step
+    # on the scaled slope in ln r: 1,388 nodes (1,585 with the slope in r,
+    # 1,811 when the handoff also waited for r |dF/dv| > 20; the counts are
+    # deterministic per seed)
+    assert metrics["ode.nodes"] <= 1450
 
 
 def test_traced_bowl_pass(tmp_path):

@@ -361,7 +361,9 @@ def test_ordering_pairs_layer_counts(monkeypatch):
 def test_catenoid_graph_chart_layer_counts(monkeypatch):
     # the one-component DOP853 path pinned call by call on the graph charts
     # of qk:k=3,n=6 (R 1, r 200): the descending lower chart steps
-    # explicitly throughout, the upper chart explicitly up to its handoff
+    # explicitly throughout, on the scaled slope in ln r (61 steps and 950
+    # RHS calls, where the slope in r took 139 and 2,098), the upper chart
+    # explicitly up to its handoff
     # to Radau IIA; RHS calls include integrate's first one and the stop's
     # final one, Jacobian calls the stiffness tests'.  A change to the
     # explicit stage kernel that moves a single step or rejection fails here
@@ -369,8 +371,8 @@ def test_catenoid_graph_chart_layer_counts(monkeypatch):
     res = solve_catenoid(from_key("qk:k=3,n=6"), 1.0, 200.0)
     counts = {name: (c["explicit_steps"], c["radau_steps"]) for name, c in res.charts.items()
               if name in ("lower", "upper")}
-    assert counts == {"lower": (139, 0), "upper": (36, 52)}
-    assert charts == [{"rhs": 2098, "jac": 0}, {"rhs": 1181, "jac": 42}]
+    assert counts == {"lower": (61, 0), "upper": (36, 52)}
+    assert charts == [{"rhs": 950, "jac": 0}, {"rhs": 1181, "jac": 42}]
 
 
 def test_neck_chart_layer_counts(monkeypatch):

@@ -16,7 +16,7 @@ from translab.catenoid import (
 )
 from translab.curvature import CurvatureFunction, from_key
 from translab.errors import FitError, ParameterError, UnsupportedError
-from translab.ode import integrate
+from translab.ode import IntegratorConfig, integrate
 
 _CACHE = {}
 
@@ -466,3 +466,50 @@ def test_chart_independence_qk_exponent(k):
         abs(q8.end_behavior["a_R"] - q6.end_behavior["a_R"]) / q8.end_behavior["a_R"]
         < 1e-4
     )
+
+
+# ---------------------------------------------------------------------------
+# the descending chart on the scaled slope
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key, R, rmax, abs_tol, rel", [
+    ("qk:k=3,n=6", 1.0, 200.0, 1e-18, 1e-11), ("qk:k=4,n=6", 1.0, 200.0, 1e-18, 1e-11),
+    ("qk:k=5,n=6", 1.0, 200.0, 1e-18, 1e-11), ("qk:k=3,n=6", 1e-9, 12.0, 1e-24, 5e-11)])
+def test_descending_chart_against_the_slope_in_r(key, R, rmax, abs_tol, rel):
+    # the chart steps on q = w (r / r_h)^-b in ln(r / r_max); the slope w in r
+    # from the same start at rel_tol 1e-14 gives the same w and height on a
+    # grid.  At R 1e-9 w falls to 3e-16, so the rerun needs abs_tol 1e-24,
+    # and the chart's 138 steps carry w to 2.6e-11.  There q scaled by r^-b
+    # alone would start near 1e-18, below the chart's abs_tol, and its
+    # height came out 36% off
+    f = from_key(key)
+    res = catenoid(key, R, rmax)
+    lo, b = res.lower, res.end_behavior["b"]
+    i = lo.tail_start
+    r_h = lo.r[i]
+    rhs, _ = _slope_scalar(f, None)
+    ref = integrate(rhs, r_h, [-1.0 / HANDOFF_TAN], rmax, IntegratorConfig(1e-14, abs_tol))
+    assert ref.termination == "reached_end"
+    grid = np.geomspace(r_h, rmax, 60)
+    w = lo.tail.resample(np.log(grid / rmax))[:, 0] * (grid / r_h) ** b
+    assert w == pytest.approx(ref.resample(grid)[:, 0], rel=rel, abs=0.0)
+    assert lo.u_at(grid) == pytest.approx(ref.integral_at(grid, ref.node_integrals(lo.u[i])),
+                                          rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("R, rmax", [(1.0, 200.0), (1e-9, 12.0)])
+def test_descending_chart_rows_end_on_r_h_and_r_max(R, rmax):
+    # the rows between the ends are r_max e^sigma; the first is the lower
+    # arc's exit r_h and the last r_max, bit for bit, and the R 1e-9 chart,
+    # whose last step could fall an ulp short of ln 12, reaches r_max
+    lo = catenoid("qk:k=3,n=6", R, rmax).lower
+    assert lo.r[lo.tail_start] == lo.r[lo.tail_start - 1]
+    assert lo.r[-1] == rmax and lo.tail.t_final == 0.0
+    assert np.all(np.diff(lo.r[lo.tail_start:]) > 0)
+
+
+@pytest.mark.parametrize("k, steps", [(3, 70), (4, 60), (5, 50)])
+def test_descending_chart_step_counts(k, steps):
+    # less than half the steps the slope in r took: 139, 117 and 93
+    assert catenoid(f"qk:k={k},n=6", 1.0, 200.0).charts["lower"]["explicit_steps"] <= steps

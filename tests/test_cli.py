@@ -1,5 +1,6 @@
 """CLI: exit codes, file contracts, config handling, reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import translab
 from translab.bowl import AXIS_EPS
 from translab.catenoid import solve_catenoid, solve_neck
 from translab.cli import main
-from translab.cliio import write_csv
+from translab.cliio import write_csv, write_json
 from translab.curvature import from_key, registry_keys
 
 
@@ -259,11 +260,13 @@ def test_verify_barrier_even_knorm_is_sub(tmp_path):
     assert "1.414 at the origin: verified_sub expected" in check["detail"]
 
 
-@pytest.mark.parametrize("key, skipped", [("qk:k=2,n=8", 332), ("qk:k=3,n=7", 0)])
+@pytest.mark.parametrize("key, skipped", [("qk:k=2,n=8", 0), ("qk:k=3,n=7", 0)])
 def test_verify_barrier_reports_skipped_radii(tmp_path, key, skipped):
-    # qk:k=2,n=8 has no root at 332 of the 1,080 radii, where |y| falls below
-    # ~1e-16 and its inverse picks a piece by rounding: the verdict stands on
-    # the judged radii, and the report says how many those are
+    # the verdict stands on the judged radii, and the report says how many
+    # those are.  qk:k=2,n=8 has a root at all 1,080 radii: where |y| falls
+    # below ~1e-16 its root rounds onto the pole, and its inverse picks the
+    # piece by the exact sign of the deviation (332 were skipped when it
+    # compared the rounded root with the pole)
     out = tmp_path / "v"
     assert run(["verify", "--suite", "barrier", "--curvature", key,
                 "--out", str(out), "--quiet"]) == 0
@@ -315,6 +318,38 @@ def test_write_csv_is_savetxt_bytes(tmp_path, n):
     np.savetxt(tmp_path / "b.csv", np.column_stack(cols), fmt="%.17g", delimiter=",",
                header="x,y,z", comments="")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_rewrite_in_place_leaves_only_the_new_bytes(tmp_path):
+    # output files are rewritten in place and cut to the bytes written: a
+    # long write and then a short one to one path leave exactly the short
+    # one's bytes, and each writer returns their sha256
+    path = tmp_path / "a.csv"
+    cols = np.arange(6000.0).reshape(3, -1)
+    write_csv(path, "x,y,z", cols)
+    digest = write_csv(path, "x,y,z", cols[:, :3])
+    np.savetxt(tmp_path / "b.csv", cols[:, :3].T, fmt="%.17g", delimiter=",", header="x,y,z",
+               comments="")
+    assert path.read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    write_json(path, {"a": list(range(1000))})
+    digest = write_json(path, {"a": 1})
+    assert path.read_bytes() == b'{\n  "a": 1\n}\n'
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_manifest_hashes_match_the_files_on_disk(tmp_path):
+    # manifest.json lists the sha256 of each file's bytes as written; a
+    # shorter run into the same directory rewrites every file, and each
+    # listed hash is still the file's on disk
+    out = tmp_path / "run"
+    for rmax in ("300", "60"):
+        assert run(["bowl", "--curvature", "gauss:n=4", "--rmax", rmax, "--out", str(out),
+                    "--quiet"]) == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert [entry["name"] for entry in files] == ["bowl.json", "bowl_plot.gp", "profile.csv"]
+        for entry in files:
+            assert hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest() == entry["sha256"]
 
 
 def test_config_file(tmp_path):
@@ -400,9 +435,13 @@ def test_verify_ordering_records_termination(tmp_path):
         (["verify", "--suite", "all", "--curvature", "knorm:k=4,n=4"], 3),
         # lambda0 = 0.999: no slope inside U+ to draw ordering pairs from
         (["verify", "--suite", "ordering", "--curvature", "mean:n=1000"], 3),
+        # x**1000 past 1e308 on a cone sample: a DomainError, no traceback
+        (["verify", "--suite", "homogeneity", "--curvature", "knorm:k=1000,n=3"], 3),
+        (["verify", "--suite", "implicit", "--curvature", "knorm:k=1000,n=3"], 3),
     ],
     ids=["bowl", "bowl-degenerate", "catenoid-derivative-origin", "catenoid-continuous-origin",
-         "verify-all", "solver-error", "empty-slope-range"],
+         "verify-all", "solver-error", "empty-slope-range", "power-overflow-homogeneity",
+         "power-overflow-implicit"],
 )
 def test_every_json_payload_is_plain_python(tmp_path, argv, code):
     # write_json has no fallback for numpy values: every command hands it
@@ -436,6 +475,20 @@ def test_verify_barrier_even_sk_skipped(tmp_path, key, suite):
                 "--quiet"]) == 0
     check = json.loads((out / "manifest.json").read_text())["checks"]["barrier_power"]
     assert check == {"passed": True, "detail": "no -1 level at the origin; skipped"}
+
+
+@pytest.mark.parametrize("key, rmax", [("qk:k=2,n=5", "1e4"), ("qk:k=2,n=7", "1000"),
+                                       ("qk:k=2,n=8", "200"), ("qk:k=2,n=8", "1000")])
+def test_catenoid_past_the_pole_horizon(tmp_path, key, rmax):
+    # ROADMAP item 20's inputs: where |w| / r falls below ~1e-16 the root of
+    # the slope equation rounds onto the pole of qk:k=2's X.  They ended with
+    # exit 3, on a domain exit at r 128.95 (n 8) and 277.8 (n 7), or with w in
+    # r on a step underflow at r 8,779 (n 5); now every check passes, and
+    # the end exponent is within 0.1% of b
+    assert run(["catenoid", "--curvature", key, "--R", "1", "--rmax", rmax, "--out",
+                str(tmp_path), "--quiet"]) == 0
+    eb = json.loads((tmp_path / "catenoid.json").read_text())["end_behavior"]
+    assert abs(eb["b_fitted"] - eb["b"]) <= 1e-3 * abs(eb["b"])
 
 
 def test_catenoid_reports_merge_radii(tmp_path):

@@ -1,6 +1,7 @@
 """Slice evaluators, normalization, degeneracy, zero rays, homogeneity."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -400,8 +401,9 @@ def test_kconv_inverse_has_no_root_outside_its_domain():
 def test_kconv_root_rounded_onto_its_chart_end_is_nan(key):
     # at tiny levels a / lhs vanishes against (k-1) y and the root rounds
     # onto the open chart end x = -(k-1) y, where a k-fold sum is 0 and value
-    # raises: no root there, for floats and arrays, as HessianQuotient
-    # gives for a root rounded onto an end; a level a little larger keeps it
+    # raises: no root there, for floats and arrays, as an m >= 2
+    # HessianQuotient gives for a root rounded onto an end; a level a little
+    # larger keeps it
     f = from_key(key)
     levels = [1e-200, 1e-300, 1e-310]
     for z in levels:
@@ -413,3 +415,41 @@ def test_kconv_root_rounded_onto_its_chart_end_is_nan(key):
         assert np.isnan(f.solve_x(np.array([1.0, 2.0, 4.0]), 1e-300)).all()
     x = f.solve_x(1.0, 1e-14)
     assert f.x_chart(1.0, 1e-14)[0] < x == f.solve_x(np.array([1.0]), 1e-14)[0]
+
+
+@pytest.mark.parametrize("y", [1e-17, -1e-17, 1e-18, -1e-18, 1e-300, -1e-300])
+def test_pole_side_read_off_the_exact_deviation(y):
+    # qk:k=2,n=8 (B_k = 21, B_{k-1} = B_l = 7, B_{l-1} = 1, c = 3): the root
+    # of either level lies a relative ~|y| from the pole -7y, so below |y|
+    # ~1e-16 it rounds onto the pole.  The side is the sign of the
+    # denominator, which is the exact deviation's: the root comes back, on
+    # floats and arrays alike, where comparing it with the pole gave NaN for
+    # one of the two levels at each of these y
+    f = from_key("qk:k=2,n=8")
+    for z in (1.0, -1.0):
+        x = f.solve_float(y, z)
+        assert x == pytest.approx(-7.0 * y, rel=1e-15)
+        with np.errstate(all="ignore"):
+            assert f.solve_x(np.array([y]), z)[0] == x == f.solve_x(y, np.array([z]))[0]
+        # the exact root, in rationals, lies on the piece that x_chart picks
+        Y, Z = Fraction(y), Fraction(3.0 * z)
+        root = Y * (7 * Z - 21 * Y) / (7 * Y - Z)
+        assert (root > -7 * Y) == (f.x_chart(y, z)[0] > -math.inf)
+
+
+@pytest.mark.parametrize("key", ["kconv:k=2,n=4", "sk:k=3,n=5", "gauss:n=4"])
+def test_solve_x_without_a_root_keeps_the_broadcast_shape(key):
+    # a float y of 0 and an array of levels: the formula raises on kconv
+    # (b / (k y)) and divides to inf on the others; NaN in z's shape on all
+    f = from_key(key)
+    with np.errstate(all="ignore"):
+        xs = f.solve_x(0.0, np.array([1.0, 2.0]))
+    assert xs.shape == (2,) and np.isnan(xs).all()
+
+
+def test_knorm_power_overflow_is_a_domain_error():
+    # x**1000 past 1e308 raises OverflowError in float arithmetic; value
+    # raises the classified DomainError instead
+    f = from_key("knorm:k=1000,n=3")
+    with pytest.raises(DomainError, match="overflows"):
+        f.value(3.2, 1.4)

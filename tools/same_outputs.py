@@ -95,7 +95,8 @@ RUNS = (
     ("verify", "--suite", "barrier", "--curvature", "sk:k=3,n=5"),
     ("verify", "--suite", "barrier", "--curvature", "knorm:k=2,n=3"),
     ("verify", "--suite", "barrier", "--curvature", "qk:k=3,n=7"),
-    # a power barrier judged on 748 of its 1,080 radii, the "direct" -1 level
+    # a power barrier whose root rounds onto the pole at 332 of its 1,080
+    # radii (|y| below ~1e-16), the "direct" -1 level
     # of an odd k-norm, and the reflected even-k margins, which the --suite
     # all run of knorm:k=4,n=4 never reaches (its ordering run exits 3 first)
     ("verify", "--suite", "barrier", "--curvature", "qk:k=2,n=8"),
@@ -108,6 +109,16 @@ RUNS = (
     ("verify", "--suite", "all", "--curvature", "gauss:n=5"),
     # lambda0 = 0.999 leaves no slope inside U+ to draw ordering pairs from
     ("verify", "--suite", "ordering", "--curvature", "mean:n=1000"),
+    # derivative-origin ends past the pole horizon of qk:k=2's X (ROADMAP
+    # item 20), and two whose slope falls toward abs_tol
+    ("catenoid", "--curvature", "qk:k=2,n=5", "--R", "1", "--rmax", "1e4"),
+    ("catenoid", "--curvature", "qk:k=2,n=7", "--R", "1", "--rmax", "1000"),
+    ("catenoid", "--curvature", "qk:k=2,n=8", "--R", "1", "--rmax", "200"),
+    ("catenoid", "--curvature", "qk:k=2,n=8", "--R", "1", "--rmax", "1000"),
+    ("catenoid", "--curvature", "qk:k=2,n=6", "--R", "1", "--rmax", "3000"),
+    ("catenoid", "--curvature", "qk:k=3,n=8", "--R", "1", "--rmax", "2000"),
+    # x**1000 overflows a float on the cone samples
+    ("verify", "--suite", "homogeneity", "--curvature", "knorm:k=1000,n=3"),
 )
 NOT_JUDGED = {"manifest.json"}
 ENTRY = "import sys; from translab.cli import main; sys.exit(main())"
