@@ -193,11 +193,13 @@ def compare_orderings(
     the whole negative real axis, so the stiff tail contracts the gap
     without reversing its sign at tolerance-limited step sizes.  ``steps``
     reports the handoff radius (r0) and the explicit (none) and Radau IIA
-    step counts.  The order counts as verified only when the run reaches
-    r_end: one failing component stops every pair, and a truncated span
-    proves nothing.
+    step counts; the attracting tail makes all components equal at the node
+    ``r_coalesced`` (None if never), where the run goes on as one on
+    ``_slope_scalar``'s maps for ``coalesced_steps`` steps.  The order counts
+    as verified only when the run reaches r_end: one failing component
+    stops every pair, and a truncated span proves nothing.
     """
-    from .bowl import _slope_field
+    from .bowl import _slope_field, _slope_scalar
 
     pairs = [(min(lo, hi), max(lo, hi)) for lo, hi in v0_pairs]
     if not pairs:
@@ -207,11 +209,12 @@ def compare_orderings(
     rhs, jac = _slope_field(f, clamp)
     # components 2i and 2i+1 hold the lower and upper member of pair i
     with np.errstate(all="ignore"):
-        traj = integrate(rhs, r0, [v for pair in pairs for v in pair], r_end, cfg, jac=jac)
+        traj = integrate(rhs, r0, [v for pair in pairs for v in pair], r_end, cfg, jac=jac,
+                         scalar=_slope_scalar(f, clamp))
     grid = np.linspace(r0, r_end, 200)
     vs = traj.resample(grid[grid <= traj.t_final])
     min_gap = float(np.min(vs[:, 1::2] - vs[:, 0::2]))
-    reached = traj.termination == "reached_end"
+    reached, one = traj.termination == "reached_end", traj.coalesced
     return {
         "min_gap": min_gap,
         "pairs": len(pairs),
@@ -219,6 +222,8 @@ def compare_orderings(
         "termination": traj.termination,
         "r_reached": traj.t_final,
         "steps": traj.step_counts(),
+        "r_coalesced": one,
+        "coalesced_steps": 0 if one is None else sum(seg.t0 >= one for seg in traj.segments),
     }
 
 

@@ -319,7 +319,8 @@ def cmd_verify(args):
             manifest.record_check("ordering", rep["all_ordered"],
                                   f"min_gap={rep['min_gap']:.2e} {rep['termination']}")
             results["ordering"] = {key: rep[key] for key in
-                                   ("min_gap", "pairs", "termination", "r_reached", "steps")}
+                                   ("min_gap", "pairs", "termination", "r_reached", "steps",
+                                    "r_coalesced", "coalesced_steps")}
         if "barrier" in suites:
             if f.minus_origin is not None:
                 c, b = f.minus_origin

@@ -30,8 +30,8 @@ chosen by the number of components: written-out float expressions for one
 (``_dop853_kernel``, ``_Floats``), an order of magnitude faster than
 ndarrays at the sizes of the charts; for several, a loop over the DOP853
 tableau rows on tuples of floats (the 2-state neck chart), and ndarrays
-with one RHS call for the five Radau IIA stages (``_Arrays``).
-Trajectories are packed into numpy arrays on exit.
+with one RHS call for the five Radau IIA stages (``_Arrays``) until all are
+equal (``_Merged``).  Trajectories are packed into numpy arrays on exit.
 
 References
 ----------
@@ -277,6 +277,7 @@ class Trajectory:
     # where the run moved to Radau IIA (the start, if before any explicit
     # step), or None if it did not
     handoff: Optional[float] = None
+    coalesced: Optional[float] = None  # where a batched run went on as one (``_Merged``)
 
     @property
     def t_final(self) -> float:
@@ -357,6 +358,7 @@ def integrate(
     config: Optional[IntegratorConfig] = None,
     stops: Sequence[Callable[[float, Sequence[float]], float]] = (),
     jac: Optional[Callable[[float, Sequence[float]], Sequence[float]]] = None,
+    scalar: Optional[tuple] = None,
 ) -> Trajectory:
     """Integrate rhs from t0 to t_end (> t0) with adaptive steps.
 
@@ -374,7 +376,10 @@ def integrate(
     and ``rhs`` also, once per Newton iteration for all five Radau stages,
     with a (5, 1) column of times and a (5, dim) state; ``rhs`` returns an
     array of the state's shape whose entry [k, i] depends on t[k] and
-    y[k, i] alone.  Otherwise states are tuples of floats.
+    y[k, i] alone.  Otherwise states are tuples of floats.  ``scalar``, one
+    component's (rhs, jac) on tuples, carries the run on as one from the first
+    node where all compare equal (``Trajectory.coalesced``): on the batched
+    run's steps wherever both pairs of maps round alike.
 
     Every accepted step keeps its dense-output polynomial (see ``_Segment``)
     in ``Trajectory.segments``.  Each of the ``stops`` is a function g(t, y);
@@ -411,10 +416,11 @@ def integrate(
     if batched:
         # Radau IIA from t0 on, from Hairer's first step in the max norm
         handoff = t
+        one = _Merged(*scalar, len(y)) if scalar else None
         steps = _radau_steps(kernel, t, y, f, t_end, cfg,
-                             _explicit_first_step(step_rhs, t, y, f, t_end, cfg, max), 0)
+                             _explicit_first_step(step_rhs, t, y, f, t_end, cfg, max), 0, one)
     else:
-        handoff = None
+        handoff = one = None
         stiffness = jac and (lambda t, y: abs(kernel.call(jac, t, y[0])))
         steps = _dop853_steps(rhs, stiffness, t, y, f, t_end, cfg)
     while True:
@@ -471,6 +477,7 @@ def integrate(
         stop=stop,
         segments=segments,
         handoff=handoff,
+        coalesced=one and one.since,
     )
 
 
@@ -784,7 +791,8 @@ class _Arrays:
     bit-identical values.  Components equal at a node take one Newton start:
     the extrapolation magnifies the rounding in which their last polynomials
     differ, so they would split again by tens of ulps (a comparison run's
-    gap would read that noise), where with one start they stay equal.
+    gap would read that noise), where with one start they stay equal.  A
+    count of one hands the run to ``_Merged`` (see ``_radau_steps``).
     """
 
     TI, T, PT = (np.ascontiguousarray(np.transpose(A))[:, :, None] for A in (_RTI, _RT, _RPT))
@@ -814,10 +822,10 @@ class _Arrays:
             s = (stage_t - prev.t0) / prev.h
             Z = prev.y0 + s * _poly(prev.Q.T, s) - y
             distinct = len(set(y.tolist()))
+            if distinct != self.groups[0]:  # equal components stay equal: groups only merge
+                _, first, where = np.unique(y, return_index=True, return_inverse=True)
+                self.groups = distinct, first[where]
             if distinct < y.size:  # else the map is the identity
-                if distinct != self.groups[0]:  # equal components stay equal: groups only merge
-                    _, first, where = np.unique(y, return_index=True, return_inverse=True)
-                    self.groups = distinct, first[where]
                 Z = Z[:, self.groups[1]]
         return stage_t, Z, _rows(_Arrays.TI, Z)
 
@@ -844,11 +852,32 @@ class _Arrays:
         return _Segment(t, h, y, Q.T), y_new, f_new
 
 
-def _radau_steps(kernel, t, y, f, t_end, cfg, h, n_steps):
+class _Merged(_Floats):
+    """``_Floats`` for a batched run once its ``dim`` components are all
+    equal, from the node ``since``: Newton starts from the first component,
+    and each accepted step is broadcast back to all in ``_Arrays``' shapes."""
+
+    def __init__(self, rhs, jac, dim):
+        super().__init__(rhs, jac)
+        self.dim, self.since = dim, None
+
+    @staticmethod
+    def start(prev, t, h, y):
+        first = _Segment(prev.t0, prev.h, prev.y0[:1].tolist(), prev.Q[:1].tolist())
+        return _Floats.start(first, t, h, y)
+
+    def accepted(self, t, h, y, Z, y_new, f_new):
+        n, (seg, _, _) = self.dim, _Floats.accepted(t, h, y, Z, y_new, f_new)
+        return (_Segment(t, h, np.full(n, y), np.array(seg.Q * n)), np.full(n, y_new),
+                np.full(n, f_new))
+
+
+def _radau_steps(kernel, t, y, f, t_end, cfg, h, n_steps, one=None):
     """Accepted Radau IIA steps as (segment, t_new, y_new, f_new), from a
     first step h with n_steps of the step budget spent, on the stage
     arithmetic of ``kernel`` (``_Floats`` for one component, ``_Arrays``
-    for several on one step sequence).
+    for several on one step sequence, then ``one``, a ``_Merged``, if given,
+    from a node where ``_Arrays.start`` counts one component and J is uniform).
 
     The stage system is solved by simplified Newton in the eigenbasis of
     the Radau coefficient matrix, so each iteration costs five RHS
@@ -880,6 +909,12 @@ def _radau_steps(kernel, t, y, f, t_end, cfg, h, n_steps):
         h = min(h, t_end - t, cfg.max_step)
         if h < _MIN_STEP:
             return "step_underflow"
+        stage_t, Z, W = kernel.start(prev, t, h, y)
+        if one is not None and kernel.groups[0] == 1 and (J is None or J.min() == J.max()):
+            # every component and its Jacobian equal at the node: on as one
+            kernel, one, y, f = one, None, float(y[0]), float(f[0])
+            kernel.since, J = t, J if J is None else float(J[0])
+            stage_t, Z, W = kernel.start(prev, t, h, y)
         if J is None and fresh != "mid":
             J, fresh = kernel.call(kernel.jac, t + 0.5 * h, y + 0.5 * h * f), "mid"
             if not math.isfinite(kernel.norm(J)):
@@ -891,7 +926,6 @@ def _radau_steps(kernel, t, y, f, t_end, cfg, h, n_steps):
         den_real = _MU_REAL / h - J
         solve = kernel.solver(h, J)
         scale2 = (ab + rel * abs(y)) ** 2
-        stage_t, Z, W = kernel.start(prev, t, h, y)
 
         converged = False
         norm_old = rate = None

@@ -1,5 +1,6 @@
 """Barriers: cone round trips, margin signs, comparison principle."""
 
+import hashlib
 import math
 import warnings
 
@@ -149,9 +150,47 @@ def test_ordering_mean_n3():
 
 
 def test_ordering_identical_initial_data():
+    # equal components stay equal; the run counts them at its first node and
+    # goes on as one from there
     f = from_key("mean:n=3")
     rep = compare_orderings(f, [(0.8, 0.8)], 1.0, 50.0)
-    assert rep["min_gap"] == pytest.approx(0.0, abs=1e-13)
+    assert rep["min_gap"] == 0.0
+    assert rep["r_coalesced"] > 1.0
+    assert rep["coalesced_steps"] == rep["steps"]["radau_steps"] - 1
+
+
+def test_ordering_runs_go_on_as_one_component_with_the_same_bits(monkeypatch):
+    # the ordering-pairs bench jobs (seed 1) and a gauss:n=4 run on the same
+    # stream, and qk:k=3,n=7 on seed 7, 8 pairs each: on the attracting tail
+    # every component becomes bit-equal, at nodes 79, 71 and 70; the run
+    # goes on as one on the float kernel there, or on qk, whose Jacobian
+    # still differs by ulps between components, at node 72 after it is
+    # fresh.  The dense output on 200 points keeps the bits the ndarray
+    # kernel gave (SHA-256 of the float64 bytes).  gauss:n=4's pairs stay
+    # apart, and its run stays on the ndarray kernel
+    runs, found = [], []
+
+    def integrate_spy(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(barrier, "integrate", integrate_spy)
+    for seed, keys in (([1, 4], ("mean:n=3", "hq:k=2,l=0,n=4", "gauss:n=4")),
+                       (7, ("qk:k=3,n=7",))):
+        rng = np.random.default_rng(seed)
+        for key in keys:
+            f = from_key(key)
+            v_lo, v_hi = admissible_slope_range(f, 1.0)
+            pairs = [tuple(sorted(rng.uniform(v_lo, v_hi, 2))) for _ in range(8)]
+            rep, tr = compare_orderings(f, pairs, 1.0, 100.0), runs[-1]
+            equal = np.flatnonzero((tr.ys == tr.ys[:, :1]).all(axis=1)).tolist()
+            node = None if tr.coalesced is None else tr.ts.tolist().index(tr.coalesced)
+            assert rep["r_coalesced"] == tr.coalesced
+            assert rep["coalesced_steps"] == (0 if node is None else len(tr.segments) - node)
+            vs = tr.resample(np.linspace(1.0, 100.0, 200))
+            found.append((equal[:1], node, hashlib.sha256(vs.tobytes()).hexdigest()[:16]))
+    assert found == [([79], 79, "17779c729cd2ed43"), ([71], 71, "4fefa67593c3afbc"),
+                     ([], None, "25eb15b8dbb254b8"), ([70], 72, "0c9cbf44ffb995d6")]
 
 
 def test_solution_vs_own_power_supersolution():
@@ -209,8 +248,8 @@ def test_ordering_every_family(monkeypatch, key):
             missed.append(int(np.isnan(x).sum()))
         return x
 
-    def integrate_spy(rhs, t0, state0, t_end, config, jac):
-        tr = integrate(rhs, t0, state0, t_end, config, jac=jac)
+    def integrate_spy(rhs, t0, state0, t_end, config, jac, scalar):
+        tr = integrate(rhs, t0, state0, t_end, config, jac=jac, scalar=scalar)
         runs.append(tr)
         return tr
 

@@ -340,11 +340,17 @@ def test_ordering_pairs_layer_counts(monkeypatch):
     # the batched path pinned call by call on the ordering-pairs bench jobs
     # at seed 1: 8 seeded pairs each on mean:n=3 and hq:k=2,l=0,n=4, r from
     # 1 to 100, each family one 16-component run on the ndarray Radau IIA
-    # kernel from r 1 on.  An RHS call evaluates every component (one per
-    # Newton iteration for all five stages; integrate's first one and the
-    # first step's probe included).  The pairs meet on the attracting tail:
-    # mean:n=3's minimum gap is exactly +0.0, hq's one rounding, -2^-50
-    charts = _count_slope_calls(monkeypatch, bowl, "_slope_field")
+    # kernel from r 1 on, until its components are all equal at a node (79
+    # and 71); the run goes on as one on the float kernel and
+    # ``_slope_scalar``'s maps.  An array RHS call evaluates every component
+    # (one per Newton iteration for all five stages; integrate's first one
+    # and the first step's probe included).  The pairs meet on the
+    # attracting tail: mean:n=3's minimum gap is exactly +0.0, hq's one
+    # rounding, -2^-50.  ``_slope_scalar`` builds its Jacobian on
+    # ``_slope_field``'s derivative, so every second field chart counts the
+    # one-component Jacobian's calls
+    fields = _count_slope_calls(monkeypatch, bowl, "_slope_field")
+    scalars = _count_slope_calls(monkeypatch, bowl)
     rng = np.random.default_rng([1, 4])
     reports = []
     for key in ("mean:n=3", "hq:k=2,l=0,n=4"):
@@ -354,7 +360,11 @@ def test_ordering_pairs_layer_counts(monkeypatch):
         reports.append(compare_orderings(f, pairs, 1.0, 100.0))
     assert [(rep["steps"]["explicit_steps"], rep["steps"]["radau_steps"])
             for rep in reports] == [(0, 108), (0, 101)]
-    assert charts == [{"rhs": 414, "jac": 45}, {"rhs": 391, "jac": 43}]
+    assert [rep["r_coalesced"] for rep in reports] == [6.515873656982273, 6.166158346057921]
+    assert [rep["coalesced_steps"] for rep in reports] == [29, 30]
+    assert fields[0::2] == [{"rhs": 259, "jac": 16}, {"rhs": 232, "jac": 13}]
+    assert scalars == [{"rhs": 659, "jac": 29}, {"rhs": 675, "jac": 30}]
+    assert fields[1::2] == [{"rhs": 0, "jac": 29}, {"rhs": 0, "jac": 30}]
     assert [rep["min_gap"].hex() for rep in reports] == ["0x0.0p+0", "-0x1.0000000000000p-50"]
 
 

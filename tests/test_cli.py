@@ -422,6 +422,9 @@ def test_verify_ordering_records_termination(tmp_path):
     steps = ordering["steps"]
     assert steps["handoff"] == 1.0
     assert steps["explicit_steps"] == 0 and steps["radau_steps"] > 0
+    # the pairs meet on the attracting tail, and the run goes on as one there
+    assert 1.0 < ordering["r_coalesced"] < 100.0
+    assert 0 < ordering["coalesced_steps"] < steps["radau_steps"]
 
 
 @pytest.mark.parametrize(

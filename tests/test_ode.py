@@ -444,14 +444,27 @@ def test_float_kernel_takes_the_array_kernels_steps_bit_for_bit():
     # unequal components that meet at a node (the tracks from 0.5 and 0.502
     # round to one float at node 98 of 106) take one Newton start from then
     # on (``np.unique``) and stay equal; 16 components repeat the run of the
-    # two bit for bit
+    # two bit for bit.  Given the one-component maps of its equation, a
+    # batched run goes on as one component on the float kernel from the node
+    # where all are equal (node 1 for equal initial data), with the steps and
+    # the dense output of the ndarray kernel
+    scalar = (lambda t, ys: (rhs(t, ys[0]),), lambda t, ys: (jac(t, ys[0]),))
     two = integrate(rhs, 0.0, [0.5, 0.502], 3.0, jac=jac)
-    mixed = integrate(rhs, 0.0, [0.5, 0.502] * 8, 3.0, jac=jac)
     met = np.flatnonzero(two.ys[:, 0] == two.ys[:, 1])
     assert np.array_equal(met, np.arange(98, len(two.ts))) and len(two.ts) == 106
-    assert np.array_equal(mixed.ts, two.ts)
-    assert np.array_equal(mixed.ys, np.tile(two.ys, 8))
-    assert np.array_equal(mixed.resample(grid), np.tile(two.resample(grid), 8))
+    assert two.coalesced is None
+    for mixed in (integrate(rhs, 0.0, [0.5, 0.502] * 8, 3.0, jac=jac),
+                  integrate(rhs, 0.0, [0.5, 0.502] * 8, 3.0, jac=jac, scalar=scalar)):
+        assert mixed.step_counts() == two.step_counts()
+        assert np.array_equal(mixed.ts, two.ts)
+        assert np.array_equal(mixed.ys, np.tile(two.ys, 8))
+        assert np.array_equal(mixed.fs, np.tile(two.fs, 8))
+        assert np.array_equal(mixed.resample(grid), np.tile(two.resample(grid), 8))
+    assert mixed.coalesced == two.ts[98]
+    batch = integrate(rhs, 0.0, [0.5] * 16, 3.0, jac=jac, scalar=scalar)
+    assert batch.coalesced == one.ts[1]
+    assert np.array_equal(batch.ys, np.repeat(one.ys, 16, axis=1))
+    assert np.array_equal(batch.resample(grid), np.repeat(one.resample(grid), 16, axis=1))
 
 
 def test_batched_run_is_radau_iia_from_t0():

@@ -119,6 +119,10 @@ RUNS = (
     ("catenoid", "--curvature", "qk:k=3,n=8", "--R", "1", "--rmax", "2000"),
     # x**1000 overflows a float on the cone samples
     ("verify", "--suite", "homogeneity", "--curvature", "knorm:k=1000,n=3"),
+    # comparison runs past the bench families whose components all meet and
+    # go on as one component, on a quotient and on a k-norm
+    ("verify", "--suite", "ordering", "--curvature", "qk:k=3,n=6"),
+    ("verify", "--suite", "ordering", "--curvature", "knorm:k=2,n=3"),
 )
 NOT_JUDGED = {"manifest.json"}
 ENTRY = "import sys; from translab.cli import main; sys.exit(main())"
